@@ -77,7 +77,6 @@ from .physical import (
     MemoryBudget,
     MemoryMeter,
     MergeJoin,
-    PartitionedScan,
     PhysicalOperator,
     ReplanTriggered,
     SpilledCheckpoint,
@@ -578,12 +577,7 @@ class EngineEvaluator:
                     self._repin(expression, plan, bound, replans, events)
         else:
             root = plan.executor(bound, meter)
-            if tracer is not None:
-                with tracer.span("materialize", "drain") as span:
-                    rows = drain_metered(root, meter)
-                    span.rows = len(rows)
-            else:
-                rows = drain_metered(root, meter)
+            rows = drain_metered(root, meter, span=True)
             result = Relation._from_trusted(root.scheme, frozenset(rows))
             self._record_steps(root, trace)
             trace.peak_live_rows = meter.peak
@@ -808,33 +802,15 @@ class EngineEvaluator:
                 if not give_up and replans < adaptive.max_replans:
                     guard_for = self._guard_hook(current)
                 root = current.executor(bindings, meter, guard_for=guard_for)
-                rows: Set[Tuple] = set()
-                size = 0
                 tracer = meter.tracer
                 try:
-                    if tracer is not None and tracer.enabled:
-                        with tracer.span("materialize", "drain") as span:
-                            for block in root.blocks():
-                                rows.update(block)
-                                grown = len(rows)
-                                if grown != size:
-                                    meter.acquire(grown - size)
-                                    size = grown
-                            span.rows = size
-                    else:
-                        for block in root.blocks():
-                            rows.update(block)
-                            grown = len(rows)
-                            if grown != size:
-                                meter.acquire(grown - size)
-                                size = grown
+                    rows = drain_metered(root, meter, span=True)
                     return rows, root, replans, aborted_build_peak, checkpoint_names
                 except ReplanTriggered as trigger:
                     # Partial result rows are discarded (the revised plan
-                    # re-derives them); release their metered residency.
-                    # Build tables resident during this aborted attempt
-                    # still count towards the evaluation's build peak.
-                    meter.release(size)
+                    # re-derives them) and the drain released their metered
+                    # residency.  Build tables resident during this aborted
+                    # attempt still count towards the evaluation's build peak.
                     aborted_build_peak = max(
                         aborted_build_peak,
                         max(
@@ -1034,7 +1010,7 @@ class EngineEvaluator:
     @staticmethod
     def _operator_scan_names(operator: PhysicalOperator) -> Set[str]:
         """Relation names read by an executed operator subtree."""
-        if isinstance(operator, (TableScan, PartitionedScan)):
+        if isinstance(operator, TableScan):  # PartitionedScan is one
             return {operator._name}
         names: Set[str] = set()
         for child in operator.children():
@@ -1212,24 +1188,11 @@ class EngineEvaluator:
         metered memory or spills to disk; the rows are metered only while
         this drain is in flight.
         """
-        root = node.instantiate(bindings, meter)
-        rows: Set[Tuple] = set()
-        size = 0
-        blocks = root.blocks()
-        try:
-            for block in blocks:
-                rows.update(block)
-                grown = len(rows)
-                if cap is not None and grown > cap:
-                    blocks.close()
-                    return None
-                if grown != size:
-                    meter.acquire(grown - size)
-                    size = grown
-            return rows
-        finally:
+        rows = drain_metered(node.instantiate(bindings, meter), meter, cap=cap)
+        if rows is not None:
             # The caller re-acquires the checkpoint relation's residency.
-            meter.release(size)
+            meter.release(len(rows))
+        return rows
 
     def _refresh_node_stats(
         self, node: PlanNode, base_stats: Mapping[str, object]

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
+from ..obs.tracer import NULL_TRACER
 from ..perf.counters import kernel_counters
 from .faults import FaultPlan, InjectedFaultError
 from .physical import MemoryMeter, PhysicalOperator
@@ -115,22 +116,50 @@ def default_backend() -> str:
     return "thread"
 
 
-def drain_metered(root: PhysicalOperator, meter: MemoryMeter) -> Set[tuple]:
+def drain_metered(
+    root: PhysicalOperator,
+    meter: MemoryMeter,
+    cap: Optional[int] = None,
+    span: bool = False,
+) -> Optional[Set[tuple]]:
     """Drain an operator tree into a set, metering the accumulated rows.
 
-    Mirrors the serial evaluator's accounting: the growing result set is
-    resident alongside operator state, so ``meter.peak`` stays comparable
-    between serial and parallel executions.
+    The one drain of the engine — serial, adaptive, parallel-worker and
+    checkpoint executions all end here — so the growing result set is
+    metered alongside operator state the same way everywhere and
+    ``meter.peak`` stays comparable between them.  The set is offered to
+    the root as its ``sink``: a root projection dedups straight into it
+    (and yields empty blocks), so result rows are hashed once and resident
+    once.
+
+    Past ``cap`` rows the drain stops and returns ``None``; then, or when
+    the tree raises (a mid-stream re-plan, an injected fault), the partial
+    rows' residency is released.  ``span`` wraps the drain in the trace's
+    ``materialize`` span when the meter carries an enabled tracer.
     """
+    tracer = meter.tracer if span else None
+    if tracer is None or not tracer.enabled:
+        tracer = NULL_TRACER
     rows: Set[tuple] = set()
     update = rows.update
     size = 0
-    for block in root.blocks():
-        update(block)
-        grown = len(rows)
-        if grown != size:
-            meter.acquire(grown - size)
-            size = grown
+    blocks = root.blocks(rows)
+    with tracer.span("materialize", "drain") as handle:
+        try:
+            for block in blocks:
+                update(block)
+                grown = len(rows)
+                if cap is not None and grown > cap:
+                    blocks.close()
+                    meter.release(size)
+                    return None
+                if grown != size:
+                    meter.acquire(grown - size)
+                    size = grown
+        except BaseException:
+            meter.release(size)
+            raise
+        handle.rows = size
     return rows
 
 

@@ -34,6 +34,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -47,7 +48,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import JoinPlan, make_key_picker
+from ..perf.plancache import JoinPlan, make_block_picker, make_key_picker
 from .faults import EngineFaultError
 from .stats import RelationStats
 
@@ -795,22 +796,35 @@ class PhysicalOperator:
     def __init__(self, meter: MemoryMeter):
         self.meter = meter
 
-    def blocks(self) -> Iterator[Block]:
+    def blocks(self, sink: Optional[Set[Row]] = None) -> Iterator[Block]:
         """Yield the output as a sequence of row blocks (fresh generator).
+
+        ``sink`` is the consumer's result set, offered by a drain that only
+        wants the distinct rows (:func:`repro.engine.parallel.drain_metered`).
+        An operator that would deduplicate anyway may put its rows straight
+        into it and yield an *empty* block per input block instead — the
+        consumer still gets control at block granularity to meter the set —
+        so each result row is hashed once rather than once per set.  Every
+        other operator ignores the offer.
 
         When the shared meter carries an enabled tracer the stream is
         wrapped in a timed ``operator`` span; otherwise the operator's
         raw generator is returned untouched, so disabled tracing costs
         one attribute check per operator and nothing per block.
         """
+        stream = self._blocks() if sink is None else self._blocks_into(sink)
         tracer = self.meter.tracer
         if tracer is None or not tracer.enabled:
-            return self._blocks()
-        return tracer.operator_stream(self, self._blocks())
+            return stream
+        return tracer.operator_stream(self, stream)
 
     def _blocks(self) -> Iterator[Block]:
         """The operator's block generator (implemented by subclasses)."""
         raise NotImplementedError
+
+    def _blocks_into(self, sink: Set[Row]) -> Iterator[Block]:
+        """The block generator when the consumer offers its result set."""
+        return self._blocks()
 
     def __iter__(self) -> Iterator[Row]:
         for block in self.blocks():
@@ -826,6 +840,15 @@ class PhysicalOperator:
         return type(self).__name__
 
 
+def _cut(rows: Iterator[Row]) -> Iterator[Block]:
+    """Cut a row iterator into blocks, one C-level ``islice`` per block."""
+    while True:
+        block = list(islice(rows, BLOCK_ROWS))
+        if not block:
+            return
+        yield block
+
+
 class TableScan(PhysicalOperator):
     """Stream a stored relation's raw rows.
 
@@ -839,19 +862,13 @@ class TableScan(PhysicalOperator):
         self._name = name or relation.name or "relation"
         self.scheme = relation.scheme
 
+    def _rows(self) -> Iterator[Row]:
+        return iter(self._relation.rows)
+
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
         self.rows_out = 0
-        block: Block = []
-        append = block.append
-        for row in self._relation.rows:
-            append(row)
-            if len(block) >= BLOCK_ROWS:
-                self.rows_out += len(block)
-                yield block
-                block = []
-                append = block.append
-        if block:
+        for block in _cut(self._rows()):
             self.rows_out += len(block)
             yield block
 
@@ -864,7 +881,7 @@ class TableScan(PhysicalOperator):
 PROBE_SLICE_SALT = -0x51A5
 
 
-class PartitionedScan(PhysicalOperator):
+class PartitionedScan(TableScan):
     """Stream one hash-slice of a stored relation's raw rows.
 
     Worker ``index`` of ``count`` yields the rows whose (salted, bit-mixed)
@@ -883,35 +900,21 @@ class PartitionedScan(PhysicalOperator):
         count: int,
         name: Optional[str] = None,
     ):
-        super().__init__(meter)
+        super().__init__(relation, meter, name=name)
         if not 0 <= index < count:
             raise ValueError(f"slice index {index} out of range for {count} workers")
-        self._relation = relation
         self._index = index
         self._count = count
-        self._name = name or relation.name or "relation"
-        self.scheme = relation.scheme
         self.consumes_probe_slice = True
 
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        self.rows_out = 0
+    def _rows(self) -> Iterator[Row]:
         index = self._index
         count = self._count
-        block: Block = []
-        append = block.append
-        for row in self._relation.rows:
-            if _partition_index(PROBE_SLICE_SALT, row, count) != index:
-                continue
-            append(row)
-            if len(block) >= BLOCK_ROWS:
-                self.rows_out += len(block)
-                yield block
-                block = []
-                append = block.append
-        if block:
-            self.rows_out += len(block)
-            yield block
+        return (
+            row
+            for row in self._relation.rows
+            if _partition_index(PROBE_SLICE_SALT, row, count) == index
+        )
 
     def label(self) -> str:
         """The one-line trace/explain label."""
@@ -940,6 +943,14 @@ class StreamingProject(PhysicalOperator):
     projections) the seen-set is a :class:`SpillingSeenSet`: instead of
     overrunning the shared meter it spills to Grace partitions and defers
     the spilled rows' first occurrences to a replay phase.
+
+    A projection at the plan root keeps **no** seen-set of either kind
+    when the drain offers its result set (``blocks(sink)``): the picked
+    rows stream straight into that set, which deduplicates them and is
+    metered by the drain, so ``rows_out`` is the true result cardinality
+    while the result is resident once, not twice.  The picked rows must
+    never be materialised on the way — a projected copy of every
+    join-output block is what the sink exists to avoid.
     """
 
     def __init__(
@@ -954,7 +965,7 @@ class StreamingProject(PhysicalOperator):
     ):
         super().__init__(meter)
         self._child = child
-        self._pick = pick
+        self._pick_block = make_block_picker(pick)
         self._dedup = dedup
         self._probe_slice = probe_slice
         self._budget = budget
@@ -965,18 +976,17 @@ class StreamingProject(PhysicalOperator):
         """The input operators."""
         return (self._child,)
 
-    def _project_block(self, block: Block) -> Block:
-        """Apply the pick (and the probe-slice filter) to one input block."""
-        pick = self._pick
-        probe_slice = self._probe_slice
-        if probe_slice is None:
-            return [pick(row) for row in block]
-        index, count = probe_slice
-        return [
+    def _picked(self, block: Block) -> Iterator[Row]:
+        """Lazily pick (and probe-slice filter) one input block's rows."""
+        picked = self._pick_block(block)
+        if self._probe_slice is None:
+            return picked
+        index, count = self._probe_slice
+        return (
             values
-            for values in map(pick, block)
+            for values in picked
             if _partition_index(PROBE_SLICE_SALT, values, count) == index
-        ]
+        )
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
@@ -986,38 +996,37 @@ class StreamingProject(PhysicalOperator):
             return self._blocks_spilling_dedup()
         return self._blocks_dedup()
 
+    def _blocks_into(self, sink: Set[Row]) -> Iterator[Block]:
+        self.rows_out = 0
+        for block in self._child.blocks():
+            before = len(sink)
+            sink.update(self._picked(block))
+            self.rows_out += len(sink) - before
+            yield []
+
     def _blocks_no_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
         for block in self._child.blocks():
-            out = self._project_block(block)
+            out = list(self._picked(block))
             if out:
                 self.rows_out += len(out)
                 yield out
 
     def _blocks_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
-        pick = self._pick
         meter = self.meter
-        probe_slice = self._probe_slice
         seen: Set[Row] = set()
         add = seen.add
         try:
             for block in self._child.blocks():
-                out: Block = []
-                append = out.append
-                before = len(seen)
-                for row in block:
-                    values = pick(row)
-                    if probe_slice is not None and (
-                        _partition_index(PROBE_SLICE_SALT, values, probe_slice[1])
-                        != probe_slice[0]
-                    ):
-                        continue
-                    if values not in seen:
-                        add(values)
-                        append(values)
-                meter.acquire(len(seen) - before)
+                # ``add`` returns None, so the filter records as it tests.
+                out = [
+                    values
+                    for values in self._picked(block)
+                    if values not in seen and not add(values)
+                ]
                 if out:
+                    meter.acquire(len(out))
                     self.rows_out += len(out)
                     yield out
         finally:
@@ -1029,7 +1038,7 @@ class StreamingProject(PhysicalOperator):
         seen = SpillingSeenSet(self.meter, self._budget, prefix="repro-dedup-")
         try:
             for block in self._child.blocks():
-                out = seen.filter_block(self._project_block(block))
+                out = seen.filter_block(list(self._picked(block)))
                 if out:
                     self.rows_out += len(out)
                     yield out
@@ -1048,18 +1057,51 @@ class StreamingProject(PhysicalOperator):
         return f"project[{', '.join(self.scheme.names)}]({self._child.label()}{dedup}){sliced}"
 
 
+def _build_block(buckets: Dict[Hashable, Set[Row]], pairs) -> int:
+    """The build kernel: fold ``(key, entry)`` pairs into set-valued buckets.
+
+    Returns how many entries were new.  Every hash-join build — either
+    build side, in memory or re-loaded from a Grace partition — goes
+    through here, so duplicates from a dedup-free build child collapse the
+    same way everywhere and the caller meters exactly the rows resident.
+    """
+    get = buckets.get
+    added = 0
+    for key, entry in pairs:
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = {entry}
+            added += 1
+        elif entry not in bucket:
+            bucket.add(entry)
+            added += 1
+    return added
+
+
 class HashJoin(PhysicalOperator):
     """Streaming hash join: drain the build side into buckets, stream the probe.
 
     The output layout is fixed by the compiled
     :class:`~repro.perf.plancache.JoinPlan` as ``left ++ (right - left)``
     regardless of which side is built, exactly like the materialising kernel.
-    Buckets hold *sets* (full left rows, or right ``(key, extras)``
-    fragments — both in bijection with the build side's rows), so duplicates
-    from a dedup-free build child collapse in the table.  Only the build side
-    is ever resident; a disjoint-scheme join degenerates to a product with a
+    Buckets hold *sets* (full left rows, or right ``extras`` fragments —
+    both in bijection with the build side's rows), so duplicates from a
+    dedup-free build child collapse in the table.  Only the build side is
+    ever resident; a disjoint-scheme join degenerates to a product with a
     single bucket.
+
+    Both phases run block-at-a-time through two kernels shared with
+    :class:`GraceHashJoin`: :func:`_build_block` folds a block of
+    ``(key, entry)`` pairs into the table, and :meth:`_probe` answers a
+    whole probe block with one nested comprehension over the block zipped
+    with its bucket lookups (``map`` of ``dict.get`` over ``map`` of the key
+    picker), so the interpreter runs once per block and per emitted row,
+    never once per probed row.
     """
+
+    #: Output rows the probe kernel gathers before yielding a block: an
+    #: in-memory join yields per probe block, as it always has.
+    _flush_rows = 1
 
     def __init__(
         self,
@@ -1077,98 +1119,92 @@ class HashJoin(PhysicalOperator):
         self._plan = plan
         self.build_side = build_side
         self.scheme = plan.joined_scheme
+        # Side-generic views.  ``_pairs_of(block)`` lazily turns a build
+        # block into the build kernel's ``(key, entry)`` pairs: entries are
+        # full left rows, or the right rows' extras (the key already
+        # carries their other columns).
+        extra_of = plan.right_extra_of
+        if build_side == "left":
+            key_of = plan.left_key_of
+            self._build_child, self._probe_child = left, right
+            self._probe_key_of = plan.right_key_of
+            self._pairs_of = lambda block: zip(map(key_of, block), block)
+        else:
+            key_of = plan.right_key_of
+            self._build_child, self._probe_child = right, left
+            self._probe_key_of = plan.left_key_of
+            self._pairs_of = lambda block: zip(map(key_of, block), map(extra_of, block))
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         """The input operators."""
         return (self._left, self._right)
 
+    def _probe(
+        self,
+        buckets: Dict[Hashable, Set[Row]],
+        probe_blocks: Iterator[Block],
+        count_probes: bool = True,
+    ) -> Iterator[Block]:
+        """The probe kernel: stream probe blocks against a finished table.
+
+        Consumes ``buckets`` (frozen into tuples for iteration, then
+        cleared).  One comprehension serves no match, one match and many
+        alike.  ``count_probes`` is False for spilled partitions, whose
+        probe rows were counted when they were routed to partition files.
+        """
+        frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
+        buckets.clear()
+        build_left = self.build_side == "left"
+        key_of = self._probe_key_of
+        extra_of = self._plan.right_extra_of
+        frozen_get = frozen.get
+        flush_rows = self._flush_rows
+        out: Block = []
+        for block in probe_blocks:
+            if count_probes:
+                _COUNTERS.add(join_probes=len(block))
+            matches = map(frozen_get, map(key_of, block))
+            if build_left:
+                out += [
+                    left + extra
+                    for extra, bucket in zip(map(extra_of, block), matches)
+                    if bucket
+                    for left in bucket
+                ]
+            else:
+                out += [
+                    left + extra
+                    for left, bucket in zip(block, matches)
+                    if bucket
+                    for extra in bucket
+                ]
+            if len(out) >= flush_rows:
+                self.rows_out += len(out)
+                yield out
+                out = []
+        if out:
+            self.rows_out += len(out)
+            yield out
+
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
         self.rows_out = 0
         self.build_peak_rows = 0
-        plan = self._plan
         meter = self.meter
+        pairs_of = self._pairs_of
         buckets: Dict[Hashable, Set[Row]] = {}
         resident = 0
         try:
-            if self.build_side == "left":
-                key_of = plan.left_key_of
-                # Acquire per build block, not after the drain: a stateful
-                # build-side subtree (e.g. a projection over a join) holds
-                # its own metered state *until* the drain completes, and the
-                # peak must count both residencies while they overlap.
-                for block in self._left.blocks():
-                    added = 0
-                    for left_values in block:
-                        key = key_of(left_values)
-                        bucket = buckets.get(key)
-                        if bucket is None:
-                            buckets[key] = {left_values}
-                            added += 1
-                        elif left_values not in bucket:
-                            bucket.add(left_values)
-                            added += 1
-                    resident += added
-                    meter.acquire(added)
-                # Freeze buckets into tuples: faster probe-side iteration
-                # and a cheap single-match fast path.
-                frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
-                self.build_peak_rows = resident
-                right_key_of = plan.right_key_of
-                extra_of = plan.right_extra_of
-                frozen_get = frozen.get
-                for block in self._right.blocks():
-                    out: Block = []
-                    append = out.append
-                    extend = out.extend
-                    _COUNTERS.add(join_probes=len(block))
-                    for right_values in block:
-                        bucket = frozen_get(right_key_of(right_values))
-                        if bucket is not None:
-                            extra = extra_of(right_values)
-                            if len(bucket) == 1:
-                                append(bucket[0] + extra)
-                            else:
-                                extend(left_values + extra for left_values in bucket)
-                    if out:
-                        self.rows_out += len(out)
-                        yield out
-            else:
-                key_of = plan.right_key_of
-                extra_of = plan.right_extra_of
-                for block in self._right.blocks():
-                    added = 0
-                    for right_values in block:
-                        key = key_of(right_values)
-                        extra = extra_of(right_values)
-                        bucket = buckets.get(key)
-                        if bucket is None:
-                            buckets[key] = {extra}
-                            added += 1
-                        elif extra not in bucket:
-                            bucket.add(extra)
-                            added += 1
-                    resident += added
-                    meter.acquire(added)
-                frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
-                self.build_peak_rows = resident
-                left_key_of = plan.left_key_of
-                frozen_get = frozen.get
-                for block in self._left.blocks():
-                    out = []
-                    append = out.append
-                    extend = out.extend
-                    _COUNTERS.add(join_probes=len(block))
-                    for left_values in block:
-                        bucket = frozen_get(left_key_of(left_values))
-                        if bucket is not None:
-                            if len(bucket) == 1:
-                                append(left_values + bucket[0])
-                            else:
-                                extend(left_values + extra for extra in bucket)
-                    if out:
-                        self.rows_out += len(out)
-                        yield out
+            # Acquire per build block, not after the drain: a stateful
+            # build-side subtree (e.g. a projection over a join) holds its
+            # own metered state *until* the drain completes, and the peak
+            # must count both residencies while they overlap.
+            for block in self._build_child.blocks():
+                added = _build_block(buckets, pairs_of(block))
+                resident += added
+                meter.acquire(added)
+            self.build_peak_rows = resident
+            yield from self._probe(buckets, self._probe_child.blocks())
         finally:
             meter.release(resident)
             buckets.clear()
@@ -1227,6 +1263,10 @@ class GraceHashJoin(HashJoin):
     ``finally``, so an abandoned or failing execution leaks nothing.
     """
 
+    #: Spill partitions arrive in :data:`SPILL_BLOCK_ROWS`-sized blocks, so
+    #: the probe kernel gathers a full block before yielding.
+    _flush_rows = BLOCK_ROWS
+
     def __init__(
         self,
         left: PhysicalOperator,
@@ -1245,27 +1285,6 @@ class GraceHashJoin(HashJoin):
         #: (0 = it ran entirely in memory).
         self.spilled = 0
 
-    def _sides(self):
-        """Side-generic pickers: (build child, probe child, pickers, combine)."""
-        plan = self._plan
-        if self.build_side == "left":
-            extra_of = plan.right_extra_of
-
-            def entry_of(row: Row) -> Row:
-                return row
-
-            def combine(entry: Row, probe_row: Row) -> Row:
-                return entry + extra_of(probe_row)
-
-            return self._left, self._right, plan.left_key_of, plan.right_key_of, entry_of, combine
-
-        entry_of = plan.right_extra_of
-
-        def combine(entry: Row, probe_row: Row) -> Row:
-            return probe_row + entry
-
-        return self._right, self._left, plan.right_key_of, plan.left_key_of, entry_of, combine
-
     def _new_spill(self, spill_dir: str, kind: str) -> SpillFile:
         self._spill_sequence += 1
         return SpillFile(
@@ -1275,47 +1294,6 @@ class GraceHashJoin(HashJoin):
             events=self.meter.events,
         )
 
-    def _probe_buckets(
-        self,
-        buckets: Dict[Hashable, Set[Row]],
-        probe_blocks: "Iterator[Block]",
-        probe_key_of: Callable[[Row], Hashable],
-        combine: Callable[[Row, Row], Row],
-        count_probes: bool,
-    ) -> Iterator[Block]:
-        """Stream probe blocks against a finished build table.
-
-        The one probe loop both Grace paths share (whole-input when the
-        build never spilled, per-partition otherwise), with the same
-        single-match fast path and generator extends as :class:`HashJoin`.
-        ``count_probes`` is False for spilled partitions, whose probe rows
-        were already counted when they were routed to the partition files.
-        """
-        frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
-        frozen_get = frozen.get
-        out: Block = []
-        append = out.append
-        extend = out.extend
-        for block in probe_blocks:
-            if count_probes:
-                _COUNTERS.add(join_probes=len(block))
-            for probe_row in block:
-                bucket = frozen_get(probe_key_of(probe_row))
-                if bucket is not None:
-                    if len(bucket) == 1:
-                        append(combine(bucket[0], probe_row))
-                    else:
-                        extend(combine(entry, probe_row) for entry in bucket)
-            if len(out) >= BLOCK_ROWS:
-                self.rows_out += len(out)
-                yield out
-                out = []
-                append = out.append
-                extend = out.extend
-        if out:
-            self.rows_out += len(out)
-            yield out
-
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
         self.rows_out = 0
@@ -1323,7 +1301,9 @@ class GraceHashJoin(HashJoin):
         self.spilled = 0
         meter = self.meter
         budget = self._budget
-        build_child, probe_child, build_key_of, probe_key_of, entry_of, combine = self._sides()
+        build_child, probe_child = self._build_child, self._probe_child
+        pairs_of = self._pairs_of
+        probe_key_of = self._probe_key_of
         fanout = self._fanout
         salt = 0
         buckets: Dict[Hashable, Set[Row]] = {}
@@ -1334,21 +1314,10 @@ class GraceHashJoin(HashJoin):
             # -- build phase -------------------------------------------
             for block in build_child.blocks():
                 if build_parts is not None:
-                    for row in block:
-                        key = build_key_of(row)
-                        build_parts[_partition_index(salt, key, fanout)].append((key, entry_of(row)))
+                    for pair in pairs_of(block):
+                        build_parts[_partition_index(salt, pair[0], fanout)].append(pair)
                     continue
-                added = 0
-                for row in block:
-                    key = build_key_of(row)
-                    entry = entry_of(row)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = {entry}
-                        added += 1
-                    elif entry not in bucket:
-                        bucket.add(entry)
-                        added += 1
+                added = _build_block(buckets, pairs_of(block))
                 if not added:
                     continue
                 if meter.try_acquire(added):
@@ -1379,10 +1348,7 @@ class GraceHashJoin(HashJoin):
 
             if build_parts is None:
                 # -- in-memory probe (the build side fit the budget) ---
-                for out in self._probe_buckets(
-                    buckets, probe_child.blocks(), probe_key_of, combine, True
-                ):
-                    yield out
+                yield from self._probe(buckets, probe_child.blocks())
                 return
 
             # -- spilled: partition the probe side ---------------------
@@ -1416,10 +1382,9 @@ class GraceHashJoin(HashJoin):
                     build_parts[index].delete()
                     probe_part.delete()
                     continue
-                for out in self._join_partition(
-                    build_parts[index], probe_part, 1, spill_dir, probe_key_of, combine
-                ):
-                    yield out
+                yield from self._join_partition(
+                    build_parts[index], probe_part, 1, spill_dir
+                )
         finally:
             meter.release(resident)
             buckets.clear()
@@ -1432,8 +1397,6 @@ class GraceHashJoin(HashJoin):
         probe_part: SpillFile,
         depth: int,
         spill_dir: str,
-        probe_key_of: Callable[[Row], Hashable],
-        combine: Callable[[Row, Row], Row],
     ) -> Iterator[Block]:
         """Join one (build, probe) partition pair, recursing if oversized."""
         meter = self.meter
@@ -1442,15 +1405,7 @@ class GraceHashJoin(HashJoin):
         resident = 0
         try:
             for block in build_part.blocks():
-                added = 0
-                for key, entry in block:
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = {entry}
-                        added += 1
-                    elif entry not in bucket:
-                        bucket.add(entry)
-                        added += 1
+                added = _build_block(buckets, block)
                 if not added:
                     continue
                 if meter.try_acquire(added):
@@ -1465,10 +1420,9 @@ class GraceHashJoin(HashJoin):
                     depth < budget.max_recursion
                     and build_part.rows > budget.min_partition_rows
                 ):
-                    for out in self._recurse_partition(
-                        build_part, probe_part, depth, spill_dir, probe_key_of, combine
-                    ):
-                        yield out
+                    yield from self._recurse_partition(
+                        build_part, probe_part, depth, spill_dir
+                    )
                     return
                 # Cannot split further (one heavy key, a keyless product,
                 # or the recursion limit): fall back to a block-nested-loop
@@ -1476,15 +1430,9 @@ class GraceHashJoin(HashJoin):
                 # re-scans the probe partition once per chunk — the budget
                 # holds even for unsplittable partitions, at the cost of
                 # extra probe-side disk reads.
-                for out in self._chunked_join(
-                    build_part, probe_part, probe_key_of, combine
-                ):
-                    yield out
+                yield from self._chunked_join(build_part, probe_part)
                 return
-            for out in self._probe_buckets(
-                buckets, probe_part.blocks(), probe_key_of, combine, False
-            ):
-                yield out
+            yield from self._probe(buckets, probe_part.blocks(), False)
         finally:
             meter.release(resident)
             buckets.clear()
@@ -1495,8 +1443,6 @@ class GraceHashJoin(HashJoin):
         self,
         build_part: SpillFile,
         probe_part: SpillFile,
-        probe_key_of: Callable[[Row], Hashable],
-        combine: Callable[[Row, Row], Row],
     ) -> Iterator[Block]:
         """Block-nested-loop over a partition that cannot be split.
 
@@ -1547,10 +1493,7 @@ class GraceHashJoin(HashJoin):
                         bucket.add(entry)
                 if buckets:
                     _COUNTERS.add(join_chunk_passes=1)
-                    for out in self._probe_buckets(
-                        buckets, probe_part.blocks(), probe_key_of, combine, False
-                    ):
-                        yield out
+                    yield from self._probe(buckets, probe_part.blocks(), False)
             finally:
                 meter.release(resident)
                 buckets.clear()
@@ -1561,12 +1504,11 @@ class GraceHashJoin(HashJoin):
         probe_part: SpillFile,
         depth: int,
         spill_dir: str,
-        probe_key_of: Callable[[Row], Hashable],
-        combine: Callable[[Row, Row], Row],
     ) -> Iterator[Block]:
         """Re-split an oversized partition with a fresh hash salt."""
         budget = self._budget
         fanout = self._fanout
+        probe_key_of = self._probe_key_of
         salt = depth  # a different salt per level re-scatters the keys
         sub_build = [self._new_spill(spill_dir, "build") for _ in range(fanout)]
         _COUNTERS.add(spill_recursions=1, spill_partitions=fanout)
@@ -1604,10 +1546,9 @@ class GraceHashJoin(HashJoin):
                 sub_build[index].delete()
                 probe_sub.delete()
                 continue
-            for out in self._join_partition(
-                sub_build[index], probe_sub, next_depth, spill_dir, probe_key_of, combine
-            ):
-                yield out
+            yield from self._join_partition(
+                sub_build[index], probe_sub, next_depth, spill_dir
+            )
 
     def label(self) -> str:
         """The one-line trace/explain label."""
@@ -1993,16 +1934,7 @@ class Sort(PhysicalOperator):
                 return
             flush_run()
             merged = heapq.merge(*(self._run_rows(run) for run in runs), key=sort_key)
-            out: Block = []
-            append = out.append
-            for row in merged:
-                append(row)
-                if len(out) >= BLOCK_ROWS:
-                    self.rows_out += len(out)
-                    yield out
-                    out = []
-                    append = out.append
-            if out:
+            for out in _cut(merged):
                 self.rows_out += len(out)
                 yield out
         finally:

@@ -344,9 +344,11 @@ class Planner:
         if missing:
             raise ExpressionError(f"no statistics provided for operands {missing}")
         root = self._lower(expression, stats)
-        # The final projection dedups into the evaluator's result set anyway,
-        # but keeping the node's own dedup makes rows_out the true result
-        # cardinality for traces; only *inner* dedups are planner-elided.
+        # The final projection keeps dedup=True, but when the evaluator drains
+        # the plan it holds no seen-set of its own: it dedups straight into
+        # the drain's result set (see StreamingProject), and its rows_out —
+        # that set's growth — is still the true result cardinality for
+        # traces.  Only *inner* dedups are planner-elided.
         return PhysicalPlan(root=root, expression=expression, config=self.config)
 
     # -- lowering ------------------------------------------------------

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "JoinPlan",
     "ProjectPlan",
     "LRUPlanCache",
+    "make_block_picker",
     "make_row_picker",
     "make_key_picker",
     "join_plan_cache",
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 RowPicker = Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
+BlockPicker = Callable[[Iterable[Tuple[Any, ...]]], Iterator[Tuple[Any, ...]]]
 KeyPicker = Callable[[Tuple[Any, ...]], Hashable]
 
 
@@ -49,8 +52,26 @@ def make_row_picker(positions: Tuple[int, ...]) -> RowPicker:
         return _empty_picker
     if len(positions) == 1:
         single = itemgetter(positions[0])
-        return lambda row: (single(row),)
+
+        def pick(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+            return (single(row),)
+
+        pick.single = single  # lets make_block_picker skip the Python frame
+        return pick
     return itemgetter(*positions)
+
+
+def make_block_picker(pick: RowPicker) -> BlockPicker:
+    """Lift a row picker to whole blocks: ``block -> iterator of picked rows``.
+
+    The iterator is driven from C (``map``), so the interpreter runs once per
+    block; a single-column picker from :func:`make_row_picker` becomes
+    ``zip(map(getter, block))``, whose 1-tuples need no per-row Python call.
+    """
+    single = getattr(pick, "single", None)
+    if single is not None:
+        return lambda block: zip(map(single, block))
+    return partial(map, pick)
 
 
 def make_key_picker(positions: Tuple[int, ...]) -> KeyPicker:

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.algebra import Relation
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
 from repro.engine.physical import _ACTIVE_SPILL_DIRS
@@ -39,11 +40,41 @@ from repro.workloads import serving_queries, serving_relations
 RELATIONS = serving_relations(rows=200)
 QUERIES = serving_queries()
 HEAVY_QUERY = "project[A, C, D](R * S * T)"
-#: Larger relations for the timing-sensitive multiplexing tests: the
-#: budget-64 spilling execute takes ~1s here while warm fast queries
-#: stay under 10ms, so "the slow query is still running" assertions
-#: have two orders of magnitude of margin.
-HEAVY_RELATIONS = serving_relations(rows=600)
+#: The cheapest of the serving queries (``project[C](S * T)``).
+FAST_QUERY = QUERIES[5]
+
+
+def _chain_relations(rows, a, b, c, d):
+    """``serving_relations``' chain shape with the column moduli chosen."""
+    return {
+        "R": Relation.from_rows("A B", [(i % a, i % b) for i in range(rows)], name="R"),
+        "S": Relation.from_rows("B C", [(i % b, i % c) for i in range(rows)], name="S"),
+        "T": Relation.from_rows("C D", [(i % c, i % d) for i in range(rows)], name="T"),
+    }
+
+
+#: Larger relations for the timing-sensitive multiplexing tests.  What the
+#: "slow query is still running" assertions lean on is a *ratio*: the
+#: budget-64 spilling execute of ``HEAVY_QUERY`` (80,040 result rows) costs
+#: ~100x a warm ``QUERIES[0]`` and ~400x a warm ``FAST_QUERY`` here, so they
+#: keep two orders of magnitude of margin whatever the engine's speed;
+#: ``_warm_execute_seconds`` lets a test measure both sides of it.
+HEAVY_RELATIONS = _chain_relations(2000, 120, 17, 23, 29)
+#: A mid-sized instance: the same execute takes a few tens of fast queries.
+MEDIUM_RELATIONS = serving_relations(rows=600)
+
+
+def _warm_execute_seconds(relations, query, budget, pick=min):
+    """``pick`` of three warm in-process executes of ``query`` (seconds)."""
+    with Session(relations, backend="engine", budget=budget) as session:
+        prepared = session.prepare(query)
+        prepared.execute()
+        samples = []
+        for _ in range(3):
+            start = time.perf_counter()
+            prepared.execute()
+            samples.append(time.perf_counter() - start)
+    return pick(samples)
 
 
 def _post(conn, body):
@@ -699,25 +730,37 @@ class TestLeaseLifecycleUnderMultiplexing:
             assert budget["grants"] >= 3
 
     def test_timed_out_request_releases_its_lease_and_worker_survives(self):
+        # The deadline is derived from the engine as it is, not from a speed
+        # it once had: a fifth of the fastest warm execute of the slow query
+        # (so that execute must overrun it), which the slowest warm execute
+        # of the fast query must still beat ten times over.
+        slow_seconds = _warm_execute_seconds(HEAVY_RELATIONS, HEAVY_QUERY, 64)
+        fast_seconds = _warm_execute_seconds(
+            HEAVY_RELATIONS, FAST_QUERY, 10_000, pick=max
+        )
+        deadline = slow_seconds / 5
+        assert fast_seconds * 10 <= deadline, (
+            f"instance too small to separate a {slow_seconds:.3f}s spilling "
+            f"execute from a {fast_seconds:.4f}s fast one by a deadline"
+        )
         with ReproServer(
             HEAVY_RELATIONS,
             pool_size=1,
             total_budget_rows=10_000,
-            request_timeout_seconds=0.25,
+            request_timeout_seconds=deadline,
             result_cache_size=0,
         ) as running:
             conn = http.client.HTTPConnection(
                 "127.0.0.1", running.port, timeout=30
             )
             try:
-                # Warm the fast path first so its later requests beat the
-                # 250ms deadline comfortably.
-                status, _body = _post(
-                    conn, {"query": QUERIES[0], "count_only": True}
-                )
+                # Warm the fast path first: planning is paid here, with no
+                # deadline to meet (a cold first request may take a 504).
+                for _ in range(2):
+                    status, _body = _post(
+                        conn, {"query": FAST_QUERY, "count_only": True}
+                    )
                 assert status == 200
-                # The budget-64 spilling execute takes hundreds of ms —
-                # far past the deadline.
                 status, body = _post(
                     conn,
                     {"query": HEAVY_QUERY, "budget": 64, "count_only": True},
@@ -730,7 +773,7 @@ class TestLeaseLifecycleUnderMultiplexing:
                 # The pipe stayed healthy: the same worker keeps serving
                 # (the late response for the abandoned id is dropped).
                 status, body = _post(
-                    conn, {"query": QUERIES[0], "count_only": True}
+                    conn, {"query": FAST_QUERY, "count_only": True}
                 )
                 assert status == 200 and body["ok"]
                 assert running.stats()["pool"]["worker_restarts"] == 0
@@ -738,8 +781,10 @@ class TestLeaseLifecycleUnderMultiplexing:
                 conn.close()
 
     def test_mid_flight_worker_kill_with_two_outstanding_ids(self):
+        # MEDIUM_RELATIONS: each spilling execute must outlast the few
+        # milliseconds the poll below needs to see both ids in flight.
         with ReproServer(
-            RELATIONS,
+            MEDIUM_RELATIONS,
             pool_size=1,
             total_budget_rows=10_000,
             result_cache_size=0,
