@@ -10,10 +10,16 @@ algebra kernel (PR 1):
     Iterator/generator physical operators — table scan (whole or one
     worker's partition slice), streaming projection with dedup, hash join
     with stats-chosen build side (budget-aware Grace-hash spilling to disk
-    partitions when configured), blocked merge join for sorted inputs,
-    union/difference — that stream blocks of raw positional rows without
-    materialising intermediates, metering the rows resident in engine state
-    against an optional :class:`MemoryBudget`.
+    partitions when configured), blocked merge join for sorted inputs —
+    that stream blocks of raw positional rows without materialising
+    intermediates, metering the rows resident in engine state against an
+    optional :class:`MemoryBudget`.
+``repro.engine.spill``
+    The one way rows get to disk and back: :class:`SpillFile` (retried,
+    fault-aware, read-back-checked frame I/O) and ``PartitionedSpill`` (one
+    execution's registered temp directory, fan-outs and salted routing),
+    which the Grace join, the dedup seen-set, the external sort and the
+    adaptive checkpoint are thin clients of.
 ``repro.engine.planner``
     A cost model lowering :mod:`repro.expressions.ast` trees into physical
     plans: memoised greedy join ordering, hash-vs-merge selection, build-side
@@ -64,8 +70,6 @@ from .parallel import (
 )
 from .physical import (
     BLOCK_ROWS,
-    SPILL_BLOCK_ROWS,
-    SPILL_IO_RETRIES,
     AdaptiveGuard,
     GraceHashJoin,
     HashJoin,
@@ -77,14 +81,12 @@ from .physical import (
     ReplanTriggered,
     Sort,
     SpilledCheckpoint,
-    SpillFile,
     SpillingSeenSet,
-    StreamingDifference,
     StreamingProject,
-    StreamingUnion,
     TableScan,
 )
 from .planner import PhysicalPlan, PlanNode, Planner, PlannerConfig, plan_expression
+from .spill import SPILL_BLOCK_ROWS, SPILL_IO_RETRIES, SpillFile
 from .planstore import (
     CardinalityLedger,
     LedgerBackedStats,
@@ -139,8 +141,6 @@ __all__ = [
     "GraceHashJoin",
     "MergeJoin",
     "Sort",
-    "StreamingUnion",
-    "StreamingDifference",
     "ForkProbePool",
     "ParallelExecutionError",
     "ParallelResult",

@@ -97,8 +97,6 @@ _NODE_KINDS = {
     "GraceHashJoin": "join",
     "MergeJoin": "join",
     "Sort": "sort",
-    "StreamingUnion": "union",
-    "StreamingDifference": "difference",
     "AdaptiveGuard": "guard",
 }
 
@@ -913,16 +911,12 @@ class EngineEvaluator:
             return None
         name = f"__checkpoint_{len(checkpoints) + 1}__"
         if budget is not None and (len(rows) > cap or not meter.try_acquire(len(rows))):
-            spilled = SpilledCheckpoint(
-                probe_node.scheme, name, budget, faults=meter.faults
+            checkpoint: object = SpilledCheckpoint(
+                probe_node.scheme, name, rows, meter, budget
             )
-            for row in rows:
-                spilled.append(row)
-            spilled.finish()
             kernel_counters().add(checkpoint_spills=1)
             if meter.events is not None:
                 meter.events.emit("checkpoint-spill", name=name, rows=len(rows))
-            checkpoint: object = spilled
         else:
             if budget is None:
                 meter.acquire(len(rows))

@@ -24,8 +24,8 @@ makes them reachable on purpose:
   (``fault_injected``, ``spill_retries``).
 
 The injection surface is intentionally the *real* code path: the injector
-raises from inside :class:`~repro.engine.physical.SpillFile`'s write/read
-loops and the worker loop of :mod:`repro.engine.parallel`, so a test that
+raises from inside :class:`~repro.engine.spill.SpillFile`'s retried write/read
+attempts and the worker loop of :mod:`repro.engine.parallel`, so a test that
 passes under injection is evidence about the production retry/cleanup
 logic, not about a parallel test-only implementation.
 """
@@ -77,7 +77,7 @@ class FaultPlan:
     ``spill_failures``
         How many consecutive operations fail from that point on.  Fewer
         failures than the engine's retry budget (see
-        ``physical.SPILL_IO_RETRIES``) model a *transient* fault the retry
+        ``spill.SPILL_IO_RETRIES``) model a *transient* fault the retry
         loop recovers from; more model a persistent one that ends in a
         typed :class:`EngineFaultError`.
     ``persistent``

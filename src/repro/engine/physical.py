@@ -25,16 +25,11 @@ The iterator contract (see ``docs/ENGINE.md``):
 
 from __future__ import annotations
 
-import atexit
 import heapq
-import os
-import pickle
-import shutil
-import tempfile
 import threading
-import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -49,18 +44,15 @@ from typing import (
 
 from ..perf.counters import kernel_counters
 from ..perf.plancache import JoinPlan, make_block_picker, make_key_picker
-from .faults import EngineFaultError
+from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
 __all__ = [
     "BLOCK_ROWS",
-    "SPILL_BLOCK_ROWS",
-    "SPILL_IO_RETRIES",
     "AdaptiveGuard",
     "MemoryBudget",
     "MemoryMeter",
     "ReplanTriggered",
-    "SpillFile",
     "SpilledCheckpoint",
     "SpillingSeenSet",
     "PhysicalOperator",
@@ -71,8 +63,6 @@ __all__ = [
     "GraceHashJoin",
     "MergeJoin",
     "Sort",
-    "StreamingUnion",
-    "StreamingDifference",
 ]
 
 Row = Tuple[Hashable, ...]
@@ -82,74 +72,10 @@ Block = List[Row]
 #: enough that an in-flight block never rivals operator state for memory.
 BLOCK_ROWS = 1024
 
-#: Rows buffered per spill partition before a pickle flush.  Spill buffers
-#: are transient I/O staging, not operator state, and are therefore not
-#: metered — keeping them small bounds the unmetered slack per active join
-#: to ``fanout * SPILL_BLOCK_ROWS`` rows.
-SPILL_BLOCK_ROWS = 128
-
 _COUNTERS = kernel_counters()
 
-#: Attempts per spill-file I/O operation (1 initial + retries).  Transient
-#: failures — a busy disk, an injected fault with ``spill_failures`` below
-#: this — are absorbed with a short exponential backoff and counted in
-#: ``spill_retries``; exhaustion raises a typed
-#: :class:`~repro.engine.faults.EngineFaultError` from the operator's
-#: ``finally``-protected path, so cleanup still runs.
-SPILL_IO_RETRIES = 3
-
-#: Base sleep (seconds) before the first spill I/O retry; doubles per retry.
-_SPILL_RETRY_BACKOFF = 0.002
-
-#: Spill directories currently live.  Operators remove their directory in a
-#: ``finally``; this registry (plus the atexit hook) is the backstop for the
-#: paths that cannot run one — an interpreter dying while a fork-pool holds
-#: children, a hard exception during generator teardown.
-_ACTIVE_SPILL_DIRS: Set[str] = set()
-_SPILL_DIR_LOCK = threading.Lock()
-
-
-def _new_spill_dir(prefix: str, base: Optional[str]) -> str:
-    """Create a spill temp directory and register it for atexit cleanup."""
-    path = tempfile.mkdtemp(prefix=prefix, dir=base)
-    with _SPILL_DIR_LOCK:
-        _ACTIVE_SPILL_DIRS.add(path)
-    return path
-
-
-def _remove_spill_dir(path: str) -> None:
-    """Remove a spill directory and deregister it (idempotent)."""
-    with _SPILL_DIR_LOCK:
-        _ACTIVE_SPILL_DIRS.discard(path)
-    shutil.rmtree(path, ignore_errors=True)
-
-
-@atexit.register
-def _cleanup_spill_dirs() -> None:
-    """Remove any spill directories still live at interpreter shutdown."""
-    with _SPILL_DIR_LOCK:
-        leftovers = list(_ACTIVE_SPILL_DIRS)
-        _ACTIVE_SPILL_DIRS.clear()
-    for path in leftovers:
-        shutil.rmtree(path, ignore_errors=True)
-
-
-def _clear_spill_registry_after_fork() -> None:
-    """Forget inherited registrations in a forked child.
-
-    Fork-pool workers inherit the parent's registry; if a child's atexit ran
-    it would delete directories the parent is still reading.  The parent
-    remains responsible for its own directories.  The lock is replaced, not
-    taken: another parent thread may have held it at fork time (the same
-    hazard :mod:`repro.perf.counters` guards against).
-    """
-    global _SPILL_DIR_LOCK
-    _SPILL_DIR_LOCK = threading.Lock()
-    _ACTIVE_SPILL_DIRS.clear()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython >= 3.7
-    os.register_at_fork(after_in_child=_clear_spill_registry_after_fork)
+#: Key of a spilled ``(key, entry)`` build pair or ``(row, seen)`` dedup item.
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -276,204 +202,15 @@ class MemoryMeter:
             return max(self.budget - self.current, 0)
 
 
-class SpillFile:
-    """An append-only spilled row store: pickled blocks in one temp file.
-
-    Rows are buffered in memory up to :data:`SPILL_BLOCK_ROWS` and flushed
-    as one pickle frame; :meth:`blocks` re-reads the frames after
-    :meth:`finish` seals the file.  Spilled rows live on disk, so they are
-    *not* metered — only ``rows`` (the total spilled) is tracked, for
-    counters and fan-out decisions.  ``delete`` is idempotent and the
-    owning operator always calls it from a ``finally``, so temp files never
-    outlive an execution, even one abandoned by ``close()`` or an exception.
-
-    Every I/O operation is attempted up to :data:`SPILL_IO_RETRIES` times
-    with exponential backoff (``spill_retries`` counts the retries): spill
-    files are the engine's only disk dependency, and a transient ``OSError``
-    — real or injected through ``faults`` — must not abort an execution the
-    next attempt would complete.  A failed write rewinds and truncates the
-    partial pickle frame before retrying, and a failed read seeks back to
-    the frame start, so a retried operation never sees a corrupt stream.
-    Exhausted retries raise :class:`~repro.engine.faults.EngineFaultError`.
-    """
-
-    __slots__ = ("path", "rows", "_file", "_buffer", "_faults", "_tracer", "_events")
-
-    def __init__(
-        self,
-        path: str,
-        faults: Optional[object] = None,
-        tracer: Optional[object] = None,
-        events: Optional[object] = None,
-    ) -> None:
-        self.path = path
-        self.rows = 0
-        self._file = None
-        self._buffer: Block = []
-        self._faults = faults
-        self._tracer = tracer
-        self._events = events
-
-    def append(self, row: Row) -> None:
-        """Buffer one row, flushing a pickle frame when the buffer fills."""
-        self._buffer.append(row)
-        if len(self._buffer) >= SPILL_BLOCK_ROWS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._buffer:
-            return
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("spill-write", self.path) as span:
-                span.rows = len(self._buffer)
-                self._flush_attempts()
-        else:
-            self._flush_attempts()
-
-    def _flush_attempts(self) -> None:
-        faults = self._faults
-        last_error: Optional[OSError] = None
-        for attempt in range(SPILL_IO_RETRIES):
-            if attempt:
-                _COUNTERS.add(spill_retries=1)
-                if self._events is not None:
-                    self._events.emit(
-                        "spill-retry", op="write", path=self.path, attempt=attempt
-                    )
-                time.sleep(_SPILL_RETRY_BACKOFF * (1 << (attempt - 1)))
-            try:
-                if faults is not None:
-                    faults.on_spill_write()
-                if self._file is None:
-                    self._file = open(self.path, "wb")
-                position = self._file.tell()
-                try:
-                    pickle.dump(self._buffer, self._file, protocol=pickle.HIGHEST_PROTOCOL)
-                except OSError:
-                    # A partial frame would corrupt every later read: rewind
-                    # so the retry (or the next flush) starts on a frame
-                    # boundary.
-                    self._file.seek(position)
-                    self._file.truncate()
-                    raise
-            except OSError as error:
-                last_error = error
-                continue
-            self.rows += len(self._buffer)
-            _COUNTERS.add(spill_rows=len(self._buffer))
-            self._buffer = []
-            return
-        raise EngineFaultError(
-            f"spill write to {self.path} failed after {SPILL_IO_RETRIES} "
-            f"attempts: {last_error}"
-        ) from last_error
-
-    def finish(self) -> None:
-        """Flush the tail buffer and seal the file for reading."""
-        self._flush()
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def _open_for_read(self):
-        faults = self._faults
-        last_error: Optional[OSError] = None
-        for attempt in range(SPILL_IO_RETRIES):
-            if attempt:
-                _COUNTERS.add(spill_retries=1)
-                if self._events is not None:
-                    self._events.emit(
-                        "spill-retry", op="open", path=self.path, attempt=attempt
-                    )
-                time.sleep(_SPILL_RETRY_BACKOFF * (1 << (attempt - 1)))
-            try:
-                if faults is not None:
-                    faults.on_spill_read()
-                return open(self.path, "rb")
-            except OSError as error:
-                last_error = error
-        raise EngineFaultError(
-            f"spill read of {self.path} failed after {SPILL_IO_RETRIES} "
-            f"attempts: {last_error}"
-        ) from last_error
-
-    def blocks(self) -> Iterator[Block]:
-        """Stream the spilled blocks back (only valid after ``finish``).
-
-        When a tracer rides along, the whole read stream is wrapped in
-        one ``spill-read`` span that accumulates only time spent inside
-        the reads (the consumer's processing time does not count).
-        """
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            return tracer.stream(
-                "spill-read", self.path, self._read_blocks(), rows=lambda: self.rows
-            )
-        return self._read_blocks()
-
-    def _read_blocks(self) -> Iterator[Block]:
-        if self.rows == 0:
-            return
-        faults = self._faults
-        stream = self._open_for_read()
-        try:
-            while True:
-                position = stream.tell()
-                last_error: Optional[OSError] = None
-                block: Optional[Block] = None
-                for attempt in range(SPILL_IO_RETRIES):
-                    if attempt:
-                        _COUNTERS.add(spill_retries=1)
-                        if self._events is not None:
-                            self._events.emit(
-                                "spill-retry",
-                                op="read",
-                                path=self.path,
-                                attempt=attempt,
-                            )
-                        time.sleep(_SPILL_RETRY_BACKOFF * (1 << (attempt - 1)))
-                    try:
-                        if faults is not None:
-                            faults.on_spill_read()
-                        block = pickle.load(stream)
-                    except EOFError:
-                        return
-                    except OSError as error:
-                        last_error = error
-                        stream.seek(position)
-                        continue
-                    break
-                else:
-                    raise EngineFaultError(
-                        f"spill read of {self.path} failed after "
-                        f"{SPILL_IO_RETRIES} attempts: {last_error}"
-                    ) from last_error
-                yield block
-        finally:
-            stream.close()
-
-    def delete(self) -> None:
-        """Drop the buffer and remove the file (idempotent)."""
-        self._buffer = []
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-
 class SpillingSeenSet:
-    """A dedup seen-set under a budget: spills to Grace partitions on overflow.
+    """A dedup seen-set under a budget: spills to partitions on overflow.
 
-    The engine's dedup state — projection seen-sets, union/difference
-    seen and excluded sets — shares one need: "have I seen this row, and if
-    not, remember it".  In memory that is a set; under a budget this class
-    *spills* the set using the same salted, bit-mixed partition routing as
-    :class:`GraceHashJoin` (equal rows always land in the same partition),
-    so membership can be decided one partition at a time.
+    A deduplicating projection needs one thing of its state: "have I seen
+    this row, and if not, remember it".  In memory that is a set; under a
+    budget this class *spills* the set through a
+    :class:`~repro.engine.spill.PartitionedSpill` (equal rows always land
+    in the same partition), so membership can be decided one partition at
+    a time.
 
     Protocol, driven by the owning operator's generator:
 
@@ -481,8 +218,6 @@ class SpillingSeenSet:
       set fits the budget that happens immediately; after the spill switch
       the rows are routed to partition files tagged *pending* and nothing
       is returned — their first occurrences are emitted by :meth:`drain`.
-    * :meth:`note_block` marks rows seen without ever emitting them (a
-      difference's excluded right side).
     * :meth:`drain` replays the partitions, re-splitting any whose distinct
       rows still overflow with a fresh salt, and yields the deferred first
       occurrences in blocks.
@@ -503,34 +238,22 @@ class SpillingSeenSet:
     progress counts a ``spill_overflows``.
     """
 
-    def __init__(self, meter: MemoryMeter, budget: MemoryBudget, prefix: str = "repro-dedup-"):
+    def __init__(self, meter: MemoryMeter, budget: MemoryBudget):
         self.meter = meter
         self._budget = budget
-        self._prefix = prefix
         self._seen: Set[Row] = set()
         self._resident = 0
         self._fanout = budget.spill_fanout
-        self._spill_dir: Optional[str] = None
+        self._spill = PartitionedSpill(meter, "repro-dedup-", budget.spill_dir)
         self._parts: Optional[List[SpillFile]] = None
-        self._sequence = 0
         #: Whether this set switched to partitioned spill mode.
         self.spilled = False
-
-    def _new_file(self) -> SpillFile:
-        self._sequence += 1
-        return SpillFile(
-            os.path.join(self._spill_dir, f"part-{self._sequence:06d}.spill"),
-            faults=self.meter.faults,
-            tracer=self.meter.tracer,
-            events=self.meter.events,
-        )
 
     def _switch(self) -> None:
         """Flush the in-memory set to partition files and enter spill mode."""
         self.spilled = True
-        self._spill_dir = _new_spill_dir(self._prefix, self._budget.spill_dir)
-        self._parts = [self._new_file() for _ in range(self._fanout)]
-        _COUNTERS.add(dedup_spills=1, spill_partitions=self._fanout)
+        self._parts = self._spill.partitions(self._fanout, "part")
+        _COUNTERS.add(dedup_spills=1)
         if self.meter.events is not None:
             self.meter.events.emit(
                 "spill",
@@ -538,10 +261,7 @@ class SpillingSeenSet:
                 rows=self._resident,
                 fanout=self._fanout,
             )
-        parts = self._parts
-        fanout = self._fanout
-        for row in self._seen:
-            parts[_partition_index(0, row, fanout)].append((row, True))
+        self._spill.route(self._parts, zip(self._seen, repeat(True)), _first, 0)
         self._seen.clear()
         self.meter.release(self._resident)
         self._resident = 0
@@ -553,25 +273,16 @@ class SpillingSeenSet:
         the return value is empty — deferred first occurrences come from
         :meth:`drain`.
         """
-        parts = self._parts
-        if parts is not None:
-            fanout = self._fanout
-            for row in rows:
-                parts[_partition_index(0, row, fanout)].append((row, False))
+        if self._parts is not None:
+            self._spill.route(self._parts, zip(rows, repeat(False)), _first, 0)
             return []
         seen = self._seen
         add = seen.add
-        out: Block = []
-        append = out.append
-        before = len(seen)
-        for row in rows:
-            if row not in seen:
-                add(row)
-                append(row)
-        added = len(seen) - before
-        if added:
-            if self.meter.try_acquire(added):
-                self._resident += added
+        # ``add`` returns None, so the filter records as it tests.
+        out = [row for row in rows if row not in seen and not add(row)]
+        if out:
+            if self.meter.try_acquire(len(out)):
+                self._resident += len(out)
             else:
                 # The block's new rows were emitted just now and are flushed
                 # as already-seen, so the replay will not re-emit them; they
@@ -579,38 +290,14 @@ class SpillingSeenSet:
                 self._switch()
         return out
 
-    def note_block(self, rows: Block) -> None:
-        """Mark ``rows`` seen without emitting them (an excluded side)."""
-        parts = self._parts
-        if parts is not None:
-            fanout = self._fanout
-            for row in rows:
-                parts[_partition_index(0, row, fanout)].append((row, True))
-            return
-        seen = self._seen
-        before = len(seen)
-        seen.update(rows)
-        added = len(seen) - before
-        if added:
-            if self.meter.try_acquire(added):
-                self._resident += added
-            else:
-                self._switch()
-
     def drain(self) -> Iterator[Block]:
         """Yield the deferred first occurrences after a spill (in blocks)."""
-        if not self.spilled or self._parts is None:
+        if self._parts is None:
             return
-        parts = self._parts
-        for part in parts:
-            part.finish()
-        while parts:
-            part = parts.pop(0)
-            if part.rows == 0:
-                part.delete()
-                continue
-            for out in self._replay(part, 1, 0):
-                yield out
+        self._spill.seal(self._parts)
+        for part in self._parts:
+            if part.rows:
+                yield from self._replay(part, 1, 0)
 
     def _replay(self, part: SpillFile, level: int, resalts: int) -> Iterator[Block]:
         """Replay one partition with a resident per-partition set.
@@ -628,86 +315,70 @@ class SpillingSeenSet:
         seen: Set[Row] = set()
         deferred: Block = []
         resident = 0
-        recurse = False
         overflowed = False
         try:
-            for block in part.blocks():
-                for row, was_seen in block:
-                    if row in seen:
-                        continue
-                    if overflowed:
-                        meter.acquire(1)
-                    elif not meter.try_acquire(1):
-                        if (
-                            part.rows > budget.rows
-                            and part.rows > budget.min_partition_rows
-                            and resalts < budget.max_recursion
-                        ):
-                            recurse = True
-                            break
-                        # Partition-granularity allowance: a partition whose
-                        # rows fit the budget may be replayed resident even
-                        # when other state pins the shared meter; whether the
-                        # allowance was an honest overflow is decided below,
-                        # from the *distinct* rows actually held.
-                        overflowed = True
-                        meter.acquire(1)
-                    resident += 1
-                    seen.add(row)
-                    if not was_seen:
-                        deferred.append(row)
-                if recurse:
-                    break
-            if recurse:
-                meter.release(resident)
-                resident = 0
-                seen.clear()
-                deferred = []
-                for out in self._resplit(part, level, resalts):
-                    yield out
+            for row, was_seen in chain.from_iterable(part.blocks()):
+                if row in seen:
+                    continue
+                if overflowed:
+                    meter.acquire(1)
+                elif not meter.try_acquire(1):
+                    if (
+                        part.rows > budget.rows
+                        and part.rows > budget.min_partition_rows
+                        and resalts < budget.max_recursion
+                    ):
+                        break
+                    # Partition-granularity allowance: a partition whose
+                    # rows fit the budget may be replayed resident even
+                    # when other state pins the shared meter; whether the
+                    # allowance was an honest overflow is decided below,
+                    # from the *distinct* rows actually held.
+                    overflowed = True
+                    meter.acquire(1)
+                resident += 1
+                seen.add(row)
+                if not was_seen:
+                    deferred.append(row)
+            else:
+                if resident > budget.rows:
+                    # The partition's distinct rows alone outgrew the budget
+                    # after re-salting stopped making progress — the one case
+                    # spilling cannot bound, surfaced instead of masked.
+                    _COUNTERS.add(spill_overflows=1)
+                for start in range(0, len(deferred), BLOCK_ROWS):
+                    yield deferred[start : start + BLOCK_ROWS]
                 return
-            if resident > budget.rows:
-                # The partition's distinct rows alone outgrew the budget
-                # after re-salting stopped making progress — the one case
-                # spilling cannot bound, surfaced instead of masked.
-                _COUNTERS.add(spill_overflows=1)
-            for start in range(0, len(deferred), BLOCK_ROWS):
-                yield deferred[start : start + BLOCK_ROWS]
+            # Still too big to hold and still splittable: forget what was
+            # read so far and replay the sub-partitions of a fresh salt.
+            meter.release(resident)
+            resident = 0
+            seen.clear()
+            deferred = []
+            yield from self._resplit(part, level, resalts)
         finally:
             meter.release(resident)
             part.delete()
 
     def _resplit(self, part: SpillFile, level: int, resalts: int) -> Iterator[Block]:
         """Re-scatter one oversized partition with a fresh salt."""
-        fanout = self._fanout
-        subs = [self._new_file() for _ in range(fanout)]
-        _COUNTERS.add(spill_recursions=1, spill_partitions=fanout)
-        for block in part.blocks():
-            for row, was_seen in block:
-                subs[_partition_index(level, row, fanout)].append((row, was_seen))
-        for sub in subs:
-            sub.finish()
+        subs = self._spill.partitions(self._fanout, "part")
+        _COUNTERS.add(spill_recursions=1)
+        self._spill.route(subs, chain.from_iterable(part.blocks()), _first, level)
+        self._spill.seal(subs)
         made_progress = max(sub.rows for sub in subs) < part.rows
         next_resalts = 0 if made_progress else resalts + 1
         for sub in subs:
-            if sub.rows == 0:
-                sub.delete()
-                continue
-            for out in self._replay(sub, level + 1, next_resalts):
-                yield out
+            if sub.rows:
+                yield from self._replay(sub, level + 1, next_resalts)
 
     def close(self) -> None:
         """Release metered state and delete every spill artifact (idempotent)."""
         self.meter.release(self._resident)
         self._resident = 0
         self._seen.clear()
-        if self._parts:
-            for part in self._parts:
-                part.delete()
         self._parts = None
-        if self._spill_dir is not None:
-            _remove_spill_dir(self._spill_dir)
-            self._spill_dir = None
+        self._spill.close()
 
 
 class SpilledCheckpoint:
@@ -725,45 +396,36 @@ class SpilledCheckpoint:
     re-materialise exactly what spilling avoided — a spilled checkpoint
     therefore never feeds a merge-join scan directly (the planner sorts
     explicitly when it wants an order).
+
+    The constructor writes the rows and closes its own spill area if that
+    fails for good, so a half-written checkpoint never exists.
     """
 
-    def __init__(self, scheme, name: str, budget: MemoryBudget, faults: Optional[object] = None):
+    def __init__(self, scheme, name: str, rows, meter: MemoryMeter, budget: MemoryBudget):
         self.scheme = scheme
         self.name = name
-        self._dir: Optional[str] = _new_spill_dir("repro-ckpt-", budget.spill_dir)
-        self._file = SpillFile(os.path.join(self._dir, "checkpoint.spill"), faults=faults)
-
-    def append(self, row: Row) -> None:
-        """Append one checkpointed row."""
-        self._file.append(row)
-
-    def finish(self) -> None:
-        """Seal the checkpoint for reading."""
-        self._file.finish()
+        self._spill = PartitionedSpill(meter, "repro-ckpt-", budget.spill_dir)
+        try:
+            self._file = self._spill.write("checkpoint", rows)
+        except BaseException:
+            self._spill.close()
+            raise
 
     def __len__(self) -> int:
         return self._file.rows
 
-    def _stream(self) -> Iterator[Row]:
-        for block in self._file.blocks():
-            for row in block:
-                yield row
-
     @property
     def rows(self) -> Iterator[Row]:
         """Stream the checkpointed rows (a fresh, restartable iterator)."""
-        return self._stream()
+        return chain.from_iterable(self._file.blocks())
 
     def sorted_rows(self) -> Iterator[Row]:
         """The rows in their deterministic on-disk order (see class docs)."""
-        return self._stream()
+        return self.rows
 
     def close(self) -> None:
         """Delete the backing file and directory (idempotent)."""
-        self._file.delete()
-        if self._dir is not None:
-            _remove_spill_dir(self._dir)
-            self._dir = None
+        self._spill.close()
 
 
 class PhysicalOperator:
@@ -913,7 +575,7 @@ class PartitionedScan(TableScan):
         return (
             row
             for row in self._relation.rows
-            if _partition_index(PROBE_SLICE_SALT, row, count) == index
+            if partition_index(PROBE_SLICE_SALT, row, count) == index
         )
 
     def label(self) -> str:
@@ -985,7 +647,7 @@ class StreamingProject(PhysicalOperator):
         return (
             values
             for values in picked
-            if _partition_index(PROBE_SLICE_SALT, values, count) == index
+            if partition_index(PROBE_SLICE_SALT, values, count) == index
         )
 
     def _blocks(self) -> Iterator[Block]:
@@ -1035,7 +697,7 @@ class StreamingProject(PhysicalOperator):
 
     def _blocks_spilling_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
-        seen = SpillingSeenSet(self.meter, self._budget, prefix="repro-dedup-")
+        seen = SpillingSeenSet(self.meter, self._budget)
         try:
             for block in self._child.blocks():
                 out = seen.filter_block(list(self._picked(block)))
@@ -1214,24 +876,10 @@ class HashJoin(PhysicalOperator):
         return f"hash join [build={self.build_side}] on ({', '.join(self._plan.common_names) or 'x'})"
 
 
-_MIX_MASK = (1 << 64) - 1
-
-
-def _partition_index(salt: int, key: Hashable, fanout: int) -> int:
-    """Scatter a join key into one of ``fanout`` partitions, salted.
-
-    Raw ``hash((salt, key)) % fanout`` is not good enough: CPython's tuple
-    hash leaves the low bits *correlated across salts* (keys that collide
-    modulo a small fan-out at one salt largely collide again at the next),
-    which makes re-salted recursion split nothing and forces the overflow
-    path.  A 64-bit avalanche (xor-shift / golden-ratio multiply) over the
-    tuple hash decorrelates the levels.
-    """
-    mixed = hash((salt, key)) & _MIX_MASK
-    mixed ^= mixed >> 17
-    mixed = (mixed * 0x9E3779B97F4A7C15) & _MIX_MASK
-    mixed ^= mixed >> 29
-    return mixed % fanout
+def _drained(part: SpillFile) -> Iterator[Block]:
+    """Stream a sealed spill file's blocks, then free its disk space."""
+    yield from part.blocks()
+    part.delete()
 
 
 class GraceHashJoin(HashJoin):
@@ -1259,12 +907,12 @@ class GraceHashJoin(HashJoin):
     from a dedup-free build child collapse exactly as they do in the
     in-memory table), and the output is the same bag of rows up to block
     boundaries — the evaluator's result set makes it the same *set* either
-    way.  Spill files live in a per-execution temp directory removed in a
-    ``finally``, so an abandoned or failing execution leaks nothing.
+    way.  Spill files live in a per-execution ``PartitionedSpill`` closed in
+    a ``finally``, so an abandoned or failing execution leaks nothing.
     """
 
-    #: Spill partitions arrive in :data:`SPILL_BLOCK_ROWS`-sized blocks, so
-    #: the probe kernel gathers a full block before yielding.
+    #: Spill partitions arrive in :data:`~repro.engine.spill.SPILL_BLOCK_ROWS`
+    #: -sized blocks, so the probe kernel gathers a full block before yielding.
     _flush_rows = BLOCK_ROWS
 
     def __init__(
@@ -1280,19 +928,9 @@ class GraceHashJoin(HashJoin):
         super().__init__(left, right, plan, meter, build_side=build_side)
         self._budget = budget
         self._fanout = max(2, min(int(fanout_hint or budget.spill_fanout), 1024))
-        self._spill_sequence = 0
         #: Number of times this operator's most recent execution spilled
         #: (0 = it ran entirely in memory).
         self.spilled = 0
-
-    def _new_spill(self, spill_dir: str, kind: str) -> SpillFile:
-        self._spill_sequence += 1
-        return SpillFile(
-            os.path.join(spill_dir, f"{kind}-{self._spill_sequence:06d}.spill"),
-            faults=self.meter.faults,
-            tracer=self.meter.tracer,
-            events=self.meter.events,
-        )
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
@@ -1300,22 +938,16 @@ class GraceHashJoin(HashJoin):
         self.build_peak_rows = 0
         self.spilled = 0
         meter = self.meter
-        budget = self._budget
-        build_child, probe_child = self._build_child, self._probe_child
         pairs_of = self._pairs_of
-        probe_key_of = self._probe_key_of
-        fanout = self._fanout
-        salt = 0
+        spill = PartitionedSpill(meter, "repro-grace-", self._budget.spill_dir)
         buckets: Dict[Hashable, Set[Row]] = {}
         resident = 0
-        spill_dir: Optional[str] = None
         build_parts: Optional[List[SpillFile]] = None
         try:
             # -- build phase -------------------------------------------
-            for block in build_child.blocks():
+            for block in self._build_child.blocks():
                 if build_parts is not None:
-                    for pair in pairs_of(block):
-                        build_parts[_partition_index(salt, pair[0], fanout)].append(pair)
+                    spill.route(build_parts, pairs_of(block), _first, 0)
                     continue
                 added = _build_block(buckets, pairs_of(block))
                 if not added:
@@ -1327,78 +959,86 @@ class GraceHashJoin(HashJoin):
                 else:
                     # Switch to Grace mode: flush the table built so far.
                     self.spilled += 1
-                    spill_dir = _new_spill_dir("repro-grace-", budget.spill_dir)
-                    build_parts = [self._new_spill(spill_dir, "build") for _ in range(fanout)]
-                    _COUNTERS.add(join_spills=1, spill_partitions=fanout)
+                    build_parts = spill.partitions(self._fanout, "build")
+                    _COUNTERS.add(join_spills=1)
                     if meter.events is not None:
                         meter.events.emit(
                             "spill",
                             operator="grace-join",
                             label=self.label(),
                             rows=resident,
-                            fanout=fanout,
+                            fanout=self._fanout,
                         )
-                    for key, bucket in buckets.items():
-                        part = build_parts[_partition_index(salt, key, fanout)]
-                        for entry in bucket:
-                            part.append((key, entry))
+                    flushed = (
+                        (key, entry) for key, bucket in buckets.items() for entry in bucket
+                    )
+                    spill.route(build_parts, flushed, _first, 0)
                     buckets.clear()
                     meter.release(resident)
                     resident = 0
 
             if build_parts is None:
                 # -- in-memory probe (the build side fit the budget) ---
-                yield from self._probe(buckets, probe_child.blocks())
+                yield from self._probe(buckets, self._probe_child.blocks())
                 return
 
-            # -- spilled: partition the probe side ---------------------
-            for part in build_parts:
-                part.finish()
-            probe_parts: List[Optional[SpillFile]] = [
-                self._new_spill(spill_dir, "probe") if build_parts[index].rows else None
-                for index in range(fanout)
-            ]
-            _COUNTERS.add(
-                spill_partitions=sum(1 for part in probe_parts if part is not None)
-            )
-            for block in probe_child.blocks():
-                _COUNTERS.add(join_probes=len(block))
-                for probe_row in block:
-                    part = probe_parts[_partition_index(salt, probe_key_of(probe_row), fanout)]
-                    if part is not None:
-                        part.append(probe_row)
-            for part in probe_parts:
-                if part is not None:
-                    part.finish()
-
-            # -- per-partition joins, one build table resident at a time
-            for index in range(fanout):
-                probe_part = probe_parts[index]
-                if probe_part is None:
-                    continue
-                if probe_part.rows == 0:
-                    # No probe rows reached this partition: its build side
-                    # can never produce output — skip the load entirely.
-                    build_parts[index].delete()
-                    probe_part.delete()
-                    continue
-                yield from self._join_partition(
-                    build_parts[index], probe_part, 1, spill_dir
-                )
+            # -- spilled: per-partition joins, one build table resident
+            spill.seal(build_parts)
+            probe_blocks = self._counting_probes(self._probe_child.blocks())
+            yield from self._join_partitions(spill, build_parts, probe_blocks, 0, 1)
         finally:
             meter.release(resident)
             buckets.clear()
-            if spill_dir is not None:
-                _remove_spill_dir(spill_dir)
+            spill.close()
+
+    @staticmethod
+    def _counting_probes(blocks: Iterator[Block]) -> Iterator[Block]:
+        """Pass probe blocks through, counting their rows as join probes."""
+        for block in blocks:
+            _COUNTERS.add(join_probes=len(block))
+            yield block
+
+    def _join_partitions(
+        self,
+        spill: PartitionedSpill,
+        build_parts: List[SpillFile],
+        probe_blocks: Iterator[Block],
+        salt: int,
+        depth: int,
+    ) -> Iterator[Block]:
+        """Scatter the probe rows to match sealed build partitions; join each pair.
+
+        The first split (``probe_blocks`` is the probe child) and every
+        re-split (it is the oversized pair's probe file) alike.
+        """
+        try:
+            probe_parts = spill.partitions(
+                len(build_parts), "probe", wanted=[part.rows for part in build_parts]
+            )
+            spill.route(
+                probe_parts, chain.from_iterable(probe_blocks), self._probe_key_of, salt
+            )
+        finally:
+            # The source may be a suspended child operator: close it while a
+            # failure unwinds, not whenever its traceback is collected.
+            probe_blocks.close()
+        spill.seal(probe_parts)
+        for build_part, probe_part in zip(build_parts, probe_parts):
+            if probe_part is not None and probe_part.rows:
+                yield from self._join_partition(spill, build_part, probe_part, depth)
+            else:
+                # No probe rows reached this partition: its build side can
+                # never produce output — skip the load entirely.
+                build_part.delete()
 
     def _join_partition(
         self,
+        spill: PartitionedSpill,
         build_part: SpillFile,
         probe_part: SpillFile,
         depth: int,
-        spill_dir: str,
     ) -> Iterator[Block]:
-        """Join one (build, probe) partition pair, recursing if oversized."""
+        """Join one (build, probe) partition pair, re-splitting if oversized."""
         meter = self.meter
         budget = self._budget
         buckets: Dict[Hashable, Set[Row]] = {}
@@ -1406,24 +1046,18 @@ class GraceHashJoin(HashJoin):
         try:
             for block in build_part.blocks():
                 added = _build_block(buckets, block)
-                if not added:
-                    continue
-                if meter.try_acquire(added):
-                    resident += added
-                    if resident > self.build_peak_rows:
-                        self.build_peak_rows = resident
-                    continue
-                meter.release(resident)
-                resident = 0
-                buckets.clear()
-                if (
-                    depth < budget.max_recursion
-                    and build_part.rows > budget.min_partition_rows
-                ):
-                    yield from self._recurse_partition(
-                        build_part, probe_part, depth, spill_dir
-                    )
-                    return
+                if added and not meter.try_acquire(added):
+                    break
+                resident += added
+                if resident > self.build_peak_rows:
+                    self.build_peak_rows = resident
+            else:
+                yield from self._probe(buckets, probe_part.blocks(), False)
+                return
+            meter.release(resident)
+            resident = 0
+            buckets.clear()
+            if depth >= budget.max_recursion or build_part.rows <= budget.min_partition_rows:
                 # Cannot split further (one heavy key, a keyless product,
                 # or the recursion limit): fall back to a block-nested-loop
                 # that builds the partition in meter-sized chunks and
@@ -1432,7 +1066,20 @@ class GraceHashJoin(HashJoin):
                 # extra probe-side disk reads.
                 yield from self._chunked_join(build_part, probe_part)
                 return
-            yield from self._probe(buckets, probe_part.blocks(), False)
+            # Re-split both sides with a fresh salt (the depth), freeing
+            # each parent file as soon as its rows are routed on.
+            sub_build = spill.partitions(self._fanout, "build")
+            _COUNTERS.add(spill_recursions=1)
+            spill.route(sub_build, chain.from_iterable(_drained(build_part)), _first, depth)
+            spill.seal(sub_build)
+            # No progress (every row hashed into one sub-partition — a
+            # single heavy key): process that sub-partition at the recursion
+            # limit so the next level takes the fallback instead of looping.
+            made_progress = max(part.rows for part in sub_build) < build_part.rows
+            next_depth = depth + 1 if made_progress else budget.max_recursion
+            yield from self._join_partitions(
+                spill, sub_build, _drained(probe_part), depth, next_depth
+            )
         finally:
             meter.release(resident)
             buckets.clear()
@@ -1497,58 +1144,6 @@ class GraceHashJoin(HashJoin):
             finally:
                 meter.release(resident)
                 buckets.clear()
-
-    def _recurse_partition(
-        self,
-        build_part: SpillFile,
-        probe_part: SpillFile,
-        depth: int,
-        spill_dir: str,
-    ) -> Iterator[Block]:
-        """Re-split an oversized partition with a fresh hash salt."""
-        budget = self._budget
-        fanout = self._fanout
-        probe_key_of = self._probe_key_of
-        salt = depth  # a different salt per level re-scatters the keys
-        sub_build = [self._new_spill(spill_dir, "build") for _ in range(fanout)]
-        _COUNTERS.add(spill_recursions=1, spill_partitions=fanout)
-        for block in build_part.blocks():
-            for key, entry in block:
-                sub_build[_partition_index(salt, key, fanout)].append((key, entry))
-        for part in sub_build:
-            part.finish()
-        sub_probe: List[Optional[SpillFile]] = [
-            self._new_spill(spill_dir, "probe") if sub_build[index].rows else None
-            for index in range(fanout)
-        ]
-        _COUNTERS.add(spill_partitions=sum(1 for part in sub_probe if part is not None))
-        for block in probe_part.blocks():
-            for probe_row in block:
-                part = sub_probe[_partition_index(salt, probe_key_of(probe_row), fanout)]
-                if part is not None:
-                    part.append(probe_row)
-        for part in sub_probe:
-            if part is not None:
-                part.finish()
-        # No progress (every row hashed into one sub-partition — a single
-        # heavy key): process that sub-partition at the recursion limit so
-        # the next level takes the overflow path instead of looping.
-        made_progress = max(part.rows for part in sub_build) < build_part.rows
-        next_depth = depth + 1 if made_progress else budget.max_recursion
-        build_part.delete()
-        probe_part.delete()
-        for index in range(fanout):
-            probe_sub = sub_probe[index]
-            if probe_sub is None:
-                sub_build[index].delete()
-                continue
-            if probe_sub.rows == 0:
-                sub_build[index].delete()
-                probe_sub.delete()
-                continue
-            yield from self._join_partition(
-                sub_build[index], probe_sub, next_depth, spill_dir
-            )
 
     def label(self) -> str:
         """The one-line trace/explain label."""
@@ -1789,20 +1384,21 @@ class MergeJoin(PhysicalOperator):
 class Sort(PhysicalOperator):
     """Sort the input on a key (establishing an output order), spilling runs.
 
-    Without a ``budget`` the whole input is resident while sorting — a sort
-    is never free; the planner only pays for it when a downstream merge
-    join (or an explicit request) wants the order.  With a ``budget`` the
-    sort goes *external* the moment its buffer would overrun the shared
-    meter: the buffer is sorted and flushed as a run to a spill file, the
-    meter is released, and once the input is drained the runs are k-way
+    A sort is never free: its buffer holds the whole input for as long as
+    the shared meter lets it, so the planner only pays for one when a
+    downstream merge join (or an explicit request) wants the order.  The
+    moment the buffer would overrun the meter's budget the sort goes
+    *external*: the buffer is sorted and flushed as a run to a spill file,
+    the meter is released, and once the input is drained the runs are k-way
     merged (``heapq.merge``) back into a single ordered stream.  Only the
     run buffer is ever metered; the merge holds one row per run plus the
-    spill files' small unmetered read-staging.
+    spill files' small unmetered read-staging.  No overrun (always so on an
+    unbudgeted meter) is the zero-run case: one ``list.sort``, no file.
 
     Keys are ordered through :class:`_OrderedKey` (native comparison,
-    per-pair ``(type, repr)`` fallback) on **both** paths — the in-memory
-    ``list.sort`` and the external merge — so the order a sort produces is
-    exactly the order :class:`MergeJoin` advances by, spilled or not.
+    per-pair ``(type, repr)`` fallback) by the ``list.sort`` and the merge
+    alike, so the order a sort produces is exactly the order
+    :class:`MergeJoin` advances by, spilled or not.
     """
 
     def __init__(
@@ -1832,73 +1428,30 @@ class Sort(PhysicalOperator):
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
-        if self._budget is None:
-            return self._blocks_in_memory()
-        return self._blocks_external()
-
-    def _blocks_in_memory(self) -> Iterator[Block]:
         self.rows_out = 0
         self.spilled = 0
         meter = self.meter
-        rows: List[Row] = []
-        resident = 0
-        try:
-            for block in self._child.blocks():
-                rows.extend(block)
-                meter.acquire(len(block))
-                resident += len(block)
-            key_of = self._key_of
-            rows.sort(key=lambda row: _OrderedKey(key_of(row)))
-            for start in range(0, len(rows), BLOCK_ROWS):
-                block = rows[start : start + BLOCK_ROWS]
-                self.rows_out += len(block)
-                yield block
-        finally:
-            meter.release(resident)
-            rows.clear()
-
-    @staticmethod
-    def _run_rows(run: SpillFile) -> Iterator[Row]:
-        for block in run.blocks():
-            for row in block:
-                yield row
-
-    def _blocks_external(self) -> Iterator[Block]:
-        self.rows_out = 0
-        self.spilled = 0
-        meter = self.meter
-        budget = self._budget
         key_of = self._key_of
-        sort_key = lambda row: _OrderedKey(key_of(row))  # noqa: E731 - shared by both paths
-        state = {"rows": [], "resident": 0, "dir": None}
+        sort_key = lambda row: _OrderedKey(key_of(row))  # noqa: E731 - sorts and merges alike
+        spill = PartitionedSpill(
+            meter, "repro-sort-", self._budget.spill_dir if self._budget else None
+        )
+        rows: List[Row] = []  # the run buffer, metered row for row
         runs: List[SpillFile] = []
 
         def flush_run() -> None:
-            rows = state["rows"]
+            nonlocal rows
             if not rows:
                 return
-            if state["dir"] is None:
-                state["dir"] = _new_spill_dir("repro-sort-", budget.spill_dir)
+            if not runs:
                 _COUNTERS.add(sort_spills=1)
                 if meter.events is not None:
-                    meter.events.emit(
-                        "spill", operator="sort", rows=state["resident"]
-                    )
+                    meter.events.emit("spill", operator="sort", rows=len(rows))
             rows.sort(key=sort_key)
-            run = SpillFile(
-                os.path.join(state["dir"], f"run-{len(runs):06d}.spill"),
-                faults=meter.faults,
-                tracer=meter.tracer,
-                events=meter.events,
-            )
-            for row in rows:
-                run.append(row)
-            run.finish()
-            runs.append(run)
+            runs.append(spill.write("run", rows))
             self.spilled += 1
-            meter.release(state["resident"])
-            state["rows"] = []
-            state["resident"] = 0
+            meter.release(len(rows))
+            rows = []
 
         try:
             for block in self._child.blocks():
@@ -1907,235 +1460,39 @@ class Sort(PhysicalOperator):
                 while start < total:
                     remaining = total - start
                     if meter.try_acquire(remaining):
-                        state["rows"].extend(block[start:])
-                        state["resident"] += remaining
+                        rows.extend(block[start:])
                         break
                     head = meter.headroom() or 0
                     if head and meter.try_acquire(head):
-                        state["rows"].extend(block[start : start + head])
-                        state["resident"] += head
+                        rows.extend(block[start : start + head])
                         start += head
-                    elif not state["rows"]:
+                    elif not rows:
                         # No headroom at all (other operators pin the shared
                         # meter): keep one row resident anyway so every
                         # flush makes progress instead of spinning.
                         meter.acquire(1)
-                        state["rows"].append(block[start])
-                        state["resident"] += 1
+                        rows.append(block[start])
                         start += 1
                     flush_run()
-            if not runs:
-                rows = state["rows"]
+            if runs:
+                flush_run()
+                merged = heapq.merge(
+                    *(chain.from_iterable(run.blocks()) for run in runs), key=sort_key
+                )
+            else:
+                # Nothing spilled (always so on an unbudgeted meter): the
+                # buffer is the whole input, sorted where it sits.
                 rows.sort(key=sort_key)
-                for block_start in range(0, len(rows), BLOCK_ROWS):
-                    block = rows[block_start : block_start + BLOCK_ROWS]
-                    self.rows_out += len(block)
-                    yield block
-                return
-            flush_run()
-            merged = heapq.merge(*(self._run_rows(run) for run in runs), key=sort_key)
+                merged = iter(rows)
             for out in _cut(merged):
                 self.rows_out += len(out)
                 yield out
         finally:
-            meter.release(state["resident"])
-            state["rows"] = []
-            for run in runs:
-                run.delete()
-            if state["dir"] is not None:
-                _remove_spill_dir(state["dir"])
+            meter.release(len(rows))
+            rows = []
+            spill.close()
 
     def label(self) -> str:
         """The one-line trace/explain label."""
         suffix = f" [budget={self._budget.rows}]" if self._budget is not None else ""
         return f"sort by ({', '.join(self._key_names)}){suffix}"
-
-
-def _align_pick(from_scheme, to_scheme) -> Optional[Callable[[Row], Row]]:
-    """A picker realigning rows of ``from_scheme`` to ``to_scheme``'s order."""
-    if from_scheme.names == to_scheme.names:
-        return None
-    from ..algebra.tuples import _project_plan
-
-    return _project_plan(from_scheme, to_scheme).pick
-
-
-class StreamingUnion(PhysicalOperator):
-    """Set union: stream the left input, then unseen rows of the right.
-
-    Resident state is the seen-set — one entry per output row, exactly the
-    materialised union's size, but the output itself still streams.  With a
-    ``budget`` the seen-set is a :class:`SpillingSeenSet`, so a union whose
-    result outgrows the meter spills instead of overrunning it.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        meter: MemoryMeter,
-        budget: Optional[MemoryBudget] = None,
-    ):
-        super().__init__(meter)
-        if left.scheme != right.scheme:
-            raise ValueError(
-                f"union requires identical schemes: {left.scheme} vs {right.scheme}"
-            )
-        self._left = left
-        self._right = right
-        self._realign = _align_pick(right.scheme, left.scheme)
-        self._budget = budget
-        self.scheme = left.scheme
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        """The input operators."""
-        return (self._left, self._right)
-
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        if self._budget is not None:
-            return self._blocks_spilling()
-        return self._blocks_in_memory()
-
-    def _blocks_in_memory(self) -> Iterator[Block]:
-        self.rows_out = 0
-        meter = self.meter
-        seen: Set[Row] = set()
-        add = seen.add
-        realign = self._realign
-        try:
-            for source, pick in ((self._left, None), (self._right, realign)):
-                for block in source.blocks():
-                    out: Block = []
-                    append = out.append
-                    before = len(seen)
-                    for row in block:
-                        if pick is not None:
-                            row = pick(row)
-                        if row not in seen:
-                            add(row)
-                            append(row)
-                    meter.acquire(len(seen) - before)
-                    if out:
-                        self.rows_out += len(out)
-                        yield out
-        finally:
-            meter.release(len(seen))
-            seen.clear()
-
-    def _blocks_spilling(self) -> Iterator[Block]:
-        self.rows_out = 0
-        seen = SpillingSeenSet(self.meter, self._budget, prefix="repro-union-")
-        realign = self._realign
-        try:
-            for source, pick in ((self._left, None), (self._right, realign)):
-                for block in source.blocks():
-                    rows = [pick(row) for row in block] if pick is not None else block
-                    out = seen.filter_block(rows)
-                    if out:
-                        self.rows_out += len(out)
-                        yield out
-            for out in seen.drain():
-                self.rows_out += len(out)
-                yield out
-        finally:
-            seen.close()
-
-    def label(self) -> str:
-        """The one-line trace/explain label."""
-        return "union"
-
-
-class StreamingDifference(PhysicalOperator):
-    """Set difference: drain the right side into a set, stream the left.
-
-    Resident state is the right input (plus a small dedup guard for left
-    duplicates when the left child does not deduplicate).  With a ``budget``
-    both sets unify into one :class:`SpillingSeenSet`: the right side is
-    *noted* (marked seen, never emitted), the left side is then filtered —
-    exactly the difference — and the whole structure spills on overflow.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        meter: MemoryMeter,
-        budget: Optional[MemoryBudget] = None,
-    ):
-        super().__init__(meter)
-        if left.scheme != right.scheme:
-            raise ValueError(
-                f"difference requires identical schemes: {left.scheme} vs {right.scheme}"
-            )
-        self._left = left
-        self._right = right
-        self._realign = _align_pick(right.scheme, left.scheme)
-        self._budget = budget
-        self.scheme = left.scheme
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        """The input operators."""
-        return (self._left, self._right)
-
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        if self._budget is not None:
-            return self._blocks_spilling()
-        return self._blocks_in_memory()
-
-    def _blocks_in_memory(self) -> Iterator[Block]:
-        self.rows_out = 0
-        meter = self.meter
-        excluded: Set[Row] = set()
-        emitted: Set[Row] = set()
-        realign = self._realign
-        try:
-            for block in self._right.blocks():
-                before = len(excluded)
-                if realign is not None:
-                    excluded.update(realign(row) for row in block)
-                else:
-                    excluded.update(block)
-                meter.acquire(len(excluded) - before)
-            for block in self._left.blocks():
-                out: Block = []
-                append = out.append
-                before = len(emitted)
-                for row in block:
-                    if row not in excluded and row not in emitted:
-                        emitted.add(row)
-                        append(row)
-                meter.acquire(len(emitted) - before)
-                if out:
-                    self.rows_out += len(out)
-                    yield out
-        finally:
-            meter.release(len(excluded) + len(emitted))
-            excluded.clear()
-            emitted.clear()
-
-    def _blocks_spilling(self) -> Iterator[Block]:
-        self.rows_out = 0
-        seen = SpillingSeenSet(self.meter, self._budget, prefix="repro-diff-")
-        realign = self._realign
-        try:
-            for block in self._right.blocks():
-                if realign is not None:
-                    seen.note_block([realign(row) for row in block])
-                else:
-                    seen.note_block(block)
-            for block in self._left.blocks():
-                out = seen.filter_block(block)
-                if out:
-                    self.rows_out += len(out)
-                    yield out
-            for out in seen.drain():
-                self.rows_out += len(out)
-                yield out
-        finally:
-            seen.close()
-
-    def label(self) -> str:
-        """The one-line trace/explain label."""
-        return "difference"

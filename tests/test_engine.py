@@ -27,9 +27,7 @@ from repro.engine import (
     PlannerConfig,
     RelationStats,
     Sort,
-    StreamingDifference,
     StreamingProject,
-    StreamingUnion,
     TableScan,
     plan_expression,
 )
@@ -209,22 +207,6 @@ class TestPhysicalOperators:
         )
         result = _drain(operator)
         assert result == naive_project(relation, target)
-        assert meter.current == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(schemes(max_width=3), st.data())
-    def test_union_difference_match_relation_ops(self, scheme, data):
-        left = data.draw(relations(scheme=scheme))
-        right = data.draw(relations(scheme=scheme))
-        meter = MemoryMeter()
-        union = _drain(
-            StreamingUnion(TableScan(left, meter), TableScan(right, meter), meter)
-        )
-        assert union == left.union(right)
-        difference = _drain(
-            StreamingDifference(TableScan(left, meter), TableScan(right, meter), meter)
-        )
-        assert difference == left.difference(right)
         assert meter.current == 0
 
     def test_sort_establishes_order(self):

@@ -22,11 +22,13 @@ deterministically, and this module pins their contract:
   execution was abandoned mid-stream (the ``atexit`` registry).
 """
 
+import gc
 import glob
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -47,6 +49,8 @@ from repro.engine import (
     TableScan,
     default_backend,
 )
+from repro.engine import evaluator as evaluator_module
+from repro.engine import spill as spill_module
 from repro.engine.sampling import AdaptiveConfig
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
@@ -293,18 +297,18 @@ class TestWorkerKill:
         assert trace.degradations == []
 
 
-def _three_way_case(seed):
+def _three_way_case(seed, rows=300):
     """A three-way join that triggers an adaptive re-plan when its plan was
     pinned against 1-row relations (borrowed from the sampling tests)."""
     rng = random.Random(seed)
     r = Relation.from_rows(
-        "A B", [(rng.randint(0, 20), rng.randint(0, 8)) for _ in range(300)], name="R"
+        "A B", [(rng.randint(0, 20), rng.randint(0, 8)) for _ in range(rows)], name="R"
     )
     s = Relation.from_rows(
-        "B C", [(rng.randint(0, 8), rng.randint(0, 30)) for _ in range(300)], name="S"
+        "B C", [(rng.randint(0, 8), rng.randint(0, 30)) for _ in range(rows)], name="S"
     )
     t = Relation.from_rows(
-        "C D", [(rng.randint(0, 30), rng.randint(0, 5)) for _ in range(300)], name="T"
+        "C D", [(rng.randint(0, 30), rng.randint(0, 5)) for _ in range(rows)], name="T"
     )
     query = Projection(
         ["A", "D"],
@@ -359,6 +363,82 @@ class TestCheckpointPressure:
         assert trace.replans == 0
         assert delta["adaptive_giveups"] >= 1
         assert delta["checkpoint_spills"] == 0
+
+
+class TestPersistentFaultSweep:
+    """A persistent spill fault at *every* position the evaluation has.
+
+    The evaluation Grace-spills nested joins, re-plans mid-stream and spills
+    its checkpoint, so the swept positions land in every spilling client —
+    including inside a child join suspended under a parent's routing loop
+    and inside the checkpoint's constructor.  Whatever the position, the
+    outcome is the exact answer or the typed error, and nothing is left:
+    checked while the error (and so its traceback) is still held and
+    *without* a cyclic GC pass, because a cleanup that waits for either is
+    a leak for as long as the handler or the collector takes.
+    """
+
+    def _sweep(self, tmp_path, fault_field, rows):
+        query, bound = _three_way_case(11, rows)
+        expected = evaluate(query, bound)
+        meters = []
+
+        class RecordedMeter(MemoryMeter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                meters.append(self)
+
+        failed = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # The sweep is about where a fault lands, not how long the
+            # retries wait before giving up.
+            with mock.patch.object(
+                evaluator_module, "MemoryMeter", RecordedMeter
+            ), mock.patch.object(spill_module, "_SPILL_RETRY_BACKOFF", 0.0):
+                for position in range(1, 1000):
+                    evaluator = EngineEvaluator(
+                        budget=_budget(tmp_path, rows=64),
+                        adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
+                        faults=FaultPlan(
+                            checkpoint_cap_rows=2,
+                            persistent=True,
+                            **{fault_field: position},
+                        ),
+                    )
+                    evaluator.plan_for(query, _tiny_bindings(bound))
+                    del meters[:]
+                    held = None  # a handler still looking at the error
+                    try:
+                        result, _ = evaluator.evaluate(query, bound)
+                    except EngineFaultError as error:
+                        result, held = None, error
+                        failed += 1
+                    where = f"{fault_field}={position}"
+                    assert not list(tmp_path.iterdir()), f"{where}: spill dir leaked"
+                    assert not spill_module._ACTIVE_SPILL_DIRS, f"{where}: registry leaked"
+                    if held is not None:
+                        assert [meter.current for meter in meters] == [0] * len(meters), where
+                    else:
+                        # The position lies past the evaluation's last
+                        # spill operation: the sweep has covered them all.
+                        assert result == expected
+                        break
+                else:
+                    pytest.fail("the sweep never ran out of fault positions")
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert failed >= 10, "the case must spill enough to be worth sweeping"
+
+    def test_write_fault_at_every_position(self, tmp_path):
+        self._sweep(tmp_path, "fail_spill_write_at", rows=300)
+
+    def test_read_fault_at_every_position(self, tmp_path):
+        # A third of the rows: the same clients with ~230 reads to land on
+        # instead of ~410, every one of them swept.
+        self._sweep(tmp_path, "fail_spill_read_at", rows=100)
 
 
 class TestSessionSurfacing:

@@ -13,6 +13,8 @@ the sink changes (no seen-set, no dedup spill, the result resident once)
 and what it must not (the answer, ``rows_out``).
 """
 
+import contextlib
+import pickle
 from unittest import mock
 
 import pytest
@@ -35,7 +37,7 @@ from repro.engine import (
     StreamingProject,
     TableScan,
 )
-from repro.engine import physical
+from repro.engine import physical, spill
 from repro.engine.parallel import drain_metered
 from repro.perf import kernel_counters
 from repro.workloads import serving_relations
@@ -65,9 +67,15 @@ def join_cases(draw):
     )
 
 
+@contextlib.contextmanager
 def _small_blocks():
-    """Four-row blocks, so a dozen rows cross several block boundaries."""
-    return mock.patch.multiple(physical, BLOCK_ROWS=4, SPILL_BLOCK_ROWS=3)
+    """Four-row blocks (three-row spill frames), so a dozen rows cross
+    several block boundaries.  Each name is patched in the module that
+    *reads* it: a patch on a re-exported binding would change nothing."""
+    with mock.patch.object(physical, "BLOCK_ROWS", 4), mock.patch.object(
+        spill, "SPILL_BLOCK_ROWS", 3
+    ):
+        yield
 
 
 def _join(left, right, build_side, budget_rows, repeat_build):
@@ -133,7 +141,7 @@ class TestBuildAndProbeKernels:
             assert join.build_peak_rows <= budget_rows
         assert delta["spill_overflows"] == 0
         assert meter.current == 0
-        assert not physical._ACTIVE_SPILL_DIRS
+        assert not spill._ACTIVE_SPILL_DIRS
 
     @settings(max_examples=60, deadline=None)
     @given(join_cases())
@@ -144,7 +152,42 @@ class TestBuildAndProbeKernels:
             next(stream, None)
             stream.close()
         assert meter.current == 0
-        assert not physical._ACTIVE_SPILL_DIRS
+        assert not spill._ACTIVE_SPILL_DIRS
+
+    def test_the_small_block_patch_reaches_the_spill_writer(self, tmp_path):
+        """A dozen rows per partition in three-row frames: a partition file
+        with one frame would mean the patch hit a binding nobody reads."""
+        left = Relation.from_rows("A B", [(i, i) for i in range(24)])
+        right = Relation.from_rows("B C", [(i, -i) for i in range(24)])
+        budget = MemoryBudget(
+            rows=4, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
+        )
+        meter = MemoryMeter(budget.rows)
+        join = GraceHashJoin(
+            TableScan(left, meter),
+            TableScan(right, meter),
+            _join_plan(left.scheme, right.scheme),
+            meter,
+            budget,
+        )
+
+        def frames(path):
+            with open(path, "rb") as stream:
+                count = 0
+                while True:
+                    try:
+                        pickle.load(stream)
+                    except EOFError:
+                        return count
+                    count += 1
+
+        with _small_blocks():
+            stream = join.blocks()
+            next(stream)
+            most = max(frames(path) for path in tmp_path.glob("*/*.spill"))
+            stream.close()
+        assert most > 1
+        assert not any(tmp_path.iterdir())
 
     def test_probe_consumes_the_build_table_it_is_given(self):
         left = Relation.from_rows("A B", [(1, 1), (2, 1), (3, 2)])

@@ -21,7 +21,7 @@ import pytest
 from repro.algebra import Relation
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
-from repro.engine.physical import _ACTIVE_SPILL_DIRS
+from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.server import (
     BudgetExhaustedError,
     BudgetScheduler,
