@@ -10,7 +10,7 @@ The supported entry point is the :mod:`repro.api` facade, re-exported here:
 ``repro.connect(database)`` (or ``repro.Session``) opens a session over named
 relations, ``session.prepare(query)`` parses/validates/compiles once, and the
 returned ``PreparedQuery`` executes on any evaluator backend behind one
-``QueryResult`` / ``UnifiedTrace`` shape — see ``docs/API.md``.  The
+``QueryResult`` / ``EvaluationTrace`` shape — see ``docs/API.md``.  The
 per-generation evaluator classes remain importable from their subpackages
 but are considered internal.
 
@@ -52,19 +52,18 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 from .api import (
     BACKENDS,
     BackendConfig,
+    EvaluationTrace,
     ObserveConfig,
     PreparedQuery,
     QueryResult,
     Session,
     SessionClosedError,
     SessionError,
-    TraceLike,
-    UnifiedTrace,
     UnknownBackendError,
     connect,
 )
@@ -78,8 +77,7 @@ __all__ = [
     "connect",
     "PreparedQuery",
     "QueryResult",
-    "TraceLike",
-    "UnifiedTrace",
+    "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
     "UnknownBackendError",

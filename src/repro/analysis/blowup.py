@@ -13,8 +13,7 @@ Since the :mod:`repro.api` facade landed, the measurement itself is one
 mixed-backend serving session: the query is prepared once per backend on a
 single :class:`~repro.api.Session` (so the engine run shares that session's
 budget/worker configuration and pool teardown) and each backend's
-:class:`~repro.api.UnifiedTrace` supplies the peaks.  Instantiating the
-per-generation evaluator classes directly for this purpose is deprecated.
+:class:`~repro.api.EvaluationTrace` supplies the peaks.
 """
 
 from __future__ import annotations

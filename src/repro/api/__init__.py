@@ -1,4 +1,4 @@
-"""The unified public API: sessions, prepared queries, unified traces.
+"""The unified public API: sessions, prepared queries, one trace.
 
 Four generations of evaluation APIs grew alongside the paper reproduction —
 :func:`repro.expressions.evaluate`, the instrumented and optimising
@@ -21,8 +21,8 @@ and caching story.  This package is the one front door over all of them:
 * :meth:`Session.prepare` parses/validates/compiles **once** into a
   :class:`PreparedQuery`; ``execute()`` / ``explain()`` / ``trace()`` then
   behave identically on every backend;
-* :class:`QueryResult` and :class:`UnifiedTrace` are the backend-agnostic
-  result and trace types (:class:`TraceLike` is the structural protocol);
+* :class:`QueryResult` and :class:`EvaluationTrace` (re-exported from
+  :mod:`repro.expressions`) are the backend-agnostic result and trace types;
 * :class:`ObserveConfig` (re-exported from :mod:`repro.obs`) switches on
   the observability layer — span tracing, the structured event log, and
   the session metrics registry (``BackendConfig(observe=...)``).
@@ -31,13 +31,13 @@ and caching story.  This package is the one front door over all of them:
 prepared-plan/invalidation contract.
 """
 
+from ..expressions.evaluator import EvaluationTrace
 from ..obs.config import ObserveConfig
 from .config import BACKENDS, BackendConfig
 from .errors import SessionClosedError, SessionError, UnknownBackendError
 from .prepared import PreparedQuery
 from .result import QueryResult
 from .session import Session, connect
-from .trace import TraceLike, UnifiedTrace
 
 __all__ = [
     "BACKENDS",
@@ -47,8 +47,7 @@ __all__ = [
     "connect",
     "PreparedQuery",
     "QueryResult",
-    "TraceLike",
-    "UnifiedTrace",
+    "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
     "UnknownBackendError",

@@ -2,17 +2,16 @@
 
 One frozen dataclass replaces four generations of constructor knobs: the
 evaluator to serve from (``backend``), the streaming engine's memory budget
-and parallelism, the optimiser's size-estimator hook, and the serving-side
-limits (how many persistent fork pools a session may keep warm).  A session
-holds exactly one config; individual :meth:`~repro.api.session.Session.prepare`
-calls may override the backend per query, which is how one session serves
-mixed query traffic.
+and parallelism, and the serving-side limits (how many persistent fork pools a
+session may keep warm).  A session holds exactly one config; individual
+:meth:`~repro.api.session.Session.prepare` calls may override the backend per
+query, which is how one session serves mixed query traffic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..engine.faults import FaultPlan
 from ..engine.physical import MemoryBudget
@@ -46,10 +45,6 @@ class BackendConfig:
     ``parallel_backend``
         Force ``"fork"`` or ``"thread"`` for the engine's worker pool
         (default: fork where available).
-    ``size_estimator``
-        The optimised backend's join-ordering hook: a callable
-        ``(left, right) -> float`` scoring candidate pairwise joins
-        (default: :func:`repro.algebra.operations.estimate_join_size`).
     ``prefer_merge``
         Make the engine's planner choose sort-merge joins.
     ``max_pools``
@@ -86,7 +81,7 @@ class BackendConfig:
     ``observe``
         An :class:`~repro.obs.ObserveConfig` (or ``True`` for everything
         on) attaching the observability layer: per-execution span
-        tracing (``UnifiedTrace.spans``, ``explain_analyze()``), a
+        tracing (``EvaluationTrace.spans``, ``explain_analyze()``), a
         structured event log of spills / re-plans / degradations /
         faults, and a metrics registry (``Session.metrics()``).  With
         ``None`` (the default) the session still keeps a metrics
@@ -100,7 +95,6 @@ class BackendConfig:
     budget: Union[MemoryBudget, int, None] = None
     workers: int = 1
     parallel_backend: Optional[str] = None
-    size_estimator: Optional[Callable] = None
     prefer_merge: bool = False
     max_pools: int = 8
     adaptive: Union[AdaptiveConfig, bool, None] = None

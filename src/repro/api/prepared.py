@@ -22,10 +22,9 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
-from ..expressions.evaluator import bind_arguments
+from ..expressions.evaluator import EvaluationTrace, bind_arguments
 from .errors import SessionError
 from .result import QueryResult
-from .trace import UnifiedTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.planstore import PlanRecord
@@ -53,7 +52,7 @@ class PreparedQuery:
         #: Backend artifact: PhysicalPlan (engine) or rewritten Expression
         #: (optimized); None for the naive backends.
         self._artifact = None
-        self._last_trace: Optional[UnifiedTrace] = None
+        self._last_trace: Optional[EvaluationTrace] = None
         self._compile(count_build=True)
 
     # -- pinning -------------------------------------------------------
@@ -133,25 +132,16 @@ class PreparedQuery:
         self._session._count("executes")
         return QueryResult(relation=relation, trace=trace, backend=self.backend)
 
-    def trace(self, **bindings: Relation) -> UnifiedTrace:
-        """Execute with full tracing and return the :class:`UnifiedTrace`.
+    def trace(self, **bindings: Relation) -> EvaluationTrace:
+        """Execute and return the evaluator's :class:`EvaluationTrace`.
 
-        Identical on every backend: the ``naive`` backend (whose plain
-        ``execute`` records no steps) traces through the instrumented
-        evaluator, which materialises the same intermediates.
+        The same object ``execute().trace`` carries: the ``naive`` backend
+        is the walk untraced, so its ``steps`` are empty — prepare on
+        ``instrumented`` for the same intermediates, recorded.
         """
-        if self.backend == "naive":
-            bound = self._merge_overrides(self._current_binding(), bindings)
-            relation, trace = self._session._execute_backend(
-                "instrumented", self.expression, bound, None
-            )
-            self._session._count("executes")
-            trace.backend = "naive"
-            self._last_trace = trace
-            return trace
         return self.execute(**bindings).trace
 
-    def last_trace(self) -> Optional[UnifiedTrace]:
+    def last_trace(self) -> Optional[EvaluationTrace]:
         """The most recent execution's trace (``None`` before any execution)."""
         return self._last_trace
 

@@ -1,7 +1,7 @@
 """The unified result of one prepared-query execution.
 
 Every backend returns the same thing: the result :class:`Relation`, the
-backend-agnostic :class:`~repro.api.trace.UnifiedTrace` of the execution,
+evaluator's own :class:`~repro.expressions.evaluator.EvaluationTrace`,
 and the name of the backend that served it.  The wrapper behaves like the
 relation for the common read paths (length, iteration, membership, equality
 against relations or other results), so callers migrating from
@@ -15,7 +15,7 @@ from typing import Iterator
 
 from ..algebra.relation import Relation
 from ..algebra.schema import RelationScheme
-from .trace import UnifiedTrace
+from ..expressions.evaluator import EvaluationTrace
 
 __all__ = ["QueryResult"]
 
@@ -25,7 +25,7 @@ class QueryResult:
     """One execution's outcome: relation + trace + the backend that served it."""
 
     relation: Relation
-    trace: UnifiedTrace
+    trace: EvaluationTrace
     backend: str
 
     @property

@@ -33,7 +33,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from ..algebra.database import Database
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
-from ..expressions.evaluator import InstrumentedEvaluator, evaluate
+from ..expressions.evaluator import EvaluationTrace, left_fold_join, traced_walk
 from ..expressions.optimizer import OptimizedEvaluator, push_down_projections
 from ..expressions.parser import parse_expression
 from ..obs.config import Observer
@@ -43,7 +43,6 @@ from .config import BackendConfig, validate_backend
 from .errors import SessionClosedError, SessionError
 from .prepared import PreparedQuery
 from .result import QueryResult
-from .trace import UnifiedTrace
 
 __all__ = ["Session", "connect"]
 
@@ -111,14 +110,13 @@ class Session:
         # query of this session (the engine evaluator carries the shared
         # budget, worker pools, and pinned-plan dictionary).
         self._engine_evaluator = None
-        self._instrumented = InstrumentedEvaluator()
-        self._optimized = OptimizedEvaluator(estimator=base.size_estimator)
-        # Observability: the observer owns the event log and (usually) the
-        # metrics registry; an unobserved session still keeps a registry so
+        self._optimized = OptimizedEvaluator()
+        # Observability: the observer owns the event log and the metrics
+        # registry; an unobserved session still keeps a registry so
         # Session.metrics() always has latency/throughput to show.
         self._observer = Observer.coerce(base.observe)
         if self._observer is not None:
-            self._metrics = self._observer.metrics  # None if explicitly off
+            self._metrics = self._observer.metrics
         else:
             self._metrics = MetricsRegistry(parent=process_metrics())
 
@@ -396,13 +394,12 @@ class Session:
         bound: Mapping[str, Relation],
         artifact,
         tracer=None,
-    ) -> Tuple[Relation, UnifiedTrace]:
+    ) -> Tuple[Relation, EvaluationTrace]:
         start = perf_counter()
         relation, trace = self._dispatch_backend(
             backend, expression, bound, artifact, tracer
         )
-        if self._metrics is not None:
-            self._observe_execution(backend, perf_counter() - start, trace)
+        self._observe_execution(backend, perf_counter() - start, trace)
         return relation, trace
 
     def _observe_execution(self, backend, seconds, trace) -> None:
@@ -424,7 +421,7 @@ class Session:
                 "repro_serial_fallbacks_total",
                 help="parallel-to-serial degradations",
             ).inc(trace.serial_fallbacks)
-        spilled = trace.counters.get("spill_rows", 0) if trace.counters else 0
+        spilled = trace.counters.get("spill_rows", 0)
         if spilled:
             metrics.counter("repro_spill_rows_total", help="rows spilled").inc(
                 spilled
@@ -441,7 +438,8 @@ class Session:
         bound: Mapping[str, Relation],
         artifact,
         tracer=None,
-    ) -> Tuple[Relation, UnifiedTrace]:
+    ) -> Tuple[Relation, EvaluationTrace]:
+        """Run one backend; the trace is the evaluator's own object, uncopied."""
         if backend == "engine":
             relation, trace = self._engine.evaluate(expression, bound, tracer=tracer)
             if trace.replans or trace.serial_fallbacks:
@@ -451,22 +449,17 @@ class Session:
                 with self._state_lock:
                     self._counters["replans"] += trace.replans
                     self._counters["serial_fallbacks"] += trace.serial_fallbacks
-            return relation, UnifiedTrace.from_backend("engine", trace)
+            return relation, trace
         if backend == "optimized":
-            relation, trace = self._optimized.evaluate(
-                expression, bound, rewritten=artifact
-            )
-            return relation, UnifiedTrace.from_backend("optimized", trace)
-        if backend == "instrumented":
-            relation, trace = self._instrumented.evaluate(expression, bound)
-            return relation, UnifiedTrace.from_backend("instrumented", trace)
-        relation = evaluate(expression, bound)
-        trace = UnifiedTrace.minimal(
-            "naive",
-            input_cardinality=sum(len(rel) for rel in bound.values()),
-            result_cardinality=len(relation),
+            return self._optimized.evaluate(expression, bound, rewritten=artifact)
+        # naive and instrumented are one walk; only the latter records steps.
+        return traced_walk(
+            backend,
+            expression,
+            bound,
+            left_fold_join,
+            record_steps=backend == "instrumented",
         )
-        return relation, trace
 
     # -- counters ------------------------------------------------------
 
@@ -502,16 +495,9 @@ class Session:
         """The session's metrics registry (latency, throughput, q-error...).
 
         Every session keeps one — executions are observed into it and
-        aggregated upward into :func:`repro.obs.process_metrics` — unless
-        the config's :class:`~repro.obs.ObserveConfig` explicitly set
-        ``metrics=False``, in which case this raises
-        :class:`~repro.api.errors.SessionError`.  Render it with
-        :func:`repro.obs.render_prometheus`.
+        aggregated upward into :func:`repro.obs.process_metrics`.  Render
+        it with :func:`repro.obs.render_prometheus`.
         """
-        if self._metrics is None:
-            raise SessionError(
-                "metrics were disabled by ObserveConfig(metrics=False)"
-            )
         return self._metrics
 
     def events(self) -> Optional["EventLog"]:

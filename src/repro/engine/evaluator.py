@@ -18,7 +18,7 @@ Two execution knobs extend the PR 2 engine:
   :class:`~repro.engine.physical.GraceHashJoin` nodes that spill their
   build side to disk partitions when the meter would overflow, recursing on
   oversized partitions — the output stays set-equal, the spill activity is
-  visible in ``trace.kernel_activity`` (``join_spills``, ``spill_rows``,
+  visible in ``trace.counters`` (``join_spills``, ``spill_rows``,
   ...), and ``trace.peak_build_rows`` reports the largest build table that
   was actually resident.
 * ``workers`` partitions the plan's driving probe scan across a worker
@@ -502,7 +502,7 @@ class EngineEvaluator:
                 plan = self.plan_for(expression, bound)
         else:
             plan = self.plan_for(expression, bound)
-        trace = EvaluationTrace()
+        trace = EvaluationTrace(backend="engine")
         trace.input_cardinality = sum(len(relation) for relation in bound.values())
         counters = kernel_counters()
         before = counters.snapshot()
@@ -585,10 +585,10 @@ class EngineEvaluator:
             if self.planstore is not None:
                 self._harvest(root, None)
 
-        trace.kernel_activity = counters.delta_since(before)
+        trace.counters = counters.delta_since(before)
         trace.result_cardinality = len(result)
         observer = self.observer
-        if observer is not None and observer.metrics is not None and root is not None:
+        if observer is not None and root is not None:
             self._observe_q_errors(observer.metrics, root)
         return result, trace
 
@@ -598,7 +598,7 @@ class EngineEvaluator:
 
         The counter-based mean/max in :mod:`repro.perf.counters` stays the
         always-on cheap signal; this histogram adds per-window p50/p95
-        when an observer with metrics is attached.
+        when an observer is attached.
         """
         histogram = metrics.histogram(
             "repro_qerror",
@@ -632,8 +632,7 @@ class EngineEvaluator:
         backend fails at all, execution degrades to serial — always
         correct, but never silent: the ``serial_fallbacks`` counter records
         it, a ``RuntimeWarning`` names the exception, and the trace carries
-        a degradation event that :class:`repro.api.trace.UnifiedTrace` and
-        ``Session.stats()`` surface.
+        a degradation event that ``Session.stats()`` surfaces too.
         """
         rebuilt = False
         while True:
@@ -1081,7 +1080,7 @@ class EngineEvaluator:
         if events is not None:
             events.emit("plan_repin", order=list(order), replans=replans)
         observer = self.observer
-        if observer is not None and observer.metrics is not None:
+        if observer is not None:
             observer.metrics.counter(
                 "repro_plan_repins_total",
                 help="pinned plans rewritten with a corrected join order",
@@ -1151,11 +1150,10 @@ class EngineEvaluator:
                 observer.events.emit(
                     "drift_replan", q_error=round(drift, 2), order=list(order)
                 )
-            if observer.metrics is not None:
-                observer.metrics.counter(
-                    "repro_drift_replans_total",
-                    help="pinned plans proactively re-planned on ledger drift",
-                ).inc()
+            observer.metrics.counter(
+                "repro_drift_replans_total",
+                help="pinned plans proactively re-planned on ledger drift",
+            ).inc()
         return revised
 
     @staticmethod

@@ -1,13 +1,15 @@
 """Evaluation of projection-join expressions over databases.
 
-The *naive* evaluator materialises every intermediate relation exactly as the
-expression is written — which is precisely the regime the paper analyses:
-intermediate results can be exponentially larger than both the input and the
-output.  The *instrumented* evaluator additionally records the size of every
-intermediate relation, so the blow-up experiment (E9 in DESIGN.md) can report
-the peak.
+One recursion, :func:`walk`, materialises every intermediate relation of an
+expression.  Run as written (:func:`left_fold_join`) it is precisely the
+regime the paper analyses: intermediate results can be exponentially larger
+than both the input and the output.  :func:`evaluate` is that walk untraced;
+:class:`InstrumentedEvaluator` is the same walk recording the size of every
+intermediate relation in an :class:`EvaluationTrace`, so the blow-up
+experiment (E9 in DESIGN.md) can report the peak; the optimiser
+(:mod:`repro.expressions.optimizer`) swaps in a greedy join order.
 
-Both evaluators accept either a :class:`~repro.algebra.database.Database` or a
+Every entry point accepts either a :class:`~repro.algebra.database.Database` or a
 plain mapping from operand name to relation; the common single-relation case
 can also pass a bare relation, which is bound to every operand name whose
 scheme it matches.
@@ -16,21 +18,29 @@ Every pairwise join inside an expression goes through the positional kernel's
 plan cache (:mod:`repro.perf`), so the scheme-level work of an expression's
 repeated sub-joins — key positions, output permutations, output schemes — is
 compiled once and reused across all of its intermediates; the instrumented
-evaluator reports the cache traffic in ``trace.kernel_activity``.
+evaluator reports the cache traffic in ``trace.counters``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..algebra.database import Database
-from ..algebra.operations import join_all
 from ..algebra.relation import Relation
 from ..perf.counters import kernel_counters
 from .ast import Expression, ExpressionError, Join, Operand, Projection
 
-__all__ = ["evaluate", "bind_arguments", "EvaluationTrace", "InstrumentedEvaluator", "TraceStep"]
+__all__ = [
+    "evaluate",
+    "bind_arguments",
+    "walk",
+    "left_fold_join",
+    "traced_walk",
+    "EvaluationTrace",
+    "InstrumentedEvaluator",
+    "TraceStep",
+]
 
 ArgumentLike = Union[Relation, Mapping[str, Relation], Database]
 
@@ -75,18 +85,51 @@ def bind_arguments(expression: Expression, arguments: ArgumentLike) -> Dict[str,
 
 def evaluate(expression: Expression, arguments: ArgumentLike) -> Relation:
     """Evaluate ``expression`` on ``arguments``, materialising intermediates naively."""
-    bound = bind_arguments(expression, arguments)
-    return _evaluate_node(expression, bound)
+    return walk(expression, bind_arguments(expression, arguments), left_fold_join, None)
 
 
-def _evaluate_node(node: Expression, bound: Mapping[str, Relation]) -> Relation:
+JoinParts = Callable[[List[Relation], Optional["EvaluationTrace"]], Relation]
+
+
+def _record(
+    trace: Optional[EvaluationTrace], description: str, node_kind: str, relation: Relation
+) -> None:
+    if trace is not None:
+        trace.record(TraceStep.from_relation(description, node_kind, relation))
+
+
+def left_fold_join(parts: List[Relation], trace: Optional[EvaluationTrace]) -> Relation:
+    """Join ``parts`` left to right, exactly as the expression is written."""
+    accumulated = parts[0]
+    for index, part in enumerate(parts[1:], start=2):
+        accumulated = accumulated.natural_join(part)
+        _record(trace, f"join of first {index} operands", "join", accumulated)
+    return accumulated
+
+
+def walk(
+    node: Expression,
+    bound: Mapping[str, Relation],
+    join_parts: JoinParts,
+    trace: Optional[EvaluationTrace],
+) -> Relation:
+    """Materialise ``node`` bottom-up: the one recursion over the expression tree.
+
+    ``join_parts(parts, trace)`` combines an n-ary join's materialised
+    operands (:func:`left_fold_join`, or the optimiser's greedy order);
+    ``trace=None`` records nothing.
+    """
     if isinstance(node, Operand):
-        return bound[node.name]
+        relation = bound[node.name]
+        _record(trace, f"operand {node.name}", "operand", relation)
+        return relation
     if isinstance(node, Projection):
-        return _evaluate_node(node.child, bound).project(node.target)
+        projected = walk(node.child, bound, join_parts, trace).project(node.target)
+        _record(trace, f"project[{', '.join(node.target.names)}]", "projection", projected)
+        return projected
     if isinstance(node, Join):
-        parts = [_evaluate_node(part, bound) for part in node.parts]
-        return join_all(parts)
+        parts = [walk(part, bound, join_parts, trace) for part in node.parts]
+        return join_parts(parts, trace)
     raise ExpressionError(f"unknown expression node {node!r}")
 
 
@@ -114,15 +157,22 @@ class TraceStep:
 
 @dataclass
 class EvaluationTrace:
-    """A record of every intermediate relation materialised by an evaluation."""
+    """The one description of an evaluation, identical in shape on every backend.
+
+    ``steps`` are materialised intermediates for the materialising backends
+    and per-operator *streamed* cardinalities for the engine (the engine
+    materialises nothing); the untraced ``naive`` backend leaves them empty.
+    """
 
     steps: List[TraceStep] = field(default_factory=list)
     result_cardinality: int = 0
     input_cardinality: int = 0
+    #: The evaluator that produced the trace (``naive`` / ``instrumented`` /
+    #: ``optimized`` / ``engine``), stamped by that evaluator.
+    backend: str = ""
     #: Kernel counter deltas accumulated during the evaluation (plan cache
-    #: hits/misses, trusted tuples built, join probes) — populated by the
-    #: instrumented evaluators, empty when not measured.
-    kernel_activity: Dict[str, int] = field(default_factory=dict)
+    #: hits/misses, trusted tuples built, join probes, spill activity).
+    counters: Dict[str, int] = field(default_factory=dict)
     #: Peak number of rows simultaneously resident in engine state (hash
     #: tables, dedup sets, sort buffers, the result accumulator) — populated
     #: by the streaming :class:`~repro.engine.evaluator.EngineEvaluator`; the
@@ -150,8 +200,10 @@ class EvaluationTrace:
     #: absorbed (e.g. ``"serial-fallback: ParallelExecutionError: ..."``).
     degradations: List[str] = field(default_factory=list)
     #: Execution spans recorded by a :class:`repro.obs.Tracer` when tracing
-    #: was enabled for the evaluation; empty on untraced runs (the engine
-    #: evaluator populates it, the materialising evaluators leave it empty).
+    #: was enabled for the evaluation (``ObserveConfig(trace=True)`` or
+    #: ``explain_analyze()``); empty on untraced runs (the engine evaluator
+    #: populates it, the materialising evaluators leave it empty).  Feed them
+    #: to :func:`repro.obs.span_tree` / :func:`repro.obs.explain_report`.
     spans: List = field(default_factory=list)
 
     def record(self, step: TraceStep) -> None:
@@ -159,21 +211,29 @@ class EvaluationTrace:
         self.steps.append(step)
 
     @property
-    def counters(self) -> Dict[str, int]:
-        """The kernel-counter deltas, under the unified-trace protocol's name.
-
-        :class:`repro.api.UnifiedTrace` and every backend trace expose the
-        :mod:`repro.perf.counters` activity as ``counters``;
-        ``kernel_activity`` remains as the original field name.
-        """
-        return self.kernel_activity
-
-    @property
     def peak_intermediate_cardinality(self) -> int:
         """The largest number of tuples in any intermediate relation."""
         if not self.steps:
             return 0
         return max(step.cardinality for step in self.steps)
+
+    @property
+    def peak_memory_rows(self) -> int:
+        """Rows resident at the worst moment, in the backend's own accounting.
+
+        The streaming engine meters residency directly (``peak_live_rows``);
+        the materialising evaluators' analogue is their largest materialised
+        intermediate.  This is the one number the blow-up analyses compare
+        across backends.
+
+        The dispatch branches on :attr:`backend`, not on truthiness: an
+        engine evaluation whose residency peak really was 0 (e.g. empty
+        inputs) must report 0, not silently fall through to the streamed
+        step cardinalities, which measure throughput rather than residency.
+        """
+        if self.backend == "engine":
+            return self.peak_live_rows
+        return self.peak_intermediate_cardinality
 
     @property
     def peak_intermediate_cells(self) -> int:
@@ -205,6 +265,7 @@ class EvaluationTrace:
             "steps": float(len(self.steps)),
             "input_cardinality": float(self.input_cardinality),
             "result_cardinality": float(self.result_cardinality),
+            "peak_memory_rows": float(self.peak_memory_rows),
             "peak_intermediate_cardinality": float(self.peak_intermediate_cardinality),
             "peak_intermediate_cells": float(self.peak_intermediate_cells),
             "total_intermediate_tuples": float(self.total_intermediate_tuples),
@@ -212,7 +273,35 @@ class EvaluationTrace:
             "blowup_vs_output": self.blowup_versus_output(),
             "peak_live_rows": float(self.peak_live_rows),
             "peak_build_rows": float(self.peak_build_rows),
+            "replans": float(self.replans),
+            "serial_fallbacks": float(self.serial_fallbacks),
         }
+
+
+def traced_walk(
+    backend: str,
+    expression: Expression,
+    arguments: ArgumentLike,
+    join_parts: JoinParts,
+    rewritten: Optional[Expression] = None,
+    record_steps: bool = True,
+) -> Tuple[Relation, EvaluationTrace]:
+    """Bind, :func:`walk` (``rewritten`` if given), and describe the evaluation.
+
+    The trace always carries ``backend``, the cardinalities and the kernel
+    counter delta; ``record_steps=False`` walks with ``trace=None``, which is
+    the whole of the ``naive`` backend.
+    """
+    bound = bind_arguments(expression, arguments)
+    trace = EvaluationTrace(backend=backend)
+    trace.input_cardinality = sum(len(rel) for rel in bound.values())
+    counters = kernel_counters()
+    before = counters.snapshot()
+    node = expression if rewritten is None else rewritten
+    result = walk(node, bound, join_parts, trace if record_steps else None)
+    trace.counters = counters.delta_since(before)
+    trace.result_cardinality = len(result)
+    return result, trace
 
 
 class InstrumentedEvaluator:
@@ -220,41 +309,4 @@ class InstrumentedEvaluator:
 
     def evaluate(self, expression: Expression, arguments: ArgumentLike) -> Tuple[Relation, EvaluationTrace]:
         """Evaluate and return ``(result, trace)``."""
-        bound = bind_arguments(expression, arguments)
-        trace = EvaluationTrace()
-        trace.input_cardinality = sum(len(rel) for rel in bound.values())
-        counters = kernel_counters()
-        before = counters.snapshot()
-        result = self._evaluate(expression, bound, trace)
-        trace.kernel_activity = counters.delta_since(before)
-        trace.result_cardinality = len(result)
-        return result, trace
-
-    def _evaluate(
-        self, node: Expression, bound: Mapping[str, Relation], trace: EvaluationTrace
-    ) -> Relation:
-        if isinstance(node, Operand):
-            relation = bound[node.name]
-            trace.record(TraceStep.from_relation(f"operand {node.name}", "operand", relation))
-            return relation
-        if isinstance(node, Projection):
-            child = self._evaluate(node.child, bound, trace)
-            projected = child.project(node.target)
-            trace.record(
-                TraceStep.from_relation(
-                    f"project[{', '.join(node.target.names)}]", "projection", projected
-                )
-            )
-            return projected
-        if isinstance(node, Join):
-            parts = [self._evaluate(part, bound, trace) for part in node.parts]
-            accumulated = parts[0]
-            for index, part in enumerate(parts[1:], start=2):
-                accumulated = accumulated.natural_join(part)
-                trace.record(
-                    TraceStep.from_relation(
-                        f"join of first {index} operands", "join", accumulated
-                    )
-                )
-            return accumulated
-        raise ExpressionError(f"unknown expression node {node!r}")
+        return traced_walk("instrumented", expression, arguments, left_fold_join)

@@ -19,14 +19,13 @@ relational algebra); the tests verify this equivalence on random instances.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..algebra.operations import estimate_join_size, greedy_join
 from ..algebra.relation import Relation
-from ..perf.counters import kernel_counters
 from ..algebra.schema import RelationScheme
 from .ast import Expression, ExpressionError, Join, Operand, Projection
-from .evaluator import ArgumentLike, EvaluationTrace, TraceStep, bind_arguments
+from .evaluator import ArgumentLike, EvaluationTrace, TraceStep, traced_walk
 
 __all__ = ["push_down_projections", "OptimizedEvaluator"]
 
@@ -101,9 +100,7 @@ class OptimizedEvaluator:
 
     def __init__(self, estimator: Optional[SizeEstimator] = None):
         """Create an evaluator, optionally overriding the join size estimator."""
-        # Default through the method (not the module function) so subclasses
-        # overriding _estimate_join_size keep driving the join ordering.
-        self._estimator: SizeEstimator = estimator or self._estimate_join_size
+        self._estimator: SizeEstimator = estimator or estimate_join_size
 
     def evaluate(
         self,
@@ -120,38 +117,13 @@ class OptimizedEvaluator:
         """
         if rewritten is None:
             rewritten = push_down_projections(expression)
-        bound = bind_arguments(expression, arguments)
-        trace = EvaluationTrace()
-        trace.input_cardinality = sum(len(rel) for rel in bound.values())
-        counters = kernel_counters()
-        before = counters.snapshot()
-        result = self._evaluate(rewritten, bound, trace)
-        trace.kernel_activity = counters.delta_since(before)
-        trace.result_cardinality = len(result)
-        return result, trace
+        return traced_walk(
+            "optimized", expression, arguments, self._join_greedily, rewritten
+        )
 
-    def _evaluate(
-        self, node: Expression, bound: Mapping[str, Relation], trace: EvaluationTrace
+    def _join_greedily(
+        self, parts: List[Relation], trace: Optional[EvaluationTrace]
     ) -> Relation:
-        if isinstance(node, Operand):
-            relation = bound[node.name]
-            trace.record(TraceStep.from_relation(f"operand {node.name}", "operand", relation))
-            return relation
-        if isinstance(node, Projection):
-            child = self._evaluate(node.child, bound, trace)
-            projected = child.project(node.target)
-            trace.record(
-                TraceStep.from_relation(
-                    f"project[{', '.join(node.target.names)}]", "projection", projected
-                )
-            )
-            return projected
-        if isinstance(node, Join):
-            parts = [self._evaluate(part, bound, trace) for part in node.parts]
-            return self._join_greedily(parts, trace)
-        raise ExpressionError(f"unknown expression node {node!r}")
-
-    def _join_greedily(self, parts: List[Relation], trace: EvaluationTrace) -> Relation:
         """Join relations pairwise, picking the cheapest estimated pair each time."""
 
         def record(joined: Relation, remaining: int) -> None:
@@ -161,9 +133,6 @@ class OptimizedEvaluator:
                 )
             )
 
-        return greedy_join(parts, self._estimator, observe=record)
-
-    @staticmethod
-    def _estimate_join_size(left: Relation, right: Relation) -> float:
-        """Backwards-compatible alias for :func:`repro.algebra.operations.estimate_join_size`."""
-        return estimate_join_size(left, right)
+        return greedy_join(
+            parts, self._estimator, observe=record if trace is not None else None
+        )

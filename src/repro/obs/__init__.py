@@ -8,7 +8,7 @@ serving tier report into.  It is organised as four small layers:
     Span-based execution tracing.  A :class:`Tracer` wraps physical
     operators, the planner, spill I/O, adaptive checkpoints, and fault
     retries in start/stop spans and assembles them into a per-execution
-    span tree (surfaced as ``UnifiedTrace.spans`` and rendered by
+    span tree (surfaced as ``EvaluationTrace.spans`` and rendered by
     ``PreparedQuery.explain_analyze()``).
 
 ``repro.obs.metrics``

@@ -1,6 +1,6 @@
 """Build ``EXPLAIN ANALYZE`` reports from a traced execution's spans.
 
-:func:`explain_report` turns the flat span list on ``UnifiedTrace.spans``
+:func:`explain_report` turns the flat span list on ``EvaluationTrace.spans``
 plus the measured wall-time of the execution into a per-operator runtime
 report: an operator tree annotated with inclusive and self seconds, row
 counts, and the fraction of wall-time attributed to named operator spans

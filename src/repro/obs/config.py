@@ -23,7 +23,7 @@ class ObserveConfig:
 
     ``trace``
         Mint a :class:`~repro.obs.tracer.Tracer` per execution and
-        surface the span tree on ``UnifiedTrace.spans``.  Off by
+        surface the span tree on ``EvaluationTrace.spans``.  Off by
         default: tracing is the one knob with measurable per-block cost
         (gated <= 1.25x; disabled cost gated <= 1.05x).
     ``events``
@@ -31,15 +31,14 @@ class ObserveConfig:
         :class:`~repro.obs.events.EventLog`.
     ``events_path``
         Mirror events to this JSON-Lines file (implies ``events``).
-    ``metrics``
-        Maintain a :class:`~repro.obs.metrics.MetricsRegistry`
-        (parented to the process-wide registry).  On by default.
+
+    A :class:`~repro.obs.metrics.MetricsRegistry` (parented to the
+    process-wide registry) is not a switch: every scope has one.
     """
 
     trace: bool = False
     events: bool = False
     events_path: Optional[str] = None
-    metrics: bool = True
 
     @classmethod
     def coerce(
@@ -73,10 +72,8 @@ class Observer:
         self.events: Optional[EventLog] = (
             EventLog(path=config.events_path) if wants_events else None
         )
-        #: Scope-wide registry (parented process-wide), or ``None``.
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry(parent=process_metrics()) if config.metrics else None
-        )
+        #: Scope-wide registry (parented process-wide).
+        self.metrics = MetricsRegistry(parent=process_metrics())
 
     @classmethod
     def coerce(

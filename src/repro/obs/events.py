@@ -29,7 +29,7 @@ Event kinds emitted by the engine today:
 ``serial-fallback`` / ``pool-rebuild``
     Parallel-execution degradations.
 ``degradation``
-    Anything the engine also appends to ``UnifiedTrace.degradations``.
+    Anything the engine also appends to ``EvaluationTrace.degradations``.
 ``cache_hit`` / ``cache_invalidate``
     The serving tier's result cache answered a query without a worker
     dispatch, or swept the entries reading a mutated relation name

@@ -254,7 +254,9 @@ class MetricsRegistry:
     process-wide registry, so per-session numbers and fleet numbers stay
     consistent without double bookkeeping at call sites.  Instrument
     creation is idempotent: asking for an existing name returns the same
-    object (and raises if the kind or buckets disagree).
+    object (and raises if the kind or buckets disagree) without touching
+    the parent — the parent chain is resolved only when a name is first
+    created, so a lookup on the serving path costs one dict read.
     """
 
     def __init__(self, parent: Optional["MetricsRegistry"] = None):
@@ -283,15 +285,21 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the named :class:`Counter`."""
-        parent = self._parent.counter(name, help) if self._parent else None
-        return self._get_or_create(
-            Counter, name, lambda: Counter(name, help, parent=parent)
-        )
+
+        def create() -> Counter:
+            parent = self._parent.counter(name, help) if self._parent else None
+            return Counter(name, help, parent=parent)
+
+        return self._get_or_create(Counter, name, create)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create the named :class:`Gauge`."""
-        parent = self._parent.gauge(name, help) if self._parent else None
-        return self._get_or_create(Gauge, name, lambda: Gauge(name, help, parent=parent))
+
+        def create() -> Gauge:
+            parent = self._parent.gauge(name, help) if self._parent else None
+            return Gauge(name, help, parent=parent)
+
+        return self._get_or_create(Gauge, name, create)
 
     def histogram(
         self,
@@ -300,10 +308,12 @@ class MetricsRegistry:
         help: str = "",
     ) -> Histogram:
         """Get or create the named :class:`Histogram`."""
-        parent = self._parent.histogram(name, buckets, help) if self._parent else None
-        instrument = self._get_or_create(
-            Histogram, name, lambda: Histogram(name, buckets, help, parent=parent)
-        )
+
+        def create() -> Histogram:
+            parent = self._parent.histogram(name, buckets, help) if self._parent else None
+            return Histogram(name, buckets, help, parent=parent)
+
+        instrument = self._get_or_create(Histogram, name, create)
         if instrument.buckets != tuple(float(bound) for bound in buckets):
             raise ValueError("histogram %r already registered with other buckets" % name)
         return instrument

@@ -126,15 +126,6 @@ class KernelCounters:
     #: Re-plans abandoned because the checkpoint would exceed its row cap
     #: (the original plan then runs to completion — correct either way).
     adaptive_giveups: int = 0
-    #: Serving-tier result-cache lookups answered from the front's LRU
-    #: without leasing a budget or dispatching to a worker.
-    result_cache_hits: int = 0
-    #: Result-cache lookups that missed (cold key, or the entry was
-    #: invalidated/evicted) and paid the full lease+dispatch path.
-    result_cache_misses: int = 0
-    #: Per-relation-name invalidation sweeps the serving tier's result
-    #: cache performed (one per ``set_relation``-style mutation).
-    result_cache_invalidations: int = 0
     #: Cardinality-estimate q-error observations (see :meth:`record_q_error`).
     qerror_observations: int = 0
     #: Sum of observed q-errors × 1000 (divide by ``qerror_observations``

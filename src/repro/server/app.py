@@ -75,6 +75,24 @@ __all__ = ["ReproServer", "ServerConfig"]
 
 #: Lower-layer exception class names that are the *client's* fault: they
 #: cross the worker pipe by name and map to HTTP 400 rather than 500.
+#: ``/stats`` ``front`` key -> the one registry counter that event bumps.
+_FRONT_COUNTERS = {
+    "requests": ("repro_http_requests_total", "HTTP requests accepted"),
+    "queries": ("repro_http_queries_total", "queries served"),
+    "mutations": ("repro_http_mutations_total", "relation mutations applied"),
+    "shed_overload": ("repro_http_shed_total", "requests shed by admission control"),
+    "shed_budget": (
+        "repro_budget_rejections_total",
+        "requests shed by the budget scheduler",
+    ),
+    "client_errors": ("repro_http_client_errors_total", "requests refused as malformed"),
+    "server_errors": ("repro_http_errors_total", "requests failed server-side"),
+    "timeouts": (
+        "repro_http_timeouts_total",
+        "requests that outlived their worker deadline",
+    ),
+}
+
 _CLIENT_FAULT_ERRORS = frozenset(
     {
         "BadRequestError",
@@ -104,7 +122,7 @@ class ServerConfig:
     ``max_inflight``
         Admission bound: requests beyond this many concurrently being
         served are shed with a typed 503, never queued unboundedly.
-    ``total_budget_rows`` / ``default_request_rows`` / ``max_budget_wait_seconds``
+    ``total_budget_rows`` / ``default_request_rows``
         The shared :class:`~repro.server.budget.BudgetScheduler` pool —
         ``None`` total means unlimited (leases are only accounted).
     ``backend`` / ``session_budget`` / ``engine_workers``
@@ -116,8 +134,6 @@ class ServerConfig:
     ``trace``
         Span-trace every execution in the workers (requests can also opt
         in per call with ``"trace": true`` for front spans).
-    ``max_sessions_per_worker``
-        LRU cap on distinct (budget, workers) sessions a worker keeps.
     ``worker_concurrency``
         How many query frames one worker serves at a time over its
         multiplexed pipe; ``1`` restores the pre-multiplex serialised
@@ -140,13 +156,11 @@ class ServerConfig:
     max_inflight: int = 16
     total_budget_rows: Optional[int] = None
     default_request_rows: Optional[int] = None
-    max_budget_wait_seconds: float = 1.0
     backend: str = "engine"
     session_budget: Union[MemoryBudget, int, None] = None
     engine_workers: int = 1
     events_dir: Optional[str] = None
     trace: bool = False
-    max_sessions_per_worker: int = 4
     worker_concurrency: int = 4
     result_cache_size: int = 256
     request_timeout_seconds: Optional[float] = None
@@ -213,16 +227,18 @@ class ReproServer:
             size=base.pool_size,
             worker_backend=base.worker_backend,
             events_dir=base.events_dir,
-            max_sessions=base.max_sessions_per_worker,
             concurrency=base.worker_concurrency,
         )
         self._scheduler = BudgetScheduler(
             total_rows=base.total_budget_rows,
             default_request_rows=base.default_request_rows,
-            max_wait_seconds=base.max_budget_wait_seconds,
         )
-        self._observer = Observer(ObserveConfig(metrics=True, events=True))
+        self._observer = Observer(ObserveConfig(events=True))
         self._metrics = self._observer.metrics
+        self._front = {
+            key: self._metrics.counter(name, help=help)
+            for key, (name, help) in _FRONT_COUNTERS.items()
+        }
         self._cache: Optional[ResultCache] = (
             ResultCache(
                 base.result_cache_size,
@@ -235,15 +251,6 @@ class ReproServer:
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._closed = False
-        self._counters = {
-            "requests": 0,
-            "queries": 0,
-            "mutations": 0,
-            "shed_overload": 0,
-            "shed_budget": 0,
-            "client_errors": 0,
-            "server_errors": 0,
-        }
         self.port: Optional[int] = None
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -393,10 +400,7 @@ class ReproServer:
 
     async def _route(self, request: HttpRequest) -> Tuple[int, str, bytes]:
         path, _query = split_target(request.path)
-        self._count("requests")
-        self._metrics.counter(
-            "repro_http_requests_total", help="HTTP requests accepted"
-        ).inc()
+        self._front["requests"].inc()
         if path == "/query":
             if request.method != "POST":
                 return 405, "application/json", _error_body(
@@ -435,7 +439,7 @@ class ReproServer:
         try:
             payload = request.json()
         except HttpError as error:
-            self._count("client_errors")
+            self._front["client_errors"].inc()
             return error.status, "application/json", _error_body(
                 type(error).__name__, str(error)
             )
@@ -443,10 +447,7 @@ class ReproServer:
         try:
             self._admit()
         except ServerOverloadedError as error:
-            self._count("shed_overload")
-            self._metrics.counter(
-                "repro_http_shed_total", help="requests shed by admission control"
-            ).inc()
+            self._front["shed_overload"].inc()
             return error.status, "application/json", _error_body(
                 type(error).__name__, str(error)
             )
@@ -465,7 +466,7 @@ class ReproServer:
         try:
             payload = request.json()
         except HttpError as error:
-            self._count("client_errors")
+            self._front["client_errors"].inc()
             return error.status, "application/json", _error_body(
                 type(error).__name__, str(error)
             )
@@ -527,10 +528,7 @@ class ReproServer:
                 cached, snapshot = cache.lookup(key)
                 if cached is not None:
                     cached["cached"] = True
-                    self._count("queries")
-                    self._metrics.counter(
-                        "repro_http_queries_total", help="queries served"
-                    ).inc()
+                    self._front["queries"].inc()
                     return cached
             span = tracer.span("serve", "lease") if tracer else _NULL_SPAN
             with span:
@@ -549,21 +547,14 @@ class ReproServer:
                 response["cached"] = False
         except ServerError as error:
             if isinstance(error, ServerOverloadedError):
-                self._count("shed_budget")
-                self._metrics.counter(
-                    "repro_budget_rejections_total",
-                    help="requests shed by the budget scheduler",
-                ).inc()
+                self._front["shed_budget"].inc()
             response = {
                 "ok": False,
                 "error": type(error).__name__,
                 "message": str(error),
             }
         if response.get("ok"):
-            self._count("queries")
-            self._metrics.counter(
-                "repro_http_queries_total", help="queries served"
-            ).inc()
+            self._front["queries"].inc()
         if tracer is not None:
             response["front_spans"] = [s.summary() for s in tracer.finish()]
         return response
@@ -595,10 +586,7 @@ class ReproServer:
                 raise BadRequestError(f"rows do not fit {name!r}'s scheme: {error}")
             acks = self._pool.mutate(name, relation)
             evicted = self._cache.invalidate(name) if self._cache else 0
-            self._count("mutations")
-            self._metrics.counter(
-                "repro_http_mutations_total", help="relation mutations applied"
-            ).inc()
+            self._front["mutations"].inc()
             return {
                 "ok": True,
                 "name": name,
@@ -644,23 +632,16 @@ class ReproServer:
             return 200, "application/json", _json_body(response)
         name = response.get("error", "ServerError")
         if name in _CLIENT_FAULT_ERRORS:
-            self._count("client_errors")
+            self._front["client_errors"].inc()
             status = 400
         elif name in ("ServerOverloadedError", "BudgetExhaustedError",
                       "ServerClosedError"):
             status = 503
         elif name == "RequestTimeoutError":
-            self._count("server_errors")
-            self._metrics.counter(
-                "repro_http_timeouts_total",
-                help="requests that outlived their worker deadline",
-            ).inc()
+            self._front["timeouts"].inc()
             status = 504
         else:
-            self._count("server_errors")
-            self._metrics.counter(
-                "repro_http_errors_total", help="requests failed server-side"
-            ).inc()
+            self._front["server_errors"].inc()
             status = 500
         body = {
             "ok": False,
@@ -680,9 +661,15 @@ class ReproServer:
         return render_prometheus(merge_collected(collections))
 
     def stats(self) -> Dict[str, Any]:
-        """Front counters + budget scheduler + worker pool, one JSON dict."""
+        """Front counters + budget scheduler + worker pool, one JSON dict.
+
+        The ``front`` numbers are views of the registry counters
+        ``/metrics`` renders; a 504 is a server error here and its own
+        ``repro_http_timeouts_total`` there.
+        """
+        front = {key: counter.value for key, counter in self._front.items()}
+        front["server_errors"] += front.pop("timeouts")
         with self._state_lock:
-            front = dict(self._counters)
             front["inflight"] = self._inflight
             front["closed"] = self._closed
         return {
@@ -695,11 +682,6 @@ class ReproServer:
             ),
             "pool": self._pool.stats(),
         }
-
-    def _count(self, name: str) -> None:
-        with self._state_lock:
-            self._counters[name] += 1
-
 
 class _NullSpanHandle:
     """Stand-in span when a request did not ask for front tracing."""

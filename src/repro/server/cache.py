@@ -29,12 +29,11 @@ mutation to the worker pool *first* and invalidates *second*, so any
 miss that raced the mutation and executed against old data carries a
 pre-invalidation snapshot and its fill is dropped.
 
-Counters surface in three places with one spelling each way:
-``cache_hits`` / ``cache_misses`` / ``cache_invalidations`` in
-``/stats``, ``repro_server_cache_*`` in ``/metrics``, ``cache_hit`` /
-``cache_invalidate`` events in the front's event log, and the
-process-global :class:`~repro.perf.counters.KernelCounters`
-``result_cache_*`` fields for benchmarks.
+Each event is counted once, in a ``repro_server_cache_*_total``
+instrument of the front's registry: ``/metrics`` renders the instruments
+and ``/stats`` (:meth:`ResultCache.stats`) reads the same values under the
+``cache_hits`` / ``cache_misses`` / ... keys.  ``cache_hit`` /
+``cache_invalidate`` events go to the front's event log.
 """
 
 from __future__ import annotations
@@ -45,13 +44,24 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
-from ..perf.counters import kernel_counters
 
 __all__ = ["CacheKey", "ResultCache"]
 
 #: ``(query, backend, budget, workers, count_only)`` — the full set of
 #: request fields that select a distinct execution, and nothing else.
 CacheKey = Tuple[str, Optional[str], Optional[int], Optional[int], bool]
+
+
+#: ``/stats`` key and help text of each counter; its ``/metrics`` name is
+#: ``repro_server_<key>_total`` (``repro_server_cache_hits_total``, ...).
+_COUNTERS = (
+    ("cache_hits", "result-cache lookups answered without a worker dispatch"),
+    ("cache_misses", "result-cache lookups that paid the lease+dispatch path"),
+    ("cache_invalidations", "per-relation-name invalidation sweeps"),
+    ("cache_evictions", "entries dropped by the LRU capacity bound"),
+    ("cache_stale_fill_drops", "fills dropped because a mutation raced their miss"),
+    ("cache_stale_served", "entries caught stale at serve time (tripwire: must stay 0)"),
+)
 
 
 class _Entry:
@@ -69,10 +79,11 @@ class ResultCache:
     """A bounded LRU of query responses with per-name invalidation.
 
     ``capacity`` bounds the entry count (LRU eviction past it).  The
-    optional ``metrics`` registry and ``events`` log belong to the front
-    — the cache registers its instruments eagerly so a scrape renders
-    them at zero before any traffic.  Thread-safe throughout: lookups,
-    fills, and invalidations may race from executor threads.
+    ``metrics`` registry and optional ``events`` log belong to the front
+    (a cache constructed bare counts into a private registry) — the
+    cache registers its instruments eagerly so a scrape renders them at
+    zero before any traffic.  Thread-safe throughout: lookups, fills,
+    and invalidations may race from executor threads.
     """
 
     def __init__(
@@ -88,39 +99,16 @@ class ResultCache:
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._generation = 0
         self._invalidated_at: Dict[str, int] = {}
-        self._counters = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_invalidations": 0,
-            "cache_evictions": 0,
-            "cache_stale_fill_drops": 0,
-            "cache_stale_served": 0,
-        }
         self._events = events
-        self._metrics: Dict[str, Any] = {}
-        if metrics is not None:
-            self._metrics = {
-                "hits": metrics.counter(
-                    "repro_server_cache_hits_total",
-                    help="result-cache lookups answered without a worker dispatch",
-                ),
-                "misses": metrics.counter(
-                    "repro_server_cache_misses_total",
-                    help="result-cache lookups that paid the lease+dispatch path",
-                ),
-                "invalidations": metrics.counter(
-                    "repro_server_cache_invalidations_total",
-                    help="per-relation-name invalidation sweeps",
-                ),
-                "stale_served": metrics.counter(
-                    "repro_server_cache_stale_served_total",
-                    help="entries caught stale at serve time (tripwire: must stay 0)",
-                ),
-                "entries": metrics.gauge(
-                    "repro_server_cache_entries",
-                    help="result-cache entries currently resident",
-                ),
-            }
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._counters = {
+            key: metrics.counter(f"repro_server_{key}_total", help=help)
+            for key, help in _COUNTERS
+        }
+        self._entries_gauge = metrics.gauge(
+            "repro_server_cache_entries", help="result-cache entries currently resident"
+        )
 
     # -- the read path --------------------------------------------------
 
@@ -138,22 +126,14 @@ class ResultCache:
                 # Unreachable unless invalidate() failed to evict — the
                 # tripwire half of the no-stale-results contract.
                 self._entries.pop(key, None)
-                self._counters["cache_stale_served"] += 1
-                if "stale_served" in self._metrics:
-                    self._metrics["stale_served"].inc()
+                self._counters["cache_stale_served"].inc()
                 entry = None
             if entry is None:
-                self._counters["cache_misses"] += 1
-                if "misses" in self._metrics:
-                    self._metrics["misses"].inc()
-                kernel_counters().add(result_cache_misses=1)
+                self._counters["cache_misses"].inc()
                 return None, snapshot
             self._entries.move_to_end(key)
-            self._counters["cache_hits"] += 1
-            if "hits" in self._metrics:
-                self._metrics["hits"].inc()
+            self._counters["cache_hits"].inc()
             response = dict(entry.response)
-        kernel_counters().add(result_cache_hits=1)
         if self._events is not None:
             self._events.emit("cache_hit", query=key[0], names=list(entry.names))
         return response, snapshot
@@ -188,14 +168,14 @@ class ResultCache:
             if any(
                 self._invalidated_at.get(name, -1) > snapshot for name in names
             ):
-                self._counters["cache_stale_fill_drops"] += 1
+                self._counters["cache_stale_fill_drops"].inc()
                 return False
             self._entries[key] = _Entry(stored, names, self._generation)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._counters["cache_evictions"] += 1
-            self._update_entries_gauge()
+                self._counters["cache_evictions"].inc()
+            self._entries_gauge.set(len(self._entries))
         return True
 
     def invalidate(self, name: str) -> int:
@@ -214,19 +194,11 @@ class ResultCache:
             ]
             for key in victims:
                 del self._entries[key]
-            self._counters["cache_invalidations"] += 1
-            if "invalidations" in self._metrics:
-                self._metrics["invalidations"].inc()
-            self._update_entries_gauge()
-        kernel_counters().add(result_cache_invalidations=1)
+            self._counters["cache_invalidations"].inc()
+            self._entries_gauge.set(len(self._entries))
         if self._events is not None:
             self._events.emit("cache_invalidate", name=name, evicted=len(victims))
         return len(victims)
-
-    def _update_entries_gauge(self) -> None:
-        # Caller holds the lock.
-        if "entries" in self._metrics:
-            self._metrics["entries"].set(len(self._entries))
 
     # -- introspection --------------------------------------------------
 
@@ -237,7 +209,7 @@ class ResultCache:
     def stats(self) -> Dict[str, int]:
         """Counters plus current shape, for the ``/stats`` cache section."""
         with self._lock:
-            snapshot = dict(self._counters)
+            snapshot = {key: counter.value for key, counter in self._counters.items()}
             snapshot["entries"] = len(self._entries)
             snapshot["capacity"] = self.capacity
             snapshot["generation"] = self._generation

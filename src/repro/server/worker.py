@@ -194,15 +194,13 @@ class _WorkerRuntime:
         result = prepared.execute()
         elapsed = perf_counter() - start
         trace = result.trace
-        counters = trace.counters or {}
-        registry = self._observer.metrics
-        if registry is not None:
-            # The never-fires tripwire, surfaced per worker so a /metrics
-            # scrape can assert it stayed zero across the whole fleet.
-            registry.counter(
-                "repro_spill_overflows_total",
-                help="budget overflows the spill machinery failed to absorb",
-            ).inc(counters.get("spill_overflows", 0))
+        counters = trace.counters
+        # The never-fires tripwire, surfaced per worker so a /metrics
+        # scrape can assert it stayed zero across the whole fleet.
+        self._observer.metrics.counter(
+            "repro_spill_overflows_total",
+            help="budget overflows the spill machinery failed to absorb",
+        ).inc(counters.get("spill_overflows", 0))
         response: Dict[str, Any] = {
             "ok": True,
             "worker": self.index,
@@ -252,8 +250,7 @@ class _WorkerRuntime:
         }
 
     def _collect_metrics(self) -> Dict[str, Dict[str, Any]]:
-        registry = self._observer.metrics
-        return registry.collect() if registry is not None else {}
+        return self._observer.metrics.collect()
 
     def _stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -4,7 +4,7 @@ Four layers:
 
 * **Contract** — prepare parses/validates/compiles once (registry hits on
   re-prepare, plan-cache hits on re-execute), every backend serves the same
-  results behind one ``QueryResult`` / ``UnifiedTrace`` shape, and the
+  results behind one ``QueryResult`` / ``EvaluationTrace`` shape, and the
   config/binding error paths fail loudly.
 * **Invalidation** — replacing a relation (construction-is-invalidation)
   makes exactly the prepared queries that read it re-bind and re-plan on
@@ -13,12 +13,13 @@ Four layers:
   concurrently across a shared budget/worker configuration, with per-query
   results pinned to the seed reference implementation and the counters
   proving no re-planning happened in the steady state.
-* **Traces** — the unified trace satisfies the protocol on every backend,
-  and legacy field pokes go through the deprecation shim.
+* **Traces** — every backend hands back the evaluator's own
+  ``EvaluationTrace``, uncopied, and it survives deepcopy and pickle.
 """
 
+import copy
+import pickle
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -29,18 +30,16 @@ from repro.algebra.database import Database
 from repro.api import (
     BACKENDS,
     BackendConfig,
+    EvaluationTrace,
     PreparedQuery,
     QueryResult,
     Session,
     SessionClosedError,
     SessionError,
-    TraceLike,
-    UnifiedTrace,
     UnknownBackendError,
     connect,
 )
 from repro.engine.physical import MemoryBudget
-from repro.expressions import EvaluationTrace
 from repro.expressions.ast import ExpressionError, Join, Operand, Projection
 
 
@@ -354,25 +353,48 @@ class TestConcurrentServing:
                 assert result.set_equal(_reference(query, relations)), backend
 
 
-class TestUnifiedTrace:
-    def test_every_backend_satisfies_the_protocol(self, session):
-        for backend in BACKENDS:
-            trace = session.prepare(QUERY_TEXT, backend=backend).trace()
-            assert isinstance(trace, UnifiedTrace)
-            assert isinstance(trace, TraceLike)
+class TestOneTrace:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_verb_returns_the_evaluators_own_trace(self, session, backend):
+        prepared = session.prepare(QUERY_TEXT, backend=backend)
+        result = prepared.execute()
+        assert prepared.last_trace() is result.trace
+        traced = prepared.trace()
+        assert prepared.last_trace() is traced
+        for trace in (result.trace, traced):
+            assert type(trace) is EvaluationTrace
             assert trace.backend == backend
-            assert trace.result_cardinality == len(
-                session.prepare(QUERY_TEXT, backend=backend).execute()
-            )
+            assert trace.result_cardinality == len(result)
             assert trace.input_cardinality == 7
-            assert trace.steps, backend  # trace() always records steps
-            assert trace.peak_memory_rows > 0
             assert isinstance(trace.counters, dict)
-            summary = trace.summary()
-            assert summary["peak_memory_rows"] == float(trace.peak_memory_rows)
+            # naive is the walk untraced; every other backend records steps.
+            assert bool(trace.steps) == (backend != "naive")
+            assert (trace.peak_memory_rows > 0) == (backend != "naive")
+            assert trace.summary()["peak_memory_rows"] == float(trace.peak_memory_rows)
 
-    def test_backend_traces_satisfy_the_protocol_directly(self):
-        assert isinstance(EvaluationTrace(), TraceLike)
+    def test_the_engine_trace_is_the_object_the_evaluator_returned(self, session):
+        engine = session._engine
+        returned = []
+        evaluate = engine.evaluate
+
+        def spy(*args, **kwargs):
+            outcome = evaluate(*args, **kwargs)
+            returned.append(outcome[1])
+            return outcome
+
+        engine.evaluate = spy
+        result = session.prepare(QUERY_TEXT, backend="engine").execute()
+        assert [result.trace] == returned
+        assert result.trace is returned[0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_deepcopy_and_pickle_preserve_every_field(self, session, backend):
+        trace = session.prepare(QUERY_TEXT, backend=backend).trace()
+        for clone in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+            assert clone is not trace
+            assert clone == trace  # dataclass equality: every field
+            assert clone.steps is not trace.steps
+            assert clone.summary() == trace.summary()
 
     def test_engine_trace_reports_live_rows_not_materialised_peaks(self, session):
         engine = session.prepare(QUERY_TEXT, backend="engine").trace()
@@ -383,27 +405,14 @@ class TestUnifiedTrace:
             materialising.peak_intermediate_cardinality
         )
 
-    def test_naive_execute_returns_a_minimal_trace(self, session):
-        result = session.prepare(QUERY_TEXT, backend="naive").execute()
-        assert result.trace.steps == []
-        assert result.trace.result_cardinality == len(result)
-        # ... while trace() upgrades to the instrumented evaluation.
-        assert session.prepare(QUERY_TEXT, backend="naive").trace().steps
-
-    def test_legacy_field_pokes_warn_through_the_shim(self, session):
-        trace = session.prepare(QUERY_TEXT, backend="instrumented").trace()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            activity = trace.kernel_activity
-            blowup = trace.blowup_versus_input()
-        assert activity == trace.counters
-        assert blowup >= 0.0
-        assert len(caught) == 2
-        assert all(
-            issubclass(warning.category, DeprecationWarning) for warning in caught
-        )
-        with pytest.raises(AttributeError):
-            trace.not_a_trace_field
+    def test_naive_is_the_instrumented_walk_untraced(self, session):
+        naive = session.prepare(QUERY_TEXT, backend="naive").execute()
+        instrumented = session.prepare(QUERY_TEXT, backend="instrumented").execute()
+        assert naive.trace.steps == []
+        assert instrumented.trace.steps
+        assert naive.set_equal(instrumented)
+        assert naive.trace.result_cardinality == len(naive)
+        assert naive.trace.input_cardinality == instrumented.trace.input_cardinality
 
     def test_last_trace_tracks_the_most_recent_execution(self, session):
         prepared = session.prepare(QUERY_TEXT)

@@ -404,7 +404,7 @@ class TestEngineEvaluator:
         relation, query = random_instance(seed=5)
         _, trace = EngineEvaluator().evaluate(query, relation)
         assert trace.input_cardinality == len(relation) * len(query.operand_names())
-        assert isinstance(trace.kernel_activity, dict)
+        assert isinstance(trace.counters, dict)
         summary = trace.summary()
         assert summary["peak_live_rows"] == float(trace.peak_live_rows)
 

@@ -49,6 +49,7 @@ from repro.engine import (
     MemoryBudget,
     default_backend,
 )
+from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 from repro.expressions.ast import Expression, Join, Operand, Projection
 from repro.perf import kernel_counters
 
@@ -60,19 +61,52 @@ FUZZ_CASES = 30
 CONFIG_GRID = ((None, 1), (None, 4), (TINY_BUDGET_ROWS, 1), (TINY_BUDGET_ROWS, 4))
 
 
-def _reference_evaluate(node: Expression, bound):
-    """Evaluate an expression with the retained seed implementations."""
+def _reference_evaluate(node: Expression, bound, sizes=None):
+    """Evaluate an expression with the retained seed implementations.
+
+    ``sizes`` collects the cardinality of every projection and pairwise
+    join the as-written evaluation materialises, in evaluation order.
+    """
     if isinstance(node, Operand):
         return bound[node.name]
     if isinstance(node, Projection):
-        return naive_project(_reference_evaluate(node.child, bound), node.target)
+        result = naive_project(_reference_evaluate(node.child, bound, sizes), node.target)
+        if sizes is not None:
+            sizes.append(len(result))
+        return result
     if isinstance(node, Join):
-        parts = [_reference_evaluate(part, bound) for part in node.parts]
+        parts = [_reference_evaluate(part, bound, sizes) for part in node.parts]
         result = parts[0]
         for part in parts[1:]:
             result = naive_natural_join(result, part)
+            if sizes is not None:
+                sizes.append(len(result))
         return result
     raise AssertionError(f"unknown node {node!r}")
+
+
+def _assert_walk_matches_reference(expression, bindings, context):
+    """Every entry point over the one materialising walk, against the seed
+    reference: the untraced walk, the traced walk (whose join/projection
+    steps must be exactly the intermediates the as-written order
+    materialises), and the greedy order under two estimators."""
+    sizes = []
+    reference = _reference_evaluate(expression, bindings, sizes)
+    detail = f"{context}\nexpression: {expression.to_text()}"
+    assert evaluate(expression, bindings) == reference, detail
+    instrumented, trace = InstrumentedEvaluator().evaluate(expression, bindings)
+    assert instrumented == reference, detail
+    materialised = [
+        step.cardinality for step in trace.steps if step.node_kind != "operand"
+    ]
+    assert materialised == sizes, detail
+    for estimator in (None, lambda left, right: 1.0):
+        optimized, trace = OptimizedEvaluator(estimator=estimator).evaluate(
+            expression, bindings
+        )
+        assert optimized.scheme.name_set == reference.scheme.name_set, detail
+        assert optimized.project(reference.scheme.names) == reference, detail
+        assert trace.result_cardinality == len(reference), detail
 
 
 def _random_relation(rng: random.Random, scheme: RelationScheme) -> Relation:
@@ -181,6 +215,9 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
     for case_index in range(FUZZ_CASES):
         expression, bindings = _random_case(rng)
         reference = _reference_evaluate(expression, bindings)
+        _assert_walk_matches_reference(
+            expression, bindings, context=f"seed={fuzz_seed} case={case_index}"
+        )
         for budget_rows, workers in CONFIG_GRID:
             _assert_engine_matches_reference(
                 expression,

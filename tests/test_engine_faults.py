@@ -493,7 +493,7 @@ class TestFaultEventCrossCheck:
         evaluator = EngineEvaluator(
             budget=_budget(tmp_path),
             faults=FaultPlan(fail_spill_write_at=2, spill_failures=2),
-            observe=ObserveConfig(events=True, metrics=False),
+            observe=ObserveConfig(events=True),
         )
         result, _ = evaluator.evaluate(query, bound)
         assert result == evaluate(query, bound)
@@ -516,7 +516,7 @@ class TestFaultEventCrossCheck:
         evaluator = EngineEvaluator(
             budget=_budget(tmp_path),
             faults=FaultPlan(fail_spill_write_at=1, persistent=True),
-            observe=ObserveConfig(events=True, metrics=False),
+            observe=ObserveConfig(events=True),
         )
         with pytest.raises(EngineFaultError):
             evaluator.evaluate(query, bound)
@@ -556,7 +556,7 @@ class TestFaultEventCrossCheck:
             budget=_budget(tmp_path, rows=64),
             adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
             faults=FaultPlan(checkpoint_cap_rows=2),
-            observe=ObserveConfig(events=True, metrics=False),
+            observe=ObserveConfig(events=True),
         )
         evaluator.plan_for(query, _tiny_bindings(bound))
         result, trace = evaluator.evaluate(query, bound)
@@ -577,7 +577,7 @@ class TestFaultEventCrossCheck:
         query, bound = _join_case()
         evaluator = EngineEvaluator(
             budget=_budget(tmp_path),
-            observe=ObserveConfig(events=True, metrics=False),
+            observe=ObserveConfig(events=True),
         )
         evaluator.evaluate(query, bound)
         assert evaluator.observer.events.events("fault") == []

@@ -240,7 +240,7 @@ class TestParallelExecution:
         # The spilling happened in the forked children, but the deltas were
         # folded back into this process (and the trace).
         assert delta["join_spills"] > 0
-        assert trace.kernel_activity["join_spills"] > 0
+        assert trace.counters["join_spills"] > 0
         assert not any(tmp_path.iterdir())
 
 

@@ -253,7 +253,7 @@ class TestBudgetedEngine:
         assert trace.peak_live_rows <= 256 + slack
         assert trace.peak_live_rows < unbudgeted_trace.peak_live_rows
         # The spill activity is visible in the trace itself.
-        assert trace.kernel_activity["join_spills"] > 0
+        assert trace.counters["join_spills"] > 0
         assert any("grace hash join" in step.description for step in trace.steps)
 
     def test_budget_composes_with_prefer_merge(self):

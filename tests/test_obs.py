@@ -5,23 +5,20 @@ timing semantics, the span cap, the disabled tracer's no-op guarantee,
 exact-total thread-safety of the metrics registry, parent propagation
 into the process registry, the event log's JSONL mirroring, Prometheus
 rendering, and the ``Session``/``PreparedQuery`` integration
-(``UnifiedTrace.spans``, ``explain_analyze()``, ``Session.metrics()``,
+(``EvaluationTrace.spans``, ``explain_analyze()``, ``Session.metrics()``,
 ``Session.events()``), plus the ``peak_memory_rows`` backend-dispatch
-regression and copy/pickle behaviour of the trace shim.
+regression.
 """
 
-import copy
 import json
-import pickle
 import threading
-import warnings
 
 import pytest
 
 import repro
 from repro import BackendConfig, ObserveConfig
 from repro.algebra import Relation
-from repro.api import SessionError, UnifiedTrace
+from repro.api import EvaluationTrace
 from repro.obs import (
     NULL_TRACER,
     EventLog,
@@ -313,6 +310,49 @@ class TestMetrics:
         assert parent.histogram("lat", buckets=(1.0,)).count == 1
         assert parent.gauge("level").value == 9.0
 
+    def test_looking_up_an_existing_instrument_leaves_the_parent_alone(self):
+        """The parent chain is walked when a name is created, never again."""
+        calls = []
+
+        class CountingParent(MetricsRegistry):
+            def counter(self, name, help=""):
+                calls.append(("counter", name))
+                return super().counter(name, help)
+
+            def gauge(self, name, help=""):
+                calls.append(("gauge", name))
+                return super().gauge(name, help)
+
+            def histogram(self, name, *args, **kwargs):
+                calls.append(("histogram", name))
+                return super().histogram(name, *args, **kwargs)
+
+        parent = CountingParent()
+        child = MetricsRegistry(parent=parent)
+        created = (
+            child.counter("hits"),
+            child.gauge("level"),
+            child.histogram("lat", buckets=(1.0,)),
+        )
+        assert calls == [("counter", "hits"), ("gauge", "level"), ("histogram", "lat")]
+        for _ in range(3):
+            again = (
+                child.counter("hits"),
+                child.gauge("level"),
+                child.histogram("lat", buckets=(1.0,)),
+            )
+            assert all(a is b for a, b in zip(again, created))
+        assert len(calls) == 3, calls
+        # Same objects, same mismatch errors, still without a parent call.
+        with pytest.raises(ValueError):
+            child.gauge("hits")
+        with pytest.raises(ValueError):
+            child.histogram("lat", buckets=(2.0,))
+        assert len(calls) == 3, calls
+        # ... and increments still reach the parent's instrument.
+        child.counter("hits").inc(2)
+        assert parent._instruments["hits"].value == 2
+
     def test_eight_threads_of_histogram_observes_account_exactly(self):
         """Concurrent observes must never lose an update (satellite 3)."""
         parent = MetricsRegistry()
@@ -568,14 +608,6 @@ class TestSessionObservability:
         assert metrics.counter("repro_rows_total").value == 2 * len(result)
         assert metrics.histogram("repro_query_seconds").count == 2
 
-    def test_metrics_disabled_raises_a_session_error(self):
-        config = BackendConfig(observe=ObserveConfig(metrics=False))
-        with repro.connect(_database(), config=config) as session:
-            session.prepare(QUERY).execute()
-            with pytest.raises(SessionError):
-                session.metrics()
-            assert session.events() is None
-
     def test_events_none_without_observe_config(self):
         with repro.connect(_database()) as session:
             assert session.events() is None
@@ -590,7 +622,7 @@ class TestPeakMemoryRowsDispatch:
         # residency) and report a bogus nonzero peak.
         from repro.expressions.evaluator import TraceStep
 
-        trace = UnifiedTrace(
+        trace = EvaluationTrace(
             backend="engine",
             steps=[
                 TraceStep(
@@ -606,13 +638,13 @@ class TestPeakMemoryRowsDispatch:
         assert trace.peak_memory_rows == 0
 
     def test_engine_reports_live_rows(self):
-        trace = UnifiedTrace(backend="engine", peak_live_rows=42)
+        trace = EvaluationTrace(backend="engine", peak_live_rows=42)
         assert trace.peak_memory_rows == 42
 
     def test_materialising_backends_report_largest_step(self):
         from repro.expressions.evaluator import TraceStep
 
-        trace = UnifiedTrace(
+        trace = EvaluationTrace(
             backend="instrumented",
             steps=[
                 TraceStep(
@@ -638,38 +670,3 @@ class TestPeakMemoryRowsDispatch:
             trace = session.prepare(QUERY).trace()
         assert trace.backend == "engine"
         assert trace.peak_memory_rows == trace.peak_live_rows > 0
-
-
-class TestTraceShimCopies:
-    """The ``__getattr__`` shim must survive deepcopy and pickle (satellite 3)."""
-
-    def _trace(self):
-        with repro.connect(_database()) as session:
-            return session.prepare(QUERY).trace()
-
-    def test_deepcopy_preserves_fields_and_shim(self):
-        trace = self._trace()
-        clone = copy.deepcopy(trace)
-        assert clone is not trace
-        assert clone.backend == trace.backend
-        assert clone.result_cardinality == trace.result_cardinality
-        assert clone.raw is not trace.raw
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            clone.kernel_activity  # legacy name -> shim, still warns
-        assert any(w.category is DeprecationWarning for w in caught)
-
-    def test_pickle_round_trip_preserves_fields_and_shim(self):
-        trace = self._trace()
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone.backend == trace.backend
-        assert clone.summary() == trace.summary()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            clone.kernel_activity
-        assert any(w.category is DeprecationWarning for w in caught)
-
-    def test_copy_of_rawless_trace_raises_clean_attribute_errors(self):
-        clone = copy.deepcopy(UnifiedTrace.minimal("naive", 10, 5))
-        with pytest.raises(AttributeError):
-            clone.kernel_activity

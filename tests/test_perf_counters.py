@@ -43,9 +43,6 @@ class TestSnapshotSemantics:
             "sample_cache_misses",
             "plan_repins",
             "drift_replans",
-            "result_cache_hits",
-            "result_cache_misses",
-            "result_cache_invalidations",
             "adaptive_replans",
             "adaptive_giveups",
             "qerror_observations",

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import Relation, RelationScheme, project_join
-from repro.expressions import Join, Operand, Projection, evaluate
+from repro.expressions import InstrumentedEvaluator, Join, Operand, Projection, evaluate
 from repro.expressions.optimizer import OptimizedEvaluator, push_down_projections
 from repro.sat import (
     Assignment,
@@ -168,8 +168,18 @@ class TestEvaluatorProperties:
     @COMMON_SETTINGS
     @given(relations(), project_join_queries())
     def test_optimized_evaluator_matches_naive(self, relation, query):
+        naive = evaluate(query, relation)
         optimized, _ = OptimizedEvaluator().evaluate(query, relation)
-        assert optimized == evaluate(query, relation)
+        assert optimized == naive
+        # The other entry points over the same walk: a constant estimator
+        # (ties broken by position) and the as-written order, traced.
+        constant, _ = OptimizedEvaluator(estimator=lambda left, right: 1.0).evaluate(
+            query, relation
+        )
+        instrumented, trace = InstrumentedEvaluator().evaluate(query, relation)
+        assert constant == naive
+        assert instrumented == naive
+        assert trace.steps[-1].cardinality == trace.result_cardinality == len(naive)
 
     @COMMON_SETTINGS
     @given(relations(max_tuples=6), project_join_queries())

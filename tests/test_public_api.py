@@ -38,8 +38,7 @@ REPRO_EXPORTS = [
     "connect",
     "PreparedQuery",
     "QueryResult",
-    "TraceLike",
-    "UnifiedTrace",
+    "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
     "UnknownBackendError",
@@ -53,8 +52,7 @@ REPRO_API_EXPORTS = [
     "connect",
     "PreparedQuery",
     "QueryResult",
-    "TraceLike",
-    "UnifiedTrace",
+    "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
     "UnknownBackendError",

@@ -94,6 +94,16 @@ def _get(conn, path):
     return response.status, response.read()
 
 
+def _samples(conn):
+    """``GET /metrics`` as ``{series name (labels dropped): value text}``."""
+    samples = {}
+    for line in _get(conn, "/metrics")[1].decode("utf-8").splitlines():
+        if not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            samples[name.split("{")[0]] = value
+    return samples
+
+
 @pytest.fixture(scope="module")
 def server():
     with ReproServer(
@@ -1106,18 +1116,61 @@ class TestResultCacheOverHttp:
         try:
             _post(conn, {"query": QUERIES[0], "count_only": True})
             _post(conn, {"query": QUERIES[0], "count_only": True})
-            text = _get(conn, "/metrics")[1].decode("utf-8")
-            samples = {}
-            for line in text.splitlines():
-                if not line.startswith("#"):
-                    name, _, value = line.rpartition(" ")
-                    samples[name.split("{")[0]] = value
+            samples = _samples(conn)
             assert samples["repro_server_cache_hits_total"] == "1"
             assert samples["repro_server_cache_misses_total"] == "1"
             assert samples["repro_server_cache_stale_served_total"] == "0"
             assert samples["repro_server_cache_entries"] == "1"
         finally:
             conn.close()
+
+    def test_stats_and_metrics_read_the_same_counters(self, cached_server):
+        """Each serving event is counted once: ``/stats`` is a view of ``/metrics``."""
+        conn = self._conn(cached_server)
+        try:
+            query = "project[A, B](R)"
+            assert _post(conn, {"query": query})[1]["cached"] is False  # miss
+            assert _post(conn, {"query": query})[1]["cached"] is True  # hit
+            assert self._mutate(conn, "R", [[1, 2], [3, 4]])[0] == 200
+            assert _post(conn, {"query": query})[1]["cached"] is False  # miss
+            assert _post(conn, {"query": ""})[0] == 400
+            assert _post(conn, {"query": query, "budget": 10_000_000})[0] == 503
+
+            stats = json.loads(_get(conn, "/stats")[1])
+            samples = {
+                name: int(value)
+                for name, value in _samples(conn).items()
+                if name.endswith("_total") or name == "repro_server_cache_entries"
+            }
+        finally:
+            conn.close()
+        front, cache = stats["front"], stats["cache"]
+        assert sorted(front) == [
+            "client_errors", "closed", "inflight", "mutations", "queries",
+            "requests", "server_errors", "shed_budget", "shed_overload",
+        ]
+        # The scrape itself is one more accepted request than /stats saw.
+        assert front["requests"] + 1 == samples["repro_http_requests_total"] == 8
+        assert front["queries"] == samples["repro_http_queries_total"] == 3
+        assert front["mutations"] == samples["repro_http_mutations_total"] == 1
+        assert front["shed_overload"] == samples["repro_http_shed_total"] == 0
+        assert front["shed_budget"] == samples["repro_budget_rejections_total"] == 1
+        assert front["client_errors"] == samples["repro_http_client_errors_total"] == 1
+        assert front["server_errors"] == (
+            samples["repro_http_errors_total"] + samples["repro_http_timeouts_total"]
+        ) == 0
+        counted = {key: value for key, value in cache.items() if key.startswith("cache_")}
+        assert counted == {
+            "cache_hits": 1,
+            "cache_misses": 3,  # cold, after the mutate, and the shed request's key
+            "cache_invalidations": 1,
+            "cache_evictions": 0,
+            "cache_stale_fill_drops": 0,
+            "cache_stale_served": 0,
+        }
+        for key, value in counted.items():
+            assert samples[f"repro_server_{key}_total"] == value, key
+        assert samples["repro_server_cache_entries"] == cache["entries"] == 1
 
     def test_cache_events_are_emitted(self, cached_server):
         conn = self._conn(cached_server)
