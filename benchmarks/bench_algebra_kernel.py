@@ -137,11 +137,10 @@ SERVER_HOL_FAST_QUERIES = 12
 #: *gated* budget re-runs the spill scenario with the PR 6 machinery
 #: (spilling dedup alongside the Grace joins) and enforces the runtime
 #: price of spilling; the *tiny* budget — a sixth of the engine's natural
-#: m=12 footprint (~393 live rows) — and the prefer-merge external-sort
-#: leg assert the zero-overflow contract where every operator class must
-#: spill, with their runtime recorded unguarded (at that scarcity ~10 of
-#: 11 joins spill and every sort fragments into budget-sized runs; the
-#: differential fuzz grid pushes the same contract down to 4-row budgets).
+#: m=12 footprint (~393 live rows) — asserts the zero-overflow contract
+#: where every operator class must spill, with its runtime recorded
+#: unguarded (at that scarcity ~10 of 11 joins spill; the differential
+#: fuzz grid pushes the same contract down to 4-row budgets).
 ROBUSTNESS_GATE_BUDGET_ROWS = 256
 ROBUSTNESS_TINY_BUDGET_ROWS = 64
 MAX_ROBUSTNESS_RUNTIME_RATIO = 1.5
@@ -491,7 +490,6 @@ def _spill_activity(delta: Dict) -> Dict:
         "spill_recursions",
         "spill_overflows",
         "join_chunk_passes",
-        "sort_spills",
         "dedup_spills",
         "checkpoint_spills",
         "spill_retries",
@@ -506,7 +504,7 @@ def run_robustness_benchmark(
 ) -> Dict:
     """The total-spill memory model at m=12: zero overflows, priced runtime.
 
-    Appends a ``robustness`` section to ``BENCH_algebra.json`` with three
+    Appends a ``robustness`` section to ``BENCH_algebra.json`` with two
     legs, each checked set-equal against the unbudgeted engine before
     anything is timed:
 
@@ -518,10 +516,7 @@ def run_robustness_benchmark(
       a sixth of the engine's natural footprint, where most of the join
       cascade spills — asserting the zero-overflow contract with the
       runtime ratio recorded unguarded (re-streaming nearly every probe
-      through disk is the documented price of that scarcity);
-    * the **external-sort** leg forces the prefer-merge plan under the
-      tiny budget, so every ``Sort`` in the cascade runs externally
-      (spilled runs + k-way merge) while sharing one meter.
+      through disk is the documented price of that scarcity).
     """
     counters = kernel_counters()
     label, query, relation = next(iter(_blowup_instances((clause_count,))))
@@ -530,18 +525,14 @@ def run_robustness_benchmark(
     serial = EngineEvaluator()
     serial_result, serial_trace = serial.evaluate(query, bound)
 
-    def budgeted_run(rows: int, prefer_merge: bool = False):
+    def budgeted_run(rows: int):
         budget = MemoryBudget(rows=rows, min_partition_rows=2)
-        config = PlannerConfig(prefer_merge=prefer_merge, budget=budget)
-        evaluator = EngineEvaluator(config)
+        evaluator = EngineEvaluator(PlannerConfig(budget=budget))
         before = counters.snapshot()
         result, trace = evaluator.evaluate(query, bound)
         activity = _spill_activity(counters.delta_since(before))
         if result != serial_result:
-            raise AssertionError(
-                f"budget={rows} prefer_merge={prefer_merge} engine "
-                f"disagreement on {label}"
-            )
+            raise AssertionError(f"budget={rows} engine disagreement on {label}")
         return evaluator, trace, activity
 
     gated, gated_trace, gated_activity = budgeted_run(gate_budget_rows)
@@ -572,34 +563,24 @@ def run_robustness_benchmark(
         **tiny_activity,
     }
 
-    _, sort_trace, sort_activity = budgeted_run(tiny_budget_rows, prefer_merge=True)
-    sort_leg = {
-        "budget_rows": tiny_budget_rows,
-        "peak_live_rows": sort_trace.peak_live_rows,
-        **sort_activity,
-    }
-
     section = {
         "description": (
             "total-spill memory model on the R_G m=12 workload: gated "
             "runtime at the spill budget, zero-overflow contract down to "
-            "a sixth of the engine's natural footprint (hash and "
-            "prefer-merge plans; the differential fuzz grid extends the "
-            "same contract to 4-row budgets)"
+            "a sixth of the engine's natural footprint (the differential "
+            "fuzz grid extends the same contract to 4-row budgets)"
         ),
         "case": label,
         "max_runtime_ratio": MAX_ROBUSTNESS_RUNTIME_RATIO,
         "gated": gated_leg,
         "tiny": tiny_leg,
-        "external_sort": sort_leg,
     }
-    for name, leg in (("gated", gated_leg), ("tiny", tiny_leg), ("sort", sort_leg)):
+    for name, leg in (("gated", gated_leg), ("tiny", tiny_leg)):
         ratio = leg.get("runtime_ratio")
         print(
             f"{label:>14}  {name:>5} budget {leg['budget_rows']:>4}: "
             f"live {leg['peak_live_rows']:>4}, "
-            f"{leg['join_spills']} join / {leg['dedup_spills']} dedup / "
-            f"{leg['sort_spills']} sort spills, "
+            f"{leg['join_spills']} join / {leg['dedup_spills']} dedup spills, "
             f"{leg['spill_overflows']} overflows"
             + (f", runtime {ratio:.2f}x" if ratio is not None else "")
         )
@@ -610,7 +591,7 @@ def run_robustness_benchmark(
 
 def _check_robustness(section: Dict) -> None:
     """The robustness gate shared by pytest and the standalone sweep."""
-    for name in ("gated", "tiny", "external_sort"):
+    for name in ("gated", "tiny"):
         leg = section[name]
         assert leg["spill_overflows"] == 0, (
             f"robustness {name} leg counted {leg['spill_overflows']} "
@@ -629,10 +610,6 @@ def _check_robustness(section: Dict) -> None:
     tiny = section["tiny"]
     assert tiny["join_spills"] >= 5, (
         "the tiny budget must force most of the join cascade to spill"
-    )
-    sort_leg = section["external_sort"]
-    assert sort_leg["sort_spills"] >= 1, (
-        "the prefer-merge leg must run at least one external sort"
     )
 
 
@@ -1660,21 +1637,21 @@ def test_engine_spill_and_parallel_probe(emit_result):
 
 def test_engine_robustness_total_spill(emit_result):
     """The robustness gate: at m=12 every leg of the total-spill memory
-    model — Grace joins + spilling dedup at the gate budget, the whole
-    cascade at a sixth of the engine's natural footprint, and the
-    prefer-merge plan's external sorts — stays set-equal with zero
+    model — Grace joins + spilling dedup at the gate budget, and the whole
+    cascade at a sixth of the engine's natural footprint — stays set-equal
+    with zero
     ``spill_overflows``, and the gated leg's runtime stays within 1.5x of
     the unbudgeted engine."""
     section = run_robustness_benchmark()
     lines = []
-    for name in ("gated", "tiny", "external_sort"):
+    for name in ("gated", "tiny"):
         leg = section[name]
         ratio = leg.get("runtime_ratio")
         lines.append(
             f"{name:>13}  budget {leg['budget_rows']:>4}  "
             f"live {leg['peak_live_rows']:>4}  "
-            f"spills j{leg['join_spills']}/d{leg['dedup_spills']}/"
-            f"s{leg['sort_spills']}  overflows {leg['spill_overflows']}"
+            f"spills j{leg['join_spills']}/d{leg['dedup_spills']}  "
+            f"overflows {leg['spill_overflows']}"
             + (f"  runtime {ratio:>5.2f}x" if ratio is not None else "")
         )
     emit_result(

@@ -6,11 +6,19 @@ an explicit ``setup.py`` (and no ``[build-system]`` table in pyproject.toml)
 makes ``pip install -e .`` work without network access.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# The package's ``__version__`` is the one source; read, not imported, so
+# this file works before ``src`` is on the path.
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
 
 setup(
     name="repro",
-    version="1.0.0",
+    version=VERSION,
     description=(
         "Reproduction of Cosmadakis (1983): The Complexity of Evaluating Relational Queries"
     ),

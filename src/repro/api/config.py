@@ -45,8 +45,6 @@ class BackendConfig:
     ``parallel_backend``
         Force ``"fork"`` or ``"thread"`` for the engine's worker pool
         (default: fork where available).
-    ``prefer_merge``
-        Make the engine's planner choose sort-merge joins.
     ``max_pools``
         How many persistent fork-probe pools the engine evaluator keeps
         warm, LRU-evicted beyond that (each pool pins one bound plan's
@@ -95,7 +93,6 @@ class BackendConfig:
     budget: Union[MemoryBudget, int, None] = None
     workers: int = 1
     parallel_backend: Optional[str] = None
-    prefer_merge: bool = False
     max_pools: int = 8
     adaptive: Union[AdaptiveConfig, bool, None] = None
     planstore: Union[PlanStore, PlanStoreConfig, bool, None] = None

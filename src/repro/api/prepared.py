@@ -6,9 +6,10 @@ and pins everything that does not change between executions of one query:
 * the validated expression (parsed once if it arrived as text);
 * the binding of operand names to the session's relations (re-validated
   lazily only after the session mutates a relation the query reads);
-* the backend-specific compiled artifact — the engine's
-  :class:`~repro.engine.planner.PhysicalPlan` or the optimiser's pushed-down
-  rewrite (the naive backends have nothing to compile).
+* the backend-specific compiled artifact — the optimiser's pushed-down
+  rewrite here, the engine's :class:`~repro.engine.planner.PhysicalPlan` in
+  the session's evaluator, its single holder: a re-pin or drift re-plan
+  swaps it there (the naive backends have nothing to compile).
 
 ``execute()`` then runs the pinned plan; the session's counters record a
 plan-cache hit for every execution that re-planned nothing, which is how the
@@ -49,8 +50,8 @@ class PreparedQuery:
         self._lock = threading.Lock()
         self._bound: Dict[str, Relation] = {}
         self._versions: Dict[str, int] = {}
-        #: Backend artifact: PhysicalPlan (engine) or rewritten Expression
-        #: (optimized); None for the naive backends.
+        #: Backend artifact: the rewritten Expression (optimized); None for
+        #: the naive backends and for the engine, whose evaluator pins the plan.
         self._artifact = None
         self._last_trace: Optional[EvaluationTrace] = None
         self._compile(count_build=True)
@@ -186,7 +187,11 @@ class PreparedQuery:
         bound = self._current_binding()
         expression_text = self.expression.to_text()
         if self.backend == "engine":
-            plan = self._artifact
+            engine = self._session._engine
+            # Forgotten since the last compile: build it, as execute() would.
+            plan = engine.pinned_plan(self.expression) or engine.plan_for(
+                self.expression, bound
+            )
             return (
                 f"backend: engine (streaming physical plan)\n"
                 f"expression: {expression_text}\n"

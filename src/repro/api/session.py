@@ -315,13 +315,11 @@ class Session:
         engine = self._engine_evaluator
         if engine is None:
             from ..engine.evaluator import EngineEvaluator
-            from ..engine.planner import PlannerConfig
 
             with self._state_lock:
                 engine = self._engine_evaluator
                 if engine is None:
                     engine = EngineEvaluator(
-                        config=PlannerConfig(prefer_merge=self.config.prefer_merge),
                         budget=self.config.budget,
                         workers=self.config.workers,
                         parallel_backend=self.config.parallel_backend,
@@ -337,9 +335,13 @@ class Session:
     def _compile_for(
         self, backend: str, expression: Expression, bound: Mapping[str, Relation]
     ):
-        """The backend's pinned artifact for one (expression, binding)."""
+        """The backend's pinned artifact for one (expression, binding).
+
+        The engine's plan is built here but held by its evaluator alone.
+        """
         if backend == "engine":
-            return self._engine.plan_for(expression, bound)
+            self._engine.plan_for(expression, bound)
+            return None
         if backend == "optimized":
             return push_down_projections(expression)
         return None

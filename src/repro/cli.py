@@ -237,7 +237,7 @@ def _join_provenance_lines(plan) -> List[str]:
     def walk(node) -> None:
         for child in node.children:
             walk(child)
-        if node.kind in ("hash-join", "merge-join"):
+        if node.kind == "hash-join":
             left, right = node.children[0], node.children[1]
             common = tuple(node.join_plan.common_names)
             provenance = join_estimate_provenance(left.stats, right.stats, common)
@@ -272,7 +272,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             backend="engine",
             budget=arguments.memory_budget,
             workers=arguments.workers,
-            prefer_merge=arguments.prefer_merge,
             adaptive=arguments.adaptive,
             planstore=arguments.adaptive,
         ) as session:
@@ -325,7 +324,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             print(f"parallel probe: {arguments.workers} workers")
         return 0
     config = PlannerConfig(
-        prefer_merge=arguments.prefer_merge,
         budget=MemoryBudget.coerce(arguments.memory_budget),
         workers=arguments.workers,
     )
@@ -642,11 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100,
         help="assumed cardinality for operands without --cardinality (default 100)",
-    )
-    explain_parser.add_argument(
-        "--prefer-merge",
-        action="store_true",
-        help="force sort-merge joins instead of hash joins",
     )
     explain_parser.add_argument(
         "--memory-budget",

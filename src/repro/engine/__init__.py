@@ -10,21 +10,20 @@ algebra kernel (PR 1):
     Iterator/generator physical operators — table scan (whole or one
     worker's partition slice), streaming projection with dedup, hash join
     with stats-chosen build side (budget-aware Grace-hash spilling to disk
-    partitions when configured), blocked merge join for sorted inputs —
-    that stream blocks of raw positional rows without materialising
-    intermediates, metering the rows resident in engine state against an
-    optional :class:`MemoryBudget`.
+    partitions when configured) — that stream blocks of raw positional rows
+    without materialising intermediates, metering the rows resident in
+    engine state against an optional :class:`MemoryBudget`.
 ``repro.engine.spill``
     The one way rows get to disk and back: :class:`SpillFile` (retried,
     fault-aware, read-back-checked frame I/O) and ``PartitionedSpill`` (one
     execution's registered temp directory, fan-outs and salted routing),
-    which the Grace join, the dedup seen-set, the external sort and the
-    adaptive checkpoint are thin clients of.
+    which the Grace join, the dedup seen-set and the adaptive checkpoint
+    are thin clients of.
 ``repro.engine.planner``
     A cost model lowering :mod:`repro.expressions.ast` trees into physical
-    plans: memoised greedy join ordering, hash-vs-merge selection, build-side
-    choice, budget-aware Grace lowering with partition-count estimates, with
-    every compiled scheme-level artifact resolved at plan time.
+    plans: memoised greedy join ordering, build-side choice, budget-aware
+    Grace lowering with partition-count estimates, with every compiled
+    scheme-level artifact resolved at plan time.
 ``repro.engine.parallel``
     The parallel probe stage: fork/thread worker pools executing one pinned
     plan over a partitioned probe scan and merging set-equal results.
@@ -75,11 +74,9 @@ from .physical import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    MergeJoin,
     PartitionedScan,
     PhysicalOperator,
     ReplanTriggered,
-    Sort,
     SpilledCheckpoint,
     SpillingSeenSet,
     StreamingProject,
@@ -139,8 +136,6 @@ __all__ = [
     "StreamingProject",
     "HashJoin",
     "GraceHashJoin",
-    "MergeJoin",
-    "Sort",
     "ForkProbePool",
     "ParallelExecutionError",
     "ParallelResult",

@@ -11,7 +11,7 @@ peak grows exponentially — the trace's ``peak_live_rows`` field makes the
 difference measurable against the materialising evaluators'
 ``peak_intermediate_cardinality``.
 
-Two execution knobs extend the PR 2 engine:
+Two execution knobs:
 
 * ``budget`` (row count or :class:`~repro.engine.physical.MemoryBudget`)
   caps the rows resident in engine state.  Hash joins lower to
@@ -63,6 +63,7 @@ from ..perf.counters import kernel_counters
 from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
+from ..obs.tracer import NULL_TRACER
 from .parallel import (
     ForkProbePool,
     ParallelExecutionError,
@@ -76,7 +77,6 @@ from .physical import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    MergeJoin,
     PhysicalOperator,
     ReplanTriggered,
     SpilledCheckpoint,
@@ -95,9 +95,20 @@ _NODE_KINDS = {
     "StreamingProject": "projection",
     "HashJoin": "join",
     "GraceHashJoin": "join",
-    "MergeJoin": "join",
-    "Sort": "sort",
     "AdaptiveGuard": "guard",
+}
+
+#: How a pinned plan gets replaced, by plan-history kind:
+#: (PlanStore field, kernel counter, event, metric, metric help).
+_PIN_SWAPS = {
+    "repin": (
+        "repins", "plan_repins", "plan_repin", "repro_plan_repins_total",
+        "pinned plans rewritten with a corrected join order",
+    ),
+    "drift_replan": (
+        "drift_replans", "drift_replans", "drift_replan", "repro_drift_replans_total",
+        "pinned plans proactively re-planned on ledger drift",
+    ),
 }
 
 
@@ -107,7 +118,6 @@ class EngineEvaluator:
     def __init__(
         self,
         config: Optional[PlannerConfig] = None,
-        pin_plans: bool = True,
         budget: "MemoryBudget | int | None" = None,
         workers: Optional[int] = None,
         parallel_backend: Optional[str] = None,
@@ -119,13 +129,11 @@ class EngineEvaluator:
     ):
         """Create an evaluator.
 
-        ``config`` tunes the planner (merge-join preference, build-side
-        dedup elision, and — when set there — budget/workers);
-        ``pin_plans=False`` re-plans on every call, which the benchmarks use
-        to isolate planning cost.  ``budget`` and ``workers`` override the
-        config's fields: a row budget triggers Grace-hash spilling, a worker
-        count > 1 enables the parallel probe stage.  ``parallel_backend``
-        forces ``"fork"`` or ``"thread"`` (default: fork where available).
+        ``config`` carries the planner's budget/workers; ``budget`` and
+        ``workers`` override its fields: a row budget triggers Grace-hash
+        spilling, a worker count > 1 enables the parallel probe stage.
+        ``parallel_backend`` forces ``"fork"`` or ``"thread"`` (default:
+        fork where available).
         ``max_pools`` caps the persistent fork-probe pools kept warm at
         once (one per bound plan, LRU-evicted beyond the cap) — a serving
         session raises it so mixed query traffic does not thrash re-forks.
@@ -186,7 +194,6 @@ class EngineEvaluator:
         self.observer = Observer.coerce(observe)
         self.planstore = PlanStore.coerce(planstore)
         self._planner = Planner(base)
-        self._pin_plans = pin_plans
         self._plans: Dict[Expression, PhysicalPlan] = {}
         self._plans_lock = threading.Lock()
         self._parallel_backend = parallel_backend
@@ -302,24 +309,18 @@ class EngineEvaluator:
         plan validated against ledger version N re-checks only when the
         ledger materially changes.
         """
-        if self._pin_plans:
-            plan = self._plans.get(expression)
-            if plan is not None:
-                if self.planstore is not None:
-                    plan = self._drift_check(expression, plan, arguments)
-                return plan
+        plan = self._plans.get(expression)
+        if plan is not None:
+            if self.planstore is not None:
+                plan = self._drift_check(expression, plan, arguments)
+            return plan
         bound = bind_arguments(expression, arguments)
         stats = self._catalog_for(bound)
-        if not self._pin_plans:
-            return self._planner.plan(expression, stats)
         with self._plans_lock:
             plan = self._plans.get(expression)
-            if plan is None:
-                plan = self._planner.plan(expression, stats)
-                self._plans[expression] = plan
-                pinned = True
-            else:
-                pinned = False
+            pinned = plan is None
+            if pinned:
+                plan = self._plans[expression] = self._planner.plan(expression, stats)
         if pinned and self.planstore is not None:
             plan._ledger_version = self.planstore.ledger.version
             self.planstore.record(expression, "pinned", self._scan_order(plan.root))
@@ -380,10 +381,9 @@ class EngineEvaluator:
         """The currently pinned plan for ``expression``, if any (no build).
 
         Unlike :meth:`plan_for` this never plans and never drift-checks —
-        it is the introspection hook (``engine-explain``, plan-history
-        tooling) for seeing exactly what the next execution would reuse,
-        including a re-pinned plan that replaced the originally compiled
-        artifact.
+        it is the introspection hook (``PreparedQuery.explain``,
+        ``engine-explain``) for seeing exactly what the next execution
+        would reuse, including a re-pinned plan.
         """
         with self._plans_lock:
             return self._plans.get(expression)
@@ -497,10 +497,8 @@ class EngineEvaluator:
         events: Optional[object],
     ) -> Tuple[Relation, EvaluationTrace]:
         bound = bind_arguments(expression, arguments)
-        if tracer is not None:
-            with tracer.span("plan", "plan_for"):
-                plan = self.plan_for(expression, bound)
-        else:
+        spans = tracer or NULL_TRACER
+        with spans.span("plan", "plan_for"):
             plan = self.plan_for(expression, bound)
         trace = EvaluationTrace(backend="engine")
         trace.input_cardinality = sum(len(relation) for relation in bound.values())
@@ -523,13 +521,7 @@ class EngineEvaluator:
         root = None
         if workers > 1:
             backend = self._parallel_backend or default_backend()
-            if tracer is not None:
-                with tracer.span("parallel", backend):
-                    parallel, meter = self._execute_parallel(
-                        plan, bound, workers, budget_rows, backend, meter,
-                        injector, trace, counters,
-                    )
-            else:
+            with spans.span("parallel", backend):
                 parallel, meter = self._execute_parallel(
                     plan, bound, workers, budget_rows, backend, meter, injector,
                     trace, counters,
@@ -571,8 +563,14 @@ class EngineEvaluator:
             self._record_q_errors(root, counters)
             if self.planstore is not None:
                 self._harvest(root, checkpoint_names)
-                if replans and self._pin_plans and self.planstore.config.repin:
-                    self._repin(expression, plan, bound, replans, events)
+                if replans and self.planstore.config.repin:
+                    # The ledger now holds the true prefix and output
+                    # cardinalities, so a re-plan reproduces the corrected
+                    # join order: pin it and the steady state re-plans no more.
+                    self._replace_pin(
+                        expression, plan, bound, "repin",
+                        f"after {replans} mid-stream re-plan(s)", replans=replans,
+                    )
         else:
             root = plan.executor(bound, meter)
             rows = drain_metered(root, meter, span=True)
@@ -709,15 +707,14 @@ class EngineEvaluator:
     def _spine(root: PlanNode) -> "Tuple[List[PlanNode], List[PlanNode]]":
         """Split a plan into its projection stack and hash-join chain.
 
-        Returns ``(stack, chain)``: the projection/sort nodes above the top
+        Returns ``(stack, chain)``: the projection nodes above the top
         join (outermost first) and the left-deep hash-join chain below it
         (top join first, following the probe side down).  ``chain`` is
-        empty when the plan has no hash-join spine to guard (single scans,
-        merge-join plans under ``prefer_merge``).
+        empty when the plan has no join to guard (a projected scan).
         """
         stack: List[PlanNode] = []
         node = root
-        while node.kind in ("project", "sort") and node.children:
+        while node.kind == "project":
             stack.append(node)
             node = node.children[0]
         if node.kind != "hash-join":
@@ -799,7 +796,6 @@ class EngineEvaluator:
                 if not give_up and replans < adaptive.max_replans:
                     guard_for = self._guard_hook(current)
                 root = current.executor(bindings, meter, guard_for=guard_for)
-                tracer = meter.tracer
                 try:
                     rows = drain_metered(root, meter, span=True)
                     return rows, root, replans, aborted_build_peak, checkpoint_names
@@ -820,13 +816,7 @@ class EngineEvaluator:
                         if trigger.guard.node is not None
                         else "unknown"
                     )
-                    if tracer is not None and tracer.enabled:
-                        with tracer.span("replan", trigger_label):
-                            revised = self._revise_plan(
-                                current, trigger.guard.node, bindings, checkpoints,
-                                meter, checkpoint_names,
-                            )
-                    else:
+                    with (meter.tracer or NULL_TRACER).span("replan", trigger_label):
                         revised = self._revise_plan(
                             current, trigger.guard.node, bindings, checkpoints,
                             meter, checkpoint_names,
@@ -895,17 +885,12 @@ class EngineEvaluator:
             if node is trigger_node:
                 break
         probe_node = trigger_node.children[trigger_node.probe_child_index()]
-        tracer = meter.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("checkpoint", "materialize-prefix") as span:
-                rows = self._materialize(
-                    probe_node, bindings, meter, None if budget is not None else cap
-                )
-                span.rows = len(rows) if rows is not None else 0
-        else:
+        spans = meter.tracer or NULL_TRACER
+        with spans.span("checkpoint", "materialize-prefix") as span:
             rows = self._materialize(
                 probe_node, bindings, meter, None if budget is not None else cap
             )
+            span.rows = len(rows) if rows is not None else 0
         if rows is None:
             return None
         name = f"__checkpoint_{len(checkpoints) + 1}__"
@@ -1017,19 +1002,16 @@ class EngineEvaluator:
     ) -> None:
         """Feed the executed tree's per-join actuals into the ledger.
 
-        Every completed hash/merge join contributes its streamed output
+        Every completed hash join contributes its streamed output
         cardinality under the set of base operands its subtree covered
         (checkpoint scans translate back through ``checkpoint_names``), so
         the next plan build — of this query or any query over the same
         operand sets — is costed against measured truth.
         """
-        store = self.planstore
-        if store is None:
-            return
         translation = checkpoint_names or {}
         observations = []
         for operator in operators_in_order(root):
-            if not isinstance(operator, (HashJoin, MergeJoin)):
+            if not isinstance(operator, HashJoin):
                 continue
             names = frozenset().union(
                 *(
@@ -1040,51 +1022,45 @@ class EngineEvaluator:
             observations.append(
                 (names, frozenset(operator.scheme.names), operator.rows_out)
             )
-        store.harvest(observations)
+        self.planstore.harvest(observations)
 
-    def _repin(
+    def _replace_pin(
         self,
         expression: Expression,
         old_plan: PhysicalPlan,
         bound: Mapping[str, Relation],
-        replans: int,
-        events: Optional[object],
-    ) -> None:
-        """Write the corrected join order back into the pinned plan.
+        kind: str,
+        detail: str,
+        **event_fields,
+    ) -> PhysicalPlan:
+        """Re-plan against current statistics and pin that over ``old_plan``.
 
-        After a successful mid-stream re-plan the ledger knows the true
-        prefix and output cardinalities, so re-planning the expression
-        against ledger-backed statistics reproduces the corrected order —
-        as a *clean* plan over the base operands (no checkpoint scans),
-        which is what gets pinned.  Steady-state executions then run the
-        corrected plan with zero further replans (``plan_repins``; the
-        ``plan_repin`` event and metric record it).
+        The one way a pinned plan is replaced (``kind`` is the plan-history
+        kind, a :data:`_PIN_SWAPS` key): the fresh plan is a *clean* one
+        over the base operands, costed against the ledger's observed truth.
+        Returns the plan now in effect — when ``old_plan`` is no longer the
+        pin (somebody else swapped or forgot it) that is theirs, and nothing
+        is recorded.
         """
         store = self.planstore
         revised = self._planner.plan(expression, self._catalog_for(bound))
         with self._plans_lock:
             if self._plans.get(expression) is not old_plan:
-                return  # somebody else already re-pinned or forgot it
+                return self._plans.get(expression, revised)
             self._plans[expression] = revised
         self._evict_pools_for(old_plan)
         revised._ledger_version = store.ledger.version
-        store.repins += 1
-        kernel_counters().add(plan_repins=1)
+        field, counter, event, metric, metric_help = _PIN_SWAPS[kind]
+        setattr(store, field, getattr(store, field) + 1)
+        kernel_counters().add(**{counter: 1})
         order = self._scan_order(revised.root)
-        store.record(
-            expression,
-            "repin",
-            order,
-            detail=f"after {replans} mid-stream re-plan(s)",
-        )
-        if events is not None:
-            events.emit("plan_repin", order=list(order), replans=replans)
+        store.record(expression, kind, order, detail=detail)
         observer = self.observer
         if observer is not None:
-            observer.metrics.counter(
-                "repro_plan_repins_total",
-                help="pinned plans rewritten with a corrected join order",
-            ).inc()
+            if observer.events is not None:
+                observer.events.emit(event, order=list(order), **event_fields)
+            observer.metrics.counter(metric, help=metric_help).inc()
+        return revised
 
     def _drift_check(
         self,
@@ -1127,40 +1103,16 @@ class EngineEvaluator:
         if drift < threshold:
             plan._ledger_version = version
             return plan
-        bound = bind_arguments(expression, arguments)
-        revised = self._planner.plan(expression, self._catalog_for(bound))
-        with self._plans_lock:
-            if self._plans.get(expression) is not plan:
-                return self._plans.get(expression, revised)
-            self._plans[expression] = revised
-        self._evict_pools_for(plan)
-        revised._ledger_version = ledger.version
-        store.drift_replans += 1
-        kernel_counters().add(drift_replans=1)
-        order = self._scan_order(revised.root)
-        store.record(
-            expression,
-            "drift_replan",
-            order,
-            detail=f"q-error {drift:.1f} ({worst})",
+        return self._replace_pin(
+            expression, plan, bind_arguments(expression, arguments), "drift_replan",
+            f"q-error {drift:.1f} ({worst})", q_error=round(drift, 2),
         )
-        observer = self.observer
-        if observer is not None:
-            if observer.events is not None:
-                observer.events.emit(
-                    "drift_replan", q_error=round(drift, 2), order=list(order)
-                )
-            observer.metrics.counter(
-                "repro_drift_replans_total",
-                help="pinned plans proactively re-planned on ledger drift",
-            ).inc()
-        return revised
 
     @staticmethod
     def _join_nodes(node: PlanNode) -> "List[PlanNode]":
         """Every join node of a plan subtree (any order)."""
         found: List[PlanNode] = []
-        if node.kind in ("hash-join", "merge-join"):
+        if node.kind == "hash-join":
             found.append(node)
         for child in node.children:
             found.extend(EngineEvaluator._join_nodes(child))
@@ -1210,17 +1162,13 @@ class EngineEvaluator:
             out_stats = project_stats(child.stats, node.scheme.names)
             cost = child.cost + child.est_rows + out_stats.cardinality
             return replace(node, stats=out_stats, cost=cost, children=children)
-        if node.kind in ("hash-join", "merge-join"):
-            out_stats = join_stats(
-                children[0].stats,
-                children[1].stats,
-                node.scheme.names,
-                node.join_plan.common_names,
-            )
-            return replace(node, stats=out_stats, children=children)
-        if node.kind == "sort":
-            return replace(node, stats=children[0].stats, children=children)
-        return node
+        out_stats = join_stats(
+            children[0].stats,
+            children[1].stats,
+            node.scheme.names,
+            node.join_plan.common_names,
+        )
+        return replace(node, stats=out_stats, children=children)
 
     @staticmethod
     def _reproject(projection: PlanNode, child: PlanNode) -> PlanNode:
@@ -1228,20 +1176,18 @@ class EngineEvaluator:
 
         The revised chain presents the same attributes in a (possibly)
         different column order, so the projection's pick list is recompiled
-        against the new child scheme; target scheme and dedup behaviour are
-        inherited from the original node.
+        against the new child scheme; target scheme, dedup behaviour and
+        budget are inherited from the original node.
         """
         pick_plan = _project_plan(child.scheme, projection.scheme)
         out_stats = project_stats(child.stats, pick_plan.target_scheme.names)
-        cost = child.cost + child.est_rows + out_stats.cardinality
-        return PlanNode(
-            kind="project",
+        return replace(
+            projection,
             scheme=pick_plan.target_scheme,
             stats=out_stats,
-            cost=cost,
+            cost=child.cost + child.est_rows + out_stats.cardinality,
             children=(child,),
             pick=pick_plan.pick,
-            dedup=projection.dedup,
         )
 
     @staticmethod

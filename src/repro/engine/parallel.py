@@ -3,9 +3,9 @@
 PR 2's pinned plans were designed so a multi-worker evaluator can execute one
 plan concurrently; this module is that evaluator's engine room.  ``count``
 workers each instantiate the *same* :class:`~repro.engine.planner.PhysicalPlan`
-with ``probe_slice=(index, count)``: every build table, sort buffer, and
-seen-set is built per worker from the full inputs, but the driving row source
-(the leaf-most projection on the probe path, or the bare probe scan — see
+with ``probe_slice=(index, count)``: every build table and seen-set is
+built per worker from the full inputs, but the driving row source (the
+leaf-most projection on the probe path, or the bare probe scan — see
 :meth:`PlanNode.instantiate`) streams only the rows whose salted hash lands
 on the worker's slice.  Probe rows flow through the operator cascade
 independently, so the union of the workers' outputs is **set-equal** to the

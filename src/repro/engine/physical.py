@@ -4,7 +4,7 @@ Every operator consumes and produces *blocks* — plain Python lists of raw
 value tuples aligned with the operator's output scheme — rather than single
 rows, so the per-row cost stays a tight inner loop (the same discipline as
 the materialising kernel in :mod:`repro.algebra.relation`) while only
-operator *state* (hash tables, dedup sets, sort buffers) is ever resident.
+operator *state* (hash tables, dedup sets) is ever resident.
 Intermediate join results are never materialised: a probe row flows through
 the whole operator tree and is dropped as soon as the root has consumed it.
 
@@ -18,14 +18,12 @@ The iterator contract (see ``docs/ENGINE.md``):
   closed — ``peak_live_rows`` therefore measures rows *resident* in the
   engine, the streaming analogue of the materialising evaluators' peak
   intermediate cardinality.
-* ``output_order`` names the attributes the output is sorted on (``None``
-  when unordered).  :class:`Sort` establishes an order, :class:`MergeJoin`
-  requires one on both inputs and preserves it on the join key.
+* Row order carries no meaning: relations are sets, so no operator
+  promises, requires or preserves an output order.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -43,7 +41,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import JoinPlan, make_block_picker, make_key_picker
+from ..perf.plancache import JoinPlan, make_block_picker
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -61,8 +59,6 @@ __all__ = [
     "StreamingProject",
     "HashJoin",
     "GraceHashJoin",
-    "MergeJoin",
-    "Sort",
 ]
 
 Row = Tuple[Hashable, ...]
@@ -85,11 +81,10 @@ class MemoryBudget:
     ``rows`` caps the rows the shared :class:`MemoryMeter` should hold: a
     hash join whose build side would push the meter past it switches to a
     partitioned (Grace) spill-to-disk join; dedup seen-sets spill through
-    :class:`SpillingSeenSet`, sorts through external run-merge, adaptive
-    checkpoints through :class:`SpilledCheckpoint`, and an unsplittable
-    join partition (one heavy key, a keyless product) falls back to a
-    chunked block-nested-loop — every spillable operator honors the
-    budget.  What remains transiently metered beyond it (the result
+    :class:`SpillingSeenSet`, adaptive checkpoints through
+    :class:`SpilledCheckpoint`, and an unsplittable join partition (one
+    heavy key, a keyless product) falls back to a chunked
+    block-nested-loop — every spillable operator honors the budget.  What remains transiently metered beyond it (the result
     accumulator, one partition-granularity allowance per replay) is
     bounded and honest: a genuine overrun — distinct rows a partition
     cannot shed even after re-salting stops progressing — is counted in
@@ -226,8 +221,7 @@ class SpillingSeenSet:
       failing execution leaks nothing).
 
     Emission order is arrival order until the switch and partition order
-    after it, so a spilled dedup does **not** preserve an input ordering —
-    the planner keeps order-carrying dedups on the in-memory path.
+    after it; no consumer reads meaning into either.
 
     Metering: the pre-switch set and, during replay, one partition's
     distinct rows are metered.  A partition whose rows fit ``budget.rows``
@@ -393,9 +387,7 @@ class SpilledCheckpoint:
     ``__len__`` for the sampling estimator.  ``sorted_rows`` returns the
     deterministic on-disk order, not the kernel's canonical sort: the
     reservoir sampler needs *a* stable order, and sorting would
-    re-materialise exactly what spilling avoided — a spilled checkpoint
-    therefore never feeds a merge-join scan directly (the planner sorts
-    explicitly when it wants an order).
+    re-materialise exactly what spilling avoided.
 
     The constructor writes the rows and closes its own spill area if that
     fails for good, so a half-written checkpoint never exists.
@@ -432,15 +424,14 @@ class PhysicalOperator:
     """Base class of the physical operators.
 
     Concrete operators set ``scheme`` (the output
-    :class:`~repro.algebra.schema.RelationScheme`), ``output_order``, and
-    implement :meth:`blocks`.  ``rows_out`` counts rows yielded by the most
+    :class:`~repro.algebra.schema.RelationScheme`) and implement
+    :meth:`blocks`.  ``rows_out`` counts rows yielded by the most
     recent execution, so the evaluator can trace per-operator cardinalities
     without materialising anything.  ``est_rows`` / ``est_cost`` are filled
     in by the planner and are purely informational at execution time.
     """
 
     scheme: Any
-    output_order: Optional[Tuple[str, ...]] = None
     est_rows: float = 0.0
     est_cost: float = 0.0
     rows_out: int = 0
@@ -601,10 +592,10 @@ class StreamingProject(PhysicalOperator):
     Slicing the projected value itself gives every distinct output row to
     exactly one worker.
 
-    With ``budget`` set (the planner passes it only for unordered dedup
-    projections) the seen-set is a :class:`SpillingSeenSet`: instead of
-    overrunning the shared meter it spills to Grace partitions and defers
-    the spilled rows' first occurrences to a replay phase.
+    With ``budget`` set (the planner passes it to every dedup projection
+    of a budgeted plan) the seen-set is a :class:`SpillingSeenSet`: instead
+    of overrunning the shared meter it spills to Grace partitions and
+    defers the spilled rows' first occurrences to a replay phase.
 
     A projection at the plan root keeps **no** seen-set of either kind
     when the drain offers its result set (``blocks(sink)``): the picked
@@ -1203,7 +1194,6 @@ class AdaptiveGuard(PhysicalOperator):
         super().__init__(meter)
         self._child = child
         self.scheme = child.scheme
-        self.output_order = child.output_order
         self.est_rows = float(est_rows)
         self.threshold = max(float(est_rows) * factor, float(min_rows))
         self.node = node
@@ -1225,274 +1215,3 @@ class AdaptiveGuard(PhysicalOperator):
     def label(self) -> str:
         """Label the guard with its threshold around the child's label."""
         return f"guard[<={self.threshold:.0f}]({self._child.label()})"
-
-
-def _merge_key_picker(scheme, names: Tuple[str, ...]) -> Callable[[Row], Hashable]:
-    index = scheme.index
-    return make_key_picker(tuple(index[name] for name in names))
-
-
-def _ordered_lt(a: Hashable, b: Hashable) -> bool:
-    """A deterministic total preorder over arbitrary hashable key values.
-
-    Native comparison is used only where it is known to be a *total* order
-    — numbers across their tower (keeping ``2`` and ``2.0`` equivalent, as
-    their hash/equality demands), same-type strings/bytes, and tuples
-    element-wise — because merely catching ``TypeError`` is not enough:
-    partially ordered types like ``frozenset`` answer ``<`` with ``False``
-    in both directions without raising, which would make two independent
-    sorts disagree.  Everything else orders by type name then ``repr``.
-    (Boundary: equal values of an exotic type whose reprs differ would not
-    group adjacently; hash join — the default — has no such restriction.)
-    """
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a < b
-    type_a, type_b = type(a), type(b)
-    if type_a is type_b:
-        if type_a is str or type_a is bytes:
-            return a < b
-        if type_a is tuple:
-            for x, y in zip(a, b):
-                if _ordered_lt(x, y):
-                    return True
-                if _ordered_lt(y, x):
-                    return False
-            return len(a) < len(b)
-        return repr(a) < repr(b)
-    return (type_a.__name__, repr(a)) < (type_b.__name__, repr(b))
-
-
-class _OrderedKey:
-    """Sort-key wrapper applying :func:`_ordered_lt`.
-
-    Both :class:`Sort` and :class:`MergeJoin` order through this one
-    wrapper, so the order a sort produces is exactly the order the merge's
-    advance logic assumes.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Hashable):
-        self.value = value
-
-    def __lt__(self, other: "_OrderedKey") -> bool:
-        return _ordered_lt(self.value, other.value)
-
-
-class MergeJoin(PhysicalOperator):
-    """Blocked merge join over inputs already sorted on the join key.
-
-    Both inputs must deliver rows ordered on the common attributes (the
-    planner only places a merge join under that invariant, inserting
-    :class:`Sort` nodes when configured to).  Only the current key group of
-    each side is buffered — the "block" of equal-key rows — so resident
-    state is bounded by the largest key group, not the input.  The output
-    inherits the key order.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        plan: JoinPlan,
-        meter: MemoryMeter,
-    ):
-        super().__init__(meter)
-        if not plan.common_names:
-            raise ValueError("merge join requires at least one shared attribute")
-        for side in (left, right):
-            order = side.output_order or ()
-            if tuple(order[: len(plan.common_names)]) != plan.common_names:
-                raise ValueError(
-                    f"merge join requires inputs sorted on {plan.common_names}, "
-                    f"got order {order} from {side.label()}"
-                )
-        self._left = left
-        self._right = right
-        self._plan = plan
-        self.scheme = plan.joined_scheme
-        self.output_order = plan.common_names
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        """The input operators."""
-        return (self._left, self._right)
-
-    @staticmethod
-    def _groups(
-        rows: Iterator[Row], key_of: Callable[[Row], Hashable]
-    ) -> Iterator[Tuple[Hashable, List[Row]]]:
-        """Yield ``(key, rows)`` groups from a key-ordered row stream."""
-        group: List[Row] = []
-        group_key: Hashable = None
-        for row in rows:
-            key = key_of(row)
-            if group and key != group_key:
-                yield group_key, group
-                group = []
-            group_key = key
-            group.append(row)
-        if group:
-            yield group_key, group
-
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        self.rows_out = 0
-        plan = self._plan
-        meter = self.meter
-        left_groups = self._groups(iter(self._left), plan.left_key_of)
-        right_groups = self._groups(iter(self._right), plan.right_key_of)
-        extra_of = plan.right_extra_of
-        buffered = 0
-        out: Block = []
-        try:
-            left_entry = next(left_groups, None)
-            right_entry = next(right_groups, None)
-            while left_entry is not None and right_entry is not None:
-                left_key, left_group = left_entry
-                right_key, right_group = right_entry
-                if left_key == right_key:
-                    meter.release(buffered)
-                    buffered = len(left_group) + len(right_group)
-                    meter.acquire(buffered)
-                    extras = [extra_of(right_values) for right_values in right_group]
-                    for left_values in left_group:
-                        out.extend(left_values + extra for extra in extras)
-                        if len(out) >= BLOCK_ROWS:
-                            self.rows_out += len(out)
-                            yield out
-                            out = []
-                    left_entry = next(left_groups, None)
-                    right_entry = next(right_groups, None)
-                else:
-                    # Keys are drawn from streams sorted by _OrderedKey;
-                    # advance the smaller under that same order.
-                    if _OrderedKey(left_key) < _OrderedKey(right_key):
-                        left_entry = next(left_groups, None)
-                    else:
-                        right_entry = next(right_groups, None)
-            if out:
-                self.rows_out += len(out)
-                yield out
-        finally:
-            meter.release(buffered)
-
-    def label(self) -> str:
-        """The one-line trace/explain label."""
-        return f"merge join on ({', '.join(self._plan.common_names)})"
-
-
-class Sort(PhysicalOperator):
-    """Sort the input on a key (establishing an output order), spilling runs.
-
-    A sort is never free: its buffer holds the whole input for as long as
-    the shared meter lets it, so the planner only pays for one when a
-    downstream merge join (or an explicit request) wants the order.  The
-    moment the buffer would overrun the meter's budget the sort goes
-    *external*: the buffer is sorted and flushed as a run to a spill file,
-    the meter is released, and once the input is drained the runs are k-way
-    merged (``heapq.merge``) back into a single ordered stream.  Only the
-    run buffer is ever metered; the merge holds one row per run plus the
-    spill files' small unmetered read-staging.  No overrun (always so on an
-    unbudgeted meter) is the zero-run case: one ``list.sort``, no file.
-
-    Keys are ordered through :class:`_OrderedKey` (native comparison,
-    per-pair ``(type, repr)`` fallback) by the ``list.sort`` and the merge
-    alike, so the order a sort produces is exactly the order
-    :class:`MergeJoin` advances by, spilled or not.
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        key_names: Tuple[str, ...],
-        meter: MemoryMeter,
-        budget: Optional[MemoryBudget] = None,
-    ):
-        super().__init__(meter)
-        missing = [name for name in key_names if name not in child.scheme.name_set]
-        if missing:
-            raise ValueError(f"sort key attributes {missing} not in scheme {child.scheme}")
-        self._child = child
-        self._key_names = tuple(key_names)
-        self._key_of = _merge_key_picker(child.scheme, self._key_names)
-        self._budget = budget
-        self.scheme = child.scheme
-        self.output_order = self._key_names
-        #: Number of runs this operator's most recent execution spilled
-        #: (0 = the input fit the budget and sorted in memory).
-        self.spilled = 0
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        """The input operators."""
-        return (self._child,)
-
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        self.rows_out = 0
-        self.spilled = 0
-        meter = self.meter
-        key_of = self._key_of
-        sort_key = lambda row: _OrderedKey(key_of(row))  # noqa: E731 - sorts and merges alike
-        spill = PartitionedSpill(
-            meter, "repro-sort-", self._budget.spill_dir if self._budget else None
-        )
-        rows: List[Row] = []  # the run buffer, metered row for row
-        runs: List[SpillFile] = []
-
-        def flush_run() -> None:
-            nonlocal rows
-            if not rows:
-                return
-            if not runs:
-                _COUNTERS.add(sort_spills=1)
-                if meter.events is not None:
-                    meter.events.emit("spill", operator="sort", rows=len(rows))
-            rows.sort(key=sort_key)
-            runs.append(spill.write("run", rows))
-            self.spilled += 1
-            meter.release(len(rows))
-            rows = []
-
-        try:
-            for block in self._child.blocks():
-                start = 0
-                total = len(block)
-                while start < total:
-                    remaining = total - start
-                    if meter.try_acquire(remaining):
-                        rows.extend(block[start:])
-                        break
-                    head = meter.headroom() or 0
-                    if head and meter.try_acquire(head):
-                        rows.extend(block[start : start + head])
-                        start += head
-                    elif not rows:
-                        # No headroom at all (other operators pin the shared
-                        # meter): keep one row resident anyway so every
-                        # flush makes progress instead of spinning.
-                        meter.acquire(1)
-                        rows.append(block[start])
-                        start += 1
-                    flush_run()
-            if runs:
-                flush_run()
-                merged = heapq.merge(
-                    *(chain.from_iterable(run.blocks()) for run in runs), key=sort_key
-                )
-            else:
-                # Nothing spilled (always so on an unbudgeted meter): the
-                # buffer is the whole input, sorted where it sits.
-                rows.sort(key=sort_key)
-                merged = iter(rows)
-            for out in _cut(merged):
-                self.rows_out += len(out)
-                yield out
-        finally:
-            meter.release(len(rows))
-            rows = []
-            spill.close()
-
-    def label(self) -> str:
-        """The one-line trace/explain label."""
-        suffix = f" [budget={self._budget.rows}]" if self._budget is not None else ""
-        return f"sort by ({', '.join(self._key_names)}){suffix}"

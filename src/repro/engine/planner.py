@@ -16,15 +16,14 @@ Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
   materialising path).
 * **Build side** — each hash join builds its table on the side with the
   smaller estimated cardinality and streams the other.
-* **Hash vs merge** — a merge join is placed when both inputs already
-  deliver rows ordered on the join key (an order established by a
-  :class:`~repro.engine.physical.Sort` or inherited through earlier
-  operators), or when :attr:`PlannerConfig.prefer_merge` forces sorts in.
+
+Hash join is the only join: relations are sets, so no operator produces or
+needs a row order, and a plan is ``scan | project | hash-join`` and nothing
+else.
 
 The cost model is deliberately coarse — unit cost per row scanned, built,
-probed, or emitted, ``n·log2(n)`` for sorts — because its only job is to
-rank alternatives whose cardinalities differ by orders of magnitude (the
-paper's blow-up regime).
+probed, or emitted — because its only job is to rank alternatives whose
+cardinalities differ by orders of magnitude (the paper's blow-up regime).
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ from .physical import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    MergeJoin,
     PartitionedScan,
     PhysicalOperator,
-    Sort,
     StreamingProject,
     TableScan,
 )
@@ -63,12 +60,6 @@ __all__ = ["PlannerConfig", "PlanNode", "PhysicalPlan", "Planner", "plan_express
 class PlannerConfig:
     """Planner knobs.
 
-    ``prefer_merge`` forces sort-merge joins (inserting the sorts) even when
-    hash joins would be cheaper — used by tests and ``engine-explain`` to
-    contrast strategies.  ``dedup_into_builds`` lets a projection feeding a
-    hash-join build side skip its own seen-set (the build table's per-key row
-    sets deduplicate for free).
-
     ``budget`` caps the rows resident in engine state: hash joins lower to
     budget-aware :class:`~repro.engine.physical.GraceHashJoin` nodes (with a
     fan-out hint from :func:`~repro.engine.stats.estimate_partition_count`)
@@ -79,8 +70,6 @@ class PlannerConfig:
     not planning, time.
     """
 
-    prefer_merge: bool = False
-    dedup_into_builds: bool = True
     budget: Optional[MemoryBudget] = None
     workers: int = 1
 
@@ -89,20 +78,18 @@ class PlannerConfig:
 class PlanNode:
     """One physical operator choice, with estimates, ready to instantiate."""
 
-    kind: str  # "scan" | "project" | "hash-join" | "merge-join" | "sort"
+    kind: str  # "scan" | "project" | "hash-join"
     scheme: object
     stats: RelationStats
     cost: float
     children: Tuple["PlanNode", ...] = ()
-    order: Optional[Tuple[str, ...]] = None
     # kind-specific payloads:
     operand_name: Optional[str] = None
     pick: Optional[Callable] = None
     dedup: bool = True
     join_plan: Optional[object] = None
     build_side: str = "right"
-    sort_key: Tuple[str, ...] = ()
-    #: Memory budget for hash joins, sorts, and dedup projections (None =
+    #: Memory budget for hash joins and dedup projections (None =
     #: unbudgeted in-memory state).
     budget: Optional[MemoryBudget] = None
     #: Grace spill fan-out hint when the estimated build side overflows.
@@ -131,25 +118,18 @@ class PlanNode:
                     f"[build={self.build_side}, budget={self.budget.rows}{spill}]"
                 )
             return f"hash join on ({on}) [build={self.build_side}]"
-        if self.kind == "merge-join":
-            return f"merge join on ({', '.join(self.join_plan.common_names)})"
-        if self.kind == "sort":
-            return f"sort by ({', '.join(self.sort_key)})"
         return self.kind
 
     def probe_child_index(self) -> Optional[int]:
         """Index of the child the streamed (probe) rows flow through.
 
         This is the path the parallel probe stage slices: the non-build side
-        of a hash join, the left input of a merge join, the only child of a
-        projection or sort.  ``None`` for leaves.
+        of a hash join, the only child of a projection.  ``None`` for leaves.
         """
-        if self.kind in ("project", "sort"):
+        if self.kind == "project":
             return 0
         if self.kind == "hash-join":
             return 1 if self.build_side == "left" else 0
-        if self.kind == "merge-join":
-            return 0
         return None
 
     def subtree_has(self, kinds: Tuple[str, ...]) -> bool:
@@ -209,15 +189,11 @@ class PlanNode:
             own_slice: Optional[Tuple[int, int]] = None
             pass_down = probe_slice
             if probe_slice is not None and not self.children[0].subtree_has(
-                ("hash-join", "merge-join", "project")
+                ("hash-join", "project")
             ):
                 # This is the driving projection: consume the slice here.
                 own_slice, pass_down = probe_slice, None
             child = self.children[0].instantiate(bindings, meter, pass_down, guard_for)
-            # A spilling seen-set does not preserve arrival order, so an
-            # order-carrying dedup (feeding a merge join) stays on the
-            # unspillable in-memory path.
-            spillable = self.dedup and self.order is None
             operator = StreamingProject(
                 child,
                 self.pick,
@@ -225,7 +201,7 @@ class PlanNode:
                 meter,
                 dedup=self.dedup,
                 probe_slice=own_slice,
-                budget=self.budget if spillable else None,
+                budget=self.budget,
             )
         elif self.kind == "hash-join":
             left = self.children[0].instantiate(bindings, meter, child_slice(0), guard_for)
@@ -244,19 +220,8 @@ class PlanNode:
                 operator = HashJoin(
                     left, right, self.join_plan, meter, build_side=self.build_side
                 )
-        elif self.kind == "merge-join":
-            left = self.children[0].instantiate(bindings, meter, child_slice(0), guard_for)
-            right = self.children[1].instantiate(bindings, meter, child_slice(1), guard_for)
-            operator = MergeJoin(left, right, self.join_plan, meter)
-        elif self.kind == "sort":
-            child = self.children[0].instantiate(bindings, meter, child_slice(0), guard_for)
-            operator = Sort(child, self.sort_key, meter, budget=self.budget)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
-        # The planner's tracked order is authoritative (operators created
-        # here only know their own local ordering behaviour).
-        if self.order is not None:
-            operator.output_order = self.order
         operator.est_rows = self.est_rows
         operator.est_cost = self.cost
         if guard_for is not None:
@@ -367,15 +332,6 @@ class Planner:
             child = self._lower(node.child, stats)
             plan = _project_plan(child.scheme, node.target)
             out_stats = project_stats(child.stats, plan.target_scheme.names)
-            kept = plan.target_scheme.name_set
-            order: Optional[Tuple[str, ...]] = None
-            if child.order:
-                prefix = []
-                for name in child.order:
-                    if name not in kept:
-                        break
-                    prefix.append(name)
-                order = tuple(prefix) or None
             cost = child.cost + child.est_rows + out_stats.cardinality
             budget = self.config.budget
             if budget is not None and out_stats.cardinality > budget.rows:
@@ -388,7 +344,6 @@ class Planner:
                 stats=out_stats,
                 cost=cost,
                 children=(child,),
-                order=order,
                 pick=plan.pick,
                 dedup=True,
                 budget=budget,
@@ -467,49 +422,20 @@ class Planner:
         common = plan.common_names
         out_stats = join_stats(left.stats, right.stats, plan.joined_scheme.names, common)
 
-        def ordered_on_key(node: PlanNode) -> bool:
-            return bool(common) and tuple((node.order or ())[: len(common)]) == common
-
-        if common and (
-            (ordered_on_key(left) and ordered_on_key(right)) or self.config.prefer_merge
-        ):
-            children = []
-            for child in (left, right):
-                if not ordered_on_key(child):
-                    children.append(self._sorted(child, common))
-                else:
-                    children.append(child)
-            cost = (
-                children[0].cost
-                + children[1].cost
-                + children[0].est_rows
-                + children[1].est_rows
-                + out_stats.cardinality
-            )
-            return PlanNode(
-                kind="merge-join",
-                scheme=plan.joined_scheme,
-                stats=out_stats,
-                cost=cost,
-                children=tuple(children),
-                order=common,
-                join_plan=plan,
-            )
-
         # Build-side choice: smaller estimated side, except that a join
         # child never becomes the build table while a non-join sibling is
         # available — building on a join output would materialise exactly
         # the intermediate the streaming pipeline exists to avoid, and the
         # estimate that would justify it is the least reliable one in the
         # model (compounded independence assumptions).
-        left_is_join = left.kind in ("hash-join", "merge-join")
-        right_is_join = right.kind in ("hash-join", "merge-join")
+        left_is_join = left.kind == "hash-join"
+        right_is_join = right.kind == "hash-join"
         if left_is_join != right_is_join:
             build_side = "right" if left_is_join else "left"
         else:
             build_side = "left" if left.est_rows < right.est_rows else "right"
         build, probe = (left, right) if build_side == "left" else (right, left)
-        if self.config.dedup_into_builds and build.kind == "project" and build.dedup:
+        if build.kind == "project" and build.dedup:
             # The build table's per-key row sets deduplicate for free; drop
             # the projection's own seen-set so its output streams stateless.
             build = PlanNode(
@@ -518,7 +444,6 @@ class Planner:
                 stats=build.stats,
                 cost=build.cost - build.est_rows,
                 children=build.children,
-                order=build.order,
                 pick=build.pick,
                 dedup=False,
             )
@@ -542,37 +467,16 @@ class Planner:
                 estimate_partition_count(build.est_rows, budget.rows),
                 budget.spill_fanout if build.est_rows > budget.rows else 1,
             )
-        # Output rows stream in probe order (contiguous runs per probe row),
-        # so the probe side's order survives the join.
         return PlanNode(
             kind="hash-join",
             scheme=plan.joined_scheme,
             stats=out_stats,
             cost=cost,
             children=(left, right),
-            order=probe.order,
             join_plan=plan,
             build_side=build_side,
             budget=budget,
             est_fanout=est_fanout,
-        )
-
-    def _sorted(self, child: PlanNode, key: Tuple[str, ...]) -> PlanNode:
-        rows = max(child.est_rows, 1.0)
-        cost = child.cost + rows * math.log2(rows + 1.0) + rows
-        budget = self.config.budget
-        if budget is not None and rows > budget.rows:
-            # External sort: every spilled row is written and read back once.
-            cost += 2.0 * rows
-        return PlanNode(
-            kind="sort",
-            scheme=child.scheme,
-            stats=child.stats,
-            cost=cost,
-            children=(child,),
-            order=key,
-            sort_key=key,
-            budget=budget,
         )
 
 

@@ -3,10 +3,10 @@
 The paper's point is that ``project[S](phi_G)`` over ``R_G`` has
 intermediates far larger than its input or output; under a
 :class:`~repro.engine.physical.MemoryBudget` the engine spills operator
-state instead of holding it.  Four operators do — the Grace hash join, the
-dedup seen-set, the external sort and the adaptive checkpoint — and all
-four go through this module: a registry of live spill directories (atexit
-sweep, fork hook) behind every ``finally``; :class:`SpillFile`, pickled row
+state instead of holding it.  Three clients do — the Grace hash join, the
+dedup seen-set and the adaptive checkpoint — and all three go through this
+module: a registry of live spill directories (atexit sweep, fork hook)
+behind every ``finally``; :class:`SpillFile`, pickled row
 blocks under one bounded retry helper and a read-back check;
 :func:`partition_index`, the salted hash that places a key at a split
 level; and :class:`PartitionedSpill`, one execution's spill area.  What an

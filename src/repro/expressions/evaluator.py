@@ -174,7 +174,7 @@ class EvaluationTrace:
     #: hits/misses, trusted tuples built, join probes, spill activity).
     counters: Dict[str, int] = field(default_factory=dict)
     #: Peak number of rows simultaneously resident in engine state (hash
-    #: tables, dedup sets, sort buffers, the result accumulator) — populated
+    #: tables, dedup sets, the result accumulator) — populated
     #: by the streaming :class:`~repro.engine.evaluator.EngineEvaluator`; the
     #: materialising evaluators leave it 0.  This is the streaming analogue
     #: of :attr:`peak_intermediate_cardinality` and deliberately a *stricter*

@@ -10,9 +10,8 @@ handle).
 Event kinds emitted by the engine today:
 
 ``spill``
-    An operator switched to disk (grace hash join, spilling dedup,
-    external sort) — fields name the operator and the row count at the
-    switch.
+    An operator switched to disk (grace hash join, spilling dedup) —
+    fields name the operator and the row count at the switch.
 ``spill-retry``
     A spill read/write failed and is being retried with backoff.
 ``fault``

@@ -81,9 +81,6 @@ class KernelCounters:
     #: build side is loaded in meter-sized chunks and the probe partition
     #: re-scanned once per chunk, trading disk reads for bounded memory.
     join_chunk_passes: int = 0
-    #: Sort operators that switched to external (spill-run) mode because
-    #: their buffer would overflow the budget.
-    sort_spills: int = 0
     #: Dedup seen-sets (projections, union/difference, checkpoint
     #: materialisation) that switched to partitioned spill mode.
     dedup_spills: int = 0

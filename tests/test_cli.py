@@ -103,24 +103,6 @@ class TestCommands:
         assert "scan R" in output and "scan S" in output
         assert "est_rows=" in output and "cost=" in output
 
-    def test_engine_explain_prefer_merge_shows_sorts(self, capsys):
-        assert (
-            main(
-                [
-                    "engine-explain",
-                    "R * S",
-                    "--scheme",
-                    "R=A B",
-                    "--scheme",
-                    "S=B C",
-                    "--prefer-merge",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "merge join" in output and "sort by" in output
-
     def test_engine_explain_paper_mode_executes(self, capsys):
         assert main(["engine-explain", "--paper"]) == 0
         output = capsys.readouterr().out

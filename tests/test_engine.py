@@ -21,16 +21,15 @@ from repro.algebra import (
 from repro.decision import EngineMembershipDecider, tuple_in_result
 from repro.engine import (
     EngineEvaluator,
+    GraceHashJoin,
     HashJoin,
     MemoryMeter,
-    MergeJoin,
-    PlannerConfig,
     RelationStats,
-    Sort,
     StreamingProject,
     TableScan,
     plan_expression,
 )
+from repro.engine.parallel import operators_in_order
 from repro.engine.stats import join_stats, project_stats
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Expression, Join, Operand
@@ -176,24 +175,6 @@ class TestPhysicalOperators:
         assert meter.current == 0  # everything acquired was released
 
     @settings(max_examples=50, deadline=None)
-    @given(joinable_pairs())
-    def test_sorted_merge_join_matches_reference(self, pair):
-        left, right = pair
-        plan = _join_plan_for(left, right)
-        if not plan.common_names:
-            return  # merge join requires a shared attribute
-        meter = MemoryMeter()
-        operator = MergeJoin(
-            Sort(TableScan(left, meter), plan.common_names, meter),
-            Sort(TableScan(right, meter), plan.common_names, meter),
-            plan,
-            meter,
-        )
-        result = _drain(operator)
-        assert result == naive_natural_join(left, right)
-        assert meter.current == 0
-
-    @settings(max_examples=50, deadline=None)
     @given(relations(), st.randoms(use_true_random=False))
     def test_streaming_project_matches_reference(self, relation, rng):
         width = rng.randint(1, len(relation.scheme))
@@ -208,65 +189,6 @@ class TestPhysicalOperators:
         result = _drain(operator)
         assert result == naive_project(relation, target)
         assert meter.current == 0
-
-    def test_sort_establishes_order(self):
-        relation = Relation.from_rows("A B", [(3, 1), (1, 2), (2, 0)])
-        meter = MemoryMeter()
-        operator = Sort(TableScan(relation, meter), ("A",), meter)
-        rows = [row for block in operator.blocks() for row in block]
-        assert [row[0] for row in rows] == [1, 2, 3]
-        assert operator.output_order == ("A",)
-
-    def test_merge_join_handles_mixed_type_keys(self):
-        # Sort and MergeJoin must order keys identically: a repr fallback on
-        # the sort side paired with native comparison on the advance side
-        # silently skipped matching key groups (e.g. 9/10/'a' keys).
-        left = Relation.from_rows("K A", [(9, "x"), (10, "y"), ("a", "z")])
-        right = Relation.from_rows("K B", [(9, "p"), (10, "q")])
-        meter = MemoryMeter()
-        plan = _join_plan_for(left, right)
-        operator = MergeJoin(
-            Sort(TableScan(left, meter), plan.common_names, meter),
-            Sort(TableScan(right, meter), plan.common_names, meter),
-            plan,
-            meter,
-        )
-        assert _drain(operator) == naive_natural_join(left, right)
-        # And end-to-end through the planner's forced-merge path.
-        query = Operand("R", left.scheme).join(Operand("S", right.scheme))
-        result, _ = EngineEvaluator(PlannerConfig(prefer_merge=True)).evaluate(
-            query, {"R": left, "S": right}
-        )
-        assert result == naive_natural_join(left, right)
-
-    def test_merge_join_handles_partially_ordered_keys(self):
-        # frozenset answers `<` with False in both directions without
-        # raising; the shared total preorder must still keep the two sorts
-        # consistent so no key group is skipped.
-        keys = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
-        left = Relation.from_rows("K A", [(k, i) for i, k in enumerate(keys)])
-        right = Relation.from_rows("K B", [(k, "b") for k in keys])
-        meter = MemoryMeter()
-        plan = _join_plan_for(left, right)
-        operator = MergeJoin(
-            Sort(TableScan(left, meter), plan.common_names, meter),
-            Sort(TableScan(right, meter), plan.common_names, meter),
-            plan,
-            meter,
-        )
-        assert _drain(operator) == naive_natural_join(left, right)
-
-    def test_merge_join_rejects_unsorted_inputs(self):
-        left = Relation.from_rows("A B", [(1, 2)])
-        right = Relation.from_rows("B C", [(2, 3)])
-        meter = MemoryMeter()
-        with pytest.raises(ValueError):
-            MergeJoin(
-                TableScan(left, meter),
-                TableScan(right, meter),
-                _join_plan_for(left, right),
-                meter,
-            )
 
     def test_meter_counts_overlapping_build_state(self):
         # A stateful build-side subtree (dedup projection) holds its seen-set
@@ -323,16 +245,14 @@ class TestEngineEvaluator:
         assert result.tuples == reference.tuples
         assert trace.result_cardinality == len(reference)
 
-    @pytest.mark.parametrize("prefer_merge", [False, True])
-    def test_engine_matches_reference_on_construction(self, prefer_merge):
+    def test_engine_matches_reference_on_construction(self):
         construction = RGConstruction(
             next(iter(growing_construction_family(clause_counts=(4,)))).formula
         )
         query = Projection([construction.s_attribute], construction.expression)
         bound = {name: construction.relation for name in query.operand_names()}
         reference = _reference_evaluate(query, bound)
-        evaluator = EngineEvaluator(PlannerConfig(prefer_merge=prefer_merge))
-        result, trace = evaluator.evaluate(query, construction.relation)
+        result, trace = EngineEvaluator().evaluate(query, construction.relation)
         assert result == reference
         assert trace.peak_live_rows > 0
         assert trace.steps  # per-operator cardinalities were recorded
@@ -422,16 +342,6 @@ class TestPlanner:
         # The tiny side is the build side.
         assert "[build=" in text
 
-    def test_prefer_merge_plans_sorts_and_merge_joins(self):
-        stats = {
-            "R": RelationStats.assumed(("A", "B"), 100),
-            "S": RelationStats.assumed(("B", "C"), 100),
-        }
-        query = Operand("R", "A B").join(Operand("S", "B C"))
-        plan = plan_expression(query, stats, PlannerConfig(prefer_merge=True))
-        text = plan.explain()
-        assert "merge join" in text and "sort by" in text
-
     def test_product_join_is_planned_as_hash_join(self):
         stats = {
             "R": RelationStats.assumed(("A",), 4),
@@ -445,6 +355,74 @@ class TestPlanner:
             Operand("R", "A").join(Operand("S", "B")), {"R": left, "S": right}
         )
         assert result == left.natural_join(right)
+
+    #: Every way the evaluator is configured to plan: with and without a
+    #: budget, with and without sampled statistics and re-plan guards.
+    CLOSURE_CONFIGS = [
+        {},
+        {"budget": 8},
+        {"adaptive": True},
+        {"budget": 8, "adaptive": True},
+    ]
+
+    @staticmethod
+    def _assert_plan_is_closed(options, query, relation):
+        """A plan is scan | project | hash-join, and budgeted state spills."""
+        evaluator = EngineEvaluator(**options)
+        bound = {name: relation for name in query.operand_names()}
+        plan = evaluator.plan_for(query, bound)
+
+        def nodes(node):
+            yield node
+            for child in node.children:
+                yield from nodes(child)
+
+        assert {node.kind for node in nodes(plan.root)} <= {
+            "scan",
+            "project",
+            "hash-join",
+        }
+        # What runs — a mid-stream revision included — is closed the same way.
+        _, trace = evaluator.evaluate(query, bound)
+        assert {step.node_kind for step in trace.steps} <= {
+            "operand",
+            "projection",
+            "join",
+        }
+        budget = evaluator.config.budget
+        if budget is None:
+            return
+        for operator in operators_in_order(plan.executor(bound, MemoryMeter())):
+            if isinstance(operator, HashJoin):
+                assert isinstance(operator, GraceHashJoin), operator.label()
+            if isinstance(operator, StreamingProject) and operator._dedup:
+                assert operator._budget is budget, operator.label()
+        assert all(
+            step.description.startswith("grace hash join")
+            for step in trace.steps
+            if step.node_kind == "join"
+        )
+        # A revised chain is re-projected through the pinned stack's nodes,
+        # which must hand their budget on.
+        stack, _ = EngineEvaluator._spine(plan.root)
+        for node in stack:
+            assert EngineEvaluator._reproject(node, node.children[0]).budget is budget
+
+    @pytest.mark.parametrize("options", CLOSURE_CONFIGS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_plans_are_closed_over_three_node_kinds(self, options, seed):
+        relation, query = random_instance(
+            num_attributes=5, num_tuples=15, domain_size=3, num_factors=3, seed=seed
+        )
+        self._assert_plan_is_closed(options, query, relation)
+
+    @pytest.mark.parametrize("options", CLOSURE_CONFIGS)
+    def test_plans_over_the_rg_family_are_closed(self, options):
+        for case in growing_construction_family(clause_counts=(3, 6)):
+            construction = RGConstruction(case.formula)
+            query = Projection([construction.s_attribute], construction.expression)
+            self._assert_plan_is_closed(options, query, construction.relation)
 
     def test_missing_operand_stats_raise(self):
         from repro.expressions import ExpressionError

@@ -32,7 +32,8 @@ from unittest import mock
 
 import pytest
 
-from repro.algebra.relation import Relation
+from repro.algebra.relation import Relation, _join_plan
+from repro.algebra.tuples import _project_plan
 from repro.api import BackendConfig, Session, SessionError
 from repro.engine import (
     SPILL_BLOCK_ROWS,
@@ -41,11 +42,12 @@ from repro.engine import (
     EngineFaultError,
     FaultInjector,
     FaultPlan,
+    GraceHashJoin,
     InjectedFaultError,
     MemoryBudget,
     MemoryMeter,
-    Sort,
     SpillFile,
+    StreamingProject,
     TableScan,
     default_backend,
 )
@@ -227,17 +229,32 @@ class TestEvaluatorSpillFaults:
             evaluator.evaluate(query, bound)
         assert not list(tmp_path.iterdir()), "spill files leaked"
 
-    def test_operator_meter_drains_to_zero_on_fault(self, tmp_path):
+    @pytest.mark.parametrize("client", ["dedup", "grace"])
+    def test_operator_meter_drains_to_zero_on_fault(self, tmp_path, client):
         # Direct operator check: the evaluator hides its meter, a bare
-        # external sort does not — a mid-merge fault must balance it.
+        # spilling operator does not — a mid-replay fault must balance it.
         rows = [(i % 7, i) for i in range(200)]
         relation = Relation.from_rows("A B", rows, name="R")
         budget = _budget(tmp_path, rows=16)
         injector = FaultInjector(FaultPlan(fail_spill_read_at=1, persistent=True))
         meter = MemoryMeter(budget.rows, faults=injector)
-        sort = Sort(TableScan(relation, meter), ["A", "B"], meter, budget=budget)
+        scan = TableScan(relation, meter)
+        if client == "dedup":
+            plan = _project_plan(relation.scheme, relation.scheme)
+            operator = StreamingProject(
+                scan, plan.pick, plan.target_scheme, meter, budget=budget
+            )
+        else:
+            other = Relation.from_rows("B C", [(i, -i) for i in range(200)], name="S")
+            operator = GraceHashJoin(
+                scan,
+                TableScan(other, meter),
+                _join_plan(relation.scheme, other.scheme),
+                meter,
+                budget,
+            )
         with pytest.raises(EngineFaultError):
-            for _ in sort.blocks():
+            for _ in operator.blocks():
                 pass
         assert meter.current == 0
         assert not list(tmp_path.iterdir()), "spill files leaked"

@@ -256,17 +256,3 @@ class TestBudgetedEngine:
         assert trace.counters["join_spills"] > 0
         assert any("grace hash join" in step.description for step in trace.steps)
 
-    def test_budget_composes_with_prefer_merge(self):
-        # Merge joins buffer key groups, not build tables: the budget only
-        # governs hash joins, and a forced-merge plan must stay correct
-        # (if entirely spill-free) under one.
-        from repro.engine import PlannerConfig
-
-        query, relation = self._m12()
-        bound = {name: relation for name in query.operand_names()}
-        reference, _ = EngineEvaluator().evaluate(query, bound)
-        evaluator = EngineEvaluator(
-            PlannerConfig(prefer_merge=True), budget=256
-        )
-        result, _ = evaluator.evaluate(query, bound)
-        assert result == reference

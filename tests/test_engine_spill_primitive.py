@@ -1,8 +1,8 @@
-"""Tests for the spill primitive (``repro.engine.spill``) and its four clients.
+"""Tests for the spill primitive (``repro.engine.spill``) and its three clients.
 
 :class:`PartitionedSpill` is the one way engine rows get to disk and back;
-the Grace join, the dedup seen-set, the external sort and the adaptive
-checkpoint are thin clients of it.  This module pins the primitive's own
+the Grace join, the dedup seen-set and the adaptive checkpoint are thin
+clients of it.  This module pins the primitive's own
 contract — routing keeps every item and keeps equal keys together at any
 salt, ``wanted=`` drops whole partitions without a file, ``close()`` leaves
 nothing behind however the execution ended — and the two checks that live
@@ -32,7 +32,6 @@ from repro.engine import (
     GraceHashJoin,
     MemoryBudget,
     MemoryMeter,
-    Sort,
     SpilledCheckpoint,
     SpillFile,
     StreamingProject,
@@ -151,11 +150,6 @@ def _dedup(child_of, meter, budget):
     )
 
 
-def _sort(child_of, meter, budget):
-    relation = Relation.from_rows("A B", [(i % 7, i) for i in range(100)])
-    return Sort(child_of(relation, meter), ("A", "B"), meter, budget=budget)
-
-
 def _drained(operator):
     for _block in operator.blocks():
         pass
@@ -183,7 +177,7 @@ ENDINGS = {
 
 class TestLifecycle:
     @pytest.mark.parametrize("ending", sorted(ENDINGS))
-    @pytest.mark.parametrize("client", [_grace, _dedup, _sort])
+    @pytest.mark.parametrize("client", [_grace, _dedup])
     def test_every_ending_leaves_no_directory_and_no_registry_entry(
         self, tmp_path, client, ending
     ):
@@ -196,7 +190,7 @@ class TestLifecycle:
         drive(client(child_of, meter, budget))
         # The case is vacuous unless the client really went to disk.
         delta = kernel_counters().delta_since(before)
-        assert delta["spill_partitions"] or delta["sort_spills"]
+        assert delta["spill_partitions"]
         assert not any(tmp_path.iterdir())
         assert not spill._ACTIVE_SPILL_DIRS
         assert meter.current == 0
@@ -244,35 +238,6 @@ class TestLifecycle:
         assert [event["op"] for event in meter.events.events("spill-retry")] == ["write"]
         kinds = Counter(span.kind for span in meter.tracer.finish())
         assert kinds["spill-write"] == 3 and kinds["spill-read"] == 2
-        assert not any(tmp_path.iterdir())
-
-
-class TestSortIsOnePath:
-    def test_an_unbudgeted_meter_writes_no_file_and_orders_like_a_spilled_sort(
-        self, tmp_path
-    ):
-        relation = Relation.from_rows(
-            "A B", [((i * 37) % 11, "x" if i % 5 == 0 else i) for i in range(200)]
-        )
-        budget = MemoryBudget(rows=16, spill_dir=str(tmp_path))
-
-        def ordered(meter):
-            sort = Sort(TableScan(relation, meter), ("A", "B"), meter, budget=budget)
-            return [row for block in sort.blocks() for row in block], sort
-
-        before = kernel_counters().snapshot()
-        with mock.patch.object(
-            spill.tempfile, "mkdtemp", side_effect=AssertionError("went to disk")
-        ):
-            in_memory, resident_sort = ordered(MemoryMeter())
-        delta = kernel_counters().delta_since(before)
-        assert resident_sort.spilled == 0
-        assert delta["sort_spills"] == 0 and delta["spill_rows"] == 0
-
-        external, spilled_sort = ordered(MemoryMeter(budget.rows))
-        assert spilled_sort.spilled >= 2
-        assert in_memory == external
-        assert len(external) == len(relation)
         assert not any(tmp_path.iterdir())
 
 

@@ -31,7 +31,6 @@ class TestSnapshotSemantics:
             "spill_recursions",
             "spill_overflows",
             "join_chunk_passes",
-            "sort_spills",
             "dedup_spills",
             "checkpoint_spills",
             "spill_retries",

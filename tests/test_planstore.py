@@ -265,6 +265,28 @@ class TestRepin:
         assert again == result
         assert store.repins == 1
 
+    def test_prepared_explain_shows_the_repinned_plan(self):
+        relations = _relations(300)
+        with Session(
+            _tiny(relations),
+            backend="engine",
+            adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
+            planstore=True,
+        ) as session:
+            prepared = session.prepare(THREE_WAY)
+            before = prepared.explain()
+            prepared.execute(**relations)
+            assert session._planstore.repins == 1
+            # The evaluator's pin is what the next execution runs, so it is
+            # what explain() must print — not the plan prepare() compiled.
+            live = session._engine.pinned_plan(THREE_WAY).explain()
+            assert live not in before
+            assert prepared.explain().endswith(live)
+            # Forgetting drops the pin; explain() re-plans like execute() would.
+            session.forget_plan(THREE_WAY)
+            assert session._engine.pinned_plan(THREE_WAY) is None
+            assert "hash join" in prepared.explain()
+
     def test_repin_can_be_disabled(self):
         relations = _relations()
         evaluator = EngineEvaluator(

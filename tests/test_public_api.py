@@ -1,7 +1,11 @@
 """Tests of the public API surface: exports, docstrings, and __all__ hygiene."""
 
+import dataclasses
 import importlib
 import inspect
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,9 +63,113 @@ REPRO_API_EXPORTS = [
 ]
 
 
+#: The knob ledger: every independently settable value of the config
+#: objects and the engine evaluator, by name.  Adding or removing a knob is a
+#: deliberate edit of this snapshot (and of the docs/API.md knob table).
+KNOBS = {
+    "repro.engine.PlannerConfig": ["budget", "workers"],
+    "repro.engine.MemoryBudget": [
+        "rows",
+        "spill_fanout",
+        "max_recursion",
+        "min_partition_rows",
+        "spill_dir",
+    ],
+    "repro.api.BackendConfig": [
+        "backend",
+        "budget",
+        "workers",
+        "parallel_backend",
+        "max_pools",
+        "adaptive",
+        "planstore",
+        "faults",
+        "observe",
+    ],
+    "repro.api.ObserveConfig": ["trace", "events", "events_path"],
+    "repro.server.ServerConfig": [
+        "host",
+        "port",
+        "pool_size",
+        "worker_backend",
+        "max_inflight",
+        "total_budget_rows",
+        "default_request_rows",
+        "backend",
+        "session_budget",
+        "engine_workers",
+        "events_dir",
+        "trace",
+        "worker_concurrency",
+        "result_cache_size",
+        "request_timeout_seconds",
+    ],
+}
+
+ENGINE_EVALUATOR_PARAMETERS = [
+    "config",
+    "budget",
+    "workers",
+    "parallel_backend",
+    "max_pools",
+    "adaptive",
+    "faults",
+    "observe",
+    "planstore",
+]
+
+#: A physical plan is scan | project | hash-join (plus the adaptive guard).
+ENGINE_OPERATOR_EXPORTS = [
+    "AdaptiveGuard",
+    "GraceHashJoin",
+    "HashJoin",
+    "PartitionedScan",
+    "PhysicalOperator",
+    "StreamingProject",
+    "TableScan",
+]
+
+
+class TestKnobLedger:
+    @pytest.mark.parametrize("path", sorted(KNOBS))
+    def test_config_fields_are_exactly_the_snapshot(self, path):
+        module, _, name = path.rpartition(".")
+        config = getattr(importlib.import_module(module), name)
+        assert [field.name for field in dataclasses.fields(config)] == KNOBS[path]
+
+    def test_engine_evaluator_parameters_are_exactly_the_snapshot(self):
+        from repro.engine import EngineEvaluator
+
+        parameters = list(inspect.signature(EngineEvaluator.__init__).parameters)
+        assert parameters == ["self"] + ENGINE_EVALUATOR_PARAMETERS
+
+    def test_engine_exports_exactly_the_operators_a_plan_can_hold(self):
+        from repro import engine
+
+        operators = sorted(
+            name
+            for name in engine.__all__
+            if inspect.isclass(getattr(engine, name))
+            and issubclass(getattr(engine, name), engine.PhysicalOperator)
+        )
+        assert operators == ENGINE_OPERATOR_EXPORTS
+
+
 class TestPackageStructure:
     def test_version_is_exposed(self):
         assert repro.__version__
+
+    def test_setup_reads_the_packages_version(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        reported = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert reported.stdout.strip().splitlines()[-1] == repro.__version__
 
     @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_subpackages_import(self, name):
