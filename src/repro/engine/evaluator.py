@@ -206,10 +206,17 @@ class EngineEvaluator:
         self._pools: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._max_pools = max(int(max_pools), 1)
         self._pool_lock = threading.Lock()
+        self._closed = False
 
     def close(self) -> None:
-        """Shut down every persistent worker pool.  Idempotent."""
+        """Shut down every persistent worker pool, for good.  Idempotent.
+
+        An evaluation that reaches the fork stage afterwards still
+        completes, on a pool of its own that it closes itself: nothing is
+        cached once nobody is left to close it.
+        """
         with self._pool_lock:
+            self._closed = True
             pools = list(self._pools.values())
             self._pools.clear()
         for entry in pools:
@@ -273,6 +280,8 @@ class EngineEvaluator:
             self._pools.move_to_end(key)
             return entry[-1]
         pool = ForkProbePool(plan, dict(bound), workers, budget_rows, faults=faults)
+        if self._closed:
+            return pool  # the caller's to close: see close()
         self._pools[key] = (plan, tuple(bound.items()), workers, budget_rows, pool)
         while len(self._pools) > self._max_pools:
             _, evicted = self._pools.popitem(last=False)
@@ -649,7 +658,11 @@ class EngineEvaluator:
                             # kill that just destroyed its predecessor.
                             faults=None if rebuilt else self.faults,
                         )
-                        result = pool.run()
+                        try:
+                            result = pool.run()
+                        finally:
+                            if self._closed:
+                                pool.close()
                 else:
                     result = execute_parallel(
                         plan,

@@ -25,6 +25,7 @@ The iterator contract (see ``docs/ENGINE.md``):
 from __future__ import annotations
 
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -78,17 +79,19 @@ _first = itemgetter(0)
 class MemoryBudget:
     """A row budget for engine state, with the spill machinery's knobs.
 
-    ``rows`` caps the rows the shared :class:`MemoryMeter` should hold: a
-    hash join whose build side would push the meter past it switches to a
-    partitioned (Grace) spill-to-disk join; dedup seen-sets spill through
+    ``rows`` caps the rows the shared :class:`MemoryMeter` should hold, and
+    every spillable operator honors it.  A hash join whose build side would
+    push the meter past it spills the build: a small one is re-read per
+    probe slice while the probe keeps streaming, a large one takes both
+    sides through Grace partitions (:class:`GraceHashJoin` has the rule),
+    and an unsplittable partition (one heavy key, a keyless product) is
+    joined in meter-sized chunks.  Dedup seen-sets spill through
     :class:`SpillingSeenSet`, adaptive checkpoints through
-    :class:`SpilledCheckpoint`, and an unsplittable join partition (one
-    heavy key, a keyless product) falls back to a chunked
-    block-nested-loop — every spillable operator honors the budget.  What remains transiently metered beyond it (the result
-    accumulator, one partition-granularity allowance per replay) is
-    bounded and honest: a genuine overrun — distinct rows a partition
-    cannot shed even after re-salting stops progressing — is counted in
-    ``spill_overflows`` rather than masked.
+    :class:`SpilledCheckpoint`.  What remains transiently metered beyond the
+    budget (the result accumulator, one partition- or chunk-granularity
+    allowance per replay) is bounded and honest: a genuine overrun —
+    distinct rows a partition cannot shed even after re-salting stops
+    progressing — is counted in ``spill_overflows`` rather than masked.
 
     ``spill_fanout`` is the default partitions-per-level (a planner estimate
     can override it per join); ``max_recursion`` bounds how many times an
@@ -873,33 +876,49 @@ def _drained(part: SpillFile) -> Iterator[Block]:
     part.delete()
 
 
+#: A spilled build is re-read per probe slice while it loads in at most this
+#: many budget-sized chunks *and* is no larger than the slice; above either
+#: the probe side goes to Grace partitions (crossover: docs/PERFORMANCE.md).
+REREAD_MAX_PASSES = 2
+
+#: Probe rows joined per re-read of a spilled build.  A slice's whole output
+#: is gathered before it is yielded; ten pipelined joins cutting at
+#: :data:`BLOCK_ROWS` instead held 12 % more RSS to save ~5 ms.
+REREAD_SLICE_ROWS = 256
+
+
 class GraceHashJoin(HashJoin):
-    """Hash join under a memory budget: spill to Grace partitions on overflow.
+    """Hash join under a memory budget: spill the build side on overflow.
 
     Behaves exactly like :class:`HashJoin` while the build side fits under
     the shared meter's budget.  The moment acquiring another build block
-    would push the meter past it, the join *switches*: the table built so
-    far is flushed to ``fanout`` partition files (hashed on the join key
-    with a per-level salt), the rest of the build side streams straight to
-    those files, the probe side is streamed to matching partition files —
-    probe rows whose build partition is empty are dropped without touching
-    disk — and the partitions are then joined one at a time, so only a
-    single partition's build table is ever resident.  A partition that
-    still exceeds the headroom is re-partitioned with a fresh salt up to
-    ``MemoryBudget.max_recursion`` levels; beyond that (or for a partition
-    that cannot split — one heavy key, a keyless product) it is joined by a
-    block-nested-loop fallback that holds one meter-sized build chunk at a
-    time and re-scans the probe partition per chunk
-    (``join_chunk_passes``), so the budget holds even for unsplittable
-    partitions.
+    would push the meter past it, the table built so far and the build rows
+    still to come are staged in one spill file, and the staged row count
+    picks one of two modes:
 
-    Correctness is unchanged from :class:`HashJoin`: equal keys always land
-    in the same partition, per-partition build buckets are sets (duplicates
-    from a dedup-free build child collapse exactly as they do in the
-    in-memory table), and the output is the same bag of rows up to block
-    boundaries — the evaluator's result set makes it the same *set* either
-    way.  Spill files live in a per-execution ``PartitionedSpill`` closed in
-    a ``finally``, so an abandoned or failing execution leaks nothing.
+    * **re-read** — at most :data:`REREAD_MAX_PASSES` budget-sized chunks
+      and :data:`REREAD_SLICE_ROWS` rows.  The probe child stays in the
+      pipeline and no probe row touches disk: per slice of probe rows the
+      build is re-read in meter-sized chunks (a block-nested-loop with the
+      build as the inner), every chunk released before the slice's output
+      is yielded, so a parent join never finds the meter pinned by its child.
+    * **partitioned** (Grace) — a larger build is scattered to ``fanout``
+      partition files (hashed on the join key with a per-level salt) as soon
+      as it outgrows the first mode, the probe side is streamed to matching
+      files — rows whose build partition is empty are dropped without
+      touching disk — and the pairs are joined one at a time.  A partition
+      that still exceeds the headroom is re-partitioned with a fresh salt up
+      to ``MemoryBudget.max_recursion`` levels; beyond that (or if it cannot
+      split — one heavy key, a keyless product) the same chunk loader joins
+      it, re-scanning the probe partition per chunk (``join_chunk_passes``).
+
+    Either way one chunk or one partition's table is resident at a time,
+    and correctness is unchanged from :class:`HashJoin`: equal keys always
+    meet, buckets are sets, and the output is the same bag of rows up to
+    block boundaries and build duplicates that straddle chunks — the
+    evaluator's result set makes it the same *set*.  Spill files live in a
+    per-execution ``PartitionedSpill`` closed in a ``finally``, so an
+    abandoned or failing execution leaks nothing.
     """
 
     #: Spill partitions arrive in :data:`~repro.engine.spill.SPILL_BLOCK_ROWS`
@@ -920,67 +939,92 @@ class GraceHashJoin(HashJoin):
         self._budget = budget
         self._fanout = max(2, min(int(fanout_hint or budget.spill_fanout), 1024))
         #: Number of times this operator's most recent execution spilled
-        #: (0 = it ran entirely in memory).
+        #: (0 = it ran entirely in memory), which way (``"re-read"`` or
+        #: ``"partitioned"``), and how often the build was read back.
         self.spilled = 0
+        self.spill_mode = ""
+        self.build_rereads = 0
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
         self.rows_out = 0
         self.build_peak_rows = 0
         self.spilled = 0
+        self.spill_mode = ""
+        self.build_rereads = 0
         meter = self.meter
+        budget = self._budget
         pairs_of = self._pairs_of
-        spill = PartitionedSpill(meter, "repro-grace-", self._budget.spill_dir)
+        spill = PartitionedSpill(meter, "repro-grace-", budget.spill_dir)
         buckets: Dict[Hashable, Set[Row]] = {}
         resident = 0
+        reread_rows = min(REREAD_MAX_PASSES * budget.rows, REREAD_SLICE_ROWS)
+        staged: Optional[SpillFile] = None
         build_parts: Optional[List[SpillFile]] = None
         try:
             # -- build phase -------------------------------------------
             for block in self._build_child.blocks():
                 if build_parts is not None:
                     spill.route(build_parts, pairs_of(block), _first, 0)
-                    continue
-                added = _build_block(buckets, pairs_of(block))
-                if not added:
-                    continue
-                if meter.try_acquire(added):
-                    resident += added
-                    if resident > self.build_peak_rows:
-                        self.build_peak_rows = resident
+                elif staged is not None:
+                    staged.extend(pairs_of(block))
+                    if staged.rows > reread_rows:
+                        build_parts = self._scatter(spill, staged)
                 else:
-                    # Switch to Grace mode: flush the table built so far.
+                    added = _build_block(buckets, pairs_of(block))
+                    if not added or meter.try_acquire(added):
+                        resident += added
+                        if resident > self.build_peak_rows:
+                            self.build_peak_rows = resident
+                        continue
+                    # Overflow: stage the table built so far in one file.
                     self.spilled += 1
-                    build_parts = spill.partitions(self._fanout, "build")
                     _COUNTERS.add(join_spills=1)
-                    if meter.events is not None:
-                        meter.events.emit(
-                            "spill",
-                            operator="grace-join",
-                            label=self.label(),
-                            rows=resident,
-                            fanout=self._fanout,
-                        )
-                    flushed = (
+                    staged = spill.file("build")
+                    staged.extend(
                         (key, entry) for key, bucket in buckets.items() for entry in bucket
                     )
-                    spill.route(build_parts, flushed, _first, 0)
                     buckets.clear()
                     meter.release(resident)
                     resident = 0
 
-            if build_parts is None:
+            if staged is None:
                 # -- in-memory probe (the build side fit the budget) ---
                 yield from self._probe(buckets, self._probe_child.blocks())
                 return
 
-            # -- spilled: per-partition joins, one build table resident
-            spill.seal(build_parts)
+            staged.finish()
+            if build_parts is None and staged.rows > reread_rows:
+                build_parts = self._scatter(spill, staged)
             probe_blocks = self._counting_probes(self._probe_child.blocks())
-            yield from self._join_partitions(spill, build_parts, probe_blocks, 0, 1)
+            if build_parts is None:
+                self.spill_mode = "re-read"
+                yield from self._reread_join(staged, probe_blocks)
+            else:
+                self.spill_mode = "partitioned"
+                spill.seal(build_parts)
+                yield from self._join_partitions(spill, build_parts, probe_blocks, 0, 1)
         finally:
             meter.release(resident)
             buckets.clear()
             spill.close()
+            if staged is not None and meter.events is not None:
+                meter.events.emit(
+                    "spill",
+                    operator="grace-join",
+                    label=self.label(),
+                    rows=sum(part.rows for part in build_parts or (staged,)),
+                    mode=self.spill_mode,
+                    fanout=self._fanout,
+                    build_rereads=self.build_rereads,
+                )
+
+    def _scatter(self, spill: PartitionedSpill, staged: SpillFile) -> List[SpillFile]:
+        """Move a staged build that outgrew re-reading to Grace partitions."""
+        staged.finish()
+        build_parts = spill.partitions(self._fanout, "build")
+        spill.route(build_parts, chain.from_iterable(_drained(staged)), _first, 0)
+        return build_parts
 
     @staticmethod
     def _counting_probes(blocks: Iterator[Block]) -> Iterator[Block]:
@@ -988,6 +1032,62 @@ class GraceHashJoin(HashJoin):
         for block in blocks:
             _COUNTERS.add(join_probes=len(block))
             yield block
+
+    def _reread_join(self, build: SpillFile, probe_blocks: Iterator[Block]) -> Iterator[Block]:
+        """Join the streamed probe side against a small spilled build.
+
+        Each probe slice gathers its whole output before yielding: by then
+        the chunk loader has released its last chunk.
+        """
+        try:
+            for block in probe_blocks:
+                for start in range(0, len(block), REREAD_SLICE_ROWS):
+                    piece = (block[start : start + REREAD_SLICE_ROWS],)
+                    self.build_rereads += 1
+                    out: Block = []
+                    with closing(self._chunks(build)) as chunks:
+                        for buckets in chunks:
+                            for rows in self._probe(buckets, piece, False):
+                                out += rows
+                    if out:
+                        yield out
+        finally:
+            probe_blocks.close()  # as in _join_partitions: not left to the GC
+
+    def _chunks(self, build: SpillFile) -> Iterator[Dict[Hashable, Set[Row]]]:
+        """Load a sealed build file as hash tables of one meter-sized chunk each.
+
+        A chunk reserves the meter's headroom (at most the rows left) in one
+        ``try_acquire`` and hands back what duplicates did not use; a fully
+        pinned meter still admits one entry per chunk, so the loader always
+        makes progress.  A chunk is released when the consumer asks for the
+        next one or closes the loader — which it must (``closing``), so that
+        the reservation and the file handle never wait on a traceback.
+        """
+        meter = self.meter
+        blocks = build.blocks()
+        entries = chain.from_iterable(blocks)
+        left = build.rows
+        held = 0
+        try:
+            while left:
+                held = min(meter.headroom(), left)
+                if not (held and meter.try_acquire(held)):
+                    held = 1
+                    meter.acquire(1)
+                left -= held
+                buckets: Dict[Hashable, Set[Row]] = {}
+                added = _build_block(buckets, islice(entries, held))
+                meter.release(held - added)
+                held = added
+                if held > self.build_peak_rows:
+                    self.build_peak_rows = held
+                yield buckets
+                meter.release(held)
+                held = 0
+        finally:
+            meter.release(held)
+            blocks.close()
 
     def _join_partitions(
         self,
@@ -1050,11 +1150,7 @@ class GraceHashJoin(HashJoin):
             buckets.clear()
             if depth >= budget.max_recursion or build_part.rows <= budget.min_partition_rows:
                 # Cannot split further (one heavy key, a keyless product,
-                # or the recursion limit): fall back to a block-nested-loop
-                # that builds the partition in meter-sized chunks and
-                # re-scans the probe partition once per chunk — the budget
-                # holds even for unsplittable partitions, at the cost of
-                # extra probe-side disk reads.
+                # or the recursion limit).
                 yield from self._chunked_join(build_part, probe_part)
                 return
             # Re-split both sides with a fresh salt (the depth), freeing
@@ -1077,71 +1173,30 @@ class GraceHashJoin(HashJoin):
             build_part.delete()
             probe_part.delete()
 
-    def _chunked_join(
-        self,
-        build_part: SpillFile,
-        probe_part: SpillFile,
-    ) -> Iterator[Block]:
+    def _chunked_join(self, build_part: SpillFile, probe_part: SpillFile) -> Iterator[Block]:
         """Block-nested-loop over a partition that cannot be split.
 
-        The build side is loaded in chunks sized by the meter's headroom
-        (at least one entry per chunk, so a fully pinned meter still makes
-        progress) and the probe partition is re-scanned once per chunk —
-        ``join_chunk_passes`` counts the passes.  Unlike the historic
-        overflow path this never holds more than one chunk resident, so a
-        single heavy key or a keyless product stays within the budget.
+        The probe partition is re-scanned once per build chunk —
+        ``join_chunk_passes`` counts the passes — and never more than one
+        chunk is resident, so a single heavy key or a keyless product stays
+        within the budget.
         """
-        meter = self.meter
-        entries = (
-            (key, entry) for block in build_part.blocks() for key, entry in block
-        )
-        pushback: Optional[Tuple[Hashable, Row]] = None
-        exhausted = False
-        while not exhausted:
-            buckets: Dict[Hashable, Set[Row]] = {}
-            resident = 0
-            try:
-                while True:
-                    if pushback is not None:
-                        key, entry = pushback
-                        pushback = None
-                    else:
-                        nxt = next(entries, None)
-                        if nxt is None:
-                            exhausted = True
-                            break
-                        key, entry = nxt
-                    bucket = buckets.get(key)
-                    if bucket is not None and entry in bucket:
-                        continue
-                    if resident and not meter.try_acquire(1):
-                        # Chunk full: the entry opens the next chunk.
-                        pushback = (key, entry)
-                        break
-                    if not resident and not meter.try_acquire(1):
-                        # Guaranteed progress: a chunk's first entry is
-                        # admitted even when other state pins the meter.
-                        meter.acquire(1)
-                    resident += 1
-                    if resident > self.build_peak_rows:
-                        self.build_peak_rows = resident
-                    if bucket is None:
-                        buckets[key] = {entry}
-                    else:
-                        bucket.add(entry)
-                if buckets:
-                    _COUNTERS.add(join_chunk_passes=1)
-                    yield from self._probe(buckets, probe_part.blocks(), False)
-            finally:
-                meter.release(resident)
-                buckets.clear()
+        with closing(self._chunks(build_part)) as chunks:
+            for buckets in chunks:
+                _COUNTERS.add(join_chunk_passes=1)
+                yield from self._probe(buckets, probe_part.blocks(), False)
 
     def label(self) -> str:
         """The one-line trace/explain label."""
         on = ", ".join(self._plan.common_names) or "x"
+        how = ""
+        if self.spill_mode == "re-read":
+            how = f" [spilled: build re-read x{self.build_rereads}]"
+        elif self.spill_mode:
+            how = f" [spilled: partitioned x{self._fanout}]"
         return (
             f"grace hash join [build={self.build_side}, "
-            f"budget={self._budget.rows}] on ({on})"
+            f"budget={self._budget.rows}] on ({on}){how}"
         )
 
 

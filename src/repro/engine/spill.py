@@ -200,6 +200,11 @@ class SpillFile:
         if len(self._buffer) >= SPILL_BLOCK_ROWS:
             self._flush()
 
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Buffer ``rows`` one by one (see :meth:`append`)."""
+        for row in rows:
+            self.append(row)
+
     def _flush(self) -> None:
         if not self._buffer:
             return
@@ -344,8 +349,7 @@ class PartitionedSpill:
     def write(self, kind: str, rows: Iterable[Row]) -> SpillFile:
         """Spill ``rows`` to one new file and seal it."""
         spill_file = self.file(kind)
-        for row in rows:
-            spill_file.append(row)
+        spill_file.extend(rows)
         spill_file.finish()
         return spill_file
 

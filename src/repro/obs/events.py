@@ -10,8 +10,10 @@ handle).
 Event kinds emitted by the engine today:
 
 ``spill``
-    An operator switched to disk (grace hash join, spilling dedup) —
-    fields name the operator and the row count at the switch.
+    An operator went to disk.  A spilling dedup logs the switch (operator,
+    rows resident, fan-out); a spilled join logs once its execution ends:
+    ``rows`` (build rows spilled), ``mode`` (``"re-read"``: the probe side
+    kept streaming; ``"partitioned"``: Grace), ``fanout``, ``build_rereads``.
 ``spill-retry``
     A spill read/write failed and is being retried with backoff.
 ``fault``

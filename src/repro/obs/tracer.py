@@ -188,6 +188,7 @@ class Tracer:
         label: str,
         blocks: Iterator[List[tuple]],
         rows: Optional[Any] = None,
+        final_label: Optional[Any] = None,
     ) -> Iterator[List[tuple]]:
         """Wrap a block stream in one timed span of ``kind``.
 
@@ -196,7 +197,8 @@ class Tracer:
         spent *inside* the underlying generator — time the consumer
         holds the block does not count.  ``rows`` is an optional
         zero-argument callable evaluated at close for the span's row
-        count.
+        count, ``final_label`` one for a label that reports how the run
+        went (a join that spilled says which way).
         """
         handle = None
         inclusive = 0.0
@@ -219,6 +221,8 @@ class Tracer:
             if handle is not None:
                 if rows is not None:
                     handle.rows = rows()
+                if final_label is not None:
+                    handle.label = final_label()
                 self._close(handle, inclusive)
 
     def operator_stream(
@@ -230,6 +234,7 @@ class Tracer:
             operator.label(),
             blocks,
             rows=lambda: getattr(operator, "rows_out", 0),
+            final_label=operator.label,
         )
 
     # -- results --------------------------------------------------------

@@ -17,9 +17,12 @@ allowed down to 2-row partitions) forces constant spilling and re-splitting
 on even the smallest instances.
 
 Every grid point additionally pins the complete memory model: zero
-``spill_overflows`` (sort, dedup, checkpoints, and unsplittable join
-partitions all spill or chunk within the budget) and zero leaked spill
-files.  A *chaos axis* re-runs the cases under random
+``spill_overflows`` (dedup, checkpoints, and unsplittable join partitions
+all spill or chunk within the budget) and zero leaked spill files, and
+every seed must reach both of a spilled join's modes: the tiny budget
+re-reads builds of up to 8 rows and partitions the larger ones, which is
+why relations run to 24 rows — at 14 too few builds were left for Grace
+re-splitting and the chunked fallback to be reached on every CI seed.  A *chaos axis* re-runs the cases under random
 :class:`~repro.engine.faults.FaultPlan` schedules — injected spill I/O
 failures and worker kills may cost an evaluation its answer (the typed
 ``EngineFaultError``) but never corrupt it.
@@ -51,6 +54,7 @@ from repro.engine import (
 )
 from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 from repro.expressions.ast import Expression, Join, Operand, Projection
+from repro.obs import ObserveConfig
 from repro.perf import kernel_counters
 
 ATTRIBUTE_POOL = tuple("ABCDEFGH")
@@ -123,10 +127,10 @@ def _random_relation(rng: random.Random, scheme: RelationScheme) -> Relation:
     if shape == "duplicate-heavy":
         # Domain {0, 1}: every column repeats constantly, every hash join
         # bucket and spill partition collides.
-        count = rng.randint(2, 14)
+        count = rng.randint(2, 24)
         rows = [tuple(rng.randint(0, 1) for _ in scheme.names) for _ in range(count)]
         return Relation.from_rows(scheme, rows)
-    count = rng.randint(1, 14)
+    count = rng.randint(1, 24)
     values = lambda: rng.choice((rng.randint(0, 4), rng.choice("xyz")))
     rows = [tuple(values() for _ in scheme.names) for _ in range(count)]
     return Relation.from_rows(scheme, rows)
@@ -182,7 +186,10 @@ def _assert_engine_matches_reference(
 ):
     budget = _tiny_budget(spill_dir) if budget_rows is not None else None
     evaluator = EngineEvaluator(
-        budget=budget, workers=workers, parallel_backend=backend
+        budget=budget,
+        workers=workers,
+        parallel_backend=backend,
+        observe=ObserveConfig(events=True),
     )
     before = kernel_counters().snapshot()
     result, trace = evaluator.evaluate(expression, bindings)
@@ -206,12 +213,17 @@ def _assert_engine_matches_reference(
     assert trace.result_cardinality == len(reference), detail
     leftovers = [str(path) for path in spill_dir.iterdir()]
     assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
+    # Which way the spilled joins went (fork children keep their own logs).
+    spills = evaluator.observer.events.events("spill")
+    return {event["mode"] for event in spills if "mode" in event}
 
 
 def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
     """Every random case, on every (budget, workers) grid point, must be
-    set-equal to the seed reference implementation."""
+    set-equal to the seed reference implementation — and the seed's cases
+    must between them have spilled joins both ways."""
     rng = random.Random(fuzz_seed)
+    spill_modes = set()
     for case_index in range(FUZZ_CASES):
         expression, bindings = _random_case(rng)
         reference = _reference_evaluate(expression, bindings)
@@ -219,7 +231,7 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
             expression, bindings, context=f"seed={fuzz_seed} case={case_index}"
         )
         for budget_rows, workers in CONFIG_GRID:
-            _assert_engine_matches_reference(
+            spill_modes |= _assert_engine_matches_reference(
                 expression,
                 bindings,
                 reference,
@@ -229,6 +241,7 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
                 tmp_path,
                 context=f"seed={fuzz_seed} case={case_index}",
             )
+    assert spill_modes == {"re-read", "partitioned"}, f"seed={fuzz_seed}"
 
 
 def test_differential_fuzz_fork_backend(fuzz_seed, tmp_path):

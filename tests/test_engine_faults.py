@@ -56,6 +56,7 @@ from repro.engine import spill as spill_module
 from repro.engine.sampling import AdaptiveConfig
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
+from repro.obs import ObserveConfig
 from repro.perf import kernel_counters, reset_kernel_counters
 
 import random
@@ -388,14 +389,15 @@ class TestPersistentFaultSweep:
     The evaluation Grace-spills nested joins, re-plans mid-stream and spills
     its checkpoint, so the swept positions land in every spilling client —
     including inside a child join suspended under a parent's routing loop
-    and inside the checkpoint's constructor.  Whatever the position, the
+    (or under its re-reads of a small build, in the third case) and inside
+    the checkpoint's constructor.  Whatever the position, the
     outcome is the exact answer or the typed error, and nothing is left:
     checked while the error (and so its traceback) is still held and
     *without* a cyclic GC pass, because a cleanup that waits for either is
     a leak for as long as the handler or the collector takes.
     """
 
-    def _sweep(self, tmp_path, fault_field, rows):
+    def _sweep(self, tmp_path, fault_field, modes, rows, budget_rows=64):
         query, bound = _three_way_case(11, rows)
         expected = evaluate(query, bound)
         meters = []
@@ -416,13 +418,14 @@ class TestPersistentFaultSweep:
             ), mock.patch.object(spill_module, "_SPILL_RETRY_BACKOFF", 0.0):
                 for position in range(1, 1000):
                     evaluator = EngineEvaluator(
-                        budget=_budget(tmp_path, rows=64),
+                        budget=_budget(tmp_path, rows=budget_rows),
                         adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
                         faults=FaultPlan(
                             checkpoint_cap_rows=2,
                             persistent=True,
                             **{fault_field: position},
                         ),
+                        observe=ObserveConfig(events=True),
                     )
                     evaluator.plan_for(query, _tiny_bindings(bound))
                     del meters[:]
@@ -439,8 +442,11 @@ class TestPersistentFaultSweep:
                         assert [meter.current for meter in meters] == [0] * len(meters), where
                     else:
                         # The position lies past the evaluation's last
-                        # spill operation: the sweep has covered them all.
+                        # spill operation: the sweep has covered them all,
+                        # in joins that went either way.
                         assert result == expected
+                        spills = evaluator.observer.events.events("spill")
+                        assert {event.get("mode") for event in spills} >= modes
                         break
                 else:
                     pytest.fail("the sweep never ran out of fault positions")
@@ -450,12 +456,20 @@ class TestPersistentFaultSweep:
         assert failed >= 10, "the case must spill enough to be worth sweeping"
 
     def test_write_fault_at_every_position(self, tmp_path):
-        self._sweep(tmp_path, "fail_spill_write_at", rows=300)
+        self._sweep(tmp_path, "fail_spill_write_at", {"partitioned"}, rows=300)
 
     def test_read_fault_at_every_position(self, tmp_path):
-        # A third of the rows: the same clients with ~230 reads to land on
-        # instead of ~410, every one of them swept.
-        self._sweep(tmp_path, "fail_spill_read_at", rows=100)
+        # A third of the rows under half the budget: the same clients, every
+        # join still partitioning both sides, with fewer reads to land on.
+        self._sweep(
+            tmp_path, "fail_spill_read_at", {"partitioned"}, rows=100, budget_rows=32
+        )
+
+    @pytest.mark.parametrize("fault_field", ["fail_spill_write_at", "fail_spill_read_at"])
+    def test_fault_at_every_position_of_a_reread_join(self, tmp_path, fault_field):
+        # 200 rows: the first join partitions, the others keep their probe
+        # side streaming and re-read a ~120-row build per probe slice.
+        self._sweep(tmp_path, fault_field, {"partitioned", "re-read"}, rows=200)
 
 
 class TestSessionSurfacing:

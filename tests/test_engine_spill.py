@@ -3,8 +3,9 @@
 Covers the spill lifecycle the differential fuzz cannot see directly:
 partition fan-out, recursive re-partitioning of oversized partitions, the
 chunked block-nested-loop fallback for unsplittable partitions (one heavy
-key, keyless products), temp-file cleanup on normal exhaustion / abandonment
-/ mid-stream
+key, keyless products), the re-read mode a small spilled build takes
+instead (probe rows never on disk, the meter free again before every
+yield), temp-file cleanup on normal exhaustion / abandonment / mid-stream
 exceptions, and the budgeted m=12 smoke the CI gate runs (set-equal to the
 unbudgeted run while spilling, build tables within the budget).
 """
@@ -15,6 +16,7 @@ from repro.algebra import Relation, naive_natural_join
 from repro.algebra.relation import _join_plan
 from repro.engine import (
     EngineEvaluator,
+    EngineFaultError,
     GraceHashJoin,
     MemoryBudget,
     MemoryMeter,
@@ -22,6 +24,8 @@ from repro.engine import (
     SpillFile,
     TableScan,
 )
+from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
+from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.expressions import Projection
 from repro.perf import kernel_counters
 from repro.reductions import RGConstruction
@@ -69,7 +73,8 @@ class TestSpillLifecycle:
         result = _drain(operator)
         delta = _spill_delta(before)
         assert result == naive_natural_join(build, probe)
-        assert operator.spilled == 1
+        # 100 build rows outgrow the re-read mode (two 32-row chunks).
+        assert (operator.spilled, operator.spill_mode) == (1, "partitioned")
         assert delta["join_spills"] == 1
         # 8 build partitions at the switch plus 8 (all non-empty) probe ones.
         assert delta["spill_partitions"] == 16
@@ -111,6 +116,7 @@ class TestSpillLifecycle:
         assert result == naive_natural_join(build, probe)
         # 2-way splits from ~200-row partitions down to the ~12-row level:
         # several recursion levels, no overflow, budget respected.
+        assert operator.spill_mode == "partitioned"
         assert delta["spill_recursions"] >= 3
         assert delta["spill_overflows"] == 0
         assert 0 < operator.build_peak_rows <= budget.rows
@@ -223,6 +229,170 @@ class TestSpillCleanup:
         assert list(spill.blocks()) == []
         spill.delete()
         assert not any(tmp_path.iterdir())
+
+
+class TestRereadMode:
+    """A small spilled build: the probe keeps streaming, the build is re-read."""
+
+    BUDGET_ROWS = 32
+
+    def _sides(self):
+        build = Relation.from_rows("K A", [(i, i) for i in range(40)])
+        probe = Relation.from_rows("K B", [(i % 45, -i) for i in range(600)])
+        return build, probe
+
+    def _budget(self, tmp_path):
+        return MemoryBudget(rows=self.BUDGET_ROWS, spill_dir=str(tmp_path))
+
+    def test_only_the_build_is_spilled_and_the_budget_holds(self, tmp_path):
+        build, probe = self._sides()
+        budget = self._budget(tmp_path)
+        operator, meter = _grace(build, probe, budget)
+        before = kernel_counters().snapshot()
+        result = _drain(operator)
+        delta = _spill_delta(before)
+        assert result == naive_natural_join(build, probe)
+        assert (operator.spilled, operator.spill_mode) == (1, "re-read")
+        assert delta["join_spills"] == 1
+        # One staged file holding the build and nothing else: no probe row
+        # was written, no fan-out was opened, nothing recursed or chunked
+        # over a probe partition.
+        assert delta["spill_rows"] == len(build)
+        assert delta["spill_partitions"] == 0
+        assert delta["spill_recursions"] == delta["join_chunk_passes"] == 0
+        assert delta["spill_overflows"] == 0
+        # The probe scan's one block is joined slice by slice.
+        assert operator.build_rereads == -(-len(probe) // REREAD_SLICE_ROWS)
+        assert 0 < operator.build_peak_rows <= budget.rows
+        assert meter.peak <= budget.rows
+        assert meter.current == 0
+        assert not any(tmp_path.iterdir())
+
+    def test_the_rule_is_row_counts_against_the_budget_and_the_slice(self, tmp_path):
+        def mode(build_rows, budget_rows):
+            build = Relation.from_rows("K A", [(i, i) for i in range(build_rows)])
+            probe = Relation.from_rows("K B", [(i, -i) for i in range(build_rows)])
+            budget = MemoryBudget(rows=budget_rows, spill_dir=str(tmp_path))
+            operator, _meter = _grace(build, probe, budget)
+            assert _drain(operator) == naive_natural_join(build, probe)
+            return operator.spill_mode
+
+        edge = REREAD_MAX_PASSES * 8
+        assert mode(8, 8) == ""  # fits: never spilled
+        assert mode(edge, 8) == "re-read"
+        assert mode(edge + 1, 8) == "partitioned"
+        # Budget-sized chunks stop counting once the build outgrows a slice.
+        assert mode(REREAD_SLICE_ROWS, 200) == "re-read"
+        assert mode(REREAD_SLICE_ROWS + 1, 200) == "partitioned"
+
+    def test_a_parent_join_never_finds_the_meter_pinned_by_its_child(self, tmp_path):
+        # Two re-reading joins in one pipeline under a budget neither build
+        # fits: the child's chunks are gone before its block reaches the
+        # parent, so each loads into the whole headroom in turn.
+        inner, probe = self._sides()
+        outer = Relation.from_rows("A C", [(i, i * 7) for i in range(40)])
+        budget = self._budget(tmp_path)
+        meter = MemoryMeter(budget.rows)
+        child = GraceHashJoin(
+            TableScan(inner, meter),
+            TableScan(probe, meter),
+            _join_plan(inner.scheme, probe.scheme),
+            meter,
+            budget,
+            build_side="left",
+        )
+        parent = GraceHashJoin(
+            TableScan(outer, meter),
+            child,
+            _join_plan(outer.scheme, child.scheme),
+            meter,
+            budget,
+            build_side="left",
+        )
+        before = kernel_counters().snapshot()
+        result = _drain(parent)
+        expected = naive_natural_join(outer, naive_natural_join(inner, probe))
+        assert result.project(expected.scheme.names) == expected
+        assert child.spill_mode == parent.spill_mode == "re-read"
+        assert child.build_peak_rows == parent.build_peak_rows == budget.rows
+        assert meter.peak <= budget.rows
+        assert _spill_delta(before)["spill_overflows"] == 0
+        assert meter.current == 0
+
+    @pytest.mark.parametrize(
+        "build_rows, probe_rows",
+        [
+            ([(0, i) for i in range(40)], [(0, -i) for i in range(5)]),
+            ([(i,) for i in range(40)], [(i,) for i in range(15)]),
+        ],
+        ids=["single-heavy-key", "keyless-product"],
+    )
+    def test_unsplittable_builds_need_no_partitioning(
+        self, tmp_path, build_rows, probe_rows
+    ):
+        keyed = len(build_rows[0]) == 2
+        build = Relation.from_rows("K A" if keyed else "A", build_rows)
+        probe = Relation.from_rows("K B" if keyed else "B", probe_rows)
+        budget = self._budget(tmp_path)
+        operator, meter = _grace(build, probe, budget)
+        before = kernel_counters().snapshot()
+        result = _drain(operator)
+        delta = _spill_delta(before)
+        assert result == naive_natural_join(build, probe)
+        assert len(result) == len(build) * len(probe)
+        assert operator.spill_mode == "re-read"
+        assert delta["spill_rows"] == len(build)
+        assert delta["spill_overflows"] == 0
+        assert operator.build_peak_rows <= budget.rows and meter.peak <= budget.rows
+        assert meter.current == 0
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("ending", ["abandoned", "probe-child-raises"])
+    def test_an_execution_cut_short_leaves_nothing_behind(self, tmp_path, ending):
+        build, probe = self._sides()
+        budget = self._budget(tmp_path)
+        meter = MemoryMeter(budget.rows)
+        probe_child = (TableScan if ending == "abandoned" else _ExplodingScan)(
+            probe, meter
+        )
+        operator = GraceHashJoin(
+            TableScan(build, meter),
+            probe_child,
+            _join_plan(build.scheme, probe.scheme),
+            meter,
+            budget,
+            build_side="left",
+        )
+        stream = operator.blocks()
+        assert next(stream)
+        # Mid-execution the staged build is on disk and no chunk of it is
+        # resident: the block just handed out left the meter free.
+        (staged,) = tmp_path.glob("repro-grace-*/*.spill")
+        assert staged.name.startswith("build-")
+        assert operator.spill_mode == "re-read" and meter.current == 0
+        if ending == "abandoned":
+            stream.close()
+        else:
+            with pytest.raises(RuntimeError, match="exploded"):
+                for _block in stream:
+                    pass
+        assert not any(tmp_path.iterdir())
+        assert _ACTIVE_SPILL_DIRS == set()
+        assert meter.current == 0
+
+    def test_a_build_file_cut_between_two_rereads_fails_the_join(self, tmp_path):
+        build, probe = self._sides()
+        operator, meter = _grace(build, probe, self._budget(tmp_path))
+        stream = operator.blocks()
+        next(stream)  # the first slice was joined against the whole file
+        (staged,) = tmp_path.glob("repro-grace-*/*.spill")
+        with open(staged, "r+b") as build_file:
+            build_file.truncate(staged.stat().st_size // 2)
+        with pytest.raises(EngineFaultError, match="truncated"):
+            for _block in stream:
+                pass
+        assert not any(tmp_path.iterdir())
+        assert meter.current == 0
 
 
 class TestBudgetedEngine:

@@ -279,8 +279,10 @@ class TestReadBackCheck:
     def test_a_grace_partition_cut_before_its_replay_fails_the_join(self, tmp_path):
         budget = MemoryBudget(rows=16, spill_dir=str(tmp_path))
         meter = MemoryMeter(budget.rows)
-        stream = _grace(TableScan, meter, budget).blocks()
+        join = _grace(TableScan, meter, budget)
+        stream = join.blocks()
         next(stream)  # both sides are routed; the first partition is joined
+        assert join.spill_mode == "partitioned"
         cut = 0
         for path in tmp_path.glob("*/*.spill"):
             size = path.stat().st_size

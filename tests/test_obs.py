@@ -598,6 +598,26 @@ class TestSessionObservability:
             assert events is not None
             assert events.events("spill"), "budgeted run must log spill events"
 
+    @pytest.mark.parametrize(
+        "budget, how, event_fields",
+        [
+            (64, "build re-read x1", {"mode": "re-read", "build_rereads": 1}),
+            (16, "partitioned x16", {"mode": "partitioned", "fanout": 16}),
+        ],
+    )
+    def test_a_spilled_join_says_which_way_it_went(self, budget, how, event_fields):
+        # An 80-row build: re-read per probe slice under budget=64 (one
+        # 80-row probe block, one re-read), partitioned under budget=16.
+        config = BackendConfig(observe=True, budget=budget)
+        with repro.connect(_database(), config=config) as session:
+            report = session.prepare(QUERY).explain_analyze()
+            (event,) = session.events().events("spill")
+        line = f"grace hash join [build=right, budget={budget}] on (B) [spilled: {how}]"
+        assert line in [timing.label for timing in report.operators]
+        assert f"    {line}" in str(report).splitlines()[4]
+        assert event["label"] == line and event["rows"] == 80
+        assert event_fields.items() <= event.items()
+
     def test_session_metrics_observe_executions(self):
         with repro.connect(_database()) as session:
             query = session.prepare(QUERY)

@@ -12,6 +12,7 @@ typed :class:`~repro.api.SessionClosedError`.
 
 import json
 import http.client
+import multiprocessing
 import os
 import threading
 import time
@@ -558,6 +559,26 @@ class TestSessionShutdownUnderLoad:
             # closed error recorded above; nothing else may escape.
             assert errors == [], errors
             assert session.stats()["open_pools"] == 0
+        assert _ACTIVE_SPILL_DIRS == set()
+
+    def test_an_execute_that_outlives_close_caches_no_pool(self, monkeypatch):
+        # The race above without a clock: close() lands after the execute
+        # passed _ensure_open() and before it reaches the fork stage.
+        others = set(multiprocessing.active_children())
+        session = Session(RELATIONS, backend="engine", budget=64, workers=2)
+        prepared = session.prepare(HEAVY_QUERY)
+        expected = prepared.execute().relation
+        assert session.stats()["open_pools"] == 1
+        ensure_open = session._ensure_open
+
+        def open_then_closed():
+            ensure_open()
+            session.close()
+
+        monkeypatch.setattr(session, "_ensure_open", open_then_closed)
+        assert prepared.execute().relation == expected
+        assert session.stats()["open_pools"] == 0
+        assert set(multiprocessing.active_children()) <= others
         assert _ACTIVE_SPILL_DIRS == set()
 
     def test_post_close_requests_raise_the_typed_error(self):
