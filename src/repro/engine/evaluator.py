@@ -722,8 +722,11 @@ class EngineEvaluator:
 
         Returns ``(stack, chain)``: the projection nodes above the top
         join (outermost first) and the left-deep hash-join chain below it
-        (top join first, following the probe side down).  ``chain`` is
-        empty when the plan has no join to guard (a projected scan).
+        (top join first, following the probe side down, *through* the
+        planner's pushed projections — a re-plan re-derives those — and
+        never through a written one: see :meth:`PlanNode.chain_join`).
+        ``chain`` is empty when the plan has no join to guard (a projected
+        scan).
         """
         stack: List[PlanNode] = []
         node = root
@@ -735,10 +738,9 @@ class EngineEvaluator:
         chain: List[PlanNode] = []
         while True:
             chain.append(node)
-            probe = node.children[node.probe_child_index()]
-            if probe.kind != "hash-join":
+            node = node.children[node.probe_child_index()].chain_join()
+            if node is None:
                 return stack, chain
-            node = probe
 
     def _guard_hook(self, plan: PhysicalPlan):
         """The ``guard_for`` callback wrapping this plan's chain joins."""
@@ -970,7 +972,8 @@ class EngineEvaluator:
             }
         )
         refreshed = [self._refresh_node_stats(part, base_stats) for part in parts]
-        node = self._planner.order_join_nodes([checkpoint_node] + refreshed)
+        needed = frozenset(stack[-1].scheme.names) if stack else None
+        node = self._planner.order_join_nodes([checkpoint_node] + refreshed, needed)
         for projection in reversed(stack):
             node = self._reproject(projection, node)
         return PhysicalPlan(root=node, expression=plan.expression, config=self.config)

@@ -226,6 +226,11 @@ class SpillingSeenSet:
     Emission order is arrival order until the switch and partition order
     after it; no consumer reads meaning into either.
 
+    With ``spill=False`` (an optional dedup, see
+    :class:`StreamingProject`) the set never switches: a block whose new
+    rows the meter will not grant is emitted unremembered, so later
+    duplicates of those rows pass through as well.
+
     Metering: the pre-switch set and, during replay, one partition's
     distinct rows are metered.  A partition whose rows fit ``budget.rows``
     is processed resident even when *other* state (the result accumulator,
@@ -235,9 +240,10 @@ class SpillingSeenSet:
     progress counts a ``spill_overflows``.
     """
 
-    def __init__(self, meter: MemoryMeter, budget: MemoryBudget):
+    def __init__(self, meter: MemoryMeter, budget: MemoryBudget, spill: bool = True):
         self.meter = meter
         self._budget = budget
+        self._may_spill = spill
         self._seen: Set[Row] = set()
         self._resident = 0
         self._fanout = budget.spill_fanout
@@ -280,6 +286,10 @@ class SpillingSeenSet:
         if out:
             if self.meter.try_acquire(len(out)):
                 self._resident += len(out)
+            elif not self._may_spill:
+                # An optional (planner-pushed) dedup holds what the meter
+                # grants and passes the rest through, duplicates and all.
+                seen.difference_update(out)
             else:
                 # The block's new rows were emitted just now and are flushed
                 # as already-seen, so the replay will not re-emit them; they
@@ -598,7 +608,11 @@ class StreamingProject(PhysicalOperator):
     With ``budget`` set (the planner passes it to every dedup projection
     of a budgeted plan) the seen-set is a :class:`SpillingSeenSet`: instead
     of overrunning the shared meter it spills to Grace partitions and
-    defers the spilled rows' first occurrences to a replay phase.
+    defers the spilled rows' first occurrences to a replay phase.  A
+    ``pushed`` projection — one the planner placed because nothing above
+    reads the dropped columns — deduplicates as an optimisation, not a
+    semantic, so its budgeted seen-set never spills: it holds what the
+    meter grants and passes every other row through (``spill=False``).
 
     A projection at the plan root keeps **no** seen-set of either kind
     when the drain offers its result set (``blocks(sink)``): the picked
@@ -618,6 +632,7 @@ class StreamingProject(PhysicalOperator):
         dedup: bool = True,
         probe_slice: Optional[Tuple[int, int]] = None,
         budget: Optional[MemoryBudget] = None,
+        pushed: bool = False,
     ):
         super().__init__(meter)
         self._child = child
@@ -625,6 +640,7 @@ class StreamingProject(PhysicalOperator):
         self._dedup = dedup
         self._probe_slice = probe_slice
         self._budget = budget
+        self._pushed = pushed
         self.consumes_probe_slice = probe_slice is not None
         self.scheme = scheme
 
@@ -691,7 +707,7 @@ class StreamingProject(PhysicalOperator):
 
     def _blocks_spilling_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
-        seen = SpillingSeenSet(self.meter, self._budget)
+        seen = SpillingSeenSet(self.meter, self._budget, spill=not self._pushed)
         try:
             for block in self._child.blocks():
                 out = seen.filter_block(list(self._picked(block)))
@@ -710,7 +726,11 @@ class StreamingProject(PhysicalOperator):
         sliced = (
             f" [sliced x{self._probe_slice[1]}]" if self._probe_slice is not None else ""
         )
-        return f"project[{', '.join(self.scheme.names)}]({self._child.label()}{dedup}){sliced}"
+        pushed = " (pushed)" if self._pushed else ""
+        return (
+            f"project[{', '.join(self.scheme.names)}]"
+            f"({self._child.label()}{dedup}){pushed}{sliced}"
+        )
 
 
 def _build_block(buckets: Dict[Hashable, Set[Row]], pairs) -> int:

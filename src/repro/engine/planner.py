@@ -16,6 +16,10 @@ Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
   materialising path).
 * **Build side** — each hash join builds its table on the side with the
   smaller estimated cardinality and streams the other.
+* **Live columns** — columns nothing above a node reads are pruned by a
+  pushed, deduplicating ``project`` wherever the catalog proves the pruned
+  stream collapses, and the ordering scores candidates by that pruned
+  cardinality (see :meth:`Planner._order_joins`).
 
 Hash join is the only join: relations are sets, so no operator produces or
 needs a row order, and a plan is ``scan | project | hash-join`` and nothing
@@ -29,8 +33,9 @@ cardinalities differ by orders of magnitude (the paper's blow-up regime).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.relation import Relation, _join_plan
 from ..algebra.tuples import _project_plan
@@ -54,6 +59,60 @@ from .stats import (
 )
 
 __all__ = ["PlannerConfig", "PlanNode", "PhysicalPlan", "Planner", "plan_expression"]
+
+#: A pushed projection is placed only where its seen-set bound (the product
+#: of the kept columns' distinct counts) is at most this share of the pruned
+#: node's *estimated* rows — below that it does not pay for its pick ...
+PUSH_MAX_ESTIMATE_SHARE = 0.5
+#: ... and at most this multiple of the *exact* row count of the base
+#: relations scanned beneath the node: join estimates are ~10^12 too high on
+#: the R_G family, so only catalog numbers that are exact may promise that the
+#: seen-set stays input-bounded.
+PUSH_MAX_INPUT_MULTIPLE = 1
+
+#: What the catalog knows exactly beneath a node: the rows of the base
+#: relations it scans and, per column, the smallest distinct count any of
+#: those scans holds (a join or projection can only drop values).
+InputBounds = Tuple[int, Dict[str, int]]
+
+
+def _input_bounds(node: "PlanNode") -> InputBounds:
+    if node.kind == "scan":
+        stats = node.stats
+        return stats.cardinality, {name: stats.distinct(name) for name in node.scheme.names}
+    rows, distinct = _input_bounds(node.children[0])
+    if node.kind == "project":
+        # A column projected away beneath says nothing about a same-named
+        # column that joins in from elsewhere.
+        return rows, {name: distinct[name] for name in node.scheme.names}
+    return _merge_bounds((rows, distinct), _input_bounds(node.children[1]))
+
+
+def _merge_bounds(left: InputBounds, right: InputBounds) -> InputBounds:
+    distinct = dict(left[1])
+    for name, count in right[1].items():
+        distinct[name] = min(count, distinct.get(name, count))
+    return left[0] + right[0], distinct
+
+
+def _pushed_bound(
+    kept: Sequence[str], est_rows: float, *bounds: InputBounds
+) -> Optional[int]:
+    """The row bound of a pushed ``project[kept]`` over a node (or a join of
+    two) with these ``bounds``, or ``None`` where the placement rule — both
+    ``PUSH_MAX_*`` conditions — says not to place it."""
+    if not kept:
+        return None
+    limit = min(
+        PUSH_MAX_ESTIMATE_SHARE * est_rows,
+        PUSH_MAX_INPUT_MULTIPLE * sum(rows for rows, _ in bounds),
+    )
+    bound = 1
+    for name in kept:
+        bound *= max(min(d[name] for _, d in bounds if name in d), 1)
+        if bound > limit:
+            return None
+    return bound
 
 
 @dataclass(frozen=True)
@@ -87,6 +146,10 @@ class PlanNode:
     operand_name: Optional[str] = None
     pick: Optional[Callable] = None
     dedup: bool = True
+    #: A projection the planner placed because nothing above reads the
+    #: dropped columns, not one the query wrote: its dedup is an
+    #: optimisation, so under a budget it never spills (see StreamingProject).
+    pushed: bool = False
     join_plan: Optional[object] = None
     build_side: str = "right"
     #: Memory budget for hash joins and dedup projections (None =
@@ -106,7 +169,8 @@ class PlanNode:
             return f"scan {self.operand_name}"
         if self.kind == "project":
             dedup = "" if self.dedup else ", no dedup"
-            return f"project[{', '.join(self.scheme.names)}]{dedup}"
+            pushed = " (pushed)" if self.pushed else ""
+            return f"project[{', '.join(self.scheme.names)}]{dedup}{pushed}"
         if self.kind == "hash-join":
             on = ", ".join(self.join_plan.common_names) or "x (product)"
             if self.budget is not None:
@@ -131,6 +195,18 @@ class PlanNode:
         if self.kind == "hash-join":
             return 1 if self.build_side == "left" else 0
         return None
+
+    def chain_join(self) -> Optional["PlanNode"]:
+        """The hash join this node streams: itself, or the join under a
+        planner-pushed projection, else ``None``.
+
+        The one place that says a pushed projection is transparent to a join
+        chain (build-side choice, the adaptive spine, order read-back).  A
+        projection the query wrote never is: it bounds a scope, and a column
+        it drops may reappear in an operand outside it.
+        """
+        node = self.children[0] if self.pushed else self
+        return node if node.kind == "hash-join" else None
 
     def subtree_has(self, kinds: Tuple[str, ...]) -> bool:
         """Whether this node or any descendant is one of ``kinds``."""
@@ -202,6 +278,7 @@ class PlanNode:
                 dedup=self.dedup,
                 probe_slice=own_slice,
                 budget=self.budget,
+                pushed=self.pushed,
             )
         elif self.kind == "hash-join":
             left = self.children[0].instantiate(bindings, meter, child_slice(0), guard_for)
@@ -318,7 +395,14 @@ class Planner:
 
     # -- lowering ------------------------------------------------------
 
-    def _lower(self, node: Expression, stats: Mapping[str, RelationStats]) -> PlanNode:
+    def _lower(
+        self,
+        node: Expression,
+        stats: Mapping[str, RelationStats],
+        needed: Optional[FrozenSet[str]] = None,
+    ) -> PlanNode:
+        """Lower ``node``; ``needed`` names the columns the projection above
+        it reads (``None`` = all of them) and only a join acts on it."""
         if isinstance(node, Operand):
             entry = stats[node.name]
             return PlanNode(
@@ -329,46 +413,62 @@ class Planner:
                 operand_name=node.name,
             )
         if isinstance(node, Projection):
-            child = self._lower(node.child, stats)
-            plan = _project_plan(child.scheme, node.target)
-            out_stats = project_stats(child.stats, plan.target_scheme.names)
-            cost = child.cost + child.est_rows + out_stats.cardinality
-            budget = self.config.budget
-            if budget is not None and out_stats.cardinality > budget.rows:
-                # Spilling dedup: every distinct row is written and read
-                # back once during the partition replay.
-                cost += 2.0 * out_stats.cardinality
-            return PlanNode(
-                kind="project",
-                scheme=plan.target_scheme,
-                stats=out_stats,
-                cost=cost,
-                children=(child,),
-                pick=plan.pick,
-                dedup=True,
-                budget=budget,
-            )
+            child = self._lower(node.child, stats, frozenset(node.target.names))
+            return self._project(child, node.target)
         if isinstance(node, Join):
+            # Joins are flattened, so no part is a join: none takes ``needed``.
             parts = [self._lower(part, stats) for part in node.parts]
-            return self._order_joins(parts)
+            return self._order_joins(parts, needed)
         raise ExpressionError(f"unknown expression node {node!r}")
+
+    def _project(self, child: PlanNode, target, pushed: bool = False) -> PlanNode:
+        """A deduplicating projection of ``child`` onto ``target``."""
+        if child.kind == "project":
+            # pi_X . pi_Y = pi_X: a plan never holds two adjacent projections.
+            # A written projection absorbed here stays a scope boundary, so
+            # only pushed-over-pushed is still pushed (see chain_join).
+            pushed = pushed and child.pushed
+            child = child.children[0]
+        plan = _project_plan(child.scheme, target)
+        out_stats = project_stats(child.stats, plan.target_scheme.names)
+        cost = child.cost + child.est_rows + out_stats.cardinality
+        budget = self.config.budget
+        if budget is not None and not pushed and out_stats.cardinality > budget.rows:
+            # Spilling dedup: every distinct row is written and read
+            # back once during the partition replay.
+            cost += 2.0 * out_stats.cardinality
+        return PlanNode(
+            kind="project",
+            scheme=plan.target_scheme,
+            stats=out_stats,
+            cost=cost,
+            children=(child,),
+            pick=plan.pick,
+            budget=budget,
+            pushed=pushed,
+        )
 
     # -- join ordering -------------------------------------------------
 
-    def order_join_nodes(self, parts: List[PlanNode]) -> PlanNode:
+    def order_join_nodes(
+        self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
+    ) -> PlanNode:
         """Greedily (re)order already-lowered join operands into a chain.
 
         The adaptive evaluator's mid-stream re-planner calls this with a
         materialised-checkpoint scan node plus the not-yet-joined operand
-        subtrees: the ordering logic (and the build-side/dedup-elision
-        decisions of :meth:`_join_pair`) is exactly the one initial planning
-        uses, only the statistics are fresher.
+        subtrees and the columns the projection above the chain reads: the
+        ordering logic (and the pruning/build-side/dedup-elision decisions)
+        is exactly the one initial planning uses, only the statistics are
+        fresher.
         """
         if len(parts) == 1:
             return parts[0]
-        return self._order_joins(list(parts))
+        return self._order_joins(list(parts), needed)
 
-    def _order_joins(self, parts: List[PlanNode]) -> PlanNode:
+    def _order_joins(
+        self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
+    ) -> PlanNode:
         """Order an n-ary join into a pipelined left-deep chain, greedily.
 
         The first pair is the one with the smallest estimated join
@@ -379,6 +479,16 @@ class Planner:
         become resident build tables, which is what bounds the engine's peak
         live rows by the inputs on the paper's blow-up constructions.
 
+        **Live columns.**  ``needed`` names the columns read above the join
+        (``None`` = all).  At every operand and after every step but the
+        last — there the enclosing projection is the prune — the columns
+        still *live* are ``needed`` plus those of the operands not yet
+        joined; where the rest can go under the placement rule
+        (:func:`_pushed_bound`) the node is wrapped in a pushed ``project``,
+        and each candidate is scored by that pruned cardinality, not the
+        raw join estimate: the order that makes a wide intermediate
+        collapsible beats the one with the smaller first join.
+
         Unlike the materialising ``greedy_join`` (which re-scans all pairs
         every step and therefore memoises), no estimate is ever needed
         twice here: the initial pass scores each pair once, and every chain
@@ -386,36 +496,97 @@ class Planner:
         O(k²) estimator calls in total.
         """
         nodes: List[PlanNode] = list(parts)
+        pruning = needed is not None
+        #: How many chain members (operands, or the accumulated node) read
+        #: each column, and what the catalog knows exactly beneath each.
+        readers: Counter = Counter()
+        bounds: List[InputBounds] = []
+        if pruning:
+            readers.update(name for node in nodes for name in node.scheme.names)
+            bounds = [_input_bounds(node) for node in nodes]
 
-        def estimate_between(a: PlanNode, b: PlanNode) -> float:
-            common = [
-                name for name in a.scheme.names if name in b.scheme.name_set
+        def live(node: PlanNode, other: Optional[PlanNode] = None) -> List[str]:
+            """The columns of ``node`` (joined with ``other``) that ``needed``
+            or a chain member besides those two still reads."""
+            if other is None:
+                return [
+                    name
+                    for name in node.scheme.names
+                    if name in needed or readers[name] > 1
+                ]
+            mine, theirs = node.scheme.name_set, other.scheme.name_set
+            return [
+                name
+                for name in node.scheme.names
+                if name in needed or readers[name] > 1 + (name in theirs)
+            ] + [
+                name
+                for name in other.scheme.names
+                if name not in mine and (name in needed or readers[name] > 1)
             ]
-            return estimate_join_cardinality(a.stats, b.stats, common)
+
+        def pruned(index: int) -> PlanNode:
+            node = nodes[index]
+            kept = live(node)
+            if (
+                len(kept) == len(node.scheme.names)
+                or _pushed_bound(kept, node.est_rows, bounds[index]) is None
+            ):
+                return node
+            return self._project(node, node.scheme.restrict(kept), pushed=True)
+
+        def estimate_between(a: int, b: int) -> float:
+            left, right = nodes[a], nodes[b]
+            common = [
+                name for name in left.scheme.names if name in right.scheme.name_set
+            ]
+            estimate = estimate_join_cardinality(left.stats, right.stats, common)
+            if not pruning:
+                return estimate
+            kept = live(left, right)
+            if len(kept) == len(left.scheme) + len(right.scheme) - len(common):
+                return estimate
+            bound = _pushed_bound(kept, estimate, bounds[a], bounds[b])
+            return estimate if bound is None else float(bound)
+
+        def join(a: int, b: int) -> int:
+            """Join members ``a`` and ``b`` into a new (pruned) chain member."""
+            joined = self._join_pair(nodes[a], nodes[b])
+            nodes.append(joined)
+            if pruning:
+                readers.subtract(nodes[a].scheme.names)
+                readers.subtract(nodes[b].scheme.names)
+                readers.update(joined.scheme.names)
+                bounds.append(_merge_bounds(bounds[a], bounds[b]))
+                if remaining:  # after the last join the enclosing projection prunes
+                    nodes[-1] = pruned(len(nodes) - 1)
+            return len(nodes) - 1
 
         remaining = list(range(len(nodes)))
+        if pruning:
+            nodes = [pruned(index) for index in remaining]
         best_pair = (remaining[0], remaining[1])
         best_estimate = math.inf
         for position, a in enumerate(remaining):
             for b in remaining[position + 1 :]:
-                candidate = estimate_between(nodes[a], nodes[b])
+                candidate = estimate_between(a, b)
                 if candidate < best_estimate:
                     best_estimate = candidate
                     best_pair = (a, b)
         a, b = best_pair
-        accumulated = self._join_pair(nodes[a], nodes[b])
         remaining = [index for index in remaining if index not in (a, b)]
+        accumulated = join(a, b)
         while remaining:
             best_index = remaining[0]
             best_estimate = math.inf
             for index in remaining:
-                candidate = estimate_between(accumulated, nodes[index])
+                candidate = estimate_between(accumulated, index)
                 if candidate < best_estimate:
                     best_estimate = candidate
                     best_index = index
-            accumulated = self._join_pair(accumulated, nodes[best_index])
             remaining.remove(best_index)
-        return accumulated
+            accumulated = join(accumulated, best_index)
+        return nodes[accumulated]
 
     def _join_pair(self, left: PlanNode, right: PlanNode) -> PlanNode:
         plan = _join_plan(left.scheme, right.scheme)
@@ -423,13 +594,15 @@ class Planner:
         out_stats = join_stats(left.stats, right.stats, plan.joined_scheme.names, common)
 
         # Build-side choice: smaller estimated side, except that a join
-        # child never becomes the build table while a non-join sibling is
-        # available — building on a join output would materialise exactly
-        # the intermediate the streaming pipeline exists to avoid, and the
-        # estimate that would justify it is the least reliable one in the
-        # model (compounded independence assumptions).
-        left_is_join = left.kind == "hash-join"
-        right_is_join = right.kind == "hash-join"
+        # child (pruned by a pushed projection or not) never becomes the
+        # build table while a non-join sibling is available — building on a
+        # join output would materialise exactly the intermediate the
+        # streaming pipeline exists to avoid, and the estimate that would
+        # justify it is the least reliable one in the model (compounded
+        # independence assumptions).  A pruned join output also cannot shed
+        # its seen-set into a build that spills under a budget.
+        left_is_join = left.chain_join() is not None
+        right_is_join = right.chain_join() is not None
         if left_is_join != right_is_join:
             build_side = "right" if left_is_join else "left"
         else:
@@ -438,14 +611,8 @@ class Planner:
         if build.kind == "project" and build.dedup:
             # The build table's per-key row sets deduplicate for free; drop
             # the projection's own seen-set so its output streams stateless.
-            build = PlanNode(
-                kind="project",
-                scheme=build.scheme,
-                stats=build.stats,
-                cost=build.cost - build.est_rows,
-                children=build.children,
-                pick=build.pick,
-                dedup=False,
+            build = replace(
+                build, cost=build.cost - build.est_rows, dedup=False, budget=None
             )
             if build_side == "left":
                 left = build

@@ -111,8 +111,9 @@ def planner_join_order(
     ``evaluator`` selects the estimator under test — a default
     :class:`~repro.engine.evaluator.EngineEvaluator` for the
     exponential-backoff formulas, ``EngineEvaluator(adaptive=True)`` for
-    sampling-based estimation.  Operands are identified by matching each
-    chain node's scheme against ``part_relations``.
+    sampling-based estimation.  The chain is read *through* the planner's
+    pushed projections; each leaf is the operand whose scheme holds its
+    columns (a pushed projection may have narrowed the leaf itself).
     """
     evaluator = evaluator or EngineEvaluator()
     bound = {name: relation for name in query.operand_names()}
@@ -120,16 +121,21 @@ def planner_join_order(
     node = plan.root
     while node.kind == "project":
         node = node.children[0]
-    by_scheme = {
-        tuple(sorted(rel.scheme.names)): index
-        for index, rel in enumerate(part_relations)
-    }
+    schemes = [rel.scheme.name_set for rel in part_relations]
 
     def descend(chain_node):
-        if chain_node.kind != "hash-join":
+        join = chain_node.chain_join()
+        if join is None:
             return [chain_node]
-        probe = chain_node.children[chain_node.probe_child_index()]
-        build = chain_node.children[1 - chain_node.probe_child_index()]
+        probe = join.children[join.probe_child_index()]
+        build = join.children[1 - join.probe_child_index()]
         return descend(probe) + [build]
 
-    return [by_scheme[tuple(sorted(n.scheme.names))] for n in descend(node)]
+    def operand_index(leaf) -> int:
+        holders = [i for i, names in enumerate(schemes) if leaf.scheme.name_set <= names]
+        return min(holders, key=lambda i: len(schemes[i]))
+
+    order = [operand_index(leaf) for leaf in descend(node)]
+    # A leaf narrowed to columns two parts share would resolve to the wrong one.
+    assert sorted(order) == list(range(len(part_relations))), order
+    return order

@@ -213,17 +213,22 @@ def _assert_engine_matches_reference(
     assert trace.result_cardinality == len(reference), detail
     leftovers = [str(path) for path in spill_dir.iterdir()]
     assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
-    # Which way the spilled joins went (fork children keep their own logs).
+    # Which way the spilled joins went (fork children keep their own logs),
+    # and whether the planner pushed a projection into this plan.
     spills = evaluator.observer.events.events("spill")
-    return {event["mode"] for event in spills if "mode" in event}
+    reached = {event["mode"] for event in spills if "mode" in event}
+    if "(pushed)" in evaluator.pinned_plan(expression).explain():
+        reached.add("pushed")
+    return reached
 
 
 def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
     """Every random case, on every (budget, workers) grid point, must be
     set-equal to the seed reference implementation — and the seed's cases
-    must between them have spilled joins both ways."""
+    must between them have spilled joins both ways and held at least one
+    planner-pushed projection, so the grid demonstrably reaches that path."""
     rng = random.Random(fuzz_seed)
-    spill_modes = set()
+    reached = set()
     for case_index in range(FUZZ_CASES):
         expression, bindings = _random_case(rng)
         reference = _reference_evaluate(expression, bindings)
@@ -231,7 +236,7 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
             expression, bindings, context=f"seed={fuzz_seed} case={case_index}"
         )
         for budget_rows, workers in CONFIG_GRID:
-            spill_modes |= _assert_engine_matches_reference(
+            reached |= _assert_engine_matches_reference(
                 expression,
                 bindings,
                 reference,
@@ -241,7 +246,7 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
                 tmp_path,
                 context=f"seed={fuzz_seed} case={case_index}",
             )
-    assert spill_modes == {"re-read", "partitioned"}, f"seed={fuzz_seed}"
+    assert reached == {"re-read", "partitioned", "pushed"}, f"seed={fuzz_seed}"
 
 
 def test_differential_fuzz_fork_backend(fuzz_seed, tmp_path):

@@ -618,6 +618,24 @@ class TestSessionObservability:
         assert event["label"] == line and event["rows"] == 80
         assert event_fields.items() <= event.items()
 
+    def test_a_planner_pushed_projection_is_marked_everywhere(self):
+        # The reader must be able to tell a projection the planner placed
+        # from one the query wrote: plan explain, operator label (hence
+        # explain_analyze and the spans) and the trace steps all say so.
+        from repro.workloads import serving_relations
+
+        with repro.connect(serving_relations()) as session:
+            query = session.prepare("project[A, C, D](R * S * T)")
+            plan_lines = query.explain().splitlines()
+            report = query.explain_analyze()
+            steps = [step.description for step in query.last_trace().steps]
+        assert "    project[A, C] (pushed)  [est_rows=920.0 cost=30893.0]" in plan_lines
+        label = "project[A, C](hash join [build=right] on (B)) (pushed)"
+        assert label in [timing.label for timing in report.operators]
+        assert label in steps
+        assert f"      {label} " in str(report)
+        assert sum("pushed" in line for line in plan_lines) == 1
+
     def test_session_metrics_observe_executions(self):
         with repro.connect(_database()) as session:
             query = session.prepare(QUERY)
