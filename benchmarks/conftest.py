@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of EXPERIMENTS.md.  Besides
-the timing numbers collected by pytest-benchmark, each experiment produces a
-small result table (the "rows the paper reports" — here, the logical
-predictions of each theorem and the measured values).  The :func:`emit`
-helper prints that table and also writes it to ``benchmarks/results/`` so the
-numbers in EXPERIMENTS.md can be regenerated and diffed.
+Every ``bench_*.py`` module regenerates one of the paper experiments E1–E10.
+Besides the timing numbers collected by pytest-benchmark, each experiment
+produces a small result table (the "rows the paper reports" — here, the
+logical predictions of each theorem and the measured values).  The
+:func:`emit` helper prints that table and also writes it to
+``benchmarks/results/E*.txt`` so the committed tables can be regenerated and
+diffed.
 """
 
 from __future__ import annotations

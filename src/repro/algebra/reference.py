@@ -4,12 +4,12 @@ These functions reimplement ``project``, ``natural_join``, and ``rename``
 exactly the way the pre-kernel (seed) code did: dict-based tuple merging,
 name-keyed attribute access, and the fully validating
 :class:`~repro.algebra.tuples.RelationTuple` constructor for every produced
-tuple.  They exist for two reasons:
+tuple.  They exist as the oracle:
 
 * the randomized property tests assert that the positional kernel's results
   are set-equal to these references on arbitrary schemes and relations;
-* the ``bench_algebra_kernel`` microbenchmark measures the kernel's speedup
-  against them, pinning the perf trajectory to a fixed baseline.
+* the benchmark ladder (``benchmarks/ladder/workloads.py``) answer-checks
+  its workloads against them.
 
 They are deliberately slow; do not use them on hot paths.
 """

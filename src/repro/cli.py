@@ -251,7 +251,7 @@ def _join_provenance_lines(plan) -> List[str]:
 
 
 def _command_engine_explain(arguments: argparse.Namespace) -> int:
-    from .engine import PlannerConfig, RelationStats, plan_expression
+    from .engine import RelationStats, plan_expression
     from .engine.physical import MemoryBudget
     from .expressions import parse_expression
 
@@ -323,10 +323,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
         if arguments.workers > 1:
             print(f"parallel probe: {arguments.workers} workers")
         return 0
-    config = PlannerConfig(
-        budget=MemoryBudget.coerce(arguments.memory_budget),
-        workers=arguments.workers,
-    )
     if not arguments.expression:
         raise SystemExit("an expression is required unless --paper is given")
     if arguments.adaptive:
@@ -362,7 +358,9 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
     for name, operand_scheme in operand_schemes.items():
         cardinality = cardinalities.get(name, default_cardinality)
         stats[name] = RelationStats.assumed(operand_scheme.names, cardinality)
-    plan = plan_expression(expression, stats, config)
+    plan = plan_expression(
+        expression, stats, budget=MemoryBudget.coerce(arguments.memory_budget)
+    )
     print(f"expression: {expression.to_text()}")
     print(f"estimated result rows: {plan.est_rows:.1f}   estimated cost: {plan.est_cost:.1f}")
     print()

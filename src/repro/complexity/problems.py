@@ -2,8 +2,9 @@
 
 Each :class:`Problem` records the statement, the exact complexity the paper
 establishes, where the hardness reduction and the decision procedure live in
-this repository, and which experiment of DESIGN.md exercises it.  The registry
-is what the documentation examples and the `problem_catalog` benchmark print.
+this repository, and which experiment (E1–E10, ``benchmarks/results/E*.txt``)
+exercises it.  The registry is what the documentation examples and the
+`problem_catalog` benchmark print.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Problem:
     decider_module:
         Where the decision procedure lives.
     experiment_id:
-        The DESIGN.md / EXPERIMENTS.md experiment that exercises it.
+        The experiment (``benchmarks/results/E*.txt``) that exercises it.
     paper_reference:
         Theorem / proposition number in the paper.
     """

@@ -80,7 +80,7 @@ class EngineMembershipDecider:
         # Honour the evaluator's configured budget: a budgeted evaluator's
         # membership probes must spill exactly like its full evaluations
         # instead of building unbounded hash tables.
-        budget = self._evaluator.config.budget
+        budget = self._evaluator.budget
         meter = MemoryMeter(budget.rows if budget is not None else None)
         root = plan.executor(bound, meter)
         try:

@@ -82,7 +82,7 @@ from .physical import (
     StreamingProject,
     TableScan,
 )
-from .planner import PhysicalPlan, PlanNode, Planner, PlannerConfig, plan_expression
+from .planner import PhysicalPlan, PlanNode, Planner, plan_expression
 from .spill import SPILL_BLOCK_ROWS, SPILL_IO_RETRIES, SpillFile
 from .planstore import (
     CardinalityLedger,
@@ -142,7 +142,6 @@ __all__ = [
     "default_backend",
     "execute_parallel",
     "Planner",
-    "PlannerConfig",
     "PlanNode",
     "PhysicalPlan",
     "plan_expression",

@@ -82,7 +82,7 @@ from .physical import (
     SpilledCheckpoint,
     TableScan,
 )
-from .planner import PhysicalPlan, PlanNode, Planner, PlannerConfig
+from .planner import PhysicalPlan, PlanNode, Planner
 from .planstore import LedgerBackedStats, PlanStore
 from .sampling import AdaptiveConfig, q_error, sampled_stats
 from .stats import join_stats, project_stats
@@ -117,9 +117,8 @@ class EngineEvaluator:
 
     def __init__(
         self,
-        config: Optional[PlannerConfig] = None,
         budget: "MemoryBudget | int | None" = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         parallel_backend: Optional[str] = None,
         max_pools: int = 1,
         adaptive: "AdaptiveConfig | bool | None" = None,
@@ -129,9 +128,8 @@ class EngineEvaluator:
     ):
         """Create an evaluator.
 
-        ``config`` carries the planner's budget/workers; ``budget`` and
-        ``workers`` override its fields: a row budget triggers Grace-hash
-        spilling, a worker count > 1 enables the parallel probe stage.
+        A row ``budget`` triggers Grace-hash spilling; a ``workers`` count
+        > 1 enables the parallel probe stage.
         ``parallel_backend`` forces ``"fork"`` or ``"thread"`` (default:
         fork where available).
         ``max_pools`` caps the persistent fork-probe pools kept warm at
@@ -180,20 +178,15 @@ class EngineEvaluator:
         against a pinned plan's estimates cross the configured threshold
         (``drift_replan``).
         """
-        base = config or PlannerConfig()
-        coerced = MemoryBudget.coerce(budget)
-        if coerced is not None:
-            base = replace(base, budget=coerced)
-        if workers is not None:
-            base = replace(base, workers=max(int(workers), 1))
-        self.config = base
+        self.budget = MemoryBudget.coerce(budget)
+        self.workers = max(int(workers), 1)
         self.adaptive = AdaptiveConfig.coerce(adaptive)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise TypeError(f"faults must be a FaultPlan or None, got {faults!r}")
         self.faults = faults
         self.observer = Observer.coerce(observe)
         self.planstore = PlanStore.coerce(planstore)
-        self._planner = Planner(base)
+        self._planner = Planner(self.budget)
         self._plans: Dict[Expression, PhysicalPlan] = {}
         self._plans_lock = threading.Lock()
         self._parallel_backend = parallel_backend
@@ -457,7 +450,7 @@ class EngineEvaluator:
         least one row per worker — tiny inputs run serial rather than paying
         the pool spin-up for empty slices.
         """
-        workers = self.config.workers
+        workers = self.workers
         if workers <= 1:
             return 1
         name = plan.driving_scan_name()
@@ -514,7 +507,7 @@ class EngineEvaluator:
         counters = kernel_counters()
         before = counters.snapshot()
 
-        budget = self.config.budget
+        budget = self.budget
         budget_rows = budget.rows if budget is not None else None
         faults = self.faults
         injector = (
@@ -884,7 +877,7 @@ class EngineEvaluator:
         instead of giving up or overrunning the meter.
         """
         adaptive = self.adaptive
-        budget = self.config.budget
+        budget = self.budget
         cap = adaptive.checkpoint_cap_rows
         if self.faults is not None and self.faults.checkpoint_cap_rows is not None:
             cap = self.faults.checkpoint_cap_rows
@@ -976,7 +969,7 @@ class EngineEvaluator:
         node = self._planner.order_join_nodes([checkpoint_node] + refreshed, needed)
         for projection in reversed(stack):
             node = self._reproject(projection, node)
-        return PhysicalPlan(root=node, expression=plan.expression, config=self.config)
+        return PhysicalPlan(root=node, expression=plan.expression)
 
     @staticmethod
     def _scan_names(node: PlanNode) -> Set[str]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.relation import Relation, _join_plan
@@ -58,7 +58,7 @@ from .stats import (
     project_stats,
 )
 
-__all__ = ["PlannerConfig", "PlanNode", "PhysicalPlan", "Planner", "plan_expression"]
+__all__ = ["PlanNode", "PhysicalPlan", "Planner", "plan_expression"]
 
 #: A pushed projection is placed only where its seen-set bound (the product
 #: of the kept columns' distinct counts) is at most this share of the pruned
@@ -113,24 +113,6 @@ def _pushed_bound(
         if bound > limit:
             return None
     return bound
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Planner knobs.
-
-    ``budget`` caps the rows resident in engine state: hash joins lower to
-    budget-aware :class:`~repro.engine.physical.GraceHashJoin` nodes (with a
-    fan-out hint from :func:`~repro.engine.stats.estimate_partition_count`)
-    that spill to Grace partitions when the build side would overflow.
-    ``workers`` is the parallelism degree the evaluator may apply to the
-    plan's driving probe scan (1 = serial); the planner records it so one
-    pinned plan serves every degree — the slice is chosen at instantiation,
-    not planning, time.
-    """
-
-    budget: Optional[MemoryBudget] = None
-    workers: int = 1
 
 
 @dataclass
@@ -314,7 +296,6 @@ class PhysicalPlan:
 
     root: PlanNode
     expression: Expression
-    config: PlannerConfig = field(default_factory=PlannerConfig)
 
     @property
     def est_rows(self) -> float:
@@ -373,10 +354,18 @@ class PhysicalPlan:
 
 
 class Planner:
-    """Lower expressions into :class:`PhysicalPlan` trees using catalog stats."""
+    """Lower expressions into :class:`PhysicalPlan` trees using catalog stats.
 
-    def __init__(self, config: Optional[PlannerConfig] = None):
-        self.config = config or PlannerConfig()
+    ``budget`` caps the rows resident in engine state: hash joins lower to
+    budget-aware :class:`~repro.engine.physical.GraceHashJoin` nodes (with a
+    fan-out hint from :func:`~repro.engine.stats.estimate_partition_count`)
+    that spill when the build side would overflow, and written dedup
+    projections spill their seen-set.  ``None`` plans unbudgeted in-memory
+    state.
+    """
+
+    def __init__(self, budget: Optional[MemoryBudget] = None):
+        self.budget = budget
 
     def plan(
         self, expression: Expression, stats: Mapping[str, RelationStats]
@@ -391,7 +380,7 @@ class Planner:
         # the drain's result set (see StreamingProject), and its rows_out —
         # that set's growth — is still the true result cardinality for
         # traces.  Only *inner* dedups are planner-elided.
-        return PhysicalPlan(root=root, expression=expression, config=self.config)
+        return PhysicalPlan(root=root, expression=expression)
 
     # -- lowering ------------------------------------------------------
 
@@ -432,7 +421,7 @@ class Planner:
         plan = _project_plan(child.scheme, target)
         out_stats = project_stats(child.stats, plan.target_scheme.names)
         cost = child.cost + child.est_rows + out_stats.cardinality
-        budget = self.config.budget
+        budget = self.budget
         if budget is not None and not pushed and out_stats.cardinality > budget.rows:
             # Spilling dedup: every distinct row is written and read
             # back once during the partition replay.
@@ -625,7 +614,7 @@ class Planner:
             + probe.est_rows  # probe: one lookup per streamed row
             + out_stats.cardinality
         )
-        budget = self.config.budget
+        budget = self.budget
         est_fanout = 1
         if budget is not None:
             # Fan-out hint for the spill path; the operator self-corrects an
@@ -650,7 +639,7 @@ class Planner:
 def plan_expression(
     expression: Expression,
     stats: Mapping[str, RelationStats],
-    config: Optional[PlannerConfig] = None,
+    budget: Optional[MemoryBudget] = None,
 ) -> PhysicalPlan:
     """Convenience wrapper: plan ``expression`` with the given catalog entries."""
-    return Planner(config).plan(expression, stats)
+    return Planner(budget).plan(expression, stats)

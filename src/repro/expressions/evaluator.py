@@ -6,7 +6,7 @@ regime the paper analyses: intermediate results can be exponentially larger
 than both the input and the output.  :func:`evaluate` is that walk untraced;
 :class:`InstrumentedEvaluator` is the same walk recording the size of every
 intermediate relation in an :class:`EvaluationTrace`, so the blow-up
-experiment (E9 in DESIGN.md) can report the peak; the optimiser
+experiment (E9, ``benchmarks/results/E9.txt``) can report the peak; the optimiser
 (:mod:`repro.expressions.optimizer`) swaps in a greedy join order.
 
 Every entry point accepts either a :class:`~repro.algebra.database.Database` or a

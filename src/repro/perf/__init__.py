@@ -15,9 +15,7 @@ from .plancache import (
     JoinPlan,
     LRUPlanCache,
     ProjectPlan,
-    clear_plan_caches,
     join_plan_cache,
-    plan_cache_stats,
     project_plan_cache,
 )
 
@@ -30,6 +28,4 @@ __all__ = [
     "LRUPlanCache",
     "join_plan_cache",
     "project_plan_cache",
-    "clear_plan_caches",
-    "plan_cache_stats",
 ]

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "JoinPlan",
@@ -29,8 +29,6 @@ __all__ = [
     "make_key_picker",
     "join_plan_cache",
     "project_plan_cache",
-    "clear_plan_caches",
-    "plan_cache_stats",
 ]
 
 RowPicker = Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
@@ -190,19 +188,3 @@ def join_plan_cache() -> LRUPlanCache:
 def project_plan_cache() -> LRUPlanCache:
     """Return the process-global projection plan cache."""
     return _PROJECT_PLANS
-
-
-def clear_plan_caches() -> None:
-    """Empty both global plan caches (used by tests and benchmarks)."""
-    _JOIN_PLANS.clear()
-    _PROJECT_PLANS.clear()
-
-
-def plan_cache_stats() -> Dict[str, int]:
-    """Return current sizes and capacities of the global plan caches."""
-    return {
-        "join_plans": len(_JOIN_PLANS),
-        "join_plans_maxsize": _JOIN_PLANS.maxsize,
-        "project_plans": len(_PROJECT_PLANS),
-        "project_plans_maxsize": _PROJECT_PLANS.maxsize,
-    }

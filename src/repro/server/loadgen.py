@@ -12,12 +12,14 @@ gate.
 Zipf-skewed mix: query rank ``k`` (0-based position in ``queries``) is
 drawn with probability proportional to ``1 / (k + 1) ** s``, from a
 deterministic per-client stream — real serving traffic concentrates on
-a few hot queries, and the skewed leg of the server benchmark measures
-p50/p99 under exactly that concentration (hot plans served from the
-pinned-plan and pool caches, cold plans still exercised in the tail).
+a few hot queries, so the skewed mix keeps hot plans served from the
+pinned-plan and result caches while cold plans are still exercised in the
+tail.
 
-This is both the benchmark harness behind the ``server`` section of
-``BENCH_algebra.json`` and the smoke client the CI server job runs.
+This is the smoke client the CI ``server-smoke`` job runs and the client
+behind ``tests/test_server.py``'s load tests; timed serving numbers come
+from the ladder's ``serve_mixed`` / ``serve_zipf_mutate`` workloads
+(``benchmarks/ladder``), which drive their own closed-loop clients.
 """
 
 from __future__ import annotations

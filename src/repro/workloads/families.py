@@ -1,8 +1,8 @@
 """Formula and instance families swept by the benchmark harness.
 
 Each family is a deterministic function of its parameters (seeds are fixed per
-index), so benchmark runs are reproducible and the EXPERIMENTS.md numbers can
-be regenerated exactly.
+index), so benchmark runs are reproducible and the ``benchmarks/results/E*.txt``
+tables can be regenerated exactly.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""Join-ordering quality instrumentation shared by tests and benchmarks.
+"""Join-ordering quality instrumentation.
 
-The estimate-quality suite (``tests/test_engine_stats_quality.py``) and the
-``adaptive`` benchmark gate (``benchmarks/bench_algebra_kernel.py``) both
-compare the planner's greedy join ordering against the *actual-size greedy
-oracle*: at every step pick the operand whose real (streamed, capped) join
-cardinality with the accumulated chain is smallest.  Keeping the oracle and
-its plan-reading helpers in one module means the CI gate and the tier-1
-test can never silently assert different bounds.
+The estimate-quality suite (``tests/test_engine_stats_quality.py``, which
+carries the ordering gate at m = 4..14) compares the planner's greedy join
+ordering against the *actual-size greedy oracle*: at every step pick the
+operand whose real (streamed, capped) join cardinality with the accumulated
+chain is smallest.  The oracle and the helpers that read an order back out
+of a pinned plan live here.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ the Python ones:
 * non-Python fences (``sh``, ``text``, diagrams) are ignored.
 
 A doc claiming an API that no longer exists therefore fails the tier-1
-suite, which is what "CI-verified documentation" means here.
+suite, which is what "CI-verified documentation" means here.  So does a doc
+citing a file that no longer exists: every repo-relative path in the prose
+(``tests/…``, ``benchmarks/…``, ``src/…``, ``docs/…``, ``examples/…``) must
+resolve.
 """
 
 import io
@@ -31,6 +34,12 @@ DOC_FILES = sorted(
 )
 
 _FENCE = re.compile(r"^```(\S*)\s*(.*)$")
+#: A repo-relative path as the docs cite one; a ``::test_name`` suffix is
+#: left outside the match, and ``*`` makes it a glob.
+_CITED_PATH = re.compile(
+    r"(?<![\w/.-])((?:benchmarks|tests|src|docs|examples)/[\w./*-]+?"
+    r"\.(?:py|md|jsonl|json|txt|yml))(?!\w)"
+)
 
 
 def extract_blocks(path: Path):
@@ -83,6 +92,19 @@ def test_python_blocks_execute(path):
                 f"{path.name} block at line {start} failed: "
                 f"{type(error).__name__}: {error}"
             )
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda path: path.name)
+def test_cited_paths_exist(path):
+    """Every repo-relative file the doc cites is in the repo, so a number
+    can never outlive the file it was read from."""
+    dangling = [
+        f"{path.name}:{number}: {cited}"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for cited in _CITED_PATH.findall(line)
+        if not any(REPO_ROOT.glob(cited))
+    ]
+    assert not dangling, "\n".join(dangling)
 
 
 def test_docs_actually_contain_runnable_blocks():

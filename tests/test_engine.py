@@ -389,7 +389,7 @@ class TestPlanner:
             "projection",
             "join",
         }
-        budget = evaluator.config.budget
+        budget = evaluator.budget
         if budget is None:
             return
         for operator in operators_in_order(plan.executor(bound, MemoryMeter())):

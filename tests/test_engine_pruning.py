@@ -356,10 +356,14 @@ def test_spill_tight_counts_are_unchanged():
     _, trace = evaluator.evaluate(query, bound)
     counts = {
         name: trace.counters.get(name, 0)
-        for name in ("spill_rows", "spill_partitions", "join_spills", "dedup_spills")
+        for name in (
+            "spill_rows", "spill_partitions", "join_spills", "dedup_spills",
+            "spill_overflows",
+        )
     }
     assert counts == {
         "spill_rows": 351, "spill_partitions": 8, "join_spills": 10, "dedup_spills": 1,
+        "spill_overflows": 0,
     }
     assert trace.peak_live_rows == 64
 

@@ -82,24 +82,16 @@ class TestSpillEstimates:
             "S": RelationStats.assumed(("B", "C"), 10_000),
         }
         query = Operand("R", "A B").join(Operand("S", "B C"))
-        plan = plan_expression(
-            query, stats, config=None
-        )
+        plan = plan_expression(query, stats)
         assert "grace" not in plan.explain()
-        from repro.engine import PlannerConfig
-
-        budgeted = plan_expression(
-            query, stats, PlannerConfig(budget=MemoryBudget(rows=64))
-        )
+        budgeted = plan_expression(query, stats, budget=MemoryBudget(rows=64))
         text = budgeted.explain()
         assert "grace hash join" in text and "budget=64" in text
         assert "est_partitions=" in text
 
 
 # -- R_G ordering quality ----------------------------------------------
-# The oracle and plan-reading helpers live in repro.workloads.ordering,
-# shared with the BENCH_algebra.json `adaptive` gate so the CI benchmark
-# and this tier-1 test can never assert against diverging oracles.
+# The oracle and plan-reading helpers live in repro.workloads.ordering.
 
 
 def _family_instance(m):
@@ -126,8 +118,9 @@ def test_estimate_ordering_peak_tracks_actual_size_ordering(m):
     )
 
 
-def test_sampled_ordering_peak_tracks_actual_at_m14():
-    """The formerly-xfailed m=14 instance, under ``adaptive=True``.
+@pytest.mark.parametrize("m", [12, 14])
+def test_sampled_ordering_peak_tracks_actual_at_m14(m):
+    """The formerly-xfailed m=14 instance (and m=12), under ``adaptive=True``.
 
     The backoff estimator's greedy ordering diverges step-wise from the
     actual-size greedy ordering at m≈14 (this test pinned that divergence
@@ -139,7 +132,7 @@ def test_sampled_ordering_peak_tracks_actual_at_m14():
     same :data:`MAX_PEAK_RATIO` bound the unsampled estimator only manages
     through m=12 (measured ratio at m=14: 1.00).
     """
-    query, relation = _family_instance(14)
+    query, relation = _family_instance(m)
     part_relations = join_parts(query, relation)
     sequence = planner_join_order(
         query, relation, part_relations, evaluator=EngineEvaluator(adaptive=True)
@@ -149,6 +142,6 @@ def test_sampled_ordering_peak_tracks_actual_at_m14():
     actual_peak = chain_peak(part_relations, actual_greedy_order(part_relations))
     assert actual_peak > 0
     assert sampled_peak <= MAX_PEAK_RATIO * actual_peak, (
-        f"m=14: sampled-ordering peak {sampled_peak} vs "
+        f"m={m}: sampled-ordering peak {sampled_peak} vs "
         f"actual-greedy peak {actual_peak}"
     )

@@ -2,7 +2,8 @@
 
 Each test exercises a full path: SAT/QBF instance -> paper construction ->
 relational evaluation -> decision procedure -> comparison against the
-independent solver, mirroring the experiments of EXPERIMENTS.md at a size
+independent solver, mirroring the paper experiments E1–E10
+(``benchmarks/bench_*.py``, tables in ``benchmarks/results/E*.txt``) at a size
 small enough for the unit-test suite.
 """
 

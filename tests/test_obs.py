@@ -584,6 +584,27 @@ class TestSessionObservability:
             assert 0.0 < report.attributed_fraction <= 1.0
             assert query.last_trace().spans  # traced run is the last trace
 
+    def test_explain_analyze_attributes_the_wall_time_at_m12(self):
+        """Operator spans must explain >= 95% of a run long enough to
+        measure (R_G at m = 12, ~40 ms); median of three to ride out a
+        scheduling hiccup."""
+        from statistics import median
+
+        from repro.expressions import Projection
+        from repro.reductions import RGConstruction
+        from repro.workloads import growing_construction_family
+
+        (case,) = growing_construction_family(clause_counts=(12,))
+        construction = RGConstruction(case.formula)
+        query = Projection([construction.s_attribute], construction.expression)
+        with repro.connect(construction.relation) as session:
+            prepared = session.prepare(query)
+            prepared.execute()  # pin the plan off the clock
+            fractions = [
+                prepared.explain_analyze().attributed_fraction for _ in range(3)
+            ]
+        assert median(fractions) >= 0.95, fractions
+
     def test_explain_analyze_on_materialising_backend_has_no_operators(self):
         with repro.connect(_database(), backend="optimized") as session:
             report = session.prepare(QUERY).explain_analyze()

@@ -221,12 +221,16 @@ class TestWarmSamples:
         evaluator.plan_for(S_JOIN_T, relations)
         mid = kernel_counters().delta_since(before)
         assert mid["sample_builds"] == first["sample_builds"] + 1
-        # Forget-then-replan rebuilds the plan from entirely warm samples.
-        evaluator.forget_plan(R_JOIN_S)
-        evaluator.plan_for(R_JOIN_S, relations)
-        delta = kernel_counters().delta_since(before)
-        assert delta["sample_builds"] == mid["sample_builds"]
-        assert delta["sample_cache_hits"] >= 3
+        # Forget-then-replan rebuilds the plans from entirely warm samples,
+        # round after round.
+        for _ in range(10):
+            for expression in (R_JOIN_S, S_JOIN_T):
+                evaluator.forget_plan(expression)
+                evaluator.plan_for(expression, relations)
+            delta = kernel_counters().delta_since(before)
+            assert delta["sample_builds"] == mid["sample_builds"]
+        hits, misses = delta["sample_cache_hits"], delta["sample_cache_misses"]
+        assert hits / (hits + misses) >= 0.9
         store = evaluator.planstore
         assert store.stats()["cached_samples"] == 3
 
@@ -259,11 +263,12 @@ class TestRepin:
         assert kinds[0] == "pinned" and "repin" in kinds
         assert evaluator.pinned_plan(THREE_WAY) is not pinned
         # Steady state: the corrected plan executes with zero further
-        # replans and the same answer.
-        again, steady = evaluator.evaluate(THREE_WAY, relations)
-        assert steady.replans == 0
-        assert again == result
-        assert store.repins == 1
+        # replans and the same answer, every time.
+        for _ in range(20):
+            again, steady = evaluator.evaluate(THREE_WAY, relations)
+            assert steady.replans == 0
+            assert again == result
+            assert store.repins == 1
 
     def test_prepared_explain_shows_the_repinned_plan(self):
         relations = _relations(300)

@@ -67,7 +67,6 @@ REPRO_API_EXPORTS = [
 #: objects and the engine evaluator, by name.  Adding or removing a knob is a
 #: deliberate edit of this snapshot (and of the docs/API.md knob table).
 KNOBS = {
-    "repro.engine.PlannerConfig": ["budget", "workers"],
     "repro.engine.MemoryBudget": [
         "rows",
         "spill_fanout",
@@ -107,7 +106,6 @@ KNOBS = {
 }
 
 ENGINE_EVALUATOR_PARAMETERS = [
-    "config",
     "budget",
     "workers",
     "parallel_backend",

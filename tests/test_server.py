@@ -35,6 +35,7 @@ from repro.server import (
     WorkerPool,
     percentile,
     run_load,
+    zipf_schedule,
 )
 from repro.workloads import serving_queries, serving_relations
 
@@ -511,6 +512,12 @@ class TestLoadGenerator:
         assert summary["p99_ms"] >= summary["p50_ms"]
         assert summary["throughput_rps"] > 0
         assert summary["status_counts"] == {"200": 24}
+
+    def test_zipf_schedule_is_seeded_and_skewed(self):
+        schedule = zipf_schedule(len(QUERIES), 200, 1.2, seed=3)
+        assert schedule == zipf_schedule(len(QUERIES), 200, 1.2, seed=3)
+        # Rank 0 is the hot query.
+        assert max(set(schedule), key=schedule.count) == 0
 
 
 class TestServerConfig:
@@ -1056,6 +1063,21 @@ class TestResultCacheOverHttp:
             assert stats["budget"]["grants"] == 1
         finally:
             conn.close()
+
+    def test_zipf_load_is_served_mostly_from_the_cache(self, cached_server):
+        report = run_load(
+            "127.0.0.1",
+            cached_server.port,
+            QUERIES,
+            clients=8,
+            requests_per_client=25,
+            zipf=1.2,
+        )
+        assert report.ok == report.requests == 200 and report.errors == 0
+        cache = cached_server.stats()["cache"]
+        assert cache["cache_hits"] + cache["cache_misses"] == report.requests
+        assert cache["cache_hits"] / report.requests >= 0.5
+        assert cache["cache_stale_served"] == 0
 
     def test_cache_key_separates_budget_backend_and_count_only(
         self, cached_server
