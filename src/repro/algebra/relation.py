@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import (
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -85,6 +86,19 @@ def _join_plan(left: RelationScheme, right: RelationScheme) -> JoinPlan:
     )
     cache.put(key, plan)
     return plan
+
+
+def sort_rows(rows: Collection[Row]) -> List[Row]:
+    """Value rows in a deterministic order (see :meth:`Relation.sorted_rows`).
+
+    A function of the rows alone, so a holder of a relation's row set (the
+    statistics catalog's sample handle) can order them without holding the
+    relation.
+    """
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=lambda row: tuple(map(repr, row)))
 
 
 class Relation:
@@ -282,15 +296,12 @@ class Relation:
         order.
         """
         if names is None or tuple(names) == self._scheme.names:
-            rows = list(self._rows)
+            rows = self._rows
         else:
             index = self._scheme.index
             picks = [index[name] for name in names]
             rows = [tuple(row[i] for i in picks) for row in self._rows]
-        try:
-            return sorted(rows)
-        except TypeError:
-            return sorted(rows, key=lambda row: tuple(map(repr, row)))
+        return sort_rows(rows)
 
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Render the relation as an aligned text table."""

@@ -224,26 +224,21 @@ def _validated_cardinality(value, option: str) -> int:
 def _join_provenance_lines(plan) -> List[str]:
     """One line per join node: its estimate and where that estimate came from.
 
-    Provenance is re-derived live from the plan's per-node statistics, so a
-    report printed *after* an execution reflects what the plan store's
-    ledger has learned since the plan was costed: a join whose operand set
-    now has an observed cardinality reports ``observed-ledger`` even though
-    it was originally costed from samples.
+    Provenance is what the planner recorded on the node when it costed the
+    join (``PlanNode.provenance``): the samples an estimate was measured on
+    are dropped before a plan is pinned, so nothing here re-derives it.  A
+    plan re-pinned after an execution was costed against the plan store's
+    ledger, and says so (``observed-ledger``).
     """
-    from .engine import join_estimate_provenance
-
     lines: List[str] = []
 
     def walk(node) -> None:
         for child in node.children:
             walk(child)
         if node.kind == "hash-join":
-            left, right = node.children[0], node.children[1]
-            common = tuple(node.join_plan.common_names)
-            provenance = join_estimate_provenance(left.stats, right.stats, common)
-            on = ", ".join(common) or "x (product)"
+            on = ", ".join(node.join_plan.common_names) or "x (product)"
             lines.append(
-                f"join on ({on}): est {node.est_rows:.0f} rows [{provenance}]"
+                f"join on ({on}): est {node.est_rows:.0f} rows [{node.provenance}]"
             )
 
     walk(plan.root)
@@ -299,20 +294,12 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             f"(input {trace.input_cardinality})"
         )
         if arguments.adaptive:
-            live = session._engine.pinned_plan(expression)
-            provenance = _join_provenance_lines(live) if live is not None else []
-            if provenance:
-                print(
-                    f"adaptive: {trace.replans} mid-stream re-plan(s); "
-                    f"per-join estimate provenance:"
-                )
-                for line in provenance:
-                    print(f"  {line}")
-            else:
-                print(
-                    "adaptive: plan costed from samples; no join nodes to "
-                    "report provenance for"
-                )
+            print(f"adaptive: {trace.replans} mid-stream re-plan(s)")
+        live = session._engine.pinned_plan(expression)
+        if live is not None:
+            print("per-join estimate provenance:")
+            for line in _join_provenance_lines(live):
+                print(f"  {line}")
         if arguments.memory_budget is not None:
             print(
                 f"budget {arguments.memory_budget} rows: "

@@ -137,10 +137,11 @@ class EngineEvaluator:
         session raises it so mixed query traffic does not thrash re-forks.
 
         ``adaptive`` (``True`` or an
-        :class:`~repro.engine.sampling.AdaptiveConfig`) switches on
-        sampling-based cardinality estimation — plans are costed against
-        reservoir samples of the bound relations instead of backed-off
-        selectivities — plus **mid-stream re-planning**: serial executions
+        :class:`~repro.engine.sampling.AdaptiveConfig`) measures *every*
+        estimate on reservoir samples of the bound relations — the default
+        planner already measures composite join keys; this adds
+        single-column keys and projections, on freshly drawn samples of a
+        configurable size — plus **mid-stream re-planning**: serial executions
         run with :class:`~repro.engine.physical.AdaptiveGuard` operators on
         the join chain, and an observed cardinality exceeding its estimate
         by ``replan_factor`` checkpoints the accumulated intermediate,
@@ -325,11 +326,17 @@ class EngineEvaluator:
                 plan = self._plans[expression] = self._planner.plan(expression, stats)
         if pinned and self.planstore is not None:
             plan._ledger_version = self.planstore.ledger.version
-            self.planstore.record(expression, "pinned", self._scan_order(plan.root))
+            self.planstore.record(expression, "pinned", plan.root.scan_order())
         return plan
 
     def _catalog_for(self, bound: Mapping[str, Relation]) -> Dict[str, object]:
         """One catalog entry per bound operand: exact, or sampled (adaptive).
+
+        The default entry is the relation's own cached
+        :meth:`~repro.algebra.relation.Relation.stats`: exact counts, plus
+        the handle of a row sample that is drawn — once per relation — only
+        if the planner meets a composite join key (a replaced relation is a
+        new object with an undrawn handle: construction is invalidation).
 
         Adaptive mode samples the *current* relations every time a plan is
         built, so an invalidation replan (the serving facade's
@@ -340,6 +347,9 @@ class EngineEvaluator:
         (``sample_cache_hits``) and a rebound one — a new object — misses
         and re-samples.  Ledger-backed wrapping makes every entry consult
         the observed-cardinality ledger during plan costing.
+
+        Either way the entries are planning scratch: the planner hands back
+        nodes holding bare numbers (no sample, no ledger handle).
         """
         adaptive = self.adaptive
         store = self.planstore
@@ -974,23 +984,7 @@ class EngineEvaluator:
     @staticmethod
     def _scan_names(node: PlanNode) -> Set[str]:
         """Operand names read by a plan subtree."""
-        if node.kind == "scan":
-            return {node.operand_name}
-        names: Set[str] = set()
-        for child in node.children:
-            names |= EngineEvaluator._scan_names(child)
-        return names
-
-    @staticmethod
-    def _scan_order(node: PlanNode) -> Tuple[str, ...]:
-        """Operand names in plan order (left-deep, reading order) — the
-        join-order fingerprint the plan store's history records."""
-        if node.kind == "scan":
-            return (node.operand_name,)
-        order: Tuple[str, ...] = ()
-        for child in node.children:
-            order += EngineEvaluator._scan_order(child)
-        return order
+        return set(node.scan_order())
 
     # -- plan store integration (ledger harvest, re-pin, drift check) ----
 
@@ -1062,7 +1056,7 @@ class EngineEvaluator:
         field, counter, event, metric, metric_help = _PIN_SWAPS[kind]
         setattr(store, field, getattr(store, field) + 1)
         kernel_counters().add(**{counter: 1})
-        order = self._scan_order(revised.root)
+        order = revised.root.scan_order()
         store.record(expression, kind, order, detail=detail)
         observer = self.observer
         if observer is not None:

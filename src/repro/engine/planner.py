@@ -10,10 +10,11 @@ pins one plan per expression).
 
 Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
 
-* **Join ordering** — an n-ary join is ordered greedily by estimated output
-  cardinality, with pairwise estimates memoised across iterations (the same
-  fix :func:`repro.algebra.operations.greedy_join` applies to the
-  materialising path).
+* **Join ordering** — an n-ary join becomes a left-deep chain found by a
+  :data:`BEAM_WIDTH`-wide beam over estimated cardinalities: composite join
+  keys are *measured* on row samples, single-column keys keep the exact
+  per-column formula, and cost ties break on what the operands are, never on
+  where the query listed them (see :meth:`Planner._order_joins`).
 * **Build side** — each hash join builds its table on the side with the
   smaller estimated cardinality and streams the other.
 * **Live columns** — columns nothing above a node reads are pruned by a
@@ -32,9 +33,9 @@ cardinalities differ by orders of magnitude (the paper's blow-up regime).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.relation import Relation, _join_plan
@@ -54,6 +55,7 @@ from .stats import (
     RelationStats,
     estimate_join_cardinality,
     estimate_partition_count,
+    join_estimate_provenance,
     join_stats,
     project_stats,
 )
@@ -65,10 +67,19 @@ __all__ = ["PlanNode", "PhysicalPlan", "Planner", "plan_expression"]
 #: node's *estimated* rows — below that it does not pay for its pick ...
 PUSH_MAX_ESTIMATE_SHARE = 0.5
 #: ... and at most this multiple of the *exact* row count of the base
-#: relations scanned beneath the node: join estimates are ~10^12 too high on
-#: the R_G family, so only catalog numbers that are exact may promise that the
-#: seen-set stays input-bounded.
+#: relations scanned beneath the node: a join estimate is a formula's guess
+#: (~10^12 too high on R_G's composite keys before they were measured) or a
+#: measurement on 256 rows, so only catalog numbers that are exact may promise
+#: that the seen-set stays input-bounded.
 PUSH_MAX_INPUT_MULTIPLE = 1
+
+#: How many partial join chains the ordering keeps alive at every step.
+#: Greedy (width 1) is myopic even on exact sizes — on R_G at m = 12 it stops
+#: at 22,950 streamed rows where width 2 finds 11,625; width 3 buys little
+#: more for half as much planning again (``docs/PERFORMANCE.md``, "Where the
+#: two constants come from").  Like the sample size beside which it was
+#: measured (:data:`repro.engine.sampling.SAMPLE_ROWS`), not a knob.
+BEAM_WIDTH = 2
 
 #: What the catalog knows exactly beneath a node: the rows of the base
 #: relations it scans and, per column, the smallest distinct count any of
@@ -134,6 +145,10 @@ class PlanNode:
     pushed: bool = False
     join_plan: Optional[object] = None
     build_side: str = "right"
+    #: Where a join's estimate came from, recorded when it was planned (see
+    #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
+    #: that could re-derive it are gone by the time the plan is pinned.
+    provenance: Optional[str] = None
     #: Memory budget for hash joins and dedup projections (None =
     #: unbudgeted in-memory state).
     budget: Optional[MemoryBudget] = None
@@ -189,6 +204,13 @@ class PlanNode:
         """
         node = self.children[0] if self.pushed else self
         return node if node.kind == "hash-join" else None
+
+    def scan_order(self) -> Tuple[str, ...]:
+        """Operand names scanned beneath this node, in plan (reading) order
+        — the join-order fingerprint the plan store's history records."""
+        if self.kind == "scan":
+            return (self.operand_name,)
+        return tuple(name for child in self.children for name in child.scan_order())
 
     def subtree_has(self, kinds: Tuple[str, ...]) -> bool:
         """Whether this node or any descendant is one of ``kinds``."""
@@ -290,6 +312,46 @@ class PlanNode:
         return operator
 
 
+def _drop_samples(node: PlanNode) -> PlanNode:
+    """Leave ``node``'s subtree holding bare numbers, in place.
+
+    While a join is being ordered every node's ``stats`` is the full catalog
+    entry — row sample, ledger handle — because that is what the next
+    estimate is measured on.  None of it may outlive the ordering: a pinned
+    plan would otherwise hold a sample per join for as long as it is pinned,
+    and a scan node the row set of a relation since replaced.
+    """
+    node.stats = node.stats.bare()
+    for child in node.children:
+        _drop_samples(child)
+    return node
+
+
+def _content_key(node: PlanNode) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """What a join operand *is*, whatever position the query wrote it in:
+    its sorted attribute names, then the sorted operand names it scans."""
+    return tuple(sorted(node.scheme.names)), tuple(sorted(node.scan_order()))
+
+
+@dataclass
+class _Chain:
+    """One partial left-deep chain of the ordering beam: everything a step
+    reads or changes, so extending a chain never disturbs its rival."""
+
+    #: The (pruned) join of the members so far; a lone operand at the start.
+    node: PlanNode
+    #: Operand indices in the order they were joined.
+    members: Tuple[int, ...]
+    #: The same members as content ranks (first pair sorted): the tie-break.
+    ranks: Tuple[int, ...]
+    #: Accumulated per-step scores — the (pruned) cardinality of every join.
+    score: float
+    #: How many chain members (remaining operands, or ``node``) read each
+    #: column, and what the catalog knows exactly beneath ``node``.
+    readers: Counter
+    bounds: Optional[InputBounds]
+
+
 @dataclass
 class PhysicalPlan:
     """A pinned physical plan: the node tree plus the planner's estimates."""
@@ -374,7 +436,7 @@ class Planner:
         missing = sorted(expression.operand_names() - set(stats))
         if missing:
             raise ExpressionError(f"no statistics provided for operands {missing}")
-        root = self._lower(expression, stats)
+        root = _drop_samples(self._lower(expression, stats))
         # The final projection keeps dedup=True, but when the evaluator drains
         # the plan it holds no seen-set of its own: it dedups straight into
         # the drain's result set (see StreamingProject), and its rows_out —
@@ -442,7 +504,7 @@ class Planner:
     def order_join_nodes(
         self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
     ) -> PlanNode:
-        """Greedily (re)order already-lowered join operands into a chain.
+        """(Re)order already-lowered join operands into a chain.
 
         The adaptive evaluator's mid-stream re-planner calls this with a
         materialised-checkpoint scan node plus the not-yet-joined operand
@@ -452,21 +514,39 @@ class Planner:
         fresher.
         """
         if len(parts) == 1:
-            return parts[0]
-        return self._order_joins(list(parts), needed)
+            return _drop_samples(parts[0])
+        return _drop_samples(self._order_joins(list(parts), needed))
 
     def _order_joins(
         self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
     ) -> PlanNode:
-        """Order an n-ary join into a pipelined left-deep chain, greedily.
+        """Order an n-ary join into a pipelined left-deep chain, by beam search.
 
-        The first pair is the one with the smallest estimated join
-        cardinality; every later step extends the accumulated chain with the
-        operand minimising the estimated next result.  A left-deep chain
-        keeps the (potentially exponential) accumulated intermediate on the
+        Every pair of operands starts a chain, and every step extends each
+        surviving chain with each operand it has not joined; the
+        :data:`BEAM_WIDTH` cheapest extensions survive, ranked by the sum of
+        their joins' estimated cardinalities so far (chains that joined the
+        same operands in a different order are one candidate: the cheaper
+        is kept).  Greedy is width 1 of this loop.  A left-deep chain keeps
+        the (potentially exponential) accumulated intermediate on the
         streaming probe side of every hash join — only base operands ever
         become resident build tables, which is what bounds the engine's peak
         live rows by the inputs on the paper's blow-up constructions.
+
+        **Estimates.**  :func:`~repro.engine.stats.estimate_join_cardinality`
+        over the members' catalog entries: a key of two or more columns is
+        measured on row samples — a *count* for every candidate; only a
+        surviving chain's joined sample is ever built, lazily, and only its
+        live columns — and a single-column key keeps the exact formula.  The
+        samples ride on ``PlanNode.stats`` while the ordering runs and are
+        dropped before it returns (:func:`_drop_samples`).
+
+        **Ties** break on content: equal scores are ordered by the operands'
+        :func:`_content_key` ranks, so the chain is a function of what is
+        joined, not of the order the query listed it in.  (Which operand of
+        the *first* pair is written left still follows the query — a
+        presentation choice: the pair, the estimates and every later step
+        are the same.)
 
         **Live columns.**  ``needed`` names the columns read above the join
         (``None`` = all).  At every operand and after every step but the
@@ -477,110 +557,127 @@ class Planner:
         and each candidate is scored by that pruned cardinality, not the
         raw join estimate: the order that makes a wide intermediate
         collapsible beats the one with the smaller first join.
-
-        Unlike the materialising ``greedy_join`` (which re-scans all pairs
-        every step and therefore memoises), no estimate is ever needed
-        twice here: the initial pass scores each pair once, and every chain
-        extension scores pairs involving the fresh accumulated node —
-        O(k²) estimator calls in total.
         """
-        nodes: List[PlanNode] = list(parts)
+        operands: List[PlanNode] = list(parts)
+        count = len(operands)
         pruning = needed is not None
-        #: How many chain members (operands, or the accumulated node) read
-        #: each column, and what the catalog knows exactly beneath each.
-        readers: Counter = Counter()
-        bounds: List[InputBounds] = []
-        if pruning:
-            readers.update(name for node in nodes for name in node.scheme.names)
-            bounds = [_input_bounds(node) for node in nodes]
+        read_above = needed if pruning else frozenset()
 
-        def live(node: PlanNode, other: Optional[PlanNode] = None) -> List[str]:
-            """The columns of ``node`` (joined with ``other``) that ``needed``
-            or a chain member besides those two still reads."""
+        def live(
+            readers: Counter, node: PlanNode, other: Optional[PlanNode] = None
+        ) -> List[str]:
+            """The columns of ``node`` (joined with ``other``) that
+            ``needed`` or a chain member besides those two still reads."""
             if other is None:
                 return [
                     name
                     for name in node.scheme.names
-                    if name in needed or readers[name] > 1
+                    if name in read_above or readers[name] > 1
                 ]
             mine, theirs = node.scheme.name_set, other.scheme.name_set
             return [
                 name
                 for name in node.scheme.names
-                if name in needed or readers[name] > 1 + (name in theirs)
+                if name in read_above or readers[name] > 1 + (name in theirs)
             ] + [
                 name
                 for name in other.scheme.names
-                if name not in mine and (name in needed or readers[name] > 1)
+                if name not in mine and (name in read_above or readers[name] > 1)
             ]
 
-        def pruned(index: int) -> PlanNode:
-            node = nodes[index]
-            kept = live(node)
+        def pruned(node: PlanNode, kept: List[str], bounds: InputBounds) -> PlanNode:
             if (
                 len(kept) == len(node.scheme.names)
-                or _pushed_bound(kept, node.est_rows, bounds[index]) is None
+                or _pushed_bound(kept, node.est_rows, bounds) is None
             ):
                 return node
             return self._project(node, node.scheme.restrict(kept), pushed=True)
 
-        def estimate_between(a: int, b: int) -> float:
-            left, right = nodes[a], nodes[b]
+        def score(chain: _Chain, index: int) -> float:
+            """The (pruned) estimated cardinality of ``chain * operands[index]``."""
+            left, right = chain.node, operands[index]
             common = [
                 name for name in left.scheme.names if name in right.scheme.name_set
             ]
             estimate = estimate_join_cardinality(left.stats, right.stats, common)
             if not pruning:
                 return estimate
-            kept = live(left, right)
+            kept = live(chain.readers, left, right)
             if len(kept) == len(left.scheme) + len(right.scheme) - len(common):
                 return estimate
-            bound = _pushed_bound(kept, estimate, bounds[a], bounds[b])
+            bound = _pushed_bound(kept, estimate, chain.bounds, bounds[index])
             return estimate if bound is None else float(bound)
 
-        def join(a: int, b: int) -> int:
-            """Join members ``a`` and ``b`` into a new (pruned) chain member."""
-            joined = self._join_pair(nodes[a], nodes[b])
-            nodes.append(joined)
+        def extend(chain: _Chain, index: int, ranks: Tuple[int, ...], total: float) -> _Chain:
+            """``chain`` joined with ``operands[index]``, as a new chain."""
+            left, right = chain.node, operands[index]
+            members = chain.members + (index,)
+            # What is still read of the join: all its sample needs to carry,
+            # and (when pruning) all a pushed projection would keep.
+            kept = live(chain.readers, left, right)
+            joined = self._join_pair(left, right, kept)
+            readers = chain.readers.copy()
+            readers.subtract(left.scheme.names)
+            readers.subtract(right.scheme.names)
+            readers.update(joined.scheme.names)
+            merged = None
             if pruning:
-                readers.subtract(nodes[a].scheme.names)
-                readers.subtract(nodes[b].scheme.names)
-                readers.update(joined.scheme.names)
-                bounds.append(_merge_bounds(bounds[a], bounds[b]))
-                if remaining:  # after the last join the enclosing projection prunes
-                    nodes[-1] = pruned(len(nodes) - 1)
-            return len(nodes) - 1
+                merged = _merge_bounds(chain.bounds, bounds[index])
+                if len(members) < count:  # after the last join the enclosing projection prunes
+                    joined = pruned(joined, kept, merged)
+            return _Chain(joined, members, ranks, total, readers, merged)
 
-        remaining = list(range(len(nodes)))
+        readers: Counter = Counter(
+            name for node in operands for name in node.scheme.names
+        )
+        bounds: List[Optional[InputBounds]] = [None] * count
         if pruning:
-            nodes = [pruned(index) for index in remaining]
-        best_pair = (remaining[0], remaining[1])
-        best_estimate = math.inf
-        for position, a in enumerate(remaining):
-            for b in remaining[position + 1 :]:
-                candidate = estimate_between(a, b)
-                if candidate < best_estimate:
-                    best_estimate = candidate
-                    best_pair = (a, b)
-        a, b = best_pair
-        remaining = [index for index in remaining if index not in (a, b)]
-        accumulated = join(a, b)
-        while remaining:
-            best_index = remaining[0]
-            best_estimate = math.inf
-            for index in remaining:
-                candidate = estimate_between(accumulated, index)
-                if candidate < best_estimate:
-                    best_estimate = candidate
-                    best_index = index
-            remaining.remove(best_index)
-            accumulated = join(accumulated, best_index)
-        return nodes[accumulated]
+            bounds = [_input_bounds(node) for node in operands]
+            operands = [
+                pruned(node, live(readers, node), bound)
+                for node, bound in zip(operands, bounds)
+            ]
+        order = sorted(range(count), key=lambda index: _content_key(operands[index]))
+        rank = {index: position for position, index in enumerate(order)}
+        beam = [
+            _Chain(node, (index,), (rank[index],), 0.0, readers, bounds[index])
+            for index, node in enumerate(operands)
+        ]
+        for step in range(count - 1):
+            candidates = []
+            for chain in beam:
+                # Each first pair once: a lone operand pairs with later ones.
+                start = chain.members[0] + 1 if step == 0 else 0
+                for index in range(start, count):
+                    if index in chain.members:
+                        continue
+                    ranks = chain.ranks + (rank[index],)
+                    if step == 0:
+                        ranks = tuple(sorted(ranks))
+                    candidates.append(
+                        (chain.score + score(chain, index), ranks, chain, index)
+                    )
+            candidates.sort(key=itemgetter(0, 1))
+            beam, joined_sets = [], set()
+            for total, ranks, chain, index in candidates:
+                joined_set = frozenset(chain.members + (index,))
+                if joined_set not in joined_sets:
+                    joined_sets.add(joined_set)
+                    beam.append(extend(chain, index, ranks, total))
+                    if len(beam) == BEAM_WIDTH:
+                        break
+        return beam[0].node
 
-    def _join_pair(self, left: PlanNode, right: PlanNode) -> PlanNode:
+    def _join_pair(
+        self, left: PlanNode, right: PlanNode, live_names: Sequence[str]
+    ) -> PlanNode:
+        """The hash join of two chain members; ``live_names`` are the output
+        columns something still reads (all the joined sample need carry)."""
         plan = _join_plan(left.scheme, right.scheme)
         common = plan.common_names
-        out_stats = join_stats(left.stats, right.stats, plan.joined_scheme.names, common)
+        out_stats = join_stats(
+            left.stats, right.stats, plan.joined_scheme.names, common, live_names
+        )
 
         # Build-side choice: smaller estimated side, except that a join
         # child (pruned by a pushed projection or not) never becomes the
@@ -594,8 +691,12 @@ class Planner:
         right_is_join = right.chain_join() is not None
         if left_is_join != right_is_join:
             build_side = "right" if left_is_join else "left"
-        else:
+        elif left.est_rows != right.est_rows:
             build_side = "left" if left.est_rows < right.est_rows else "right"
+        else:
+            # A tie breaks on content like every other: which operand the
+            # query wrote first must not decide which one is resident.
+            build_side = "left" if _content_key(left) > _content_key(right) else "right"
         build, probe = (left, right) if build_side == "left" else (right, left)
         if build.kind == "project" and build.dedup:
             # The build table's per-key row sets deduplicate for free; drop
@@ -631,6 +732,7 @@ class Planner:
             children=(left, right),
             join_plan=plan,
             build_side=build_side,
+            provenance=join_estimate_provenance(left.stats, right.stats, common),
             budget=budget,
             est_fanout=est_fanout,
         )

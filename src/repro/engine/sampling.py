@@ -1,39 +1,48 @@
 """Sampling-based cardinality estimation and the adaptive-execution knobs.
 
 The exponential-backoff selectivities of
-:func:`repro.engine.stats.estimate_join_cardinality` keep the greedy join
-ordering *bounded* on the paper's correlated R_G constructions, but they are
-still a guess about value overlap: `tests/test_engine_stats_quality.py`
-pins the step-wise divergence that guessing costs at m≈14.  This module
-replaces the guess with *measurement*:
+:func:`repro.engine.stats.estimate_join_cardinality` are a guess about value
+overlap, and on the paper's correlated R_G constructions — every join key
+4-15 columns wide — the guess is ~10^12 too high.  This module replaces the
+guess with *measurement*:
 
 * :func:`reservoir_sample` draws a uniform row sample (Algorithm R) from a
   relation in one pass;
-* :class:`Sample` carries the sampled rows with their column names and a
+* :class:`Sample` carries sampled rows with their column names and a
   cardinality scale, and estimates **join sizes by joining the samples**
   (``|L ⋈ R| ≈ |S_L ⋈ S_R| · (|L|/|S_L|) · (|R|/|S_R|)`` for uniform row
-  samples) — no independence assumption across join columns at all — plus
-  per-column distinct counts via the GEE scale-up estimator;
-* :func:`sampled_stats` builds a :class:`SampledRelationStats` catalog entry
-  (a :class:`~repro.engine.stats.RelationStats` carrying its sample), which
-  the stats-propagation functions in :mod:`repro.engine.stats` recognise and
-  route through the sample-based estimators, propagating joined samples
-  along the plan so *chain-extension* estimates stay measured too;
-* :class:`AdaptiveConfig` bundles the sampling knobs with the mid-stream
-  re-planning knobs consumed by
-  :class:`~repro.engine.evaluator.EngineEvaluator` (``adaptive=``): the
-  observed/estimated factor that triggers a re-plan, the re-plan budget,
-  and the checkpoint size cap.
+  samples) — no independence assumption across join columns at all.  A
+  sample is **lazy**: its rows are drawn, projected or joined the first
+  time something reads them, so carrying one costs nothing on a plan that
+  never measures;
+* :func:`relation_sample` is the default catalog's sample — the handle
+  :meth:`repro.engine.stats.RelationStats.from_relation` caches with every
+  relation's statistics: :data:`SAMPLE_ROWS` rows, drawn at most once per
+  relation, consulted for composite join keys only;
+* :func:`sampled_stats` builds the ``adaptive=`` catalog entry: drawn now,
+  column statistics estimated from the sample (GEE scale-up), and consulted
+  at every key width;
+* :class:`AdaptiveConfig` bundles the ``adaptive=`` sampling knobs with the
+  mid-stream re-planning knobs consumed by
+  :class:`~repro.engine.evaluator.EngineEvaluator`: the observed/estimated
+  factor that triggers a re-plan, the re-plan budget, and the checkpoint
+  size cap.
+
+Both catalogs run on the one :class:`Sample` implementation, and in both a
+sample is planning scratch: derived samples live as long as one join
+ordering does, and the planner drops every sample before it pins a plan.
 
 Estimation error is tracked: every adaptive evaluation feeds per-operator
 q-errors (``max(est/actual, actual/est)``) into
-:meth:`repro.perf.counters.KernelCounters.record_q_error`, and every sample
-build increments ``sample_builds`` — the statistics the ROADMAP's estimate-
-quality follow-up asked to make measurable.
+:meth:`repro.perf.counters.KernelCounters.record_q_error`; every base-sample
+draw increments ``sample_builds`` and every joined sample whose rows are
+actually built increments ``sample_joins``.
 
-Samples are drawn from :meth:`Relation.sorted_rows` with a caller-provided
-seed, so planning is deterministic under ``PYTHONHASHSEED=random`` — the
-same property the differential fuzz harness already demands of execution.
+Samples are drawn from the relation's rows in their deterministic sorted
+order with a fixed seed, and :meth:`Sample.join` orients its pair by column
+names, not argument order — so planning is deterministic under
+``PYTHONHASHSEED=random`` and indifferent to the order a join's operands
+were written in.
 """
 
 from __future__ import annotations
@@ -41,21 +50,34 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .stats import ColumnStats, RelationStats
+from ..algebra.relation import sort_rows
+from ..perf.counters import kernel_counters
+from .stats import ColumnStats, SampledRelationStats
 
 __all__ = [
+    "SAMPLE_ROWS",
     "AdaptiveConfig",
     "Sample",
     "SampledRelationStats",
     "q_error",
+    "relation_sample",
     "reservoir_sample",
     "sampled_stats",
 ]
 
 Row = Tuple[Hashable, ...]
+
+#: Rows in a relation's cached base sample, and the cap on every joined
+#: sample derived from it during one join ordering.  Not a knob: 128 / 256 /
+#: 512 were measured against beam widths 1-3 on the R_G family
+#: (``docs/PERFORMANCE.md``, "Where the two constants come from").
+SAMPLE_ROWS = 256
 
 #: Mixing constant decorrelating derived sample seeds (golden-ratio prime).
 _SEED_MIX = 0x9E3779B97F4A7C15
@@ -103,7 +125,7 @@ def reservoir_sample(rows: Iterable[Row], k: int, rng: random.Random) -> List[Ro
     return reservoir
 
 
-def _gee_distinct(values: Sequence[Hashable], scale: float) -> int:
+def _gee_distinct(values: Iterable[Hashable], scale: float) -> int:
     """GEE scale-up estimate of a column's distinct count from a sample.
 
     ``d̂ = √scale · f₁ + (d_sample − f₁)`` where ``f₁`` counts values seen
@@ -114,13 +136,27 @@ def _gee_distinct(values: Sequence[Hashable], scale: float) -> int:
     optimal among sampling estimators.  A full sample (``scale == 1``)
     degenerates to the exact distinct count.
     """
-    counts: Dict[Hashable, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
+    counts = Counter(values)
     if scale <= 1.0:
         return len(counts)
     singletons = sum(1 for count in counts.values() if count == 1)
     return int(round(math.sqrt(scale) * singletons + (len(counts) - singletons)))
+
+
+def _key_of(names: Tuple[str, ...], key_names: Sequence[str]) -> Callable[[Row], Hashable]:
+    """``row -> its value on key_names`` (at least one): a bare value for
+    one column, a tuple for several — all a hash lookup needs."""
+    return itemgetter(*map(names.index, key_names))
+
+
+def _pick_of(names: Tuple[str, ...], kept_names: Sequence[str]) -> Callable[[Row], Row]:
+    """``row -> the tuple of its kept_names values`` (any number)."""
+    if len(kept_names) > 1:
+        return _key_of(names, kept_names)
+    if not kept_names:
+        return lambda row: ()
+    position = names.index(kept_names[0])
+    return lambda row: (row[position],)
 
 
 class Sample:
@@ -131,52 +167,89 @@ class Sample:
     so ``scale = est_cardinality / len(rows)`` converts sample counts into
     population estimates.  Base-relation samples carry an exact cardinality;
     joined samples (:meth:`join`) carry the sample-join estimate.
+
+    Rows are **lazy**: a sample built with ``draw`` (a zero-argument callable
+    returning ``(rows, est_cardinality)``) runs it the first time ``rows``,
+    ``est_cardinality`` or ``scale`` is read, then forgets it — and with it
+    whatever the recipe held: a relation's row set, the parent samples.
+    :meth:`project` and :meth:`join` return such samples, so deriving one
+    is free until an estimate measures against it.
+
+    ``composite_only`` marks the default catalog's samples: the estimator
+    consults them for join keys of two or more columns and leaves narrower
+    keys and projections to the exact per-column formulas (see
+    :func:`repro.engine.stats.estimate_join_cardinality`).  Derived samples
+    inherit it.
     """
 
-    __slots__ = ("names", "rows", "est_cardinality", "seed", "join_cap")
+    __slots__ = (
+        "names", "seed", "join_cap", "composite_only", "_rows", "_est", "_draw",
+    )
 
     def __init__(
         self,
         names: Sequence[str],
-        rows: Sequence[Row],
-        est_cardinality: float,
+        rows: Optional[Sequence[Row]] = None,
+        est_cardinality: Optional[float] = None,
         seed: int = 0,
         join_cap: int = 4096,
+        composite_only: bool = False,
+        draw: Optional[Callable[[], Tuple[List[Row], float]]] = None,
     ):
-        """Wrap ``rows`` (aligned with ``names``) scaled to ``est_cardinality``.
+        """Wrap ``rows`` (aligned with ``names``) scaled to
+        ``est_cardinality``, or defer both to ``draw``.
 
         ``join_cap`` bounds the row count of samples derived from this one
         by :meth:`join` — it rides along so the stats-propagation functions
         need no separate configuration channel.
         """
         self.names: Tuple[str, ...] = tuple(names)
-        self.rows: List[Row] = list(rows)
-        self.est_cardinality = float(est_cardinality)
         self.seed = seed
         self.join_cap = join_cap
+        self.composite_only = composite_only
+        self._rows: Optional[List[Row]] = None if draw is not None else list(rows)
+        self._est = None if est_cardinality is None else float(est_cardinality)
+        self._draw = draw
+
+    @property
+    def rows(self) -> List[Row]:
+        """The sampled rows, drawn now if they have not been."""
+        rows = self._rows
+        if rows is None:
+            draw = self._draw
+            if draw is None:  # another thread drew between the two reads
+                return self._rows
+            rows, estimate = draw()
+            if self._est is None:
+                self._est = float(estimate)
+            # Rows before recipe: a racing reader that finds no recipe must
+            # find the rows (a relation's base sample is shared by threads).
+            self._rows = rows
+            self._draw = None
+        return rows
+
+    @property
+    def drawn(self) -> bool:
+        """Whether the rows exist yet (reading this never draws them)."""
+        return self._rows is not None
+
+    @property
+    def est_cardinality(self) -> float:
+        """The estimated cardinality of the sampled population."""
+        if self._est is None:
+            self.rows
+        return self._est
 
     @property
     def scale(self) -> float:
         """Population rows represented by each sample row (≥ 1)."""
         return max(self.est_cardinality / max(len(self.rows), 1), 1.0)
 
-    def _positions(self, names: Sequence[str]) -> List[int]:
-        index = {name: position for position, name in enumerate(self.names)}
-        return [index[name] for name in names]
-
-    def distinct_estimate(self, name: str) -> int:
-        """Estimated population distinct count of one column (GEE scale-up)."""
-        if name not in self.names:
-            return 0
-        position = self.names.index(name)
-        return _gee_distinct([row[position] for row in self.rows], self.scale)
-
     def column_stats(self, name: str) -> ColumnStats:
         """A :class:`ColumnStats` for one column, estimated from the sample."""
         if name not in self.names or not self.rows:
             return ColumnStats(distinct_count=0)
-        position = self.names.index(name)
-        values = [row[position] for row in self.rows]
+        values = list(map(itemgetter(self.names.index(name)), self.rows))
         minimum: Optional[Hashable] = None
         maximum: Optional[Hashable] = None
         try:
@@ -197,83 +270,102 @@ class Sample:
         join size times both sampling fractions, so the estimate is the
         match count scaled by both sides' scales.  Disjoint schemes estimate
         as the full cartesian product.  No cross-column independence is
-        assumed — the joint key is matched as one value.
+        assumed — the joint key is matched as one value.  A count only: no
+        joined row is built, and the answer is the same whichever of the
+        two samples is asked.
         """
         if not common:
             return self.est_cardinality * other.est_cardinality
         if not self.rows or not other.rows:
             return 0.0
-        mine = self._positions(common)
-        theirs = other._positions(common)
-        counts: Dict[Hashable, int] = {}
-        for row in other.rows:
-            key = tuple(row[position] for position in theirs)
-            counts[key] = counts.get(key, 0) + 1
-        matched = 0
-        for row in self.rows:
-            matched += counts.get(tuple(row[position] for position in mine), 0)
-        return matched * self.scale * other.scale
+        counts = Counter(map(_key_of(other.names, common), other.rows))
+        matched = sum(
+            map(counts.get, map(_key_of(self.names, common), self.rows), repeat(0))
+        )
+        return matched * (self.scale * other.scale)
 
     def join(
-        self, other: "Sample", common: Sequence[str], cap: Optional[int] = None
+        self,
+        other: "Sample",
+        common: Sequence[str],
+        est_cardinality: Optional[float] = None,
+        kept_names: Optional[Collection[str]] = None,
     ) -> "Sample":
-        """The joined sample (``left ++ (right − left)`` layout), capped.
+        """The joined sample, capped at the operands' smaller ``join_cap``.
 
         Joining the samples *is* the estimator: the result carries the
-        scaled cardinality estimate from :meth:`join_size` and stays a
+        scaled cardinality estimate (``est_cardinality`` when the caller has
+        already counted it, else :meth:`join_size`) and stays a
         (approximately uniform) row sample of the true join, so chain
         extensions keep estimating against measured data.  Results larger
-        than ``cap`` rows (default: the operands' smaller ``join_cap``) are
-        subsampled back down; disjoint schemes subsample both sides to
-        ``√cap`` first so a product of two large samples never
-        materialises.
+        than the cap are subsampled back down; disjoint schemes subsample
+        both sides to ``√cap`` first so a product of two large samples never
+        materialises.  Only the ``kept_names`` columns are built (default:
+        all) — rows are *not* deduplicated on them, each still stands for
+        one row of the join.
+
+        The pair is oriented by column names before anything is built or
+        seeded, so ``a.join(b)`` and ``b.join(a)`` hold the same rows: what
+        a plan's estimates are measured on does not depend on the order its
+        join was written in.
         """
-        if cap is None:
-            cap = min(self.join_cap, other.join_cap)
-        seed = _derive_seed(self.seed, other.seed, len(self.rows), len(other.rows))
-        rng = random.Random(seed)
-        common_set = frozenset(common)
-        extra_positions = [
-            position
-            for position, name in enumerate(other.names)
-            if name not in common_set
+        left, right = (self, other) if self.names <= other.names else (other, self)
+        kept = frozenset(left.names + right.names if kept_names is None else kept_names)
+        left_kept = [name for name in left.names if name in kept]
+        left_set = frozenset(left.names)
+        right_kept = [
+            name for name in right.names if name in kept and name not in left_set
         ]
-        out_names = self.names + tuple(other.names[p] for p in extra_positions)
-        if not common:
-            side = max(int(math.isqrt(max(cap, 1))), 1)
-            left_rows = self.rows if len(self.rows) <= side else rng.sample(self.rows, side)
-            right_rows = (
-                other.rows if len(other.rows) <= side else rng.sample(other.rows, side)
-            )
-            joined = [
-                row + tuple(other_row[p] for p in extra_positions)
-                for row in left_rows
-                for other_row in right_rows
-            ]
-            return Sample(
-                out_names,
-                joined,
-                self.est_cardinality * other.est_cardinality,
-                seed=seed,
-                join_cap=cap,
-            )
-        estimate = self.join_size(other, common)
-        mine = self._positions(common)
-        theirs = other._positions(common)
-        buckets: Dict[Hashable, List[Tuple]] = {}
-        for row in other.rows:
-            key = tuple(row[position] for position in theirs)
-            buckets.setdefault(key, []).append(
-                tuple(row[p] for p in extra_positions)
-            )
-        joined = []
-        for row in self.rows:
-            for extra in buckets.get(tuple(row[position] for position in mine), ()):
-                joined.append(row + extra)
-        if len(joined) > cap:
-            joined = rng.sample(joined, cap)
+        cap = min(left.join_cap, right.join_cap)
+        # Seeded by what is known without drawing either operand.
+        seed = _derive_seed(left.seed, right.seed, len(left_kept), len(right_kept))
+
+        def draw() -> Tuple[List[Row], float]:
+            rng = random.Random(seed)
+            left_rows, right_rows = left.rows, right.rows
+            if common:
+                estimate = est_cardinality
+                if estimate is None:
+                    estimate = left.join_size(right, common)
+                buckets: Dict[Hashable, List[Row]] = defaultdict(list)
+                for key, extra in zip(
+                    map(_key_of(right.names, common), right_rows),
+                    map(_pick_of(right.names, right_kept), right_rows),
+                ):
+                    buckets[key].append(extra)
+                joined = [
+                    row + extra
+                    for key, row in zip(
+                        map(_key_of(left.names, common), left_rows),
+                        map(_pick_of(left.names, left_kept), left_rows),
+                    )
+                    if key in buckets
+                    for extra in buckets[key]
+                ]
+                if len(joined) > cap:
+                    joined = rng.sample(joined, cap)
+            else:
+                estimate = left.est_cardinality * right.est_cardinality
+                side = max(math.isqrt(max(cap, 1)), 1)
+                if len(left_rows) > side:
+                    left_rows = rng.sample(left_rows, side)
+                if len(right_rows) > side:
+                    right_rows = rng.sample(right_rows, side)
+                extras = list(map(_pick_of(right.names, right_kept), right_rows))
+                joined = [
+                    row + extra
+                    for row in map(_pick_of(left.names, left_kept), left_rows)
+                    for extra in extras
+                ]
+            kernel_counters().add(sample_joins=1)
+            return joined, max(estimate, float(len(joined)))
+
         return Sample(
-            out_names, joined, max(estimate, float(len(joined))), seed=seed, join_cap=cap
+            left_kept + right_kept,
+            seed=seed,
+            join_cap=cap,
+            composite_only=left.composite_only or right.composite_only,
+            draw=draw,
         )
 
     def project(self, kept_names: Sequence[str]) -> "Sample":
@@ -285,20 +377,25 @@ class Sample:
         estimate — the sample analogue of
         :func:`repro.engine.stats.project_stats`.
         """
-        positions = self._positions(kept_names)
-        projected = [tuple(row[p] for p in positions) for row in self.rows]
-        estimate = min(_gee_distinct(projected, self.scale), self.est_cardinality)
-        distinct_rows = list(dict.fromkeys(projected))
+        kept = tuple(kept_names)
+
+        def draw() -> Tuple[List[Row], float]:
+            projected = list(map(_pick_of(self.names, kept), self.rows))
+            estimate = min(_gee_distinct(projected, self.scale), self.est_cardinality)
+            distinct_rows = list(dict.fromkeys(projected))
+            return distinct_rows, max(float(estimate), float(len(distinct_rows)))
+
         return Sample(
-            tuple(kept_names),
-            distinct_rows,
-            max(float(estimate), float(len(distinct_rows))),
-            seed=_derive_seed(self.seed, len(positions)),
+            kept,
+            seed=_derive_seed(self.seed, len(kept)),
             join_cap=self.join_cap,
+            composite_only=self.composite_only,
+            draw=draw,
         )
 
-    def stats(self, output_names: Sequence[str]) -> "SampledRelationStats":
-        """Wrap this sample as a catalog entry over ``output_names``."""
+    def stats(self, output_names: Sequence[str]) -> SampledRelationStats:
+        """Wrap this sample as a catalog entry over ``output_names``, every
+        number estimated from the sampled rows."""
         cardinality = max(int(round(self.est_cardinality)), 0)
         columns = {name: self.column_stats(name) for name in output_names}
         capped = {
@@ -314,26 +411,36 @@ class Sample:
         )
 
     def __repr__(self) -> str:
+        if not self.drawn:
+            return f"Sample(not drawn, columns={list(self.names)})"
         return (
-            f"Sample({len(self.rows)} rows of ~{self.est_cardinality:.0f}, "
+            f"Sample({len(self._rows)} rows of ~{self._est:.0f}, "
             f"columns={list(self.names)})"
         )
 
 
-@dataclass(frozen=True)
-class SampledRelationStats(RelationStats):
-    """A catalog entry that carries the sample its estimates came from.
+def relation_sample(names: Sequence[str], rows: Collection[Row]) -> Sample:
+    """The default catalog's sample of one relation's ``rows``: a handle.
 
-    Behaves exactly like :class:`~repro.engine.stats.RelationStats` for
-    every existing consumer; the stats-propagation functions
-    (:func:`~repro.engine.stats.estimate_join_cardinality`,
-    :func:`~repro.engine.stats.join_stats`,
-    :func:`~repro.engine.stats.project_stats`) detect the ``sample`` field
-    on *both* operands and switch to the sample-based estimators, so mixed
-    sampled/unsampled plans degrade gracefully to the backoff formulas.
+    Nothing is drawn until a composite-key estimate reads the sample; then
+    :data:`SAMPLE_ROWS` rows are taken (Algorithm R, fixed seed) from the
+    rows in their deterministic sorted order, once — the handle is cached
+    with the relation's statistics, so *construction is invalidation* and an
+    unchanged relation never re-samples (``sample_builds`` counts draws).
+    It holds the row set, not the relation (no cycle through
+    ``Relation._stats``), and lets go of it once drawn.  A function of the
+    rows alone: no operand name seeds it, a relation may be bound under
+    several.
     """
+    count = float(len(rows))
 
-    sample: Optional[Sample] = None
+    def draw() -> Tuple[List[Row], float]:
+        kernel_counters().add(sample_builds=1)
+        return reservoir_sample(sort_rows(rows), SAMPLE_ROWS, random.Random(0)), count
+
+    return Sample(
+        names, est_cardinality=count, join_cap=SAMPLE_ROWS, composite_only=True, draw=draw
+    )
 
 
 def sampled_stats(
@@ -343,7 +450,7 @@ def sampled_stats(
     name: Optional[str] = None,
     join_cap: int = 4096,
 ) -> SampledRelationStats:
-    """Build the sampled catalog entry for a relation.
+    """Build the ``adaptive=`` sampled catalog entry for a relation.
 
     Rows are drawn by :func:`reservoir_sample` from the relation's
     deterministic sorted order, seeded by ``seed`` and (stably) by ``name``
@@ -352,8 +459,6 @@ def sampled_stats(
     exact.  Each build increments the ``sample_builds`` perf counter, which
     is how the re-sample-on-invalidation contract is asserted.
     """
-    from ..perf.counters import kernel_counters
-
     salt = zlib.crc32(name.encode("utf-8")) if name else 0
     rng = random.Random(_derive_seed(seed, salt))
     rows = reservoir_sample(relation.sorted_rows(), sample_size, rng)

@@ -20,29 +20,41 @@ Stats can also be *assumed* (:meth:`RelationStats.assumed`) for planning
 without data — the ``repro engine-explain`` CLI uses this to explain a plan
 from schemes and declared cardinalities alone.
 
-Since the adaptive-estimation PR the propagation functions are also
-**sample-aware**: when *both* operands of :func:`estimate_join_cardinality`
-/ :func:`join_stats` (or the child of :func:`project_stats`) carry a
-``sample`` attribute — a :class:`repro.engine.sampling.Sample`, attached by
-:func:`repro.engine.sampling.sampled_stats` — the estimate is computed by
-joining/projecting the samples instead of multiplying backed-off
-selectivities, and the derived entry carries the propagated sample so
-chain extensions stay measured.  The dispatch is duck-typed (``getattr``)
-so this module keeps importing nothing from :mod:`repro.engine.sampling`
-(which imports it) or :mod:`repro.algebra`: it reads relations duck-typed
-(``.scheme.names`` / ``.rows``), which lets ``Relation.stats()`` import it
-lazily without a cycle.
+Two estimators answer ``|L * R|``, chosen by **key width**.  A join on at
+most one shared column keeps the exact per-column formula (distinct counts
+are exact, and one column has no correlation to get wrong).  A join on two
+or more is *measured*: the backed-off selectivities are ~10^12 too high on
+the paper's R_G (every key is 4-15 correlated columns wide), so an entry
+with data behind it — a :class:`SampledRelationStats` — carries a bounded
+row :class:`~repro.engine.sampling.Sample` and the estimate is the scaled
+size of the sample join.  The default catalog's sample is **lazy**:
+:meth:`RelationStats.from_relation` attaches a handle that holds the
+relation's row set (not the relation: no cycle through ``Relation._stats``)
+and draws :data:`~repro.engine.sampling.SAMPLE_ROWS` rows the first time a
+composite-key estimate asks, once per relation — construction is
+invalidation for the sample exactly as for the counts.  Derived entries
+(:func:`join_stats` / :func:`project_stats`) carry derived samples that are
+just as lazy, so a plan whose joins all share one column draws nothing.
+Data-less entries (:meth:`RelationStats.assumed`) have no sample and keep
+the formula at every width.  ``adaptive=`` entries
+(:func:`repro.engine.sampling.sampled_stats`) differ in one bit: their
+samples measure single-column keys and projections too.
+
+Samples are planning scratch: the planner drops them from every node before
+a plan is pinned (:meth:`RelationStats.bare`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
+    "MEASURED_KEY_WIDTH",
     "ColumnStats",
     "RelationStats",
+    "SampledRelationStats",
     "estimate_join_cardinality",
     "estimate_partition_count",
     "estimate_spill_depth",
@@ -77,24 +89,49 @@ def _ledger_observation(left, right, common) -> Optional[int]:
     return ledger.lookup(left_names | right_names, columns)
 
 
+#: A join on at least this many shared columns is measured on row samples
+#: wherever both operands have data behind them; narrower keys keep the
+#: per-column formula, which is exact in the one place it cannot be wrong
+#: about correlation.  Not a knob: ``adaptive=`` is the way to measure
+#: single-column keys too.
+MEASURED_KEY_WIDTH = 2
+
+
+def _measuring_samples(left, right, common):
+    """The two row samples ``left ⋈ right`` is measured on, or ``None``
+    where the formula answers: an operand without data, or a key narrower
+    than :data:`MEASURED_KEY_WIDTH` under a default-catalog sample."""
+    left_sample = getattr(left, "sample", None)
+    right_sample = getattr(right, "sample", None)
+    if left_sample is None or right_sample is None:
+        return None
+    if len(common) < MEASURED_KEY_WIDTH and (
+        left_sample.composite_only or right_sample.composite_only
+    ):
+        return None
+    return left_sample, right_sample
+
+
 def join_estimate_provenance(left, right, common) -> str:
-    """Where the estimate for ``left ⋈ right`` would come from.
+    """Where the estimate for ``left ⋈ right`` comes from.
 
     Returns ``"observed-ledger"`` when the plan store's ledger holds the
     measured cardinality for this exact operand set, ``"sampled"`` when
-    both entries carry row samples (the sample-join estimator), and
-    ``"backoff"`` for the exponential-backoff selectivity formula — the
-    same dispatch order as :func:`estimate_join_cardinality`, exposed so
-    ``repro engine-explain --adaptive`` can report per-node provenance.
+    both entries carry ``adaptive=`` samples (the sample-join estimator at
+    every key width), ``"sampled-composite"`` when the default catalog
+    measured a composite key, and ``"backoff"`` for the selectivity formula
+    — the same dispatch order as :func:`estimate_join_cardinality`.  The
+    planner records it on each join node at planning time, which is what
+    ``repro engine-explain --paper`` prints.
     """
     if _ledger_observation(left, right, common) is not None:
         return "observed-ledger"
-    if (
-        getattr(left, "sample", None) is not None
-        and getattr(right, "sample", None) is not None
-    ):
-        return "sampled"
-    return "backoff"
+    samples = _measuring_samples(left, right, common)
+    if samples is None:
+        return "backoff"
+    if samples[0].composite_only or samples[1].composite_only:
+        return "sampled-composite"
+    return "sampled"
 
 
 def _rewrap(derived, *parents):
@@ -156,8 +193,15 @@ class RelationStats:
     columns: Mapping[str, ColumnStats]
 
     @classmethod
-    def from_relation(cls, relation) -> "RelationStats":
-        """Compute the catalog entry for a relation in one pass over its rows."""
+    def from_relation(cls, relation) -> "SampledRelationStats":
+        """Compute the catalog entry for a relation in one pass over its rows.
+
+        The counts are exact; the entry also carries the handle of the
+        relation's row sample, which draws nothing until a composite-key
+        estimate asks (see the module docstring).
+        """
+        from .sampling import relation_sample  # sampling imports this module
+
         names: Tuple[str, ...] = relation.scheme.names
         rows = relation.rows
         value_sets: Tuple[set, ...] = tuple(set() for _ in names)
@@ -168,7 +212,9 @@ class RelationStats:
             name: ColumnStats.from_values(values)
             for name, values in zip(names, value_sets)
         }
-        return cls(cardinality=len(rows), columns=columns)
+        return SampledRelationStats(
+            cardinality=len(rows), columns=columns, sample=relation_sample(names, rows)
+        )
 
     @classmethod
     def assumed(
@@ -199,6 +245,33 @@ class RelationStats:
         """The :class:`ColumnStats` of a column, or ``None`` if unknown."""
         return self.columns.get(name)
 
+    def bare(self) -> "RelationStats":
+        """The entry's numbers alone — what a pinned plan node keeps.
+
+        Samples (and the ledger handle of a plan-store entry) are planning
+        scratch; a plan that outlives planning must not hold them.
+        """
+        if type(self) is RelationStats:
+            return self
+        return RelationStats(self.cardinality, self.columns)
+
+
+@dataclass(frozen=True)
+class SampledRelationStats(RelationStats):
+    """A catalog entry with data behind it: it carries a row sample.
+
+    ``sample`` is a :class:`repro.engine.sampling.Sample` —
+    the lazily drawn one of :meth:`RelationStats.from_relation`, the eager
+    one of :func:`repro.engine.sampling.sampled_stats`, or one derived from
+    those by :func:`join_stats` / :func:`project_stats`.  Behaves exactly
+    like :class:`RelationStats` for every consumer; the propagation
+    functions below find the ``sample`` on *both* operands and measure
+    where :func:`estimate_join_cardinality` says they do, so a join with a
+    data-less entry degrades to the formula.
+    """
+
+    sample: Optional[object] = field(default=None, compare=False, repr=False)
+
 
 def estimate_join_cardinality(
     left: RelationStats, right: RelationStats, common: Sequence[str]
@@ -222,11 +295,13 @@ def estimate_join_cardinality(
     whose cardinalities are exact, where the compounding is mild; this
     estimator is applied to *propagated* statistics along a whole plan.)
 
-    When **both** entries carry a row sample
-    (:class:`repro.engine.sampling.SampledRelationStats`), the backoff
-    formula is bypassed entirely: the estimate is the scaled size of the
-    *sample join* (:meth:`repro.engine.sampling.Sample.join_size`), which
-    measures the joint-key overlap instead of assuming anything about it.
+    Where both entries have data behind them and the key is wide enough
+    (:func:`_measuring_samples`: two or more columns, or any width under
+    ``adaptive=``) the formula is bypassed entirely: the estimate is the
+    scaled size of the *sample join*
+    (:meth:`repro.engine.sampling.Sample.join_size`, a count — no joined
+    row is built), which measures the joint-key overlap instead of
+    assuming anything about it.
 
     And before either estimator runs, a ledger-backed entry (attached by
     the plan store) is checked for the **observed** cardinality of this
@@ -236,10 +311,9 @@ def estimate_join_cardinality(
     observed = _ledger_observation(left, right, common)
     if observed is not None:
         return float(observed)
-    left_sample = getattr(left, "sample", None)
-    right_sample = getattr(right, "sample", None)
-    if left_sample is not None and right_sample is not None:
-        return left_sample.join_size(right_sample, common)
+    samples = _measuring_samples(left, right, common)
+    if samples is not None:
+        return samples[0].join_size(samples[1], common)
     size = float(left.cardinality * right.cardinality)
     if not common or size == 0.0:
         return size
@@ -304,6 +378,7 @@ def join_stats(
     right: RelationStats,
     output_names: Sequence[str],
     common: Sequence[str],
+    sample_names: Optional[Sequence[str]] = None,
 ) -> RelationStats:
     """Propagate stats through a natural join.
 
@@ -312,19 +387,12 @@ def join_stats(
     key values), and every column's distinct count is capped at the estimated
     output cardinality.
 
-    When both entries carry samples the propagated entry is derived from
-    the **joined sample** instead (cardinality, per-column distinct counts,
-    and the sample itself ride along), so every later estimate against this
-    node stays sample-based.
+    When both entries carry samples the derived entry carries the **joined
+    sample** (lazy: rows are built only if a later estimate measures
+    against it, and then only the ``sample_names`` columns — the planner
+    passes the ones something still reads), so every later estimate against
+    this node can be measured too.
     """
-    left_sample = getattr(left, "sample", None)
-    right_sample = getattr(right, "sample", None)
-    if left_sample is not None and right_sample is not None:
-        return _rewrap(
-            left_sample.join(right_sample, common).stats(output_names),
-            left,
-            right,
-        )
     cardinality = estimate_join_cardinality(left, right, common)
     cap = max(int(cardinality), 0)
     common_set = frozenset(common)
@@ -338,12 +406,25 @@ def join_stats(
         else:
             source = left_column if left_column is not None else right_column
             distinct = source.distinct_count if source is not None else cap
+        if source is not None and source.distinct_count == distinct <= cap:
+            columns[name] = source  # immutable, and already says exactly this
+            continue
         columns[name] = ColumnStats(
             distinct_count=min(distinct, cap) if cap else 0,
             minimum=source.minimum if source is not None else None,
             maximum=source.maximum if source is not None else None,
         )
-    return _rewrap(RelationStats(cardinality=cap, columns=columns), left, right)
+    left_sample = getattr(left, "sample", None)
+    right_sample = getattr(right, "sample", None)
+    if left_sample is None or right_sample is None:
+        derived = RelationStats(cardinality=cap, columns=columns)
+    else:
+        derived = SampledRelationStats(
+            cardinality=cap,
+            columns=columns,
+            sample=left_sample.join(right_sample, common, cardinality, sample_names),
+        )
+    return _rewrap(derived, left, right)
 
 
 def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationStats:
@@ -352,12 +433,16 @@ def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationSt
     The output cardinality is bounded both by the child cardinality and by
     the product of the kept columns' distinct counts (the projection cannot
     produce more rows than distinct value combinations).  A child entry
-    carrying a sample propagates the projected (deduplicated) sample
-    instead.
+    carrying a sample propagates the projected (deduplicated) sample —
+    lazily, and the formula above still answers, unless the sample is an
+    ``adaptive=`` one: that is projected now and the entry's numbers are
+    read off it.
     """
-    child_sample = getattr(child, "sample", None)
-    if child_sample is not None:
-        return _rewrap(child_sample.project(kept_names).stats(kept_names), child)
+    sample = getattr(child, "sample", None)
+    if sample is not None:
+        sample = sample.project(kept_names)
+        if not sample.composite_only:
+            return _rewrap(sample.stats(kept_names), child)
     bound = 1
     for name in kept_names:
         bound *= max(child.distinct(name), 1)
@@ -373,4 +458,10 @@ def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationSt
         )
         for name in kept_names
     }
-    return _rewrap(RelationStats(cardinality=cardinality, columns=columns), child)
+    if sample is None:
+        derived = RelationStats(cardinality=cardinality, columns=columns)
+    else:
+        derived = SampledRelationStats(
+            cardinality=cardinality, columns=columns, sample=sample
+        )
+    return _rewrap(derived, child)

@@ -100,10 +100,16 @@ class KernelCounters:
     #: the fork backend, one rebuild attempt) failed.  Always paired with a
     #: ``warnings.warn`` and a trace degradation event — never silent.
     serial_fallbacks: int = 0
-    #: Reservoir samples built for the sampling-based estimator (one per
-    #: ``repro.engine.sampling.sampled_stats`` call) — re-sampling after a
-    #: relation invalidation shows up here.
+    #: Base samples drawn for the sampling-based estimator: one per relation
+    #: whose cached sample a composite-key estimate first reads
+    #: (``repro.engine.sampling.relation_sample``) and one per ``adaptive=``
+    #: ``sampled_stats`` call — re-sampling after a relation invalidation
+    #: shows up here.
     sample_builds: int = 0
+    #: Joined samples whose rows were actually built during join ordering
+    #: (candidates are scored by a count; only a surviving chain that gets
+    #: extended builds rows) — the planner's cost, as a count.
+    sample_joins: int = 0
     #: Plan builds that reused a warm reservoir sample from the plan store's
     #: identity-keyed cache instead of re-sampling an unchanged relation.
     sample_cache_hits: int = 0

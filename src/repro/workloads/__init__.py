@@ -21,6 +21,7 @@ from .ordering import (
     actual_greedy_order,
     capped_join_size,
     chain_peak,
+    chain_sizes,
     join_parts,
     planner_join_order,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "actual_greedy_order",
     "capped_join_size",
     "chain_peak",
+    "chain_sizes",
     "join_parts",
     "planner_join_order",
     "serving_queries",

@@ -1,11 +1,12 @@
 """Join-ordering quality instrumentation.
 
 The estimate-quality suite (``tests/test_engine_stats_quality.py``, which
-carries the ordering gate at m = 4..14) compares the planner's greedy join
-ordering against the *actual-size greedy oracle*: at every step pick the
-operand whose real (streamed, capped) join cardinality with the accumulated
-chain is smallest.  The oracle and the helpers that read an order back out
-of a pinned plan live here.
+carries the ordering gate at m = 4..14) compares the planner's join
+ordering — a two-wide beam over measured estimates — against the
+*actual-size greedy oracle*: at every step pick the operand whose real
+(streamed, capped) join cardinality with the accumulated chain is smallest.
+The oracle and the helpers that read an order back out of a pinned plan
+live here.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "actual_greedy_order",
     "capped_join_size",
     "chain_peak",
+    "chain_sizes",
     "join_parts",
     "planner_join_order",
 ]
@@ -65,14 +67,19 @@ def join_parts(query, relation: Relation) -> List[Relation]:
     ]
 
 
-def chain_peak(part_relations: List[Relation], order: List[int]) -> int:
-    """Peak materialised intermediate along one left-deep join order."""
+def chain_sizes(part_relations: List[Relation], order: List[int]) -> List[int]:
+    """The real cardinality of every join along one left-deep join order."""
     accumulated = part_relations[order[0]].natural_join(part_relations[order[1]])
-    peak = len(accumulated)
+    sizes = [len(accumulated)]
     for index in order[2:]:
         accumulated = accumulated.natural_join(part_relations[index])
-        peak = max(peak, len(accumulated))
-    return peak
+        sizes.append(len(accumulated))
+    return sizes
+
+
+def chain_peak(part_relations: List[Relation], order: List[int]) -> int:
+    """Peak materialised intermediate along one left-deep join order."""
+    return max(chain_sizes(part_relations, order))
 
 
 def actual_greedy_order(
@@ -105,12 +112,13 @@ def planner_join_order(
     part_relations: List[Relation],
     evaluator: Optional[EngineEvaluator] = None,
 ) -> List[int]:
-    """The planner's greedy join order, read off its pinned plan's chain.
+    """The planner's join order, read off its pinned plan's chain.
 
-    ``evaluator`` selects the estimator under test — a default
-    :class:`~repro.engine.evaluator.EngineEvaluator` for the
-    exponential-backoff formulas, ``EngineEvaluator(adaptive=True)`` for
-    sampling-based estimation.  The chain is read *through* the planner's
+    ``evaluator`` selects the catalog under test — a default
+    :class:`~repro.engine.evaluator.EngineEvaluator` (composite keys
+    measured on the relation's cached sample) or
+    ``EngineEvaluator(adaptive=True)`` (every estimate measured, on freshly
+    drawn samples).  The chain is read *through* the planner's
     pushed projections; each leaf is the operand whose scheme holds its
     columns (a pushed projection may have narrowed the leaf itself).
     """

@@ -5,6 +5,10 @@
 reproducible, while CI passes explicit seeds per matrix leg so the harness
 explores different instances under ``PYTHONHASHSEED=random`` without losing
 the ability to replay a failure (``pytest --fuzz-seed <N>``).
+
+``--full-ordering-sweep`` widens ``tests/test_engine_ordering.py``'s
+clause-order sweep from tier-1's 4 formulas x 8 orders to the 12 x 24 CI
+runs (``-k ordering_sweep --full-ordering-sweep``, about two minutes).
 """
 
 import pytest
@@ -19,6 +23,17 @@ def pytest_addoption(parser):
         default=DEFAULT_FUZZ_SEED,
         help="base seed for the engine differential fuzz harness",
     )
+    parser.addoption(
+        "--full-ordering-sweep",
+        action="store_true",
+        help="run the 12-formula x 24-order R_G clause-order sweep (CI)",
+    )
+
+
+@pytest.fixture
+def full_ordering_sweep(request):
+    """Whether the clause-order sweep runs in full (CI) or tier-1's slice."""
+    return request.config.getoption("--full-ordering-sweep")
 
 
 @pytest.fixture

@@ -1,0 +1,408 @@
+"""Join ordering: measured estimates, a two-wide beam, ties broken on content.
+
+What the default planner promises since it stopped guessing composite keys
+(``docs/ENGINE.md``, "Planner decisions"), pinned as counts:
+
+* **a plan is a function of what is joined** — permuting a join's operands
+  changes neither the answer nor one streamed row, and on the R_G family the
+  same formula listed in a different clause order (a permutation *and* a
+  column renaming, so not literally the same query) lands within 1.25x of its
+  own best order and within 1.1x of the best order the position-tie-breaking
+  planner ever found for it;
+* **samples are scratch** — none on any node of a pinned plan, default or
+  ``adaptive=``; drawn once per relation, and again only for a new relation;
+* **the bypass** — a plan whose joins all share one column draws no sample
+  and is byte-for-byte the plan the formula-only planner built;
+* **planning is deterministic and bounded** — one ``explain()`` under any
+  ``PYTHONHASHSEED``, at most two joined samples built per chain step, none
+  past the cap.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import threading
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from repro.algebra import Relation, RelationScheme
+from repro.api import Session
+from repro.engine import EngineEvaluator, Sample
+from repro.engine.sampling import SAMPLE_ROWS, relation_sample
+from repro.expressions import Projection, parse_expression
+from repro.expressions.ast import Join, Operand
+from repro.perf import kernel_counters
+from repro.reductions.rg import RGConstruction
+from repro.sat.cnf import CNFFormula
+from repro.workloads import (
+    growing_construction_family,
+    serving_queries,
+    serving_relations,
+)
+
+from test_engine_pruning import _reference
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _rg_query(formula):
+    construction = RGConstruction(formula)
+    query = Projection([construction.s_attribute], construction.expression)
+    return query, construction.relation
+
+
+def _m12(seed=13):
+    return growing_construction_family(clause_counts=(12,), seed=seed)[0].formula
+
+
+def _sample_delta(before):
+    delta = kernel_counters().delta_since(before)
+    return delta["sample_builds"], delta["sample_joins"]
+
+
+# -- a plan is a function of what is joined --------------------------------
+
+ATTRIBUTES = tuple("ABCDE")
+
+
+@st.composite
+def permuted_joins(draw):
+    """``project[X](R0 * ... * Rk)`` and the same join with its operands
+    shuffled: 3-5 relations of 2-4 columns over five small-domain
+    attributes, so most join keys are composite and cost ties are common."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(3, 5))
+    domain = {name: rng.choice((2, 3, 4)) for name in ATTRIBUTES}
+    operands, bound = [], {}
+    for index in range(count):
+        names = rng.sample(ATTRIBUTES, rng.randint(2, 4))
+        rows = {
+            tuple(rng.randrange(domain[name]) for name in names)
+            for _ in range(rng.randint(1, 40))
+        }
+        operand = Operand(f"R{index}", RelationScheme(names))
+        bound[operand.name] = Relation.from_rows(
+            operand.scheme, sorted(rows), name=operand.name
+        )
+        operands.append(operand)
+    join = Join(operands)
+    names = list(join.target_scheme().names)
+    target = rng.sample(names, rng.randint(1, len(names)))
+    shuffled = operands[:]
+    rng.shuffle(shuffled)
+    return Projection(target, join), Projection(target, Join(shuffled)), bound
+
+
+def _joined_operands(plan):
+    """Per chain join, the *set* of operands beneath it (the first pair's
+    left/right is presentation and may follow the query's wording)."""
+    sets = []
+
+    def scans(node):
+        if node.kind == "scan":
+            return frozenset((node.operand_name,))
+        names = frozenset().union(*(scans(child) for child in node.children))
+        if node.kind == "hash-join":
+            sets.append(names)
+        return names
+
+    scans(plan.root)
+    return sets
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(permuted_joins())
+def test_permuting_a_joins_operands_changes_neither_answer_nor_work(case):
+    written, permuted, bound = case
+    reference = _reference(written, bound)
+    assume(len(reference) <= 5000)
+    outcomes = []
+    for query in (written, permuted):
+        evaluator = EngineEvaluator()
+        result, trace = evaluator.evaluate(query, bound)
+        assert result.project(reference.scheme.names) == reference, query.to_text()
+        outcomes.append(
+            (trace.total_intermediate_tuples, _joined_operands(evaluator.pinned_plan(query)))
+        )
+    assert outcomes[0] == outcomes[1], (written.to_text(), permuted.to_text())
+
+
+#: Best ``total_intermediate_tuples`` the position-tie-breaking planner (the
+#: parent of the PR that measured composite keys) found for each m = 12
+#: formula over the clause orders of :func:`_clause_orders`: first eight
+#: orders (tier-1's slice), then all twenty-four (the CI sweep).
+PARENT_BEST_OF_8 = {13: 13244, 1: 6327, 2: 5482, 3: 21701}
+PARENT_BEST_OF_24 = {
+    13: 13244, 1: 6327, 2: 5391, 3: 14809, 4: 10702, 5: 5451,
+    6: 9296, 7: 10492, 8: 11952, 9: 7298, 10: 6307, 11: 15813,
+}
+
+
+def _clause_orders(formula, count):
+    """The formula as written, then ``count - 1`` seeded shuffles of its
+    clauses — each a different R_G (columns are named by clause position)."""
+    yield formula
+    for shuffle in range(1, count):
+        clauses = list(formula.clauses)
+        random.Random(shuffle).shuffle(clauses)
+        yield CNFFormula(clauses)
+
+
+def _intermediate_rows(formula):
+    query, relation = _rg_query(formula)
+    _, trace = EngineEvaluator().evaluate(query, {"R": relation})
+    return trace.total_intermediate_tuples
+
+
+def test_ordering_sweep(full_ordering_sweep):
+    """Clause order moves ``engine.intermediate_rows`` by at most 1.25x per
+    formula (3.8x under position tie-breaks; up to 14x over 24 orders), and
+    no order is worse than 1.1x the best the old planner ever found for
+    that formula in the same eight orders.
+
+    The full sweep's second bound is 1.35x, not 1.1x: the best of
+    *twenty-four* position-broken orders is a luckier draw, and on five of
+    the twelve formulas the worst order here lands 1.16-1.31x above it.
+    The worst is seed 6: every order reads 10,613-12,129 rows against a
+    luckiest 9,296 (whose other twenty-three orders read up to 34,876) —
+    and a four-wide beam over *exact* sizes stops at 10,613 there too, so
+    that one is the search's limit, not the estimator's.
+    """
+    bests, orders, slack = PARENT_BEST_OF_8, 8, 1.1
+    if full_ordering_sweep:
+        bests, orders, slack = PARENT_BEST_OF_24, 24, 1.35
+    for seed, parent_best in bests.items():
+        rows = [_intermediate_rows(f) for f in _clause_orders(_m12(seed), orders)]
+        assert max(rows) <= 1.25 * min(rows), (seed, rows)
+        assert max(rows) <= slack * parent_best, (seed, rows, parent_best)
+
+
+# -- samples are scratch ----------------------------------------------------
+
+
+def _entries(node):
+    yield node.stats
+    for child in node.children:
+        yield from _entries(child)
+
+
+@pytest.mark.parametrize("adaptive", [None, True])
+def test_a_pinned_plan_holds_no_sample(adaptive):
+    query, relation = _rg_query(_m12())
+    evaluator = EngineEvaluator(adaptive=adaptive, planstore=adaptive)
+    before = kernel_counters().snapshot()
+    plan = evaluator.plan_for(query, {"R": relation})
+    assert _sample_delta(before)[1] > 0  # it was measured on joined samples
+    for entry in _entries(plan.root):
+        assert not hasattr(entry, "sample") and not hasattr(entry, "ledger")
+    # ... and every join still says where its estimate came from.
+    provenance = {
+        node.provenance for node in EngineEvaluator._join_nodes(plan.root)
+    }
+    assert provenance <= ({"sampled"} if adaptive else {"sampled-composite", "backoff"})
+
+
+def test_a_replanned_join_says_the_ledger_answered():
+    """Provenance is recorded when a join is costed, so a plan costed again
+    after an execution — the plan store's ledger now holds what each join
+    streamed — reports ``observed-ledger`` from a bare node."""
+    relations = serving_relations()
+    schemes = {name: relation.scheme for name, relation in relations.items()}
+    query = parse_expression("project[A, C, D](R * S * T)", schemes)
+    evaluator = EngineEvaluator(planstore=True)
+
+    def provenance():
+        plan = evaluator.plan_for(query, relations)
+        return [node.provenance for node in EngineEvaluator._join_nodes(plan.root)]
+
+    assert provenance() == ["backoff", "backoff"]  # single-column keys
+    evaluator.evaluate(query, relations)
+    evaluator.forget_plan(query, forget_learned=False)
+    assert provenance() == ["observed-ledger", "observed-ledger"]
+
+
+def test_a_relations_sample_is_drawn_once_and_again_only_for_new_rows():
+    query, relation = _rg_query(_m12())
+    with Session({"R": relation}, backend="engine") as session:
+        before = kernel_counters().snapshot()
+        session.prepare(query).execute()
+        assert _sample_delta(before)[0] == 1
+        # A second composite-key plan over the unchanged relation: no draw.
+        before = kernel_counters().snapshot()
+        session.prepare(Projection(["F1"], query.child)).execute()
+        assert _sample_delta(before)[0] == 0
+        # A mutated relation is a new object with an undrawn sample.
+        rows = relation.sorted_rows()
+        session.set_relation("R", Relation.from_rows(relation.scheme, rows[:-1], name="R"))
+        before = kernel_counters().snapshot()
+        session.prepare(query).execute()
+        assert _sample_delta(before)[0] == 1
+        before = kernel_counters().snapshot()
+        session.prepare(query).execute()
+        assert _sample_delta(before)[0] == 0
+
+
+def test_the_sample_handle_does_not_hold_its_relation():
+    """It holds the row set until drawn and nothing but the sample after:
+    no cycle through ``Relation._stats``, no big relation kept alive."""
+    rows = [(i, i % 7) for i in range(1000)]
+    sample = relation_sample(("A", "B"), frozenset(rows))
+    assert not sample.drawn and sample.est_cardinality == 1000.0
+    assert not sample.drawn  # a base sample knows its population undrawn
+    assert len(sample.rows) == SAMPLE_ROWS and sample.drawn
+    assert set(sample.rows) <= set(rows)
+    assert sample._draw is None
+
+
+def test_threads_racing_to_draw_one_sample_all_read_the_same_rows():
+    """A relation's sample handle is shared by every thread that plans over
+    it, and is drawn without a lock: a racing reader either draws the same
+    rows itself (the draw is a function of the rows) or finds them."""
+    threads, results, errors = 8, [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(20):
+            rows = frozenset((i, i % 11, attempt) for i in range(600))
+            sample = relation_sample(("A", "B", "C"), rows)
+            barrier = threading.Barrier(threads)
+
+            def read():
+                try:
+                    barrier.wait(timeout=10)
+                    results.append((attempt, sample.est_cardinality, tuple(sample.rows)))
+                except Exception as error:  # surfaced below, with the rest
+                    errors.append(error)
+
+            workers = [threading.Thread(target=read) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 20 * threads
+    assert len(set(results)) == 20  # one answer per relation, whoever drew it
+    assert all(len(rows) == SAMPLE_ROWS for _, _, rows in results)
+
+
+# -- the bypass -------------------------------------------------------------
+
+JOIN_100K_QUERIES = (
+    "project[G, K](R * S * T)",
+    "project[O, G](R * S)",
+    "project[C, K](R * T)",
+)
+
+
+def _join_100k_slice(rows=2000, seed=7):
+    """The ladder's ``join_100k`` relations, ``R`` cut to 2,000 rows."""
+    rng = random.Random(seed)
+    picked = set()
+    while len(picked) < rows:
+        picked.add((rng.randrange(20_000), rng.randrange(5_250), rng.randrange(2_100)))
+    return {
+        "R": Relation.from_rows("O C P", sorted(picked), name="R"),
+        "S": Relation.from_rows(
+            "C G", [(c, rng.randrange(50)) for c in range(5_000)], name="S"
+        ),
+        "T": Relation.from_rows(
+            "P K", [(p, rng.randrange(40)) for p in range(2_000)], name="T"
+        ),
+    }
+
+
+def test_single_column_joins_draw_no_sample_and_plan_as_before():
+    """All eight serving queries and the three ``join_100k`` queries join
+    on one column each: the per-column formula answers, nothing is sampled,
+    and ``explain()`` is the text the formula-only planner printed."""
+    from ordering_expected import JOIN_100K_PLANS, SERVING_PLANS
+
+    for relations, queries, expected in (
+        (serving_relations(), serving_queries(), SERVING_PLANS),
+        (_join_100k_slice(), JOIN_100K_QUERIES, JOIN_100K_PLANS),
+    ):
+        schemes = {name: relation.scheme for name, relation in relations.items()}
+        evaluator = EngineEvaluator()
+        before = kernel_counters().snapshot()
+        plans = [
+            evaluator.plan_for(parse_expression(text, schemes), relations).explain()
+            for text in queries
+        ]
+        assert _sample_delta(before) == (0, 0)
+        assert plans == list(expected)
+
+
+# -- planning is deterministic and bounded ----------------------------------
+
+_EXPLAIN_M12 = """
+from repro.engine import EngineEvaluator
+from repro.expressions import Projection
+from repro.reductions.rg import RGConstruction
+from repro.workloads import growing_construction_family
+c = RGConstruction(growing_construction_family(clause_counts=(12,), seed=13)[0].formula)
+query = Projection([c.s_attribute], c.expression)
+print(EngineEvaluator().plan_for(query, {"R": c.relation}).explain())
+"""
+
+
+def test_one_plan_under_every_hash_seed():
+    texts = set()
+    for hash_seed in ("0", "1", "2", "31337", "4294967295"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+        texts.add(
+            subprocess.run(
+                [sys.executable, "-c", _EXPLAIN_M12],
+                env=env, check=True, capture_output=True, text=True,
+            ).stdout
+        )
+    assert len(texts) == 1 and "hash join" in texts.pop()
+
+
+def test_planning_builds_at_most_two_joined_samples_per_step(monkeypatch):
+    """The cost of planning, as counts: candidates are scored by a match
+    count, and only a surviving chain that is extended builds its joined
+    rows — at most :data:`BEAM_WIDTH` per step, none after the last join,
+    and none past the cap."""
+    derived = []
+    join = Sample.join
+
+    def recording_join(self, *args, **kwargs):
+        derived.append(join(self, *args, **kwargs))
+        return derived[-1]
+
+    monkeypatch.setattr(Sample, "join", recording_join)
+    query, relation = _rg_query(_m12())
+    operands = len(query.child.parts)
+    before = kernel_counters().snapshot()
+    EngineEvaluator().plan_for(query, {"R": relation})
+    builds, joins = _sample_delta(before)
+    assert builds == 1
+    built = [sample for sample in derived if sample.drawn]
+    assert len(built) == joins
+    # One step per join but the last (whose sample nothing reads).
+    assert 0 < joins <= 2 * (operands - 2)
+    assert all(len(sample.rows) <= SAMPLE_ROWS for sample in built)
+
+
+def test_a_joined_sample_is_the_same_whichever_operand_is_asked():
+    rng = random.Random(3)
+    left = relation_sample(
+        ("A", "B", "C"), frozenset((rng.randrange(4), rng.randrange(5), i) for i in range(900))
+    )
+    right = relation_sample(
+        ("B", "A", "D"), frozenset((rng.randrange(5), rng.randrange(4), i) for i in range(700))
+    )
+    common = ("A", "B")
+    assert left.join_size(right, common) == right.join_size(left, tuple(reversed(common)))
+    one, other = left.join(right, common), right.join(left, common)
+    assert not one.drawn  # deriving is free until something measures
+    assert one.names == other.names and one.rows == other.rows
+    assert len(one.rows) == SAMPLE_ROWS  # capped, and still ...
+    assert one.est_cardinality == left.join_size(right, common)  # ... scaled
+    narrow = left.join(right, common, kept_names=("A", "D"))
+    assert narrow.names == ("A", "D") and len(narrow.rows) == SAMPLE_ROWS

@@ -38,6 +38,7 @@ class TestSnapshotSemantics:
             "pool_recoveries",
             "serial_fallbacks",
             "sample_builds",
+            "sample_joins",
             "sample_cache_hits",
             "sample_cache_misses",
             "plan_repins",
