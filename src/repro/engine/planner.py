@@ -90,7 +90,15 @@ InputBounds = Tuple[int, Dict[str, int]]
 def _input_bounds(node: "PlanNode") -> InputBounds:
     if node.kind == "scan":
         stats = node.stats
-        return stats.cardinality, {name: stats.distinct(name) for name in node.scheme.names}
+        rows = stats.cardinality
+        # A count scaled up from a sample is a guess; all that is exact
+        # about such a column is that it holds at most a value per row.
+        distinct = {}
+        for name in node.scheme.names:
+            column = stats.column(name)
+            guessed = column is not None and column.estimated
+            distinct[name] = rows if guessed else stats.distinct(name)
+        return rows, distinct
     rows, distinct = _input_bounds(node.children[0])
     if node.kind == "project":
         # A column projected away beneath says nothing about a same-named
@@ -593,29 +601,33 @@ class Planner:
                 return node
             return self._project(node, node.scheme.restrict(kept), pushed=True)
 
-        def score(chain: _Chain, index: int) -> float:
-            """The (pruned) estimated cardinality of ``chain * operands[index]``."""
+        def score(chain: _Chain, index: int) -> Tuple[float, float]:
+            """What the step ``chain * operands[index]`` costs — the join's
+            (pruned) estimated cardinality — and the raw estimate itself."""
             left, right = chain.node, operands[index]
             common = [
                 name for name in left.scheme.names if name in right.scheme.name_set
             ]
             estimate = estimate_join_cardinality(left.stats, right.stats, common)
             if not pruning:
-                return estimate
+                return estimate, estimate
             kept = live(chain.readers, left, right)
             if len(kept) == len(left.scheme) + len(right.scheme) - len(common):
-                return estimate
+                return estimate, estimate
             bound = _pushed_bound(kept, estimate, chain.bounds, bounds[index])
-            return estimate if bound is None else float(bound)
+            return (estimate if bound is None else float(bound)), estimate
 
-        def extend(chain: _Chain, index: int, ranks: Tuple[int, ...], total: float) -> _Chain:
-            """``chain`` joined with ``operands[index]``, as a new chain."""
+        def extend(
+            chain: _Chain, index: int, ranks: Tuple[int, ...], total: float, estimate: float
+        ) -> _Chain:
+            """``chain`` joined with ``operands[index]`` (``estimate`` rows,
+            as :func:`score` counted them), as a new chain."""
             left, right = chain.node, operands[index]
             members = chain.members + (index,)
             # What is still read of the join: all its sample needs to carry,
             # and (when pruning) all a pushed projection would keep.
             kept = live(chain.readers, left, right)
-            joined = self._join_pair(left, right, kept)
+            joined = self._join_pair(left, right, kept, estimate)
             readers = chain.readers.copy()
             readers.subtract(left.scheme.names)
             readers.subtract(right.scheme.names)
@@ -654,29 +666,31 @@ class Planner:
                     ranks = chain.ranks + (rank[index],)
                     if step == 0:
                         ranks = tuple(sorted(ranks))
+                    cost, estimate = score(chain, index)
                     candidates.append(
-                        (chain.score + score(chain, index), ranks, chain, index)
+                        (chain.score + cost, ranks, chain, index, estimate)
                     )
             candidates.sort(key=itemgetter(0, 1))
             beam, joined_sets = [], set()
-            for total, ranks, chain, index in candidates:
+            for total, ranks, chain, index, estimate in candidates:
                 joined_set = frozenset(chain.members + (index,))
                 if joined_set not in joined_sets:
                     joined_sets.add(joined_set)
-                    beam.append(extend(chain, index, ranks, total))
+                    beam.append(extend(chain, index, ranks, total, estimate))
                     if len(beam) == BEAM_WIDTH:
                         break
         return beam[0].node
 
     def _join_pair(
-        self, left: PlanNode, right: PlanNode, live_names: Sequence[str]
+        self, left: PlanNode, right: PlanNode, live_names: Sequence[str], estimate: float
     ) -> PlanNode:
-        """The hash join of two chain members; ``live_names`` are the output
-        columns something still reads (all the joined sample need carry)."""
+        """The hash join of two chain members, ``estimate`` rows; ``live_names``
+        are the output columns something still reads (all the joined sample
+        need carry)."""
         plan = _join_plan(left.scheme, right.scheme)
         common = plan.common_names
         out_stats = join_stats(
-            left.stats, right.stats, plan.joined_scheme.names, common, live_names
+            left.stats, right.stats, plan.joined_scheme.names, common, live_names, estimate
         )
 
         # Build-side choice: smaller estimated side, except that a join

@@ -19,9 +19,9 @@ guess with *measurement*:
   :meth:`repro.engine.stats.RelationStats.from_relation` caches with every
   relation's statistics: :data:`SAMPLE_ROWS` rows, drawn at most once per
   relation, consulted for composite join keys only;
-* :func:`sampled_stats` builds the ``adaptive=`` catalog entry: drawn now,
-  column statistics estimated from the sample (GEE scale-up), and consulted
-  at every key width;
+* :func:`sampled_stats` builds the ``adaptive=`` catalog entry: drawn now
+  and consulted at every key width (column statistics are the relation's
+  exact ones; GEE scale-up is for a population that has none);
 * :class:`AdaptiveConfig` bundles the ``adaptive=`` sampling knobs with the
   mid-stream re-planning knobs consumed by
   :class:`~repro.engine.evaluator.EngineEvaluator`: the observed/estimated
@@ -39,10 +39,11 @@ draw increments ``sample_builds`` and every joined sample whose rows are
 actually built increments ``sample_joins``.
 
 Samples are drawn from the relation's rows in their deterministic sorted
-order with a fixed seed, and :meth:`Sample.join` orients its pair by column
-names, not argument order — so planning is deterministic under
-``PYTHONHASHSEED=random`` and indifferent to the order a join's operands
-were written in.
+order, seeded by the relation's content (:func:`relation_sample`), and
+:meth:`Sample.join` orients its pair by column names, not argument order —
+so planning is deterministic under ``PYTHONHASHSEED=random``, indifferent
+to the order a join's operands were written in, and two relations' draws
+are independent of each other.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 import random
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -257,10 +258,12 @@ class Sample:
             maximum = max(values)
         except TypeError:
             pass
+        scale = self.scale
         return ColumnStats(
-            distinct_count=_gee_distinct(values, self.scale),
+            distinct_count=_gee_distinct(values, scale),
             minimum=minimum,
             maximum=maximum,
+            estimated=scale > 1.0,
         )
 
     def join_size(self, other: "Sample", common: Sequence[str]) -> float:
@@ -399,11 +402,7 @@ class Sample:
         cardinality = max(int(round(self.est_cardinality)), 0)
         columns = {name: self.column_stats(name) for name in output_names}
         capped = {
-            name: ColumnStats(
-                distinct_count=min(column.distinct_count, cardinality),
-                minimum=column.minimum,
-                maximum=column.maximum,
-            )
+            name: replace(column, distinct_count=min(column.distinct_count, cardinality))
             for name, column in columns.items()
         }
         return SampledRelationStats(
@@ -423,20 +422,30 @@ def relation_sample(names: Sequence[str], rows: Collection[Row]) -> Sample:
     """The default catalog's sample of one relation's ``rows``: a handle.
 
     Nothing is drawn until a composite-key estimate reads the sample; then
-    :data:`SAMPLE_ROWS` rows are taken (Algorithm R, fixed seed) from the
-    rows in their deterministic sorted order, once — the handle is cached
-    with the relation's statistics, so *construction is invalidation* and an
+    :data:`SAMPLE_ROWS` rows are taken (Algorithm R) from the rows in their
+    deterministic sorted order, once — the handle is cached with the
+    relation's statistics, so *construction is invalidation* and an
     unchanged relation never re-samples (``sample_builds`` counts draws).
     It holds the row set, not the relation (no cycle through
-    ``Relation._stats``), and lets go of it once drawn.  A function of the
-    rows alone: no operand name seeds it, a relation may be bound under
-    several.
+    ``Relation._stats``), and lets go of it once drawn.
+
+    The draw is seeded by the relation's content — column names, row count,
+    first and last sorted row — and by nothing else: no operand name (a
+    relation may be bound under several), and not one shared constant
+    either, under which Algorithm R keeps the *same positions* of every
+    equal-sized input, so two relations with aligned keys would sample
+    matching rows and :meth:`Sample.join_size`, which scales as if the two
+    draws were independent, would read a 1:1 key as ``N / 256`` : 1.
     """
+    names = tuple(names)
     count = float(len(rows))
 
     def draw() -> Tuple[List[Row], float]:
         kernel_counters().add(sample_builds=1)
-        return reservoir_sample(sort_rows(rows), SAMPLE_ROWS, random.Random(0)), count
+        ordered = sort_rows(rows)
+        content = repr((names, len(ordered), ordered[:1], ordered[-1:]))
+        rng = random.Random(zlib.crc32(content.encode("utf-8")))
+        return reservoir_sample(ordered, SAMPLE_ROWS, rng), count
 
     return Sample(
         names, est_cardinality=count, join_cap=SAMPLE_ROWS, composite_only=True, draw=draw
@@ -458,22 +467,31 @@ def sampled_stats(
     at most ``sample_size`` rows is carried whole — its estimates are
     exact.  Each build increments the ``sample_builds`` perf counter, which
     is how the re-sample-on-invalidation contract is asserted.
+
+    The sample is for what no per-column count can say — how joint keys
+    overlap.  The column statistics are the relation's own exact ones
+    (:meth:`~repro.algebra.relation.Relation.stats`: one pass, cached with
+    the relation); only a population without them (a spilled checkpoint,
+    whose rows are on disk) has its columns estimated from the sample, and
+    those counts say so (:attr:`ColumnStats.estimated`).
     """
     salt = zlib.crc32(name.encode("utf-8")) if name else 0
     rng = random.Random(_derive_seed(seed, salt))
     rows = reservoir_sample(relation.sorted_rows(), sample_size, rng)
+    names = relation.scheme.names
     sample = Sample(
-        relation.scheme.names,
+        names,
         rows,
         float(len(relation)),
         seed=_derive_seed(seed, salt, 1),
         join_cap=join_cap,
     )
     kernel_counters().add(sample_builds=1)
-    entry = sample.stats(relation.scheme.names)
+    exact = getattr(relation, "stats", None)
+    columns = exact().columns if exact is not None else sample.stats(names).columns
     # Base-relation cardinality is known exactly — never estimated.
     return SampledRelationStats(
-        cardinality=len(relation), columns=entry.columns, sample=sample
+        cardinality=len(relation), columns=columns, sample=sample
     )
 
 

@@ -154,12 +154,18 @@ class ColumnStats:
     """Statistics of one column: distinct count and (optional) value bounds.
 
     ``minimum``/``maximum`` are ``None`` when the column is empty or holds
-    values of mutually incomparable types.
+    values of mutually incomparable types.  ``estimated`` marks a distinct
+    count scaled up from a row sample smaller than the column
+    (:meth:`repro.engine.sampling.Sample.column_stats`): a guess that may
+    fall short, where a base entry's count is otherwise exact — the
+    difference the planner's pushed-projection rule turns on (it reads base
+    entries only; a derived entry's counts are capped by estimates anyway).
     """
 
     distinct_count: int
     minimum: Optional[Hashable] = None
     maximum: Optional[Hashable] = None
+    estimated: bool = False
 
     @classmethod
     def from_values(cls, values: Iterable[Hashable]) -> "ColumnStats":
@@ -301,7 +307,10 @@ def estimate_join_cardinality(
     scaled size of the *sample join*
     (:meth:`repro.engine.sampling.Sample.join_size`, a count — no joined
     row is built), which measures the joint-key overlap instead of
-    assuming anything about it.
+    assuming anything about it.  Two samples that share no key measure
+    only an upper bound — the rows one match would have stood for — and
+    the formula answers beneath it: two 256-row samples of a sparse
+    100,000-row key expect less than one match.
 
     And before either estimator runs, a ledger-backed entry (attached by
     the plan store) is checked for the **observed** cardinality of this
@@ -312,8 +321,26 @@ def estimate_join_cardinality(
     if observed is not None:
         return float(observed)
     samples = _measuring_samples(left, right, common)
-    if samples is not None:
-        return samples[0].join_size(samples[1], common)
+    if samples is None:
+        return _backoff_cardinality(left, right, common)
+    measured = samples[0].join_size(samples[1], common)
+    if measured > 0.0:
+        return measured
+    # No sampled key met a partner.  Between two whole populations that is
+    # the answer; between samples it only says the join is smaller than one
+    # match would have stood for, and below that resolution the formula's
+    # guess is all there is.
+    resolution = samples[0].scale * samples[1].scale
+    if resolution <= 1.0:
+        return 0.0
+    return min(_backoff_cardinality(left, right, common), resolution)
+
+
+def _backoff_cardinality(
+    left: RelationStats, right: RelationStats, common: Sequence[str]
+) -> float:
+    """The formula of :func:`estimate_join_cardinality`: per-column
+    selectivities, exponentially backed off."""
     size = float(left.cardinality * right.cardinality)
     if not common or size == 0.0:
         return size
@@ -379,10 +406,13 @@ def join_stats(
     output_names: Sequence[str],
     common: Sequence[str],
     sample_names: Optional[Sequence[str]] = None,
+    cardinality: Optional[float] = None,
 ) -> RelationStats:
     """Propagate stats through a natural join.
 
-    The output cardinality is :func:`estimate_join_cardinality`; each shared
+    The output cardinality is :func:`estimate_join_cardinality` (passed in
+    as ``cardinality`` by a caller that has already counted it: the planner
+    scores a candidate before it joins a survivor); each shared
     column keeps the *smaller* operand distinct count (a join can only drop
     key values), and every column's distinct count is capped at the estimated
     output cardinality.
@@ -393,7 +423,8 @@ def join_stats(
     passes the ones something still reads), so every later estimate against
     this node can be measured too.
     """
-    cardinality = estimate_join_cardinality(left, right, common)
+    if cardinality is None:
+        cardinality = estimate_join_cardinality(left, right, common)
     cap = max(int(cardinality), 0)
     common_set = frozenset(common)
     columns: Dict[str, ColumnStats] = {}

@@ -156,27 +156,35 @@ def _intermediate_rows(formula):
     return trace.total_intermediate_tuples
 
 
+#: Where the full sweep misses the 1.1x bound, what it reads instead (the
+#: worst of the formula's twenty-four orders over the parent's best, rounded
+#: up to a cent): every other formula is held to 1.1x.
+MISSES_OF_24 = {6: 1.31, 7: 1.21, 8: 1.16, 10: 1.23, 11: 1.17}
+
+
 def test_ordering_sweep(full_ordering_sweep):
     """Clause order moves ``engine.intermediate_rows`` by at most 1.25x per
     formula (3.8x under position tie-breaks; up to 14x over 24 orders), and
     no order is worse than 1.1x the best the old planner ever found for
     that formula in the same eight orders.
 
-    The full sweep's second bound is 1.35x, not 1.1x: the best of
-    *twenty-four* position-broken orders is a luckier draw, and on five of
-    the twelve formulas the worst order here lands 1.16-1.31x above it.
-    The worst is seed 6: every order reads 10,613-12,129 rows against a
-    luckiest 9,296 (whose other twenty-three orders read up to 34,876) —
-    and a four-wide beam over *exact* sizes stops at 10,613 there too, so
-    that one is the search's limit, not the estimator's.
+    The full sweep does **not** meet the second bound: the best of
+    *twenty-four* position-broken orders is a luckier draw, seven of the
+    twelve formulas stay within 1.1x of it and five (:data:`MISSES_OF_24`)
+    land 1.16-1.31x above.  Each is gated at what it reads, so none can
+    drift under a blanket allowance.  The worst is seed 6: every order reads
+    10,613-12,129 rows against a luckiest 9,296 (whose other twenty-three
+    orders read up to 34,876) — and a four-wide beam over *exact* sizes
+    stops at 10,613 there too, so that one is the search's limit, not the
+    estimator's.
     """
-    bests, orders, slack = PARENT_BEST_OF_8, 8, 1.1
+    bests, orders, misses = PARENT_BEST_OF_8, 8, {}
     if full_ordering_sweep:
-        bests, orders, slack = PARENT_BEST_OF_24, 24, 1.35
+        bests, orders, misses = PARENT_BEST_OF_24, 24, MISSES_OF_24
     for seed, parent_best in bests.items():
         rows = [_intermediate_rows(f) for f in _clause_orders(_m12(seed), orders)]
         assert max(rows) <= 1.25 * min(rows), (seed, rows)
-        assert max(rows) <= slack * parent_best, (seed, rows, parent_best)
+        assert max(rows) <= misses.get(seed, 1.1) * parent_best, (seed, rows, parent_best)
 
 
 # -- samples are scratch ----------------------------------------------------

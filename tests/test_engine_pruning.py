@@ -13,15 +13,16 @@ buys itself a spill.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.algebra import Relation, RelationScheme, naive_natural_join, naive_project
 from repro.engine import AdaptiveConfig, EngineEvaluator, MemoryBudget
-from repro.engine.parallel import operators_in_order
 from repro.engine.physical import MemoryMeter, SpillingSeenSet
 from repro.engine.planner import Planner
+from repro.engine.stats import RelationStats
 from repro.expressions import evaluate, parse_expression
 from repro.expressions.ast import Join, Operand, Projection
 from repro.obs import ObserveConfig
@@ -335,43 +336,40 @@ def _rg_query(m):
     return query, construction.relation
 
 
-GUESSED = AdaptiveConfig(sample_size=8)
-
-
-@pytest.mark.parametrize("adaptive", [None, True, GUESSED])
+@pytest.mark.parametrize("adaptive", [None, True, AdaptiveConfig(sample_size=8)])
 @pytest.mark.parametrize("m", [8, 10, 12, 14])
 def test_rg_plans_hold_no_pushed_projection(m, adaptive):
     """A chain of R_G's wide intermediates is not a place for seen-sets: a
     join estimate there is a measurement on 256 sampled rows (and was a
     formula ~10^12 too high: 6.4e14 vs 197 rows at m = 12), so "the pruned
     estimate is much smaller" alone may promise nothing; the exact input
-    bound refuses every one, whether the catalog is the default one or
-    ``adaptive=``'s (on R_G both hold the whole relation: exact counts).
-
-    Under an 8-row sample the distinct counts that bound is a product of
-    are themselves guesses, and the two-wide ordering finds a chain at
-    m = 8 where the rule holds; there what is pinned is the rule's promise
-    — no pushed projection emits more rows than the base relations beneath
-    it hold — on the executed plan.
-    """
+    bound refuses every one.  The default catalog's distinct counts are
+    exact, and so are ``adaptive=``'s while its sample holds the whole
+    relation; under an 8-row sample they are scaled-up guesses, and there
+    the bound reads the row count instead — the one exact thing left."""
     query, relation = _rg_query(m)
-    bound = {"R": relation}
-    plan = EngineEvaluator(adaptive=adaptive).plan_for(query, bound)
-    if adaptive is not GUESSED or "(pushed)" not in plan.explain():
-        assert "(pushed)" not in plan.explain()
-        return
+    plan = EngineEvaluator(adaptive=adaptive).plan_for(query, {"R": relation})
+    assert "(pushed)" not in plan.explain()
 
-    def scanned(operator):
-        if not operator.children():
-            return operator.rows_out
-        return sum(scanned(child) for child in operator.children())
 
-    root = plan.executor(bound, MemoryMeter())
-    for _ in root.blocks():
-        pass
-    for operator in operators_in_order(root):
-        if operator.label().endswith("(pushed)"):
-            assert 0 < operator.rows_out <= scanned(operator), operator.label()
+def test_a_scaled_up_distinct_count_bounds_no_pushed_projection():
+    """The placement rule multiplies distinct counts into a seen-set bound,
+    so it reads exact ones only: a count scaled up from a sample smaller
+    than its column (what a spilled checkpoint's entry holds) stands for
+    the row count there, and the push the exact catalog places is refused."""
+    relations = serving_relations()
+    query = parse_expression(
+        "project[A, C, D](R * S * T)",
+        {name: rel.scheme for name, rel in relations.items()},
+    )
+    stats = {name: rel.stats() for name, rel in relations.items()}
+    assert "project[A, C] (pushed)" in Planner().plan(query, stats).explain()
+    exact = stats["R"]
+    stats["R"] = RelationStats(
+        exact.cardinality,
+        {name: replace(column, estimated=True) for name, column in exact.columns.items()},
+    )
+    assert "(pushed)" not in Planner().plan(query, stats).explain()
 
 
 def test_spill_tight_counts_under_the_measured_plan():
