@@ -228,7 +228,9 @@ def _join_provenance_lines(plan) -> List[str]:
     join (``PlanNode.provenance``): the samples an estimate was measured on
     are dropped before a plan is pinned, so nothing here re-derives it.  A
     plan re-pinned after an execution was costed against the plan store's
-    ledger, and says so (``observed-ledger``).
+    ledger, and says so (``observed-ledger``).  A join with the projection
+    above folded into it is followed by the source of the probe kernel that
+    was generated for its column list (nested loop, then key-join loop).
     """
     lines: List[str] = []
 
@@ -240,6 +242,9 @@ def _join_provenance_lines(plan) -> List[str]:
             lines.append(
                 f"join on ({on}): est {node.est_rows:.0f} rows [{node.provenance}]"
             )
+            if node.kernel is not None:
+                lines.append(f"  emits [{', '.join(node.emit_scheme.names)}] through:")
+                lines.extend(f"    {line}" for line in node.kernel.source.splitlines())
 
     walk(plan.root)
     return lines

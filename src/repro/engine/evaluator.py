@@ -82,7 +82,7 @@ from .physical import (
     SpilledCheckpoint,
     TableScan,
 )
-from .planner import PhysicalPlan, PlanNode, Planner
+from .planner import PhysicalPlan, PlanNode, Planner, fold_projection
 from .planstore import LedgerBackedStats, PlanStore
 from .sampling import AdaptiveConfig, q_error, sampled_stats
 from .stats import join_stats, project_stats
@@ -1022,9 +1022,9 @@ class EngineEvaluator:
                     for scan in self._operator_scan_names(operator)
                 )
             )
-            observations.append(
-                (names, frozenset(operator.scheme.names), operator.rows_out)
-            )
+            # Under the joined scheme the planner asks with, not a folded join's.
+            joined = operator._plan.joined_scheme
+            observations.append((names, frozenset(joined.names), operator.rows_out))
         self.planstore.harvest(observations)
 
     def _replace_pin(
@@ -1184,13 +1184,14 @@ class EngineEvaluator:
         """
         pick_plan = _project_plan(child.scheme, projection.scheme)
         out_stats = project_stats(child.stats, pick_plan.target_scheme.names)
+        child, pick = fold_projection(child, pick_plan)  # same cost and estimates
         return replace(
             projection,
             scheme=pick_plan.target_scheme,
             stats=out_stats,
             cost=child.cost + child.est_rows + out_stats.cardinality,
             children=(child,),
-            pick=pick_plan.pick,
+            pick=pick,
         )
 
     @staticmethod

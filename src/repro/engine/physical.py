@@ -42,7 +42,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import JoinPlan, make_block_picker
+from ..perf.plancache import JoinPlan, ProbeKernel, make_block_picker, make_probe_kernel
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -621,12 +621,15 @@ class StreamingProject(PhysicalOperator):
     while the result is resident once, not twice.  The picked rows must
     never be materialised on the way — a projected copy of every
     join-output block is what the sink exists to avoid.
+
+    ``pick`` is ``None`` over a hash join this projection was folded into
+    (:meth:`HashJoin.fold`): it already emits ``scheme``; the dedup is left.
     """
 
     def __init__(
         self,
         child: PhysicalOperator,
-        pick: Callable[[Row], Row],
+        pick: Optional[Callable[[Row], Row]],
         scheme,
         meter: MemoryMeter,
         dedup: bool = True,
@@ -636,7 +639,7 @@ class StreamingProject(PhysicalOperator):
     ):
         super().__init__(meter)
         self._child = child
-        self._pick_block = make_block_picker(pick)
+        self._pick_block = make_block_picker(pick) if pick is not None else None
         self._dedup = dedup
         self._probe_slice = probe_slice
         self._budget = budget
@@ -650,7 +653,7 @@ class StreamingProject(PhysicalOperator):
 
     def _picked(self, block: Block) -> Iterator[Row]:
         """Lazily pick (and probe-slice filter) one input block's rows."""
-        picked = self._pick_block(block)
+        picked = block if self._pick_block is None else self._pick_block(block)
         if self._probe_slice is None:
             return picked
         index, count = self._probe_slice
@@ -754,12 +757,18 @@ def _build_block(buckets: Dict[Hashable, Set[Row]], pairs) -> int:
     return added
 
 
+#: The kernels of a join that emits every joined column: compiled at import.
+_WHOLE_ROW_KERNELS = {"left": make_probe_kernel(True), "right": make_probe_kernel(False)}
+
+
 class HashJoin(PhysicalOperator):
     """Streaming hash join: drain the build side into buckets, stream the probe.
 
     The output layout is fixed by the compiled
     :class:`~repro.perf.plancache.JoinPlan` as ``left ++ (right - left)``
-    regardless of which side is built, exactly like the materialising kernel.
+    regardless of which side is built, exactly like the materialising kernel
+    — unless a projection directly above was folded into the join
+    (:meth:`fold`): it then emits that projection's columns, in its order.
     Buckets hold *sets* (full left rows, or right ``extras`` fragments —
     both in bijection with the build side's rows), so duplicates from a
     dedup-free build child collapse in the table.  Only the build side is
@@ -769,7 +778,8 @@ class HashJoin(PhysicalOperator):
     Both phases run block-at-a-time through two kernels shared with
     :class:`GraceHashJoin`: :func:`_build_block` folds a block of
     ``(key, entry)`` pairs into the table, and :meth:`_probe` answers a
-    whole probe block with one nested comprehension over the block zipped
+    whole probe block with one generated comprehension
+    (:func:`~repro.perf.plancache.make_probe_kernel`) over the block zipped
     with its bucket lookups (``map`` of ``dict.get`` over ``map`` of the key
     picker), so the interpreter runs once per block and per emitted row,
     never once per probed row.
@@ -795,6 +805,7 @@ class HashJoin(PhysicalOperator):
         self._plan = plan
         self.build_side = build_side
         self.scheme = plan.joined_scheme
+        self._kernel = _WHOLE_ROW_KERNELS[build_side]
         # Side-generic views.  ``_pairs_of(block)`` lazily turns a build
         # block into the build kernel's ``(key, entry)`` pairs: entries are
         # full left rows, or the right rows' extras (the key already
@@ -815,6 +826,18 @@ class HashJoin(PhysicalOperator):
         """The input operators."""
         return (self._left, self._right)
 
+    def fold(self, kernel: ProbeKernel, scheme) -> None:
+        """Emit ``scheme``, a projection of the joined one, through the ``kernel`` compiled for it."""
+        self._kernel = kernel
+        self.scheme = scheme
+
+    def _on(self) -> str:
+        """The label's ``on (...)`` part, and what a folded join emits."""
+        on = f"on ({', '.join(self._plan.common_names) or 'x'})"
+        if self._kernel is _WHOLE_ROW_KERNELS[self.build_side]:
+            return on
+        return f"{on} -> [{', '.join(self.scheme.names)}]"
+
     def _probe(
         self,
         buckets: Dict[Hashable, Set[Row]],
@@ -823,14 +846,21 @@ class HashJoin(PhysicalOperator):
     ) -> Iterator[Block]:
         """The probe kernel: stream probe blocks against a finished table.
 
-        Consumes ``buckets`` (frozen into tuples for iteration, then
-        cleared).  One comprehension serves no match, one match and many
-        alike.  ``count_probes`` is False for spilled partitions, whose
-        probe rows were counted when they were routed to partition files.
+        Consumes ``buckets`` (frozen for iteration, then cleared).  The
+        kernel's nested comprehension serves no match, one match and many
+        alike; its flat one, a table without a two-entry bucket.
+        ``count_probes`` is False for spilled partitions, whose probe rows
+        were counted when they were routed to partition files.
         """
-        frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
+        if len(buckets) == sum(map(len, buckets.values())):
+            # The build side's join columns are a key of it (observed of this
+            # table, not promised): store the entries, drop the inner loop.
+            frozen = {key: entry for key, (entry,) in buckets.items()}
+            emit = self._kernel.flat
+        else:
+            frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
+            emit = self._kernel.nested
         buckets.clear()
-        build_left = self.build_side == "left"
         key_of = self._probe_key_of
         extra_of = self._plan.right_extra_of
         frozen_get = frozen.get
@@ -839,21 +869,7 @@ class HashJoin(PhysicalOperator):
         for block in probe_blocks:
             if count_probes:
                 _COUNTERS.add(join_probes=len(block))
-            matches = map(frozen_get, map(key_of, block))
-            if build_left:
-                out += [
-                    left + extra
-                    for extra, bucket in zip(map(extra_of, block), matches)
-                    if bucket
-                    for left in bucket
-                ]
-            else:
-                out += [
-                    left + extra
-                    for left, bucket in zip(block, matches)
-                    if bucket
-                    for extra in bucket
-                ]
+            out += emit(block, map(frozen_get, map(key_of, block)), extra_of)
             if len(out) >= flush_rows:
                 self.rows_out += len(out)
                 yield out
@@ -887,7 +903,7 @@ class HashJoin(PhysicalOperator):
 
     def label(self) -> str:
         """The one-line trace/explain label."""
-        return f"hash join [build={self.build_side}] on ({', '.join(self._plan.common_names) or 'x'})"
+        return f"hash join [build={self.build_side}] {self._on()}"
 
 
 def _drained(part: SpillFile) -> Iterator[Block]:
@@ -1208,7 +1224,6 @@ class GraceHashJoin(HashJoin):
 
     def label(self) -> str:
         """The one-line trace/explain label."""
-        on = ", ".join(self._plan.common_names) or "x"
         how = ""
         if self.spill_mode == "re-read":
             how = f" [spilled: build re-read x{self.build_rereads}]"
@@ -1216,7 +1231,7 @@ class GraceHashJoin(HashJoin):
             how = f" [spilled: partitioned x{self._fanout}]"
         return (
             f"grace hash join [build={self.build_side}, "
-            f"budget={self._budget.rows}] on ({on}){how}"
+            f"budget={self._budget.rows}] {self._on()}{how}"
         )
 
 

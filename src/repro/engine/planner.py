@@ -41,6 +41,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from ..algebra.relation import Relation, _join_plan
 from ..algebra.tuples import _project_plan
 from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
+from ..perf.plancache import ProbeKernel, ProjectPlan, make_probe_kernel
 from .physical import (
     GraceHashJoin,
     HashJoin,
@@ -60,7 +61,7 @@ from .stats import (
     project_stats,
 )
 
-__all__ = ["PlanNode", "PhysicalPlan", "Planner", "plan_expression"]
+__all__ = ["PlanNode", "PhysicalPlan", "Planner", "fold_projection", "plan_expression"]
 
 #: A pushed projection is placed only where its seen-set bound (the product
 #: of the kept columns' distinct counts) is at most this share of the pruned
@@ -153,6 +154,10 @@ class PlanNode:
     pushed: bool = False
     join_plan: Optional[object] = None
     build_side: str = "right"
+    #: Set by :func:`fold_projection` on a hash join directly under a projection:
+    #: what it emits (``scheme`` stays the joined one) and the kernel compiled for it.
+    emit_scheme: Optional[object] = None
+    kernel: Optional[ProbeKernel] = None
     #: Where a join's estimate came from, recorded when it was planned (see
     #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
     #: that could re-derive it are gone by the time the plan is pinned.
@@ -309,6 +314,8 @@ class PlanNode:
                 operator = HashJoin(
                     left, right, self.join_plan, meter, build_side=self.build_side
                 )
+            if self.kernel is not None:
+                operator.fold(self.kernel, self.emit_scheme)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
         operator.est_rows = self.est_rows
@@ -318,6 +325,24 @@ class PlanNode:
             if wrapper is not None:
                 operator = wrapper
         return operator
+
+
+def fold_projection(
+    child: PlanNode, plan: ProjectPlan
+) -> Tuple[PlanNode, Optional[Callable]]:
+    """How a projection compiled as ``plan`` executes over ``child``: the
+    child to run and the pick left to the projection, as ``(child, pick)``.
+
+    Over a hash join the pick moves into the join: it builds each output row
+    once, in the projection's columns and order, and the projection keeps
+    only its dedup (``pick`` is ``None``).  Inner chain joins are not
+    narrowed: ``left + extra`` is one memcpy however wide the row, a display
+    of R_G's 28-88 columns is not (``docs/ENGINE.md``, "Live columns").
+    """
+    if child.kind != "hash-join":
+        return child, plan.pick
+    kernel = make_probe_kernel(child.build_side == "left", child.join_plan, plan.picks)
+    return replace(child, emit_scheme=plan.target_scheme, kernel=kernel), None
 
 
 def _drop_samples(node: PlanNode) -> PlanNode:
@@ -491,6 +516,7 @@ class Planner:
         plan = _project_plan(child.scheme, target)
         out_stats = project_stats(child.stats, plan.target_scheme.names)
         cost = child.cost + child.est_rows + out_stats.cardinality
+        child, pick = fold_projection(child, plan)
         budget = self.budget
         if budget is not None and not pushed and out_stats.cardinality > budget.rows:
             # Spilling dedup: every distinct row is written and read
@@ -502,7 +528,7 @@ class Planner:
             stats=out_stats,
             cost=cost,
             children=(child,),
-            pick=plan.pick,
+            pick=pick,
             budget=budget,
             pushed=pushed,
         )

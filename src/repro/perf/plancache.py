@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 __all__ = [
     "JoinPlan",
@@ -27,6 +27,8 @@ __all__ = [
     "make_block_picker",
     "make_row_picker",
     "make_key_picker",
+    "make_probe_kernel",
+    "ProbeKernel",
     "join_plan_cache",
     "project_plan_cache",
 ]
@@ -82,6 +84,76 @@ def make_key_picker(positions: Tuple[int, ...]) -> KeyPicker:
     if not positions:
         return _empty_picker
     return itemgetter(*positions)
+
+
+class ProbeKernel(NamedTuple):
+    """A hash join's emission, compiled for one build side and one emit list.
+
+    Both callables map ``(block, matches, extra_of)`` — a probe block, its
+    table lookups in step with it, the right side's extras picker — to the
+    block's output rows.  ``nested`` reads a lookup as a bucket (a tuple of
+    entries, or ``None``), ``flat`` as the one entry itself: no inner loop.
+    """
+
+    nested: Callable[..., list]
+    flat: Callable[..., list]
+    source: str  # what was compiled, for explain output and debugging
+
+
+#: A probe kernel's source: the nested and the flat loop around one row display.
+_PROBE_SOURCE = (
+    "(lambda block, matches, extra_of:"
+    " [{row} for {probe}, bucket in zip({rows}, matches) if bucket for {entry} in bucket],\n"
+    " lambda block, matches, extra_of:"
+    " [{row} for {probe}, {entry} in zip({rows}, matches) if {entry} is not None])"
+)
+
+
+def make_probe_kernel(
+    build_left: bool,
+    plan: Optional["JoinPlan"] = None,
+    emit: Optional[Tuple[int, ...]] = None,
+) -> ProbeKernel:
+    """Generate and compile the probe comprehension of one hash join.
+
+    ``emit`` lists the output columns as positions into ``left ++ extras``
+    (``plan.joined_scheme``), in output order; ``None`` emits all of them.
+    Table entries are full left rows ``l`` (``build_left``) or right extras
+    ``e``; the probe row is the other side's.  The row display is ``l + e``
+    when nothing is dropped, the probe row or the entry itself when the list
+    is exactly that tuple, else a literal such as ``(l[2], e[0],)`` reading
+    every column the probe row carries (on the right: extras *and* join key)
+    from it, so no extras tuple is made.  Only integers reach the source,
+    compiled with ``eval`` as :func:`collections.namedtuple` does ``__new__``
+    — once per distinct source, at planning: never per execution.
+    """
+    probe, entry = ("r", "l") if build_left else ("l", "e")
+    rows, row = "block", "l + e"
+    if emit is None and build_left:
+        probe, rows = "e", "map(extra_of, block)"  # one extras tuple per probe row
+    elif emit is not None:
+        left_width = len(plan.joined_scheme) - len(plan.right_extra)
+        # Joined position -> index in a left row, a right row, a right row's extras.
+        of_left = {p: p for p in range(left_width)}
+        of_right = dict(zip(plan.left_key, plan.right_key))
+        of_right.update(enumerate(plan.right_extra, left_width))
+        of_extras = {left_width + k: k for k in range(len(plan.right_extra))}
+        of_probe, of_entry = (of_right, of_left) if build_left else (of_left, of_extras)
+        terms = [
+            f"{probe}[{of_probe[p]}]" if p in of_probe else f"{entry}[{of_entry[p]}]"
+            for p in emit
+        ]
+        row = f"({', '.join(terms)},)" if terms else "()"
+        for name, where in ((entry, of_entry), (probe, of_probe)):
+            if [where.get(p) for p in emit] == list(range(len(where))):
+                row = name  # the list *is* that tuple: allocate nothing
+    source = _PROBE_SOURCE.format(row=row, probe=probe, entry=entry, rows=rows)
+    kernel = _PROBE_KERNELS.get(source)
+    if kernel is None:  # the same few displays recur across plans and re-plans
+        nested, flat = eval(source, {"__builtins__": {}, "zip": zip, "map": map})
+        kernel = ProbeKernel(nested, flat, source)
+        _PROBE_KERNELS.put(source, kernel)
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -177,6 +249,7 @@ class LRUPlanCache:
 
 
 _JOIN_PLANS = LRUPlanCache(maxsize=1024)
+_PROBE_KERNELS = LRUPlanCache(maxsize=1024)  # keyed by kernel source
 _PROJECT_PLANS = LRUPlanCache(maxsize=2048)
 
 

@@ -9,6 +9,10 @@ the ability to replay a failure (``pytest --fuzz-seed <N>``).
 ``--full-ordering-sweep`` widens ``tests/test_engine_ordering.py``'s
 clause-order sweep from tier-1's 4 formulas x 8 orders to the 12 x 24 CI
 runs (``-k ordering_sweep --full-ordering-sweep``, about two minutes).
+
+``--full-fault-sweep`` makes ``tests/test_engine_faults.py``'s persistent
+read-fault sweep re-run its evaluation at *every* one of its ~960 read
+positions (CI's fault-matrix job) instead of tier-1's ends-plus-stride.
 """
 
 import pytest
@@ -28,12 +32,23 @@ def pytest_addoption(parser):
         action="store_true",
         help="run the 12-formula x 24-order R_G clause-order sweep (CI)",
     )
+    parser.addoption(
+        "--full-fault-sweep",
+        action="store_true",
+        help="sweep a persistent spill-read fault over every read position (CI)",
+    )
 
 
 @pytest.fixture
 def full_ordering_sweep(request):
     """Whether the clause-order sweep runs in full (CI) or tier-1's slice."""
     return request.config.getoption("--full-ordering-sweep")
+
+
+@pytest.fixture
+def full_fault_sweep(request):
+    """Whether the read-fault sweep visits every position (CI) or a stride."""
+    return request.config.getoption("--full-fault-sweep")
 
 
 @pytest.fixture

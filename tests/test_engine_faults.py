@@ -397,7 +397,13 @@ class TestPersistentFaultSweep:
     a leak for as long as the handler or the collector takes.
     """
 
-    def _sweep(self, tmp_path, fault_field, modes, rows, budget_rows=64):
+    #: Tier-1 sweeps this many positions at either end of the read sweep
+    #: and about this many, evenly strided, in between.
+    SWEEP_ENDS, SWEEP_STRIDED = 8, 40
+
+    def _sweep(
+        self, tmp_path, fault_field, modes, rows, budget_rows=64, every_position=True
+    ):
         query, bound = _three_way_case(11, rows)
         expected = evaluate(query, bound)
         meters = []
@@ -406,6 +412,27 @@ class TestPersistentFaultSweep:
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 meters.append(self)
+
+        def run(position):
+            """One evaluation under a persistent fault from ``position`` on:
+            ``(evaluator, result or None, the error still held or None)``."""
+            evaluator = EngineEvaluator(
+                budget=_budget(tmp_path, rows=budget_rows),
+                adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
+                faults=FaultPlan(
+                    checkpoint_cap_rows=2,
+                    persistent=True,
+                    **{fault_field: position},
+                ),
+                observe=ObserveConfig(events=True),
+            )
+            evaluator.plan_for(query, _tiny_bindings(bound))
+            del meters[:]
+            try:
+                result, _ = evaluator.evaluate(query, bound)
+            except EngineFaultError as error:
+                return evaluator, None, error
+            return evaluator, result, None
 
         failed = 0
         gc_was_enabled = gc.isenabled()
@@ -416,40 +443,32 @@ class TestPersistentFaultSweep:
             with mock.patch.object(
                 evaluator_module, "MemoryMeter", RecordedMeter
             ), mock.patch.object(spill_module, "_SPILL_RETRY_BACKOFF", 0.0):
-                for position in range(1, 1000):
-                    evaluator = EngineEvaluator(
-                        budget=_budget(tmp_path, rows=budget_rows),
-                        adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
-                        faults=FaultPlan(
-                            checkpoint_cap_rows=2,
-                            persistent=True,
-                            **{fault_field: position},
-                        ),
-                        observe=ObserveConfig(events=True),
+                # A fault that never comes due counts the evaluation's spill
+                # operations: the sweep's ceiling is what this plan does, so
+                # a plan that reads more is swept further, not failed.
+                evaluator, result, _ = run(sys.maxsize)
+                assert result == expected
+                spills = evaluator.observer.events.events("spill")
+                assert {event.get("mode") for event in spills} >= modes
+                counted = "_reads" if fault_field == "fail_spill_read_at" else "_writes"
+                last = max(getattr(meter.faults, counted) for meter in meters if meter.faults)
+                positions = range(1, last + 1)
+                if not every_position:
+                    ends = self.SWEEP_ENDS
+                    stride = max(1, last // self.SWEEP_STRIDED)
+                    positions = sorted(
+                        {*positions[:ends], *positions[ends::stride], *positions[-ends:]}
                     )
-                    evaluator.plan_for(query, _tiny_bindings(bound))
-                    del meters[:]
-                    held = None  # a handler still looking at the error
-                    try:
-                        result, _ = evaluator.evaluate(query, bound)
-                    except EngineFaultError as error:
-                        result, held = None, error
-                        failed += 1
+                for position in positions:
+                    _, result, held = run(position)  # held: a handler still looking
                     where = f"{fault_field}={position}"
                     assert not list(tmp_path.iterdir()), f"{where}: spill dir leaked"
                     assert not spill_module._ACTIVE_SPILL_DIRS, f"{where}: registry leaked"
                     if held is not None:
+                        failed += 1
                         assert [meter.current for meter in meters] == [0] * len(meters), where
                     else:
-                        # The position lies past the evaluation's last
-                        # spill operation: the sweep has covered them all,
-                        # in joins that went either way.
-                        assert result == expected
-                        spills = evaluator.observer.events.events("spill")
-                        assert {event.get("mode") for event in spills} >= modes
-                        break
-                else:
-                    pytest.fail("the sweep never ran out of fault positions")
+                        assert result == expected, where
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -458,11 +477,18 @@ class TestPersistentFaultSweep:
     def test_write_fault_at_every_position(self, tmp_path):
         self._sweep(tmp_path, "fail_spill_write_at", {"partitioned"}, rows=300)
 
-    def test_read_fault_at_every_position(self, tmp_path):
+    def test_read_fault_at_every_position(self, tmp_path, full_fault_sweep):
         # A third of the rows under half the budget: the same clients, every
-        # join still partitioning both sides, with fewer reads to land on.
+        # join still partitioning both sides, with fewer reads to land on —
+        # still ~960 whole evaluations, so tier-1 sweeps both ends and a
+        # stride between them and CI (--full-fault-sweep) every position.
         self._sweep(
-            tmp_path, "fail_spill_read_at", {"partitioned"}, rows=100, budget_rows=32
+            tmp_path,
+            "fail_spill_read_at",
+            {"partitioned"},
+            rows=100,
+            budget_rows=32,
+            every_position=full_fault_sweep,
         )
 
     @pytest.mark.parametrize("fault_field", ["fail_spill_write_at", "fail_spill_read_at"])

@@ -4,6 +4,9 @@ Every hash join — :class:`HashJoin`, and :class:`GraceHashJoin` in memory,
 per spilled partition and per chunk — builds through ``_build_block`` and
 probes through ``HashJoin._probe``; every drain ends in
 ``parallel.drain_metered``, which offers its result set to the plan root.
+The emission itself is generated code (``plancache.make_probe_kernel``):
+its property draws schemes, emit lists, build sides and key/non-key build
+tables against ``make_row_picker(emit)(l + e)`` over a plain nested loop.
 The property test drives the two kernels through the shapes a hand-written
 loop gets wrong one at a time (either build side, multi-match buckets, rows
 without a partner, a keyless product, a build child that repeats rows, a
@@ -15,6 +18,7 @@ and what it must not (the answer, ``rows_out``).
 
 import contextlib
 import pickle
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -37,10 +41,13 @@ from repro.engine import (
     StreamingProject,
     TableScan,
 )
-from repro.engine import physical, spill
+from repro.engine import physical, planner, spill
 from repro.engine.parallel import drain_metered
-from repro.perf import kernel_counters
-from repro.workloads import serving_relations
+from repro.expressions import Projection
+from repro.perf import kernel_counters, plancache
+from repro.perf.plancache import ProbeKernel, make_probe_kernel, make_row_picker
+from repro.reductions import RGConstruction
+from repro.workloads import growing_construction_family, serving_queries, serving_relations
 
 #: (left scheme, right scheme): one shared attribute, two, none (a product).
 SHAPES = (("A B", "B C"), ("A B C", "B C D"), ("A", "C"))
@@ -78,11 +85,12 @@ def _small_blocks():
         yield
 
 
-def _join(left, right, build_side, budget_rows, repeat_build):
+def _join(left, right, build_side, budget_rows, repeat_build, folded=False):
     """The join under test, its meter, and the build side's distinct rows.
 
     With ``repeat_build`` the build child is a dedup-free projection that
     drops the build relation's last column, so it streams repeated rows.
+    With ``folded`` the join emits its columns reversed, last one dropped.
     """
     meter = MemoryMeter(budget_rows)
     children = {"left": TableScan(left, meter), "right": TableScan(right, meter)}
@@ -110,7 +118,15 @@ def _join(left, right, build_side, budget_rows, repeat_build):
             MemoryBudget(rows=budget_rows, spill_fanout=2, min_partition_rows=2),
             build_side=build_side,
         )
+    if folded:
+        _fold(join, plan, tuple(reversed(range(len(plan.joined_scheme) - 1))))
     return join, meter, relations
+
+
+def _fold(join, plan, emit):
+    """Fold ``project[emit]`` into ``join``, as the planner would."""
+    scheme = RelationScheme([plan.joined_scheme.names[p] for p in emit])
+    join.fold(make_probe_kernel(join.build_side == "left", plan, emit), scheme)
 
 
 class TestBuildAndProbeKernels:
@@ -143,11 +159,12 @@ class TestBuildAndProbeKernels:
         assert meter.current == 0
         assert not spill._ACTIVE_SPILL_DIRS
 
+    @pytest.mark.parametrize("folded", [False, True])
     @settings(max_examples=60, deadline=None)
-    @given(join_cases())
-    def test_closing_the_stream_early_releases_everything(self, case):
+    @given(case=join_cases())
+    def test_closing_the_stream_early_releases_everything(self, folded, case):
         with _small_blocks():
-            join, meter, _relations = _join(*case)
+            join, meter, _relations = _join(*case, folded=folded)
             stream = join.blocks()
             next(stream, None)
             stream.close()
@@ -205,6 +222,214 @@ class TestBuildAndProbeKernels:
         out = [row for block in join._probe(buckets, iter([list(left.rows)])) for row in block]
         assert sorted(out) == [(1, 1, "x"), (1, 1, "y"), (2, 1, "x"), (2, 1, "y")]
         assert buckets == {}
+
+
+@st.composite
+def emit_cases(draw):
+    """Two joinable relations, a build side, a budget and an emit list.
+
+    1-6 columns a side sharing 0-3 of them (0: a product) at drawn
+    positions; ``key_build`` makes the build side's join columns a key of it
+    (every bucket one entry: the flat loop), otherwise three values a column
+    fill buckets with several.  The emit list is any subset of the joined
+    columns in any order, or one of the shapes the generator special-cases.
+    """
+    left_width = draw(st.integers(1, 6))
+    right_width = draw(st.integers(1, 6))
+    common = draw(st.integers(0, min(3, left_width, right_width)))
+    shared = [f"K{i}" for i in range(common)]
+
+    def names(prefix, width):
+        own = [f"{prefix}{i}" for i in range(width - common)]
+        return draw(st.permutations(shared + own))
+
+    left_names, right_names = names("L", left_width), names("R", right_width)
+    build_side = draw(st.sampled_from(("left", "right")))
+    key_build = draw(st.booleans())
+
+    def relation(columns, name, is_build):
+        rows = draw(st.lists(st.tuples(*[VALUES] * len(columns)), max_size=12))
+        if is_build and key_build:
+            keyed = {tuple(row[columns.index(k)] for k in shared): row for row in rows}
+            rows = list(keyed.values())
+        return Relation.from_rows(columns, rows, name=name)
+
+    left = relation(left_names, "L", build_side == "left")
+    right = relation(right_names, "R", build_side == "right")
+    width = left_width + right_width - common
+    probe_names = right_names if build_side == "left" else left_names
+    joined = left_names + [name for name in right_names if name not in shared]
+    emit = draw(
+        st.one_of(
+            st.lists(st.integers(0, width - 1), unique=True),  # any subset, any order
+            st.just(list(range(width))),  # the identity
+            st.just(list(range(left_width))),  # empty right part (all of left)
+            st.just(list(range(left_width, width))),  # empty left part (the extras)
+            st.just([joined.index(name) for name in probe_names]),  # the probe row
+        )
+    )
+    budget_rows = draw(st.sampled_from((None, None, 2, 4)))
+    return left, right, build_side, tuple(emit), budget_rows
+
+
+class TestGeneratedProbeKernel:
+    """``make_probe_kernel`` against the algebra it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(emit_cases())
+    def test_emitted_rows_are_the_picked_rows_of_the_nested_loop(self, case):
+        left, right, build_side, emit, budget_rows = case
+        plan = _join_plan(left.scheme, right.scheme)
+        pick = make_row_picker(emit)
+        expected = Counter(
+            pick(l + plan.right_extra_of(r))
+            for l in left.rows
+            for r in right.rows
+            if plan.left_key_of(l) == plan.right_key_of(r)
+        )
+        with _small_blocks():
+            join, meter, _ = _join(left, right, build_side, budget_rows, False)
+            _fold(join, plan, emit)
+            streamed = Counter(row for block in join.blocks() for row in block)
+        assert streamed == expected
+        assert join.rows_out == sum(expected.values())
+        assert join.scheme.names == tuple(plan.joined_scheme.names[p] for p in emit)
+        assert meter.current == 0
+        assert not spill._ACTIVE_SPILL_DIRS
+
+    @staticmethod
+    def _spied(join):
+        """Swap ``join``'s kernel for one recording which loop ran."""
+        ran = []
+        kernel = join._kernel
+
+        def spy(name):
+            def emit(*args):
+                ran.append(name)
+                return getattr(kernel, name)(*args)
+
+            return emit
+
+        join._kernel = ProbeKernel(spy("nested"), spy("flat"), kernel.source)
+        return ran
+
+    def test_a_key_join_with_empty_extras_tests_for_none_not_truthiness(self):
+        # The ``project[A](R * S)`` serving plan: S arrives as project[B](S),
+        # so every entry of the build table is ``()`` — falsy, and a match.
+        left = Relation.from_rows("A B", [(1, 1), (2, 2), (3, 9)])
+        right = Relation.from_rows("B", [(1,), (2,), (3,)])
+        meter = MemoryMeter()
+        plan = _join_plan(left.scheme, right.scheme)
+        join = HashJoin(TableScan(left, meter), TableScan(right, meter), plan, meter)
+        _fold(join, plan, (0,))
+        ran = self._spied(join)
+        assert sorted(row for block in join.blocks() for row in block) == [(1,), (2,)]
+        assert ran == ["flat"]
+        assert "e is not None" in join._kernel.source
+
+    def test_one_two_entry_bucket_takes_the_nested_loop(self):
+        left = Relation.from_rows("A B", [(i, i) for i in range(50)])
+        rows = [(i, -i) for i in range(50)]
+        meter = MemoryMeter()
+        for right_rows, loop in ((rows, "flat"), (rows + [(7, "again")], "nested")):
+            right = Relation.from_rows("B C", right_rows)
+            plan = _join_plan(left.scheme, right.scheme)
+            join = HashJoin(TableScan(left, meter), TableScan(right, meter), plan, meter)
+            _fold(join, plan, (2, 0))
+            ran = self._spied(join)
+            out = Counter(row for block in join.blocks() for row in block)
+            assert out == Counter((c, b) for b, c in right_rows)
+            assert ran == [loop]
+
+    @pytest.mark.parametrize(
+        "build_left, emit, row",
+        [
+            (False, None, "l + e"),
+            (True, None, "l + e"),
+            (False, (2, 0), "(e[0], l[0],)"),
+            (False, (0, 1), "l"),  # all of the probe row: a semi-join's output
+            (False, (2,), "e"),  # all of the entry
+            (True, (2, 1), "(r[1], r[0],)"),  # B is read off the probe row
+            (True, (1, 2), "r"),
+            (True, (0, 1), "l"),
+            (True, (), "()"),
+        ],
+    )
+    def test_the_three_displays(self, build_left, emit, row):
+        plan = _join_plan(RelationScheme.of("A", "B"), RelationScheme.of("B", "C"))
+        source = make_probe_kernel(build_left, plan, emit).source
+        assert source.count(f": [{row} for ") == 2, source
+
+    def test_a_planned_projection_over_a_join_is_folded_and_inner_joins_are_not(self):
+        with Session(serving_relations(), backend="engine") as session:
+            plan = session._engine.plan_for(
+                session.prepare(HEAVY_QUERY).expression, session._relations
+            )
+        top = plan.root.children[0]
+        pushed = top.children[0]
+        inner = pushed.children[0]
+        # Written projection over the top join, pushed one over the inner.
+        assert plan.root.pick is None and top.kernel is not None
+        assert top.emit_scheme.names == ("A", "C", "D")
+        assert pushed.pushed and pushed.pick is None
+        assert inner.emit_scheme.names == ("A", "C") and inner.scheme.names == ("A", "B", "C")
+        # The paper's query: a join is folded exactly when a projection is
+        # its parent, so the wide chain joins keep ``l + e``.
+        formula = growing_construction_family(clause_counts=(3,), seed=13)[0].formula
+        construction = RGConstruction(formula)
+        query = f"project[{construction.s_attribute}]({construction.expression.to_text()})"
+        with Session({"R": construction.relation}, backend="engine") as session:
+            root = session._engine.plan_for(
+                session.prepare(query).expression, session._relations
+            ).root
+
+        def folds(node, parent_kind):
+            here = [(node.kernel is not None, parent_kind == "project")] * (
+                node.kind == "hash-join"
+            )
+            return here + [f for child in node.children for f in folds(child, node.kind)]
+
+        found = folds(root, None)
+        assert all(folded == under_projection for folded, under_projection in found)
+        assert {True, False} == {folded for folded, _ in found}
+
+
+def _pinned_sessions():
+    """(relations, queries): the three ``join_100k`` queries on a 2,000-row
+    slice, the eight serving queries, and the paper's query at m = 12."""
+    joins = {
+        "R": Relation.from_rows(
+            "O C P", [(i * 7 % 400, i * 13 % 105, i * 11 % 42) for i in range(2_000)]
+        ),
+        "S": Relation.from_rows("C G", [(c, c % 50) for c in range(100)], name="S"),
+        "T": Relation.from_rows("P K", [(p, p % 40) for p in range(40)], name="T"),
+    }
+    yield joins, ["project[G, K](R * S * T)", "project[O, G](R * S)", "project[C, K](R * T)"]
+    yield serving_relations(), list(serving_queries())
+    (case,) = growing_construction_family(clause_counts=(12,))
+    construction = RGConstruction(case.formula)
+    query = Projection([construction.s_attribute], construction.expression)
+    yield {"R": construction.relation}, [query]
+
+
+def test_executing_a_pinned_plan_compiles_nothing():
+    """Probe kernels are compiled when a plan is built and pinned with it:
+    an execute neither builds kernel source nor misses a plan cache."""
+    for relations, queries in _pinned_sessions():
+        with Session(relations, backend="engine") as session:
+            prepared = [session.prepare(query) for query in queries]
+            expected = [query.execute().relation for query in prepared]
+            before = kernel_counters().snapshot()
+            builder = mock.Mock(side_effect=AssertionError("compiled on execute"))
+            with mock.patch.object(plancache, "make_probe_kernel", builder), mock.patch.object(
+                planner, "make_probe_kernel", builder
+            ), mock.patch.object(physical, "make_probe_kernel", builder):
+                for _ in range(3):
+                    for query, answer in zip(prepared, expected):
+                        assert query.execute().relation == answer
+            delta = kernel_counters().delta_since(before)
+        assert not builder.called
+        assert delta["join_plan_misses"] == delta["project_plan_misses"] == 0
 
 
 HEAVY_QUERY = "project[A, C, D](R * S * T)"

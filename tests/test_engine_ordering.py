@@ -231,6 +231,30 @@ def test_a_replanned_join_says_the_ledger_answered():
     assert provenance() == ["observed-ledger", "observed-ledger"]
 
 
+def test_a_folded_join_is_harvested_under_its_joined_scheme():
+    """A join a (here: pushed) projection was folded into emits fewer columns
+    and streams the same rows, so the ledger files it under the joined
+    scheme — the columns the planner's next lookup asks with."""
+    relations = serving_relations()
+    schemes = {name: relation.scheme for name, relation in relations.items()}
+    query = parse_expression("project[A, C, D](R * S * T)", schemes)
+    evaluator = EngineEvaluator(planstore=True)
+    pushed = evaluator.plan_for(query, relations).root.children[0].children[0]
+    (inner,) = pushed.children
+    assert pushed.pushed and inner.emit_scheme.names == ("A", "C")
+    assert inner.scheme.names == ("A", "B", "C") and inner.provenance == "backoff"
+    _, trace = evaluator.evaluate(query, relations)
+    (streamed,) = [
+        step.cardinality for step in trace.steps if step.description.endswith("-> [A, C]")
+    ]
+    ledger = evaluator.planstore.ledger
+    assert ledger.lookup({"R", "S"}, {"A", "B", "C"}) == streamed
+    assert ledger.lookup({"R", "S"}, {"A", "C"}) is None
+    evaluator.forget_plan(query, forget_learned=False)
+    replanned = evaluator.plan_for(query, relations).root.children[0].children[0]
+    assert replanned.children[0].provenance == "observed-ledger"
+
+
 def test_a_relations_sample_is_drawn_once_and_again_only_for_new_rows():
     query, relation = _rg_query(_m12())
     with Session({"R": relation}, backend="engine") as session:

@@ -12,7 +12,7 @@ unbudgeted run while spilling, build tables within the budget).
 
 import pytest
 
-from repro.algebra import Relation, naive_natural_join
+from repro.algebra import Relation, RelationScheme, naive_natural_join, naive_project
 from repro.algebra.relation import _join_plan
 from repro.engine import (
     EngineEvaluator,
@@ -28,6 +28,7 @@ from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.expressions import Projection
 from repro.perf import kernel_counters
+from repro.perf.plancache import make_probe_kernel
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family
 
@@ -156,6 +157,42 @@ class TestSpillLifecycle:
         assert result == naive_natural_join(left, right)
         assert delta["spill_overflows"] == 0
         assert delta["join_chunk_passes"] >= 1
+        assert operator.build_peak_rows <= budget.rows
+        assert meter.current == 0
+        assert not any(tmp_path.iterdir())
+
+
+class TestFoldedJoinSpills:
+    """A join with a projection folded into it, through every spilled mode:
+    re-read chunks, Grace partitions and the chunked fallback all emit
+    through the same compiled kernel (``HashJoin._probe``)."""
+
+    @pytest.mark.parametrize(
+        "build_rows, probe_rows, budget_rows, mode, chunked",
+        [
+            ([(i, i) for i in range(40)], [(i % 45, -i) for i in range(600)], 32, "re-read", False),
+            ([(i, i) for i in range(100)], [(i, -i) for i in range(100)], 32, "partitioned", False),
+            ([(0, i) for i in range(60)], [(0, -i) for i in range(5)], 8, "partitioned", True),
+        ],
+    )
+    def test_each_mode_emits_the_projection(
+        self, tmp_path, build_rows, probe_rows, budget_rows, mode, chunked
+    ):
+        build = Relation.from_rows("K A", build_rows)
+        probe = Relation.from_rows("K B", probe_rows)
+        budget = MemoryBudget(rows=budget_rows, spill_fanout=2, spill_dir=str(tmp_path))
+        operator, meter = _grace(build, probe, budget)
+        plan = _join_plan(build.scheme, probe.scheme)
+        operator.fold(make_probe_kernel(True, plan, (2, 1)), RelationScheme.of("B", "A"))
+        before = kernel_counters().snapshot()
+        result = _drain(operator)
+        delta = _spill_delta(before)
+        assert result == naive_project(naive_natural_join(build, probe), ["B", "A"])
+        assert operator.spill_mode == mode
+        assert bool(delta["join_chunk_passes"]) == chunked
+        assert operator.label().startswith(
+            f"grace hash join [build=left, budget={budget_rows}] on (K) -> [B, A] [spilled: "
+        )
         assert operator.build_peak_rows <= budget.rows
         assert meter.current == 0
         assert not any(tmp_path.iterdir())

@@ -633,7 +633,11 @@ class TestSessionObservability:
         with repro.connect(_database(), config=config) as session:
             report = session.prepare(QUERY).explain_analyze()
             (event,) = session.events().events("spill")
-        line = f"grace hash join [build=right, budget={budget}] on (B) [spilled: {how}]"
+        # "-> [A, C]": the projection above was folded into the join.
+        line = (
+            f"grace hash join [build=right, budget={budget}] on (B) -> [A, C] "
+            f"[spilled: {how}]"
+        )
         assert line in [timing.label for timing in report.operators]
         assert f"    {line}" in str(report).splitlines()[4]
         assert event["label"] == line and event["rows"] == 80
@@ -651,7 +655,7 @@ class TestSessionObservability:
             report = query.explain_analyze()
             steps = [step.description for step in query.last_trace().steps]
         assert "    project[A, C] (pushed)  [est_rows=920.0 cost=30893.0]" in plan_lines
-        label = "project[A, C](hash join [build=right] on (B)) (pushed)"
+        label = "project[A, C](hash join [build=right] on (B) -> [A, C]) (pushed)"
         assert label in [timing.label for timing in report.operators]
         assert label in steps
         assert f"      {label} " in str(report)
