@@ -37,6 +37,7 @@ Two backends:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -63,6 +64,11 @@ _COUNTERS = kernel_counters()
 
 #: Seconds between liveness checks while waiting for fork-worker results.
 _POLL_SECONDS = 0.25
+
+#: Result rows a drain accumulates between two young-generation sweeps: on
+#: ``join_100k``'s 76k-91k-row results a sweep costs ~100 ns per row at 1,024
+#: (a pass's fixed part shows), ~60 at 4,096, ~90 at 16,384 (rows gone cold).
+SWEEP_ROWS = 4096
 
 
 class ParallelExecutionError(RuntimeError):
@@ -116,6 +122,46 @@ def default_backend() -> str:
     return "thread"
 
 
+class _CollectorPause:
+    """A re-entrant, process-wide pause of automatic cyclic collection.
+
+    Concurrent (thread backend) and nested drains share a depth count: the
+    first entry disables, the last exit re-enables.  Entering returns whether
+    it was on — a host's own ``gc.disable()`` is left so, and gets no sweeps.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> bool:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+            return self._resume
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._depth:  # 0 only in a child forked from inside the block
+                self._depth -= 1
+                if self._depth == 0 and self._resume:
+                    gc.enable()
+
+    def after_fork_in_child(self) -> None:
+        """The child has one thread and no drain: depth 0, pre-pause state."""
+        if self._depth and self._resume:
+            gc.enable()
+        self.__init__()  # the lock too: a parent thread may have held it
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython >= 3.7
+    os.register_at_fork(after_in_child=_COLLECTOR_PAUSE.after_fork_in_child)
+
+
 def drain_metered(
     root: PhysicalOperator,
     meter: MemoryMeter,
@@ -133,20 +179,24 @@ def drain_metered(
     once.
 
     Past ``cap`` rows the drain stops and returns ``None``; then, or when
-    the tree raises (a mid-stream re-plan, an injected fault), the partial
-    rows' residency is released.  ``span`` wraps the drain in the trace's
-    ``materialize`` span when the meter carries an enabled tracer.
+    the tree or the drain itself raises (a re-plan, a fault, ``MemoryError``),
+    the tree is closed and the partial rows' residency released.  ``span``
+    wraps the drain in the trace's ``materialize`` span when the meter carries
+    an enabled tracer.  Automatic collection is paused meanwhile (rule 7 of
+    ``docs/ENGINE.md``): rows are freed by reference count, so one generation-0
+    sweep per :data:`SWEEP_ROWS` result rows untracks the only survivors young.
     """
     tracer = meter.tracer if span else None
     if tracer is None or not tracer.enabled:
         tracer = NULL_TRACER
     rows: Set[tuple] = set()
     update = rows.update
-    size = 0
+    size = swept = 0
     blocks = root.blocks(rows)
-    with tracer.span("materialize", "drain") as handle:
+    with _COLLECTOR_PAUSE as sweeping, tracer.span("materialize", "drain") as handle:
         try:
-            for block in blocks:
+            block = next(blocks, None)
+            while block is not None:
                 update(block)
                 grown = len(rows)
                 if cap is not None and grown > cap:
@@ -156,9 +206,19 @@ def drain_metered(
                 if grown != size:
                     meter.acquire(grown - size)
                     size = grown
-        except BaseException:
-            meter.release(size)
-            raise
+                block = next(blocks, None)
+                # After the pull: a stream that just ended is swept with its tree gone.
+                if sweeping and size - swept >= SWEEP_ROWS:
+                    gc.collect(0)
+                    swept = size
+        except BaseException as failure:
+            # Now, not whenever the traceback is dropped: the suspended tree
+            # holds spill files and reservations, and nothing collects here.
+            try:
+                blocks.close()
+            finally:
+                meter.release(size)
+                raise failure  # never a cleanup's own error in its place
         handle.rows = size
     return rows
 

@@ -13,7 +13,14 @@ runs (``-k ordering_sweep --full-ordering-sweep``, about two minutes).
 ``--full-fault-sweep`` makes ``tests/test_engine_faults.py``'s persistent
 read-fault sweep re-run its evaluation at *every* one of its ~960 read
 positions (CI's fault-matrix job) instead of tier-1's ends-plus-stride.
+
+Every test runs under a tripwire on the interpreter's collector switch: the
+engine's drain pauses automatic collection process-wide
+(``docs/ENGINE.md``, rule 7), and a pause that leaked would silently change
+the memory behaviour of every test after it.
 """
+
+import gc
 
 import pytest
 
@@ -37,6 +44,19 @@ def pytest_addoption(parser):
         action="store_true",
         help="sweep a persistent spill-read fault over every read position (CI)",
     )
+
+
+@pytest.fixture(autouse=True)
+def collector_switch_is_handed_back(request):
+    """Fail, by name, a test that leaves ``gc.isenabled()`` changed."""
+    before = gc.isenabled()
+    yield
+    if gc.isenabled() != before:
+        (gc.enable if before else gc.disable)()  # the next test starts clean
+        pytest.fail(
+            f"{request.node.nodeid} left the cyclic collector "
+            f"{'disabled' if before else 'enabled'} (it was not before)"
+        )
 
 
 @pytest.fixture

@@ -53,11 +53,14 @@ from repro.engine import (
 )
 from repro.engine import evaluator as evaluator_module
 from repro.engine import spill as spill_module
+from repro.engine.parallel import drain_metered
 from repro.engine.sampling import AdaptiveConfig
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
 from repro.obs import ObserveConfig
 from repro.perf import kernel_counters, reset_kernel_counters
+from repro.reductions.rg import RGConstruction
+from repro.workloads import growing_construction_family
 
 import random
 
@@ -496,6 +499,83 @@ class TestPersistentFaultSweep:
         # 200 rows: the first join partitions, the others keep their probe
         # side streaming and re-read a ~120-row build per probe slice.
         self._sweep(tmp_path, fault_field, {"partitioned", "re-read"}, rows=200)
+
+
+class TestDrainFailure:
+    """The drain's *own* statements can fail with the tree suspended under
+    them (``MemoryError`` growing the result set, an interrupt, the sweep):
+    the tree is closed there and then, not when the traceback is dropped —
+    with the collector paused, nothing else would come for it."""
+
+    # 64 is the ladder's budget (every join re-reads a small build: only
+    # reservations are in flight); at 16 and 8 Grace directories are open
+    # under the drain when it fails, at 8 the result arrives over many blocks.
+    @pytest.mark.parametrize("budget_rows", [64, 16, 8])
+    def test_a_failing_result_acquire_closes_the_suspended_tree(
+        self, tmp_path, budget_rows
+    ):
+        construction = RGConstruction(
+            growing_construction_family(clause_counts=(6,), seed=3)[0].formula
+        )
+        bound = {"R": construction.relation}
+        meters = []
+        due = [0]
+
+        class FailingMeter(MemoryMeter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                meters.append(self)
+
+            def acquire(self, rows=1):
+                if sys._getframe(1).f_code.co_name == "drain_metered":
+                    due[0] -= 1
+                    if due[0] == 0:
+                        raise MemoryError("injected: growing the result set")
+                super().acquire(rows)
+
+        failed = 0
+        with mock.patch.object(evaluator_module, "MemoryMeter", FailingMeter):
+            for nth in (1, 2, 5):
+                evaluator = EngineEvaluator(
+                    budget=MemoryBudget(rows=budget_rows, spill_dir=str(tmp_path))
+                )
+                due[0] = nth
+                try:
+                    result, _ = evaluator.evaluate(construction.expression, bound)
+                except MemoryError:  # checked while the traceback is held
+                    failed += 1
+                    assert meters[-1].current == 0, (nth, meters[-1].current)
+                    assert not spill_module._ACTIVE_SPILL_DIRS, nth
+                    assert not glob.glob(str(tmp_path / "repro-grace-*")), nth
+                    assert gc.isenabled()
+                else:
+                    assert result == construction.expected_result()
+        assert failed >= 1
+
+    def test_a_cleanup_that_fails_too_does_not_replace_the_failure(self):
+        """Closing the suspended tree can raise itself (a cleanup fault, a
+        generator that answers ``close()`` with another block): the caller
+        still sees what went wrong first, with the meter balanced."""
+
+        class StubbornRoot:
+            def blocks(self, sink=None):
+                try:
+                    yield [(1,)]
+                    yield [(2,)]
+                except GeneratorExit:
+                    yield []  # close() turns this into a RuntimeError
+
+        class FailingMeter(MemoryMeter):
+            def acquire(self, rows=1):
+                if self.current:
+                    raise MemoryError("injected: growing the result set")
+                super().acquire(rows)
+
+        meter = FailingMeter()
+        with pytest.raises(MemoryError, match="injected"):
+            drain_metered(StubbornRoot(), meter)
+        assert meter.current == 0
+        assert gc.isenabled()
 
 
 class TestSessionSurfacing:

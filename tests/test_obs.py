@@ -584,25 +584,43 @@ class TestSessionObservability:
             assert 0.0 < report.attributed_fraction <= 1.0
             assert query.last_trace().spans  # traced run is the last trace
 
-    def test_explain_analyze_attributes_the_wall_time_at_m12(self):
-        """Operator spans must explain >= 95% of a run long enough to
-        measure (R_G at m = 12, ~40 ms); median of three to ride out a
-        scheduling hiccup."""
-        from statistics import median
-
+    @staticmethod
+    def _blowup_attributed_fractions(clauses, runs=3):
         from repro.expressions import Projection
         from repro.reductions import RGConstruction
         from repro.workloads import growing_construction_family
 
-        (case,) = growing_construction_family(clause_counts=(12,))
+        (case,) = growing_construction_family(clause_counts=(clauses,))
         construction = RGConstruction(case.formula)
         query = Projection([construction.s_attribute], construction.expression)
         with repro.connect(construction.relation) as session:
             prepared = session.prepare(query)
             prepared.execute()  # pin the plan off the clock
-            fractions = [
-                prepared.explain_analyze().attributed_fraction for _ in range(3)
+            return [
+                prepared.explain_analyze().attributed_fraction for _ in range(runs)
             ]
+
+    def test_explain_analyze_attributes_the_wall_time_at_m12(self):
+        """What the operator spans leave unexplained at m = 12 is a fixed
+        0.35-0.4 ms per execute (building the operator tree, the drain's own
+        statements, wrapping the result), and this gates *that*, as a share
+        so that it reads the same on a slow host.  It said >= 95 % while the
+        run took ~11.5 ms (0.575 ms allowed; it read 0.972).  PR 24 took the
+        collector's third out of the run and none out of the fixed part: the
+        same 0.39 ms now reads 0.955 of ~7.5 ms.  >= 93 % of the shorter run
+        allows 0.53 ms - less, not more, than the gate allowed before.
+        Median of three to ride out a scheduling hiccup."""
+        from statistics import median
+
+        fractions = self._blowup_attributed_fractions(12)
+        assert median(fractions) >= 0.93, fractions
+
+    def test_explain_analyze_attributes_the_wall_time_at_m14(self):
+        """The share that scales with the work: at m = 14 (~33 ms) the fixed
+        part is ~1 % and the spans must explain >= 95 % (reads 0.986)."""
+        from statistics import median
+
+        fractions = self._blowup_attributed_fractions(14)
         assert median(fractions) >= 0.95, fractions
 
     def test_explain_analyze_on_materialising_backend_has_no_operators(self):
