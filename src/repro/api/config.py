@@ -15,8 +15,6 @@ from typing import Optional, Union
 
 from ..engine.faults import FaultPlan
 from ..engine.physical import MemoryBudget
-from ..engine.planstore import PlanStore, PlanStoreConfig
-from ..engine.sampling import AdaptiveConfig
 from ..obs.config import Observer, ObserveConfig
 from .errors import SessionError, UnknownBackendError
 
@@ -49,39 +47,19 @@ class BackendConfig:
         How many persistent fork-probe pools the engine evaluator keeps
         warm, LRU-evicted beyond that (each pool pins one bound plan's
         forked workers — see ``docs/ENGINE.md``).
-    ``adaptive``
-        ``True`` (or an :class:`~repro.engine.sampling.AdaptiveConfig`)
-        switches the engine backend to sampling-based cardinality
-        estimation plus mid-stream re-planning: plans are costed against
-        reservoir samples of the bound relations, and a serial execution
-        whose observed cardinality blows past its estimate checkpoints and
-        resumes on a re-costed join order (``session.stats()["replans"]``
-        counts it; invalidation replans re-sample the fresh relations).
-    ``planstore``
-        ``True`` (or a :class:`~repro.engine.planstore.PlanStoreConfig`)
-        attaches the plan-management subsystem to the engine backend: a
-        per-session store that caches warm reservoir samples by relation
-        identity, keeps an observed-cardinality ledger that plan costing
-        consults before any estimator, re-pins the corrected join order
-        after a successful mid-stream re-plan, and proactively re-plans
-        pinned plans whose estimates have drifted past the configured
-        q-error threshold.  A pre-built :class:`~repro.engine.planstore.PlanStore`
-        is accepted as-is (sessions may share one store the way they share
-        an :class:`~repro.obs.Observer`).  ``None`` (the default) keeps
-        planning memoryless, exactly as before this knob existed.
     ``faults``
         A :class:`~repro.engine.faults.FaultPlan` chaos schedule for the
-        engine backend: spill I/O failures, a worker kill, checkpoint-cap
-        pressure.  The engine either recovers (retries, pool rebuild, loud
-        serial fallback) or raises a typed
+        engine backend: spill I/O failures, a worker kill.  The engine
+        either recovers (retries, pool rebuild, loud serial fallback) or
+        raises a typed
         :class:`~repro.engine.faults.EngineFaultError` — never a silent
         wrong answer.  ``None`` (the default) injects nothing.
     ``observe``
         An :class:`~repro.obs.ObserveConfig` (or ``True`` for everything
         on) attaching the observability layer: per-execution span
         tracing (``EvaluationTrace.spans``, ``explain_analyze()``), a
-        structured event log of spills / re-plans / degradations /
-        faults, and a metrics registry (``Session.metrics()``).  With
+        structured event log of spills / degradations / faults, and a
+        metrics registry (``Session.metrics()``).  With
         ``None`` (the default) the session still keeps a metrics
         registry, but no tracer or event log ever touches the engine's
         hot path.  A pre-built runtime :class:`~repro.obs.Observer` is
@@ -94,13 +72,11 @@ class BackendConfig:
     workers: int = 1
     parallel_backend: Optional[str] = None
     max_pools: int = 8
-    adaptive: Union[AdaptiveConfig, bool, None] = None
-    planstore: Union[PlanStore, PlanStoreConfig, bool, None] = None
     faults: Optional[FaultPlan] = None
     observe: Union[Observer, ObserveConfig, bool, None] = None
 
     def __post_init__(self):
-        """Validate the backend name and knob ranges; coerce budget/adaptive."""
+        """Validate the backend name and knob ranges; coerce the budget."""
         validate_backend(self.backend)
         if self.workers < 1:
             raise SessionError(f"workers must be >= 1, got {self.workers}")
@@ -109,19 +85,6 @@ class BackendConfig:
         coerced = MemoryBudget.coerce(self.budget)
         if coerced is not self.budget:
             object.__setattr__(self, "budget", coerced)
-        try:
-            adaptive = AdaptiveConfig.coerce(self.adaptive)
-        except (TypeError, ValueError) as error:
-            raise SessionError(str(error)) from error
-        if adaptive is not self.adaptive:
-            object.__setattr__(self, "adaptive", adaptive)
-        if not isinstance(self.planstore, PlanStore):
-            try:
-                planstore = PlanStoreConfig.coerce(self.planstore)
-            except (TypeError, ValueError) as error:
-                raise SessionError(str(error)) from error
-            if planstore is not self.planstore:
-                object.__setattr__(self, "planstore", planstore)
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise SessionError(
                 f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"

@@ -8,8 +8,8 @@ and pins everything that does not change between executions of one query:
   lazily only after the session mutates a relation the query reads);
 * the backend-specific compiled artifact — the optimiser's pushed-down
   rewrite here, the engine's :class:`~repro.engine.planner.PhysicalPlan` in
-  the session's evaluator, its single holder: a re-pin or drift re-plan
-  swaps it there (the naive backends have nothing to compile).
+  the session's evaluator, its single holder (the naive backends have
+  nothing to compile).
 
 ``execute()`` then runs the pinned plan; the session's counters record a
 plan-cache hit for every execution that re-planned nothing, which is how the
@@ -28,7 +28,6 @@ from .errors import SessionError
 from .result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.planstore import PlanRecord
     from .session import Session
 
 __all__ = ["PreparedQuery"]
@@ -86,13 +85,8 @@ class PreparedQuery:
                 # Drop the engine's pinned plan for this expression so the
                 # re-compile plans against the *new* relations' statistics
                 # (construction-is-invalidation: fresh relations carry fresh
-                # stats catalogs).  forget_learned=False: the changed
-                # relation's plan-store state was already invalidated by
-                # set_relation, scoped to that name — what was learned about
-                # unchanged relations stays.
-                session._forget_backend_plan(
-                    self.backend, self.expression, forget_learned=False
-                )
+                # stats catalogs).
+                session._forget_backend_plan(self.backend, self.expression)
                 self._compile(count_build=True)
             else:
                 session._count("plan_cache_hits")
@@ -154,7 +148,7 @@ class PreparedQuery:
         session's ``observe`` config), and the recorded spans are folded into
         an :class:`repro.obs.ExplainAnalyzeReport` — per-operator wall time
         (inclusive and self), rows produced, kernel-counter deltas, plus the
-        plan/spill/replan overhead spans.  Only the ``engine`` backend emits
+        plan/spill overhead spans.  Only the ``engine`` backend emits
         operator spans; other backends return a report whose operator list is
         empty and whose total is the wall time.
 
@@ -187,11 +181,9 @@ class PreparedQuery:
         bound = self._current_binding()
         expression_text = self.expression.to_text()
         if self.backend == "engine":
-            engine = self._session._engine
-            # Forgotten since the last compile: build it, as execute() would.
-            plan = engine.pinned_plan(self.expression) or engine.plan_for(
-                self.expression, bound
-            )
+            # The pinned plan, or — forgotten since the last compile — the one
+            # execute() would build.
+            plan = self._session._engine.plan_for(self.expression, bound)
             return (
                 f"backend: engine (streaming physical plan)\n"
                 f"expression: {expression_text}\n"
@@ -243,23 +235,6 @@ class PreparedQuery:
     def operand_names(self) -> Tuple[str, ...]:
         """The operand names this query reads, sorted."""
         return tuple(sorted(self._bound))
-
-    def plan_history(self) -> Tuple["PlanRecord", ...]:
-        """What the plan store recorded about this query's plan, oldest first.
-
-        Each :class:`~repro.engine.planstore.PlanRecord` is one lifecycle
-        event — ``pinned`` (a fresh build, with its join order), ``repin``
-        (the corrected order written back after a mid-stream re-plan),
-        ``drift_replan`` (a proactive rebuild after observed cardinalities
-        drifted from the pinned estimates), ``forgotten`` (the plan was
-        dropped).  Empty when the session has no plan store
-        (``planstore=`` not configured), when the backend is not the
-        engine, or before the first engine compile.
-        """
-        store = self._session._planstore
-        if store is None or self.backend != "engine":
-            return ()
-        return store.history(self.expression)
 
     def __repr__(self) -> str:
         return (

@@ -59,7 +59,6 @@ _COUNTER_NAMES = (
     "plan_cache_hits",
     "invalidations",
     "invalidation_replans",
-    "replans",
     "serial_fallbacks",
 )
 
@@ -175,11 +174,6 @@ class Session:
             self._relations[name] = relation
             self._rel_versions[name] = self._rel_versions.get(name, 0) + 1
             self._counters["invalidations"] += 1
-        store = self._planstore
-        if store is not None:
-            # Scoped invalidation: drop only this name's warm samples and
-            # ledger observations; other relations' learned state stays.
-            store.invalidate_relation(name)
 
     def set_default_relation(self, relation: Relation) -> None:
         """Replace a single-relation session's bare relation."""
@@ -197,11 +191,6 @@ class Session:
             self._default = relation
             self._default_version += 1
             self._counters["invalidations"] += 1
-        store = self._planstore
-        if store is not None:
-            # The bare relation binds any operand name, so nothing learned
-            # can be scoped to a name — forget all samples and observations.
-            store.invalidate_all()
 
     def _resolve_bindings(
         self, expression: Expression
@@ -324,8 +313,6 @@ class Session:
                         workers=self.config.workers,
                         parallel_backend=self.config.parallel_backend,
                         max_pools=self.config.max_pools,
-                        adaptive=self.config.adaptive,
-                        planstore=self.config.planstore,
                         faults=self.config.faults,
                         observe=self._observer,
                     )
@@ -346,40 +333,19 @@ class Session:
             return push_down_projections(expression)
         return None
 
-    def _forget_backend_plan(
-        self, backend: str, expression: Expression, forget_learned: bool = True
-    ) -> None:
-        """Drop a stale pinned plan so the next compile re-plans.
-
-        ``forget_learned=False`` is the invalidation-replan path: the
-        changed relation's plan-store state was already invalidated —
-        scoped to that name — by :meth:`set_relation`, so observations
-        over the plan's *unchanged* relations stay learned.
-        """
+    def _forget_backend_plan(self, backend: str, expression: Expression) -> None:
+        """Drop a stale pinned plan so the next compile re-plans."""
         if backend == "engine" and self._engine_evaluator is not None:
-            self._engine_evaluator.forget_plan(
-                expression, forget_learned=forget_learned
-            )
-
-    @property
-    def _planstore(self):
-        """The engine evaluator's plan store, if one is attached and live."""
-        engine = self._engine_evaluator
-        return engine.planstore if engine is not None else None
+            self._engine_evaluator.forget_plan(expression)
 
     def forget_plan(
         self,
         expression: Union[Expression, str],
         backend: Optional[str] = None,
     ) -> None:
-        """Drop the pinned plan (and what executing it taught the store).
+        """Drop the pinned plan: the next execution of a prepared query over
+        ``expression`` re-plans from scratch.
 
-        The next execution of a prepared query over ``expression`` re-plans
-        from scratch.  With a plan store attached, forgetting also drops
-        the ledger observations learned from this plan's operands (a
-        ``forgotten`` event lands in its plan history) — warm reservoir
-        samples stay, because they are keyed by relation identity and
-        remain valid until :meth:`set_relation` replaces the relation.
         ``backend`` defaults to the session's configured backend; only the
         engine backend pins plans, so other backends are a no-op.
         """
@@ -414,10 +380,6 @@ class Session:
         metrics.counter("repro_rows_total", help="result rows returned").inc(
             trace.result_cardinality
         )
-        if trace.replans:
-            metrics.counter(
-                "repro_replans_total", help="mid-stream adaptive re-plans"
-            ).inc(trace.replans)
         if trace.serial_fallbacks:
             metrics.counter(
                 "repro_serial_fallbacks_total",
@@ -444,12 +406,10 @@ class Session:
         """Run one backend; the trace is the evaluator's own object, uncopied."""
         if backend == "engine":
             relation, trace = self._engine.evaluate(expression, bound, tracer=tracer)
-            if trace.replans or trace.serial_fallbacks:
-                # Mid-stream re-plans (adaptive mode) and parallel-to-serial
-                # degradations are serving events: surface them next to the
-                # prepare/invalidation counters.
+            if trace.serial_fallbacks:
+                # Parallel-to-serial degradations are serving events: surface
+                # them next to the prepare/invalidation counters.
                 with self._state_lock:
-                    self._counters["replans"] += trace.replans
                     self._counters["serial_fallbacks"] += trace.serial_fallbacks
             return relation, trace
         if backend == "optimized":
@@ -475,22 +435,15 @@ class Session:
         ``plan_builds`` counts compilations (one per prepared query, plus
         one per invalidation replan); ``plan_cache_hits`` counts executions
         that reused a pinned plan; ``registry_hits`` counts ``prepare``
-        calls answered from the registry; ``replans`` counts the adaptive
-        engine's mid-stream re-plans (0 unless the config sets
-        ``adaptive``); ``serial_fallbacks`` counts loud parallel-to-serial
-        degradations (each also warned and recorded on the trace).
-        ``open_pools`` reports the engine's warm fork-probe pools.  With a
-        plan store attached (``planstore=`` config), a nested
-        ``"planstore"`` dict reports its sample-cache hits/misses, ledger
-        size and version, plan re-pins, and drift re-plans.
+        calls answered from the registry; ``serial_fallbacks`` counts loud
+        parallel-to-serial degradations (each also warned and recorded on
+        the trace).  ``open_pools`` reports the engine's warm fork-probe
+        pools.
         """
         with self._state_lock:
             snapshot = dict(self._counters)
             engine = self._engine_evaluator
         snapshot["open_pools"] = engine.open_pools if engine is not None else 0
-        store = engine.planstore if engine is not None else None
-        if store is not None:
-            snapshot["planstore"] = store.stats()
         return snapshot
 
     def metrics(self) -> "MetricsRegistry":
@@ -506,9 +459,9 @@ class Session:
         """The session's structured event log, or ``None`` when not observed.
 
         Present only when the config's ``observe`` enables events — the
-        log records every spill switch, re-plan, checkpoint, degradation,
-        and injected fault as a timestamped dict (mirrored to JSON-Lines
-        when ``events_path`` is set).
+        log records every spill switch, degradation, and injected fault as
+        a timestamped dict (mirrored to JSON-Lines when ``events_path`` is
+        set).
         """
         if self._observer is None:
             return None

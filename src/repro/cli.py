@@ -32,25 +32,14 @@ Python:
     assumed from ``--cardinality NAME=N`` declarations (default 100 rows per
     operand); ``--memory-budget ROWS`` shows the budget-aware plan (Grace
     joins with partition estimates); ``--paper`` explains and runs the
-    paper's worked example on its real relation instead; ``--adaptive``
-    switches on sampling-based estimation, mid-stream re-planning, and the
-    plan store (with ``--paper`` it reports the re-plan count and, per
-    join node, where the estimate came from: the observed-cardinality
-    ledger, a reservoir sample, or the backoff formula).
+    paper's worked example on its real relation instead, and reports per
+    join node where the estimate came from: a row sample or the backoff
+    formula.
 
-``python -m repro plans [--executes N] [--invalidate]``
-    Serve the demo serving workload from one adaptive session with the
-    plan-management store attached, then print what the optimizer learned:
-    each query's plan history (pins, re-pins, drift re-plans, forgets with
-    join orders), the observed-cardinality ledger, and the store's
-    sample-cache hit rate.  ``--invalidate`` replaces one relation
-    mid-run to show scoped invalidation (only that relation's learned
-    state is dropped).
-
-``python -m repro trace [--memory-budget ROWS] [--workers N] [--adaptive] [--events PATH]``
+``python -m repro trace [--memory-budget ROWS] [--workers N] [--events PATH]``
     Execute the paper's worked example under a span tracer and print the
     ``EXPLAIN ANALYZE`` report — per-operator wall time (inclusive/self),
-    rows produced, and the plan/spill/replan overhead spans — followed by
+    rows produced, and the plan/spill overhead spans — followed by
     the structured event log (``--events PATH`` additionally appends the
     events as JSON Lines).
 
@@ -227,8 +216,7 @@ def _join_provenance_lines(plan) -> List[str]:
     Provenance is what the planner recorded on the node when it costed the
     join (``PlanNode.provenance``): the samples an estimate was measured on
     are dropped before a plan is pinned, so nothing here re-derives it.  A
-    plan re-pinned after an execution was costed against the plan store's
-    ledger, and says so (``observed-ledger``).  A join with the projection
+    join with the projection
     above folded into it is followed by the source of the probe kernel that
     was generated for its column list (nested loop, then key-join loop).
     """
@@ -272,23 +260,9 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             backend="engine",
             budget=arguments.memory_budget,
             workers=arguments.workers,
-            adaptive=arguments.adaptive,
-            planstore=arguments.adaptive,
         ) as session:
             prepared = session.prepare(expression)
             print("phi_G =", expression.to_text())
-            if arguments.adaptive:
-                if arguments.workers > 1:
-                    print(
-                        "(adaptive: plan costed against reservoir samples; "
-                        "mid-stream re-planning applies to serial execution "
-                        "only and is inactive under --workers)"
-                    )
-                else:
-                    print(
-                        "(adaptive: plan costed against reservoir samples; "
-                        "mid-stream re-planning armed)"
-                    )
             print()
             print(prepared.explain())
             trace = prepared.execute().trace
@@ -298,8 +272,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             f"peak live rows {trace.peak_live_rows} "
             f"(input {trace.input_cardinality})"
         )
-        if arguments.adaptive:
-            print(f"adaptive: {trace.replans} mid-stream re-plan(s)")
         live = session._engine.pinned_plan(expression)
         if live is not None:
             print("per-join estimate provenance:")
@@ -317,12 +289,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
         return 0
     if not arguments.expression:
         raise SystemExit("an expression is required unless --paper is given")
-    if arguments.adaptive:
-        print(
-            "adaptive: enabled (sampled statistics need data, so the "
-            "assumed-statistics plan below is what static planning chooses; "
-            "re-planning applies when the plan executes against relations)"
-        )
     schemes = _parse_named_values(arguments.scheme, "--scheme")
     if not schemes:
         raise SystemExit("engine-explain needs at least one --scheme NAME=\"A B ...\"")
@@ -360,73 +326,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_plans(arguments: argparse.Namespace) -> int:
-    from .algebra import Relation
-    from .engine.planstore import PlanStoreConfig
-    from .workloads import serving_queries, serving_relations
-
-    if arguments.executes < 1:
-        raise SystemExit("--executes must be >= 1")
-    if arguments.rows < 1:
-        raise SystemExit("--rows must be >= 1")
-    relations = serving_relations(rows=arguments.rows)
-    queries = serving_queries()
-    with Session(
-        relations,
-        backend="engine",
-        adaptive=True,
-        planstore=PlanStoreConfig(),
-    ) as session:
-        prepared = [session.prepare(text) for text in queries]
-        for _ in range(arguments.executes):
-            for query in prepared:
-                query.execute()
-        if arguments.invalidate:
-            # Replace S with a shifted distribution: only S's warm sample
-            # and the ledger observations involving S are dropped; every
-            # other relation's learned state stays warm.
-            shifted = Relation.from_rows(
-                "B C",
-                [((i * 3) % 17, i % 23) for i in range(arguments.rows)],
-                name="S",
-            )
-            session.set_relation("S", shifted)
-            for query in prepared:
-                query.execute()
-        print(f"plan histories ({arguments.executes} execution(s) per query):")
-        for text, query in zip(queries, prepared):
-            print(f"  {text}")
-            for record in query.plan_history():
-                order = " * ".join(record.join_order) if record.join_order else "-"
-                detail = f"   ({record.detail})" if record.detail else ""
-                print(f"    {record.kind:<13} {order}{detail}")
-        store = session._planstore
-        print()
-        print("observed-cardinality ledger:")
-        snapshot = store.ledger.snapshot()
-        for key in sorted(
-            snapshot, key=lambda k: (len(k[0]), sorted(k[0]), sorted(k[1]))
-        ):
-            names, columns = key
-            print(
-                f"  {{{', '.join(sorted(names))}}} -> "
-                f"({', '.join(sorted(columns))}): {snapshot[key]} rows"
-            )
-        stats = store.stats()
-        lookups = stats["sample_cache_hits"] + stats["sample_cache_misses"]
-        rate = 100.0 * stats["sample_cache_hits"] / lookups if lookups else 0.0
-        print()
-        print(
-            f"store: {stats['cached_samples']} warm sample(s) "
-            f"({stats['sample_cache_hits']}/{lookups} lookups hit, {rate:.0f}%), "
-            f"ledger v{stats['ledger_version']} holding "
-            f"{stats['ledger_entries']} operand set(s), "
-            f"{stats['plan_repins']} repin(s), "
-            f"{stats['drift_replans']} drift re-plan(s)"
-        )
-    return 0
-
-
 def _observed_paper_session(arguments: argparse.Namespace, observe):
     """Open a session over the worked example with the observability layer on."""
     if arguments.memory_budget is not None and arguments.memory_budget <= 0:
@@ -438,7 +337,6 @@ def _observed_paper_session(arguments: argparse.Namespace, observe):
         backend="engine",
         budget=arguments.memory_budget,
         workers=getattr(arguments, "workers", 1),
-        adaptive=getattr(arguments, "adaptive", False),
         observe=observe,
     )
     return session, expression
@@ -645,42 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel probe workers when executing (--paper; default 1)",
     )
     explain_parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "sampling-based estimation + mid-stream re-planning (with --paper: "
-            "plan from reservoir samples, report re-plans and estimate q-error)"
-        ),
-    )
-    explain_parser.add_argument(
         "--paper",
         action="store_true",
         help="explain and execute the paper's worked example on its real relation",
     )
     explain_parser.set_defaults(handler=_command_engine_explain)
-
-    plans_parser = subparsers.add_parser(
-        "plans",
-        help="serve the demo workload with the plan store on and print what it learned",
-    )
-    plans_parser.add_argument(
-        "--executes",
-        type=int,
-        default=3,
-        help="executions per demo query before reporting (default 3)",
-    )
-    plans_parser.add_argument(
-        "--rows",
-        type=int,
-        default=600,
-        help="rows per relation of the demo serving database (default 600)",
-    )
-    plans_parser.add_argument(
-        "--invalidate",
-        action="store_true",
-        help="replace relation S mid-run to show scoped invalidation",
-    )
-    plans_parser.set_defaults(handler=_command_plans)
 
     trace_parser = subparsers.add_parser(
         "trace",
@@ -698,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="parallel probe workers (default 1 = serial)",
-    )
-    trace_parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive mode: replan/checkpoint spans appear in the report",
     )
     trace_parser.add_argument(
         "--events",

@@ -17,33 +17,23 @@ algebra kernel (PR 1):
     The one way rows get to disk and back: :class:`SpillFile` (retried,
     fault-aware, read-back-checked frame I/O) and ``PartitionedSpill`` (one
     execution's registered temp directory, fan-outs and salted routing),
-    which the Grace join, the dedup seen-set and the adaptive checkpoint
-    are thin clients of.
+    which the Grace join and the dedup seen-set are thin clients of.
 ``repro.engine.planner``
     A cost model lowering :mod:`repro.expressions.ast` trees into physical
-    plans: memoised greedy join ordering, build-side choice, budget-aware
+    plans: beam-searched join ordering, build-side choice, budget-aware
     Grace lowering with partition-count estimates, with every compiled
     scheme-level artifact resolved at plan time.
 ``repro.engine.parallel``
     The parallel probe stage: fork/thread worker pools executing one pinned
     plan over a partitioned probe scan and merging set-equal results.
 ``repro.engine.sampling``
-    Sampling-based cardinality estimation: reservoir samples over relation
-    rows, sample-join size estimates with no cross-column independence
-    assumption, GEE distinct-count scale-up, and the
-    :class:`AdaptiveConfig` knobs for mid-stream re-planning
-    (``EngineEvaluator(adaptive=…)``).
-``repro.engine.planstore``
-    Per-session planning memory (``EngineEvaluator(planstore=…)``): an
-    identity-keyed LRU of warm reservoir samples, an observed-cardinality
-    ledger consulted by plan costing before any estimator, re-pinning of
-    the corrected join order after a mid-stream re-plan, and proactive
-    drift re-planning when observations leave a pinned plan's estimates
-    behind — the layer that turns the adaptive machinery into a learning
-    optimizer.
+    Sampling-based cardinality estimation for the joins the per-column
+    formula gets wrong (composite keys, skewed keys): lazy reservoir
+    samples over relation rows, sample-join size estimates with no
+    cross-column independence assumption.
 ``repro.engine.faults``
     Deterministic fault injection: :class:`FaultPlan` schedules spill I/O
-    failures, worker kills, and checkpoint-cap pressure;
+    failures and worker kills;
     :class:`FaultInjector` fires them per evaluation.  Every operator
     either recovers (bounded spill retries, pool rebuild, loud serial
     fallback) or raises a typed :class:`EngineFaultError` with full
@@ -69,40 +59,23 @@ from .parallel import (
 )
 from .physical import (
     BLOCK_ROWS,
-    AdaptiveGuard,
     GraceHashJoin,
     HashJoin,
     MemoryBudget,
     MemoryMeter,
     PartitionedScan,
     PhysicalOperator,
-    ReplanTriggered,
-    SpilledCheckpoint,
     SpillingSeenSet,
     StreamingProject,
     TableScan,
 )
 from .planner import PhysicalPlan, PlanNode, Planner, plan_expression
 from .spill import SPILL_BLOCK_ROWS, SPILL_IO_RETRIES, SpillFile
-from .planstore import (
-    CardinalityLedger,
-    LedgerBackedStats,
-    PlanRecord,
-    PlanStore,
-    PlanStoreConfig,
-    SampleCache,
-)
-from .sampling import (
-    AdaptiveConfig,
-    Sample,
-    SampledRelationStats,
-    q_error,
-    reservoir_sample,
-    sampled_stats,
-)
+from .sampling import Sample, q_error, reservoir_sample
 from .stats import (
     ColumnStats,
     RelationStats,
+    SampledRelationStats,
     estimate_join_cardinality,
     estimate_partition_count,
     estimate_spill_depth,
@@ -120,14 +93,10 @@ __all__ = [
     "BLOCK_ROWS",
     "SPILL_BLOCK_ROWS",
     "SPILL_IO_RETRIES",
-    "AdaptiveConfig",
-    "AdaptiveGuard",
     "MemoryBudget",
     "MemoryMeter",
-    "ReplanTriggered",
     "Sample",
     "SampledRelationStats",
-    "SpilledCheckpoint",
     "SpillFile",
     "SpillingSeenSet",
     "PhysicalOperator",
@@ -145,12 +114,6 @@ __all__ = [
     "PlanNode",
     "PhysicalPlan",
     "plan_expression",
-    "CardinalityLedger",
-    "LedgerBackedStats",
-    "PlanRecord",
-    "PlanStore",
-    "PlanStoreConfig",
-    "SampleCache",
     "ColumnStats",
     "RelationStats",
     "estimate_join_cardinality",
@@ -161,5 +124,4 @@ __all__ = [
     "project_stats",
     "q_error",
     "reservoir_sample",
-    "sampled_stats",
 ]

@@ -1,14 +1,13 @@
 """Deterministic fault injection for the streaming engine.
 
-The engine's failure paths — spill-file I/O, fork-pool worker death,
-checkpoint overflow — are exactly the paths ordinary tests never reach,
-because they only fire under disk or process misbehaviour.  This module
-makes them reachable on purpose:
+The engine's failure paths — spill-file I/O and fork-pool worker death —
+are exactly the paths ordinary tests never reach, because they only fire
+under disk or process misbehaviour.  This module makes them reachable on
+purpose:
 
 * :class:`FaultPlan` is a frozen, seedable description of *which* faults to
-  inject (fail the Nth spill write/read, kill one pool worker mid-probe,
-  force checkpoint-cap pressure).  It is threaded through
-  :class:`~repro.api.config.BackendConfig` and
+  inject (fail the Nth spill write/read, kill one pool worker mid-probe).
+  It is threaded through :class:`~repro.api.config.BackendConfig` and
   :class:`~repro.engine.evaluator.EngineEvaluator` like any other knob, so
   a whole serving stack can run under a chaos schedule.
 * :class:`FaultInjector` is the per-evaluation stateful counterpart: it
@@ -89,10 +88,6 @@ class FaultPlan:
         the thread backend raises inside the worker).  The evaluator must
         either rebuild the pool (``pool_recoveries``) or degrade loudly to
         serial (``serial_fallbacks``) — never return a wrong answer.
-    ``checkpoint_cap_rows``
-        Overrides the adaptive config's checkpoint row cap to force cap
-        pressure, so the checkpoint-spilling path (instead of the historic
-        ``adaptive_giveups``) can be pinned deterministically.
     ``seed``
         Identifies the plan (e.g. the chaos-fuzz case it was drawn for);
         carried for reproducibility reporting, not consumed at runtime.
@@ -104,7 +99,6 @@ class FaultPlan:
     spill_failures: int = 1
     persistent: bool = False
     kill_worker: Optional[int] = None
-    checkpoint_cap_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
         """Validate the schedule's knobs."""
@@ -124,7 +118,6 @@ class FaultPlan:
             self.fail_spill_write_at is not None
             or self.fail_spill_read_at is not None
             or self.kill_worker is not None
-            or self.checkpoint_cap_rows is not None
         )
 
     @classmethod

@@ -170,16 +170,16 @@ def drain_metered(
 ) -> Optional[Set[tuple]]:
     """Drain an operator tree into a set, metering the accumulated rows.
 
-    The one drain of the engine — serial, adaptive, parallel-worker and
-    checkpoint executions all end here — so the growing result set is
-    metered alongside operator state the same way everywhere and
-    ``meter.peak`` stays comparable between them.  The set is offered to
+    The one drain of the engine — serial and parallel-worker executions
+    both end here — so the growing result set is metered alongside
+    operator state the same way everywhere and ``meter.peak`` stays
+    comparable between them.  The set is offered to
     the root as its ``sink``: a root projection dedups straight into it
     (and yields empty blocks), so result rows are hashed once and resident
     once.
 
     Past ``cap`` rows the drain stops and returns ``None``; then, or when
-    the tree or the drain itself raises (a re-plan, a fault, ``MemoryError``),
+    the tree or the drain itself raises (a fault, ``MemoryError``),
     the tree is closed and the partial rows' residency released.  ``span``
     wraps the drain in the trace's ``materialize`` span when the meter carries
     an enabled tracer.  Automatic collection is paused meanwhile (rule 7 of

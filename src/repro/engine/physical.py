@@ -48,11 +48,8 @@ from .stats import RelationStats
 
 __all__ = [
     "BLOCK_ROWS",
-    "AdaptiveGuard",
     "MemoryBudget",
     "MemoryMeter",
-    "ReplanTriggered",
-    "SpilledCheckpoint",
     "SpillingSeenSet",
     "PhysicalOperator",
     "TableScan",
@@ -86,8 +83,7 @@ class MemoryBudget:
     sides through Grace partitions (:class:`GraceHashJoin` has the rule),
     and an unsplittable partition (one heavy key, a keyless product) is
     joined in meter-sized chunks.  Dedup seen-sets spill through
-    :class:`SpillingSeenSet`, adaptive checkpoints through
-    :class:`SpilledCheckpoint`.  What remains transiently metered beyond the
+    :class:`SpillingSeenSet`.  What remains transiently metered beyond the
     budget (the result accumulator, one partition- or chunk-granularity
     allowance per replay) is bounded and honest: a genuine overrun —
     distinct rows a partition cannot shed even after re-salting stops
@@ -385,51 +381,6 @@ class SpillingSeenSet:
         self._resident = 0
         self._seen.clear()
         self._parts = None
-        self._spill.close()
-
-
-class SpilledCheckpoint:
-    """A checkpoint relation kept on disk instead of in metered memory.
-
-    The adaptive evaluator's mid-stream checkpoints historically had two
-    outcomes: fit the budget, or give up the re-plan (``adaptive_giveups``).
-    This class adds the third — spill the checkpoint — by quacking like the
-    slice of :class:`~repro.algebra.relation.Relation` the engine consumes
-    from a binding: ``scheme``, ``name``, ``rows`` (a fresh stream per
-    access, so table scans can restart), plus ``sorted_rows`` and
-    ``__len__`` for the sampling estimator.  ``sorted_rows`` returns the
-    deterministic on-disk order, not the kernel's canonical sort: the
-    reservoir sampler needs *a* stable order, and sorting would
-    re-materialise exactly what spilling avoided.
-
-    The constructor writes the rows and closes its own spill area if that
-    fails for good, so a half-written checkpoint never exists.
-    """
-
-    def __init__(self, scheme, name: str, rows, meter: MemoryMeter, budget: MemoryBudget):
-        self.scheme = scheme
-        self.name = name
-        self._spill = PartitionedSpill(meter, "repro-ckpt-", budget.spill_dir)
-        try:
-            self._file = self._spill.write("checkpoint", rows)
-        except BaseException:
-            self._spill.close()
-            raise
-
-    def __len__(self) -> int:
-        return self._file.rows
-
-    @property
-    def rows(self) -> Iterator[Row]:
-        """Stream the checkpointed rows (a fresh, restartable iterator)."""
-        return chain.from_iterable(self._file.blocks())
-
-    def sorted_rows(self) -> Iterator[Row]:
-        """The rows in their deterministic on-disk order (see class docs)."""
-        return self.rows
-
-    def close(self) -> None:
-        """Delete the backing file and directory (idempotent)."""
         self._spill.close()
 
 
@@ -1234,74 +1185,3 @@ class GraceHashJoin(HashJoin):
             f"budget={self._budget.rows}] {self._on()}{how}"
         )
 
-
-class ReplanTriggered(Exception):
-    """Raised by an :class:`AdaptiveGuard` whose observation crossed its
-    threshold.
-
-    The exception unwinds the whole executing operator cascade — every
-    operator's ``finally`` releases its metered state on the way out — and
-    is caught by the adaptive evaluator, which materialises a checkpoint,
-    re-costs the remaining join order against observed sizes, and resumes
-    on the revised plan (see ``EngineEvaluator``'s adaptive mode).
-    """
-
-    def __init__(self, guard: "AdaptiveGuard"):
-        """Record the triggering ``guard`` (which knows its plan node)."""
-        self.guard = guard
-        super().__init__(
-            f"observed {guard.rows_out} rows against an estimate of "
-            f"{guard.est_rows:.1f} (threshold {guard.threshold:.1f})"
-        )
-
-
-class AdaptiveGuard(PhysicalOperator):
-    """Pass-through operator watching an estimate against reality.
-
-    The guard streams its child's blocks unchanged while counting rows; the
-    moment the count exceeds ``max(factor × est_rows, min_rows)`` it raises
-    :class:`ReplanTriggered` instead of yielding further — the mid-stream
-    re-plan trigger of the adaptive evaluator.  A guard holds no state and
-    meters nothing; with accurate estimates its cost is one counter
-    comparison per block.
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        meter: MemoryMeter,
-        est_rows: float,
-        factor: float,
-        min_rows: int,
-        node: Optional[object] = None,
-    ):
-        """Guard ``child`` against ``factor ×`` its estimated cardinality.
-
-        ``node`` is the plan node the guarded operator was instantiated
-        from — the re-planner uses it to locate the checkpoint boundary and
-        the not-yet-joined operands.
-        """
-        super().__init__(meter)
-        self._child = child
-        self.scheme = child.scheme
-        self.est_rows = float(est_rows)
-        self.threshold = max(float(est_rows) * factor, float(min_rows))
-        self.node = node
-
-    def children(self) -> Tuple[PhysicalOperator, ...]:
-        """The guarded operator."""
-        return (self._child,)
-
-    def _blocks(self) -> Iterator[Block]:
-        """Stream the child's blocks, raising once the threshold is crossed."""
-        self.rows_out = 0
-        threshold = self.threshold
-        for block in self._child.blocks():
-            self.rows_out += len(block)
-            if self.rows_out > threshold:
-                raise ReplanTriggered(self)
-            yield block
-
-    def label(self) -> str:
-        """Label the guard with its threshold around the child's label."""
-        return f"guard[<={self.threshold:.0f}]({self._child.label()})"

@@ -11,8 +11,8 @@ pins one plan per expression).
 Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
 
 * **Join ordering** — an n-ary join becomes a left-deep chain found by a
-  :data:`BEAM_WIDTH`-wide beam over estimated cardinalities: composite join
-  keys are *measured* on row samples, single-column keys keep the exact
+  :data:`BEAM_WIDTH`-wide beam over estimated cardinalities: composite and
+  skewed join keys are *measured* on row samples, the rest keep the exact
   per-column formula, and cost ties break on what the operands are, never on
   where the query listed them (see :meth:`Planner._order_joins`).
 * **Build side** — each hash join builds its table on the side with the
@@ -91,15 +91,8 @@ InputBounds = Tuple[int, Dict[str, int]]
 def _input_bounds(node: "PlanNode") -> InputBounds:
     if node.kind == "scan":
         stats = node.stats
-        rows = stats.cardinality
-        # A count scaled up from a sample is a guess; all that is exact
-        # about such a column is that it holds at most a value per row.
-        distinct = {}
-        for name in node.scheme.names:
-            column = stats.column(name)
-            guessed = column is not None and column.estimated
-            distinct[name] = rows if guessed else stats.distinct(name)
-        return rows, distinct
+        distinct = {name: stats.distinct(name) for name in node.scheme.names}
+        return stats.cardinality, distinct
     rows, distinct = _input_bounds(node.children[0])
     if node.kind == "project":
         # A column projected away beneath says nothing about a same-named
@@ -211,7 +204,7 @@ class PlanNode:
         planner-pushed projection, else ``None``.
 
         The one place that says a pushed projection is transparent to a join
-        chain (build-side choice, the adaptive spine, order read-back).  A
+        chain (build-side choice, order read-back).  A
         projection the query wrote never is: it bounds a scope, and a column
         it drops may reappear in an operand outside it.
         """
@@ -219,8 +212,7 @@ class PlanNode:
         return node if node.kind == "hash-join" else None
 
     def scan_order(self) -> Tuple[str, ...]:
-        """Operand names scanned beneath this node, in plan (reading) order
-        — the join-order fingerprint the plan store's history records."""
+        """Operand names scanned beneath this node, in plan (reading) order."""
         if self.kind == "scan":
             return (self.operand_name,)
         return tuple(name for child in self.children for name in child.scan_order())
@@ -236,7 +228,6 @@ class PlanNode:
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
         probe_slice: Optional[Tuple[int, int]] = None,
-        guard_for: Optional[Callable] = None,
     ) -> PhysicalOperator:
         """Build the executable operator tree for one evaluation.
 
@@ -249,12 +240,6 @@ class PlanNode:
         projection sits above it.  ``count`` workers executing the same
         pinned plan therefore partition the driving row stream and nothing
         else.
-
-        ``guard_for`` is the adaptive evaluator's hook: called as
-        ``guard_for(node, operator)`` on every instantiated node, it may
-        return a wrapping operator (an
-        :class:`~repro.engine.physical.AdaptiveGuard` on the join chain) or
-        ``None`` to keep the operator bare.
         """
         probe_index = self.probe_child_index()
 
@@ -286,7 +271,7 @@ class PlanNode:
             ):
                 # This is the driving projection: consume the slice here.
                 own_slice, pass_down = probe_slice, None
-            child = self.children[0].instantiate(bindings, meter, pass_down, guard_for)
+            child = self.children[0].instantiate(bindings, meter, pass_down)
             operator = StreamingProject(
                 child,
                 self.pick,
@@ -298,8 +283,8 @@ class PlanNode:
                 pushed=self.pushed,
             )
         elif self.kind == "hash-join":
-            left = self.children[0].instantiate(bindings, meter, child_slice(0), guard_for)
-            right = self.children[1].instantiate(bindings, meter, child_slice(1), guard_for)
+            left = self.children[0].instantiate(bindings, meter, child_slice(0))
+            right = self.children[1].instantiate(bindings, meter, child_slice(1))
             if self.budget is not None:
                 operator = GraceHashJoin(
                     left,
@@ -320,10 +305,6 @@ class PlanNode:
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
         operator.est_rows = self.est_rows
         operator.est_cost = self.cost
-        if guard_for is not None:
-            wrapper = guard_for(self, operator)
-            if wrapper is not None:
-                operator = wrapper
         return operator
 
 
@@ -349,7 +330,7 @@ def _drop_samples(node: PlanNode) -> PlanNode:
     """Leave ``node``'s subtree holding bare numbers, in place.
 
     While a join is being ordered every node's ``stats`` is the full catalog
-    entry — row sample, ledger handle — because that is what the next
+    entry — row sample included — because that is what the next
     estimate is measured on.  None of it may outlive the ordering: a pinned
     plan would otherwise hold a sample per join for as long as it is pinned,
     and a scan node the row set of a relation since replaced.
@@ -407,18 +388,15 @@ class PhysicalPlan:
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
         probe_slice: Optional[Tuple[int, int]] = None,
-        guard_for: Optional[Callable] = None,
     ) -> PhysicalOperator:
         """Instantiate the operator tree against one set of bound relations.
 
         With ``probe_slice = (index, count)`` the driving probe scan streams
         only worker ``index``'s round-robin slice (see
         :meth:`PlanNode.instantiate`); the union of the ``count`` executors'
-        outputs is set-equal to the unsliced execution.  ``guard_for`` is
-        the adaptive evaluator's operator-wrapping hook (see
-        :meth:`PlanNode.instantiate`).
+        outputs is set-equal to the unsliced execution.
         """
-        return self.root.instantiate(bindings, meter, probe_slice, guard_for)
+        return self.root.instantiate(bindings, meter, probe_slice)
 
     def driving_scan_name(self) -> Optional[str]:
         """The operand whose scan drives the probe pipeline (sliced when
@@ -535,22 +513,6 @@ class Planner:
 
     # -- join ordering -------------------------------------------------
 
-    def order_join_nodes(
-        self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
-    ) -> PlanNode:
-        """(Re)order already-lowered join operands into a chain.
-
-        The adaptive evaluator's mid-stream re-planner calls this with a
-        materialised-checkpoint scan node plus the not-yet-joined operand
-        subtrees and the columns the projection above the chain reads: the
-        ordering logic (and the pruning/build-side/dedup-elision decisions)
-        is exactly the one initial planning uses, only the statistics are
-        fresher.
-        """
-        if len(parts) == 1:
-            return _drop_samples(parts[0])
-        return _drop_samples(self._order_joins(list(parts), needed))
-
     def _order_joins(
         self, parts: List[PlanNode], needed: Optional[FrozenSet[str]] = None
     ) -> PlanNode:
@@ -568,10 +530,11 @@ class Planner:
         live rows by the inputs on the paper's blow-up constructions.
 
         **Estimates.**  :func:`~repro.engine.stats.estimate_join_cardinality`
-        over the members' catalog entries: a key of two or more columns is
-        measured on row samples — a *count* for every candidate; only a
-        surviving chain's joined sample is ever built, lazily, and only its
-        live columns — and a single-column key keeps the exact formula.  The
+        over the members' catalog entries: a key of two or more columns, or
+        one column with a heavy hitter, is measured on row samples — a
+        *count* for every candidate; only a surviving chain's joined sample
+        is ever built, lazily, and only its live columns — and any other
+        single-column key keeps the exact formula.  The
         samples ride on ``PlanNode.stats`` while the ordering runs and are
         dropped before it returns (:func:`_drop_samples`).
 

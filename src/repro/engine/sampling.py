@@ -1,4 +1,4 @@
-"""Sampling-based cardinality estimation and the adaptive-execution knobs.
+"""Sampling-based cardinality estimation.
 
 The exponential-backoff selectivities of
 :func:`repro.engine.stats.estimate_join_cardinality` are a guess about value
@@ -15,28 +15,16 @@ guess with *measurement*:
   sample is **lazy**: its rows are drawn, projected or joined the first
   time something reads them, so carrying one costs nothing on a plan that
   never measures;
-* :func:`relation_sample` is the default catalog's sample — the handle
+* :func:`relation_sample` is the catalog's sample — the handle
   :meth:`repro.engine.stats.RelationStats.from_relation` caches with every
   relation's statistics: :data:`SAMPLE_ROWS` rows, drawn at most once per
-  relation, consulted for composite join keys only;
-* :func:`sampled_stats` builds the ``adaptive=`` catalog entry: drawn now
-  and consulted at every key width (column statistics are the relation's
-  exact ones; GEE scale-up is for a population that has none);
-* :class:`AdaptiveConfig` bundles the ``adaptive=`` sampling knobs with the
-  mid-stream re-planning knobs consumed by
-  :class:`~repro.engine.evaluator.EngineEvaluator`: the observed/estimated
-  factor that triggers a re-plan, the re-plan budget, and the checkpoint
-  size cap.
+  relation, consulted for the joins the formula gets wrong (composite keys,
+  skewed keys: :func:`repro.engine.stats.estimate_join_cardinality`).
 
-Both catalogs run on the one :class:`Sample` implementation, and in both a
-sample is planning scratch: derived samples live as long as one join
+A sample is planning scratch: derived samples live as long as one join
 ordering does, and the planner drops every sample before it pins a plan.
-
-Estimation error is tracked: every adaptive evaluation feeds per-operator
-q-errors (``max(est/actual, actual/est)``) into
-:meth:`repro.perf.counters.KernelCounters.record_q_error`; every base-sample
-draw increments ``sample_builds`` and every joined sample whose rows are
-actually built increments ``sample_joins``.
+Every base-sample draw increments ``sample_builds`` and every joined sample
+whose rows are actually built increments ``sample_joins``.
 
 Samples are drawn from the relation's rows in their deterministic sorted
 order, seeded by the relation's content (:func:`relation_sample`), and
@@ -50,26 +38,22 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..algebra.relation import sort_rows
 from ..perf.counters import kernel_counters
-from .stats import ColumnStats, SampledRelationStats
 
 __all__ = [
     "SAMPLE_ROWS",
-    "AdaptiveConfig",
     "Sample",
-    "SampledRelationStats",
     "q_error",
     "relation_sample",
     "reservoir_sample",
-    "sampled_stats",
 ]
 
 Row = Tuple[Hashable, ...]
@@ -169,64 +153,48 @@ class Sample:
     population estimates.  Base-relation samples carry an exact cardinality;
     joined samples (:meth:`join`) carry the sample-join estimate.
 
-    Rows are **lazy**: a sample built with ``draw`` (a zero-argument callable
-    returning ``(rows, est_cardinality)``) runs it the first time ``rows``,
-    ``est_cardinality`` or ``scale`` is read, then forgets it — and with it
-    whatever the recipe held: a relation's row set, the parent samples.
-    :meth:`project` and :meth:`join` return such samples, so deriving one
-    is free until an estimate measures against it.
-
-    ``composite_only`` marks the default catalog's samples: the estimator
-    consults them for join keys of two or more columns and leaves narrower
-    keys and projections to the exact per-column formulas (see
-    :func:`repro.engine.stats.estimate_join_cardinality`).  Derived samples
-    inherit it.
+    Rows are **lazy**: a sample is built from ``draw`` (a zero-argument
+    callable returning ``(rows, est_cardinality)``), runs it the first time
+    ``rows``, ``est_cardinality`` or ``scale`` is read, then forgets it —
+    and with it whatever the recipe held: a relation's row set, the parent
+    samples.  :meth:`project` and :meth:`join` return such samples, so
+    deriving one is free until an estimate measures against it.  The draw
+    runs under the sample's lock: a relation's base sample is shared by
+    every thread that plans over the relation, and racing readers wait for
+    one draw and share it rather than each sorting the relation.
     """
 
-    __slots__ = (
-        "names", "seed", "join_cap", "composite_only", "_rows", "_est", "_draw",
-    )
+    __slots__ = ("names", "seed", "_rows", "_est", "_draw", "_lock")
 
     def __init__(
         self,
         names: Sequence[str],
-        rows: Optional[Sequence[Row]] = None,
+        draw: Callable[[], Tuple[List[Row], float]],
         est_cardinality: Optional[float] = None,
         seed: int = 0,
-        join_cap: int = 4096,
-        composite_only: bool = False,
-        draw: Optional[Callable[[], Tuple[List[Row], float]]] = None,
     ):
-        """Wrap ``rows`` (aligned with ``names``) scaled to
-        ``est_cardinality``, or defer both to ``draw``.
-
-        ``join_cap`` bounds the row count of samples derived from this one
-        by :meth:`join` — it rides along so the stats-propagation functions
-        need no separate configuration channel.
-        """
+        """A sample of the ``names`` columns whose rows ``draw`` makes; an
+        ``est_cardinality`` known up front overrides the one it returns."""
         self.names: Tuple[str, ...] = tuple(names)
         self.seed = seed
-        self.join_cap = join_cap
-        self.composite_only = composite_only
-        self._rows: Optional[List[Row]] = None if draw is not None else list(rows)
+        self._rows: Optional[List[Row]] = None
         self._est = None if est_cardinality is None else float(est_cardinality)
         self._draw = draw
+        self._lock = threading.Lock()
 
     @property
     def rows(self) -> List[Row]:
         """The sampled rows, drawn now if they have not been."""
         rows = self._rows
         if rows is None:
-            draw = self._draw
-            if draw is None:  # another thread drew between the two reads
-                return self._rows
-            rows, estimate = draw()
-            if self._est is None:
-                self._est = float(estimate)
-            # Rows before recipe: a racing reader that finds no recipe must
-            # find the rows (a relation's base sample is shared by threads).
-            self._rows = rows
-            self._draw = None
+            with self._lock:
+                rows = self._rows
+                if rows is None:  # first in: draw for everybody waiting
+                    rows, estimate = self._draw()
+                    if self._est is None:
+                        self._est = float(estimate)
+                    self._rows = rows
+                    self._draw = None
         return rows
 
     @property
@@ -245,26 +213,6 @@ class Sample:
     def scale(self) -> float:
         """Population rows represented by each sample row (≥ 1)."""
         return max(self.est_cardinality / max(len(self.rows), 1), 1.0)
-
-    def column_stats(self, name: str) -> ColumnStats:
-        """A :class:`ColumnStats` for one column, estimated from the sample."""
-        if name not in self.names or not self.rows:
-            return ColumnStats(distinct_count=0)
-        values = list(map(itemgetter(self.names.index(name)), self.rows))
-        minimum: Optional[Hashable] = None
-        maximum: Optional[Hashable] = None
-        try:
-            minimum = min(values)
-            maximum = max(values)
-        except TypeError:
-            pass
-        scale = self.scale
-        return ColumnStats(
-            distinct_count=_gee_distinct(values, scale),
-            minimum=minimum,
-            maximum=maximum,
-            estimated=scale > 1.0,
-        )
 
     def join_size(self, other: "Sample", common: Sequence[str]) -> float:
         """Estimate ``|L ⋈ R|`` by counting key matches between the samples.
@@ -294,7 +242,7 @@ class Sample:
         est_cardinality: Optional[float] = None,
         kept_names: Optional[Collection[str]] = None,
     ) -> "Sample":
-        """The joined sample, capped at the operands' smaller ``join_cap``.
+        """The joined sample, capped at :data:`SAMPLE_ROWS` rows.
 
         Joining the samples *is* the estimator: the result carries the
         scaled cardinality estimate (``est_cardinality`` when the caller has
@@ -319,7 +267,7 @@ class Sample:
         right_kept = [
             name for name in right.names if name in kept and name not in left_set
         ]
-        cap = min(left.join_cap, right.join_cap)
+        cap = SAMPLE_ROWS
         # Seeded by what is known without drawing either operand.
         seed = _derive_seed(left.seed, right.seed, len(left_kept), len(right_kept))
 
@@ -363,13 +311,7 @@ class Sample:
             kernel_counters().add(sample_joins=1)
             return joined, max(estimate, float(len(joined)))
 
-        return Sample(
-            left_kept + right_kept,
-            seed=seed,
-            join_cap=cap,
-            composite_only=left.composite_only or right.composite_only,
-            draw=draw,
-        )
+        return Sample(left_kept + right_kept, seed=seed, draw=draw)
 
     def project(self, kept_names: Sequence[str]) -> "Sample":
         """The deduplicated projection of the sample onto ``kept_names``.
@@ -388,26 +330,7 @@ class Sample:
             distinct_rows = list(dict.fromkeys(projected))
             return distinct_rows, max(float(estimate), float(len(distinct_rows)))
 
-        return Sample(
-            kept,
-            seed=_derive_seed(self.seed, len(kept)),
-            join_cap=self.join_cap,
-            composite_only=self.composite_only,
-            draw=draw,
-        )
-
-    def stats(self, output_names: Sequence[str]) -> SampledRelationStats:
-        """Wrap this sample as a catalog entry over ``output_names``, every
-        number estimated from the sampled rows."""
-        cardinality = max(int(round(self.est_cardinality)), 0)
-        columns = {name: self.column_stats(name) for name in output_names}
-        capped = {
-            name: replace(column, distinct_count=min(column.distinct_count, cardinality))
-            for name, column in columns.items()
-        }
-        return SampledRelationStats(
-            cardinality=cardinality, columns=capped, sample=self
-        )
+        return Sample(kept, seed=_derive_seed(self.seed, len(kept)), draw=draw)
 
     def __repr__(self) -> str:
         if not self.drawn:
@@ -419,9 +342,9 @@ class Sample:
 
 
 def relation_sample(names: Sequence[str], rows: Collection[Row]) -> Sample:
-    """The default catalog's sample of one relation's ``rows``: a handle.
+    """The catalog's sample of one relation's ``rows``: a handle.
 
-    Nothing is drawn until a composite-key estimate reads the sample; then
+    Nothing is drawn until a measured estimate reads the sample; then
     :data:`SAMPLE_ROWS` rows are taken (Algorithm R) from the rows in their
     deterministic sorted order, once — the handle is cached with the
     relation's statistics, so *construction is invalidation* and an
@@ -447,118 +370,5 @@ def relation_sample(names: Sequence[str], rows: Collection[Row]) -> Sample:
         rng = random.Random(zlib.crc32(content.encode("utf-8")))
         return reservoir_sample(ordered, SAMPLE_ROWS, rng), count
 
-    return Sample(
-        names, est_cardinality=count, join_cap=SAMPLE_ROWS, composite_only=True, draw=draw
-    )
+    return Sample(names, est_cardinality=count, draw=draw)
 
-
-def sampled_stats(
-    relation,
-    sample_size: int,
-    seed: int = 0,
-    name: Optional[str] = None,
-    join_cap: int = 4096,
-) -> SampledRelationStats:
-    """Build the ``adaptive=`` sampled catalog entry for a relation.
-
-    Rows are drawn by :func:`reservoir_sample` from the relation's
-    deterministic sorted order, seeded by ``seed`` and (stably) by ``name``
-    so distinct operands of one plan sample independently.  A relation of
-    at most ``sample_size`` rows is carried whole — its estimates are
-    exact.  Each build increments the ``sample_builds`` perf counter, which
-    is how the re-sample-on-invalidation contract is asserted.
-
-    The sample is for what no per-column count can say — how joint keys
-    overlap.  The column statistics are the relation's own exact ones
-    (:meth:`~repro.algebra.relation.Relation.stats`: one pass, cached with
-    the relation); only a population without them (a spilled checkpoint,
-    whose rows are on disk) has its columns estimated from the sample, and
-    those counts say so (:attr:`ColumnStats.estimated`).
-    """
-    salt = zlib.crc32(name.encode("utf-8")) if name else 0
-    rng = random.Random(_derive_seed(seed, salt))
-    rows = reservoir_sample(relation.sorted_rows(), sample_size, rng)
-    names = relation.scheme.names
-    sample = Sample(
-        names,
-        rows,
-        float(len(relation)),
-        seed=_derive_seed(seed, salt, 1),
-        join_cap=join_cap,
-    )
-    kernel_counters().add(sample_builds=1)
-    exact = getattr(relation, "stats", None)
-    columns = exact().columns if exact is not None else sample.stats(names).columns
-    # Base-relation cardinality is known exactly — never estimated.
-    return SampledRelationStats(
-        cardinality=len(relation), columns=columns, sample=sample
-    )
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs for sampled estimation and mid-stream re-planning.
-
-    ``sample_size``
-        Rows per base-relation reservoir sample (relations at most this
-        size are carried whole, making their estimates exact).
-    ``sample_join_cap``
-        Row cap on propagated (joined) samples; larger join samples are
-        reservoir-subsampled back down, trading accuracy for bounded
-        planning cost.
-    ``seed``
-        Base seed for every sample drawn under this config (planning is
-        deterministic given the seed).
-    ``replan_factor``
-        A guarded operator whose observed output exceeds
-        ``replan_factor × estimate`` triggers a mid-stream re-plan.
-    ``replan_min_rows``
-        Absolute floor below which a guard never triggers — tiny queries
-        re-plan nothing regardless of relative error.
-    ``max_replans``
-        Re-plans allowed per evaluation; once exhausted the current plan
-        runs to completion unguarded.
-    ``checkpoint_cap_rows``
-        Row cap on the materialised checkpoint; a checkpoint that would
-        exceed it abandons the re-plan and the original plan runs to
-        completion instead (correct either way).
-    """
-
-    sample_size: int = 512
-    sample_join_cap: int = 4096
-    seed: int = 0
-    replan_factor: float = 4.0
-    replan_min_rows: int = 256
-    max_replans: int = 2
-    checkpoint_cap_rows: int = 200_000
-
-    def __post_init__(self) -> None:
-        """Validate the knobs (positive sizes, factor > 1)."""
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.sample_join_cap < 1:
-            raise ValueError(
-                f"sample_join_cap must be >= 1, got {self.sample_join_cap}"
-            )
-        if self.replan_factor <= 1.0:
-            raise ValueError(
-                f"replan_factor must exceed 1, got {self.replan_factor}"
-            )
-        if self.max_replans < 0:
-            raise ValueError(f"max_replans must be >= 0, got {self.max_replans}")
-
-    @classmethod
-    def coerce(
-        cls, value: "AdaptiveConfig | bool | None"
-    ) -> "Optional[AdaptiveConfig]":
-        """Normalise ``True``/``False``/``None`` into a config (or ``None``)."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"adaptive must be an AdaptiveConfig, True, False, or None, "
-            f"got {type(value).__name__}"
-        )

@@ -3,11 +3,11 @@
 The paper's point is that ``project[S](phi_G)`` over ``R_G`` has
 intermediates far larger than its input or output; under a
 :class:`~repro.engine.physical.MemoryBudget` the engine spills operator
-state instead of holding it.  Three clients do — the Grace hash join, the
-dedup seen-set and the adaptive checkpoint — and all three go through this
-module: a registry of live spill directories (atexit sweep, fork hook)
-behind every ``finally``; :class:`SpillFile`, pickled row
-blocks under one bounded retry helper and a read-back check;
+state instead of holding it.  Two clients do — the Grace hash join and the
+dedup seen-set — and both go through this module: a registry of live spill
+directories (atexit sweep, fork hook) behind every ``finally``;
+:class:`SpillFile`, pickled row blocks under one bounded retry helper and a
+read-back check;
 :func:`partition_index`, the salted hash that places a key at a split
 level; and :class:`PartitionedSpill`, one execution's spill area.  What an
 operator does with a partition that is resident again (build a table, fill
@@ -344,13 +344,6 @@ class PartitionedSpill:
             events=meter.events,
         )
         self._files.append(spill_file)
-        return spill_file
-
-    def write(self, kind: str, rows: Iterable[Row]) -> SpillFile:
-        """Spill ``rows`` to one new file and seal it."""
-        spill_file = self.file(kind)
-        spill_file.extend(rows)
-        spill_file.finish()
         return spill_file
 
     def partitions(

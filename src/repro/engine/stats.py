@@ -1,10 +1,11 @@
 """Per-relation statistics catalog driving the cost-based planner.
 
 Every :class:`~repro.algebra.relation.Relation` carries (lazily, cached) a
-:class:`RelationStats`: its cardinality plus per-column distinct counts and
-min/max bounds.  Relations are immutable, so *construction is invalidation* —
-a relation's stats are computed at most once, from its final rows, and every
-algebra operation returns a fresh relation whose stats slot starts empty.
+:class:`RelationStats`: its cardinality plus per-column distinct counts,
+min/max bounds and top-value counts.  Relations are immutable, so
+*construction is invalidation* — a relation's stats are computed at most
+once, from its final rows, and every algebra operation returns a fresh
+relation whose stats slot starts empty.
 
 The catalog serves two consumers:
 
@@ -20,25 +21,27 @@ Stats can also be *assumed* (:meth:`RelationStats.assumed`) for planning
 without data — the ``repro engine-explain`` CLI uses this to explain a plan
 from schemes and declared cardinalities alone.
 
-Two estimators answer ``|L * R|``, chosen by **key width**.  A join on at
-most one shared column keeps the exact per-column formula (distinct counts
-are exact, and one column has no correlation to get wrong).  A join on two
-or more is *measured*: the backed-off selectivities are ~10^12 too high on
-the paper's R_G (every key is 4-15 correlated columns wide), so an entry
-with data behind it — a :class:`SampledRelationStats` — carries a bounded
-row :class:`~repro.engine.sampling.Sample` and the estimate is the scaled
-size of the sample join.  The default catalog's sample is **lazy**:
-:meth:`RelationStats.from_relation` attaches a handle that holds the
-relation's row set (not the relation: no cycle through ``Relation._stats``)
-and draws :data:`~repro.engine.sampling.SAMPLE_ROWS` rows the first time a
-composite-key estimate asks, once per relation — construction is
+Two estimators answer ``|L * R|``.  A join on two or more shared columns is
+*measured*: the backed-off selectivities are ~10^12 too high on the paper's
+R_G (every key is 4-15 correlated columns wide), so an entry with data behind
+it — a :class:`SampledRelationStats` — carries a bounded row
+:class:`~repro.engine.sampling.Sample` and the estimate is the scaled size of
+the sample join.  A join on one column keeps the exact per-column formula (one
+column has no correlation to get wrong) unless the exact counts show a heavy
+hitter: where either side's most frequent key value
+(:attr:`ColumnStats.top_count`) stands for at least :data:`SKEW` times the
+column's mean frequency, and is frequent enough for a row sample to see, the
+uniformity the formula assumes (every value as frequent as the mean) is what
+is wrong, and that join is measured too.  The
+sample is **lazy**: :meth:`RelationStats.from_relation` attaches a handle that
+holds the relation's row set (not the relation: no cycle through
+``Relation._stats``) and draws :data:`~repro.engine.sampling.SAMPLE_ROWS` rows
+the first time a measured estimate asks, once per relation — construction is
 invalidation for the sample exactly as for the counts.  Derived entries
 (:func:`join_stats` / :func:`project_stats`) carry derived samples that are
-just as lazy, so a plan whose joins all share one column draws nothing.
-Data-less entries (:meth:`RelationStats.assumed`) have no sample and keep
-the formula at every width.  ``adaptive=`` entries
-(:func:`repro.engine.sampling.sampled_stats`) differ in one bit: their
-samples measure single-column keys and projections too.
+just as lazy, so a plan whose joins all share one uniform column draws
+nothing.  Data-less entries (:meth:`RelationStats.assumed`) have no sample and
+keep the formula at every width.
 
 Samples are planning scratch: the planner drops them from every node before
 a plan is pinned (:meth:`RelationStats.bare`).
@@ -47,11 +50,16 @@ a plan is pinned (:meth:`RelationStats.bare`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence
+
+from .sampling import SAMPLE_ROWS, relation_sample
 
 __all__ = [
     "MEASURED_KEY_WIDTH",
+    "SKEW",
     "ColumnStats",
     "RelationStats",
     "SampledRelationStats",
@@ -64,126 +72,102 @@ __all__ = [
 ]
 
 
-def _ledger_observation(left, right, common) -> Optional[int]:
-    """The observed output cardinality for ``left ⋈ right``, if recorded.
-
-    Ledger dispatch is duck-typed like the ``sample`` dispatch below: when
-    either entry carries a ``ledger`` (a
-    :class:`repro.engine.planstore.CardinalityLedger`, attached by
-    :class:`repro.engine.planstore.LedgerBackedStats`) and both carry the
-    base-operand ``names`` their subtrees cover, the ledger is asked for
-    the exact (operand-set union, joined output columns) pair — an
-    executed plan has *measured* that cardinality, so no estimator
-    (sampled or backoff) gets a say.  The column half of the key keeps
-    subtrees that read the same operands but project differently from
-    answering for each other.
-    """
-    ledger = getattr(left, "ledger", None) or getattr(right, "ledger", None)
-    if ledger is None:
-        return None
-    left_names = getattr(left, "names", None)
-    right_names = getattr(right, "names", None)
-    if not left_names or not right_names:
-        return None
-    columns = frozenset(left.columns) | frozenset(right.columns)
-    return ledger.lookup(left_names | right_names, columns)
-
-
 #: A join on at least this many shared columns is measured on row samples
 #: wherever both operands have data behind them; narrower keys keep the
 #: per-column formula, which is exact in the one place it cannot be wrong
-#: about correlation.  Not a knob: ``adaptive=`` is the way to measure
-#: single-column keys too.
+#: about correlation ...
 MEASURED_KEY_WIDTH = 2
+
+#: ... unless the key is skewed: a single-column key is measured too when
+#: either side's most frequent value occurs at least this many times as
+#: often as the column's mean value does (``cardinality / distinct``).  The
+#: formula prices every key value at the mean, so a heavy hitter is where
+#: it is wrong by orders of magnitude (a column half of whose 2,000 rows
+#: share one value reads 500).  Uniformly drawn columns read 1-3.2 on the
+#: ladder's relations and 3.9 on the 2,000-row slice of ``join_100k`` the
+#: ordering tests pin, so at 4 none of them draws a sample
+#: (``docs/PERFORMANCE.md``, "One planner").  Not a knob: nothing sets it.
+#: The hot value must also be one a :data:`~repro.engine.sampling.SAMPLE_ROWS`
+#: sample expects to see at least once: on a nearly unique key the largest
+#: count outgrows the mean as the relation grows (20,000 rows drawn
+#: uniformly over 20,000 values read ~5), yet 256 rows of it would find
+#: only one-match steps, which the formula prices better.
+SKEW = 4
+
+
+def _skewed(entry, name: str) -> bool:
+    """Whether ``entry``'s column ``name`` has a heavy hitter (see :data:`SKEW`)."""
+    column = entry.column(name)
+    if column is None or not column.top_count:
+        return False
+    return (
+        column.top_count * column.distinct_count >= SKEW * entry.cardinality
+        and column.top_count * SAMPLE_ROWS >= entry.cardinality
+    )
 
 
 def _measuring_samples(left, right, common):
     """The two row samples ``left ⋈ right`` is measured on, or ``None``
-    where the formula answers: an operand without data, or a key narrower
-    than :data:`MEASURED_KEY_WIDTH` under a default-catalog sample."""
+    where the formula answers: an operand without data, a product, or a
+    single-column key with no heavy hitter on either side."""
     left_sample = getattr(left, "sample", None)
     right_sample = getattr(right, "sample", None)
-    if left_sample is None or right_sample is None:
+    if left_sample is None or right_sample is None or not common:
         return None
-    if len(common) < MEASURED_KEY_WIDTH and (
-        left_sample.composite_only or right_sample.composite_only
+    if len(common) < MEASURED_KEY_WIDTH and not (
+        _skewed(left, common[0]) or _skewed(right, common[0])
     ):
         return None
     return left_sample, right_sample
 
 
 def join_estimate_provenance(left, right, common) -> str:
-    """Where the estimate for ``left ⋈ right`` comes from.
-
-    Returns ``"observed-ledger"`` when the plan store's ledger holds the
-    measured cardinality for this exact operand set, ``"sampled"`` when
-    both entries carry ``adaptive=`` samples (the sample-join estimator at
-    every key width), ``"sampled-composite"`` when the default catalog
-    measured a composite key, and ``"backoff"`` for the selectivity formula
-    — the same dispatch order as :func:`estimate_join_cardinality`.  The
-    planner records it on each join node at planning time, which is what
-    ``repro engine-explain --paper`` prints.
-    """
-    if _ledger_observation(left, right, common) is not None:
-        return "observed-ledger"
-    samples = _measuring_samples(left, right, common)
-    if samples is None:
-        return "backoff"
-    if samples[0].composite_only or samples[1].composite_only:
-        return "sampled-composite"
-    return "sampled"
-
-
-def _rewrap(derived, *parents):
-    """Re-attach duck-typed ledger context from ``parents`` onto ``derived``.
-
-    The propagation functions below derive plain entries; when a parent is
-    ledger-backed its ``rewrap`` hook rebuilds the derived entry with the
-    union of operand names (and the observed cardinality, when the ledger
-    has one) — keeping this module import-free of the plan store.
-    """
-    for parent in parents:
-        hook = getattr(parent, "rewrap", None)
-        if hook is not None:
-            return hook(derived, *parents)
-    return derived
+    """Where the estimate for ``left ⋈ right`` comes from: ``"sampled"``
+    (measured on the two row samples: a composite key, or a skewed one) or
+    ``"backoff"`` (the selectivity formula) — the dispatch of
+    :func:`estimate_join_cardinality`.  The planner records it on each join
+    node at planning time, which is what ``repro engine-explain --paper``
+    prints."""
+    return "backoff" if _measuring_samples(left, right, common) is None else "sampled"
 
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Statistics of one column: distinct count and (optional) value bounds.
+    """Statistics of one column: distinct count, (optional) value bounds, and
+    how often its most frequent value occurs.
 
     ``minimum``/``maximum`` are ``None`` when the column is empty or holds
-    values of mutually incomparable types.  ``estimated`` marks a distinct
-    count scaled up from a row sample smaller than the column
-    (:meth:`repro.engine.sampling.Sample.column_stats`): a guess that may
-    fall short, where a base entry's count is otherwise exact — the
-    difference the planner's pushed-projection rule turns on (it reads base
-    entries only; a derived entry's counts are capped by estimates anyway).
+    values of mutually incomparable types.  ``top_count`` is the most
+    frequent value's row count — exact on a base relation, carried (capped
+    at the derived cardinality) through joins and projections, and ``0``
+    where nobody counted (:meth:`RelationStats.assumed`): unknown, which
+    keeps the formula.
     """
 
     distinct_count: int
     minimum: Optional[Hashable] = None
     maximum: Optional[Hashable] = None
-    estimated: bool = False
+    top_count: int = 0
 
     @classmethod
     def from_values(cls, values: Iterable[Hashable]) -> "ColumnStats":
-        """Compute stats from a column's values (duplicates allowed).
-
-        An already-distinct ``set`` is used as-is (never mutated), sparing
-        the per-column copy on the ``RelationStats.from_relation`` hot path.
-        """
-        distinct = values if isinstance(values, (set, frozenset)) else set(values)
+        """Compute stats from a column's values (duplicates allowed), in one
+        C-level ``Counter`` pass."""
+        counts = Counter(values)
         minimum: Optional[Hashable] = None
         maximum: Optional[Hashable] = None
-        if distinct:
+        if counts:
             try:
-                minimum = min(distinct)
-                maximum = max(distinct)
+                minimum = min(counts)
+                maximum = max(counts)
             except TypeError:
                 pass
-        return cls(distinct_count=len(distinct), minimum=minimum, maximum=maximum)
+        return cls(
+            distinct_count=len(counts),
+            minimum=minimum,
+            maximum=maximum,
+            top_count=max(counts.values(), default=0),
+        )
 
 
 @dataclass(frozen=True)
@@ -200,23 +184,17 @@ class RelationStats:
 
     @classmethod
     def from_relation(cls, relation) -> "SampledRelationStats":
-        """Compute the catalog entry for a relation in one pass over its rows.
+        """Compute the catalog entry for a relation, one pass per column.
 
         The counts are exact; the entry also carries the handle of the
-        relation's row sample, which draws nothing until a composite-key
+        relation's row sample, which draws nothing until a measured
         estimate asks (see the module docstring).
         """
-        from .sampling import relation_sample  # sampling imports this module
-
-        names: Tuple[str, ...] = relation.scheme.names
+        names = relation.scheme.names
         rows = relation.rows
-        value_sets: Tuple[set, ...] = tuple(set() for _ in names)
-        for row in rows:
-            for values, value in zip(value_sets, row):
-                values.add(value)
         columns = {
-            name: ColumnStats.from_values(values)
-            for name, values in zip(names, value_sets)
+            name: ColumnStats.from_values(map(itemgetter(index), rows))
+            for index, name in enumerate(names)
         }
         return SampledRelationStats(
             cardinality=len(rows), columns=columns, sample=relation_sample(names, rows)
@@ -254,8 +232,8 @@ class RelationStats:
     def bare(self) -> "RelationStats":
         """The entry's numbers alone — what a pinned plan node keeps.
 
-        Samples (and the ledger handle of a plan-store entry) are planning
-        scratch; a plan that outlives planning must not hold them.
+        Samples are planning scratch; a plan that outlives planning must not
+        hold them.
         """
         if type(self) is RelationStats:
             return self
@@ -266,10 +244,9 @@ class RelationStats:
 class SampledRelationStats(RelationStats):
     """A catalog entry with data behind it: it carries a row sample.
 
-    ``sample`` is a :class:`repro.engine.sampling.Sample` —
-    the lazily drawn one of :meth:`RelationStats.from_relation`, the eager
-    one of :func:`repro.engine.sampling.sampled_stats`, or one derived from
-    those by :func:`join_stats` / :func:`project_stats`.  Behaves exactly
+    ``sample`` is a :class:`repro.engine.sampling.Sample` — the lazily
+    drawn one of :meth:`RelationStats.from_relation`, or one derived from it
+    by :func:`join_stats` / :func:`project_stats`.  Behaves exactly
     like :class:`RelationStats` for every consumer; the propagation
     functions below find the ``sample`` on *both* operands and measure
     where :func:`estimate_join_cardinality` says they do, so a join with a
@@ -301,9 +278,9 @@ def estimate_join_cardinality(
     whose cardinalities are exact, where the compounding is mild; this
     estimator is applied to *propagated* statistics along a whole plan.)
 
-    Where both entries have data behind them and the key is wide enough
-    (:func:`_measuring_samples`: two or more columns, or any width under
-    ``adaptive=``) the formula is bypassed entirely: the estimate is the
+    Where both entries have data behind them and the key is one the formula
+    gets wrong (:func:`_measuring_samples`: two or more columns, or one
+    column with a heavy hitter) it is bypassed entirely: the estimate is the
     scaled size of the *sample join*
     (:meth:`repro.engine.sampling.Sample.join_size`, a count — no joined
     row is built), which measures the joint-key overlap instead of
@@ -311,15 +288,7 @@ def estimate_join_cardinality(
     only an upper bound — the rows one match would have stood for — and
     the formula answers beneath it: two 256-row samples of a sparse
     100,000-row key expect less than one match.
-
-    And before either estimator runs, a ledger-backed entry (attached by
-    the plan store) is checked for the **observed** cardinality of this
-    exact operand set — a previous execution having measured the true size
-    beats estimating it (see :func:`join_estimate_provenance`).
     """
-    observed = _ledger_observation(left, right, common)
-    if observed is not None:
-        return float(observed)
     samples = _measuring_samples(left, right, common)
     if samples is None:
         return _backoff_cardinality(left, right, common)
@@ -413,9 +382,10 @@ def join_stats(
     The output cardinality is :func:`estimate_join_cardinality` (passed in
     as ``cardinality`` by a caller that has already counted it: the planner
     scores a candidate before it joins a survivor); each shared
-    column keeps the *smaller* operand distinct count (a join can only drop
-    key values), and every column's distinct count is capped at the estimated
-    output cardinality.
+    column keeps the counts of the operand with fewer distinct values (a
+    join can only drop key values; on a tie, the one with the larger
+    top-value count), and every column's distinct and top-value counts are capped
+    at the estimated output cardinality.
 
     When both entries carry samples the derived entry carries the **joined
     sample** (lazy: rows are built only if a later estimate measures
@@ -432,30 +402,37 @@ def join_stats(
         left_column = left.column(name)
         right_column = right.column(name)
         if name in common_set and left_column is not None and right_column is not None:
-            distinct = min(left_column.distinct_count, right_column.distinct_count)
-            source = left_column if left_column.distinct_count <= right_column.distinct_count else right_column
+            # The narrower side; on a tie the hotter one, so the counts do
+            # not depend on which operand was written first.
+            source = min(
+                left_column,
+                right_column,
+                key=lambda column: (column.distinct_count, -column.top_count),
+            )
+            distinct = source.distinct_count
         else:
             source = left_column if left_column is not None else right_column
             distinct = source.distinct_count if source is not None else cap
-        if source is not None and source.distinct_count == distinct <= cap:
+        if source is None:
+            columns[name] = ColumnStats(distinct_count=distinct)
+        elif source.distinct_count == distinct <= cap and source.top_count <= cap:
             columns[name] = source  # immutable, and already says exactly this
-            continue
-        columns[name] = ColumnStats(
-            distinct_count=min(distinct, cap) if cap else 0,
-            minimum=source.minimum if source is not None else None,
-            maximum=source.maximum if source is not None else None,
-        )
+        else:
+            columns[name] = ColumnStats(
+                distinct_count=min(distinct, cap),
+                minimum=source.minimum,
+                maximum=source.maximum,
+                top_count=min(source.top_count, cap),
+            )
     left_sample = getattr(left, "sample", None)
     right_sample = getattr(right, "sample", None)
     if left_sample is None or right_sample is None:
-        derived = RelationStats(cardinality=cap, columns=columns)
-    else:
-        derived = SampledRelationStats(
-            cardinality=cap,
-            columns=columns,
-            sample=left_sample.join(right_sample, common, cardinality, sample_names),
-        )
-    return _rewrap(derived, left, right)
+        return RelationStats(cardinality=cap, columns=columns)
+    return SampledRelationStats(
+        cardinality=cap,
+        columns=columns,
+        sample=left_sample.join(right_sample, common, cardinality, sample_names),
+    )
 
 
 def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationStats:
@@ -463,17 +440,13 @@ def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationSt
 
     The output cardinality is bounded both by the child cardinality and by
     the product of the kept columns' distinct counts (the projection cannot
-    produce more rows than distinct value combinations).  A child entry
-    carrying a sample propagates the projected (deduplicated) sample —
-    lazily, and the formula above still answers, unless the sample is an
-    ``adaptive=`` one: that is projected now and the entry's numbers are
-    read off it.
+    produce more rows than distinct value combinations).  A column's
+    top-value count is capped by the same argument: deduplicated, a value
+    recurs at most once per combination of the other kept columns' values.
+    A child entry carrying a sample propagates the projected (deduplicated)
+    sample, lazily: the formula above still answers for the projection
+    itself.
     """
-    sample = getattr(child, "sample", None)
-    if sample is not None:
-        sample = sample.project(kept_names)
-        if not sample.composite_only:
-            return _rewrap(sample.stats(kept_names), child)
     bound = 1
     for name in kept_names:
         bound *= max(child.distinct(name), 1)
@@ -481,18 +454,23 @@ def project_stats(child: RelationStats, kept_names: Sequence[str]) -> RelationSt
             bound = child.cardinality
             break
     cardinality = min(child.cardinality, bound)
-    columns = {
-        name: ColumnStats(
-            distinct_count=min(child.distinct(name), cardinality),
-            minimum=child.column(name).minimum if child.column(name) else None,
-            maximum=child.column(name).maximum if child.column(name) else None,
+    columns = {}
+    for name in kept_names:
+        column = child.column(name) or ColumnStats(distinct_count=0)
+        top_count = min(column.top_count, cardinality)
+        combinations = 1
+        for other in kept_names:
+            if other != name and combinations < top_count:
+                combinations *= max(child.distinct(other), 1)
+        columns[name] = ColumnStats(
+            distinct_count=min(column.distinct_count, cardinality),
+            minimum=column.minimum,
+            maximum=column.maximum,
+            top_count=min(top_count, combinations),
         )
-        for name in kept_names
-    }
+    sample = getattr(child, "sample", None)
     if sample is None:
-        derived = RelationStats(cardinality=cardinality, columns=columns)
-    else:
-        derived = SampledRelationStats(
-            cardinality=cardinality, columns=columns, sample=sample
-        )
-    return _rewrap(derived, child)
+        return RelationStats(cardinality=cardinality, columns=columns)
+    return SampledRelationStats(
+        cardinality=cardinality, columns=columns, sample=sample.project(kept_names)
+    )

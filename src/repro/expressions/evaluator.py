@@ -186,10 +186,8 @@ class EvaluationTrace:
     #: bounds (see ``docs/ENGINE.md``).  Populated by the engine evaluator;
     #: 0 elsewhere.
     peak_build_rows: int = 0
-    #: Mid-stream re-plans this evaluation performed (adaptive engine mode
-    #: only: a guarded operator's observed cardinality crossed its
-    #: threshold, a checkpoint was materialised, and execution resumed on a
-    #: re-costed join order).  0 everywhere else.
+    #: Always 0: no evaluator re-plans mid-stream.  Kept only because the
+    #: benchmark ladder still reads it as a tripwire; nothing writes it.
     replans: int = 0
     #: How many times a requested parallel execution degraded to the serial
     #: path after recovery (pool rebuild) failed.  The engine evaluator
@@ -273,7 +271,6 @@ class EvaluationTrace:
             "blowup_vs_output": self.blowup_versus_output(),
             "peak_live_rows": float(self.peak_live_rows),
             "peak_build_rows": float(self.peak_build_rows),
-            "replans": float(self.replans),
             "serial_fallbacks": float(self.serial_fallbacks),
         }
 

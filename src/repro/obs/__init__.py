@@ -6,9 +6,9 @@ serving tier report into.  It is organised as four small layers:
 
 ``repro.obs.tracer``
     Span-based execution tracing.  A :class:`Tracer` wraps physical
-    operators, the planner, spill I/O, adaptive checkpoints, and fault
-    retries in start/stop spans and assembles them into a per-execution
-    span tree (surfaced as ``EvaluationTrace.spans`` and rendered by
+    operators, the planner, spill I/O, and fault retries in start/stop
+    spans and assembles them into a per-execution span tree (surfaced as
+    ``EvaluationTrace.spans`` and rendered by
     ``PreparedQuery.explain_analyze()``).
 
 ``repro.obs.metrics``
@@ -18,8 +18,8 @@ serving tier report into.  It is organised as four small layers:
     ``repro.perf.counters``.
 
 ``repro.obs.events``
-    A structured event log: every degradation, re-plan, spill switch,
-    and fault retry becomes a timestamped dict, optionally appended to a
+    A structured event log: every degradation, spill switch, and fault
+    retry becomes a timestamped dict, optionally appended to a
     JSON-Lines file as it happens.
 
 ``repro.obs.export``

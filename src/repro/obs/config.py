@@ -27,7 +27,7 @@ class ObserveConfig:
         default: tracing is the one knob with measurable per-block cost
         (gated <= 1.25x; disabled cost gated <= 1.05x).
     ``events``
-        Record degradations/spills/re-plans/faults in an
+        Record degradations/spills/faults in an
         :class:`~repro.obs.events.EventLog`.
     ``events_path``
         Mirror events to this JSON-Lines file (implies ``events``).

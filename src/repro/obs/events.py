@@ -1,4 +1,4 @@
-"""Structured event log: degradations, re-plans, spills, and faults.
+"""Structured event log: degradations, spills, and faults.
 
 Every noteworthy runtime decision becomes one timestamped dict —
 ``{"ts": ..., "seq": ..., "kind": ..., **fields}`` — appended to an
@@ -19,18 +19,8 @@ Event kinds emitted by the engine today:
 ``fault``
     An injected fault fired (chaos testing); every in-process
     ``fault_injected`` counter increment has a matching ``fault`` event.
-``replan`` / ``checkpoint`` / ``checkpoint-spill``
-    The adaptive layer re-planned mid-stream, and where its checkpoint
-    lived.
-``plan_repin`` / ``drift_replan``
-    The plan store wrote a corrected join order back into a pinned plan
-    (after a successful mid-stream re-plan), or proactively rebuilt a
-    pinned plan whose estimates drifted past the configured q-error
-    threshold against the observed-cardinality ledger.
 ``serial-fallback`` / ``pool-rebuild``
     Parallel-execution degradations.
-``degradation``
-    Anything the engine also appends to ``EvaluationTrace.degradations``.
 ``cache_hit`` / ``cache_invalidate``
     The serving tier's result cache answered a query without a worker
     dispatch, or swept the entries reading a mutated relation name
@@ -65,7 +55,7 @@ class EventLog:
     """Collects structured events; optionally mirrors them to JSONL.
 
     ``emit`` is cheap enough for degradation-frequency call sites
-    (spills, re-plans, faults) but is *not* meant for per-row or
+    (spills, faults) but is *not* meant for per-row or
     per-block paths — those belong to counters and spans.
     """
 

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records *spans*: named, timed slices of one execution
 (``plan``, ``operator``, ``build``, ``spill-write``, ``spill-read``,
-``replan``, ``checkpoint``, ``fault-retry``, ``materialize`` …), each
+``fault-retry``, ``materialize`` …), each
 carrying wall-clock seconds, a row count, and the kernel-counter deltas
 that accrued while it was open.  Spans form a tree: each records the
 span that was innermost on the same thread when it started, and

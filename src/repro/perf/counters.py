@@ -81,17 +81,14 @@ class KernelCounters:
     #: build side is loaded in meter-sized chunks and the probe partition
     #: re-scanned once per chunk, trading disk reads for bounded memory.
     join_chunk_passes: int = 0
-    #: Dedup seen-sets (projections, union/difference, checkpoint
-    #: materialisation) that switched to partitioned spill mode.
+    #: Dedup seen-sets (projections, union/difference) that switched to
+    #: partitioned spill mode.
     dedup_spills: int = 0
-    #: Adaptive checkpoints kept on disk instead of in metered memory
-    #: because they would overflow the budget (or the checkpoint row cap).
-    checkpoint_spills: int = 0
     #: Spill-file I/O operations retried after a (possibly injected)
     #: transient failure — each retry backs off before reattempting.
     spill_retries: int = 0
     #: Faults injected by an active :class:`repro.engine.faults.FaultPlan`
-    #: (spill I/O failures, worker kills, forced checkpoint pressure).
+    #: (spill I/O failures, worker kills).
     fault_injected: int = 0
     #: Fork-probe pools rebuilt successfully after a worker death — the
     #: recovery path that avoids degrading to serial execution.
@@ -101,43 +98,14 @@ class KernelCounters:
     #: ``warnings.warn`` and a trace degradation event — never silent.
     serial_fallbacks: int = 0
     #: Base samples drawn for the sampling-based estimator: one per relation
-    #: whose cached sample a composite-key estimate first reads
-    #: (``repro.engine.sampling.relation_sample``) and one per ``adaptive=``
-    #: ``sampled_stats`` call — re-sampling after a relation invalidation
-    #: shows up here.
+    #: whose cached sample a measured (composite- or skewed-key) estimate
+    #: first reads (``repro.engine.sampling.relation_sample``) — re-sampling
+    #: after a relation invalidation shows up here.
     sample_builds: int = 0
     #: Joined samples whose rows were actually built during join ordering
     #: (candidates are scored by a count; only a surviving chain that gets
     #: extended builds rows) — the planner's cost, as a count.
     sample_joins: int = 0
-    #: Plan builds that reused a warm reservoir sample from the plan store's
-    #: identity-keyed cache instead of re-sampling an unchanged relation.
-    sample_cache_hits: int = 0
-    #: Plan-store sample lookups that missed (first build, or the relation
-    #: was rebound/invalidated) and had to sample.
-    sample_cache_misses: int = 0
-    #: Pinned plans rewritten with the revised join order after a successful
-    #: mid-stream re-plan — the plan store's "learning sticks" path.
-    plan_repins: int = 0
-    #: Pinned plans proactively re-planned *before* execution because the
-    #: observed-cardinality ledger drifted past the configured q-error
-    #: threshold against the plan's estimates.
-    drift_replans: int = 0
-    #: Mid-stream re-plans the adaptive evaluator completed (checkpoint
-    #: materialised, remaining join order re-costed, execution resumed).
-    adaptive_replans: int = 0
-    #: Re-plans abandoned because the checkpoint would exceed its row cap
-    #: (the original plan then runs to completion — correct either way).
-    adaptive_giveups: int = 0
-    #: Cardinality-estimate q-error observations (see :meth:`record_q_error`).
-    qerror_observations: int = 0
-    #: Sum of observed q-errors × 1000 (divide by ``qerror_observations``
-    #: for the mean); deltas of this counter are additive like any other.
-    qerror_total_milli: int = 0
-    #: Largest single observed q-error × 1000 since the last reset.  This is
-    #: a high-water mark, so ``delta_since`` on it reports growth of the
-    #: maximum, not a per-window maximum.
-    qerror_max_milli: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Return the counters as a plain dict (for traces and JSON output)."""
@@ -167,22 +135,6 @@ class KernelCounters:
         with _MUTATION_LOCK:
             for name, amount in amounts.items():
                 setattr(self, name, getattr(self, name) + amount)
-
-    def record_q_error(self, q: float) -> None:
-        """Record one cardinality-estimate q-error (``max(est/act, act/est)``).
-
-        Stored in integer milli-units so the counters stay plain ints:
-        ``qerror_observations`` counts, ``qerror_total_milli`` sums (mean =
-        total / observations / 1000), ``qerror_max_milli`` tracks the worst
-        estimate seen.  Lock-guarded like :meth:`add` — the adaptive
-        evaluator records at evaluation granularity, never per row.
-        """
-        milli = int(round(max(q, 1.0) * 1000))
-        with _MUTATION_LOCK:
-            self.qerror_observations += 1
-            self.qerror_total_milli += milli
-            if milli > self.qerror_max_milli:
-                self.qerror_max_milli = milli
 
     def reset(self) -> None:
         """Zero every counter."""

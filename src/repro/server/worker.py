@@ -212,7 +212,6 @@ class _WorkerRuntime:
             "budget": self._session_key(
                 message.get("budget"), message.get("workers")
             )[0],
-            "replans": trace.replans,
             "serial_fallbacks": trace.serial_fallbacks,
             "spilled_rows": counters.get("spill_rows", 0),
             "spill_overflows": counters.get("spill_overflows", 0),

@@ -20,7 +20,6 @@ from .paper_example import (
 from .ordering import (
     actual_greedy_order,
     capped_join_size,
-    chain_peak,
     chain_sizes,
     join_parts,
     planner_join_order,
@@ -47,7 +46,6 @@ __all__ = [
     "random_instance",
     "actual_greedy_order",
     "capped_join_size",
-    "chain_peak",
     "chain_sizes",
     "join_parts",
     "planner_join_order",

@@ -24,7 +24,6 @@ from ..expressions.evaluator import evaluate
 __all__ = [
     "actual_greedy_order",
     "capped_join_size",
-    "chain_peak",
     "chain_sizes",
     "join_parts",
     "planner_join_order",
@@ -77,11 +76,6 @@ def chain_sizes(part_relations: List[Relation], order: List[int]) -> List[int]:
     return sizes
 
 
-def chain_peak(part_relations: List[Relation], order: List[int]) -> int:
-    """Peak materialised intermediate along one left-deep join order."""
-    return max(chain_sizes(part_relations, order))
-
-
 def actual_greedy_order(
     part_relations: List[Relation], cap: int = DEFAULT_SIZE_CAP
 ) -> List[int]:
@@ -114,13 +108,11 @@ def planner_join_order(
 ) -> List[int]:
     """The planner's join order, read off its pinned plan's chain.
 
-    ``evaluator`` selects the catalog under test — a default
-    :class:`~repro.engine.evaluator.EngineEvaluator` (composite keys
-    measured on the relation's cached sample) or
-    ``EngineEvaluator(adaptive=True)`` (every estimate measured, on freshly
-    drawn samples).  The chain is read *through* the planner's
-    pushed projections; each leaf is the operand whose scheme holds its
-    columns (a pushed projection may have narrowed the leaf itself).
+    ``evaluator`` defaults to a fresh
+    :class:`~repro.engine.evaluator.EngineEvaluator`.  The chain is read
+    *through* the planner's pushed projections; each leaf is the operand
+    whose scheme holds its columns (a pushed projection may have narrowed
+    the leaf itself).
     """
     evaluator = evaluator or EngineEvaluator()
     bound = {name: relation for name in query.operand_names()}

@@ -27,11 +27,20 @@ class TestParser:
             ["blowup", "--clauses", "3", "4"],
             ["engine-explain", "project[A](R * S)", "--scheme", "R=A B"],
             ["engine-explain", "--paper"],
-            ["plans", "--executes", "2", "--rows", "120"],
-            ["plans", "--invalidate"],
         ):
             arguments = parser.parse_args(argv)
             assert callable(arguments.handler)
+
+    def test_removed_planning_knobs_do_not_parse(self, capsys):
+        parser = build_parser()
+        for argv in (
+            ["plans"],
+            ["engine-explain", "--paper", "--adaptive"],
+            ["trace", "--adaptive"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        capsys.readouterr()
 
 
 class TestCommands:
@@ -120,67 +129,7 @@ class TestCommands:
         assert "scan R" in output
         # Every key of phi_G is composite, so the default planner measured
         # every join — and the pinned plan says so without holding a sample.
-        assert self._provenance(output) == ["sampled-composite"] * 3
-        assert "mid-stream re-plan(s)" not in output
-
-    def test_engine_explain_paper_adaptive_reports_estimate_provenance(self, capsys):
-        assert main(["engine-explain", "--paper", "--adaptive"]) == 0
-        output = capsys.readouterr().out
-        assert "reservoir samples" in output
-        assert "adaptive: 0 mid-stream re-plan(s)" in output
-        # Provenance is what the planner recorded when it costed the pinned
-        # plan (nothing re-planned, so nothing was costed from the ledger):
-        # adaptive= measures single-column keys too.
         assert self._provenance(output) == ["sampled"] * 3
-
-    def test_plans_command_reports_histories_ledger_and_store(self, capsys):
-        assert main(["plans", "--executes", "3", "--rows", "120"]) == 0
-        output = capsys.readouterr().out
-        assert "plan histories (3 execution(s) per query):" in output
-        assert "pinned" in output
-        assert "observed-cardinality ledger:" in output
-        # Ledger lines are keyed by operand set *and* output columns.
-        assert "{R, S}" in output and "rows" in output
-        assert "warm sample(s)" in output
-        # Over unchanged relations only the first sighting of each of the
-        # three relations misses; every later plan build hits warm samples.
-        import re
-
-        hits, lookups = map(
-            int, re.search(r"\((\d+)/(\d+) lookups hit", output).groups()
-        )
-        assert lookups - hits == 3
-
-    def test_plans_invalidate_reports_the_scoped_drop(self, capsys):
-        assert main(["plans", "--executes", "2", "--rows", "120", "--invalidate"]) == 0
-        output = capsys.readouterr().out
-        assert "forgotten" in output  # the invalidation replans re-pinned
-        assert output.count("pinned") > output.count("forgotten")
-
-    def test_plans_rejects_bad_arguments(self):
-        with pytest.raises(SystemExit, match="executes"):
-            main(["plans", "--executes", "0"])
-        with pytest.raises(SystemExit, match="rows"):
-            main(["plans", "--rows", "0"])
-
-    def test_engine_explain_adaptive_without_data_notes_the_limit(self, capsys):
-        assert (
-            main(
-                [
-                    "engine-explain",
-                    "project[A](R * S)",
-                    "--scheme",
-                    "R=A B",
-                    "--scheme",
-                    "S=B C",
-                    "--adaptive",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "sampled statistics need data" in output
-        assert "hash join" in output
 
     def test_engine_explain_memory_budget_plans_grace_joins(self, capsys):
         assert (

@@ -38,11 +38,9 @@ from repro.engine import (
 )
 from repro.engine import parallel as parallel_module
 from repro.engine.parallel import SWEEP_ROWS, drain_metered
-from repro.engine.sampling import AdaptiveConfig
 from repro.expressions.ast import Operand, Projection
 from repro.reductions.rg import RGConstruction
 from repro.workloads import growing_construction_family
-from test_engine_faults import _three_way_case, _tiny_bindings
 
 BACKENDS = sorted({"thread", default_backend()})
 
@@ -215,17 +213,26 @@ class TestEveryEndingHandsTheCollectorBack:
         assert recorder.drains == 0
         assert _handed_back()
 
-    def test_midstream_replan(self):
-        query, bound = _three_way_case(11)
-        evaluator = EngineEvaluator(
-            adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8)
-        )
-        evaluator.plan_for(query, _tiny_bindings(bound))
+    def test_nested_drain(self):
+        """A drain started while another holds the pause (a root that drains
+        a tree of its own) pauses nothing twice and resumes nothing early:
+        the inner exit leaves the collector off for the outer drain."""
+        relation = Relation.from_rows("A", [(i,) for i in range(5_000)], name="R")
+        inside = []
+
+        class DrainingRoot:
+            def blocks(self, sink=None):
+                inner_meter = MemoryMeter()
+                rows = drain_metered(TableScan(relation, inner_meter), inner_meter)
+                inside.append((len(rows), gc.isenabled()))
+                yield sorted(rows)
+
+        meter = MemoryMeter()
         with _recording() as recorder:
-            _, trace = evaluator.evaluate(query, bound)
-        assert trace.replans >= 1
-        assert recorder.drains >= 2, "the re-plan never drained a checkpoint"
-        assert recorder.held == 0
+            rows = drain_metered(DrainingRoot(), meter)
+        assert len(rows) == 5_000
+        assert inside == [(5_000, False)]
+        assert recorder.drains == 2 and recorder.held == 0
         assert _handed_back()
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -17,8 +17,8 @@ allowed down to 2-row partitions) forces constant spilling and re-splitting
 on even the smallest instances.
 
 Every grid point additionally pins the complete memory model: zero
-``spill_overflows`` (dedup, checkpoints, and unsplittable join partitions
-all spill or chunk within the budget) and zero leaked spill files, and
+``spill_overflows`` (dedup and unsplittable join partitions spill or chunk
+within the budget) and zero leaked spill files, and
 every seed must reach both of a spilled join's modes: the tiny budget
 re-reads builds of up to 8 rows and partitions the larger ones, which is
 why relations run to 24 rows — at 14 too few builds were left for Grace
@@ -52,6 +52,7 @@ from repro.engine import (
     MemoryBudget,
     default_backend,
 )
+from repro.engine.stats import SKEW
 from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 from repro.expressions.ast import Expression, Join, Operand, Projection
 from repro.obs import ObserveConfig
@@ -375,55 +376,106 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
             assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
 
 
-def test_planstore_fuzz_learning_never_changes_results(fuzz_seed, tmp_path):
-    """The plan-store axis: an evaluator that learns (warm samples, the
-    observed-cardinality ledger, repin, drift re-plans) must stay set-equal
-    to the seed reference on every (budget, workers, fault) grid point.
-    Each case executes *twice* on one evaluator — the second run is costed
-    against measured truth (and may drift-replan), which is exactly the
-    path that could silently corrupt results if learning leaked into
-    semantics."""
-    rng = random.Random(fuzz_seed ^ 0x9147)
-    for case_index in range(10):
-        expression, bindings = _random_case(rng)
-        reference = _reference_evaluate(expression, bindings)
-        for budget_rows, workers in CONFIG_GRID:
-            for faulty in (False, True):
-                plan = FaultPlan.random_plan(rng, workers=workers) if faulty else None
-                budget = _tiny_budget(tmp_path) if budget_rows is not None else None
-                evaluator = EngineEvaluator(
-                    budget=budget,
-                    workers=workers,
-                    parallel_backend="thread",
-                    adaptive=True,
-                    planstore=True,
-                    faults=plan,
-                )
-                detail = (
-                    f"seed={fuzz_seed}^0x9147 case={case_index} "
-                    f"budget={budget_rows} workers={workers} faults={plan!r}\n"
-                    f"expression: {expression.to_text()}"
-                )
-                for _round in range(2):
-                    result = None
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        try:
-                            result, _trace = evaluator.evaluate(expression, bindings)
-                        except EngineFaultError:
-                            if not faulty:
-                                raise
-                            result = None  # a typed loss is allowed under faults
-                    if result is not None:
-                        assert result.scheme.name_set == reference.scheme.name_set, detail
-                        realigned = (
-                            result
-                            if result.scheme.names == reference.scheme.names
-                            else result.project(reference.scheme.names)
-                        )
-                        assert realigned == reference, detail
-                leftovers = [str(path) for path in tmp_path.iterdir()]
-                assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
+#: Cases of the heavy-hitter axis, one test each.
+SKEWED_CASES = 12
+
+#: A heavy-hitter case is redrawn if the as-written evaluation materialises
+#: more rows than this anywhere (it runs under the 4-row budget too).
+MAX_SKEWED_ROWS = 2_000
+
+
+def _skewed_relation(rng: random.Random, scheme: RelationScheme, hot) -> Relation:
+    """30-60 rows over ``scheme``.  A column named in ``hot`` holds one value
+    on 30-50 % of them and a fresh one on every other row; other columns
+    are drawn from the row count."""
+    count = rng.randint(30, 60)
+    hot_rows = {
+        name: set(rng.sample(range(count), round(rng.uniform(0.3, 0.5) * count)))
+        for name in hot
+    }
+    hot_value = rng.choice((0, "x"))
+    rows = [
+        tuple(
+            (hot_value if row_index in hot_rows[name] else 1 + row_index)
+            if name in hot_rows
+            else rng.randint(1, count)
+            for name in scheme.names
+        )
+        for row_index in range(count)
+    ]
+    return Relation.from_rows(scheme, rows)
+
+
+def _is_skewed(relation: Relation, name: str) -> bool:
+    """The catalog's heavy-hitter rule (``stats.SKEW``) on one column."""
+    stats = relation.stats()
+    column = stats.column(name)
+    return column.top_count * column.distinct_count >= SKEW * stats.cardinality
+
+
+def _skewed_case(rng: random.Random):
+    """A three- or four-operand chain ``R0(A, B) * R1(B, C) * ...`` whose
+    every key is one column, at least one of them with a heavy hitter on
+    both sides (so the catalog measures it), under an optional projection."""
+    while True:
+        width = rng.randint(3, 4)
+        names = ATTRIBUTE_POOL[: width + 1]
+        links = names[1:width]
+        hot = {name for name in links if rng.random() < 0.5} or {rng.choice(links)}
+        parts, bindings = [], {}
+        for index in range(width):
+            scheme = RelationScheme(names[index : index + 2])
+            operand = Operand(f"R{index}", scheme)
+            parts.append(operand)
+            bindings[operand.name] = _skewed_relation(
+                rng, scheme, [name for name in scheme.names if name in hot]
+            )
+        if not all(
+            _is_skewed(relation, name)
+            for relation in bindings.values()
+            for name in relation.scheme.names
+            if name in hot
+        ):
+            continue
+        order = list(parts)
+        rng.shuffle(order)
+        expression: Expression = Join(tuple(order))
+        if rng.random() < 0.7:
+            keep = rng.sample(list(names), rng.randint(1, len(names)))
+            expression = Projection(keep, expression)
+        sizes = []
+        _reference_evaluate(expression, bindings, sizes)
+        if max(sizes) <= MAX_SKEWED_ROWS:
+            return expression, bindings
+
+
+@pytest.mark.parametrize("case", range(SKEWED_CASES))
+def test_heavy_hitter_fuzz_matches_reference_on_every_grid_point(
+    fuzz_seed, case, tmp_path
+):
+    """The heavy-hitter axis: single-column keys the catalog measures on
+    samples (``stats.SKEW``) instead of pricing by the formula.  What the
+    measured estimates order must stay set-equal to the seed reference on
+    every (budget, workers) grid point, and the plan must hold at least one
+    measured join — the axis reaches the path it is for."""
+    rng = random.Random(fuzz_seed * 1_009 + case)
+    expression, bindings = _skewed_case(rng)
+    reference = _reference_evaluate(expression, bindings)
+    context = f"seed={fuzz_seed} heavy-hitter case={case}"
+    for budget_rows, workers in CONFIG_GRID:
+        _assert_engine_matches_reference(
+            expression, bindings, reference, budget_rows, workers, "thread",
+            tmp_path, context=context,
+        )
+    plan = EngineEvaluator().plan_for(expression, bindings)
+
+    def provenance(node):
+        if node.kind == "hash-join":
+            yield node.provenance
+        for child in node.children:
+            yield from provenance(child)
+
+    assert "sampled" in set(provenance(plan.root)), f"{context}\n{plan.explain()}"
 
 
 def test_session_facade_fuzz_every_backend_matches_reference(fuzz_seed, tmp_path):

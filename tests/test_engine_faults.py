@@ -1,8 +1,8 @@
 """Fault-injection tests: the engine's failure paths, reached on purpose.
 
 `repro.engine.faults` makes the paths ordinary tests never execute — spill
-I/O failures, fork-pool worker death, checkpoint-cap pressure — reachable
-deterministically, and this module pins their contract:
+I/O failures and fork-pool worker death — reachable deterministically, and
+this module pins their contract:
 
 * a *transient* spill failure (fewer consecutive failures than the retry
   budget) is absorbed by retry-with-backoff and the evaluation completes
@@ -15,9 +15,6 @@ deterministically, and this module pins their contract:
   (``pool_recoveries``) or degrades *loudly* to serial execution
   (``serial_fallbacks`` + ``RuntimeWarning`` + trace degradation events) —
   never a silent wrong answer;
-* forced checkpoint-cap pressure under a budget spills the checkpoint
-  (``checkpoint_spills``) instead of abandoning the re-plan
-  (``adaptive_giveups``);
 * spill temp directories are removed at interpreter shutdown even when an
   execution was abandoned mid-stream (the ``atexit`` registry).
 """
@@ -54,7 +51,6 @@ from repro.engine import (
 from repro.engine import evaluator as evaluator_module
 from repro.engine import spill as spill_module
 from repro.engine.parallel import drain_metered
-from repro.engine.sampling import AdaptiveConfig
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
 from repro.obs import ObserveConfig
@@ -103,7 +99,6 @@ class TestFaultPlan:
         assert FaultPlan(fail_spill_write_at=1).injects_anything
         assert FaultPlan(fail_spill_read_at=2).injects_anything
         assert FaultPlan(kill_worker=0).injects_anything
-        assert FaultPlan(checkpoint_cap_rows=4).injects_anything
 
     def test_random_plan_is_replayable(self):
         plans = [FaultPlan.random_plan(random.Random(7)) for _ in range(10)]
@@ -319,8 +314,8 @@ class TestWorkerKill:
 
 
 def _three_way_case(seed, rows=300):
-    """A three-way join that triggers an adaptive re-plan when its plan was
-    pinned against 1-row relations (borrowed from the sampling tests)."""
+    """A three-way join whose joins all Grace-spill under a small budget
+    when its plan was pinned against 1-row relations."""
     rng = random.Random(seed)
     r = Relation.from_rows(
         "A B", [(rng.randint(0, 20), rng.randint(0, 8)) for _ in range(rows)], name="R"
@@ -347,61 +342,21 @@ def _tiny_bindings(bound):
     }
 
 
-class TestCheckpointPressure:
-    def test_forced_cap_spills_checkpoint_instead_of_giving_up(self, tmp_path):
-        query, bound = _three_way_case(11)
-        expected = evaluate(query, bound)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(
-            budget=_budget(tmp_path, rows=64),
-            adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
-            faults=FaultPlan(checkpoint_cap_rows=2),
-        )
-        evaluator.plan_for(query, _tiny_bindings(bound))
-        result, trace = evaluator.evaluate(query, bound)
-        delta = _delta(before)
-        assert result == expected
-        assert trace.replans >= 1
-        assert delta["checkpoint_spills"] >= 1
-        assert delta["adaptive_giveups"] == 0
-        assert delta["fault_injected"] >= 1
-        assert not list(tmp_path.iterdir()), "spill files leaked"
-
-    def test_unbudgeted_cap_pressure_keeps_the_giveup_path(self):
-        query, bound = _three_way_case(13)
-        expected = evaluate(query, bound)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(
-            adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
-            faults=FaultPlan(checkpoint_cap_rows=2),
-        )
-        evaluator.plan_for(query, _tiny_bindings(bound))
-        result, trace = evaluator.evaluate(query, bound)
-        delta = _delta(before)
-        assert result == expected
-        assert trace.replans == 0
-        assert delta["adaptive_giveups"] >= 1
-        assert delta["checkpoint_spills"] == 0
-
-
 class TestPersistentFaultSweep:
     """A persistent spill fault at *every* position the evaluation has.
 
-    The evaluation Grace-spills nested joins, re-plans mid-stream and spills
-    its checkpoint, so the swept positions land in every spilling client —
-    including inside a child join suspended under a parent's routing loop
-    (or under its re-reads of a small build, in the third case) and inside
-    the checkpoint's constructor.  Whatever the position, the
-    outcome is the exact answer or the typed error, and nothing is left:
+    The plan is pinned against one-row relations (every estimate ~1), so
+    the evaluation Grace-spills nested joins and the swept positions land in
+    every spilling client — including inside a child join suspended under a
+    parent's routing loop (or under its re-reads of a small build, in the
+    third case).  Whatever the position, the outcome is the exact answer or the typed error, and nothing is left:
     checked while the error (and so its traceback) is still held and
     *without* a cyclic GC pass, because a cleanup that waits for either is
     a leak for as long as the handler or the collector takes.
     """
 
-    #: Tier-1 sweeps this many positions at either end of the read sweep
-    #: and about this many, evenly strided, in between.
+    #: Tier-1 sweeps this many positions at either end of a read sweep and
+    #: about this many, evenly strided, in between.
     SWEEP_ENDS, SWEEP_STRIDED = 8, 40
 
     def _sweep(
@@ -421,12 +376,7 @@ class TestPersistentFaultSweep:
             ``(evaluator, result or None, the error still held or None)``."""
             evaluator = EngineEvaluator(
                 budget=_budget(tmp_path, rows=budget_rows),
-                adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
-                faults=FaultPlan(
-                    checkpoint_cap_rows=2,
-                    persistent=True,
-                    **{fault_field: position},
-                ),
+                faults=FaultPlan(persistent=True, **{fault_field: position}),
                 observe=ObserveConfig(events=True),
             )
             evaluator.plan_for(query, _tiny_bindings(bound))
@@ -483,7 +433,7 @@ class TestPersistentFaultSweep:
     def test_read_fault_at_every_position(self, tmp_path, full_fault_sweep):
         # A third of the rows under half the budget: the same clients, every
         # join still partitioning both sides, with fewer reads to land on —
-        # still ~960 whole evaluations, so tier-1 sweeps both ends and a
+        # still ~440 whole evaluations, so tier-1 sweeps both ends and a
         # stride between them and CI (--full-fault-sweep) every position.
         self._sweep(
             tmp_path,
@@ -495,10 +445,19 @@ class TestPersistentFaultSweep:
         )
 
     @pytest.mark.parametrize("fault_field", ["fail_spill_write_at", "fail_spill_read_at"])
-    def test_fault_at_every_position_of_a_reread_join(self, tmp_path, fault_field):
-        # 200 rows: the first join partitions, the others keep their probe
-        # side streaming and re-read a ~120-row build per probe slice.
-        self._sweep(tmp_path, fault_field, {"partitioned", "re-read"}, rows=200)
+    def test_fault_at_every_position_of_a_reread_join(
+        self, tmp_path, fault_field, full_fault_sweep
+    ):
+        # 200 rows: one join partitions, another keeps its probe side
+        # streaming and re-reads its small build per probe slice — ~600
+        # reads, so tier-1 sweeps their ends and a stride, CI every one.
+        self._sweep(
+            tmp_path,
+            fault_field,
+            {"partitioned", "re-read"},
+            rows=200,
+            every_position=full_fault_sweep or fault_field == "fail_spill_write_at",
+        )
 
 
 class TestDrainFailure:
@@ -611,8 +570,8 @@ class TestFaultEventCrossCheck:
     The chaos layer's no-silent-degradation contract extends to the
     observability layer: the ``fault_injected`` kernel-counter delta and
     the event log's ``fault`` count must agree for every in-process
-    injection site (serial spill I/O, thread-backend worker kill,
-    checkpoint-cap pressure).  Fork-pool children are excluded by
+    injection site (serial spill I/O, thread-backend worker kill).
+    Fork-pool children are excluded by
     construction — their counters merge back but their event logs die
     with the child process, which is why these scenarios pin the serial
     and thread paths.
@@ -682,31 +641,6 @@ class TestFaultEventCrossCheck:
             assert len(faults) == delta["fault_injected"]
             assert any(event["site"] == "worker-kill" for event in faults)
             assert len(events.events("serial-fallback")) == delta["serial_fallbacks"]
-
-    def test_checkpoint_cap_pressure_logs_fault_and_checkpoint_events(self, tmp_path):
-        from repro.obs import ObserveConfig
-
-        query, bound = _three_way_case(11)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(
-            budget=_budget(tmp_path, rows=64),
-            adaptive=AdaptiveConfig(replan_factor=2.0, replan_min_rows=8),
-            faults=FaultPlan(checkpoint_cap_rows=2),
-            observe=ObserveConfig(events=True),
-        )
-        evaluator.plan_for(query, _tiny_bindings(bound))
-        result, trace = evaluator.evaluate(query, bound)
-        assert result == evaluate(query, bound)
-        delta = _delta(before)
-        events = evaluator.observer.events
-        assert delta["fault_injected"] >= 1
-        assert len(events.events("fault")) == delta["fault_injected"]
-        assert any(
-            event["site"] == "checkpoint-cap" for event in events.events("fault")
-        )
-        assert len(events.events("replan")) == trace.replans >= 1
-        assert events.events("checkpoint-spill"), "cap pressure must spill"
 
     def test_unfaulted_run_logs_no_fault_events(self, tmp_path):
         from repro.obs import ObserveConfig

@@ -5,7 +5,7 @@ pi_X(pi_{X+J}(E1) * pi_{X+J}(E2))`` and a dedup anywhere below the root is
 free of semantics.  The planner uses that wherever the catalog proves the
 pruned stream collapses; these tests pin (a) that it never changes an
 answer and never drops a column something above still reads, on every
-(budget, workers, adaptive) grid point and under operand permutation, (b)
+(budget, workers) grid point and under operand permutation, (b)
 the exact intermediate-row counts of the eight serving queries, (c) the
 R_G guard — the paper's own query holds no pushed projection, and spills
 under 64 rows exactly as pinned — and the rule that an optional dedup never
@@ -13,19 +13,16 @@ buys itself a spill.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.algebra import Relation, RelationScheme, naive_natural_join, naive_project
-from repro.engine import AdaptiveConfig, EngineEvaluator, MemoryBudget
+from repro.engine import EngineEvaluator, MemoryBudget
 from repro.engine.physical import MemoryMeter, SpillingSeenSet
 from repro.engine.planner import Planner
-from repro.engine.stats import RelationStats
 from repro.expressions import evaluate, parse_expression
 from repro.expressions.ast import Join, Operand, Projection
-from repro.obs import ObserveConfig
 from repro.reductions.rg import RGConstruction
 from repro.workloads import (
     growing_construction_family,
@@ -142,9 +139,6 @@ def _assert_reads_survive(plan, expression):
     check(plan.root, frozenset(expression.target.names))
 
 
-FORCED = AdaptiveConfig(sample_size=8, replan_factor=1.5, replan_min_rows=2)
-
-
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -154,8 +148,6 @@ def test_pruned_plans_match_the_reference_on_every_grid_point(tmp_path_factory, 
     reference = _reference(expression, bound)
     assume(len(_reference(expression.child, bound)) <= MAX_REFERENCE_ROWS)
     spill_dir = tmp_path_factory.mktemp("spill")
-    tiny = {name: Relation.from_rows(rel.scheme, [(0,) * len(rel.scheme)])
-            for name, rel in bound.items()}
     for budget_rows in (None, 64, 4):
         budget = (
             MemoryBudget(rows=budget_rows, spill_fanout=2, min_partition_rows=2,
@@ -164,90 +156,17 @@ def test_pruned_plans_match_the_reference_on_every_grid_point(tmp_path_factory, 
             else None
         )
         for workers in (1, 2):
-            for adaptive in (None, FORCED):
-                for query in (expression, permuted):
-                    evaluator = EngineEvaluator(
-                        budget=budget, workers=workers, adaptive=adaptive,
-                        parallel_backend="thread",
-                    )
-                    result, trace = evaluator.evaluate(query, bound)
-                    detail = (query.to_text(), budget_rows, workers, adaptive)
-                    assert _same_rows(result, reference), detail
-                    assert trace.counters.get("spill_overflows", 0) == 0, detail
-                    if flat:
-                        _assert_reads_survive(evaluator.pinned_plan(query), query)
-                if adaptive is not None and workers == 1:
-                    # A plan pinned against one-row relations re-plans
-                    # mid-stream: the re-planner's entry prunes as well.
-                    evaluator = EngineEvaluator(budget=budget, adaptive=adaptive)
-                    evaluator.plan_for(expression, tiny)
-                    result, _ = evaluator.evaluate(expression, bound)
-                    assert _same_rows(result, reference), ("forced", detail)
+            for query in (expression, permuted):
+                evaluator = EngineEvaluator(
+                    budget=budget, workers=workers, parallel_backend="thread"
+                )
+                result, trace = evaluator.evaluate(query, bound)
+                detail = (query.to_text(), budget_rows, workers)
+                assert _same_rows(result, reference), detail
+                assert trace.counters.get("spill_overflows", 0) == 0, detail
+                if flat:
+                    _assert_reads_survive(evaluator.pinned_plan(query), query)
     assert not list(spill_dir.iterdir())
-
-
-def test_a_forced_replan_resumes_from_a_pruned_checkpoint():
-    """The trigger join's probe child is a pushed projection, so the
-    checkpoint is the 920-row ``project[A, C](R * S)``, not its 13,800-row
-    child, and the re-planner's chain (which reads the checkpoint's columns
-    through ``needed``) still gives the exact answer."""
-    relations = serving_relations()
-    query = parse_expression(
-        "project[A, C, D](R * S * T)",
-        {name: rel.scheme for name, rel in relations.items()},
-    )
-    evaluator = EngineEvaluator(adaptive=True, observe=ObserveConfig(events=True))
-    plan = evaluator.plan_for(query, relations)
-    assert "project[A, C] (pushed)" in plan.explain()
-    wider = dict(relations)
-    wider["T"] = Relation.from_rows(
-        "C D", [(i % 23, i % 41) for i in range(23 * 41)], name="T"
-    )
-    result, trace = evaluator.evaluate(query, wider)
-    assert trace.replans == 1
-    (checkpoint,) = evaluator.observer.events.events("checkpoint")
-    assert checkpoint["rows"] == 920
-    # (The kernel walk, itself pinned to the reference algebra elsewhere:
-    # the naive join of these 550k rows takes half a minute.)
-    assert _same_rows(result, evaluate(query, wider))
-
-
-def test_a_written_projection_stays_a_scope_boundary_for_the_replanner():
-    """``project[A, B](R0 * R1)`` drops ``X``, and ``X`` reappears in the
-    outer, unpruned ``R2(X, C)``: the outer join is a product.  The pushed
-    ``project[A]`` narrows the written projection in place, and the result
-    is still a written one — a chain read through it would guard the inner
-    join, and that guard's re-plan would re-order ``[R0, R2, R1]`` as one
-    flat join on ``X`` (no rows at all here: ``R2``'s ``X`` values are
-    disjoint from ``R0``'s)."""
-
-    def relations(k):
-        return {
-            "R0": Relation.from_rows("A X", [(i % 3, i % k) for i in range(3 * k)]),
-            "R1": Relation.from_rows("X B", [(i % k, i % 7) for i in range(7 * k)]),
-            "R2": Relation.from_rows("X C", [(100 + i % 5, i) for i in range(5 * k)]),
-        }
-
-    small, large = relations(4), relations(20)
-    query = parse_expression(
-        "project[A, C](project[A, B](R0 * R1) * R2)",
-        {name: rel.scheme for name, rel in small.items()},
-    )
-    evaluator = EngineEvaluator(
-        adaptive=AdaptiveConfig(replan_factor=1.5, replan_min_rows=2)
-    )
-    plan = evaluator.plan_for(query, small)
-    lines = [line.strip().split("  [")[0] for line in plan.explain().splitlines()]
-    assert lines[2:5] == ["project[A], no dedup", "hash join on (X) [build=left]", "scan R0"]
-    assert lines[-1] == "scan R2"  # unpruned: C is as distinct as R2 is long
-    _, chain = EngineEvaluator._spine(plan.root)
-    assert [node.describe() for node in chain] == [lines[1]]
-    # Both joins outgrow 1.5x their estimates on the larger relations; only
-    # the outer one is guarded, and its re-plan keeps the product.
-    result, trace = evaluator.evaluate(query, large)
-    assert trace.replans == 1
-    assert len(result) == 3 * 100
-    assert _same_rows(result, _reference(query, large))
 
 
 # -- (b) exact counts on the serving queries -------------------------------
@@ -336,40 +255,21 @@ def _rg_query(m):
     return query, construction.relation
 
 
-@pytest.mark.parametrize("adaptive", [None, True, AdaptiveConfig(sample_size=8)])
+@pytest.mark.parametrize("budget", [None, 64, 4])
 @pytest.mark.parametrize("m", [8, 10, 12, 14])
-def test_rg_plans_hold_no_pushed_projection(m, adaptive):
+def test_rg_plans_hold_no_pushed_projection(m, budget):
     """A chain of R_G's wide intermediates is not a place for seen-sets: a
     join estimate there is a measurement on 256 sampled rows (and was a
     formula ~10^12 too high: 6.4e14 vs 197 rows at m = 12), so "the pruned
     estimate is much smaller" alone may promise nothing; the exact input
-    bound refuses every one.  The default catalog's distinct counts are
-    exact, and so are ``adaptive=``'s while its sample holds the whole
-    relation; under an 8-row sample they are scaled-up guesses, and there
-    the bound reads the row count instead — the one exact thing left."""
+    bound (the catalog's distinct counts are exact) refuses every one —
+    unbudgeted, under ``spill_tight``'s 64 rows, and under 4, where every
+    join of the plan is a Grace join."""
     query, relation = _rg_query(m)
-    plan = EngineEvaluator(adaptive=adaptive).plan_for(query, {"R": relation})
-    assert "(pushed)" not in plan.explain()
-
-
-def test_a_scaled_up_distinct_count_bounds_no_pushed_projection():
-    """The placement rule multiplies distinct counts into a seen-set bound,
-    so it reads exact ones only: a count scaled up from a sample smaller
-    than its column (what a spilled checkpoint's entry holds) stands for
-    the row count there, and the push the exact catalog places is refused."""
-    relations = serving_relations()
-    query = parse_expression(
-        "project[A, C, D](R * S * T)",
-        {name: rel.scheme for name, rel in relations.items()},
-    )
-    stats = {name: rel.stats() for name, rel in relations.items()}
-    assert "project[A, C] (pushed)" in Planner().plan(query, stats).explain()
-    exact = stats["R"]
-    stats["R"] = RelationStats(
-        exact.cardinality,
-        {name: replace(column, estimated=True) for name, column in exact.columns.items()},
-    )
-    assert "(pushed)" not in Planner().plan(query, stats).explain()
+    plan = EngineEvaluator(budget=budget).plan_for(query, {"R": relation})
+    text = plan.explain()
+    assert "(pushed)" not in text
+    assert ("grace hash join" in text) == (budget is not None)
 
 
 def test_spill_tight_counts_under_the_measured_plan():

@@ -1,13 +1,13 @@
-"""Tests for the spill primitive (``repro.engine.spill``) and its three clients.
+"""Tests for the spill primitive (``repro.engine.spill``) and its two clients.
 
 :class:`PartitionedSpill` is the one way engine rows get to disk and back;
-the Grace join, the dedup seen-set and the adaptive checkpoint are thin
-clients of it.  This module pins the primitive's own
-contract — routing keeps every item and keeps equal keys together at any
+the Grace join and the dedup seen-set are thin clients of it.  This module
+pins the primitive's own contract — routing keeps every item and keeps equal keys together at any
 salt, ``wanted=`` drops whole partitions without a file, ``close()`` leaves
-nothing behind however the execution ended — and the two checks that live
-in :class:`SpillFile`: a file that reads back short is a typed error, never
-a short answer, and exhausted retries leave no reference cycle to pin a
+nothing behind however the execution ended — and what lives in
+:class:`SpillFile`: a file that reads back short is a typed error, never
+a short answer; a retried write is logged and every frame write and read
+stream is traced; and exhausted retries leave no reference cycle to pin a
 suspended operator's cleanup on the garbage collector.
 """
 
@@ -32,7 +32,6 @@ from repro.engine import (
     GraceHashJoin,
     MemoryBudget,
     MemoryMeter,
-    SpilledCheckpoint,
     SpillFile,
     StreamingProject,
     TableScan,
@@ -208,38 +207,6 @@ class TestLifecycle:
         assert not any(tmp_path.iterdir())
         assert not spill._ACTIVE_SPILL_DIRS
 
-    def test_a_checkpoint_that_cannot_be_written_closes_its_own_area(self, tmp_path):
-        budget = MemoryBudget(rows=8, spill_dir=str(tmp_path))
-        injector = FaultInjector(FaultPlan(fail_spill_write_at=2, persistent=True))
-        meter = MemoryMeter(budget.rows, faults=injector)
-        rows = {(i, i) for i in range(500)}
-        with pytest.raises(EngineFaultError):
-            SpilledCheckpoint(RelationScheme.of("A", "B"), "ckpt", rows, meter, budget)
-        assert not any(tmp_path.iterdir())
-        assert not spill._ACTIVE_SPILL_DIRS
-
-    def test_checkpoint_io_is_retried_traced_and_logged_like_any_client(self, tmp_path):
-        budget = MemoryBudget(rows=8, spill_dir=str(tmp_path))
-        meter = MemoryMeter(
-            budget.rows,
-            faults=FaultInjector(FaultPlan(fail_spill_write_at=1, spill_failures=1)),
-            tracer=Tracer(),
-            events=EventLog(),
-        )
-        rows = {(i, i) for i in range(300)}
-        checkpoint = SpilledCheckpoint(
-            RelationScheme.of("A", "B"), "ckpt", rows, meter, budget
-        )
-        try:
-            assert len(checkpoint) == 300
-            assert set(checkpoint.rows) == rows == set(checkpoint.sorted_rows())
-        finally:
-            checkpoint.close()
-        assert [event["op"] for event in meter.events.events("spill-retry")] == ["write"]
-        kinds = Counter(span.kind for span in meter.tracer.finish())
-        assert kinds["spill-write"] == 3 and kinds["spill-read"] == 2
-        assert not any(tmp_path.iterdir())
-
 
 def _three_frame_file(tmp_path):
     handle = SpillFile(str(tmp_path / "cut.spill"))
@@ -300,6 +267,29 @@ class TestReadBackCheck:
 
 
 class TestRetryHelper:
+    def test_spill_io_is_retried_traced_and_logged(self, tmp_path):
+        meter = MemoryMeter(
+            8,
+            faults=FaultInjector(FaultPlan(fail_spill_write_at=1, spill_failures=1)),
+            tracer=Tracer(),
+            events=EventLog(),
+        )
+        area = PartitionedSpill(meter, "repro-test-", str(tmp_path))
+        rows = [(i, i) for i in range(300)]
+        try:
+            handle = area.file("run")
+            handle.extend(rows)
+            handle.finish()
+            assert list(chain.from_iterable(handle.blocks())) == rows
+            assert list(chain.from_iterable(handle.blocks())) == rows
+        finally:
+            area.close()
+        assert [event["op"] for event in meter.events.events("spill-retry")] == ["write"]
+        kinds = Counter(span.kind for span in meter.tracer.finish())
+        # 300 rows are three frames; each blocks() stream is one span.
+        assert kinds["spill-write"] == 3 and kinds["spill-read"] == 2
+        assert not any(tmp_path.iterdir())
+
     def test_exhausted_retries_leave_no_reference_cycle(self, tmp_path):
         """The stored ``OSError``'s traceback points at the retry frame, and
         a frame keeps its callers alive: with the cycle left in place, the

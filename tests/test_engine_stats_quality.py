@@ -23,11 +23,8 @@ Two kinds of pinning:
   at m = 12 and 1.07 / 1.84 at m = 14.
 
   History: under the backoff formula the same estimates were ~10^12 too
-  high (6.4e14 vs 197 rows at m = 12), the peak ratio read 1.00, 1.00,
-  1.21, 3.07, 1.56 through m = 12 and diverged at m = 14, which only
-  ``EngineEvaluator(adaptive=True)`` (every estimate measured, on freshly
-  drawn samples) held — that configuration is still gated below, on the
-  same bound.
+  high (6.4e14 vs 197 rows at m = 12), and the peak ratio read 1.00, 1.00,
+  1.21, 3.07, 1.56 through m = 12 and diverged at m = 14.
 
 * **The scaled regime** — on R_G every sample *is* its relation (85 rows
   at m = 12).  Composite keys over relations larger than
@@ -37,16 +34,34 @@ Two kinds of pinning:
   formula-only planner chose), on two equal-sized relations with an
   aligned 1:1 key (their samples are drawn independently), and on samples
   that share no key at all (the estimate is not zero).
+
+* **Skewed single-column keys** — a one-column key is measured too when the
+  exact column counts show a heavy hitter (:data:`~repro.engine.stats.SKEW`).
+  Pinned as counts on the trial that replaced ``adaptive=``: three queries
+  whose chains and streamed rows are exactly what ``adaptive=True`` read
+  (the formula alone streamed 1,025,400 and 1,029,400 rows on the first two),
+  in every written order, under a budget and on two workers, and through a
+  session rebinding uniform relations to skewed ones; a uniform control of
+  the same shape that draws no sample, and data-less entries that keep the
+  formula.  Under them: the column counts themselves (``top_count`` against
+  a direct count), the rule's threshold on either side of a join, and how
+  ``join_stats`` / ``project_stats`` carry ``top_count``.
 """
 
 import functools
+import itertools
+import os
 import random
 import statistics
+import subprocess
+import sys
 
 import pytest
 
 from repro.algebra import Relation
+from repro.api import Session
 from repro.engine import (
+    ColumnStats,
     EngineEvaluator,
     HashJoin,
     MemoryMeter,
@@ -56,16 +71,19 @@ from repro.engine import (
     estimate_join_cardinality,
     estimate_partition_count,
     estimate_spill_depth,
+    join_estimate_provenance,
     join_stats,
+    project_stats,
     q_error,
 )
 from repro.engine.parallel import operators_in_order
 from repro.engine.sampling import SAMPLE_ROWS
+from repro.engine.stats import SKEW
 from repro.expressions import Projection, parse_expression
 from repro.reductions import RGConstruction
+from repro.perf import kernel_counters
 from repro.workloads import (
     actual_greedy_order,
-    chain_peak,
     chain_sizes,
     growing_construction_family,
     join_parts,
@@ -178,24 +196,6 @@ def test_planned_join_estimates_track_streamed_cardinalities(m):
     assert max(errors) <= MAX_Q, errors
 
 
-@pytest.mark.parametrize("m", [12, 14])
-def test_sampled_ordering_peak_tracks_actual_at_m14(m):
-    """The same peak bound under ``adaptive=True``: every estimate measured
-    (single-column keys and projections too), on samples drawn afresh at
-    the configured size — the configuration that first held m = 14, when
-    the default planner still guessed composite keys."""
-    query, relation, part_relations, oracle_sizes = _family_instance(m)
-    sequence = planner_join_order(
-        query, relation, part_relations, evaluator=EngineEvaluator(adaptive=True)
-    )
-    assert sorted(sequence) == list(range(len(part_relations)))
-    sampled_peak = chain_peak(part_relations, sequence)
-    assert sampled_peak <= MAX_PEAK_RATIO * max(oracle_sizes), (
-        f"m={m}: sampled-ordering peak {sampled_peak} vs "
-        f"actual-greedy peak {max(oracle_sizes)}"
-    )
-
-
 # -- the scaled regime: composite keys over more rows than a sample holds ----
 
 
@@ -289,7 +289,8 @@ def _keyed_entry(names, keys, population, distinct=None):
     """A default-catalog entry over ``population`` rows whose drawn sample
     holds the two-column ``keys``."""
     exact = RelationStats.assumed(names, population, distinct)
-    sample = Sample(names, [key + (0,) for key in keys], population, composite_only=True)
+    rows = [key + (0,) for key in keys]
+    sample = Sample(names, draw=lambda: (rows, population))
     return SampledRelationStats(exact.cardinality, exact.columns, sample=sample)
 
 
@@ -325,3 +326,328 @@ def test_samples_that_share_no_key_do_not_estimate_an_empty_join():
     # Whole relations: nothing is unseen, the join is empty.
     left, right = pair(256)
     assert estimate_join_cardinality(left, right, common) == 0.0
+
+
+# -- skewed single-column keys ----------------------------------------------
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _trial_relations(skewed=True):
+    """``R(A, B)`` and ``S(B, C)``, 2,000 rows each; ``T(C, D)``, 20,000 rows
+    meeting ``S`` on 20 ``C`` values (10 rows each); ``U(A, E)``, one ``E``
+    per ``A`` (seven values in all).  Skewed: ``B = 0`` on half of ``R`` and
+    half of ``S``, and unique elsewhere.  Uniform: each ``B`` value twice."""
+    if skewed:
+        r = [(a, 0) for a in range(1000)] + [(a, a) for a in range(1000, 2000)]
+        s = [(0, c) for c in range(1000)] + [(b, b) for b in range(1000, 2000)]
+    else:
+        r = [(a, a % 1000) for a in range(2000)]
+        s = [(b % 1000, b) for b in range(2000)]
+    t = [(1000 + k % 20, k) for k in range(200)]
+    t += [(2000 + k % 1000, k) for k in range(200, 20_000)]
+    return {
+        "R": Relation.from_rows("A B", r, name="R"),
+        "S": Relation.from_rows("B C", s, name="S"),
+        "T": Relation.from_rows("C D", t, name="T"),
+        "U": Relation.from_rows("A E", [(a, a % 7) for a in range(2000)], name="U"),
+    }
+
+
+def _parse(text, relations):
+    return parse_expression(text, {name: rel.scheme for name, rel in relations.items()})
+
+
+#: Query -> (chain, ``total_intermediate_tuples``, result rows).  The parent
+#: planner's ``adaptive=True`` read the same; its default (the formula on
+#: every single-column key) joined ``R * S`` first on the first two queries:
+#: ``R, S, T`` streaming 1,025,400 rows and ``U, R, S, T`` 1,029,400.  The
+#: third starts on ``U * R`` either way.
+TRIAL = {
+    "project[A, D](R * S * T)": (("S", "T", "R"), 24_600, 200),
+    "project[E, D](U * R * S * T)": (("S", "T", "R", "U"), 26_800, 200),
+    "project[E, C](U * R * S)": (("U", "R", "S"), 1_017_000, 8_000),
+}
+
+
+def _trial_chains():
+    """The default planner's chain for every trial query (plans only)."""
+    relations = _trial_relations()
+    return {
+        text: EngineEvaluator().plan_for(_parse(text, relations), relations).root.scan_order()
+        for text in TRIAL
+    }
+
+
+def _chain_joins(plan):
+    """A left-deep plan's chain joins, first join first."""
+    node, joins = plan.root, []
+    while node.kind != "scan":
+        if node.kind == "hash-join":
+            joins.append(node)
+        node = node.children[0]
+    return joins[::-1]
+
+
+@pytest.mark.parametrize("text", sorted(TRIAL))
+def test_a_heavy_hitter_key_is_measured(text):
+    relations = _trial_relations()
+    query = _parse(text, relations)
+    evaluator = EngineEvaluator()
+    result, trace = evaluator.evaluate(query, relations)
+    chain, streamed, rows = TRIAL[text]
+    assert evaluator.pinned_plan(query).root.scan_order() == chain
+    assert trace.total_intermediate_tuples == streamed
+    assert len(result) == rows
+
+
+def test_a_skew_met_on_chain_extension_rides_on_top_count():
+    """``S * T`` joins on the uniform ``C``, so the formula answers; ``B``'s
+    heavy hitter rides along on the derived entry (capped at its
+    cardinality), and extending the chain with ``R`` on ``B`` is measured."""
+    relations = _trial_relations()
+    r, s, t = (relations[name].stats() for name in "RST")
+    assert s.column("B").top_count == 1000 and s.column("C").top_count == 1
+    assert join_estimate_provenance(s, t, ("C",)) == "backoff"
+    joined = join_stats(s, t, ("B", "C", "D"), ("C",))
+    assert joined.column("B").top_count == 1000
+    assert join_estimate_provenance(joined, r, ("B",)) == "sampled"
+    capped = join_stats(s, t, ("B", "C", "D"), ("C",), cardinality=10)
+    assert capped.column("B").top_count == 10
+    plan = EngineEvaluator().plan_for(_parse("project[A, D](R * S * T)", relations), relations)
+    assert [join.provenance for join in _chain_joins(plan)] == ["backoff", "sampled"]
+
+
+def test_a_uniform_key_of_the_same_shape_draws_no_sample():
+    relations = _trial_relations(skewed=False)
+    assert relations["S"].stats().column("B").top_count == 2
+    before = kernel_counters().snapshot()
+    for text in TRIAL:
+        plan = EngineEvaluator().plan_for(_parse(text, relations), relations)
+        assert {join.provenance for join in _chain_joins(plan)} == {"backoff"}, text
+    delta = kernel_counters().delta_since(before)
+    assert (delta["sample_builds"], delta["sample_joins"]) == (0, 0)
+
+
+def test_a_nearly_unique_uniform_key_draws_no_sample():
+    """20,000 rows keyed uniformly over 20,000 values: the busiest key
+    outgrows the mean (the ratio reads over :data:`SKEW`), but it is too
+    rare for a 256-row sample to see, so the formula answers."""
+    rng = random.Random(0)  # busiest key: 8 rows; 12,673 distinct
+    keys = [rng.randrange(20_000) for _ in range(20_000)]
+    left = Relation.from_rows("A B", list(enumerate(keys)))
+    right = Relation.from_rows("B C", [(key, index) for index, key in enumerate(keys)])
+    column = left.stats().column("B")
+    assert column.top_count * column.distinct_count >= SKEW * len(left)
+    before = kernel_counters().snapshot()
+    for first, second in ((left, right), (right, left)):
+        assert join_estimate_provenance(first.stats(), second.stats(), ("B",)) == "backoff"
+        estimate_join_cardinality(first.stats(), second.stats(), ("B",))
+    delta = kernel_counters().delta_since(before)
+    assert (delta["sample_builds"], delta["sample_joins"]) == (0, 0)
+
+
+def test_assumed_stats_keep_the_formula():
+    """A data-less entry counted nothing (``top_count`` 0): the formula
+    answers, whatever the other side's counts say."""
+    skewed = _trial_relations()["S"].stats()
+    assumed = RelationStats.assumed(("A", "B"), 2000, {"B": 1001})
+    assert assumed.column("B").top_count == 0
+    formula = 2000 * 2000 / 1001
+    for left, right in ((assumed, skewed), (skewed, assumed), (assumed, assumed)):
+        assert join_estimate_provenance(left, right, ("B",)) == "backoff"
+        assert estimate_join_cardinality(left, right, ("B",)) == pytest.approx(formula)
+
+
+def test_the_trial_chains_under_random_hash_seeds():
+    script = (
+        f"import sys; sys.path.insert(0, {TESTS!r})\n"
+        "from test_engine_stats_quality import _trial_chains\n"
+        "print(sorted(_trial_chains().items()))\n"
+    )
+    expected = repr(sorted((text, chain) for text, (chain, _, _) in TRIAL.items()))
+    for _ in range(2):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="random")
+        printed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        assert printed.strip() == expected
+
+
+#: Every order the two chain queries of the trial can be written in (the
+#: ``U`` query with ``U`` first: it is the last operand joined either way).
+WRITTEN_ORDERS = [
+    " * ".join(order) for order in itertools.permutations("RST")
+] + ["U * " + " * ".join(order) for order in itertools.permutations("RST")]
+
+
+@pytest.mark.parametrize("operands", WRITTEN_ORDERS)
+def test_the_trial_streams_the_same_in_any_written_order(operands):
+    """Samples are content-seeded and joined pairs are oriented by column
+    names, so the measured chain does not depend on the written order: the
+    first pair is ``{S, T}`` (its build side may differ), then ``R``."""
+    relations = _trial_relations()
+    target = "E, D" if "U" in operands else "A, D"
+    canonical = "project[E, D](U * R * S * T)" if "U" in operands else "project[A, D](R * S * T)"
+    chain, streamed, rows = TRIAL[canonical]
+    query = _parse(f"project[{target}]({operands})", relations)
+    evaluator = EngineEvaluator()
+    result, trace = evaluator.evaluate(query, relations)
+    order = evaluator.pinned_plan(query).root.scan_order()
+    assert set(order[:2]) == set(chain[:2]) and order[2:] == chain[2:]
+    assert trace.total_intermediate_tuples == streamed
+    assert len(result) == rows
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"budget": 1024}, {"workers": 2, "parallel_backend": "thread"}],
+    ids=["budget", "workers"],
+)
+@pytest.mark.parametrize("text", ["project[A, D](R * S * T)", "project[E, D](U * R * S * T)"])
+def test_the_trial_chain_holds_under_a_budget_and_workers(text, options):
+    """The estimate is made before execution is configured: a budget or a
+    second worker changes how the chain runs, not which chain it is."""
+    relations = _trial_relations()
+    query = _parse(text, relations)
+    evaluator = EngineEvaluator(**options)
+    result, trace = evaluator.evaluate(query, relations)
+    chain, streamed, rows = TRIAL[text]
+    assert evaluator.pinned_plan(query).root.scan_order() == chain
+    assert trace.total_intermediate_tuples == streamed
+    assert len(result) == rows
+
+
+def test_a_served_query_replans_measured_when_its_key_turns_skewed():
+    """Construction is invalidation for ``top_count`` as for every count: a
+    prepared query over the uniform relations re-plans on the skewed ones
+    it is rebound to, and the re-plan measures ``B``."""
+    uniform, skewed = _trial_relations(skewed=False), _trial_relations()
+    with Session(uniform, backend="engine") as session:
+        prepared = session.prepare("project[A, D](R * S * T)")
+        before = prepared.execute()
+        assert (before.trace.total_intermediate_tuples, len(before)) == (28_800, 400)
+        session.set_relation("R", skewed["R"])
+        session.set_relation("S", skewed["S"])
+        after = prepared.execute()
+        assert (after.trace.total_intermediate_tuples, len(after)) == (24_600, 200)
+        assert session.stats()["invalidation_replans"] == 1
+
+
+def _direct_counts(values):
+    """(distinct count, minimum, maximum, top count) of ``values``, counted
+    one value at a time."""
+    counts = {}
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    try:
+        minimum, maximum = min(counts), max(counts)
+    except (TypeError, ValueError):  # mixed types, or no values
+        minimum = maximum = None
+    return len(counts), minimum, maximum, max(counts.values(), default=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_counts_match_a_direct_count(seed):
+    """The catalog counts each column in one ``Counter`` pass: its distinct
+    count, bounds and top count equal a direct count, on a column with a
+    hot value, a wide one, and (odd seeds) one of mixed types."""
+    rng = random.Random(seed)
+    hot_share = rng.uniform(0.0, 0.6)
+    rows = [
+        (
+            0 if rng.random() < hot_share else rng.randint(1, 30),
+            rng.randint(0, 10_000),
+            rng.choice((rng.randint(0, 5), "x", "y")) if seed % 2 else rng.randint(0, 5),
+        )
+        for _ in range(rng.randint(1, 500))
+    ]
+    relation = Relation.from_rows("A B C", rows)
+    stats = relation.stats()
+    assert stats.cardinality == len(relation)
+    for index, name in enumerate(relation.scheme.names):
+        column = stats.column(name)
+        expected = _direct_counts(row[index] for row in relation.rows)
+        assert (
+            column.distinct_count, column.minimum, column.maximum, column.top_count
+        ) == expected, name
+
+
+def test_an_empty_relation_counts_nothing():
+    stats = Relation.empty("A B").stats()
+    assert stats.cardinality == 0
+    assert stats.column("A") == ColumnStats(distinct_count=0, top_count=0)
+
+
+def _threshold_relation(names, top):
+    """100 rows whose first column holds ``0`` on ``top`` of them and spreads
+    the rest over 19 other values: 20 distinct, a mean of 5 rows each, so
+    ``top`` >= 20 is :data:`SKEW` (4) times the mean."""
+    rows = [(0, index) for index in range(top)]
+    rows += [(1 + index % 19, top + index) for index in range(100 - top)]
+    return Relation.from_rows(names, rows)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("top", [19, 20, 21])
+def test_the_skew_rule_measures_from_the_threshold_up(top, side):
+    """A top value at 4x the mean is measured (here on whole-relation
+    samples: exactly); just under it the formula prices every value at
+    the mean — on either side of the join."""
+    assert SKEW == 4
+    skewed = _threshold_relation("B A", top).stats()
+    uniform = Relation.from_rows("B C", [(i % 20, i) for i in range(100)])
+    entries = (skewed, uniform.stats()) if side == "left" else (uniform.stats(), skewed)
+    estimate = estimate_join_cardinality(*entries, ("B",))
+    if top >= 20:
+        assert join_estimate_provenance(*entries, ("B",)) == "sampled"
+        actual = len(_threshold_relation("B A", top).natural_join(uniform))
+        assert estimate == pytest.approx(actual)
+    else:
+        assert join_estimate_provenance(*entries, ("B",)) == "backoff"
+        assert estimate == pytest.approx(100 * 100 / 20)
+
+
+def test_a_shared_key_keeps_the_narrower_sides_top_count():
+    """Through a join a column keeps the counts of the side it came from —
+    a shared key the side with fewer distinct values — capped at the
+    derived cardinality."""
+    left = RelationStats(
+        100, {"A": ColumnStats(10, top_count=50), "B": ColumnStats(100, top_count=1)}
+    )
+    right = RelationStats(
+        1000, {"A": ColumnStats(40, top_count=30), "C": ColumnStats(7, top_count=200)}
+    )
+    joined = join_stats(left, right, ("A", "B", "C"), ("A",), cardinality=150)
+    assert joined.column("A") == ColumnStats(10, top_count=50)
+    assert joined.column("B").top_count == 1
+    assert joined.column("C") == ColumnStats(7, top_count=150)
+    # Equally narrow sides: the hotter one, in either operand order.
+    tied = RelationStats(1000, {"A": ColumnStats(10, top_count=80)})
+    for pair in ((left, tied), (tied, left)):
+        assert join_stats(*pair, ("A",), ("A",), cardinality=150).column("A").top_count == 80
+
+
+@pytest.mark.parametrize(
+    "kept, name, top",
+    [
+        (("B",), "B", 1),
+        (("A", "B"), "B", 3),
+        (("A", "B"), "A", 50),
+        (("B", "C"), "B", 100),
+    ],
+)
+def test_a_projection_bounds_top_count_by_the_other_kept_columns(kept, name, top):
+    """Deduplicated, a value recurs at most once per combination of the
+    other kept columns' values (and once, kept alone)."""
+    child = RelationStats(
+        1000,
+        {
+            "A": ColumnStats(3, top_count=400),
+            "B": ColumnStats(50, top_count=600),
+            "C": ColumnStats(100, top_count=10),
+        },
+    )
+    assert project_stats(child, kept).column(name).top_count == top

@@ -16,7 +16,6 @@ SUBPACKAGES = [
     "repro.algebra",
     "repro.expressions",
     "repro.engine",
-    "repro.engine.planstore",
     "repro.obs",
     "repro.tableaux",
     "repro.sat",
@@ -65,7 +64,7 @@ REPRO_API_EXPORTS = [
 
 #: The knob ledger: every independently settable value of the config
 #: objects and the engine evaluator, by name.  Adding or removing a knob is a
-#: deliberate edit of this snapshot (and of the docs/API.md knob table).
+#: deliberate edit of this snapshot (and of docs/API.md's release notes).
 KNOBS = {
     "repro.engine.MemoryBudget": [
         "rows",
@@ -80,8 +79,6 @@ KNOBS = {
         "workers",
         "parallel_backend",
         "max_pools",
-        "adaptive",
-        "planstore",
         "faults",
         "observe",
     ],
@@ -110,15 +107,12 @@ ENGINE_EVALUATOR_PARAMETERS = [
     "workers",
     "parallel_backend",
     "max_pools",
-    "adaptive",
     "faults",
     "observe",
-    "planstore",
 ]
 
-#: A physical plan is scan | project | hash-join (plus the adaptive guard).
+#: A physical plan is scan | project | hash-join.
 ENGINE_OPERATOR_EXPORTS = [
-    "AdaptiveGuard",
     "GraceHashJoin",
     "HashJoin",
     "PartitionedScan",
