@@ -52,7 +52,7 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "5.0.0"
+__version__ = "5.1.0"
 
 from .api import (
     BACKENDS,

@@ -213,6 +213,18 @@ class Relation:
         relation._stats = self._stats
         return relation
 
+    def __getstate__(self) -> Tuple[RelationScheme, FrozenSet[Row], Optional[str]]:
+        # Scheme, rows and name only: the cached slots are derived, the
+        # statistics entry may hold an undrawn sample recipe (a closure),
+        # and the hash is of this process's string-hash seed.
+        return self._scheme, self._rows, self._name
+
+    def __setstate__(self, state: Tuple[RelationScheme, FrozenSet[Row], Optional[str]]) -> None:
+        self._scheme, self._rows, self._name = state
+        self._materialized = None
+        self._hash = None
+        self._stats = None
+
     def __len__(self) -> int:
         return len(self._rows)
 

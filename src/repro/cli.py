@@ -51,13 +51,14 @@ Python:
 ``python -m repro serve [--port 8080] [--pool-size 2] [--worker-concurrency 4]``
     Start the networked serving tier over the demo serving database
     (``repro.workloads.serving_relations``): an asyncio HTTP front with
-    admission control, a shared memory-budget scheduler, and an
-    invalidating result cache (``--cache-size``, 0 disables), dispatching
-    to worker processes that multiplex ``--worker-concurrency`` requests
-    over each pipe.  ``POST /query`` serves JSON query requests
-    (per-request ``budget``/``workers`` overrides, ``--request-timeout``
-    deadline → 504), ``POST /mutate`` replaces a relation's rows and
-    invalidates cached results that read it, ``GET /metrics`` exposes
+    admission control, a shared memory-budget scheduler, and a result
+    cache keyed on relation contents (``--cache-size``, 0 disables),
+    dispatching to worker processes that multiplex
+    ``--worker-concurrency`` requests over each pipe.  ``POST /query``
+    serves JSON query requests (per-request ``budget``/``workers``
+    overrides, ``--request-timeout`` deadline → 504), ``POST /mutate``
+    replaces a relation's rows and switches which cached results are
+    current, ``GET /metrics`` exposes
     the merged front+worker Prometheus exposition, ``GET /stats`` and
     ``GET /healthz`` report state.  Stop with Ctrl-C.
 

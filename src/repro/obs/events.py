@@ -21,10 +21,11 @@ Event kinds emitted by the engine today:
     ``fault_injected`` counter increment has a matching ``fault`` event.
 ``serial-fallback`` / ``pool-rebuild``
     Parallel-execution degradations.
-``cache_hit`` / ``cache_invalidate``
+``cache_hit`` / ``cache_switch``
     The serving tier's result cache answered a query without a worker
-    dispatch, or swept the entries reading a mutated relation name
-    (see :mod:`repro.server.cache`); emitted on the front's event log.
+    dispatch, or a mutation switched a relation name to another content
+    version (see :mod:`repro.server.cache`); emitted on the front's event
+    log.
 
 The locking/fork discipline matches ``repro.perf.counters``: one module
 lock, reinstalled in fork children via ``os.register_at_fork``.

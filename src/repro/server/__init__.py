@@ -10,9 +10,10 @@ an engine memory budget from a cross-session
 per-request ``budget``/``workers`` overrides served from a small LRU of
 session configs.  Each worker's pipe is *multiplexed* (tagged request
 ids), so one worker serves many requests at once and a slow spilling
-execute never head-of-line-blocks fast queries; the front adds an
-*invalidating* :class:`ResultCache` over pure read-only queries, kept
-honest by ``POST /mutate``'s pool-first-then-invalidate ordering.
+execute never head-of-line-blocks fast queries; the front adds a
+:class:`ResultCache` over pure read-only queries keyed on the content
+versions of the relations each execute read, so ``POST /mutate`` only
+switches which entries are current.
 Observability is wired end-to-end: ``GET /metrics``
 merges the front's and every worker's registries into one Prometheus
 exposition, workers mirror event logs to per-worker JSONL files, and

@@ -25,11 +25,13 @@ worker's pipe is *multiplexed* (tagged request ids, see
 :mod:`repro.server.worker`), so one worker serves several requests
 concurrently and a slow spilling execute no longer head-of-line-blocks
 fast queries; dispatch picks the least-loaded worker.  And the front
-keeps an *invalidating result cache* (:mod:`repro.server.cache`): pure
-read-only queries repeat without leasing budget or touching a worker,
-``POST /mutate`` replaces a relation's rows across every worker and
-sweeps the cache entries that read it — in that order, so a stale
-result can never be re-learned.
+keeps a *result cache keyed on content* (:mod:`repro.server.cache`):
+pure read-only queries repeat without leasing budget or touching a
+worker, each response filed under the content versions of the relations
+its execute bound.  ``POST /mutate`` replaces a relation's rows across
+every worker, then switches which version of that name is current —
+mutations run one at a time, under one front lock, so every worker
+applies them in the same order.
 
 Routes::
 
@@ -68,7 +70,7 @@ from .errors import (
     ServerOverloadedError,
 )
 from .http import HttpError, HttpRequest, read_request, split_target, write_response
-from .cache import CacheKey, ResultCache
+from .cache import CacheKey, ResultCache, content_version
 from .worker import WorkerPool
 
 __all__ = ["ReproServer", "ServerConfig"]
@@ -139,7 +141,7 @@ class ServerConfig:
         multiplexed pipe; ``1`` restores the pre-multiplex serialised
         worker (the head-of-line benchmark baseline).
     ``result_cache_size``
-        Entry cap of the front's invalidating result cache
+        Entry cap of the front's content-keyed result cache
         (:class:`~repro.server.cache.ResultCache`); ``0`` disables
         caching entirely.
     ``request_timeout_seconds``
@@ -221,6 +223,13 @@ class ReproServer:
             workers=base.engine_workers,
             observe=ObserveConfig(trace=base.trace),
         )
+        # Content versions key the result cache and nothing else: a server
+        # without one never digests a relation.
+        versions = (
+            {name: content_version(relation) for name, relation in relations.items()}
+            if base.result_cache_size > 0
+            else {}
+        )
         self._pool = WorkerPool(
             relations,
             self._backend_config,
@@ -228,6 +237,7 @@ class ReproServer:
             worker_backend=base.worker_backend,
             events_dir=base.events_dir,
             concurrency=base.worker_concurrency,
+            versions=versions,
         )
         self._scheduler = BudgetScheduler(
             total_rows=base.total_budget_rows,
@@ -242,6 +252,7 @@ class ReproServer:
         self._cache: Optional[ResultCache] = (
             ResultCache(
                 base.result_cache_size,
+                versions=versions,
                 metrics=self._metrics,
                 events=self._observer.events,
             )
@@ -249,6 +260,10 @@ class ReproServer:
             else None
         )
         self._state_lock = threading.Lock()
+        # Held for the whole of a POST /mutate: one mutation at a time, so
+        # every worker applies them in one order and the cache's current
+        # versions switch in that order too.
+        self._mutate_lock = threading.Lock()
         self._inflight = 0
         self._closed = False
         self.port: Optional[int] = None
@@ -510,7 +525,6 @@ class ReproServer:
         tracer = Tracer() if payload.get("trace") else None
         cache = self._cache if tracer is None else None
         key: Optional[CacheKey] = None
-        snapshot = 0
         try:
             message = self._validate_query(payload)
             if cache is not None:
@@ -525,7 +539,7 @@ class ReproServer:
                     message["workers"],
                     message["count_only"],
                 )
-                cached, snapshot = cache.lookup(key)
+                cached = cache.lookup(key)
                 if cached is not None:
                     cached["cached"] = True
                     self._front["queries"].inc()
@@ -542,8 +556,7 @@ class ReproServer:
                         message, timeout=self.config.request_timeout_seconds
                     )
             if response.get("ok") and cache is not None and key is not None:
-                names = response.get("relations", ())
-                cache.fill(key, names, response, snapshot)
+                cache.fill(key, response)
                 response["cached"] = False
         except ServerError as error:
             if isinstance(error, ServerOverloadedError):
@@ -560,13 +573,15 @@ class ReproServer:
         return response
 
     def _serve_mutate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Replace one relation's rows across the pool, then invalidate.
+        """Replace one relation's rows across the pool, then switch versions.
 
-        The order is the invalidation contract's linchpin: workers see
-        the new data *before* the cache drops the name's entries, so a
-        concurrent miss that executed against the old data carries a
-        pre-invalidation generation snapshot and its fill is rejected —
-        the cache can never re-learn a stale result.
+        The relation's content version is computed here, once (and only
+        when there is a cache), and rides the mutate frame.  The cache's
+        current version of the name
+        switches only after every worker acknowledged the new rows, so a
+        read that misses after the switch is answered from them; a read
+        that overlapped the mutation is answered from either content and
+        filed under the one its execute bound.
         """
         try:
             name = payload.get("name")
@@ -584,15 +599,20 @@ class ReproServer:
                 )
             except (TypeError, ValueError, AlgebraError) as error:
                 raise BadRequestError(f"rows do not fit {name!r}'s scheme: {error}")
-            acks = self._pool.mutate(name, relation)
-            evicted = self._cache.invalidate(name) if self._cache else 0
+            # ``is None``, not truthiness: an empty cache has ``len() == 0``
+            # and must still switch.
+            cache = self._cache
+            version = None if cache is None else content_version(relation)
+            with self._mutate_lock:
+                acks = self._pool.mutate(name, relation, version)
+                noncurrent = 0 if cache is None else cache.switch(name, version)
             self._front["mutations"].inc()
             return {
                 "ok": True,
                 "name": name,
                 "rowcount": len(relation),
                 "workers_updated": sum(1 for ack in acks if ack.get("ok")),
-                "cache_evicted": evicted,
+                "cache_evicted": noncurrent,
             }
         except ServerError as error:
             return {

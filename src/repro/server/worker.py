@@ -39,9 +39,13 @@ and per-request budgets choose *which* warm config serves.
 Mutation rides the same frames: a ``mutate`` frame installs a fresh
 relation under a name via every cached session's
 :meth:`~repro.api.Session.set_relation` (and in the worker's binding map
-for sessions warmed later), so the serving tier's result-cache
-invalidation contract (see :mod:`repro.server.cache`) has an
-authoritative end-to-end mutation path.
+for sessions warmed later), together with the relation's content version
+(:func:`repro.server.cache.content_version`, computed by the front, and
+only when it keeps a result cache).  A worker keeps ``{name: version}``
+beside its bindings under a sequence counter that a mutate bumps before
+and after it applies, and a query response reports the versions its
+execute bound — or ``None`` when the counter moved under it — which is
+what the front's result cache files the response under.
 
 Observability: every session of worker *i* shares one
 :class:`~repro.obs.events.EventLog` mirrored to ``worker-i.jsonl`` when
@@ -59,13 +63,14 @@ import os
 import threading
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from time import perf_counter
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
+from ..api.errors import SessionClosedError
 from ..api.session import Session
 from ..obs.config import Observer, ObserveConfig
 from .errors import (
@@ -100,12 +105,19 @@ class _WorkerRuntime:
     def __init__(
         self,
         relations: Mapping[str, Relation],
+        versions: Mapping[str, Optional[str]],
         base_config: BackendConfig,
         index: int,
         events_path: Optional[str],
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
     ):
         self._relations = dict(relations)
+        # The content version of each binding, replaced (never updated in
+        # place) by a mutate, and the mutate sequence counter: odd while a
+        # mutate is being applied, so a query that reads the same even
+        # value before and after its execute bound exactly ``_versions``.
+        self._versions = dict(versions)
+        self._sequence = 0
         self._base_config = base_config
         self.index = index
         self._max_sessions = max(1, max_sessions)
@@ -188,11 +200,17 @@ class _WorkerRuntime:
 
     def _handle_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
         start = perf_counter()
+        with self._lock:
+            sequence, versions = self._sequence, self._versions
         session = self._session_for(message.get("budget"), message.get("workers"))
         expression = self._expression_for(session, message["query"])
         prepared = session.prepare(expression, backend=message.get("backend"))
         result = prepared.execute()
+        with self._lock:
+            if sequence % 2 or self._sequence != sequence:
+                versions = None  # a mutate overlapped: which binding ran is unknown
         elapsed = perf_counter() - start
+        names = sorted(expression.operand_schemes())
         trace = result.trace
         counters = trace.counters
         # The never-fires tripwire, surfaced per worker so a /metrics
@@ -206,7 +224,11 @@ class _WorkerRuntime:
             "worker": self.index,
             "backend": result.backend,
             "columns": list(result.scheme.names),
-            "relations": sorted(expression.operand_schemes()),
+            "versions": (
+                None
+                if versions is None
+                else {name: versions.get(name) for name in names}
+            ),
             "rowcount": len(result),
             "elapsed_ms": elapsed * 1000.0,
             "budget": self._session_key(
@@ -223,23 +245,33 @@ class _WorkerRuntime:
         return response
 
     def _handle_mutate(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Install a fresh relation under a name, in every warm session.
+        """Install a fresh relation and its version under a name, in every warm session.
 
         The new binding applies to executes that start after this frame
         is answered; executes already in flight bound the previous
         relation atomically (the session snapshots bindings under its
-        lock), so concurrent traffic sees *either* generation, never a
-        mix.
+        lock), so concurrent traffic sees *either* content, never a mix.
+        The sequence counter is bumped before and after, so a query that
+        overlapped any part of this reports no versions.
         """
         name = message["name"]
         relation = message["relation"]
         if not isinstance(relation, Relation):  # pragma: no cover - front checks
             raise ServerError("mutate frames must carry a Relation")
         with self._lock:
+            self._sequence += 1
             self._relations[name] = relation
+            self._versions = {**self._versions, name: message["version"]}
             sessions = list(self._sessions.values())
         for session in sessions:
-            session.set_relation(name, relation)
+            try:
+                session.set_relation(name, relation)
+            except SessionClosedError:
+                pass  # evicted from the session LRU meanwhile: it serves nothing more
+        # Not in a ``finally``: after any other failure the counter stays
+        # odd, and every later response reports no versions (never cached).
+        with self._lock:
+            self._sequence += 1
         return {
             "ok": True,
             "worker": self.index,
@@ -285,6 +317,7 @@ def _observe_trace(config: BackendConfig) -> bool:
 def worker_main(
     conn,
     relations: Mapping[str, Relation],
+    versions: Mapping[str, Optional[str]],
     base_config: BackendConfig,
     index: int,
     events_path: Optional[str] = None,
@@ -301,7 +334,7 @@ def worker_main(
     spill directories outlive the worker.
     """
     runtime = _WorkerRuntime(
-        relations, base_config, index, events_path, max_sessions
+        relations, versions, base_config, index, events_path, max_sessions
     )
     send_lock = threading.Lock()
     executor = ThreadPoolExecutor(
@@ -361,6 +394,7 @@ class Worker:
         self,
         index: int,
         relations: Mapping[str, Relation],
+        versions: Mapping[str, Optional[str]],
         base_config: BackendConfig,
         backend: str,
         events_path: Optional[str] = None,
@@ -389,6 +423,7 @@ class Worker:
         args = (
             child_conn,
             relations,
+            versions,
             base_config,
             index,
             events_path,
@@ -428,10 +463,10 @@ class Worker:
             with self._pending_lock:
                 future = self._pending.pop(request_id, None)
             if future is not None:
-                # A timed-out caller already abandoned its future
-                # (set_exception); set_result would raise — skip done ones.
-                if not future.done():
+                try:
                     future.set_result(response)
+                except InvalidStateError:
+                    pass  # its caller timed out and cancelled it meanwhile
         if self._closed:
             self._fail_pending(
                 ServerClosedError(f"worker {self.index} is closed")
@@ -450,8 +485,10 @@ class Worker:
             pending = list(self._pending.values())
             self._pending.clear()
         for future in pending:
-            if not future.done():
+            try:
                 future.set_exception(error)
+            except InvalidStateError:
+                pass  # its caller timed out and cancelled it meanwhile
 
     @property
     def inflight(self) -> int:
@@ -482,6 +519,16 @@ class Worker:
         discarded by the receiver) and raises the typed
         :class:`RequestTimeoutError`.
         """
+        return self.wait(*self.submit(message), timeout=timeout)
+
+    def submit(self, message: Dict[str, Any]) -> Tuple[int, Future]:
+        """Send one tagged frame; return its id and the future :meth:`wait` reads.
+
+        A frame that cannot be sent leaves nothing pending: a dead pipe
+        raises :class:`WorkerCrashedError`, and any other failure (a frame
+        that does not pickle) is re-raised as it is — nothing reached the
+        worker, which keeps serving.
+        """
         if self._closed:
             raise ServerClosedError(f"worker {self.index} is closed")
         request_id = next(self._ids)
@@ -496,21 +543,32 @@ class Worker:
             with self._send_lock:
                 self._conn.send(frame)
         except (BrokenPipeError, OSError, ValueError) as error:
-            with self._pending_lock:
-                self._pending.pop(request_id, None)
+            self._forget(request_id)
             raise WorkerCrashedError(
                 f"worker {self.index} died mid-request ({type(error).__name__})"
             ) from error
+        except BaseException:
+            self._forget(request_id)
+            raise
+        return request_id, future
+
+    def wait(
+        self, request_id: int, future: Future, timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Block for the response to a frame :meth:`submit` sent."""
         try:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
-            with self._pending_lock:
-                self._pending.pop(request_id, None)
+            self._forget(request_id)
             future.cancel()
             raise RequestTimeoutError(
                 f"worker {self.index} did not answer request {request_id} "
                 f"within {timeout}s"
             ) from None
+
+    def _forget(self, request_id: int) -> None:
+        with self._pending_lock:
+            self._pending.pop(request_id, None)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Shut the worker down: shutdown message, join, then terminate."""
@@ -558,7 +616,9 @@ class WorkerPool:
     ``worker_restarts`` (the serving-tier analogue of the probe pool's
     rebuild-or-loud-serial contract).  When a crash fails many in-flight
     ids at once, each dispatch retries independently against the one
-    respawned worker.
+    respawned worker.  ``versions`` maps each relation name to its content
+    version, for a front that keeps a result cache; without it a query
+    response reports ``None`` for every name it read.
     """
 
     def __init__(
@@ -570,6 +630,7 @@ class WorkerPool:
         events_dir: Optional[str] = None,
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
         concurrency: int = DEFAULT_WORKER_CONCURRENCY,
+        versions: Optional[Mapping[str, str]] = None,
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
@@ -582,6 +643,7 @@ class WorkerPool:
                 f"worker_backend must be 'fork' or 'thread', got {worker_backend!r}"
             )
         self._relations = dict(relations)
+        self._versions: Dict[str, Optional[str]] = dict(versions or {})
         self._base_config = base_config
         self._events_dir = events_dir
         self._max_sessions = max_sessions
@@ -601,9 +663,12 @@ class WorkerPool:
         return os.path.join(self._events_dir, f"worker-{index}.jsonl")
 
     def _spawn(self, index: int) -> Worker:
+        # Copies taken under the pool lock: a thread-backend worker reads
+        # its maps on its own thread, after a mutate may have rebound them.
         return Worker(
             index,
-            self._relations,
+            dict(self._relations),
+            dict(self._versions),
             self._base_config,
             self.backend,
             events_path=self._events_path(index),
@@ -615,6 +680,11 @@ class WorkerPool:
         """The pool's current binding for ``name`` (what a respawn serves)."""
         with self._lock:
             return self._relations.get(name)
+
+    def versions(self) -> Dict[str, Optional[str]]:
+        """The content version of every current binding the pool was given."""
+        with self._lock:
+            return dict(self._versions)
 
     def _pick(self) -> int:
         with self._lock:
@@ -660,30 +730,51 @@ class WorkerPool:
             worker = self._ensure_alive(index)
             return worker.request(message, timeout=timeout)
 
-    def mutate(self, name: str, relation: Relation) -> list:
-        """Install ``relation`` under ``name`` across the whole pool.
+    def mutate(self, name: str, relation: Relation, version: Optional[str]) -> list:
+        """Install ``relation`` (content ``version``) under ``name`` pool-wide.
 
-        Updates the pool's own binding map first — a worker respawned
-        *after* the mutation must warm its sessions over the new data —
-        then broadcasts a ``mutate`` frame to every live worker and
-        returns their responses.
+        Broadcasts a ``mutate`` frame to every live worker and, once they
+        have answered, rebinds the pool's own map, which is what a worker
+        respawned later warms its sessions over.  A frame that cannot be
+        sent (it does not pickle) raises before anything is rebound.  A
+        worker respawned while the broadcast was in flight started from
+        the old map, so it is sent the frame after the rebind.  Returns
+        the workers' responses.  Callers serialise mutations.
         """
+        message = {"op": "mutate", "name": name, "relation": relation, "version": version}
         with self._lock:
             if self._closed:
                 raise ServerClosedError("the worker pool is closed")
+            workers = list(self._workers)
+        responses = self._broadcast(workers, message)
+        with self._lock:
             self._relations[name] = relation
-        return self.broadcast({"op": "mutate", "name": name, "relation": relation})
+            self._versions[name] = version
+            respawned = [worker for worker in self._workers if worker not in workers]
+        return responses + self._broadcast(respawned, message)
 
     def broadcast(self, message: Dict[str, Any]) -> list:
         """Send ``message`` to every live worker and collect the responses."""
-        responses = []
         with self._lock:
             workers = list(self._workers)
+        return self._broadcast(workers, message)
+
+    @staticmethod
+    def _broadcast(workers, message: Dict[str, Any]) -> list:
+        # Every frame is sent before any response is awaited, so the
+        # workers apply it concurrently; a dead or dying worker is skipped.
+        sent = []
         for worker in workers:
             if not worker.alive():
                 continue
             try:
-                responses.append(worker.request(dict(message)))
+                sent.append((worker, *worker.submit(message)))
+            except (WorkerCrashedError, ServerClosedError):
+                continue
+        responses = []
+        for worker, request_id, future in sent:
+            try:
+                responses.append(worker.wait(request_id, future))
             except (WorkerCrashedError, ServerClosedError):
                 continue
         return responses

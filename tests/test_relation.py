@@ -1,5 +1,7 @@
 """Unit tests for repro.algebra.relation."""
 
+import pickle
+
 import pytest
 
 from repro.algebra import (
@@ -11,6 +13,8 @@ from repro.algebra import (
     SelectionError,
     UnionCompatibilityError,
 )
+from repro.api import Session
+from repro.workloads import serving_relations
 
 SCHEME = RelationScheme.of("A", "B", "C")
 
@@ -42,6 +46,25 @@ class TestConstruction:
         named = sample().with_name("Fancy")
         assert named.name == "Fancy"
         assert named == sample()
+
+
+class TestPickling:
+    def test_round_trip_after_an_execute_planned_over_it(self):
+        # Planning caches statistics on the relation, and the statistics
+        # hold an undrawn sample whose recipe is a closure: pickling keeps
+        # scheme, rows and name only, and the copy re-derives the rest.
+        relations = serving_relations()
+        with Session(relations) as session:
+            session.execute("project[A, C](R * S)")
+        relation = relations["R"]
+        assert relation._stats is not None
+        for original in (relation, relation.with_name("Q")):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and copy.name == original.name
+            assert copy.scheme == original.scheme
+            assert hash(copy) == hash(original)
+            assert copy._stats is None and copy._materialized is None
+            assert len(copy.tuples) == len(original)
 
 
 class TestContainerProtocol:

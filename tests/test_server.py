@@ -14,6 +14,9 @@ import json
 import http.client
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -38,6 +41,7 @@ from repro.server import (
     run_load,
     zipf_schedule,
 )
+from repro.server.cache import content_version
 from repro.workloads import serving_queries, serving_relations
 
 RELATIONS = serving_relations(rows=200)
@@ -925,20 +929,159 @@ class TestLeaseLifecycleUnderMultiplexing:
             ), response
 
 
+class TestPoolFrames:
+    """Frames that fail to send, responses racing timeouts, broadcasts."""
+
+    def test_unpicklable_mutate_leaves_the_pool_unchanged(self):
+        def local():  # hashable, but pickles by qualified name only
+            pass
+
+        pool = WorkerPool(
+            RELATIONS,
+            BackendConfig(),
+            size=2,
+            worker_backend="thread",
+            versions={name: content_version(r) for name, r in RELATIONS.items()},
+        )
+        try:
+            original, versions = pool.relation("R"), pool.versions()
+            relation = Relation.from_rows(
+                original.scheme, [(local, 1), (2, 3)], name="R"
+            )
+            with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+                pool.mutate("R", relation, content_version(relation))
+            assert pool.relation("R") is original
+            assert pool.versions() == versions
+            assert pool.stats()["inflight"] == [0, 0]
+            response = pool.dispatch(
+                {"op": "query", "query": "project[A, B](R)", "count_only": True}
+            )
+            assert response["ok"] and response["rowcount"] == len(original)
+            assert response["versions"] == {"R": versions["R"]}
+        finally:
+            pool.close()
+
+    def test_a_response_racing_its_callers_timeout_spares_the_receiver(
+        self, monkeypatch
+    ):
+        # The caller's deadline fires between the receiver popping the
+        # future and resolving it: the future is cancelled in that window.
+        from concurrent.futures import CancelledError
+
+        from repro.server import worker as worker_module
+
+        class CancelledInTheWindow(worker_module.Future):
+            def set_result(self, result):
+                self.cancel()
+                super().set_result(result)
+
+        worker = worker_module.Worker(
+            0, RELATIONS, {}, BackendConfig(), "thread"
+        )
+        try:
+            monkeypatch.setattr(worker_module, "Future", CancelledInTheWindow)
+            request_id, future = worker.submit({"op": "ping"})
+            with pytest.raises(CancelledError):
+                future.result(timeout=10)
+            monkeypatch.undo()
+            worker._receiver.join(timeout=0.2)
+            assert worker._receiver.is_alive()
+            assert worker.request({"op": "ping"}, timeout=10)["ok"]
+            assert worker.inflight == 0
+        finally:
+            worker.stop()
+
+    def test_broadcast_sends_every_frame_before_awaiting_any(self):
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=2, worker_backend="thread")
+        calls = []
+        try:
+            for worker in pool._workers:
+                submit, wait = worker.submit, worker.wait
+
+                def logged_submit(message, worker=worker, submit=submit):
+                    calls.append(("submit", worker.index))
+                    return submit(message)
+
+                def logged_wait(*args, worker=worker, wait=wait, **kwargs):
+                    calls.append(("wait", worker.index))
+                    return wait(*args, **kwargs)
+
+                worker.submit, worker.wait = logged_submit, logged_wait
+            responses = pool.broadcast({"op": "ping"})
+            assert [response["worker"] for response in responses] == [0, 1]
+            assert calls == [("submit", 0), ("submit", 1), ("wait", 0), ("wait", 1)]
+        finally:
+            pool.close()
+
+
+class TestWorkerVersions:
+    """A query response reports the content versions its execute bound."""
+
+    QUERY = {"op": "query", "query": "project[A](R * S)", "count_only": True}
+
+    @pytest.fixture()
+    def runtime(self):
+        from repro.server.worker import _WorkerRuntime
+
+        versions = {name: content_version(r) for name, r in RELATIONS.items()}
+        runtime = _WorkerRuntime(RELATIONS, versions, BackendConfig(), 0, None)
+        yield runtime, versions
+        runtime.close()
+
+    def _mutate(self, runtime, rows, version):
+        relation = Relation.from_rows(RELATIONS["R"].scheme, rows, name="R")
+        ack = runtime.handle(
+            {"op": "mutate", "name": "R", "relation": relation, "version": version}
+        )
+        assert ack["ok"], ack
+
+    def test_a_query_reports_the_versions_of_what_it_read(self, runtime):
+        runtime, versions = runtime
+        response = runtime.handle(self.QUERY)
+        assert response["versions"] == {"R": versions["R"], "S": versions["S"]}
+        self._mutate(runtime, [(1, 2), (3, 4)], "next")
+        response = runtime.handle(self.QUERY)
+        assert response["versions"] == {"R": "next", "S": versions["S"]}
+        assert response["rowcount"] == 2
+
+    def test_a_query_a_mutate_overlapped_reports_no_versions(
+        self, runtime, monkeypatch
+    ):
+        runtime, _versions = runtime
+        expression_for = runtime._expression_for
+
+        def mutate_midway(session, text):
+            self._mutate(runtime, [(1, 2), (3, 4)], "next")
+            return expression_for(session, text)
+
+        monkeypatch.setattr(runtime, "_expression_for", mutate_midway)
+        response = runtime.handle(self.QUERY)
+        # It ran on the new rows, but began under the old versions.
+        assert response["ok"] and response["rowcount"] == 2
+        assert response["versions"] is None
+        monkeypatch.undo()
+        assert runtime.handle(self.QUERY)["versions"]["R"] == "next"
+
+
 class TestResultCache:
-    """Unit contracts of the front's invalidating LRU."""
+    """Unit contracts of the front's content-keyed LRU."""
 
     KEY = ("project[A](R * S)", None, 2500, None, True)
+    #: Content versions at start; ``R2`` / ``R3`` are later contents of R.
+    VERSIONS = {"R": "R1", "S": "S1", "T": "T1"}
 
-    def _response(self, rowcount=40):
-        return {"ok": True, "rowcount": rowcount, "relations": ["R", "S"]}
+    def _cache(self, capacity=4):
+        return ResultCache(capacity, versions=self.VERSIONS)
+
+    def _response(self, rowcount=40, versions=None):
+        versions = versions or {"R": "R1", "S": "S1"}
+        return {"ok": True, "rowcount": rowcount, "versions": versions}
 
     def test_miss_then_fill_then_hit(self):
-        cache = ResultCache(4)
-        hit, snapshot = cache.lookup(self.KEY)
-        assert hit is None
-        assert cache.fill(self.KEY, ["R", "S"], self._response(), snapshot)
-        hit, _snapshot = cache.lookup(self.KEY)
+        cache = self._cache()
+        assert cache.lookup(self.KEY) is None
+        assert cache.fill(self.KEY, self._response())
+        hit = cache.lookup(self.KEY)
         assert hit is not None and hit["rowcount"] == 40
         stats = cache.stats()
         assert stats["cache_hits"] == 1
@@ -946,64 +1089,186 @@ class TestResultCache:
         assert stats["entries"] == 1
 
     def test_hit_returns_a_copy(self):
-        cache = ResultCache(4)
-        _miss, snapshot = cache.lookup(self.KEY)
-        cache.fill(self.KEY, ["R", "S"], self._response(), snapshot)
-        first, _ = cache.lookup(self.KEY)
+        cache = self._cache()
+        cache.fill(self.KEY, self._response())
+        first = cache.lookup(self.KEY)
         first["rowcount"] = -1
-        second, _ = cache.lookup(self.KEY)
+        second = cache.lookup(self.KEY)
         assert second["rowcount"] == 40
 
     def test_lru_eviction_at_capacity(self):
-        cache = ResultCache(2)
+        cache = self._cache(2)
         for index in range(3):
             key = (f"q{index}", None, None, None, True)
-            _miss, snapshot = cache.lookup(key)
-            cache.fill(key, ["R"], self._response(index), snapshot)
+            assert cache.lookup(key) is None
+            cache.fill(key, self._response(index, {"R": "R1"}))
         assert len(cache) == 2
-        gone, _ = cache.lookup(("q0", None, None, None, True))
-        assert gone is None
-        kept, _ = cache.lookup(("q2", None, None, None, True))
-        assert kept is not None
+        assert cache.lookup(("q0", None, None, None, True)) is None
+        assert cache.lookup(("q2", None, None, None, True)) is not None
         assert cache.stats()["cache_evictions"] == 1
 
-    def test_invalidate_evicts_only_entries_reading_the_name(self):
-        cache = ResultCache(8)
+    def test_lru_eviction_counts_every_content_of_a_key(self):
+        # Two contents of one key are two entries; evicting the older one
+        # leaves the newer one served.
+        cache = self._cache(2)
+        cache.fill(self.KEY, self._response(1))
+        cache.switch("R", "R2")
+        cache.fill(self.KEY, self._response(2, {"R": "R2", "S": "S1"}))
+        cache.fill(("other", None, None, None, True), self._response(3, {"T": "T1"}))
+        assert len(cache) == 2 and cache.stats()["cache_evictions"] == 1
+        assert cache.lookup(self.KEY)["rowcount"] == 2
+        cache.switch("R", "R1")
+        assert cache.lookup(self.KEY) is None  # R1's entry was the evicted one
+
+    def test_switch_makes_only_entries_reading_the_name_noncurrent(self):
+        cache = self._cache(8)
         key_rs = ("a", None, None, None, True)
         key_t = ("b", None, None, None, True)
-        _m, snap = cache.lookup(key_rs)
-        cache.fill(key_rs, ["R", "S"], self._response(), snap)
-        _m, snap = cache.lookup(key_t)
-        cache.fill(key_t, ["T"], self._response(7), snap)
-        assert cache.invalidate("R") == 1
-        assert cache.lookup(key_rs)[0] is None
-        assert cache.lookup(key_t)[0] is not None
-        assert cache.stats()["cache_invalidations"] == 1
+        cache.fill(key_rs, self._response())
+        cache.fill(key_t, self._response(7, {"T": "T1"}))
+        assert cache.switch("R", "R2") == 1
+        assert cache.lookup(key_rs) is None
+        assert cache.lookup(key_t) is not None
+        stats = cache.stats()
+        assert stats["cache_invalidations"] == 1
+        assert stats["cache_stale_served"] == 0
+        assert stats["entries"] == 2  # nothing is evicted for correctness
+
+    def test_switching_back_serves_the_earlier_content(self):
+        cache = self._cache()
+        cache.fill(self.KEY, self._response(40))
+        cache.switch("R", "R2")
+        assert cache.lookup(self.KEY) is None
+        cache.fill(self.KEY, self._response(9, {"R": "R2", "S": "S1"}))
+        assert cache.lookup(self.KEY)["rowcount"] == 9
+        assert cache.switch("R", "R1") == 1
+        assert cache.lookup(self.KEY)["rowcount"] == 40
+        assert cache.switch("R", "R2") == 1
+        assert cache.lookup(self.KEY)["rowcount"] == 9
         assert cache.stats()["cache_stale_served"] == 0
 
-    def test_stale_fill_is_dropped_when_invalidation_races_the_miss(self):
-        # The generational race: lookup misses, the execute runs against
-        # pre-mutation data, the mutation lands, THEN the fill arrives.
-        # Accepting it would cache a stale result forever.
-        cache = ResultCache(4)
-        _miss, snapshot = cache.lookup(self.KEY)
-        cache.invalidate("R")
-        assert not cache.fill(self.KEY, ["R", "S"], self._response(), snapshot)
-        assert cache.lookup(self.KEY)[0] is None
+    def test_a_switch_drops_the_entries_of_a_content_two_mutations_old(self):
+        cache = self._cache(8)
+        other = ("other", None, None, None, True)
+        cache.fill(other, self._response(5, {"T": "T1"}))
+        for rowcount, version in enumerate(("R1", "R2", "R3", "R4")):
+            cache.switch("R", version)
+            assert cache.fill(self.KEY, self._response(rowcount, {"R": version, "S": "S1"}))
+        # Never-repeating contents: one old content stays beside the current one.
+        assert len(cache) == 3 and cache.stats()["cache_evictions"] == 2
+        assert cache.lookup(other)["rowcount"] == 5
+        assert cache.lookup(self.KEY)["rowcount"] == 3
+        assert cache.switch("R", "R3") == 1
+        assert cache.lookup(self.KEY)["rowcount"] == 2
+        cache.switch("R", "R2")
+        assert cache.lookup(self.KEY) is None  # R2's entry went at the switch to R4
+        assert cache.stats()["cache_stale_served"] == 0
+
+    def test_noncurrent_entries_never_displace_current_ones(self):
+        # A full cache; R switches to a fresh content and its two keys are
+        # answered again.  The entries of T (never mutated) are older in
+        # LRU order than R's, but only R's old entries make room.
+        cache = self._cache(4)
+        keys_t = [(f"t{index}", None, None, None, True) for index in range(2)]
+        keys_r = [(f"r{index}", None, None, None, True) for index in range(2)]
+        for key in keys_t:
+            cache.fill(key, self._response(7, {"T": "T1"}))
+        for key in keys_r:
+            cache.fill(key, self._response(1, {"R": "R1"}))
+        cache.switch("R", "R2")
+        for key in keys_r:
+            cache.fill(key, self._response(2, {"R": "R2"}))
+        assert len(cache) == 4 and cache.stats()["cache_evictions"] == 2
+        assert all(cache.lookup(key)["rowcount"] == 7 for key in keys_t)
+        assert all(cache.lookup(key)["rowcount"] == 2 for key in keys_r)
+
+    def test_a_fill_of_a_content_neither_current_nor_previous_is_dropped(self):
+        # A read of R1 answered after two switches, or of a content the
+        # front has not switched to yet: no later switch keeps it.
+        cache = self._cache()
+        cache.switch("R", "R2")
+        cache.switch("R", "R3")
+        assert not cache.fill(self.KEY, self._response(1))
+        assert not cache.fill(self.KEY, self._response(4, {"R": "R4", "S": "S1"}))
+        assert cache.fill(self.KEY, self._response(2, {"R": "R2", "S": "S1"}))
+        assert len(cache) == 1 and cache.stats()["cache_stale_fill_drops"] == 2
+        cache.switch("R", "R2")
+        assert cache.lookup(self.KEY)["rowcount"] == 2
+
+    def test_switching_to_the_current_version_changes_nothing(self):
+        cache = self._cache()
+        cache.fill(self.KEY, self._response())
+        assert cache.switch("R", "R1") == 0
+        assert cache.lookup(self.KEY)["rowcount"] == 40
+        assert cache.stats()["cache_invalidations"] == 0
+
+    def test_fill_without_versions_is_dropped(self):
+        # A mutate overlapped the execute, so the worker could not say
+        # which content it bound: the response is answered, never filed.
+        cache = self._cache()
+        response = dict(self._response(), versions=None)
+        assert not cache.fill(self.KEY, response)
+        assert cache.lookup(self.KEY) is None
+        assert len(cache) == 0
         assert cache.stats()["cache_stale_fill_drops"] == 1
 
-    def test_fill_after_the_invalidation_is_accepted(self):
-        # The other half of the race's contract: a miss whose lookup
-        # happened AT the invalidation's generation executed against the
-        # new data (the pool is mutated before the cache invalidates),
-        # so its fill must be accepted — the cache recovers immediately.
-        cache = ResultCache(4)
-        cache.invalidate("R")
-        _miss, snapshot = cache.lookup(self.KEY)
-        assert cache.fill(self.KEY, ["R", "S"], self._response(1), snapshot)
-        hit, _ = cache.lookup(self.KEY)
-        assert hit is not None and hit["rowcount"] == 1
-        assert cache.stats()["cache_stale_fill_drops"] == 0
+    def test_fill_is_filed_under_the_versions_it_read(self):
+        # The race the old snapshot protocol closed: a miss executes
+        # against R1, the mutate to R2 lands, THEN the fill arrives.  It
+        # is filed under R1, so it is not served while R2 is current —
+        # and a fill computed from R2 is served at once.
+        cache = self._cache()
+        assert cache.lookup(self.KEY) is None
+        cache.switch("R", "R2")
+        assert cache.fill(self.KEY, self._response(40))
+        assert cache.lookup(self.KEY) is None
+        assert cache.fill(self.KEY, self._response(1, {"R": "R2", "S": "S1"}))
+        assert cache.lookup(self.KEY)["rowcount"] == 1
+        stats = cache.stats()
+        assert stats["cache_stale_fill_drops"] == 0
+        assert stats["cache_stale_served"] == 0
+        assert stats["entries"] == 2
+
+    def test_the_tripwire_counts_a_response_filed_under_other_versions(self):
+        # Unreachable through fill(): plant an entry whose reported
+        # versions disagree with the slot it sits in.
+        cache = self._cache()
+        cache.fill(self.KEY, self._response())
+        slot = next(iter(cache._entries))
+        cache._entries[slot] = dict(self._response(), versions={"R": "R0", "S": "S1"})
+        assert cache.lookup(self.KEY) is None
+        assert cache.stats()["cache_stale_served"] == 1
+
+    def test_content_version_is_a_function_of_scheme_and_rows(self):
+        rows = [(index % 7, index) for index in range(50)]
+        first = content_version(Relation.from_rows("A B", rows, name="R"))
+        assert len(first) == 32 and int(first, 16) >= 0
+        assert first == content_version(
+            Relation.from_rows("A B", list(reversed(rows)) + rows[:5], name="Q")
+        )
+        assert first != content_version(Relation.from_rows("A B", rows[1:]))
+        assert first != content_version(Relation.from_rows("A C", rows))
+        assert first != content_version(
+            Relation.from_rows("A B", [(a, str(b)) for a, b in rows])
+        )
+
+    def test_content_version_ignores_the_hash_seed(self):
+        script = (
+            "from repro.algebra import Relation\n"
+            "from repro.server.cache import content_version\n"
+            "rows = [('x%d' % i, i % 3) for i in range(40)]\n"
+            "print(content_version(Relation.from_rows('A B', rows)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(digests) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1131,6 +1396,60 @@ class TestResultCacheOverHttp:
         finally:
             conn.close()
 
+    def test_identical_repost_and_restored_rows_are_served_from_the_cache(
+        self, cached_server
+    ):
+        conn = self._conn(cached_server)
+        original = [list(row) for row in RELATIONS["R"].sorted_rows()]
+        query = {"query": "project[A](R * S)"}
+        try:
+            status, before = _post(conn, query)
+            assert status == 200 and before["cached"] is False
+            versions = cached_server._pool.versions()
+            assert before["versions"] == {name: versions[name] for name in ("R", "S")}
+
+            new_rows = [[a, b] for a in range(7) for b in range(3)]
+            ack = self._mutate(conn, "R", new_rows)[1]
+            assert ack["ok"] and ack["cache_evicted"] == 1
+            status, after = _post(conn, query)
+            assert after["cached"] is False and after["rows"] != before["rows"]
+
+            # The same rows again: nothing changes for readers.
+            ack = self._mutate(conn, "R", list(reversed(new_rows)))[1]
+            assert ack["ok"] and ack["cache_evicted"] == 0
+            status, again = _post(conn, query)
+            assert again["cached"] is True and again["rows"] == after["rows"]
+
+            # The original rows back: the pre-mutate answer, from the cache.
+            ack = self._mutate(conn, "R", original)[1]
+            assert ack["ok"] and ack["cache_evicted"] == 1
+            status, restored = _post(conn, query)
+            assert restored["cached"] is True
+            assert restored["rows"] == before["rows"]
+            assert restored["versions"] == before["versions"]
+
+            cache = json.loads(_get(conn, "/stats")[1])["cache"]
+            assert cache["cache_invalidations"] == 2  # the re-post switched nothing
+            assert cache["cache_misses"] == 2 and cache["cache_hits"] == 2
+            assert cache["cache_stale_served"] == 0
+        finally:
+            conn.close()
+
+    def test_a_mutate_before_any_read_still_switches_the_content(self, cached_server):
+        # The cache is empty (``len() == 0``) when the mutate lands.
+        conn = self._conn(cached_server)
+        try:
+            assert len(cached_server._cache) == 0
+            assert self._mutate(conn, "R", [[1, 2], [3, 4]])[1]["ok"]
+            query = {"query": "project[A, B](R)"}
+            status, first = _post(conn, query)
+            assert first["cached"] is False and first["rows"] == [[1, 2], [3, 4]]
+            status, second = _post(conn, query)
+            assert second["cached"] is True and second["rows"] == first["rows"]
+            assert cached_server.stats()["cache"]["cache_invalidations"] == 1
+        finally:
+            conn.close()
+
     def test_mutate_rejects_unknown_names_and_bad_rows(self, cached_server):
         conn = self._conn(cached_server)
         try:
@@ -1204,7 +1523,8 @@ class TestResultCacheOverHttp:
         }
         for key, value in counted.items():
             assert samples[f"repro_server_{key}_total"] == value, key
-        assert samples["repro_server_cache_entries"] == cache["entries"] == 1
+        # One entry per content of R the query was answered on.
+        assert samples["repro_server_cache_entries"] == cache["entries"] == 2
 
     def test_cache_events_are_emitted(self, cached_server):
         conn = self._conn(cached_server)
@@ -1217,8 +1537,9 @@ class TestResultCacheOverHttp:
         events = cached_server._observer.events
         assert events is not None
         assert len(events.events("cache_hit")) == 1
-        invalidations = events.events("cache_invalidate")
-        assert [event["name"] for event in invalidations] == ["T"]
+        switches = events.events("cache_switch")
+        assert [event["name"] for event in switches] == ["T"]
+        assert switches[0]["noncurrent"] == 1
 
     def test_disabled_cache_never_marks_responses(self):
         with ReproServer(
@@ -1234,6 +1555,26 @@ class TestResultCacheOverHttp:
                     assert "cached" not in body
                 stats = json.loads(_get(conn, "/stats")[1])
                 assert stats["cache"] == {"enabled": False}
+            finally:
+                conn.close()
+
+    def test_disabled_cache_never_digests_a_relation(self, monkeypatch):
+        from repro.server import app as app_module
+
+        def refuse(relation):
+            raise AssertionError("a server without a cache digested a relation")
+
+        monkeypatch.setattr(app_module, "content_version", refuse)
+        with ReproServer(
+            RELATIONS, pool_size=1, result_cache_size=0, worker_backend="thread"
+        ) as plain:
+            conn = self._conn(plain)
+            try:
+                status, ack = self._mutate(conn, "R", [[1, 2], [3, 4]])
+                assert status == 200 and ack["ok"], ack
+                status, body = _post(conn, {"query": "project[A, B](R)"})
+                assert status == 200 and body["rows"] == [[1, 2], [3, 4]]
+                assert body["versions"] == {"R": None}
             finally:
                 conn.close()
 

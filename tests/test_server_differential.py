@@ -3,7 +3,7 @@
 The server-facing counterpart of ``tests/test_engine_differential.py``:
 instead of comparing engine backends against the reference evaluator,
 this harness compares *served responses* — multiplexed workers, budget
-leases, and the front's invalidating result cache all in the path —
+leases, and the front's content-keyed result cache all in the path —
 against fresh uncached :class:`~repro.api.Session` results computed for
 every relation **generation** the traffic can observe.
 
@@ -15,26 +15,33 @@ and non-spilling executes interleave).  The contract checked:
 
 * **No torn results.**  Every in-flight response is set-equal to some
   *whole* generation's expected rows — a response mixing two
-  generations of ``R``, or a stale cache hit surviving invalidation,
+  generations of ``R``, or a cache hit filed under the wrong content,
   has no matching generation and fails loudly.
 * **Convergence.**  Once traffic quiesces, every query at every budget
-  answers exactly the final generation — the cache cannot have
-  re-learned an earlier generation through the fill race.
-* **The tripwire stays silent.**  ``cache_stale_served`` (the
-  serve-time re-validation counter, exported as
-  ``repro_server_cache_stale_served_total``) reads zero, and the run
-  actually exercised the cache (nonzero hits).
+  answers exactly the final generation — a fill that raced a mutate
+  cannot have been filed under the content that mutate installed.
+* **The bookkeeping check stays silent.**  ``cache_stale_served``
+  (exported as ``repro_server_cache_stale_served_total``) reads zero,
+  and the run actually exercised the cache (nonzero hits).  That counter
+  only compares a hit's slot with the versions its response reports;
+  the two row checks above are what catch a stale answer.
 
 Seeded by ``--fuzz-seed`` like the engine harness, so CI matrix legs
-explore different generation sequences while any failure replays.
+explore different generation sequences while any failure replays.  The
+``hypothesis`` interleaving test draws mutate sequences over three
+contents of ``R`` — identical re-posts and returns to a content the
+cache already answered included — against concurrent readers.
 """
 
 import http.client
 import json
 import random
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.server import ReproServer
@@ -236,6 +243,130 @@ def test_mutation_under_traffic_matches_some_whole_generation(fuzz_seed):
         assert tripwire == ["repro_server_cache_stale_served_total 0"]
 
 
+#: Reader threads and the size of one drawn interleaving.
+READERS = 3
+MAX_READS = 8
+MAX_MUTATES = 4
+
+
+def test_interleaved_reads_and_mutates_match_a_current_content(fuzz_seed):
+    """Random interleavings of reads and mutates over three contents of R.
+
+    Hypothesis draws one mutate sequence (a content index per mutate, so
+    identical re-posts and returns to an answered content are common) and
+    a read sequence per reader thread; the mutator and the readers then
+    run concurrently against one server that lives across examples.  A
+    read must answer from a content of ``R`` that was current at some
+    point while it was in flight — between the last mutate acknowledged
+    before it was sent and the last one started before it was answered —
+    as an in-process ``Session`` computes it, and the tripwire stays 0.
+    """
+    rng = random.Random(fuzz_seed)
+    base_relations = serving_relations(rows=ROWS)
+    contents = [[list(row) for row in base_relations["R"].sorted_rows()]]
+    contents += [[list(row) for row in _generation_rows(rng, ROWS)] for _ in range(2)]
+    expected = _expected_by_generation(base_relations, contents)
+    assert len({json.dumps(rows) for rows in expected[QUERIES[0]]}) == 3
+
+    with ReproServer(
+        base_relations,
+        pool_size=2,
+        worker_concurrency=4,
+        session_budget=10_000,
+        # Fewer entries than (query, budget, content) triples: evictions
+        # keep misses, and so fills racing mutates, coming in every example.
+        result_cache_size=6,
+    ) as server:
+        #: The content of R per mutate generation, across examples, and
+        #: the last generation the server acknowledged.
+        history = [0]
+        acked = [0]
+
+        def mutator(sequence, failures):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+            try:
+                for content in sequence:
+                    history.append(content)
+                    status, body = _post(
+                        conn, "/mutate", {"name": "R", "rows": contents[content]}
+                    )
+                    acked[0] = len(history) - 1
+                    if status != 200 or not body["ok"]:
+                        failures.append(("mutate", status, body))
+            finally:
+                conn.close()
+
+        def reader(sequence, failures):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+            try:
+                for index, budget in sequence:
+                    payload = {"query": QUERIES[index]}
+                    if budget is not None:
+                        payload["budget"] = budget
+                    low = acked[0]
+                    status, body = _post(conn, "/query", payload)
+                    allowed = [
+                        expected[QUERIES[index]][history[generation]]
+                        for generation in range(low, len(history))
+                    ]
+                    if status != 200 or body["rows"] not in allowed:
+                        failures.append((QUERIES[index], status, body.get("rows")))
+                    elif body["rowcount"] != len(body["rows"]):
+                        failures.append((QUERIES[index], "rowcount", body["rowcount"]))
+            finally:
+                conn.close()
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(
+            mutates=st.lists(st.integers(0, 2), min_size=1, max_size=MAX_MUTATES),
+            reads=st.lists(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(QUERIES) - 1), st.sampled_from(BUDGET_GRID)
+                    ),
+                    min_size=1,
+                    max_size=MAX_READS,
+                ),
+                min_size=READERS,
+                max_size=READERS,
+            ),
+        )
+        def interleaving(mutates, reads):
+            failures = []
+            threads = [threading.Thread(target=mutator, args=(mutates, failures))]
+            threads += [
+                threading.Thread(target=reader, args=(sequence, failures))
+                for sequence in reads
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == [], failures[:3]
+            # Quiesced: every query answers the last content posted.
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+            try:
+                for query in QUERIES:
+                    body = _post(conn, "/query", {"query": query})[1]
+                    assert body["rows"] == expected[query][history[-1]], query
+            finally:
+                conn.close()
+            assert server.stats()["cache"]["cache_stale_served"] == 0
+
+        # The front's threads switch far more often than by default, so
+        # fills, lookups and switches interleave at finer grain.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            interleaving()
+        finally:
+            sys.setswitchinterval(interval)
+        cache = server.stats()["cache"]
+        assert cache["cache_stale_served"] == 0, cache
+        assert cache["cache_hits"] > 0, cache
+
+
 @pytest.mark.parametrize("budget", BUDGET_GRID)
 def test_post_mutation_grid_point_matches_fresh_session(fuzz_seed, budget):
     """One grid point end to end: mutate once, then every query agrees
@@ -251,7 +382,7 @@ def test_post_mutation_grid_point_matches_fresh_session(fuzz_seed, budget):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
         try:
             # Warm the cache on pre-mutation data first so the test
-            # proves invalidation, not just a cold read.
+            # proves the switch of versions, not just a cold read.
             for query in QUERIES:
                 payload = {"query": query}
                 if budget is not None:
