@@ -219,7 +219,9 @@ def _join_provenance_lines(plan) -> List[str]:
     are dropped before a plan is pinned, so nothing here re-derives it.  A
     join with the projection
     above folded into it is followed by the source of the probe kernel that
-    was generated for its column list (nested loop, then key-join loop).
+    was generated for its column list (nested loop, then key-join loop); the
+    top join of a fused run, by the source of the kernel that runs the whole
+    run.
     """
     lines: List[str] = []
 
@@ -231,9 +233,14 @@ def _join_provenance_lines(plan) -> List[str]:
             lines.append(
                 f"join on ({on}): est {node.est_rows:.0f} rows [{node.provenance}]"
             )
-            if node.kernel is not None:
-                lines.append(f"  emits [{', '.join(node.emit_scheme.names)}] through:")
-                lines.extend(f"    {line}" for line in node.kernel.source.splitlines())
+            kernel = node.chain or node.kernel
+            if kernel is not None:
+                emits = "every column"
+                if node.kernel is not None:
+                    emits = f"[{', '.join(node.emit_scheme.names)}]"
+                run = "" if node.chain is None else f", running the last {kernel.depth} joins,"
+                lines.append(f"  emits {emits}{run} through:")
+                lines.extend(f"    {line}" for line in kernel.source.splitlines())
 
     walk(plan.root)
     return lines

@@ -70,7 +70,13 @@ from .parallel import (
     execute_parallel,
     operators_in_order,
 )
-from .physical import MemoryBudget, MemoryMeter, PhysicalOperator
+from .physical import (
+    GraceHashJoin,
+    MemoryBudget,
+    MemoryMeter,
+    PhysicalOperator,
+    StreamingProject,
+)
 from .planner import PhysicalPlan, Planner
 from .sampling import q_error
 
@@ -83,6 +89,21 @@ _NODE_KINDS = {
     "HashJoin": "join",
     "GraceHashJoin": "join",
 }
+
+
+def _shape_key(workers: int, bound: Mapping[str, Relation]) -> tuple:
+    """What the operator tree of a pinned plan varies with: the workers count
+    (slicing) and each operand's presented column order (a reordered
+    presentation adds a realignment wrapper over its scan)."""
+    return workers, tuple(sorted((name, rel.scheme.names) for name, rel in bound.items()))
+
+
+def _live_label(operator: PhysicalOperator) -> bool:
+    """Whether ``operator``'s label says how its execution went: a Grace
+    join's reports the spill mode, and a projection's embeds its child's."""
+    if isinstance(operator, StreamingProject):
+        operator = operator.children()[0]
+    return isinstance(operator, GraceHashJoin)
 
 
 class EngineEvaluator:
@@ -402,11 +423,9 @@ class EngineEvaluator:
             root = plan.executor(bound, meter)
             rows = drain_metered(root, meter, span=True)
             result = Relation._from_trusted(root.scheme, frozenset(rows))
-            self._record_steps(root, trace)
+            operators = self._record_steps(plan, bound, root, trace)
             trace.peak_live_rows = meter.peak
-            trace.peak_build_rows = max(
-                operator.build_peak_rows for operator in operators_in_order(root)
-            )
+            trace.peak_build_rows = max(operator.build_peak_rows for operator in operators)
 
         trace.counters = counters.delta_since(before)
         trace.result_cardinality = len(result)
@@ -525,19 +544,44 @@ class EngineEvaluator:
                 )
 
     @staticmethod
-    def _record_steps(root: PhysicalOperator, trace: EvaluationTrace) -> None:
-        """Record per-operator streamed cardinalities, children first."""
-        for operator in operators_in_order(root):
-            width = len(operator.scheme)
-            trace.record(
-                TraceStep(
-                    description=operator.label(),
-                    node_kind=_NODE_KINDS.get(type(operator).__name__, "operator"),
-                    cardinality=operator.rows_out,
-                    scheme_width=width,
-                    cell_count=operator.rows_out * width,
+    def _record_steps(
+        plan: PhysicalPlan,
+        bound: Mapping[str, Relation],
+        root: PhysicalOperator,
+        trace: EvaluationTrace,
+    ) -> List[PhysicalOperator]:
+        """Record per-operator streamed cardinalities, children first, and
+        return the operators in that order.
+
+        Labels, kinds and widths are fixed by the plan and the tree's shape
+        (see :func:`_shape_key`), so the first execution caches them on the
+        plan; only a label that reports how the run went — a Grace join's,
+        and a projection's that embeds one — is read live.
+        """
+        operators = operators_in_order(root)
+        key = _shape_key(1, bound)
+        meta = plan.step_meta.get(key)
+        if meta is None:
+            meta = plan.step_meta[key] = [
+                (
+                    None if _live_label(operator) else operator.label(),
+                    _NODE_KINDS.get(type(operator).__name__, "operator"),
+                    len(operator.scheme),
                 )
+                for operator in operators
+            ]
+        trace.steps.extend(
+            # description, node_kind, cardinality, scheme_width, cell_count
+            TraceStep(
+                operator.label() if label is None else label,
+                node_kind,
+                operator.rows_out,
+                width,
+                operator.rows_out * width,
             )
+            for operator, (label, node_kind, width) in zip(operators, meta)
+        )
+        return operators
 
     @staticmethod
     def _record_parallel_steps(
@@ -562,23 +606,10 @@ class EngineEvaluator:
         The (label, kind, width, on-spine) tuples are invariant per plan
         shape, so they are computed once and cached on the plan — the
         steady-state serving path must not rebuild an operator tree per
-        evaluation.  The shape varies only with the bindings' scheme
-        *presentation* (a reordered presentation adds a realignment wrapper
-        over its scan), so the cache key is the workers count plus each
-        operand's presented column order.
+        evaluation.
         """
-        cache = getattr(plan, "_parallel_step_meta", None)
-        if cache is None:
-            cache = {}
-            plan._parallel_step_meta = cache
-        key = (
-            parallel.workers,
-            tuple(
-                sorted(
-                    (name, relation.scheme.names) for name, relation in bound.items()
-                )
-            ),
-        )
+        cache = plan.step_meta
+        key = _shape_key(parallel.workers, bound)
         meta = cache.get(key)
         if meta is None:
             template = plan.executor(

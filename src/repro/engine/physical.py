@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -42,7 +42,13 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import JoinPlan, ProbeKernel, make_block_picker, make_probe_kernel
+from ..perf.plancache import (
+    ChainKernel,
+    JoinPlan,
+    ProbeKernel,
+    make_block_picker,
+    make_probe_kernel,
+)
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -708,6 +714,24 @@ def _build_block(buckets: Dict[Hashable, Set[Row]], pairs) -> int:
     return added
 
 
+def _frozen(buckets: Dict[Hashable, Set[Row]], kernel) -> Tuple[Dict[Hashable, Any], Callable]:
+    """Freeze a finished table for probing, and pick ``kernel``'s loop for it.
+
+    Consumes ``buckets``.  The nested loop serves no match, one match and
+    many alike; the flat one, a table without a two-entry bucket — the
+    build side's join columns are a key of it (observed of this table, not
+    promised), so the frozen table stores the entries themselves.
+    """
+    if len(buckets) == sum(map(len, buckets.values())):
+        frozen = {key: entry for key, (entry,) in buckets.items()}
+        emit = kernel.flat
+    else:
+        frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
+        emit = kernel.nested
+    buckets.clear()
+    return frozen, emit
+
+
 #: The kernels of a join that emits every joined column: compiled at import.
 _WHOLE_ROW_KERNELS = {"left": make_probe_kernel(True), "right": make_probe_kernel(False)}
 
@@ -757,6 +781,7 @@ class HashJoin(PhysicalOperator):
         self.build_side = build_side
         self.scheme = plan.joined_scheme
         self._kernel = _WHOLE_ROW_KERNELS[build_side]
+        self._chain: Optional[Tuple[ChainKernel, List[HashJoin]]] = None
         # Side-generic views.  ``_pairs_of(block)`` lazily turns a build
         # block into the build kernel's ``(key, entry)`` pairs: entries are
         # full left rows, or the right rows' extras (the key already
@@ -782,6 +807,20 @@ class HashJoin(PhysicalOperator):
         self._kernel = kernel
         self.scheme = scheme
 
+    def fuse(self, kernel: ChainKernel) -> None:
+        """Run this join and the ``kernel.depth - 1`` joins down its probe
+        path as one ``kernel`` (:func:`~repro.perf.plancache.make_chain_kernel`).
+
+        The joins below stay in the tree — labels, ``rows_out`` and
+        ``build_peak_rows`` are theirs — but only this one streams: it builds
+        every member's table and runs the bottom one's probe child through
+        the kernel, so no joined row below the top is ever built.
+        """
+        members = [self]
+        while len(members) < kernel.depth:
+            members.append(members[-1]._probe_child)
+        self._chain = kernel, members[::-1]
+
     def _on(self) -> str:
         """The label's ``on (...)`` part, and what a folded join emits."""
         on = f"on ({', '.join(self._plan.common_names) or 'x'})"
@@ -797,21 +836,11 @@ class HashJoin(PhysicalOperator):
     ) -> Iterator[Block]:
         """The probe kernel: stream probe blocks against a finished table.
 
-        Consumes ``buckets`` (frozen for iteration, then cleared).  The
-        kernel's nested comprehension serves no match, one match and many
-        alike; its flat one, a table without a two-entry bucket.
-        ``count_probes`` is False for spilled partitions, whose probe rows
-        were counted when they were routed to partition files.
+        Consumes ``buckets`` (see :func:`_frozen`).  ``count_probes`` is
+        False for spilled partitions, whose probe rows were counted when
+        they were routed to partition files.
         """
-        if len(buckets) == sum(map(len, buckets.values())):
-            # The build side's join columns are a key of it (observed of this
-            # table, not promised): store the entries, drop the inner loop.
-            frozen = {key: entry for key, (entry,) in buckets.items()}
-            emit = self._kernel.flat
-        else:
-            frozen = {key: tuple(bucket) for key, bucket in buckets.items()}
-            emit = self._kernel.nested
-        buckets.clear()
+        frozen, emit = _frozen(buckets, self._kernel)
         key_of = self._probe_key_of
         extra_of = self._plan.right_extra_of
         frozen_get = frozen.get
@@ -831,6 +860,11 @@ class HashJoin(PhysicalOperator):
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
+        if self._chain is not None:
+            return self._fused_blocks(*self._chain)
+        return self._join_blocks()
+
+    def _join_blocks(self) -> Iterator[Block]:
         self.rows_out = 0
         self.build_peak_rows = 0
         meter = self.meter
@@ -851,6 +885,64 @@ class HashJoin(PhysicalOperator):
         finally:
             meter.release(resident)
             buckets.clear()
+
+    def _fused_blocks(self, kernel: ChainKernel, members: List[HashJoin]) -> Iterator[Block]:
+        """Stream a fused run, ``members`` bottom first (see :meth:`fuse`).
+
+        Every member builds and meters its own table, top first, exactly
+        when its unfused generator would have (before the first probe row
+        is read), and all are released together when the run ends.  The
+        bottom join's rows are counted off its lookups, in C, per block;
+        every join between it and the top counts the rows it emits on an
+        ``itertools.count``.  Those counts are the members' ``rows_out``
+        and the probes of the joins above them (``join_probes``).
+        """
+        meter = self.meter
+        tables: List[Dict[Hashable, Set[Row]]] = []
+        counts = [count(1) for _ in members[1:-1]]
+        resident = bottom_rows = 0
+        for member in members:
+            member.rows_out = member.build_peak_rows = 0
+        try:
+            for member in reversed(members):
+                buckets: Dict[Hashable, Set[Row]] = {}
+                tables.append(buckets)
+                pairs_of = member._pairs_of
+                for block in member._build_child.blocks():
+                    added = _build_block(buckets, pairs_of(block))
+                    resident += added
+                    member.build_peak_rows += added
+                    meter.acquire(added)
+            bottom, *upper = reversed(tables)
+            frozen, emit = _frozen(bottom, kernel)
+            flat = emit is kernel.flat
+            tail = []
+            for buckets in upper:
+                # Deeper levels always iterate a bucket: one loop shape.
+                tail.append({key: tuple(bucket) for key, bucket in buckets.items()}.get)
+                buckets.clear()
+            tail += [counter.__next__ for counter in counts]
+            key_of = members[0]._probe_key_of
+            get = frozen.get
+            for block in members[0]._probe_child.blocks():
+                _COUNTERS.add(join_probes=len(block))
+                matches = list(map(get, map(key_of, block)))
+                if flat:
+                    bottom_rows += len(matches) - matches.count(None)
+                else:
+                    bottom_rows += sum(map(len, filter(None, matches)))
+                out = emit(block, matches, *tail)
+                if out:
+                    self.rows_out += len(out)
+                    yield out
+        finally:
+            meter.release(resident)
+            for buckets in tables:
+                buckets.clear()
+            emitted = [bottom_rows] + [next(counter) - 1 for counter in counts]
+            for member, rows in zip(members, emitted):
+                member.rows_out = rows
+            _COUNTERS.add(join_probes=sum(emitted))
 
     def label(self) -> str:
         """The one-line trace/explain label."""

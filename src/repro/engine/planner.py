@@ -34,14 +34,20 @@ cardinalities differ by orders of magnitude (the paper's blow-up regime).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.relation import Relation, _join_plan
 from ..algebra.tuples import _project_plan
 from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
-from ..perf.plancache import ProbeKernel, ProjectPlan, make_probe_kernel
+from ..perf.plancache import (
+    ChainKernel,
+    ProbeKernel,
+    ProjectPlan,
+    make_chain_kernel,
+    make_probe_kernel,
+)
 from .physical import (
     GraceHashJoin,
     HashJoin,
@@ -61,7 +67,14 @@ from .stats import (
     project_stats,
 )
 
-__all__ = ["PlanNode", "PhysicalPlan", "Planner", "fold_projection", "plan_expression"]
+__all__ = [
+    "PlanNode",
+    "PhysicalPlan",
+    "Planner",
+    "fold_projection",
+    "fuse_chains",
+    "plan_expression",
+]
 
 #: A pushed projection is placed only where its seen-set bound (the product
 #: of the kept columns' distinct counts) is at most this share of the pruned
@@ -151,6 +164,9 @@ class PlanNode:
     #: what it emits (``scheme`` stays the joined one) and the kernel compiled for it.
     emit_scheme: Optional[object] = None
     kernel: Optional[ProbeKernel] = None
+    #: Set by :func:`fuse_chains` on the top join of a run: the kernel that
+    #: executes the run (see :meth:`~repro.engine.physical.HashJoin.fuse`).
+    chain: Optional[ChainKernel] = None
     #: Where a join's estimate came from, recorded when it was planned (see
     #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
     #: that could re-derive it are gone by the time the plan is pinned.
@@ -241,11 +257,6 @@ class PlanNode:
         pinned plan therefore partition the driving row stream and nothing
         else.
         """
-        probe_index = self.probe_child_index()
-
-        def child_slice(position: int) -> Optional[Tuple[int, int]]:
-            return probe_slice if position == probe_index else None
-
         if self.kind == "scan":
             relation = bindings[self.operand_name]
             if probe_slice is not None:
@@ -283,8 +294,13 @@ class PlanNode:
                 pushed=self.pushed,
             )
         elif self.kind == "hash-join":
-            left = self.children[0].instantiate(bindings, meter, child_slice(0))
-            right = self.children[1].instantiate(bindings, meter, child_slice(1))
+            build_left = self.build_side == "left"
+            left = self.children[0].instantiate(
+                bindings, meter, None if build_left else probe_slice
+            )
+            right = self.children[1].instantiate(
+                bindings, meter, probe_slice if build_left else None
+            )
             if self.budget is not None:
                 operator = GraceHashJoin(
                     left,
@@ -301,6 +317,8 @@ class PlanNode:
                 )
             if self.kernel is not None:
                 operator.fold(self.kernel, self.emit_scheme)
+            if self.chain is not None:
+                operator.fuse(self.chain)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
         operator.est_rows = self.est_rows
@@ -316,14 +334,51 @@ def fold_projection(
 
     Over a hash join the pick moves into the join: it builds each output row
     once, in the projection's columns and order, and the projection keeps
-    only its dedup (``pick`` is ``None``).  Inner chain joins are not
-    narrowed: ``left + extra`` is one memcpy however wide the row, a display
-    of R_G's 28-88 columns is not (``docs/ENGINE.md``, "Live columns").
+    only its dedup (``pick`` is ``None``).  Inner chain joins get no list:
+    a run of them under the folded one executes as one comprehension that
+    builds no row until the top emits this list (:func:`fuse_chains`), and
+    a join under a projection that does not fuse keeps ``left + extra``
+    below it (``docs/ENGINE.md``, "Live columns").
     """
     if child.kind != "hash-join":
         return child, plan.pick
     kernel = make_probe_kernel(child.build_side == "left", child.join_plan, plan.picks)
     return replace(child, emit_scheme=plan.target_scheme, kernel=kernel), None
+
+
+def _fusible(node: PlanNode) -> bool:
+    return node.kind == "hash-join" and node.budget is None
+
+
+def fuse_chains(node: PlanNode) -> PlanNode:
+    """Compile every maximal run of in-memory hash joins under ``node``, in place.
+
+    A run is a chain of unbudgeted hash joins in which each join's probe
+    child is the next one: nothing between two members reads a joined row,
+    so the run's top gets one kernel (``PlanNode.chain``,
+    :func:`~repro.perf.plancache.make_chain_kernel`) that executes all of
+    it and emits what the top emits.  A projection, written or pushed,
+    bounds a run (it reads the rows, and a folded join can only be a run's
+    top), and so does a budgeted join, whose spill path probes per
+    partition; a lone join keeps its probe kernel.
+    """
+    members: List[PlanNode] = []
+    below = node
+    while _fusible(below) and (below is node or below.kernel is None):
+        members.append(below)
+        below = below.children[below.probe_child_index()]
+    if len(members) > 1:
+        emit = None
+        if node.kernel is not None:
+            emit = tuple(node.scheme.names.index(name) for name in node.emit_scheme.names)
+        levels = [(member.build_side == "left", member.join_plan) for member in members]
+        node.chain = make_chain_kernel(levels[::-1], emit)
+    rest = [below] if members else list(node.children)
+    for member in members:
+        rest.append(member.children[1 - member.probe_child_index()])
+    for child in rest:
+        fuse_chains(child)
+    return node
 
 
 def _drop_samples(node: PlanNode) -> PlanNode:
@@ -372,6 +427,10 @@ class PhysicalPlan:
 
     root: PlanNode
     expression: Expression
+    #: What traces record of each operator that never changes between
+    #: executions — label, kind, width — keyed by the executing tree's shape
+    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
+    step_meta: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def est_rows(self) -> float:
@@ -447,7 +506,7 @@ class Planner:
         missing = sorted(expression.operand_names() - set(stats))
         if missing:
             raise ExpressionError(f"no statistics provided for operands {missing}")
-        root = _drop_samples(self._lower(expression, stats))
+        root = fuse_chains(_drop_samples(self._lower(expression, stats)))
         # The final projection keeps dedup=True, but when the evaluator drains
         # the plan it holds no seen-set of its own: it dedups straight into
         # the drain's result set (see StreamingProject), and its rows_out —

@@ -209,7 +209,7 @@ class Projection(Expression):
 class Join(Expression):
     """n-ary natural join node ``e1 * e2 * ... * ek`` with ``k >= 2``."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_schemes")
 
     def __init__(self, parts: Sequence[Expression]):
         flattened: List[Expression] = []
@@ -224,8 +224,18 @@ class Join(Expression):
             raise ExpressionError("a join needs at least two operands")
         self._parts: Tuple[Expression, ...] = tuple(flattened)
         # Validate operand scheme consistency eagerly so errors surface at
-        # construction time rather than at evaluation time.
-        self.operand_schemes()
+        # construction time rather than at evaluation time; every binding
+        # reads the result, so it is kept.
+        merged: Dict[str, RelationScheme] = {}
+        for part in self._parts:
+            for name, scheme in part.operand_schemes().items():
+                if name in merged and merged[name] != scheme:
+                    raise ExpressionError(
+                        f"operand {name!r} used with two different schemes: "
+                        f"{merged[name]} and {scheme}"
+                    )
+                merged[name] = scheme
+        self._schemes = merged
 
     @property
     def parts(self) -> Tuple[Expression, ...]:
@@ -245,16 +255,7 @@ class Join(Expression):
         return names
 
     def operand_schemes(self) -> Dict[str, RelationScheme]:
-        merged: Dict[str, RelationScheme] = {}
-        for part in self._parts:
-            for name, scheme in part.operand_schemes().items():
-                if name in merged and merged[name] != scheme:
-                    raise ExpressionError(
-                        f"operand {name!r} used with two different schemes: "
-                        f"{merged[name]} and {scheme}"
-                    )
-                merged[name] = scheme
-        return merged
+        return dict(self._schemes)
 
     def children(self) -> Tuple[Expression, ...]:
         return self._parts

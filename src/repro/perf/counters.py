@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict
 
 __all__ = ["KernelCounters", "kernel_counters", "reset_kernel_counters"]
@@ -109,7 +110,7 @@ class KernelCounters:
 
     def snapshot(self) -> Dict[str, int]:
         """Return the counters as a plain dict (for traces and JSON output)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_NAMES, _VALUES(self)))
 
     def delta_since(self, earlier: Dict[str, int]) -> Dict[str, int]:
         """Return the per-counter increase since an earlier :meth:`snapshot`.
@@ -122,8 +123,8 @@ class KernelCounters:
         fields — callers can rely on the shape regardless of where the
         snapshot came from.
         """
-        current = self.snapshot()
-        return {name: current[name] - earlier.get(name, 0) for name in current}
+        get = earlier.get
+        return {name: value - get(name, 0) for name, value in zip(_NAMES, _VALUES(self))}
 
     def add(self, **amounts: int) -> None:
         """Atomically add ``amounts`` to the named counters (engine path).
@@ -142,6 +143,11 @@ class KernelCounters:
             for f in fields(self):
                 setattr(self, f.name, 0)
 
+
+#: The counter names, and one C-level read of all of them (every span reads
+#: them twice).
+_NAMES = tuple(f.name for f in fields(KernelCounters))
+_VALUES = attrgetter(*_NAMES)
 
 _COUNTERS = KernelCounters()
 

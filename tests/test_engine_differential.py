@@ -199,9 +199,9 @@ def _assert_engine_matches_reference(
         f"expression: {expression.to_text()}\n"
         f"bindings: { {name: len(rel) for name, rel in bindings.items()} }"
     )
-    # The complete-memory-model contract: with sort, dedup, checkpoints, and
-    # unsplittable join partitions all spilling (or chunking), no grid point
-    # may overrun the budget — a nonzero overflow here is a regression.
+    # The complete-memory-model contract: with join builds and dedup
+    # seen-sets spilling, and unsplittable join partitions chunking, no grid
+    # point may overrun the budget — a nonzero overflow here is a regression.
     overflows = kernel_counters().delta_since(before)["spill_overflows"]
     assert overflows == 0, f"spill_overflows={overflows}\n{detail}"
     assert result.scheme.name_set == reference.scheme.name_set, detail

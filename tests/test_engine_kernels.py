@@ -13,7 +13,10 @@ without a partner, a keyless product, a build child that repeats rows, a
 consumer that walks away mid-stream) against the dict-based reference
 algebra and the counters' arithmetic; the root-projection tests pin what
 the sink changes (no seen-set, no dedup spill, the result resident once)
-and what it must not (the answer, ``rows_out``).
+and what it must not (the answer, ``rows_out``).  A run of in-memory joins
+executes as one generated comprehension (``plancache.make_chain_kernel``,
+``HashJoin.fuse``): its property draws runs against the reference algebra
+and against the same joins unfused, operator by operator.
 """
 
 import contextlib
@@ -38,14 +41,20 @@ from repro.engine import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
+    PartitionedScan,
     StreamingProject,
     TableScan,
 )
 from repro.engine import physical, planner, spill
-from repro.engine.parallel import drain_metered
+from repro.engine.parallel import drain_metered, operators_in_order
 from repro.expressions import Projection
 from repro.perf import kernel_counters, plancache
-from repro.perf.plancache import ProbeKernel, make_probe_kernel, make_row_picker
+from repro.perf.plancache import (
+    ProbeKernel,
+    make_chain_kernel,
+    make_probe_kernel,
+    make_row_picker,
+)
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family, serving_queries, serving_relations
 
@@ -75,11 +84,11 @@ def join_cases(draw):
 
 
 @contextlib.contextmanager
-def _small_blocks():
+def _small_blocks(rows=4):
     """Four-row blocks (three-row spill frames), so a dozen rows cross
     several block boundaries.  Each name is patched in the module that
     *reads* it: a patch on a re-exported binding would change nothing."""
-    with mock.patch.object(physical, "BLOCK_ROWS", 4), mock.patch.object(
+    with mock.patch.object(physical, "BLOCK_ROWS", rows), mock.patch.object(
         spill, "SPILL_BLOCK_ROWS", 3
     ):
         yield
@@ -394,6 +403,141 @@ class TestGeneratedProbeKernel:
         assert {True, False} == {folded for folded, _ in found}
 
 
+#: Few attributes, so consecutive operands share none (a product), one or
+#: several (a multi-column key).
+CHAIN_ATTRIBUTES = "ABCDE"
+
+
+@st.composite
+def chain_cases(draw):
+    """A left-deep run: ``depth + 1`` relations joined bottom first, a build
+    side per join, and what the top emits (``None``: the whole joined row).
+
+    The joined columns are tracked as the joins would order them, so the
+    emit list can be any subset of the top's columns in any order.
+    """
+    depth = draw(st.integers(2, 6))
+    relations, sides = [], []
+    columns: list = []
+    for index in range(depth + 1):
+        names = draw(
+            st.lists(st.sampled_from(CHAIN_ATTRIBUTES), min_size=1, max_size=3, unique=True)
+        )
+        rows = draw(st.lists(st.tuples(*[VALUES] * len(names)), max_size=4))
+        relations.append(Relation.from_rows(names, rows, name=f"R{index}"))
+        if index == 0:
+            columns = list(names)
+            continue
+        side = draw(st.sampled_from(("left", "right")))
+        sides.append(side)
+        left, right = (columns, names) if side == "right" else (names, columns)
+        columns = list(left) + [name for name in right if name not in left]
+    emit = draw(st.one_of(st.none(), st.lists(st.sampled_from(columns), unique=True)))
+    return relations, sides, None if emit is None else tuple(columns.index(n) for n in emit)
+
+
+def _chain(relations, sides, emit, fused, probe_slice=None):
+    """A hand-built run of ``HashJoin`` operators over scans, folded when
+    ``emit`` is a list and fused when asked; ``probe_slice`` slices the
+    bottom probe scan as a parallel worker's would be."""
+    meter = MemoryMeter()
+    bottom = relations[0]
+    if probe_slice is None:
+        chain = TableScan(bottom, meter)
+    else:
+        chain = PartitionedScan(bottom, meter, *probe_slice)
+    levels = []
+    for relation, side in zip(relations[1:], sides):
+        base = TableScan(relation, meter)
+        left, right = (chain, base) if side == "right" else (base, chain)
+        plan = _join_plan(left.scheme, right.scheme)
+        chain = HashJoin(left, right, plan, meter, build_side=side)
+        levels.append((side == "left", plan))
+    if emit is not None:
+        _fold(chain, levels[-1][1], emit)
+    if fused:
+        chain.fuse(make_chain_kernel(levels, emit))
+    return chain, meter
+
+
+class TestFusedChains:
+    """``make_chain_kernel`` and ``HashJoin.fuse`` against the unfused joins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_cases(), st.sampled_from((1, 2)))
+    def test_a_fused_run_counts_what_the_unfused_joins_count(self, case, workers):
+        """Same answer as the reference algebra, and per probe slice the same
+        ``rows_out`` and ``build_peak_rows`` on every operator, the same
+        ``join_probes`` and the same meter peak as the unfused run."""
+        relations, sides, emit = case
+        slices = [None] if workers == 1 else [(index, workers) for index in range(workers)]
+        seen = {}
+        for fused in (False, True):
+            rows, counts = set(), []
+            for probe_slice in slices:
+                with _small_blocks(rows=2):  # builds and the probe cross blocks
+                    top, meter = _chain(relations, sides, emit, fused, probe_slice)
+                    before = kernel_counters().snapshot()
+                    drained = drain_metered(top, meter)
+                    probes = kernel_counters().delta_since(before)["join_probes"]
+                operators = operators_in_order(top)
+                counts.append(
+                    (
+                        [operator.rows_out for operator in operators],
+                        [operator.build_peak_rows for operator in operators],
+                        probes,
+                        meter.peak,
+                    )
+                )
+                assert meter.current == len(drained)
+                rows |= drained
+            seen[fused] = rows, counts
+        assert seen[True] == seen[False]
+        expected = relations[0]
+        for relation in relations[1:]:
+            expected = naive_natural_join(expected, relation)
+        if emit is not None:
+            expected = naive_project(expected, top.scheme.names)
+        assert Relation._from_trusted(top.scheme, frozenset(rows)) == expected
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_an_abandoned_or_capped_run_releases_everything(self, fused):
+        relations = [
+            Relation.from_rows("A B", [(i, i % 5) for i in range(40)], name="R0"),
+            Relation.from_rows("B C", [(i % 5, i) for i in range(20)], name="R1"),
+            Relation.from_rows("C D", [(i, -i) for i in range(20)], name="R2"),
+        ]
+        with _small_blocks():
+            top, meter = _chain(relations, ["right", "left"], None, fused)
+            stream = top.blocks()
+            assert next(stream)
+            stream.close()
+            assert meter.current == 0
+            top, meter = _chain(relations, ["right", "left"], (3, 0), fused)
+            assert drain_metered(top, meter, cap=10) is None
+            assert meter.current == 0
+
+    def test_the_kernel_reads_keys_off_the_probe_row_and_the_entries(self):
+        left = _join_plan(RelationScheme.of("A", "B"), RelationScheme.of("B", "C"))
+        # R(A, B) * S(B, C) on B, then T(A, C, D) built on the left, keyed on (A, C).
+        top = _join_plan(RelationScheme.of("A", "C", "D"), left.joined_scheme)
+        kernel = make_chain_kernel([(False, left), (True, top)], (2, 3))
+        assert kernel.depth == 2
+        assert " for e2 in g2((r0[0], e1[0],), ())" in kernel.source
+        # D is the built left row's, B the probe row's: no joined row is made.
+        assert kernel.source.count(": [(e2[2], r0[1],) for ") == 2, kernel.source
+
+    @pytest.mark.parametrize(
+        "width, row", [(2, "(r0[0], r0[1], e1[0], e2[0],)"), (8, "r0 + (e1[0], e2[0],)")]
+    )
+    def test_a_whole_row_concatenates_only_wide_runs(self, width, row):
+        names = [f"A{index}" for index in range(width)]
+        first = _join_plan(RelationScheme(names), RelationScheme([names[-1], "C"]))
+        second = _join_plan(first.joined_scheme, RelationScheme.of("C", "E"))
+        source = make_chain_kernel([(False, first), (False, second)]).source
+        assert source.count(f": [{row} for ") == 2, source
+
+
 def _pinned_sessions():
     """(relations, queries): the three ``join_100k`` queries on a 2,000-row
     slice, the eight serving queries, and the paper's query at m = 12."""
@@ -413,23 +557,78 @@ def _pinned_sessions():
 
 
 def test_executing_a_pinned_plan_compiles_nothing():
-    """Probe kernels are compiled when a plan is built and pinned with it:
-    an execute neither builds kernel source nor misses a plan cache."""
+    """Probe and chain kernels are compiled when a plan is built and pinned
+    with it: an execute neither builds kernel source nor misses a plan cache."""
+    chains = []
     for relations, queries in _pinned_sessions():
         with Session(relations, backend="engine") as session:
             prepared = [session.prepare(query) for query in queries]
             expected = [query.execute().relation for query in prepared]
+            chains += [
+                node.chain.depth
+                for query in prepared
+                for node in _plan_nodes(session._engine.pinned_plan(query.expression).root)
+                if node.chain is not None
+            ]
             before = kernel_counters().snapshot()
             builder = mock.Mock(side_effect=AssertionError("compiled on execute"))
-            with mock.patch.object(plancache, "make_probe_kernel", builder), mock.patch.object(
-                planner, "make_probe_kernel", builder
-            ), mock.patch.object(physical, "make_probe_kernel", builder):
+            with contextlib.ExitStack() as patches:
+                for module, name in (
+                    (plancache, "make_probe_kernel"),
+                    (planner, "make_probe_kernel"),
+                    (physical, "make_probe_kernel"),
+                    (plancache, "make_chain_kernel"),
+                    (planner, "make_chain_kernel"),
+                ):
+                    patches.enter_context(mock.patch.object(module, name, builder))
                 for _ in range(3):
                     for query, answer in zip(prepared, expected):
                         assert query.execute().relation == answer
             delta = kernel_counters().delta_since(before)
         assert not builder.called
         assert delta["join_plan_misses"] == delta["project_plan_misses"] == 0
+    # ``project[G, K](R * S * T)`` is a two-join run, the paper's query a
+    # twelve-join one; every serving query's runs are single joins.
+    assert chains == [2, 12]
+
+
+def _plan_nodes(node):
+    """``node`` and every plan node beneath it."""
+    yield node
+    for child in node.children:
+        yield from _plan_nodes(child)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_paper_query_records_what_its_unfused_plan_records(workers):
+    """At m = 12 the twelve chain joins run as one kernel; unfusing the
+    pinned plan changes no trace step, peak or probe count."""
+    (case,) = growing_construction_family(clause_counts=(12,))
+    construction = RGConstruction(case.formula)
+    query = Projection([construction.s_attribute], construction.expression)
+    with Session(
+        {"R": construction.relation}, workers=workers, parallel_backend="thread"
+    ) as session:
+        prepared = session.prepare(query)
+        traces = [prepared.execute().trace]
+        plan = session._engine.pinned_plan(query)
+        fused = [node for node in _plan_nodes(plan.root) if node.chain is not None]
+        assert [node.chain.depth for node in fused] == [12]
+        fused[0].chain = None
+        traces.append(prepared.execute().trace)
+    steps = [
+        [(step.description, step.cardinality, step.scheme_width) for step in trace.steps]
+        for trace in traces
+    ]
+    assert steps[0] == steps[1]
+    assert len({(t.peak_build_rows, t.counters["join_probes"]) for t in traces}) == 1
+    if workers == 1:
+        # Two thread workers share one meter: their overlap, and so the
+        # peak, depends on scheduling, fused or not.
+        assert traces[0].peak_live_rows == traces[1].peak_live_rows
+    with Session({"R": construction.relation}, budget=64) as session:
+        plan = session._engine.plan_for(query, session._relations)
+    assert not any(node.chain is not None for node in _plan_nodes(plan.root))
 
 
 HEAVY_QUERY = "project[A, C, D](R * S * T)"

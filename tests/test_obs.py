@@ -602,13 +602,13 @@ class TestSessionObservability:
 
     def test_explain_analyze_attributes_the_wall_time_at_m12(self):
         """What the operator spans leave unexplained at m = 12 is a fixed
-        0.35-0.4 ms per execute (building the operator tree, the drain's own
-        statements, wrapping the result), and this gates *that*, as a share
-        so that it reads the same on a slow host.  It said >= 95 % while the
-        run took ~11.5 ms (0.575 ms allowed; it read 0.972).  PR 24 took the
-        collector's third out of the run and none out of the fixed part: the
-        same 0.39 ms now reads 0.955 of ~7.5 ms.  >= 93 % of the shorter run
-        allows 0.53 ms - less, not more, than the gate allowed before.
+        part per execute (building the operator tree, the drain's own
+        statements, wrapping the result, recording the trace), and this
+        gates *that*, as a share so that it reads the same on a slow host.
+        It said >= 95 % of a ~11.5 ms run (0.575 ms allowed), then >= 93 %
+        of ~7.5 ms (0.53 ms).  With the join chain fused the traced run is
+        ~4.3 ms, and with trace labels cached on the plan the fixed part is
+        ~0.21-0.25 ms (reads 0.944-0.949): >= 93 % now allows ~0.3 ms.
         Median of three to ride out a scheduling hiccup."""
         from statistics import median
 
@@ -616,8 +616,8 @@ class TestSessionObservability:
         assert median(fractions) >= 0.93, fractions
 
     def test_explain_analyze_attributes_the_wall_time_at_m14(self):
-        """The share that scales with the work: at m = 14 (~33 ms) the fixed
-        part is ~1 % and the spans must explain >= 95 % (reads 0.986)."""
+        """The share that scales with the work: at m = 14 (~13 ms) the fixed
+        part is ~2.5 % and the spans must explain >= 95 % (reads 0.974)."""
         from statistics import median
 
         fractions = self._blowup_attributed_fractions(14)
