@@ -216,12 +216,11 @@ def _join_provenance_lines(plan) -> List[str]:
 
     Provenance is what the planner recorded on the node when it costed the
     join (``PlanNode.provenance``): the samples an estimate was measured on
-    are dropped before a plan is pinned, so nothing here re-derives it.  A
-    join with the projection
-    above folded into it is followed by the source of the probe kernel that
-    was generated for its column list (nested loop, then key-join loop); the
-    top join of a fused run, by the source of the kernel that runs the whole
-    run.
+    are dropped before a plan is pinned, so nothing here re-derives it.
+    Every join that heads a run — a lone one included — is followed by the
+    source of the kernel generated for the run (nested loop, then key-join
+    loop) and what it emits: the folded projection's columns, or every
+    column.
     """
     lines: List[str] = []
 
@@ -233,12 +232,12 @@ def _join_provenance_lines(plan) -> List[str]:
             lines.append(
                 f"join on ({on}): est {node.est_rows:.0f} rows [{node.provenance}]"
             )
-            kernel = node.chain or node.kernel
+            kernel = node.chain
             if kernel is not None:
                 emits = "every column"
-                if node.kernel is not None:
+                if node.emit_scheme is not None:
                     emits = f"[{', '.join(node.emit_scheme.names)}]"
-                run = "" if node.chain is None else f", running the last {kernel.depth} joins,"
+                run = f", running the last {kernel.depth} joins," if kernel.depth > 1 else ""
                 lines.append(f"  emits {emits}{run} through:")
                 lines.extend(f"    {line}" for line in kernel.source.splitlines())
 

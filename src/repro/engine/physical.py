@@ -42,13 +42,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import (
-    ChainKernel,
-    JoinPlan,
-    ProbeKernel,
-    make_block_picker,
-    make_probe_kernel,
-)
+from ..perf.plancache import ChainKernel, JoinPlan, make_block_picker
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -580,7 +574,7 @@ class StreamingProject(PhysicalOperator):
     join-output block is what the sink exists to avoid.
 
     ``pick`` is ``None`` over a hash join this projection was folded into
-    (:meth:`HashJoin.fold`): it already emits ``scheme``; the dedup is left.
+    (:meth:`HashJoin.fuse`): it already emits ``scheme``; the dedup is left.
     """
 
     def __init__(
@@ -732,10 +726,6 @@ def _frozen(buckets: Dict[Hashable, Set[Row]], kernel) -> Tuple[Dict[Hashable, A
     return frozen, emit
 
 
-#: The kernels of a join that emits every joined column: compiled at import.
-_WHOLE_ROW_KERNELS = {"left": make_probe_kernel(True), "right": make_probe_kernel(False)}
-
-
 class HashJoin(PhysicalOperator):
     """Streaming hash join: drain the build side into buckets, stream the probe.
 
@@ -743,7 +733,7 @@ class HashJoin(PhysicalOperator):
     :class:`~repro.perf.plancache.JoinPlan` as ``left ++ (right - left)``
     regardless of which side is built, exactly like the materialising kernel
     — unless a projection directly above was folded into the join
-    (:meth:`fold`): it then emits that projection's columns, in its order.
+    (:meth:`fuse`): it then emits that projection's columns, in its order.
     Buckets hold *sets* (full left rows, or right ``extras`` fragments —
     both in bijection with the build side's rows), so duplicates from a
     dedup-free build child collapse in the table.  Only the build side is
@@ -754,10 +744,12 @@ class HashJoin(PhysicalOperator):
     :class:`GraceHashJoin`: :func:`_build_block` folds a block of
     ``(key, entry)`` pairs into the table, and :meth:`_probe` answers a
     whole probe block with one generated comprehension
-    (:func:`~repro.perf.plancache.make_probe_kernel`) over the block zipped
+    (:func:`~repro.perf.plancache.make_chain_kernel`) over the block zipped
     with its bucket lookups (``map`` of ``dict.get`` over ``map`` of the key
     picker), so the interpreter runs once per block and per emitted row,
-    never once per probed row.
+    never once per probed row.  The operator compiles no kernel: it runs
+    once its caller has handed it one (:meth:`fuse`), and its first probe
+    raises :class:`RuntimeError` if none was.
     """
 
     #: Output rows the probe kernel gathers before yielding a block: an
@@ -780,8 +772,9 @@ class HashJoin(PhysicalOperator):
         self._plan = plan
         self.build_side = build_side
         self.scheme = plan.joined_scheme
-        self._kernel = _WHOLE_ROW_KERNELS[build_side]
-        self._chain: Optional[Tuple[ChainKernel, List[HashJoin]]] = None
+        self._kernel: Optional[ChainKernel] = None
+        self._members: List[HashJoin] = [self]  # the run this join heads, bottom first
+        self._folded = False
         # Side-generic views.  ``_pairs_of(block)`` lazily turns a build
         # block into the build kernel's ``(key, entry)`` pairs: entries are
         # full left rows, or the right rows' extras (the key already
@@ -802,108 +795,52 @@ class HashJoin(PhysicalOperator):
         """The input operators."""
         return (self._left, self._right)
 
-    def fold(self, kernel: ProbeKernel, scheme) -> None:
-        """Emit ``scheme``, a projection of the joined one, through the ``kernel`` compiled for it."""
-        self._kernel = kernel
-        self.scheme = scheme
-
-    def fuse(self, kernel: ChainKernel) -> None:
+    def fuse(self, kernel: ChainKernel, emit_scheme=None) -> None:
         """Run this join and the ``kernel.depth - 1`` joins down its probe
-        path as one ``kernel`` (:func:`~repro.perf.plancache.make_chain_kernel`).
+        path as one ``kernel`` (:func:`~repro.perf.plancache.make_chain_kernel`),
+        emitting ``emit_scheme`` — the projection of the joined scheme the
+        kernel was compiled for — or, when it is ``None``, the joined rows.
 
-        The joins below stay in the tree — labels, ``rows_out`` and
-        ``build_peak_rows`` are theirs — but only this one streams: it builds
-        every member's table and runs the bottom one's probe child through
-        the kernel, so no joined row below the top is ever built.
+        A lone join is a run of one.  The joins below stay in the tree —
+        labels, ``rows_out`` and ``build_peak_rows`` are theirs — but only
+        this one streams: it builds every member's table and runs the bottom
+        one's probe child through the kernel, so no joined row below the top
+        is ever built.
         """
         members = [self]
         while len(members) < kernel.depth:
             members.append(members[-1]._probe_child)
-        self._chain = kernel, members[::-1]
+        self._kernel = kernel
+        self._members = members[::-1]
+        self._folded = emit_scheme is not None
+        if self._folded:
+            self.scheme = emit_scheme
 
     def _on(self) -> str:
         """The label's ``on (...)`` part, and what a folded join emits."""
         on = f"on ({', '.join(self._plan.common_names) or 'x'})"
-        if self._kernel is _WHOLE_ROW_KERNELS[self.build_side]:
+        if not self._folded:
             return on
         return f"{on} -> [{', '.join(self.scheme.names)}]"
 
-    def _probe(
-        self,
-        buckets: Dict[Hashable, Set[Row]],
-        probe_blocks: Iterator[Block],
-        count_probes: bool = True,
-    ) -> Iterator[Block]:
-        """The probe kernel: stream probe blocks against a finished table.
-
-        Consumes ``buckets`` (see :func:`_frozen`).  ``count_probes`` is
-        False for spilled partitions, whose probe rows were counted when
-        they were routed to partition files.
-        """
-        frozen, emit = _frozen(buckets, self._kernel)
-        key_of = self._probe_key_of
-        extra_of = self._plan.right_extra_of
-        frozen_get = frozen.get
-        flush_rows = self._flush_rows
-        out: Block = []
-        for block in probe_blocks:
-            if count_probes:
-                _COUNTERS.add(join_probes=len(block))
-            out += emit(block, map(frozen_get, map(key_of, block)), extra_of)
-            if len(out) >= flush_rows:
-                self.rows_out += len(out)
-                yield out
-                out = []
-        if out:
-            self.rows_out += len(out)
-            yield out
-
     def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
-        if self._chain is not None:
-            return self._fused_blocks(*self._chain)
-        return self._join_blocks()
+        """Stream the output blocks (see the operator iterator contract).
 
-    def _join_blocks(self) -> Iterator[Block]:
-        self.rows_out = 0
-        self.build_peak_rows = 0
+        Every member of the run builds and meters its own table, top first,
+        exactly when it would as a run of one (before the first probe row
+        is read), and all are released together when the run ends.
+        """
         meter = self.meter
-        pairs_of = self._pairs_of
-        buckets: Dict[Hashable, Set[Row]] = {}
+        members = self._members
+        tables: List[Dict[Hashable, Set[Row]]] = []
         resident = 0
+        for member in members:
+            member.rows_out = member.build_peak_rows = 0
         try:
             # Acquire per build block, not after the drain: a stateful
             # build-side subtree (e.g. a projection over a join) holds its
             # own metered state *until* the drain completes, and the peak
             # must count both residencies while they overlap.
-            for block in self._build_child.blocks():
-                added = _build_block(buckets, pairs_of(block))
-                resident += added
-                meter.acquire(added)
-            self.build_peak_rows = resident
-            yield from self._probe(buckets, self._probe_child.blocks())
-        finally:
-            meter.release(resident)
-            buckets.clear()
-
-    def _fused_blocks(self, kernel: ChainKernel, members: List[HashJoin]) -> Iterator[Block]:
-        """Stream a fused run, ``members`` bottom first (see :meth:`fuse`).
-
-        Every member builds and meters its own table, top first, exactly
-        when its unfused generator would have (before the first probe row
-        is read), and all are released together when the run ends.  The
-        bottom join's rows are counted off its lookups, in C, per block;
-        every join between it and the top counts the rows it emits on an
-        ``itertools.count``.  Those counts are the members' ``rows_out``
-        and the probes of the joins above them (``join_probes``).
-        """
-        meter = self.meter
-        tables: List[Dict[Hashable, Set[Row]]] = []
-        counts = [count(1) for _ in members[1:-1]]
-        resident = bottom_rows = 0
-        for member in members:
-            member.rows_out = member.build_peak_rows = 0
-        try:
             for member in reversed(members):
                 buckets: Dict[Hashable, Set[Row]] = {}
                 tables.append(buckets)
@@ -913,36 +850,73 @@ class HashJoin(PhysicalOperator):
                     resident += added
                     member.build_peak_rows += added
                     meter.acquire(added)
-            bottom, *upper = reversed(tables)
-            frozen, emit = _frozen(bottom, kernel)
-            flat = emit is kernel.flat
-            tail = []
-            for buckets in upper:
-                # Deeper levels always iterate a bucket: one loop shape.
-                tail.append({key: tuple(bucket) for key, bucket in buckets.items()}.get)
-                buckets.clear()
-            tail += [counter.__next__ for counter in counts]
-            key_of = members[0]._probe_key_of
-            get = frozen.get
-            for block in members[0]._probe_child.blocks():
-                _COUNTERS.add(join_probes=len(block))
-                matches = list(map(get, map(key_of, block)))
-                if flat:
-                    bottom_rows += len(matches) - matches.count(None)
-                else:
-                    bottom_rows += sum(map(len, filter(None, matches)))
-                out = emit(block, matches, *tail)
-                if out:
-                    self.rows_out += len(out)
-                    yield out
+            yield from self._probe(tables[::-1], members[0]._probe_child.blocks())
         finally:
             meter.release(resident)
             for buckets in tables:
                 buckets.clear()
-            emitted = [bottom_rows] + [next(counter) - 1 for counter in counts]
-            for member, rows in zip(members, emitted):
-                member.rows_out = rows
-            _COUNTERS.add(join_probes=sum(emitted))
+
+    def _probe(
+        self,
+        tables: List[Dict[Hashable, Set[Row]]],
+        probe_blocks: Iterator[Block],
+        count_probes: bool = True,
+    ) -> Iterator[Block]:
+        """The probe loop: stream probe blocks through the kernel.
+
+        ``tables`` are the run's finished tables, bottom first — one for a
+        lone join — and are consumed (see :func:`_frozen`).
+        ``count_probes`` is False for spilled partitions, whose probe rows
+        were counted when they were routed to partition files.  In a longer
+        run the bottom join's rows are counted off its lookups, in C, per
+        block, and every join between it and the top counts the rows it
+        emits on an ``itertools.count``: those counts are the members'
+        ``rows_out`` and the probes of the joins above them
+        (``join_probes``).  A lone join's rows are its output's.
+        """
+        members = self._members
+        kernel = self._kernel
+        if kernel is None:
+            raise RuntimeError(f"{self.label()} has no kernel: hand it one with fuse()")
+        frozen, emit = _frozen(tables[0], kernel)
+        flat = emit is kernel.flat
+        counts = [count(1) for _ in members[1:-1]]
+        tail = []
+        for buckets in tables[1:]:
+            # Deeper levels always iterate a bucket: one loop shape.
+            tail.append({key: tuple(bucket) for key, bucket in buckets.items()}.get)
+            buckets.clear()
+        tail += [counter.__next__ for counter in counts]
+        key_of = members[0]._probe_key_of
+        get = frozen.get
+        flush_rows = self._flush_rows
+        bottom_rows = 0
+        out: Block = []
+        try:
+            for block in probe_blocks:
+                if count_probes:
+                    _COUNTERS.add(join_probes=len(block))
+                matches = map(get, map(key_of, block))
+                if tail:
+                    matches = list(matches)
+                    if flat:
+                        bottom_rows += len(matches) - matches.count(None)
+                    else:
+                        bottom_rows += sum(map(len, filter(None, matches)))
+                out += emit(block, matches, *tail)
+                if len(out) >= flush_rows:
+                    self.rows_out += len(out)
+                    yield out
+                    out = []
+            if out:
+                self.rows_out += len(out)
+                yield out
+        finally:
+            if tail:
+                emitted = [bottom_rows] + [next(counter) - 1 for counter in counts]
+                for member, rows in zip(members, emitted):
+                    member.rows_out = rows
+                _COUNTERS.add(join_probes=sum(emitted))
 
     def label(self) -> str:
         """The one-line trace/explain label."""
@@ -1069,7 +1043,7 @@ class GraceHashJoin(HashJoin):
 
             if staged is None:
                 # -- in-memory probe (the build side fit the budget) ---
-                yield from self._probe(buckets, self._probe_child.blocks())
+                yield from self._probe([buckets], self._probe_child.blocks())
                 return
 
             staged.finish()
@@ -1126,7 +1100,7 @@ class GraceHashJoin(HashJoin):
                     out: Block = []
                     with closing(self._chunks(build)) as chunks:
                         for buckets in chunks:
-                            for rows in self._probe(buckets, piece, False):
+                            for rows in self._probe([buckets], piece, False):
                                 out += rows
                     if out:
                         yield out
@@ -1222,7 +1196,7 @@ class GraceHashJoin(HashJoin):
                 if resident > self.build_peak_rows:
                     self.build_peak_rows = resident
             else:
-                yield from self._probe(buckets, probe_part.blocks(), False)
+                yield from self._probe([buckets], probe_part.blocks(), False)
                 return
             meter.release(resident)
             resident = 0
@@ -1263,7 +1237,7 @@ class GraceHashJoin(HashJoin):
         with closing(self._chunks(build_part)) as chunks:
             for buckets in chunks:
                 _COUNTERS.add(join_chunk_passes=1)
-                yield from self._probe(buckets, probe_part.blocks(), False)
+                yield from self._probe([buckets], probe_part.blocks(), False)
 
     def label(self) -> str:
         """The one-line trace/explain label."""

@@ -41,13 +41,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from ..algebra.relation import Relation, _join_plan
 from ..algebra.tuples import _project_plan
 from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
-from ..perf.plancache import (
-    ChainKernel,
-    ProbeKernel,
-    ProjectPlan,
-    make_chain_kernel,
-    make_probe_kernel,
-)
+from ..perf.plancache import ChainKernel, ProjectPlan, make_chain_kernel
 from .physical import (
     GraceHashJoin,
     HashJoin,
@@ -161,11 +155,11 @@ class PlanNode:
     join_plan: Optional[object] = None
     build_side: str = "right"
     #: Set by :func:`fold_projection` on a hash join directly under a projection:
-    #: what it emits (``scheme`` stays the joined one) and the kernel compiled for it.
+    #: what it emits (``scheme`` stays the joined one).
     emit_scheme: Optional[object] = None
-    kernel: Optional[ProbeKernel] = None
-    #: Set by :func:`fuse_chains` on the top join of a run: the kernel that
-    #: executes the run (see :meth:`~repro.engine.physical.HashJoin.fuse`).
+    #: Set by :func:`fuse_chains` on every join that heads a run, a lone one
+    #: included: the kernel that executes the run (see
+    #: :meth:`~repro.engine.physical.HashJoin.fuse`).  Inner members hold none.
     chain: Optional[ChainKernel] = None
     #: Where a join's estimate came from, recorded when it was planned (see
     #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
@@ -315,10 +309,8 @@ class PlanNode:
                 operator = HashJoin(
                     left, right, self.join_plan, meter, build_side=self.build_side
                 )
-            if self.kernel is not None:
-                operator.fold(self.kernel, self.emit_scheme)
             if self.chain is not None:
-                operator.fuse(self.chain)
+                operator.fuse(self.chain, self.emit_scheme)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
         operator.est_rows = self.est_rows
@@ -333,43 +325,42 @@ def fold_projection(
     child to run and the pick left to the projection, as ``(child, pick)``.
 
     Over a hash join the pick moves into the join: it builds each output row
-    once, in the projection's columns and order, and the projection keeps
-    only its dedup (``pick`` is ``None``).  Inner chain joins get no list:
-    a run of them under the folded one executes as one comprehension that
-    builds no row until the top emits this list (:func:`fuse_chains`), and
-    a join under a projection that does not fuse keeps ``left + extra``
-    below it (``docs/ENGINE.md``, "Live columns").
+    once, in the projection's columns and order (``emit_scheme``), and the
+    projection keeps only its dedup (``pick`` is ``None``).  Inner run
+    members get no list: the run the folded join heads executes as one
+    comprehension that builds no row until the top emits this list
+    (:func:`fuse_chains`), and a join below that is no member of the run
+    emits ``left + extra`` (``docs/ENGINE.md``, "Live columns").
     """
     if child.kind != "hash-join":
         return child, plan.pick
-    kernel = make_probe_kernel(child.build_side == "left", child.join_plan, plan.picks)
-    return replace(child, emit_scheme=plan.target_scheme, kernel=kernel), None
-
-
-def _fusible(node: PlanNode) -> bool:
-    return node.kind == "hash-join" and node.budget is None
+    return replace(child, emit_scheme=plan.target_scheme), None
 
 
 def fuse_chains(node: PlanNode) -> PlanNode:
-    """Compile every maximal run of in-memory hash joins under ``node``, in place.
+    """Compile a kernel for every run of hash joins under ``node``, in place.
 
-    A run is a chain of unbudgeted hash joins in which each join's probe
-    child is the next one: nothing between two members reads a joined row,
-    so the run's top gets one kernel (``PlanNode.chain``,
+    A run is a maximal chain of hash joins in which each join's probe child
+    is the next one: nothing between two members reads a joined row, so the
+    run's top gets one kernel (``PlanNode.chain``,
     :func:`~repro.perf.plancache.make_chain_kernel`) that executes all of
     it and emits what the top emits.  A projection, written or pushed,
     bounds a run (it reads the rows, and a folded join can only be a run's
-    top), and so does a budgeted join, whose spill path probes per
-    partition; a lone join keeps its probe kernel.
+    top), and a budgeted join is a run of one: its spill path probes per
+    partition.  Every join heads a run or is inside one; a lone join is a
+    run of one.
     """
     members: List[PlanNode] = []
     below = node
-    while _fusible(below) and (below is node or below.kernel is None):
+    while below.kind == "hash-join" and (
+        below is node
+        or (node.budget is None and below.budget is None and below.emit_scheme is None)
+    ):
         members.append(below)
         below = below.children[below.probe_child_index()]
-    if len(members) > 1:
+    if members:
         emit = None
-        if node.kernel is not None:
+        if node.emit_scheme is not None:
             emit = tuple(node.scheme.names.index(name) for name in node.emit_scheme.names)
         levels = [(member.build_side == "left", member.join_plan) for member in members]
         node.chain = make_chain_kernel(levels[::-1], emit)

@@ -40,9 +40,7 @@ __all__ = [
     "make_block_picker",
     "make_row_picker",
     "make_key_picker",
-    "make_probe_kernel",
     "make_chain_kernel",
-    "ProbeKernel",
     "ChainKernel",
     "join_plan_cache",
     "project_plan_cache",
@@ -101,93 +99,19 @@ def make_key_picker(positions: Tuple[int, ...]) -> KeyPicker:
     return itemgetter(*positions)
 
 
-class ProbeKernel(NamedTuple):
-    """A hash join's emission, compiled for one build side and one emit list.
-
-    Both callables map ``(block, matches, extra_of)`` — a probe block, its
-    table lookups in step with it, the right side's extras picker — to the
-    block's output rows.  ``nested`` reads a lookup as a bucket (a tuple of
-    entries, or ``None``), ``flat`` as the one entry itself: no inner loop.
-    """
-
-    nested: Callable[..., list]
-    flat: Callable[..., list]
-    source: str  # what was compiled, for explain output and debugging
-
-
-#: A probe kernel's source: the nested and the flat loop around one row display.
-_PROBE_SOURCE = (
-    "(lambda block, matches, extra_of:"
-    " [{row} for {probe}, bucket in zip({rows}, matches) if bucket for {entry} in bucket],\n"
-    " lambda block, matches, extra_of:"
-    " [{row} for {probe}, {entry} in zip({rows}, matches) if {entry} is not None])"
-)
-
-
-def make_probe_kernel(
-    build_left: bool,
-    plan: Optional["JoinPlan"] = None,
-    emit: Optional[Tuple[int, ...]] = None,
-) -> ProbeKernel:
-    """Generate and compile the probe comprehension of one hash join.
-
-    ``emit`` lists the output columns as positions into ``left ++ extras``
-    (``plan.joined_scheme``), in output order; ``None`` emits all of them.
-    Table entries are full left rows ``l`` (``build_left``) or right extras
-    ``e``; the probe row is the other side's.  The row display is ``l + e``
-    when nothing is dropped, the probe row or the entry itself when the list
-    is exactly that tuple, else a literal such as ``(l[2], e[0],)`` reading
-    every column the probe row carries (on the right: extras *and* join key)
-    from it, so no extras tuple is made.  Only integers reach the source,
-    compiled with ``eval`` as :func:`collections.namedtuple` does ``__new__``
-    — once per distinct source, at planning: never per execution.
-    """
-    probe, entry = ("r", "l") if build_left else ("l", "e")
-    rows, row = "block", "l + e"
-    if emit is None and build_left:
-        probe, rows = "e", "map(extra_of, block)"  # one extras tuple per probe row
-    elif emit is not None:
-        left_width = len(plan.joined_scheme) - len(plan.right_extra)
-        # Joined position -> index in a left row, a right row, a right row's extras.
-        of_left = {p: p for p in range(left_width)}
-        of_right = dict(zip(plan.left_key, plan.right_key))
-        of_right.update(enumerate(plan.right_extra, left_width))
-        of_extras = {left_width + k: k for k in range(len(plan.right_extra))}
-        of_probe, of_entry = (of_right, of_left) if build_left else (of_left, of_extras)
-        terms = [
-            f"{probe}[{of_probe[p]}]" if p in of_probe else f"{entry}[{of_entry[p]}]"
-            for p in emit
-        ]
-        row = f"({', '.join(terms)},)" if terms else "()"
-        for name, where in ((entry, of_entry), (probe, of_probe)):
-            if [where.get(p) for p in emit] == list(range(len(where))):
-                row = name  # the list *is* that tuple: allocate nothing
-    source = _PROBE_SOURCE.format(row=row, probe=probe, entry=entry, rows=rows)
-    return _compiled(source, lambda nested, flat: ProbeKernel(nested, flat, source))
-
-
-def _compiled(source: str, make: Callable[[Callable, Callable], Any]) -> Any:
-    """``make(nested, flat)`` of a kernel source's two loops, memoised by
-    source: the same few displays recur across plans and re-plans."""
-    kernel = _PROBE_KERNELS.get(source)
-    if kernel is None:
-        kernel = make(*eval(source, {"__builtins__": {}, "zip": zip, "map": map}))
-        _PROBE_KERNELS.put(source, kernel)
-    return kernel
-
-
 class ChainKernel(NamedTuple):
-    """A left-deep run of hash joins, compiled into one comprehension.
+    """A hash join, or a left-deep run of them, compiled into one comprehension.
 
     Both callables map ``(block, matches, g2, ..., gN, c2, ..., cN-1)`` — a
     probe block of the bottom join, its table lookups in step with it, the
     ``get`` of every deeper join's table (which maps a key to a tuple of
     entries) and one ``itertools.count(1).__next__`` per join strictly
     between the bottom and the top — to the top join's output rows.
-    ``nested`` and ``flat`` read the bottom lookup as :class:`ProbeKernel`
-    does; every deeper level iterates its bucket.  ``ci`` is called once per
-    row the ``i``-th join emits (the bottom's rows are counted off
-    ``matches``, the top's off the output).
+    ``nested`` reads a bottom lookup as a bucket (a tuple of entries, or
+    ``None``), ``flat`` as the one entry itself: no inner loop.  Every
+    deeper level iterates its bucket.  ``ci`` is called once per row the
+    ``i``-th join emits (the bottom's rows are counted off ``matches``, the
+    top's off the output).  A lone join is a run of one: ``(block, matches)``.
     """
 
     nested: Callable[..., list]
@@ -198,9 +122,9 @@ class ChainKernel(NamedTuple):
 
 #: A chain kernel's source: two loops over the bottom table, ``{levels}`` above.
 _CHAIN_SOURCE = (
-    "(lambda block, matches, {params}:"
+    "(lambda block, matches{params}:"
     " [{row} for r0, b1 in zip(block, matches) if b1 for e1 in b1{levels}],\n"
-    " lambda block, matches, {params}:"
+    " lambda block, matches{params}:"
     " [{row} for r0, e1 in zip(block, matches) if e1 is not None{levels}])"
 )
 
@@ -210,42 +134,58 @@ _CHAIN_SOURCE = (
 _CONCAT_COLUMNS = 8
 
 
-def _display(terms: Sequence[Tuple[str, int]], widths: Mapping[str, int]) -> str:
-    """A tuple expression of ``terms``, ``(variable, index)`` pairs in order.
+Term = Tuple[str, int]  # a column as ``(variable, index)``: ``variable[index]``
 
-    Terms that are all of one variable, in order, are that variable; so is
-    a run of them inside a longer list if the variable is at least
+
+def _display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
+    """A tuple expression of ``terms``, in order.
+
+    ``places`` lists each variable's columns as the terms they are read as
+    (a built left row's key columns read as the probe row's equal ones).
+    Terms that are one variable's columns are that variable, and terms
+    that are two variables' columns, in order, their concatenation; a
+    variable inside any other list is concatenated only if it is at least
     :data:`_CONCAT_COLUMNS` wide (one memcpy per concatenation).  Every
     other term is a subscript in a literal display.
     """
+    terms = list(terms)
+    for first, head in places.items():
+        for second, tail in places.items():
+            if head and tail and terms == head + tail:
+                return f"{first} + {second}"
     pieces: List[str] = []
     loose: List[str] = []
     start = 0
     while start < len(terms):
-        name, first = terms[start]
-        width = widths[name]
-        whole = width == len(terms) or width >= _CONCAT_COLUMNS
-        if whole and first == 0 and list(terms[start : start + width]) == [
-            (name, index) for index in range(width)
-        ]:
-            if loose:
-                pieces.append(f"({', '.join(loose)},)")
-                loose = []
-            pieces.append(name)
-            start += width
+        whole = next(
+            (
+                name
+                for name, columns in places.items()
+                if columns
+                and (len(columns) == len(terms) or len(columns) >= _CONCAT_COLUMNS)
+                and terms[start : start + len(columns)] == columns
+            ),
+            None,
+        )
+        if whole is None:
+            loose.append("{}[{}]".format(*terms[start]))
+            start += 1
             continue
-        loose.append(f"{name}[{first}]")
-        start += 1
+        if loose:
+            pieces.append(f"({', '.join(loose)},)")
+            loose = []
+        pieces.append(whole)
+        start += len(places[whole])
     if loose:
         pieces.append(f"({', '.join(loose)},)")
     return " + ".join(pieces) or "()"
 
 
-def _key_display(terms: Sequence[Tuple[str, int]], widths: Mapping[str, int]) -> str:
+def _key_display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
     """The hashable a :func:`make_key_picker` of these columns returns."""
     if len(terms) == 1:
         return "{}[{}]".format(*terms[0])
-    return _display(terms, widths)
+    return _display(terms, places)
 
 
 def make_chain_kernel(
@@ -258,14 +198,16 @@ def make_chain_kernel(
     the top join emits, positions into its ``plan.joined_scheme``; ``None``
     emits all of it.  The bottom probe row is ``r0``, the ``k``-th join's
     table entry ``ek`` (a full left row, or a right row's extras), and every
-    joined column is tracked to one ``(variable, index)``, so no level
-    builds a row: a deeper key is a display of subscripts, and only the top
-    emits (:func:`_display`).  Compiled like :func:`make_probe_kernel`, once
-    per distinct source, at planning.
+    joined column is tracked to one ``(variable, index)`` — a join key
+    column to the probe side's — so no level builds a row: a deeper key is
+    a display of subscripts, and only the top emits (:func:`_display`).
+    Only integers reach the source, compiled with ``eval`` as
+    :func:`collections.namedtuple` does ``__new__`` — once per distinct
+    source, at planning: never per execution.
     """
     depth = len(levels)
-    widths: Dict[str, int] = {}
-    columns: List[Tuple[str, int]] = []  # where each column of the running row lives
+    places: Dict[str, List[Term]] = {}
+    columns: List[Term] = []  # where each column of the running row is read
     loops: List[str] = []
     for level, (build_left, plan) in enumerate(levels, 1):
         entry = f"e{level}"
@@ -274,30 +216,36 @@ def make_chain_kernel(
             probe_width = (
                 len(plan.right_key) + len(plan.right_extra) if build_left else left_width
             )
-            widths["r0"] = probe_width
-            columns = [("r0", index) for index in range(probe_width)]
+            columns = places["r0"] = [("r0", index) for index in range(probe_width)]
         probe_key = plan.right_key if build_left else plan.left_key
         key = [columns[index] for index in probe_key]
-        if build_left:
-            widths[entry] = left_width
-            joined = [(entry, index) for index in range(left_width)]
-            joined += [columns[index] for index in plan.right_extra]
-        else:
-            widths[entry] = len(plan.right_extra)
-            joined = columns + [(entry, index) for index in range(len(plan.right_extra))]
         if level > 1:
             count = f" if c{level}()" if level < depth else ""
             loops.append(
-                f" for {entry} in g{level}({_key_display(key, widths)}, ()){count}"
+                f" for {entry} in g{level}({_key_display(key, places)}, ()){count}"
             )
+        if build_left:
+            built = [(entry, index) for index in range(left_width)]
+            for index, probe_column in zip(plan.left_key, key):
+                built[index] = probe_column
+            places[entry] = built
+            joined = built + [columns[index] for index in plan.right_extra]
+        else:
+            places[entry] = [(entry, index) for index in range(len(plan.right_extra))]
+            joined = columns + places[entry]
         columns = joined
-    row = _display(columns if emit is None else [columns[p] for p in emit], widths)
-    params = ", ".join(
-        [f"g{level}" for level in range(2, depth + 1)]
-        + [f"c{level}" for level in range(2, depth)]
+    row = _display(columns if emit is None else [columns[p] for p in emit], places)
+    params = "".join(
+        [f", g{level}" for level in range(2, depth + 1)]
+        + [f", c{level}" for level in range(2, depth)]
     )
     source = _CHAIN_SOURCE.format(params=params, row=row, levels="".join(loops))
-    return _compiled(source, lambda nested, flat: ChainKernel(nested, flat, source, depth))
+    kernel = _KERNELS.get(source)
+    if kernel is None:
+        scope = {"__builtins__": {}, "zip": zip}
+        kernel = ChainKernel(*eval(source, scope), source, depth)
+        _KERNELS.put(source, kernel)  # the same few sources recur across plans
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -393,7 +341,7 @@ class LRUPlanCache:
 
 
 _JOIN_PLANS = LRUPlanCache(maxsize=1024)
-_PROBE_KERNELS = LRUPlanCache(maxsize=1024)  # keyed by kernel source
+_KERNELS = LRUPlanCache(maxsize=1024)  # keyed by kernel source
 _PROJECT_PLANS = LRUPlanCache(maxsize=2048)
 
 

@@ -20,6 +20,7 @@ from ..engine.physical import HashJoin, MemoryMeter, TableScan
 from ..expressions.ast import Join
 from ..expressions.ast import Projection as ProjectionNode
 from ..expressions.evaluator import evaluate
+from ..perf.plancache import make_chain_kernel
 
 __all__ = [
     "actual_greedy_order",
@@ -37,13 +38,16 @@ DEFAULT_SIZE_CAP = 120_000
 def capped_join_size(left: Relation, right: Relation, cap: int = DEFAULT_SIZE_CAP) -> int:
     """The real join cardinality, streamed (never materialised), capped."""
     meter = MemoryMeter()
+    plan = _join_plan(left.scheme, right.scheme)
+    build_left = len(left) <= len(right)
     operator = HashJoin(
         TableScan(left, meter),
         TableScan(right, meter),
-        _join_plan(left.scheme, right.scheme),
+        plan,
         meter,
-        build_side="left" if len(left) <= len(right) else "right",
+        build_side="left" if build_left else "right",
     )
+    operator.fuse(make_chain_kernel([(build_left, plan)]))
     count = 0
     generator = operator.blocks()
     for block in generator:

@@ -33,6 +33,7 @@ from repro.engine.parallel import operators_in_order
 from repro.engine.stats import join_stats, project_stats
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Expression, Join, Operand
+from repro.perf.plancache import make_chain_kernel
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family, random_instance
 
@@ -85,6 +86,13 @@ def _join_plan_for(left, right):
     from repro.algebra.relation import _join_plan
 
     return _join_plan(left.scheme, right.scheme)
+
+
+def _hash_join(left, right, plan, meter, build_side):
+    """A lone hash join, with the whole-row kernel a plan would hand it."""
+    join = HashJoin(left, right, plan, meter, build_side=build_side)
+    join.fuse(make_chain_kernel([(build_side == "left", plan)]))
+    return join
 
 
 def _reference_evaluate(node: Expression, bound):
@@ -161,7 +169,7 @@ class TestPhysicalOperators:
     def test_hash_join_matches_reference(self, pair, build_side):
         left, right = pair
         meter = MemoryMeter()
-        operator = HashJoin(
+        operator = _hash_join(
             TableScan(left, meter),
             TableScan(right, meter),
             _join_plan_for(left, right),
@@ -202,7 +210,7 @@ class TestPhysicalOperators:
         meter = MemoryMeter()
         plan = _project_plan(base.scheme, RelationScheme.of("A"))
         build = StreamingProject(TableScan(base, meter), plan.pick, plan.target_scheme, meter)
-        join = HashJoin(
+        join = _hash_join(
             build,
             TableScan(probe, meter),
             _join_plan_for(base.project("A"), probe),
@@ -219,7 +227,7 @@ class TestPhysicalOperators:
         left = Relation.from_rows("A B", [(i, i % 3) for i in range(10)])
         right = Relation.from_rows("B C", [(i % 3, i) for i in range(30)])
         meter = MemoryMeter()
-        operator = HashJoin(
+        operator = _hash_join(
             TableScan(left, meter),
             TableScan(right, meter),
             _join_plan_for(left, right),

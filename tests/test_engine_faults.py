@@ -55,6 +55,7 @@ from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
 from repro.obs import ObserveConfig
 from repro.perf import kernel_counters, reset_kernel_counters
+from repro.perf.plancache import make_chain_kernel
 from repro.reductions.rg import RGConstruction
 from repro.workloads import growing_construction_family
 
@@ -245,13 +246,9 @@ class TestEvaluatorSpillFaults:
             )
         else:
             other = Relation.from_rows("B C", [(i, -i) for i in range(200)], name="S")
-            operator = GraceHashJoin(
-                scan,
-                TableScan(other, meter),
-                _join_plan(relation.scheme, other.scheme),
-                meter,
-                budget,
-            )
+            plan = _join_plan(relation.scheme, other.scheme)
+            operator = GraceHashJoin(scan, TableScan(other, meter), plan, meter, budget)
+            operator.fuse(make_chain_kernel([(False, plan)]))
         with pytest.raises(EngineFaultError):
             for _ in operator.blocks():
                 pass

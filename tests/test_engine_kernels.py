@@ -4,9 +4,10 @@ Every hash join — :class:`HashJoin`, and :class:`GraceHashJoin` in memory,
 per spilled partition and per chunk — builds through ``_build_block`` and
 probes through ``HashJoin._probe``; every drain ends in
 ``parallel.drain_metered``, which offers its result set to the plan root.
-The emission itself is generated code (``plancache.make_probe_kernel``):
-its property draws schemes, emit lists, build sides and key/non-key build
-tables against ``make_row_picker(emit)(l + e)`` over a plain nested loop.
+The emission itself is generated code (``plancache.make_chain_kernel``; a
+lone join is a run of one): its property draws schemes, emit lists, build
+sides and key/non-key build tables against ``make_row_picker(emit)(l + e)``
+over a plain nested loop.
 The property test drives the two kernels through the shapes a hand-written
 loop gets wrong one at a time (either build side, multi-match buckets, rows
 without a partner, a keyless product, a build child that repeats rows, a
@@ -14,9 +15,9 @@ consumer that walks away mid-stream) against the dict-based reference
 algebra and the counters' arithmetic; the root-projection tests pin what
 the sink changes (no seen-set, no dedup spill, the result resident once)
 and what it must not (the answer, ``rows_out``).  A run of in-memory joins
-executes as one generated comprehension (``plancache.make_chain_kernel``,
-``HashJoin.fuse``): its property draws runs against the reference algebra
-and against the same joins unfused, operator by operator.
+executes as one generated comprehension (``HashJoin.fuse``): its property
+draws runs against the reference algebra and against the same joins as
+runs of one, operator by operator.
 """
 
 import contextlib
@@ -49,14 +50,10 @@ from repro.engine import physical, planner, spill
 from repro.engine.parallel import drain_metered, operators_in_order
 from repro.expressions import Projection
 from repro.perf import kernel_counters, plancache
-from repro.perf.plancache import (
-    ProbeKernel,
-    make_chain_kernel,
-    make_probe_kernel,
-    make_row_picker,
-)
+from repro.perf.plancache import ChainKernel, make_chain_kernel, make_row_picker
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family, serving_queries, serving_relations
+from test_engine_ordering import JOIN_100K_QUERIES, _join_100k_slice
 
 #: (left scheme, right scheme): one shared attribute, two, none (a product).
 SHAPES = (("A B", "B C"), ("A B C", "B C D"), ("A", "C"))
@@ -127,18 +124,23 @@ def _join(left, right, build_side, budget_rows, repeat_build, folded=False):
             MemoryBudget(rows=budget_rows, spill_fanout=2, min_partition_rows=2),
             build_side=build_side,
         )
-    if folded:
-        _fold(join, plan, tuple(reversed(range(len(plan.joined_scheme) - 1))))
+    emit = tuple(reversed(range(len(plan.joined_scheme) - 1))) if folded else None
+    _fuse(join, emit)
     return join, meter, relations
 
 
-def _fold(join, plan, emit):
-    """Fold ``project[emit]`` into ``join``, as the planner would."""
-    scheme = RelationScheme([plan.joined_scheme.names[p] for p in emit])
-    join.fold(make_probe_kernel(join.build_side == "left", plan, emit), scheme)
+def _fuse(join, emit=None, levels=None):
+    """Hand ``join`` the kernel a plan would: for ``levels``, the run it
+    heads (bottom first), or as a run of one; emitting ``project[emit]`` of
+    its joined columns folded in, or all of them."""
+    levels = levels or [(join.build_side == "left", join._plan)]
+    scheme = None
+    if emit is not None:
+        scheme = RelationScheme([levels[-1][1].joined_scheme.names[p] for p in emit])
+    join.fuse(make_chain_kernel(levels, emit), scheme)
 
 
-class TestBuildAndProbeKernels:
+class TestBuildAndProbe:
     @settings(max_examples=150, deadline=None)
     @given(join_cases())
     def test_joins_match_the_reference_and_the_counters_add_up(self, case):
@@ -196,6 +198,7 @@ class TestBuildAndProbeKernels:
             meter,
             budget,
         )
+        _fuse(join)
 
         def frames(path):
             with open(path, "rb") as stream:
@@ -219,18 +222,26 @@ class TestBuildAndProbeKernels:
         left = Relation.from_rows("A B", [(1, 1), (2, 1), (3, 2)])
         right = Relation.from_rows("B C", [(1, "x"), (1, "y"), (3, "z")])
         meter = MemoryMeter()
-        join = HashJoin(
-            TableScan(left, meter),
-            TableScan(right, meter),
-            _join_plan(left.scheme, right.scheme),
-            meter,
-        )
+        plan = _join_plan(left.scheme, right.scheme)
+        join = HashJoin(TableScan(left, meter), TableScan(right, meter), plan, meter)
+        _fuse(join)
         buckets = {}
         pairs = join._pairs_of(list(right.rows) * 2)
         assert physical._build_block(buckets, pairs) == 3
-        out = [row for block in join._probe(buckets, iter([list(left.rows)])) for row in block]
+        out = [row for block in join._probe([buckets], iter([list(left.rows)])) for row in block]
         assert sorted(out) == [(1, 1, "x"), (1, 1, "y"), (2, 1, "x"), (2, 1, "y")]
         assert buckets == {}
+
+    @pytest.mark.parametrize("budget_rows", [None, 2])
+    def test_a_join_without_a_kernel_says_so_and_releases_its_table(self, budget_rows):
+        left = Relation.from_rows("A B", [(i, i) for i in range(6)])
+        right = Relation.from_rows("B C", [(i, -i) for i in range(6)])
+        join, meter, _ = _join(left, right, "right", budget_rows, False)
+        join._kernel = None  # as constructed, before fuse()
+        with pytest.raises(RuntimeError, match=r"hash join .* has no kernel"):
+            list(join.blocks())
+        assert meter.current == 0
+        assert not spill._ACTIVE_SPILL_DIRS
 
 
 @st.composite
@@ -281,8 +292,8 @@ def emit_cases(draw):
     return left, right, build_side, tuple(emit), budget_rows
 
 
-class TestGeneratedProbeKernel:
-    """``make_probe_kernel`` against the algebra it replaces."""
+class TestRunOfOneKernel:
+    """``make_chain_kernel`` at depth 1 against the algebra it replaces."""
 
     @settings(max_examples=300, deadline=None)
     @given(emit_cases())
@@ -298,7 +309,7 @@ class TestGeneratedProbeKernel:
         )
         with _small_blocks():
             join, meter, _ = _join(left, right, build_side, budget_rows, False)
-            _fold(join, plan, emit)
+            _fuse(join, emit)
             streamed = Counter(row for block in join.blocks() for row in block)
         assert streamed == expected
         assert join.rows_out == sum(expected.values())
@@ -319,7 +330,7 @@ class TestGeneratedProbeKernel:
 
             return emit
 
-        join._kernel = ProbeKernel(spy("nested"), spy("flat"), kernel.source)
+        join._kernel = ChainKernel(spy("nested"), spy("flat"), kernel.source, kernel.depth)
         return ran
 
     def test_a_key_join_with_empty_extras_tests_for_none_not_truthiness(self):
@@ -330,11 +341,11 @@ class TestGeneratedProbeKernel:
         meter = MemoryMeter()
         plan = _join_plan(left.scheme, right.scheme)
         join = HashJoin(TableScan(left, meter), TableScan(right, meter), plan, meter)
-        _fold(join, plan, (0,))
+        _fuse(join, (0,))
         ran = self._spied(join)
         assert sorted(row for block in join.blocks() for row in block) == [(1,), (2,)]
         assert ran == ["flat"]
-        assert "e is not None" in join._kernel.source
+        assert "e1 is not None" in join._kernel.source
 
     def test_one_two_entry_bucket_takes_the_nested_loop(self):
         left = Relation.from_rows("A B", [(i, i) for i in range(50)])
@@ -344,7 +355,7 @@ class TestGeneratedProbeKernel:
             right = Relation.from_rows("B C", right_rows)
             plan = _join_plan(left.scheme, right.scheme)
             join = HashJoin(TableScan(left, meter), TableScan(right, meter), plan, meter)
-            _fold(join, plan, (2, 0))
+            _fuse(join, (2, 0))
             ran = self._spied(join)
             out = Counter(row for block in join.blocks() for row in block)
             assert out == Counter((c, b) for b, c in right_rows)
@@ -353,20 +364,22 @@ class TestGeneratedProbeKernel:
     @pytest.mark.parametrize(
         "build_left, emit, row",
         [
-            (False, None, "l + e"),
-            (True, None, "l + e"),
-            (False, (2, 0), "(e[0], l[0],)"),
-            (False, (0, 1), "l"),  # all of the probe row: a semi-join's output
-            (False, (2,), "e"),  # all of the entry
-            (True, (2, 1), "(r[1], r[0],)"),  # B is read off the probe row
-            (True, (1, 2), "r"),
-            (True, (0, 1), "l"),
+            (False, None, "r0 + e1"),  # two whole variables: concatenated
+            (False, (0, 1, 2), "r0 + e1"),
+            (False, (2, 0, 1), "e1 + r0"),
+            (True, None, "(e1[0], r0[0], r0[1],)"),  # no extras tuple per probe row
+            (False, (2, 0), "(e1[0], r0[0],)"),
+            (False, (0, 1), "r0"),  # all of the probe row: a semi-join's output
+            (False, (2,), "e1"),  # all of the entry
+            (True, (2, 1), "(r0[1], r0[0],)"),  # B is read off the probe row
+            (True, (1, 2), "r0"),
+            (True, (0, 1), "e1"),
             (True, (), "()"),
         ],
     )
     def test_the_three_displays(self, build_left, emit, row):
         plan = _join_plan(RelationScheme.of("A", "B"), RelationScheme.of("B", "C"))
-        source = make_probe_kernel(build_left, plan, emit).source
+        source = make_chain_kernel([(build_left, plan)], emit).source
         assert source.count(f": [{row} for ") == 2, source
 
     def test_a_planned_projection_over_a_join_is_folded_and_inner_joins_are_not(self):
@@ -378,12 +391,12 @@ class TestGeneratedProbeKernel:
         pushed = top.children[0]
         inner = pushed.children[0]
         # Written projection over the top join, pushed one over the inner.
-        assert plan.root.pick is None and top.kernel is not None
+        assert plan.root.pick is None and top.chain is not None
         assert top.emit_scheme.names == ("A", "C", "D")
         assert pushed.pushed and pushed.pick is None
         assert inner.emit_scheme.names == ("A", "C") and inner.scheme.names == ("A", "B", "C")
         # The paper's query: a join is folded exactly when a projection is
-        # its parent, so the wide chain joins keep ``l + e``.
+        # its parent; the wide chain joins below it emit no list.
         formula = growing_construction_family(clause_counts=(3,), seed=13)[0].formula
         construction = RGConstruction(formula)
         query = f"project[{construction.s_attribute}]({construction.expression.to_text()})"
@@ -393,7 +406,7 @@ class TestGeneratedProbeKernel:
             ).root
 
         def folds(node, parent_kind):
-            here = [(node.kernel is not None, parent_kind == "project")] * (
+            here = [(node.emit_scheme is not None, parent_kind == "project")] * (
                 node.kind == "hash-join"
             )
             return here + [f for child in node.children for f in folds(child, node.kind)]
@@ -401,6 +414,20 @@ class TestGeneratedProbeKernel:
         found = folds(root, None)
         assert all(folded == under_projection for folded, under_projection in found)
         assert {True, False} == {folded for folded, _ in found}
+
+    def test_the_serving_joins_keep_their_labels_and_displays(self):
+        """Every folded join's trace step keeps its ``->`` list, also where
+        the list is the whole joined scheme (``[C]``, ``[A, B]``,
+        ``[A, C, D]``), and every run of one emits the row its join emitted
+        before runs existed, but for one: the list that is two whole
+        variables, ``project[A, C, D]``'s top join, concatenates them."""
+        with Session(serving_relations(), backend="engine") as session:
+            for text in serving_queries():
+                query = session.prepare(text)
+                steps = query.execute().trace.steps
+                root = session._engine.pinned_plan(query.expression).root
+                labels = [s.description for s in steps if s.description.startswith("hash")]
+                assert (labels, _kernel_rows(root)) == SERVING_JOINS[text], text
 
 
 #: Few attributes, so consecutive operands share none (a product), one or
@@ -438,37 +465,41 @@ def chain_cases(draw):
 
 def _chain(relations, sides, emit, fused, probe_slice=None):
     """A hand-built run of ``HashJoin`` operators over scans, folded when
-    ``emit`` is a list and fused when asked; ``probe_slice`` slices the
-    bottom probe scan as a parallel worker's would be."""
+    ``emit`` is a list, and fused when asked, else every join a run of one;
+    ``probe_slice`` slices the bottom probe scan as a parallel worker's
+    would be."""
     meter = MemoryMeter()
     bottom = relations[0]
     if probe_slice is None:
         chain = TableScan(bottom, meter)
     else:
         chain = PartitionedScan(bottom, meter, *probe_slice)
-    levels = []
+    joins, levels = [], []
     for relation, side in zip(relations[1:], sides):
         base = TableScan(relation, meter)
         left, right = (chain, base) if side == "right" else (base, chain)
         plan = _join_plan(left.scheme, right.scheme)
         chain = HashJoin(left, right, plan, meter, build_side=side)
+        joins.append(chain)
         levels.append((side == "left", plan))
-    if emit is not None:
-        _fold(chain, levels[-1][1], emit)
     if fused:
-        chain.fuse(make_chain_kernel(levels, emit))
+        _fuse(chain, emit, levels)
+    else:
+        for join in joins[:-1]:
+            _fuse(join)
+        _fuse(chain, emit)
     return chain, meter
 
 
 class TestFusedChains:
-    """``make_chain_kernel`` and ``HashJoin.fuse`` against the unfused joins."""
+    """``make_chain_kernel`` and ``HashJoin.fuse`` against runs of one."""
 
     @settings(max_examples=200, deadline=None)
     @given(chain_cases(), st.sampled_from((1, 2)))
     def test_a_fused_run_counts_what_the_unfused_joins_count(self, case, workers):
         """Same answer as the reference algebra, and per probe slice the same
         ``rows_out`` and ``build_peak_rows`` on every operator, the same
-        ``join_probes`` and the same meter peak as the unfused run."""
+        ``join_probes`` and the same meter peak as runs of one."""
         relations, sides, emit = case
         slices = [None] if workers == 1 else [(index, workers) for index in range(workers)]
         seen = {}
@@ -557,39 +588,52 @@ def _pinned_sessions():
 
 
 def test_executing_a_pinned_plan_compiles_nothing():
-    """Probe and chain kernels are compiled when a plan is built and pinned
-    with it: an execute neither builds kernel source nor misses a plan cache."""
+    """Every run's kernel is compiled when a plan is built and pinned with
+    it: an execute neither builds kernel source nor misses a plan cache."""
     chains = []
     for relations, queries in _pinned_sessions():
         with Session(relations, backend="engine") as session:
             prepared = [session.prepare(query) for query in queries]
             expected = [query.execute().relation for query in prepared]
             chains += [
-                node.chain.depth
-                for query in prepared
-                for node in _plan_nodes(session._engine.pinned_plan(query.expression).root)
-                if node.chain is not None
+                [node.chain.depth for node in _plan_nodes(root) if node.chain is not None]
+                for root in (session._engine.pinned_plan(q.expression).root for q in prepared)
             ]
             before = kernel_counters().snapshot()
             builder = mock.Mock(side_effect=AssertionError("compiled on execute"))
             with contextlib.ExitStack() as patches:
-                for module, name in (
-                    (plancache, "make_probe_kernel"),
-                    (planner, "make_probe_kernel"),
-                    (physical, "make_probe_kernel"),
-                    (plancache, "make_chain_kernel"),
-                    (planner, "make_chain_kernel"),
-                ):
-                    patches.enter_context(mock.patch.object(module, name, builder))
+                for module in (plancache, planner):
+                    patches.enter_context(
+                        mock.patch.object(module, "make_chain_kernel", builder)
+                    )
                 for _ in range(3):
                     for query, answer in zip(prepared, expected):
                         assert query.execute().relation == answer
             delta = kernel_counters().delta_since(before)
         assert not builder.called
         assert delta["join_plan_misses"] == delta["project_plan_misses"] == 0
-    # ``project[G, K](R * S * T)`` is a two-join run, the paper's query a
-    # twelve-join one; every serving query's runs are single joins.
-    assert chains == [2, 12]
+    # Every join heads a run or is inside one.  ``project[G, K](R * S * T)``
+    # is a two-join run, the paper's query a twelve-join one; every serving
+    # query's runs are single joins (a pushed projection bounds a run).
+    assert chains == [[2], [1], [1], [1], [1], [1], [1, 1], [1, 1], [1], [1], [1, 1], [12]]
+
+
+def test_the_join_100k_runs_emit_their_pinned_rows():
+    """On 6,000 rows of ``R`` the ``join_100k`` queries plan as on 10^5
+    (every join ``build=right``, ``S`` first); ``project[G, K]``'s two-join
+    run emits two whole one-column entries, concatenated: ``e1 + e2``, at
+    the cost of ``(e1[0], e2[0],)`` (``docs/PERFORMANCE.md``)."""
+    with Session(_join_100k_slice(rows=6_000), backend="engine") as session:
+        plans = [
+            session._engine.plan_for(session.prepare(query).expression, session._relations)
+            for query in JOIN_100K_QUERIES
+        ]
+    assert [_kernel_rows(plan.root) for plan in plans] == [
+        ["e1 + e2"],
+        ["(r0[0], e1[0],)"],
+        ["(r0[1], e1[0],)"],
+    ]
+    assert all("[build=left]" not in plan.explain() for plan in plans)
 
 
 def _plan_nodes(node):
@@ -599,10 +643,19 @@ def _plan_nodes(node):
         yield from _plan_nodes(child)
 
 
+def _kernel_rows(root):
+    """The row display of every run's kernel under ``root``, top-down."""
+    return [
+        node.chain.source.split(": [", 1)[1].split(" for r0, b1 ", 1)[0]
+        for node in _plan_nodes(root)
+        if node.chain is not None
+    ]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_paper_query_records_what_its_unfused_plan_records(workers):
-    """At m = 12 the twelve chain joins run as one kernel; unfusing the
-    pinned plan changes no trace step, peak or probe count."""
+    """At m = 12 the twelve chain joins run as one kernel; running them as
+    twelve runs of one changes no trace step, peak or probe count."""
     (case,) = growing_construction_family(clause_counts=(12,))
     construction = RGConstruction(case.formula)
     query = Projection([construction.s_attribute], construction.expression)
@@ -612,9 +665,15 @@ def test_the_paper_query_records_what_its_unfused_plan_records(workers):
         prepared = session.prepare(query)
         traces = [prepared.execute().trace]
         plan = session._engine.pinned_plan(query)
-        fused = [node for node in _plan_nodes(plan.root) if node.chain is not None]
-        assert [node.chain.depth for node in fused] == [12]
-        fused[0].chain = None
+        heads = [node for node in _plan_nodes(plan.root) if node.chain is not None]
+        assert [node.chain.depth for node in heads] == [12]
+        for node in _plan_nodes(plan.root):
+            if node.kind == "hash-join":
+                emit = None
+                if node.emit_scheme is not None:
+                    emit = tuple(map(node.scheme.names.index, node.emit_scheme.names))
+                level = (node.build_side == "left", node.join_plan)
+                node.chain = make_chain_kernel([level], emit)
         traces.append(prepared.execute().trace)
     steps = [
         [(step.description, step.cardinality, step.scheme_width) for step in trace.steps]
@@ -628,10 +687,52 @@ def test_the_paper_query_records_what_its_unfused_plan_records(workers):
         assert traces[0].peak_live_rows == traces[1].peak_live_rows
     with Session({"R": construction.relation}, budget=64) as session:
         plan = session._engine.plan_for(query, session._relations)
-    assert not any(node.chain is not None for node in _plan_nodes(plan.root))
+    # A budgeted join is a run of one.
+    depths = [node.chain.depth for node in _plan_nodes(plan.root) if node.kind == "hash-join"]
+    assert depths == [1] * 12
 
 
 HEAVY_QUERY = "project[A, C, D](R * S * T)"
+
+#: Per serving query: its hash joins' trace-step labels, in trace order, and
+#: the row display of every run's kernel, top-down.
+SERVING_JOINS = {
+    "project[A](R * S)": (["hash join [build=right] on (B) -> [A]"], ["(r0[0],)"]),
+    "project[A, C](R * S)": (
+        ["hash join [build=right] on (B) -> [A, C]"],
+        ["(r0[0], e1[0],)"],
+    ),
+    "project[B, D](S * T)": (
+        ["hash join [build=right] on (C) -> [B, D]"],
+        ["(r0[0], e1[0],)"],
+    ),
+    "project[A, D](R * S * T)": (
+        [
+            "hash join [build=right] on (C) -> [B, D]",
+            "hash join [build=right] on (B) -> [A, D]",
+        ],
+        ["(e1[0], r0[1],)", "(r0[0], e1[0],)"],
+    ),
+    "project[D](R * S * T)": (
+        [
+            "hash join [build=left] on (B) -> [C]",
+            "hash join [build=right] on (C) -> [D]",
+        ],
+        ["e1", "(r0[1],)"],
+    ),
+    "project[C](S * T)": (["hash join [build=right] on (C) -> [C]"], ["r0"]),
+    "project[A, B](R * project[B](S))": (
+        ["hash join [build=right] on (B) -> [A, B]"],
+        ["r0"],
+    ),
+    HEAVY_QUERY: (
+        [
+            "hash join [build=right] on (B) -> [A, C]",
+            "hash join [build=right] on (C) -> [A, C, D]",
+        ],
+        ["r0 + e1", "(r0[0], e1[0],)"],
+    ),
+}
 
 
 class TestRootProjectionDedupsIntoTheResultSet:

@@ -28,7 +28,7 @@ from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.expressions import Projection
 from repro.perf import kernel_counters
-from repro.perf.plancache import make_probe_kernel
+from repro.perf.plancache import make_chain_kernel
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family
 
@@ -40,20 +40,22 @@ def _drain(operator):
     return Relation._from_trusted(operator.scheme, frozenset(rows))
 
 
-def _grace(build, probe, budget, meter=None):
-    """A Grace join building on ``build`` (left side) and streaming ``probe``."""
+def _grace(build, probe, budget, meter=None, emit=None):
+    """A Grace join building on ``build`` (left side) and streaming ``probe``,
+    emitting the joined columns at positions ``emit`` (``None``: all)."""
     meter = meter or MemoryMeter(budget.rows)
-    return (
-        GraceHashJoin(
-            TableScan(build, meter),
-            TableScan(probe, meter),
-            _join_plan(build.scheme, probe.scheme),
-            meter,
-            budget,
-            build_side="left",
-        ),
-        meter,
-    )
+    return _built(TableScan(build, meter), TableScan(probe, meter), meter, budget, emit), meter
+
+
+def _built(build, probe, meter, budget, emit=None):
+    """A Grace join of two operators building on the left, with its kernel."""
+    plan = _join_plan(build.scheme, probe.scheme)
+    join = GraceHashJoin(build, probe, plan, meter, budget, build_side="left")
+    emit_scheme = None
+    if emit is not None:
+        emit_scheme = RelationScheme([plan.joined_scheme.names[p] for p in emit])
+    join.fuse(make_chain_kernel([(True, plan)], emit), emit_scheme)
+    return join
 
 
 def _spill_delta(before):
@@ -181,9 +183,7 @@ class TestFoldedJoinSpills:
         build = Relation.from_rows("K A", build_rows)
         probe = Relation.from_rows("K B", probe_rows)
         budget = MemoryBudget(rows=budget_rows, spill_fanout=2, spill_dir=str(tmp_path))
-        operator, meter = _grace(build, probe, budget)
-        plan = _join_plan(build.scheme, probe.scheme)
-        operator.fold(make_probe_kernel(True, plan, (2, 1)), RelationScheme.of("B", "A"))
+        operator, meter = _grace(build, probe, budget, emit=(2, 1))
         before = kernel_counters().snapshot()
         result = _drain(operator)
         delta = _spill_delta(before)
@@ -234,14 +234,7 @@ class TestSpillCleanup:
         probe = Relation.from_rows("K B", [(i, -i) for i in range(100)])
         budget = MemoryBudget(rows=16, spill_dir=str(tmp_path))
         meter = MemoryMeter(budget.rows)
-        operator = GraceHashJoin(
-            TableScan(build, meter),
-            _ExplodingScan(probe, meter),
-            _join_plan(build.scheme, probe.scheme),
-            meter,
-            budget,
-            build_side="left",
-        )
+        operator = _built(TableScan(build, meter), _ExplodingScan(probe, meter), meter, budget)
         with pytest.raises(RuntimeError, match="exploded"):
             for _ in operator.blocks():
                 pass
@@ -330,22 +323,8 @@ class TestRereadMode:
         outer = Relation.from_rows("A C", [(i, i * 7) for i in range(40)])
         budget = self._budget(tmp_path)
         meter = MemoryMeter(budget.rows)
-        child = GraceHashJoin(
-            TableScan(inner, meter),
-            TableScan(probe, meter),
-            _join_plan(inner.scheme, probe.scheme),
-            meter,
-            budget,
-            build_side="left",
-        )
-        parent = GraceHashJoin(
-            TableScan(outer, meter),
-            child,
-            _join_plan(outer.scheme, child.scheme),
-            meter,
-            budget,
-            build_side="left",
-        )
+        child = _built(TableScan(inner, meter), TableScan(probe, meter), meter, budget)
+        parent = _built(TableScan(outer, meter), child, meter, budget)
         before = kernel_counters().snapshot()
         result = _drain(parent)
         expected = naive_natural_join(outer, naive_natural_join(inner, probe))
@@ -392,14 +371,7 @@ class TestRereadMode:
         probe_child = (TableScan if ending == "abandoned" else _ExplodingScan)(
             probe, meter
         )
-        operator = GraceHashJoin(
-            TableScan(build, meter),
-            probe_child,
-            _join_plan(build.scheme, probe.scheme),
-            meter,
-            budget,
-            build_side="left",
-        )
+        operator = _built(TableScan(build, meter), probe_child, meter, budget)
         stream = operator.blocks()
         assert next(stream)
         # Mid-execution the staged build is on disk and no chunk of it is

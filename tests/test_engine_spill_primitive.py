@@ -41,6 +41,7 @@ from repro.engine.spill import PartitionedSpill, partition_index
 from repro.obs.events import EventLog
 from repro.obs.tracer import Tracer
 from repro.perf import kernel_counters
+from repro.perf.plancache import make_chain_kernel
 
 from test_engine_spill import _ExplodingScan
 
@@ -131,14 +132,12 @@ class TestRouting:
 def _grace(child_of, meter, budget):
     build = Relation.from_rows("K A", [(i, i) for i in range(100)])
     probe = Relation.from_rows("K B", [(i, -i) for i in range(100)])
-    return GraceHashJoin(
-        TableScan(build, meter),
-        child_of(probe, meter),
-        _join_plan(build.scheme, probe.scheme),
-        meter,
-        budget,
-        build_side="left",
+    plan = _join_plan(build.scheme, probe.scheme)
+    join = GraceHashJoin(
+        TableScan(build, meter), child_of(probe, meter), plan, meter, budget, build_side="left"
     )
+    join.fuse(make_chain_kernel([(True, plan)]))
+    return join
 
 
 def _dedup(child_of, meter, budget):
