@@ -142,9 +142,28 @@ class Relation:
         rows: Iterable[Sequence[Hashable]],
         name: Optional[str] = None,
     ) -> "Relation":
-        """Build a relation from value rows listed in scheme order."""
+        """Build a relation from value rows listed in scheme order.
+
+        One pass over ``rows``: each is frozen into a value tuple, its arity
+        and attribute domains checked as :meth:`RelationTuple.from_values`
+        checks them (the same errors), and no tuple object is built.
+        """
         scheme = as_scheme(scheme)
-        return cls(scheme, (RelationTuple.from_values(scheme, row) for row in rows), name=name)
+        width = len(scheme)
+        domains = scheme._domain_attributes
+
+        def checked() -> Iterator[Row]:
+            for row in rows:
+                values = tuple(row)
+                if len(values) != width:
+                    raise TupleSchemeMismatch(
+                        f"expected {width} values for scheme {scheme}, got {len(values)}"
+                    )
+                for position, attr in domains:
+                    attr.check_value(values[position])
+                yield values
+
+        return cls._from_trusted(scheme, frozenset(checked()), name)
 
     @classmethod
     def single(cls, scheme: SchemeLike, values: TupleLike, name: Optional[str] = None) -> "Relation":

@@ -21,11 +21,11 @@ Event kinds emitted by the engine today:
     ``fault_injected`` counter increment has a matching ``fault`` event.
 ``serial-fallback`` / ``pool-rebuild``
     Parallel-execution degradations.
-``cache_hit`` / ``cache_switch``
-    The serving tier's result cache answered a query without a worker
-    dispatch, or a mutation switched a relation name to another content
-    version (see :mod:`repro.server.cache`); emitted on the front's event
-    log.
+``cache_switch``
+    A mutation switched a relation name to another content version in the
+    serving tier's result cache (see :mod:`repro.server.cache`); emitted on
+    the front's event log.  A cache hit is a per-request event: it is
+    counted (``cache_hits``), never logged.
 
 The locking/fork discipline matches ``repro.perf.counters``: one module
 lock, reinstalled in fork children via ``os.register_at_fork``.

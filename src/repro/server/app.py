@@ -49,7 +49,6 @@ load generator) or :meth:`ReproServer.serve_forever` under
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -69,7 +68,14 @@ from .errors import (
     ServerError,
     ServerOverloadedError,
 )
-from .http import HttpError, HttpRequest, read_request, split_target, write_response
+from .http import (
+    HttpError,
+    HttpRequest,
+    json_body,
+    read_request,
+    split_target,
+    write_response,
+)
 from .cache import CacheKey, ResultCache, content_version
 from .worker import WorkerPool
 
@@ -249,6 +255,12 @@ class ReproServer:
             key: self._metrics.counter(name, help=help)
             for key, (name, help) in _FRONT_COUNTERS.items()
         }
+        self._inflight_gauge = self._metrics.gauge(
+            "repro_http_inflight", help="requests currently being served"
+        )
+        self._request_seconds = self._metrics.histogram(
+            "repro_http_request_seconds", help="front request latency"
+        )
         self._cache: Optional[ResultCache] = (
             ResultCache(
                 base.result_cache_size,
@@ -441,9 +453,9 @@ class ReproServer:
             stats = await asyncio.get_running_loop().run_in_executor(
                 None, self.stats
             )
-            return 200, "application/json", _json_body(stats)
+            return 200, "application/json", json_body(stats)
         if path == "/healthz":
-            return 200, "application/json", _json_body(
+            return 200, "application/json", json_body(
                 {"ok": True, "workers": self._pool.size, "closed": self._closed}
             )
         return 404, "application/json", _error_body(
@@ -451,6 +463,16 @@ class ReproServer:
         )
 
     async def _route_query(self, request: HttpRequest) -> Tuple[int, str, bytes]:
+        """Admit, validate and look the result cache up here, on the loop.
+
+        None of that blocks, so a hit is answered from its stored bytes
+        without crossing a thread.  Only a miss (or a traced request) goes
+        to an executor thread, for the lease — which can wait on the budget
+        scheduler — the dispatch and the fill.  A hit still counts against
+        ``max_inflight`` (shedding stays load-based, not hit-rate-based) but
+        leases no budget.  Traced requests bypass the cache entirely —
+        their span trees describe a real execution.
+        """
         try:
             payload = request.json()
         except HttpError as error:
@@ -467,14 +489,23 @@ class ReproServer:
                 type(error).__name__, str(error)
             )
         try:
-            response = await asyncio.get_running_loop().run_in_executor(
-                None, self._serve_query, payload
-            )
+            tracer = Tracer() if payload.get("trace") else None
+            try:
+                message = self._validate_query(payload)
+            except ServerError as error:
+                response = self._finish(_failure(error), tracer)
+            else:
+                key = self._cache_key(message) if tracer is None else None
+                hit = None if key is None else self._cache.lookup(key)
+                if hit is not None:
+                    self._front["queries"].inc()
+                    return 200, "application/json", hit
+                response = await asyncio.get_running_loop().run_in_executor(
+                    None, self._serve_query, message, key, tracer
+                )
         finally:
             self._leave()
-            self._metrics.histogram(
-                "repro_http_request_seconds", help="front request latency"
-            ).observe(perf_counter() - start)
+            self._request_seconds.observe(perf_counter() - start)
         return self._encode_query_response(response)
 
     async def _route_mutate(self, request: HttpRequest) -> Tuple[int, str, bytes]:
@@ -490,7 +521,7 @@ class ReproServer:
         )
         return self._encode_query_response(response)
 
-    # -- the query pipeline (runs on an executor thread) ----------------
+    # -- the query pipeline ---------------------------------------------
 
     def _admit(self) -> None:
         with self._state_lock:
@@ -502,48 +533,37 @@ class ReproServer:
                     f"{self.config.max_inflight}; shedding load"
                 )
             self._inflight += 1
-            self._metrics.gauge(
-                "repro_http_inflight", help="requests currently being served"
-            ).set(self._inflight)
+            self._inflight_gauge.set(self._inflight)
 
     def _leave(self) -> None:
         with self._state_lock:
             self._inflight -= 1
-            self._metrics.gauge(
-                "repro_http_inflight", help="requests currently being served"
-            ).set(self._inflight)
+            self._inflight_gauge.set(self._inflight)
 
-    def _serve_query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Validate, consult the result cache, lease, dispatch; always typed.
+    def _cache_key(self, message: Dict[str, Any]) -> Optional[CacheKey]:
+        """The result-cache key of a validated query, ``None`` without a cache."""
+        if self._cache is None:
+            return None
+        budget = message["budget_request"]
+        return (
+            message["query"],
+            message["backend"],
+            budget if budget is not None else self._scheduler.default_request_rows,
+            message["workers"],
+            message["count_only"],
+        )
 
-        Cache lookups happen *after* admission (a cache hit still counts
-        against ``max_inflight`` — shedding stays load-based, not
-        hit-rate-based) but *before* budget leasing: a hit consumes no
-        engine budget at all.  Traced requests bypass the cache entirely
-        — their span trees describe a real execution.
+    def _serve_query(
+        self,
+        message: Dict[str, Any],
+        key: Optional[CacheKey],
+        tracer: Optional[Tracer],
+    ) -> Dict[str, Any]:
+        """Lease, dispatch, and fill the cache under ``key``; always typed.
+
+        The part of a query that can block, run on an executor thread.
         """
-        tracer = Tracer() if payload.get("trace") else None
-        cache = self._cache if tracer is None else None
-        key: Optional[CacheKey] = None
         try:
-            message = self._validate_query(payload)
-            if cache is not None:
-                key = (
-                    message["query"],
-                    message["backend"],
-                    (
-                        message["budget_request"]
-                        if message["budget_request"] is not None
-                        else self._scheduler.default_request_rows
-                    ),
-                    message["workers"],
-                    message["count_only"],
-                )
-                cached = cache.lookup(key)
-                if cached is not None:
-                    cached["cached"] = True
-                    self._front["queries"].inc()
-                    return cached
             span = tracer.span("serve", "lease") if tracer else _NULL_SPAN
             with span:
                 lease = self._scheduler.acquire(rows=message.pop("budget_request"))
@@ -555,17 +575,18 @@ class ReproServer:
                     response = self._pool.dispatch(
                         message, timeout=self.config.request_timeout_seconds
                     )
-            if response.get("ok") and cache is not None and key is not None:
-                cache.fill(key, response)
+            if response.get("ok") and key is not None:
+                self._cache.fill(key, response)
                 response["cached"] = False
         except ServerError as error:
             if isinstance(error, ServerOverloadedError):
                 self._front["shed_budget"].inc()
-            response = {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
+            response = _failure(error)
+        return self._finish(response, tracer)
+
+    def _finish(
+        self, response: Dict[str, Any], tracer: Optional[Tracer]
+    ) -> Dict[str, Any]:
         if response.get("ok"):
             self._front["queries"].inc()
         if tracer is not None:
@@ -594,9 +615,7 @@ class ReproServer:
             if current is None:
                 raise BadRequestError(f"no relation named {name!r} is being served")
             try:
-                relation = Relation.from_rows(
-                    current.scheme, [tuple(row) for row in rows], name=name
-                )
+                relation = Relation.from_rows(current.scheme, rows, name=name)
             except (TypeError, ValueError, AlgebraError) as error:
                 raise BadRequestError(f"rows do not fit {name!r}'s scheme: {error}")
             # ``is None``, not truthiness: an empty cache has ``len() == 0``
@@ -615,11 +634,7 @@ class ReproServer:
                 "cache_evicted": noncurrent,
             }
         except ServerError as error:
-            return {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
+            return _failure(error)
 
     def _validate_query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         query = payload.get("query")
@@ -649,7 +664,7 @@ class ReproServer:
         self, response: Dict[str, Any]
     ) -> Tuple[int, str, bytes]:
         if response.get("ok"):
-            return 200, "application/json", _json_body(response)
+            return 200, "application/json", json_body(response)
         name = response.get("error", "ServerError")
         if name in _CLIENT_FAULT_ERRORS:
             self._front["client_errors"].inc()
@@ -670,7 +685,7 @@ class ReproServer:
         }
         if "front_spans" in response:
             body["front_spans"] = response["front_spans"]
-        return status, "application/json", _json_body(body)
+        return status, "application/json", json_body(body)
 
     # -- observability --------------------------------------------------
 
@@ -716,9 +731,9 @@ class _NullSpanHandle:
 _NULL_SPAN = _NullSpanHandle()
 
 
-def _json_body(value: Dict[str, Any]) -> bytes:
-    return json.dumps(value, sort_keys=True, default=str).encode("utf-8")
+def _failure(error: ServerError) -> Dict[str, Any]:
+    return {"ok": False, "error": type(error).__name__, "message": str(error)}
 
 
 def _error_body(error: str, message: str) -> bytes:
-    return _json_body({"ok": False, "error": error, "message": message})
+    return json_body({"ok": False, "error": error, "message": message})

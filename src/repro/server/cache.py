@@ -16,7 +16,8 @@ and the cache keys on exactly that:
   exactly those versions, so a fill that raced a mutate is keyed to the
   data it was computed from, never to the data current when it arrived;
 * :meth:`ResultCache.lookup` serves the entry filed under the *current*
-  version of each relation the request reads, and a mutate switches
+  version of each relation the request reads — the hit's HTTP body,
+  encoded once by the fill — and a mutate switches
   which version of a name is current (:meth:`ResultCache.switch`).  The
   entries of the content it replaced stay resident, so a mutate that
   restores the previous content is served from the cache, and an
@@ -30,8 +31,9 @@ Nothing is evicted for correctness, so there is no snapshot to take on a
 miss.  What is left to count is in a ``repro_server_cache_*_total``
 instrument of the front's registry: ``/metrics`` renders the instruments
 and ``/stats`` (:meth:`ResultCache.stats`) reads the same values under
-the ``cache_hits`` / ``cache_misses`` / ... keys.  ``cache_hit`` /
-``cache_switch`` events go to the front's event log.
+the ``cache_hits`` / ``cache_misses`` / ... keys.  A hit emits no event
+(``cache_hits`` counts it); ``cache_switch`` events go to the front's
+event log.
 
 ``cache_stale_served`` guards this module's own bookkeeping only — that
 the slot a hit is read from agrees with the versions its response
@@ -50,6 +52,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from ..algebra.relation import Relation
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
+from .http import json_body
 
 __all__ = ["CacheKey", "ResultCache", "content_version"]
 
@@ -59,6 +62,9 @@ CacheKey = Tuple[str, Optional[str], Optional[int], Optional[int], bool]
 
 #: The versions of the relations a key reads, in name order.
 _Versions = Tuple[str, ...]
+
+#: A filed response: its hit body and the ``{name: version}`` it reports.
+_Entry = Tuple[bytes, Dict[str, str]]
 
 
 #: ``/stats`` key and help text of each counter; its ``/metrics`` name is
@@ -99,8 +105,8 @@ class ResultCache:
     The ``metrics`` registry and optional ``events`` log belong to the
     front (a cache constructed bare counts into a private registry) — the
     cache registers its instruments eagerly so a scrape renders them at
-    zero before any traffic.  Thread-safe throughout: lookups, fills, and
-    switches may race from executor threads.
+    zero before any traffic.  Thread-safe throughout: lookups run on the
+    front's event loop and race fills and switches on executor threads.
     """
 
     def __init__(
@@ -118,7 +124,7 @@ class ResultCache:
         #: The version each mutated name held before its current one: the
         #: only non-current content whose entries stay resident.
         self._previous: Dict[str, str] = {}
-        self._entries: "OrderedDict[Tuple[CacheKey, _Versions], Dict[str, Any]]" = (
+        self._entries: "OrderedDict[Tuple[CacheKey, _Versions], _Entry]" = (
             OrderedDict()
         )
         #: The resident slots a lookup cannot serve now, in LRU order: the
@@ -161,32 +167,33 @@ class ResultCache:
 
     # -- the read path --------------------------------------------------
 
-    def lookup(self, key: CacheKey) -> Optional[Dict[str, Any]]:
-        """A copy of the response filed under ``key`` and the current versions."""
+    def lookup(self, key: CacheKey) -> Optional[bytes]:
+        """The hit body filed under ``key`` and the current versions, if any.
+
+        The bytes are the response's JSON body with ``"cached": true``,
+        encoded by :meth:`fill`: a hit copies and encodes nothing.
+        """
         with self._lock:
             reads = self._reads.get(key)
-            slot = response = None
+            slot = entry = None
             if reads is not None:
                 slot = (key, self._current_versions(reads[0]))
-                response = self._entries.get(slot)
-            if response is not None and any(
+                entry = self._entries.get(slot)
+            if entry is not None and any(
                 self._current.get(name) != version
-                for name, version in response["versions"].items()
+                for name, version in entry[1].items()
             ):
                 # Unreachable unless a response sits in a slot other than
                 # the versions it reports: a check of this class's own
                 # bookkeeping, not of what the worker reported.
                 self._counters["cache_stale_served"].inc()
-                response = None
-            if response is None:
+                entry = None
+            if entry is None:
                 self._counters["cache_misses"].inc()
                 return None
             self._entries.move_to_end(slot)
             self._counters["cache_hits"].inc()
-            response = dict(response)
-        if self._events is not None:
-            self._events.emit("cache_hit", query=key[0], names=list(reads[0]))
-        return response
+            return entry[0]
 
     # -- the write path -------------------------------------------------
 
@@ -198,7 +205,8 @@ class ResultCache:
         mutation overlapped the execute.  Nothing is filed then, nor when
         a version read is neither the current nor the previous content of
         its name (no switch would make it current again before it is
-        dropped).  Returns whether the response was filed.
+        dropped).  The hit body is encoded here, outside the lock, once
+        per filed response.  Returns whether the response was filed.
         """
         versions = response.get("versions")
         if versions is None:
@@ -206,7 +214,7 @@ class ResultCache:
             return False
         names = tuple(sorted(versions))
         slot = (key, tuple(versions[name] for name in names))
-        stored = dict(response)
+        stored = (json_body({**response, "cached": True}), versions)
         with self._lock:
             if not all(self._retained(name, versions[name]) for name in names):
                 self._counters["cache_stale_fill_drops"].inc()

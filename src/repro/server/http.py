@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["HttpError", "HttpRequest", "read_request", "write_response"]
+__all__ = ["HttpError", "HttpRequest", "json_body", "read_request", "write_response"]
 
 #: Hard caps on the inbound protocol surface.
 MAX_REQUEST_LINE = 8192
@@ -160,6 +160,11 @@ async def write_response(
     """Write one response and flush it."""
     writer.write(render_response(status, body, content_type, keep_alive))
     await writer.drain()
+
+
+def json_body(value: Dict[str, Any]) -> bytes:
+    """A JSON response body: sorted keys, ``str()`` of any other value."""
+    return json.dumps(value, sort_keys=True, default=str).encode("utf-8")
 
 
 def split_target(target: str) -> Tuple[str, str]:

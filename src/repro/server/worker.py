@@ -719,6 +719,8 @@ class WorkerPool:
     ) -> Dict[str, Any]:
         """Send ``message`` to one worker; respawn and retry once on a crash.
 
+        A worker the pool stopped to replace it (see :meth:`mutate`) fails
+        its in-flight ids as closed; they are retried on the replacement.
         A :class:`RequestTimeoutError` is *not* retried — the caller's
         deadline already expired and the worker is healthy, just slow.
         """
@@ -726,7 +728,7 @@ class WorkerPool:
         worker = self._ensure_alive(index)
         try:
             return worker.request(message, timeout=timeout)
-        except WorkerCrashedError:
+        except (WorkerCrashedError, ServerClosedError):
             worker = self._ensure_alive(index)
             return worker.request(message, timeout=timeout)
 
@@ -738,46 +740,71 @@ class WorkerPool:
         respawned later warms its sessions over.  A frame that cannot be
         sent (it does not pickle) raises before anything is rebound.  A
         worker respawned while the broadcast was in flight started from
-        the old map, so it is sent the frame after the rebind.  Returns
-        the workers' responses.  Callers serialise mutations.
+        the old map, so it is sent the frame after the rebind.  A worker
+        that answered ``ok: false``, or was skipped as dead, would go on
+        serving the old rows: after the rebind it is stopped and respawned
+        from the new map, counted in ``worker_restarts``.  Returns the
+        workers' responses.  Callers serialise mutations.
         """
         message = {"op": "mutate", "name": name, "relation": relation, "version": version}
         with self._lock:
             if self._closed:
                 raise ServerClosedError("the worker pool is closed")
             workers = list(self._workers)
-        responses = self._broadcast(workers, message)
+        answered = self._broadcast(workers, message)
         with self._lock:
             self._relations[name] = relation
             self._versions[name] = version
             respawned = [worker for worker in self._workers if worker not in workers]
-        return responses + self._broadcast(respawned, message)
+        answered += self._broadcast(respawned, message)
+        for worker, response in answered:
+            if response is None or not response.get("ok"):
+                self._replace(worker)
+        return [response for _worker, response in answered if response is not None]
+
+    def _replace(self, worker: Worker) -> None:
+        """Respawn ``worker``'s slot from the current map, then stop it."""
+        with self._lock:
+            if self._closed or self._workers[worker.index] is not worker:
+                return  # closing, or already respawned by a dispatch
+            self.worker_restarts += 1
+            self._workers[worker.index] = self._spawn(worker.index)
+        worker.stop()
 
     def broadcast(self, message: Dict[str, Any]) -> list:
         """Send ``message`` to every live worker and collect the responses."""
         with self._lock:
             workers = list(self._workers)
-        return self._broadcast(workers, message)
+        return [
+            response
+            for _worker, response in self._broadcast(workers, message)
+            if response is not None
+        ]
 
     @staticmethod
     def _broadcast(workers, message: Dict[str, Any]) -> list:
         # Every frame is sent before any response is awaited, so the
-        # workers apply it concurrently; a dead or dying worker is skipped.
+        # workers apply it concurrently.  Returns ``(worker, response)``
+        # per worker, the response ``None`` for one dead or dying.
         sent = []
         for worker in workers:
-            if not worker.alive():
-                continue
-            try:
-                sent.append((worker, *worker.submit(message)))
-            except (WorkerCrashedError, ServerClosedError):
-                continue
-        responses = []
-        for worker, request_id, future in sent:
-            try:
-                responses.append(worker.wait(request_id, future))
-            except (WorkerCrashedError, ServerClosedError):
-                continue
-        return responses
+            pending = None
+            if worker.alive():
+                try:
+                    pending = worker.submit(message)
+                except (WorkerCrashedError, ServerClosedError):
+                    pass
+            sent.append((worker, pending))
+        answered = []
+        for worker, pending in sent:
+            response = None
+            if pending is not None:
+                try:
+                    response = worker.wait(*pending)
+                except (WorkerCrashedError, ServerClosedError):
+                    pass
+            answered.append((worker, response))
+        return answered
 
     def collect_metrics(self) -> list:
         """Every worker's ``registry.collect()`` snapshot (for ``/metrics``)."""

@@ -3,14 +3,19 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
+    Attribute,
+    Domain,
+    DomainError,
     JoinError,
     ProjectionError,
     Relation,
     RelationScheme,
     RelationTuple,
     SelectionError,
+    TupleSchemeMismatch,
     UnionCompatibilityError,
 )
 from repro.api import Session
@@ -46,6 +51,82 @@ class TestConstruction:
         named = sample().with_name("Fancy")
         assert named.name == "Fancy"
         assert named == sample()
+
+
+#: The closed domain some generated columns carry.
+SMALL = Domain.of("small", range(4))
+#: Cell values: in and out of ``SMALL``, mixed types, and one unhashable.
+CELLS = st.one_of(
+    st.integers(-1, 5), st.sampled_from(["x", "y"]), st.just([0])
+)
+
+
+@st.composite
+def schemes_and_rows(draw):
+    """A scheme of 1-3 columns, some over ``SMALL``, and candidate rows.
+
+    Most rows have the scheme's arity; some have any arity up to four.
+    """
+    width = draw(st.integers(1, 3))
+    closed = draw(st.sets(st.integers(0, width - 1)))
+    scheme = RelationScheme(
+        [Attribute(f"A{i}", SMALL if i in closed else None) for i in range(width)]
+    )
+    row = st.one_of(
+        st.lists(CELLS, min_size=width, max_size=width),
+        st.lists(CELLS, max_size=4),
+    )
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=12))
+    return scheme, rows
+
+
+def _built(build):
+    """A constructor's relation and sorted rows, or the type of what it raised."""
+    try:
+        relation = build()
+    except Exception as error:
+        return type(error)
+    return relation, relation.sorted_rows()
+
+
+class TestFromRows:
+    """``from_rows`` checks and freezes rows in one pass, no tuple objects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(schemes_and_rows())
+    def test_from_rows_equals_the_tuple_by_tuple_constructor(self, case):
+        scheme, rows = case
+        one_pass = _built(lambda: Relation.from_rows(scheme, rows))
+        per_tuple = _built(
+            lambda: Relation(
+                scheme, (RelationTuple.from_values(scheme, row) for row in rows)
+            )
+        )
+        assert one_pass == per_tuple
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([(1, 2), (1, 2, 3)], TupleSchemeMismatch),
+            ([(1, 2), (9, 2)], DomainError),
+            ([(1, 2), (1, [2])], TypeError),
+        ],
+        ids=["arity", "domain", "unhashable"],
+    )
+    def test_from_rows_raises_what_the_tuple_constructor_raises(self, rows, error):
+        scheme = RelationScheme([Attribute("A", SMALL), Attribute("B")])
+        with pytest.raises(error):
+            Relation.from_rows(scheme, rows)
+        with pytest.raises(error):
+            Relation(scheme, (RelationTuple.from_values(scheme, row) for row in rows))
+
+    def test_from_rows_builds_no_tuple_objects(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("from_rows built a RelationTuple")
+
+        monkeypatch.setattr(RelationTuple, "_from_trusted", classmethod(refuse))
+        relation = Relation.from_rows(SCHEME, iter([(1, 2, 3), (1, 2, 3), (4, 5, 6)]))
+        assert relation.sorted_rows() == [(1, 2, 3), (4, 5, 6)]
 
 
 class TestPickling:

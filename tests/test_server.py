@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.algebra import Relation
+from repro.algebra import Attribute, Domain, Relation, RelationScheme
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
 from repro.engine import join_estimate_provenance
@@ -42,6 +42,7 @@ from repro.server import (
     zipf_schedule,
 )
 from repro.server.cache import content_version
+from repro.server.http import json_body
 from repro.workloads import serving_queries, serving_relations
 
 RELATIONS = serving_relations(rows=200)
@@ -85,6 +86,12 @@ def _warm_execute_seconds(relations, query, budget, pick=min):
 
 
 def _post(conn, body):
+    status, raw = _post_raw(conn, body)
+    return status, json.loads(raw)
+
+
+def _post_raw(conn, body):
+    """``POST /query`` answered as its status and undecoded body bytes."""
     conn.request(
         "POST",
         "/query",
@@ -92,7 +99,7 @@ def _post(conn, body):
         headers={"Content-Type": "application/json"},
     )
     response = conn.getresponse()
-    return response.status, json.loads(response.read())
+    return response.status, response.read()
 
 
 def _get(conn, path):
@@ -418,7 +425,12 @@ class TestHttpFront:
         assert len(decoded["pool"]["workers"]) == 2
 
     def test_admission_control_sheds_with_503(self):
-        with ReproServer(RELATIONS, pool_size=1, max_inflight=1) as tight:
+        # Cache off: a hit is answered in one step of the event loop and
+        # holds its admission slot across no await, so only executions
+        # can overlap and be shed.
+        with ReproServer(
+            RELATIONS, pool_size=1, max_inflight=1, result_cache_size=0
+        ) as tight:
             barrier = threading.Barrier(6)
             statuses = []
             lock = threading.Lock()
@@ -1014,6 +1026,105 @@ class TestPoolFrames:
             pool.close()
 
 
+class TestMutateFailures:
+    """A worker that fails a mutate is replaced, never left on the old rows."""
+
+    QUERY = {"op": "query", "query": "project[A, B](R)"}
+
+    def _pool(self):
+        return WorkerPool(
+            RELATIONS,
+            BackendConfig(),
+            size=2,
+            worker_backend="thread",
+            versions={name: content_version(r) for name, r in RELATIONS.items()},
+        )
+
+    def _assert_every_worker_serves(self, pool, relation):
+        for worker in pool._workers:
+            response = worker.request(self.QUERY, timeout=30)
+            assert response["ok"], response
+            assert response["rows"] == [list(row) for row in relation.sorted_rows()]
+            assert response["versions"] == {"R": content_version(relation)}
+
+    def test_a_worker_that_answers_not_ok_is_respawned(self, monkeypatch):
+        from repro.server import worker as worker_module
+
+        handle_mutate = worker_module._WorkerRuntime._handle_mutate
+
+        def failing_on_worker_0(runtime, message):
+            if runtime.index == 0:
+                raise RuntimeError("injected mutate failure")
+            return handle_mutate(runtime, message)
+
+        monkeypatch.setattr(
+            worker_module._WorkerRuntime, "_handle_mutate", failing_on_worker_0
+        )
+        pool = self._pool()
+        try:
+            relation = Relation.from_rows(
+                RELATIONS["R"].scheme, [(1, 2), (3, 4)], name="R"
+            )
+            acks = pool.mutate("R", relation, content_version(relation))
+            assert sorted(ack["ok"] for ack in acks) == [False, True]
+            assert pool.worker_restarts == 1
+            self._assert_every_worker_serves(pool, relation)
+            assert pool.stats()["worker_restarts"] == 1
+        finally:
+            pool.close()
+
+    def test_a_query_in_flight_on_a_replaced_worker_is_retried(self, monkeypatch):
+        from repro.server import worker as worker_module
+
+        entered, release = threading.Event(), threading.Event()
+        handle_query = worker_module._WorkerRuntime._handle_query
+
+        def first_query_hangs(runtime, message):
+            if not entered.is_set():
+                entered.set()
+                release.wait(30)
+                raise RuntimeError("abandoned")  # its worker is gone by now
+            return handle_query(runtime, message)
+
+        def failing(runtime, message):
+            raise RuntimeError("injected mutate failure")
+
+        runtime_class = worker_module._WorkerRuntime
+        monkeypatch.setattr(runtime_class, "_handle_query", first_query_hangs)
+        monkeypatch.setattr(runtime_class, "_handle_mutate", failing)
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
+        answered = {}
+        reader = threading.Thread(
+            target=lambda: answered.update(pool.dispatch(self.QUERY, timeout=30))
+        )
+        try:
+            reader.start()
+            assert entered.wait(10)
+            relation = Relation.from_rows(RELATIONS["R"].scheme, [(7, 8)], name="R")
+            assert [ack["ok"] for ack in pool.mutate("R", relation, None)] == [False]
+            reader.join(30)
+            assert not reader.is_alive()
+            assert answered["ok"] and answered["rows"] == [[7, 8]], answered
+            assert pool.worker_restarts == 1
+        finally:
+            release.set()
+            pool.close()
+
+    def test_a_worker_skipped_as_dead_is_respawned(self):
+        pool = self._pool()
+        try:
+            pool._workers[0].stop()
+            relation = Relation.from_rows(
+                RELATIONS["R"].scheme, [(5, 6)], name="R"
+            )
+            acks = pool.mutate("R", relation, content_version(relation))
+            assert [ack["worker"] for ack in acks] == [1]
+            assert pool.worker_restarts == 1
+            self._assert_every_worker_serves(pool, relation)
+        finally:
+            pool.close()
+
+
 class TestWorkerVersions:
     """A query response reports the content versions its execute bound."""
 
@@ -1082,19 +1193,21 @@ class TestResultCache:
         assert cache.lookup(self.KEY) is None
         assert cache.fill(self.KEY, self._response())
         hit = cache.lookup(self.KEY)
-        assert hit is not None and hit["rowcount"] == 40
+        assert hit is not None and json.loads(hit)["rowcount"] == 40
         stats = cache.stats()
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
         assert stats["entries"] == 1
 
-    def test_hit_returns_a_copy(self):
+    def test_every_lookup_returns_the_same_immutable_bytes(self):
         cache = self._cache()
-        cache.fill(self.KEY, self._response())
+        response = self._response()
+        cache.fill(self.KEY, response)
+        response["rowcount"] = -1  # the filed body does not alias the response
         first = cache.lookup(self.KEY)
-        first["rowcount"] = -1
-        second = cache.lookup(self.KEY)
-        assert second["rowcount"] == 40
+        assert isinstance(first, bytes)
+        assert first == json_body({**self._response(), "cached": True})
+        assert all(cache.lookup(self.KEY) is first for _ in range(3))
 
     def test_lru_eviction_at_capacity(self):
         cache = self._cache(2)
@@ -1116,7 +1229,7 @@ class TestResultCache:
         cache.fill(self.KEY, self._response(2, {"R": "R2", "S": "S1"}))
         cache.fill(("other", None, None, None, True), self._response(3, {"T": "T1"}))
         assert len(cache) == 2 and cache.stats()["cache_evictions"] == 1
-        assert cache.lookup(self.KEY)["rowcount"] == 2
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 2
         cache.switch("R", "R1")
         assert cache.lookup(self.KEY) is None  # R1's entry was the evicted one
 
@@ -1140,11 +1253,11 @@ class TestResultCache:
         cache.switch("R", "R2")
         assert cache.lookup(self.KEY) is None
         cache.fill(self.KEY, self._response(9, {"R": "R2", "S": "S1"}))
-        assert cache.lookup(self.KEY)["rowcount"] == 9
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 9
         assert cache.switch("R", "R1") == 1
-        assert cache.lookup(self.KEY)["rowcount"] == 40
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 40
         assert cache.switch("R", "R2") == 1
-        assert cache.lookup(self.KEY)["rowcount"] == 9
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 9
         assert cache.stats()["cache_stale_served"] == 0
 
     def test_a_switch_drops_the_entries_of_a_content_two_mutations_old(self):
@@ -1156,10 +1269,10 @@ class TestResultCache:
             assert cache.fill(self.KEY, self._response(rowcount, {"R": version, "S": "S1"}))
         # Never-repeating contents: one old content stays beside the current one.
         assert len(cache) == 3 and cache.stats()["cache_evictions"] == 2
-        assert cache.lookup(other)["rowcount"] == 5
-        assert cache.lookup(self.KEY)["rowcount"] == 3
+        assert json.loads(cache.lookup(other))["rowcount"] == 5
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 3
         assert cache.switch("R", "R3") == 1
-        assert cache.lookup(self.KEY)["rowcount"] == 2
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 2
         cache.switch("R", "R2")
         assert cache.lookup(self.KEY) is None  # R2's entry went at the switch to R4
         assert cache.stats()["cache_stale_served"] == 0
@@ -1179,8 +1292,8 @@ class TestResultCache:
         for key in keys_r:
             cache.fill(key, self._response(2, {"R": "R2"}))
         assert len(cache) == 4 and cache.stats()["cache_evictions"] == 2
-        assert all(cache.lookup(key)["rowcount"] == 7 for key in keys_t)
-        assert all(cache.lookup(key)["rowcount"] == 2 for key in keys_r)
+        assert all(json.loads(cache.lookup(key))["rowcount"] == 7 for key in keys_t)
+        assert all(json.loads(cache.lookup(key))["rowcount"] == 2 for key in keys_r)
 
     def test_a_fill_of_a_content_neither_current_nor_previous_is_dropped(self):
         # A read of R1 answered after two switches, or of a content the
@@ -1193,13 +1306,13 @@ class TestResultCache:
         assert cache.fill(self.KEY, self._response(2, {"R": "R2", "S": "S1"}))
         assert len(cache) == 1 and cache.stats()["cache_stale_fill_drops"] == 2
         cache.switch("R", "R2")
-        assert cache.lookup(self.KEY)["rowcount"] == 2
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 2
 
     def test_switching_to_the_current_version_changes_nothing(self):
         cache = self._cache()
         cache.fill(self.KEY, self._response())
         assert cache.switch("R", "R1") == 0
-        assert cache.lookup(self.KEY)["rowcount"] == 40
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 40
         assert cache.stats()["cache_invalidations"] == 0
 
     def test_fill_without_versions_is_dropped(self):
@@ -1223,7 +1336,7 @@ class TestResultCache:
         assert cache.fill(self.KEY, self._response(40))
         assert cache.lookup(self.KEY) is None
         assert cache.fill(self.KEY, self._response(1, {"R": "R2", "S": "S1"}))
-        assert cache.lookup(self.KEY)["rowcount"] == 1
+        assert json.loads(cache.lookup(self.KEY))["rowcount"] == 1
         stats = cache.stats()
         assert stats["cache_stale_fill_drops"] == 0
         assert stats["cache_stale_served"] == 0
@@ -1235,7 +1348,7 @@ class TestResultCache:
         cache = self._cache()
         cache.fill(self.KEY, self._response())
         slot = next(iter(cache._entries))
-        cache._entries[slot] = dict(self._response(), versions={"R": "R0", "S": "S1"})
+        cache._entries[slot] = (cache._entries[slot][0], {"R": "R0", "S": "S1"})
         assert cache.lookup(self.KEY) is None
         assert cache.stats()["cache_stale_served"] == 1
 
@@ -1526,6 +1639,76 @@ class TestResultCacheOverHttp:
         # One entry per content of R the query was answered on.
         assert samples["repro_server_cache_entries"] == cache["entries"] == 2
 
+    def test_a_hit_replays_the_miss_byte_for_byte(self, cached_server):
+        conn = self._conn(cached_server)
+        try:
+            for query in (
+                {"query": QUERIES[1], "count_only": True},
+                {"query": QUERIES[1]},
+            ):
+                status, miss = _post(conn, query)
+                assert status == 200 and miss["cached"] is False
+                status, body = _post_raw(conn, query)
+                assert status == 200
+                assert body == json_body({**miss, "cached": True})
+        finally:
+            conn.close()
+
+    def test_hits_never_reach_the_executor(self, cached_server, monkeypatch):
+        loop = cached_server._loop
+        run_in_executor = loop.run_in_executor
+        calls = []
+
+        def counted(executor, func, *args):
+            calls.append(func)
+            return run_in_executor(executor, func, *args)
+
+        monkeypatch.setattr(loop, "run_in_executor", counted)
+        conn = self._conn(cached_server)
+        query = {"query": QUERIES[4], "count_only": True}
+        try:
+            assert _post(conn, query)[1]["cached"] is False
+            assert len(calls) == 1  # the miss: lease, dispatch, fill
+            assert cached_server.stats()["cache"]["cache_misses"] == 1
+            for _ in range(25):
+                assert _post(conn, query)[1]["cached"] is True
+            assert len(calls) == 1
+        finally:
+            conn.close()
+            monkeypatch.undo()
+        cache = cached_server.stats()["cache"]
+        assert (cache["cache_hits"], cache["cache_misses"]) == (25, 1)
+
+    def test_hits_leave_the_event_log_alone(self, cached_server):
+        conn = self._conn(cached_server)
+        query = {"query": QUERIES[2], "count_only": True}
+        try:
+            assert _post(conn, query)[1]["cached"] is False
+            events = cached_server._observer.events
+            before = len(events)
+            for _ in range(1000):
+                _post_raw(conn, query)
+            assert len(events) == before
+        finally:
+            conn.close()
+        assert cached_server.stats()["cache"]["cache_hits"] == 1000
+
+    def test_mutate_answers_400_for_rows_the_scheme_refuses(self):
+        scheme = RelationScheme(
+            [Attribute("A", Domain.of("small", range(4))), Attribute("B")]
+        )
+        relations = {"R": Relation.from_rows(scheme, [(0, 1), (3, 2)], name="R")}
+        with ReproServer(relations, pool_size=1, worker_backend="thread") as running:
+            conn = self._conn(running)
+            try:
+                for rows in ([[1, 2, 3]], [[9, 2]], [[1, [2]]]):  # arity, domain, unhashable
+                    status, body = self._mutate(conn, "R", rows)
+                    assert status == 400 and body["error"] == "BadRequestError", body
+                status, ack = self._mutate(conn, "R", [[1, 2]])
+                assert status == 200 and ack["rowcount"] == 1
+            finally:
+                conn.close()
+
     def test_cache_events_are_emitted(self, cached_server):
         conn = self._conn(cached_server)
         try:
@@ -1536,7 +1719,8 @@ class TestResultCacheOverHttp:
             conn.close()
         events = cached_server._observer.events
         assert events is not None
-        assert len(events.events("cache_hit")) == 1
+        assert cached_server.stats()["cache"]["cache_hits"] == 1
+        assert events.events("cache_hit") == []  # a hit is counted, not logged
         switches = events.events("cache_switch")
         assert [event["name"] for event in switches] == ["T"]
         assert switches[0]["noncurrent"] == 1
