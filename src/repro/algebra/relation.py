@@ -45,7 +45,7 @@ from .errors import (
     UnionCompatibilityError,
 )
 from .schema import RelationScheme, SchemeLike, as_scheme
-from .tuples import RelationTuple, _project_plan, as_tuple
+from .tuples import RelationTuple, _checked_values, _project_plan, as_tuple
 
 __all__ = ["Relation"]
 
@@ -144,26 +144,13 @@ class Relation:
     ) -> "Relation":
         """Build a relation from value rows listed in scheme order.
 
-        One pass over ``rows``: each is frozen into a value tuple, its arity
-        and attribute domains checked as :meth:`RelationTuple.from_values`
-        checks them (the same errors), and no tuple object is built.
+        One pass over ``rows``: each is checked and frozen into a value
+        tuple as :meth:`RelationTuple.from_values` checks it (the same
+        errors), and no tuple object is built.
         """
         scheme = as_scheme(scheme)
-        width = len(scheme)
-        domains = scheme._domain_attributes
-
-        def checked() -> Iterator[Row]:
-            for row in rows:
-                values = tuple(row)
-                if len(values) != width:
-                    raise TupleSchemeMismatch(
-                        f"expected {width} values for scheme {scheme}, got {len(values)}"
-                    )
-                for position, attr in domains:
-                    attr.check_value(values[position])
-                yield values
-
-        return cls._from_trusted(scheme, frozenset(checked()), name)
+        rows = frozenset(_checked_values(scheme, row) for row in rows)
+        return cls._from_trusted(scheme, rows, name)
 
     @classmethod
     def single(cls, scheme: SchemeLike, values: TupleLike, name: Optional[str] = None) -> "Relation":

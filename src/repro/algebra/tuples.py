@@ -61,6 +61,23 @@ def _project_plan(scheme: RelationScheme, target: RelationScheme) -> ProjectPlan
     return plan
 
 
+def _checked_values(scheme: RelationScheme, values: Iterable[Hashable]) -> Tuple[Hashable, ...]:
+    """``values`` (in ``scheme``'s presentation order) frozen into a tuple.
+
+    Raises :class:`TupleSchemeMismatch` for the wrong arity and the
+    attribute's error for a value outside its domain.  The one row check of
+    :meth:`RelationTuple.from_values` and :meth:`Relation.from_rows`.
+    """
+    ordered = tuple(values)
+    if len(ordered) != len(scheme):
+        raise TupleSchemeMismatch(
+            f"expected {len(scheme)} values for scheme {scheme}, got {len(ordered)}"
+        )
+    for position, attr in scheme._domain_attributes:
+        attr.check_value(ordered[position])
+    return ordered
+
+
 class RelationTuple(Mapping[str, Hashable]):
     """An immutable tuple over a relation scheme.
 
@@ -96,14 +113,7 @@ class RelationTuple(Mapping[str, Hashable]):
     def from_values(cls, scheme: SchemeLike, values: Iterable[Hashable]) -> "RelationTuple":
         """Build a tuple from values listed in the scheme's presentation order."""
         scheme = as_scheme(scheme)
-        ordered = tuple(values)
-        if len(ordered) != len(scheme):
-            raise TupleSchemeMismatch(
-                f"expected {len(scheme)} values for scheme {scheme}, got {len(ordered)}"
-            )
-        for position, attr in scheme._domain_attributes:
-            attr.check_value(ordered[position])
-        return cls._from_trusted(scheme, ordered)
+        return cls._from_trusted(scheme, _checked_values(scheme, values))
 
     @classmethod
     def _from_trusted(

@@ -17,7 +17,7 @@ and the cache keys on exactly that:
   data it was computed from, never to the data current when it arrived;
 * :meth:`ResultCache.lookup` serves the entry filed under the *current*
   version of each relation the request reads — the hit's HTTP body,
-  encoded once by the fill — and a mutate switches
+  encoded once, by the entry's first hit — and a mutate switches
   which version of a name is current (:meth:`ResultCache.switch`).  The
   entries of the content it replaced stay resident, so a mutate that
   restores the previous content is served from the cache, and an
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..obs.events import EventLog
@@ -64,7 +64,9 @@ CacheKey = Tuple[str, Optional[str], Optional[int], Optional[int], bool]
 _Versions = Tuple[str, ...]
 
 #: A filed response: its hit body and the ``{name: version}`` it reports.
-_Entry = Tuple[bytes, Dict[str, str]]
+#: The body is the response dict with ``"cached": True`` until the entry's
+#: first hit encodes it; from then on it is those bytes.
+_Entry = List[Any]
 
 
 #: ``/stats`` key and help text of each counter; its ``/metrics`` name is
@@ -170,8 +172,9 @@ class ResultCache:
     def lookup(self, key: CacheKey) -> Optional[bytes]:
         """The hit body filed under ``key`` and the current versions, if any.
 
-        The bytes are the response's JSON body with ``"cached": true``,
-        encoded by :meth:`fill`: a hit copies and encodes nothing.
+        The bytes are the response's JSON body with ``"cached": true``.
+        The entry's first hit encodes them, outside the lock, and keeps
+        them: every later hit copies and encodes nothing.
         """
         with self._lock:
             reads = self._reads.get(key)
@@ -193,7 +196,12 @@ class ResultCache:
                 return None
             self._entries.move_to_end(slot)
             self._counters["cache_hits"].inc()
-            return entry[0]
+        body = entry[0]
+        if not isinstance(body, bytes):
+            # A fill replaces an entry, never edits one, so this write
+            # races nothing; two first hits at once encode the same bytes.
+            body = entry[0] = json_body(body)
+        return body
 
     # -- the write path -------------------------------------------------
 
@@ -205,8 +213,9 @@ class ResultCache:
         mutation overlapped the execute.  Nothing is filed then, nor when
         a version read is neither the current nor the previous content of
         its name (no switch would make it current again before it is
-        dropped).  The hit body is encoded here, outside the lock, once
-        per filed response.  Returns whether the response was filed.
+        dropped).  A shallow copy of ``response`` is filed: its hit body is
+        encoded by the first hit, not here, so a miss encodes only its own
+        response.  Returns whether the response was filed.
         """
         versions = response.get("versions")
         if versions is None:
@@ -214,7 +223,7 @@ class ResultCache:
             return False
         names = tuple(sorted(versions))
         slot = (key, tuple(versions[name] for name in names))
-        stored = (json_body({**response, "cached": True}), versions)
+        stored = [{**response, "cached": True}, versions]
         with self._lock:
             if not all(self._retained(name, versions[name]) for name in names):
                 self._counters["cache_stale_fill_drops"].inc()

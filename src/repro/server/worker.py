@@ -741,26 +741,29 @@ class WorkerPool:
         sent (it does not pickle) raises before anything is rebound.  A
         worker respawned while the broadcast was in flight started from
         the old map, so it is sent the frame after the rebind.  A worker
-        that answered ``ok: false``, or was skipped as dead, would go on
-        serving the old rows: after the rebind it is stopped and respawned
-        from the new map, counted in ``worker_restarts``.  Returns the
-        workers' responses.  Callers serialise mutations.
+        that answered ``ok: false`` would go on serving the old rows:
+        after the rebind it is stopped and respawned from the new map,
+        counted in ``worker_restarts``.  (One skipped as dead needs
+        nothing: the next dispatch to it respawns it from the new map.)
+        Returns the workers' responses.  Callers serialise mutations.
         """
         message = {"op": "mutate", "name": name, "relation": relation, "version": version}
         with self._lock:
             if self._closed:
                 raise ServerClosedError("the worker pool is closed")
             workers = list(self._workers)
-        answered = self._broadcast(workers, message)
+        first = self._broadcast(workers, message)
         with self._lock:
             self._relations[name] = relation
             self._versions[name] = version
             respawned = [worker for worker in self._workers if worker not in workers]
-        answered += self._broadcast(respawned, message)
-        for worker, response in answered:
-            if response is None or not response.get("ok"):
-                self._replace(worker)
-        return [response for _worker, response in answered if response is not None]
+        second = self._broadcast(respawned, message)
+        for sent, acks in ((workers, first), (respawned, second)):
+            sent_to = {worker.index: worker for worker in sent}
+            for ack in acks:
+                if not ack.get("ok"):
+                    self._replace(sent_to[ack["worker"]])
+        return first + second
 
     def _replace(self, worker: Worker) -> None:
         """Respawn ``worker``'s slot from the current map, then stop it."""
@@ -775,36 +778,27 @@ class WorkerPool:
         """Send ``message`` to every live worker and collect the responses."""
         with self._lock:
             workers = list(self._workers)
-        return [
-            response
-            for _worker, response in self._broadcast(workers, message)
-            if response is not None
-        ]
+        return self._broadcast(workers, message)
 
     @staticmethod
     def _broadcast(workers, message: Dict[str, Any]) -> list:
         # Every frame is sent before any response is awaited, so the
-        # workers apply it concurrently.  Returns ``(worker, response)``
-        # per worker, the response ``None`` for one dead or dying.
+        # workers apply it concurrently; a dead or dying worker is skipped.
         sent = []
         for worker in workers:
-            pending = None
-            if worker.alive():
-                try:
-                    pending = worker.submit(message)
-                except (WorkerCrashedError, ServerClosedError):
-                    pass
-            sent.append((worker, pending))
-        answered = []
-        for worker, pending in sent:
-            response = None
-            if pending is not None:
-                try:
-                    response = worker.wait(*pending)
-                except (WorkerCrashedError, ServerClosedError):
-                    pass
-            answered.append((worker, response))
-        return answered
+            if not worker.alive():
+                continue
+            try:
+                sent.append((worker, *worker.submit(message)))
+            except (WorkerCrashedError, ServerClosedError):
+                continue
+        responses = []
+        for worker, request_id, future in sent:
+            try:
+                responses.append(worker.wait(request_id, future))
+            except (WorkerCrashedError, ServerClosedError):
+                continue
+        return responses
 
     def collect_metrics(self) -> list:
         """Every worker's ``registry.collect()`` snapshot (for ``/metrics``)."""

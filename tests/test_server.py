@@ -424,13 +424,10 @@ class TestHttpFront:
         assert decoded["pool"]["size"] == 2
         assert len(decoded["pool"]["workers"]) == 2
 
-    def test_admission_control_sheds_with_503(self):
-        # Cache off: a hit is answered in one step of the event loop and
-        # holds its admission slot across no await, so only executions
-        # can overlap and be shed.
-        with ReproServer(
-            RELATIONS, pool_size=1, max_inflight=1, result_cache_size=0
-        ) as tight:
+    @pytest.mark.parametrize("cache_size", [0, None], ids=["cache_off", "cache_on"])
+    def test_admission_control_sheds_with_503(self, cache_size):
+        sizing = {} if cache_size is None else {"result_cache_size": cache_size}
+        with ReproServer(RELATIONS, pool_size=1, max_inflight=1, **sizing) as tight:
             barrier = threading.Barrier(6)
             statuses = []
             lock = threading.Lock()
@@ -457,6 +454,56 @@ class TestHttpFront:
             assert 200 in statuses
             assert 503 in statuses
             assert tight.stats()["front"]["shed_overload"] >= 1
+
+    def test_a_hit_is_shed_while_a_miss_holds_the_only_slot(self, monkeypatch):
+        # A hit is answered on the loop, but admitted first: it counts
+        # against ``max_inflight`` like any other request.
+        with ReproServer(RELATIONS, pool_size=1, max_inflight=1) as tight:
+            hit = {"query": QUERIES[0], "count_only": True}
+            conn = http.client.HTTPConnection("127.0.0.1", tight.port, timeout=30)
+            try:
+                assert _post(conn, hit)[1]["cached"] is False  # fills the entry
+                dispatch = tight._pool.dispatch
+                entered, release = threading.Event(), threading.Event()
+
+                def held(message, timeout=None):
+                    entered.set()
+                    release.wait(30)
+                    return dispatch(message, timeout=timeout)
+
+                monkeypatch.setattr(tight._pool, "dispatch", held)
+                answered = []
+
+                def miss():
+                    other = http.client.HTTPConnection(
+                        "127.0.0.1", tight.port, timeout=30
+                    )
+                    try:
+                        answered.append(
+                            _post(other, {"query": QUERIES[1], "count_only": True})
+                        )
+                    finally:
+                        other.close()
+
+                holder = threading.Thread(target=miss)
+                holder.start()
+                try:
+                    assert entered.wait(10)
+                    shed = tight.stats()["front"]["shed_overload"]
+                    status, body = _post(conn, hit)
+                    assert status == 503 and body["error"] == "ServerOverloadedError"
+                    assert tight.stats()["front"]["shed_overload"] == shed + 1
+                finally:
+                    release.set()
+                    holder.join(30)
+                assert answered and answered[0][0] == 200
+                status, body = _post(conn, hit)
+                assert status == 200 and body["cached"] is True
+            finally:
+                conn.close()
+            cache = tight.stats()["cache"]
+            # The shed hit was never looked up.
+            assert (cache["cache_hits"], cache["cache_misses"]) == (1, 2)
 
     def test_worker_events_are_mirrored_to_jsonl(self, tmp_path):
         events_dir = str(tmp_path / "events")
@@ -1110,7 +1157,7 @@ class TestMutateFailures:
             release.set()
             pool.close()
 
-    def test_a_worker_skipped_as_dead_is_respawned(self):
+    def test_a_worker_skipped_as_dead_is_respawned_on_the_new_rows(self):
         pool = self._pool()
         try:
             pool._workers[0].stop()
@@ -1119,8 +1166,17 @@ class TestMutateFailures:
             )
             acks = pool.mutate("R", relation, content_version(relation))
             assert [ack["worker"] for ack in acks] == [1]
+            assert pool.worker_restarts == 0
+            # The next dispatch to the dead slot respawns it from the new map.
+            answered = {}
+            for _ in range(2):
+                response = pool.dispatch(self.QUERY, timeout=30)
+                answered[response["worker"]] = response
+            assert sorted(answered) == [0, 1]
+            for response in answered.values():
+                assert response["rows"] == [[5, 6]]
+                assert response["versions"] == {"R": content_version(relation)}
             assert pool.worker_restarts == 1
-            self._assert_every_worker_serves(pool, relation)
         finally:
             pool.close()
 
@@ -1208,6 +1264,24 @@ class TestResultCache:
         assert isinstance(first, bytes)
         assert first == json_body({**self._response(), "cached": True})
         assert all(cache.lookup(self.KEY) is first for _ in range(3))
+
+    def test_only_the_first_hit_of_an_entry_encodes(self, monkeypatch):
+        # A miss pays for encoding its own response only: a fill encodes
+        # nothing, a dropped fill nothing, and one entry is encoded once.
+        from repro.server import cache as cache_module
+
+        encoded = []
+        encode = cache_module.json_body
+        monkeypatch.setattr(
+            cache_module, "json_body", lambda value: encoded.append(1) or encode(value)
+        )
+        cache = self._cache()
+        assert cache.fill(self.KEY, self._response())
+        assert not cache.fill(self.KEY, self._response(9, {"R": "R0", "S": "S1"}))
+        assert encoded == []
+        for _ in range(5):
+            assert json.loads(cache.lookup(self.KEY))["rowcount"] == 40
+        assert encoded == [1]
 
     def test_lru_eviction_at_capacity(self):
         cache = self._cache(2)
@@ -1348,7 +1422,7 @@ class TestResultCache:
         cache = self._cache()
         cache.fill(self.KEY, self._response())
         slot = next(iter(cache._entries))
-        cache._entries[slot] = (cache._entries[slot][0], {"R": "R0", "S": "S1"})
+        cache._entries[slot][1] = {"R": "R0", "S": "S1"}
         assert cache.lookup(self.KEY) is None
         assert cache.stats()["cache_stale_served"] == 1
 
