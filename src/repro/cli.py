@@ -390,7 +390,7 @@ def _command_metrics(arguments: argparse.Namespace) -> int:
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
-    import asyncio
+    import threading
 
     from .server import ReproServer
     from .workloads import serving_queries, serving_relations
@@ -423,9 +423,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         events_dir=arguments.events_dir,
         trace=arguments.trace,
     )
-
-    async def run() -> None:
-        await server.start_async()
+    try:
+        server.start()
         shapes = ", ".join(
             f"{name}({', '.join(rel.scheme.names)})"
             for name, rel in sorted(relations.items())
@@ -434,10 +433,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         print(f"  {len(serving_queries())} demo queries, e.g. "
               f"curl -d '{{\"query\": \"project[A](R * S)\"}}' {server.url}/query")
         print(f"  metrics: {server.url}/metrics   stats: {server.url}/stats")
-        await server._asyncio_server.serve_forever()
-
-    try:
-        asyncio.run(run())
+        threading.Event().wait()  # serve until interrupted
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:

@@ -11,6 +11,11 @@ pools.  Per-request ``budget``/``workers`` overrides travel with the
 request and select (or warm) a matching session in the worker — the
 serving-tier close of PR 4's fixed-at-construction budget follow-up.
 
+Everything the front does runs on one :mod:`asyncio` event loop: the
+HTTP parse, admission, the cache, the lease (an awaitable), the
+dispatch (the pool writes the frame and awaits the worker's answer on
+the same loop) and the encode.  No request crosses a thread.
+
 Observability is wired end-to-end: the front keeps its own
 :class:`~repro.obs.metrics.MetricsRegistry` (request counts, latency
 histogram, shed/error counters, in-flight gauge), ``GET /metrics``
@@ -41,15 +46,15 @@ Routes::
     GET  /stats    JSON: front counters, budget scheduler, cache, pool
     GET  /healthz  liveness probe
 
-Use :meth:`ReproServer.start` for a daemon-thread server (tests, the
-load generator) or :meth:`ReproServer.serve_forever` under
-``asyncio.run`` for the ``repro serve`` CLI.
+:meth:`ReproServer.start` serves on the worker pool's loop thread (the
+tests, the load generator, the ``repro serve`` CLI) and
+:meth:`ReproServer.close` stops it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -81,8 +86,6 @@ from .worker import WorkerPool
 
 __all__ = ["ReproServer", "ServerConfig"]
 
-#: Lower-layer exception class names that are the *client's* fault: they
-#: cross the worker pipe by name and map to HTTP 400 rather than 500.
 #: ``/stats`` ``front`` key -> the one registry counter that event bumps.
 _FRONT_COUNTERS = {
     "requests": ("repro_http_requests_total", "HTTP requests accepted"),
@@ -101,6 +104,8 @@ _FRONT_COUNTERS = {
     ),
 }
 
+#: Lower-layer exception class names that are the *client's* fault: they
+#: cross the worker pipe by name and map to HTTP 400 rather than 500.
 _CLIENT_FAULT_ERRORS = frozenset(
     {
         "BadRequestError",
@@ -271,103 +276,54 @@ class ReproServer:
             if base.result_cache_size > 0
             else None
         )
-        self._state_lock = threading.Lock()
         # Held for the whole of a POST /mutate: one mutation at a time, so
         # every worker applies them in one order and the cache's current
-        # versions switch in that order too.
-        self._mutate_lock = threading.Lock()
+        # versions switch in that order too.  Made on the loop it guards.
+        self._mutate_lock: Optional[asyncio.Lock] = None
         self._inflight = 0
         self._closed = False
         self.port: Optional[int] = None
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------
 
-    async def start_async(self) -> None:
-        """Bind the listening socket on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
-        )
-        self.port = self._asyncio_server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        """Bind and serve until cancelled (the ``repro serve`` path)."""
-        await self.start_async()
-        try:
-            await self._asyncio_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self._stop_async()
-            self._pool.close()
-
     def start(self) -> "ReproServer":
-        """Run the server on a daemon thread; returns once the port is bound.
-
-        The thread-backed form the tests and the load generator use::
+        """Serve on the worker pool's loop thread; returns once the port is bound::
 
             server = ReproServer(relations).start()
             ... http.client against ("127.0.0.1", server.port) ...
             server.close()
         """
-        ready = threading.Event()
-        failure: list = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.start_async())
-            except Exception as error:  # bind failures surface in start()
-                failure.append(error)
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self._stop_async())
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-server", daemon=True
-        )
-        self._thread.start()
-        if not ready.wait(timeout=10.0):
-            raise ServerError("server failed to bind within 10s")
-        if failure:
-            raise failure[0]
+        self._pool.run(self._start_async())
         return self
 
+    async def _start_async(self) -> None:
+        self._mutate_lock = asyncio.Lock()
+        self._asyncio_server = await asyncio.start_server(
+            self._handle_client, host=self.config.host, port=self.config.port
+        )
+        self.port = self._asyncio_server.sockets[0].getsockname()[1]
+
     async def _stop_async(self) -> None:
-        server = self._asyncio_server
+        """Stop accepting, then end every connection still open."""
+        server, self._asyncio_server = self._asyncio_server, None
         if server is not None:
-            self._asyncio_server = None
             server.close()
+        current = asyncio.current_task()
+        handlers = [task for task in asyncio.all_tasks() if task is not current]
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if server is not None:
             await server.wait_closed()
 
     def close(self) -> None:
-        """Stop accepting, stop the loop thread, shut the workers. Idempotent."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10.0)
+        """Stop accepting, end the connections, shut the workers. Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._asyncio_server is not None:
+            self._pool.run(self._stop_async())
         self._pool.close()
 
     @property
@@ -445,15 +401,10 @@ class ReproServer:
                 "BadRequestError", f"use GET {path}"
             )
         if path == "/metrics":
-            text = await asyncio.get_running_loop().run_in_executor(
-                None, self.render_metrics
-            )
+            text = await self.render_metrics_async()
             return 200, "text/plain; version=0.0.4", text.encode("utf-8")
         if path == "/stats":
-            stats = await asyncio.get_running_loop().run_in_executor(
-                None, self.stats
-            )
-            return 200, "application/json", json_body(stats)
+            return 200, "application/json", json_body(await self.stats_async())
         if path == "/healthz":
             return 200, "application/json", json_body(
                 {"ok": True, "workers": self._pool.size, "closed": self._closed}
@@ -463,15 +414,14 @@ class ReproServer:
         )
 
     async def _route_query(self, request: HttpRequest) -> Tuple[int, str, bytes]:
-        """Admit, validate and look the result cache up here, on the loop.
+        """Admit, validate, look the result cache up, else lease and dispatch.
 
-        None of that blocks, so a hit is answered from its stored bytes
-        without crossing a thread.  Only a miss (or a traced request) goes
-        to an executor thread, for the lease — which can wait on the budget
-        scheduler — the dispatch and the fill.  A hit still counts against
-        ``max_inflight`` (shedding stays load-based, not hit-rate-based) but
-        leases no budget.  Traced requests bypass the cache entirely —
-        their span trees describe a real execution.
+        A hit is answered from its stored bytes.  A miss (or a traced
+        request) awaits its lease — which can wait on the budget
+        scheduler — and its worker's answer, then fills the cache.  A hit
+        still counts against ``max_inflight`` (shedding stays load-based,
+        not hit-rate-based) but leases no budget.  Traced requests bypass
+        the cache entirely — their span trees describe a real execution.
         """
         try:
             payload = request.json()
@@ -500,9 +450,7 @@ class ReproServer:
                 if hit is not None:
                     self._front["queries"].inc()
                     return 200, "application/json", hit
-                response = await asyncio.get_running_loop().run_in_executor(
-                    None, self._serve_query, message, key, tracer
-                )
+                response = await self._serve_query(message, key, tracer)
         finally:
             self._leave()
             self._request_seconds.observe(perf_counter() - start)
@@ -516,29 +464,24 @@ class ReproServer:
             return error.status, "application/json", _error_body(
                 type(error).__name__, str(error)
             )
-        response = await asyncio.get_running_loop().run_in_executor(
-            None, self._serve_mutate, payload
-        )
-        return self._encode_query_response(response)
+        return self._encode_query_response(await self._serve_mutate(payload))
 
     # -- the query pipeline ---------------------------------------------
 
     def _admit(self) -> None:
-        with self._state_lock:
-            if self._closed:
-                raise ServerClosedError("the server is closed")
-            if self._inflight >= self.config.max_inflight:
-                raise ServerOverloadedError(
-                    f"{self._inflight} requests in flight >= max_inflight="
-                    f"{self.config.max_inflight}; shedding load"
-                )
-            self._inflight += 1
-            self._inflight_gauge.set(self._inflight)
+        if self._closed:
+            raise ServerClosedError("the server is closed")
+        if self._inflight >= self.config.max_inflight:
+            raise ServerOverloadedError(
+                f"{self._inflight} requests in flight >= max_inflight="
+                f"{self.config.max_inflight}; shedding load"
+            )
+        self._inflight += 1
+        self._inflight_gauge.set(self._inflight)
 
     def _leave(self) -> None:
-        with self._state_lock:
-            self._inflight -= 1
-            self._inflight_gauge.set(self._inflight)
+        self._inflight -= 1
+        self._inflight_gauge.set(self._inflight)
 
     def _cache_key(self, message: Dict[str, Any]) -> Optional[CacheKey]:
         """The result-cache key of a validated query, ``None`` without a cache."""
@@ -553,26 +496,25 @@ class ReproServer:
             message["count_only"],
         )
 
-    def _serve_query(
+    async def _serve_query(
         self,
         message: Dict[str, Any],
         key: Optional[CacheKey],
         tracer: Optional[Tracer],
     ) -> Dict[str, Any]:
-        """Lease, dispatch, and fill the cache under ``key``; always typed.
-
-        The part of a query that can block, run on an executor thread.
-        """
+        """Lease, dispatch, and fill the cache under ``key``; always typed."""
         try:
             span = tracer.span("serve", "lease") if tracer else _NULL_SPAN
             with span:
-                lease = self._scheduler.acquire(rows=message.pop("budget_request"))
+                lease = await self._scheduler.acquire(
+                    rows=message.pop("budget_request")
+                )
             with lease:
                 if lease.rows is not None:
                     message["budget"] = lease.rows
                 span = tracer.span("serve", "dispatch") if tracer else _NULL_SPAN
                 with span:
-                    response = self._pool.dispatch(
+                    response = await self._pool.dispatch_async(
                         message, timeout=self.config.request_timeout_seconds
                     )
             if response.get("ok") and key is not None:
@@ -593,16 +535,17 @@ class ReproServer:
             response["front_spans"] = [s.summary() for s in tracer.finish()]
         return response
 
-    def _serve_mutate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    async def _serve_mutate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Replace one relation's rows across the pool, then switch versions.
 
         The relation's content version is computed here, once (and only
         when there is a cache), and rides the mutate frame.  The cache's
-        current version of the name
-        switches only after every worker acknowledged the new rows, so a
-        read that misses after the switch is answered from them; a read
-        that overlapped the mutation is answered from either content and
-        filed under the one its execute bound.
+        current version of the name switches only after every worker
+        acknowledged the new rows (or was replaced for not doing so within
+        ``request_timeout_seconds``), so a read that misses after the
+        switch is answered from them; a read that overlapped the mutation
+        is answered from either content and filed under the one its
+        execute bound.
         """
         try:
             name = payload.get("name")
@@ -622,8 +565,10 @@ class ReproServer:
             # and must still switch.
             cache = self._cache
             version = None if cache is None else content_version(relation)
-            with self._mutate_lock:
-                acks = self._pool.mutate(name, relation, version)
+            async with self._mutate_lock:
+                acks = await self._pool.mutate_async(
+                    name, relation, version, self.config.request_timeout_seconds
+                )
                 noncurrent = 0 if cache is None else cache.switch(name, version)
             self._front["mutations"].inc()
             return {
@@ -690,12 +635,20 @@ class ReproServer:
     # -- observability --------------------------------------------------
 
     def render_metrics(self) -> str:
-        """The Prometheus exposition of the front merged with every worker."""
-        collections = [self._metrics.collect()]
-        collections.extend(self._pool.collect_metrics())
-        return render_prometheus(merge_collected(collections))
+        """:meth:`render_metrics_async`, from a thread off the server's loop."""
+        return self._pool.run(self.render_metrics_async())
 
     def stats(self) -> Dict[str, Any]:
+        """:meth:`stats_async`, from a thread off the server's loop."""
+        return self._pool.run(self.stats_async())
+
+    async def render_metrics_async(self) -> str:
+        """The Prometheus exposition of the front merged with every worker."""
+        collections = [self._metrics.collect()]
+        collections.extend(await self._pool.collect_metrics_async())
+        return render_prometheus(merge_collected(collections))
+
+    async def stats_async(self) -> Dict[str, Any]:
         """Front counters + budget scheduler + worker pool, one JSON dict.
 
         The ``front`` numbers are views of the registry counters
@@ -704,9 +657,8 @@ class ReproServer:
         """
         front = {key: counter.value for key, counter in self._front.items()}
         front["server_errors"] += front.pop("timeouts")
-        with self._state_lock:
-            front["inflight"] = self._inflight
-            front["closed"] = self._closed
+        front["inflight"] = self._inflight
+        front["closed"] = self._closed
         return {
             "front": front,
             "budget": self._scheduler.stats(),
@@ -715,20 +667,12 @@ class ReproServer:
                 if self._cache is not None
                 else {"enabled": False}
             ),
-            "pool": self._pool.stats(),
+            "pool": await self._pool.stats_async(),
         }
 
-class _NullSpanHandle:
-    """Stand-in span when a request did not ask for front tracing."""
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc_info):
-        return False
-
-
-_NULL_SPAN = _NullSpanHandle()
+#: Stand-in span when a request did not ask for front tracing.
+_NULL_SPAN = nullcontext()
 
 
 def _failure(error: ServerError) -> Dict[str, Any]:

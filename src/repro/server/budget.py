@@ -15,8 +15,8 @@ pool, so the fleet's aggregate engine state is bounded the same way one
 session's was — the scheduler is the budget contract lifted from
 per-session to per-deployment.
 
-Leasing is blocking-with-deadline rather than fail-fast: a request that
-cannot be granted immediately waits up to ``max_wait_seconds`` for
+Leasing waits with a deadline rather than failing fast: a request that
+cannot be granted immediately awaits up to ``max_wait_seconds`` for
 in-flight leases to return, then fails with the typed
 :class:`~repro.server.errors.BudgetExhaustedError` the front maps to
 HTTP 503.  That turns transient memory pressure into queueing delay and
@@ -26,8 +26,8 @@ overcommit.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
+import asyncio
+from typing import Dict, List, Optional
 
 from .errors import BudgetExhaustedError
 
@@ -52,13 +52,7 @@ class BudgetLease:
 
     @property
     def released(self) -> bool:
-        """Whether this lease has already been returned to the pool.
-
-        The lease-lifecycle tests pin the contract that *every* request
-        outcome — completion, worker crash, request timeout, server
-        close — ends with its lease released; this property is how they
-        observe it without reaching into the scheduler.
-        """
+        """Whether this lease has already been returned to the pool."""
         return self._released
 
     def release(self) -> None:
@@ -85,9 +79,9 @@ class BudgetScheduler:
     ``max_wait_seconds`` bounds how long an acquire may queue before the
     typed rejection.
 
-    Thread-safe: the front calls :meth:`acquire` from executor threads
-    (one per in-flight request), and a ``Condition`` wakes waiters as
-    leases return.
+    The scheduler belongs to one event loop, the front's: :meth:`acquire`
+    is awaited there and leases are released there, so it takes no lock.
+    A waiter awaits a future that the next returned lease resolves.
     """
 
     def __init__(
@@ -116,7 +110,7 @@ class BudgetScheduler:
         self.total_rows = total_rows
         self.default_request_rows = default_request_rows
         self.max_wait_seconds = max_wait_seconds
-        self._condition = threading.Condition()
+        self._waiters: List[asyncio.Future] = []
         self._leased = 0
         self._active = 0
         self._counters = {
@@ -129,12 +123,12 @@ class BudgetScheduler:
 
     # -- leasing --------------------------------------------------------
 
-    def acquire(
+    async def acquire(
         self, rows: Optional[int] = None, timeout: Optional[float] = None
     ) -> BudgetLease:
         """Lease ``rows`` (or the default slice) from the pool.
 
-        Blocks up to ``timeout`` (default ``max_wait_seconds``) for the
+        Waits up to ``timeout`` (default ``max_wait_seconds``) for the
         pool to drain, then raises :class:`BudgetExhaustedError`.  A
         request asking for more than the whole pool is rejected
         immediately — no amount of waiting can satisfy it.
@@ -142,39 +136,35 @@ class BudgetScheduler:
         if rows is not None and rows <= 0:
             raise ValueError(f"leased rows must be positive, got {rows}")
         granted = rows if rows is not None else self.default_request_rows
-        if self.total_rows is None:
-            with self._condition:
-                self._note_grant(granted)
-            return BudgetLease(granted, self)
-        if granted is None:  # unreachable: a finite pool always has a default
-            granted = self.default_request_rows
-        if granted > self.total_rows:
-            with self._condition:
+        if self.total_rows is not None:  # a finite pool always has a default
+            if granted > self.total_rows:
                 self._counters["rejections"] += 1
-            raise BudgetExhaustedError(
-                f"requested budget of {granted} rows exceeds the shared "
-                f"pool of {self.total_rows} rows"
-            )
-        deadline = timeout if timeout is not None else self.max_wait_seconds
-        with self._condition:
+                raise BudgetExhaustedError(
+                    f"requested budget of {granted} rows exceeds the shared "
+                    f"pool of {self.total_rows} rows"
+                )
             if self._leased + granted > self.total_rows:
                 self._counters["waits"] += 1
-                granted_in_time = self._condition.wait_for(
-                    lambda: self._leased + granted <= self.total_rows,
-                    timeout=deadline,
-                )
-                if not granted_in_time:
+                deadline = timeout if timeout is not None else self.max_wait_seconds
+                try:
+                    await asyncio.wait_for(self._room_for(granted), deadline)
+                except asyncio.TimeoutError:
                     self._counters["rejections"] += 1
                     raise BudgetExhaustedError(
                         f"no {granted}-row lease available within {deadline}s "
                         f"({self._leased}/{self.total_rows} rows leased to "
                         f"{self._active} request(s))"
-                    )
-            self._note_grant(granted)
+                    ) from None
+        self._note_grant(granted)
         return BudgetLease(granted, self)
 
+    async def _room_for(self, rows: int) -> None:
+        while self._leased + rows > self.total_rows:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            await waiter
+
     def _note_grant(self, granted: Optional[int]) -> None:
-        # Caller holds the condition lock.
         self._leased += granted or 0
         self._active += 1
         self._counters["grants"] += 1
@@ -186,19 +176,20 @@ class BudgetScheduler:
         )
 
     def _release(self, lease: BudgetLease) -> None:
-        with self._condition:
-            self._leased -= lease.rows or 0
-            self._active -= 1
-            self._condition.notify_all()
+        self._leased -= lease.rows or 0
+        self._active -= 1
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if not waiter.done():  # a waiter past its deadline is cancelled
+                waiter.set_result(None)
 
     # -- introspection --------------------------------------------------
 
     def stats(self) -> Dict[str, Optional[int]]:
         """A snapshot: pool size, leased/active now, grant/wait/rejection totals."""
-        with self._condition:
-            snapshot: Dict[str, Optional[int]] = dict(self._counters)
-            snapshot["total_rows"] = self.total_rows
-            snapshot["default_request_rows"] = self.default_request_rows
-            snapshot["leased_rows"] = self._leased
-            snapshot["active_leases"] = self._active
+        snapshot: Dict[str, Optional[int]] = dict(self._counters)
+        snapshot["total_rows"] = self.total_rows
+        snapshot["default_request_rows"] = self.default_request_rows
+        snapshot["leased_rows"] = self._leased
+        snapshot["active_leases"] = self._active
         return snapshot

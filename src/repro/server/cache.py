@@ -45,7 +45,6 @@ and CI's reads after a mutate.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -107,8 +106,8 @@ class ResultCache:
     The ``metrics`` registry and optional ``events`` log belong to the
     front (a cache constructed bare counts into a private registry) — the
     cache registers its instruments eagerly so a scrape renders them at
-    zero before any traffic.  Thread-safe throughout: lookups run on the
-    front's event loop and race fills and switches on executor threads.
+    zero before any traffic.  It takes no lock: the front looks up, fills
+    and switches on its one event loop.
     """
 
     def __init__(
@@ -121,7 +120,6 @@ class ResultCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._current: Dict[str, str] = dict(versions or {})
         #: The version each mutated name held before its current one: the
         #: only non-current content whose entries stay resident.
@@ -148,15 +146,13 @@ class ResultCache:
         )
 
     def _current_versions(self, names: Tuple[str, ...]) -> _Versions:
-        # Caller holds the lock.
         return tuple(self._current.get(name, "") for name in names)
 
     def _retained(self, name: str, version: str) -> bool:
-        # Caller holds the lock.  Whether entries of ``version`` may stay.
+        # Whether entries of ``version`` may stay.
         return version == self._current.get(name, "") or version == self._previous.get(name)
 
     def _drop(self, slot: Tuple[CacheKey, _Versions]) -> None:
-        # Caller holds the lock.
         del self._entries[slot]
         self._noncurrent.pop(slot, None)
         key = slot[0]
@@ -173,35 +169,30 @@ class ResultCache:
         """The hit body filed under ``key`` and the current versions, if any.
 
         The bytes are the response's JSON body with ``"cached": true``.
-        The entry's first hit encodes them, outside the lock, and keeps
-        them: every later hit copies and encodes nothing.
+        The entry's first hit encodes them and keeps them: every later hit
+        copies and encodes nothing.
         """
-        with self._lock:
-            reads = self._reads.get(key)
-            slot = entry = None
-            if reads is not None:
-                slot = (key, self._current_versions(reads[0]))
-                entry = self._entries.get(slot)
-            if entry is not None and any(
-                self._current.get(name) != version
-                for name, version in entry[1].items()
-            ):
-                # Unreachable unless a response sits in a slot other than
-                # the versions it reports: a check of this class's own
-                # bookkeeping, not of what the worker reported.
-                self._counters["cache_stale_served"].inc()
-                entry = None
-            if entry is None:
-                self._counters["cache_misses"].inc()
-                return None
-            self._entries.move_to_end(slot)
-            self._counters["cache_hits"].inc()
-        body = entry[0]
-        if not isinstance(body, bytes):
-            # A fill replaces an entry, never edits one, so this write
-            # races nothing; two first hits at once encode the same bytes.
-            body = entry[0] = json_body(body)
-        return body
+        reads = self._reads.get(key)
+        slot = entry = None
+        if reads is not None:
+            slot = (key, self._current_versions(reads[0]))
+            entry = self._entries.get(slot)
+        if entry is not None and any(
+            self._current.get(name) != version for name, version in entry[1].items()
+        ):
+            # Unreachable unless a response sits in a slot other than the
+            # versions it reports: a check of this class's own bookkeeping,
+            # not of what the worker reported.
+            self._counters["cache_stale_served"].inc()
+            entry = None
+        if entry is None:
+            self._counters["cache_misses"].inc()
+            return None
+        self._entries.move_to_end(slot)
+        self._counters["cache_hits"].inc()
+        if not isinstance(entry[0], bytes):
+            entry[0] = json_body(entry[0])
+        return entry[0]
 
     # -- the write path -------------------------------------------------
 
@@ -222,22 +213,20 @@ class ResultCache:
             self._counters["cache_stale_fill_drops"].inc()
             return False
         names = tuple(sorted(versions))
+        if not all(self._retained(name, versions[name]) for name in names):
+            self._counters["cache_stale_fill_drops"].inc()
+            return False
         slot = (key, tuple(versions[name] for name in names))
-        stored = [{**response, "cached": True}, versions]
-        with self._lock:
-            if not all(self._retained(name, versions[name]) for name in names):
-                self._counters["cache_stale_fill_drops"].inc()
-                return False
-            if slot not in self._entries:
-                _names, resident = self._reads.get(key, (names, 0))
-                self._reads[key] = (names, resident + 1)
-            self._entries[slot] = stored
-            self._entries.move_to_end(slot)
-            if slot[1] != self._current_versions(names):
-                self._noncurrent[slot] = None  # it read the previous content
-            while len(self._entries) > self.capacity:
-                self._drop(next(iter(self._noncurrent or self._entries)))
-            self._entries_gauge.set(len(self._entries))
+        if slot not in self._entries:
+            _names, resident = self._reads.get(key, (names, 0))
+            self._reads[key] = (names, resident + 1)
+        self._entries[slot] = [{**response, "cached": True}, versions]
+        self._entries.move_to_end(slot)
+        if slot[1] != self._current_versions(names):
+            self._noncurrent[slot] = None  # it read the previous content
+        while len(self._entries) > self.capacity:
+            self._drop(next(iter(self._noncurrent or self._entries)))
+        self._entries_gauge.set(len(self._entries))
         return True
 
     def switch(self, name: str, version: str) -> int:
@@ -250,32 +239,31 @@ class ResultCache:
         LRU bound evicts non-current entries before any current one.
         Switching to the version already current changes nothing.
         """
-        with self._lock:
-            replaced = self._current.get(name, "")
-            if replaced == version:
-                return 0
-            noncurrent = 0
-            outdated = []
-            for slot in self._entries:
-                key, versions = slot
-                names = self._reads[key][0]
-                if name not in names:
-                    continue
-                if versions == self._current_versions(names):
-                    noncurrent += 1
-                if versions[names.index(name)] not in (version, replaced):
-                    outdated.append(slot)
-            for slot in outdated:
-                self._drop(slot)
-            self._previous[name] = replaced
-            self._current[name] = version
-            self._noncurrent = OrderedDict(
-                (slot, None)
-                for slot in self._entries
-                if slot[1] != self._current_versions(self._reads[slot[0]][0])
-            )
-            self._counters["cache_invalidations"].inc()
-            self._entries_gauge.set(len(self._entries))
+        replaced = self._current.get(name, "")
+        if replaced == version:
+            return 0
+        noncurrent = 0
+        outdated = []
+        for slot in self._entries:
+            key, versions = slot
+            names = self._reads[key][0]
+            if name not in names:
+                continue
+            if versions == self._current_versions(names):
+                noncurrent += 1
+            if versions[names.index(name)] not in (version, replaced):
+                outdated.append(slot)
+        for slot in outdated:
+            self._drop(slot)
+        self._previous[name] = replaced
+        self._current[name] = version
+        self._noncurrent = OrderedDict(
+            (slot, None)
+            for slot in self._entries
+            if slot[1] != self._current_versions(self._reads[slot[0]][0])
+        )
+        self._counters["cache_invalidations"].inc()
+        self._entries_gauge.set(len(self._entries))
         if self._events is not None:
             self._events.emit(
                 "cache_switch", name=name, version=version, noncurrent=noncurrent
@@ -285,13 +273,11 @@ class ResultCache:
     # -- introspection --------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """Counters plus current shape, for the ``/stats`` cache section."""
-        with self._lock:
-            snapshot = {key: counter.value for key, counter in self._counters.items()}
-            snapshot["entries"] = len(self._entries)
-            snapshot["capacity"] = self.capacity
+        snapshot = {key: counter.value for key, counter in self._counters.items()}
+        snapshot["entries"] = len(self._entries)
+        snapshot["capacity"] = self.capacity
         return snapshot

@@ -2,11 +2,11 @@
 
 Each worker is one OS process (forked where available, a thread
 otherwise) holding warm sessions over the server's relations.  The front
-talks to it over a duplex :func:`multiprocessing.Pipe` carrying **tagged
-frames**: every request dict travels with a monotonic ``id`` and every
-response echoes it, so one worker serves *many* requests concurrently —
-a slow budget-64 spilling execute no longer head-of-line-blocks the fast
-cached-session queries sharing its pipe.  The moving parts:
+talks to it over a socket pair carrying **tagged frames**: every request
+dict travels with a monotonic ``id`` and every response echoes it, so one
+worker serves *many* requests concurrently — a slow budget-64 spilling
+execute no longer head-of-line-blocks the fast cached-session queries
+sharing its pipe.  The moving parts:
 
 * **In the worker** a dispatcher loop receives frames and hands ``query``
   frames to a small thread pool (``concurrency`` threads); control
@@ -14,17 +14,15 @@ cached-session queries sharing its pipe.  The moving parts:
   are answered inline on the loop so telemetry and mutation stay prompt
   under query load.  Responses are sent back under one lock, so frames
   never interleave on the pipe.
-* **In the front** each :class:`Worker` runs a receiver thread that
-  resolves a pending-futures map keyed by request id.
-  :meth:`Worker.request` registers a future, sends the tagged frame, and
-  blocks on its own future only — callers on other threads proceed
-  independently.  When the pipe dies, **every** in-flight id fails with
-  the typed :class:`WorkerCrashedError` (or :class:`ServerClosedError`
-  after :meth:`Worker.stop`), which is what lets the pool respawn and
-  retry each read-only request safely.
-* A request that outlives ``timeout`` raises the typed
-  :class:`RequestTimeoutError` and *abandons* its id: the late response
-  is dropped on arrival, the pipe keeps serving.
+* **In the front** there is no thread: the front's event loop reads and
+  writes each :class:`Worker`'s end of the pipe, and resolves the
+  worker's pending futures, keyed by request id, as responses arrive.
+  When the pipe dies, **every** in-flight id fails with the typed
+  :class:`WorkerCrashedError` (or :class:`ServerClosedError` after
+  :meth:`Worker.stop`), which is what lets the pool respawn and retry
+  each read-only request safely.  A request that outlives ``timeout``
+  raises the typed :class:`RequestTimeoutError` and *abandons* its id:
+  the late response is dropped on arrival, the pipe keeps serving.
 
 Warmth is the point.  A worker parses each distinct query text once
 (expression cache), prepares it once per session (the session's
@@ -58,15 +56,19 @@ front merges into ``/metrics`` scrapes.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
+import multiprocessing
 import os
+import pickle
+import socket
+import struct
 import threading
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from time import perf_counter
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
@@ -309,13 +311,35 @@ class _WorkerRuntime:
             session.close()
 
 
+#: A frame on a worker pipe, either way: an 8-byte big-endian length,
+#: then the pickled dict.
+_HEADER = struct.Struct("!Q")
+
+
+def _frame(message: Dict[str, Any]) -> bytes:
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
+
+
+def _read_frame(reader) -> Dict[str, Any]:
+    """The next frame off a blocking binary stream; ``EOFError`` at its end."""
+    header = reader.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise EOFError("the pipe closed")
+    size = _HEADER.unpack(header)[0]
+    payload = reader.read(size)
+    if len(payload) < size:
+        raise EOFError("the pipe closed mid-frame")
+    return pickle.loads(payload)
+
+
 def _observe_trace(config: BackendConfig) -> bool:
     observe = config.observe
     return bool(observe is not None and getattr(observe, "trace", False))
 
 
 def worker_main(
-    conn,
+    sock: socket.socket,
     relations: Mapping[str, Relation],
     versions: Mapping[str, Optional[str]],
     base_config: BackendConfig,
@@ -341,14 +365,16 @@ def worker_main(
         max_workers=max(1, concurrency),
         thread_name_prefix=f"repro-worker-{index}",
     )
+    reader = sock.makefile("rb")
 
     def respond(response: Dict[str, Any], request_id: Optional[int]) -> None:
         if request_id is not None:
             response["id"] = request_id
+        data = _frame(response)
         with send_lock:
             try:
-                conn.send(response)
-            except (BrokenPipeError, OSError, ValueError):
+                sock.sendall(data)
+            except OSError:
                 pass  # the front went away; nothing to answer
 
     def serve(message: Dict[str, Any], request_id: Optional[int]) -> None:
@@ -357,7 +383,7 @@ def worker_main(
     try:
         while True:
             try:
-                message = conn.recv()
+                message = _read_frame(reader)
             except (EOFError, OSError):
                 break
             if not isinstance(message, dict) or message.get("op") == "shutdown":
@@ -374,20 +400,57 @@ def worker_main(
         # outlive the worker.
         executor.shutdown(wait=False)
         runtime.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        reader.close()
+        sock.close()
+
+
+def _forked_main(front_sock: socket.socket, *args) -> None:
+    # The child inherits the front's end of its own pipe: holding it open,
+    # it would never see end-of-file if the front died without a word.
+    front_sock.close()
+    worker_main(*args)
+
+
+_T = TypeVar("_T")
+
+
+class _Pipe(asyncio.Protocol):
+    """The front's end of one worker pipe: cuts the byte stream into responses."""
+
+    def __init__(self, worker: "Worker"):
+        self._worker = worker
+        self._buffer = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self._worker._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        while len(buffer) >= _HEADER.size:
+            end = _HEADER.size + _HEADER.unpack_from(buffer)[0]
+            if len(buffer) < end:
+                return
+            response = pickle.loads(buffer[_HEADER.size:end])
+            del buffer[:end]
+            self._worker._resolve(response)
+
+    def connection_lost(self, exc) -> None:
+        self._worker._fail(
+            WorkerCrashedError(
+                f"worker {self._worker.index} died with requests in flight"
+            )
+        )
 
 
 class Worker:
-    """The parent-side handle of one worker: pipe + process (or thread).
+    """The front's handle of one worker: its pipe and its process (or thread).
 
-    :meth:`request` is safe to call from many threads at once — each
-    call sends one tagged frame and blocks on its own pending future
-    while the shared receiver thread demultiplexes responses by id.  A
-    dead worker fails **all** of its in-flight ids with
-    :class:`WorkerCrashedError` so the pool can respawn and retry each.
+    It belongs to the event loop that first writes to it, which resolves
+    responses by id as they arrive, so concurrent :meth:`request` calls
+    multiplex over the one pipe.  A dead worker fails **all** of its
+    in-flight ids with :class:`WorkerCrashedError` so the pool can
+    respawn and retry each.
     """
 
     def __init__(
@@ -404,197 +467,148 @@ class Worker:
         self.index = index
         self.backend = backend
         self.concurrency = max(1, concurrency)
-        self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: Dict[int, Future] = {}
+        self._pending: Dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._closed = False
-        #: Set (under the pending lock) when the receiver loop exits: the
-        #: typed error every subsequent request fails with immediately.
-        #: Checking it under the same lock that registers futures closes
-        #: the race where ``process.is_alive()`` lags the pipe's death —
-        #: a request registered after the receiver exits would otherwise
-        #: wait on a future nothing will ever resolve.
+        #: The typed error every later request fails with at once, set when
+        #: the pipe dies or the worker is stopped.  :meth:`alive` reads it
+        #: first: ``process.is_alive()`` can lag the pipe's death.
         self._dead_error: Optional[ServerError] = None
-        import multiprocessing
-
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        self._conn = parent_conn
-        args = (
-            child_conn,
-            relations,
-            versions,
-            base_config,
-            index,
-            events_path,
-            max_sessions,
-            self.concurrency,
-        )
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._connecting: Optional[asyncio.Task] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._sock, child_sock = socket.socketpair()
+        args = (child_sock, relations, versions, base_config, index,
+                events_path, max_sessions, self.concurrency)
         if backend == "fork":
             context = multiprocessing.get_context("fork")
             self._process = context.Process(
-                target=worker_main, args=args, daemon=True
+                target=_forked_main, args=(self._sock, *args), daemon=True
             )
             self._process.start()
-            child_conn.close()  # the child's end lives in the child now
+            child_sock.close()  # the child's end lives in the child now
             self._thread = None
         else:
             self._process = None
             self._thread = threading.Thread(target=worker_main, args=args, daemon=True)
             self._thread.start()
-        self._receiver = threading.Thread(
-            target=self._receive_loop,
-            name=f"repro-worker-{index}-recv",
-            daemon=True,
-        )
-        self._receiver.start()
 
     # -- the demultiplexer ---------------------------------------------
 
-    def _receive_loop(self) -> None:
-        while True:
-            try:
-                response = self._conn.recv()
-            except (EOFError, OSError, ValueError):
-                break
-            request_id = (
-                response.pop("id", None) if isinstance(response, dict) else None
-            )
-            with self._pending_lock:
-                future = self._pending.pop(request_id, None)
-            if future is not None:
-                try:
-                    future.set_result(response)
-                except InvalidStateError:
-                    pass  # its caller timed out and cancelled it meanwhile
-        if self._closed:
-            self._fail_pending(
-                ServerClosedError(f"worker {self.index} is closed")
-            )
-        else:
-            self._fail_pending(
-                WorkerCrashedError(
-                    f"worker {self.index} died with requests in flight"
-                )
-            )
+    def _resolve(self, response: Dict[str, Any]) -> None:
+        future = self._pending.pop(response.pop("id", None), None)
+        if future is not None and not future.done():
+            future.set_result(response)
 
-    def _fail_pending(self, error: ServerError) -> None:
-        """Fail every in-flight id with one typed error (crash contract)."""
-        with self._pending_lock:
+    def _fail(self, error: ServerError) -> None:
+        """Fail every in-flight id, and every later request, with one typed error."""
+        if self._dead_error is None:
             self._dead_error = error
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for future in pending:
-            try:
-                future.set_exception(error)
-            except InvalidStateError:
-                pass  # its caller timed out and cancelled it meanwhile
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(self._dead_error)
 
     @property
     def inflight(self) -> int:
         """How many requests this worker currently has in flight."""
-        with self._pending_lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def alive(self) -> bool:
-        """Whether the worker can still take requests.
-
-        The dead-flag check comes first: the pipe's death (receiver EOF)
-        is the authoritative signal, and ``process.is_alive()`` can lag
-        it by the length of a SIGTERM delivery.
-        """
-        if self._closed or self._dead_error is not None:
+        """Whether the worker can still take requests."""
+        if self._dead_error is not None:
             return False
         if self._process is not None:
             return self._process.is_alive()
-        return self._thread is not None and self._thread.is_alive()
+        return self._thread.is_alive()
 
-    def request(
+    async def request(
         self, message: Dict[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Send one tagged frame and block for *its* response.
+        """Write one tagged frame and await *its* response.
 
         Concurrent callers multiplex over the one pipe.  ``timeout``
         bounds the wait: expiry abandons the id (the late response is
-        discarded by the receiver) and raises the typed
+        dropped on arrival) and raises the typed
         :class:`RequestTimeoutError`.
         """
-        return self.wait(*self.submit(message), timeout=timeout)
+        return await self.wait(*await self.submit(message), timeout=timeout)
 
-    def submit(self, message: Dict[str, Any]) -> Tuple[int, Future]:
-        """Send one tagged frame; return its id and the future :meth:`wait` reads.
+    async def submit(self, message: Dict[str, Any]) -> Tuple[int, asyncio.Future]:
+        """Write one tagged frame; return its id and the future :meth:`wait` awaits.
 
-        A frame that cannot be sent leaves nothing pending: a dead pipe
-        raises :class:`WorkerCrashedError`, and any other failure (a frame
-        that does not pickle) is re-raised as it is — nothing reached the
-        worker, which keeps serving.
+        A frame that does not pickle raises as it is, before anything is
+        pending or written: nothing reached the worker, which keeps
+        serving.  A dead or stopped worker raises its typed error.
         """
-        if self._closed:
-            raise ServerClosedError(f"worker {self.index} is closed")
         request_id = next(self._ids)
-        future: Future = Future()
-        with self._pending_lock:
-            if self._dead_error is not None:
-                raise self._dead_error
-            self._pending[request_id] = future
-        frame = dict(message)
-        frame["id"] = request_id
-        try:
-            with self._send_lock:
-                self._conn.send(frame)
-        except (BrokenPipeError, OSError, ValueError) as error:
-            self._forget(request_id)
-            raise WorkerCrashedError(
-                f"worker {self.index} died mid-request ({type(error).__name__})"
-            ) from error
-        except BaseException:
-            self._forget(request_id)
-            raise
+        data = _frame({**message, "id": request_id})
+        if self._transport is None and self._dead_error is None:
+            if self._connecting is None:
+                self._loop = asyncio.get_running_loop()
+                self._connecting = self._loop.create_task(
+                    self._loop.connect_accepted_socket(lambda: _Pipe(self), self._sock)
+                )
+            try:
+                await self._connecting
+            except OSError as error:  # the pipe was closed under the connect
+                self._fail(WorkerCrashedError(
+                    f"worker {self.index}'s pipe failed ({type(error).__name__})"
+                ))
+        if self._dead_error is not None:
+            raise self._dead_error
+        future = self._loop.create_future()
+        self._pending[request_id] = future
+        self._transport.write(data)
         return request_id, future
 
-    def wait(
-        self, request_id: int, future: Future, timeout: Optional[float] = None
+    async def wait(
+        self, request_id: int, future: asyncio.Future, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Block for the response to a frame :meth:`submit` sent."""
+        """Await the response to a frame :meth:`submit` wrote."""
         try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            self._forget(request_id)
-            future.cancel()
+            if timeout is None:
+                return await future
+            return await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
             raise RequestTimeoutError(
                 f"worker {self.index} did not answer request {request_id} "
                 f"within {timeout}s"
             ) from None
-
-    def _forget(self, request_id: int) -> None:
-        with self._pending_lock:
+        finally:
             self._pending.pop(request_id, None)
 
-    def stop(self, timeout: float = 5.0) -> None:
-        """Shut the worker down: shutdown message, join, then terminate."""
-        with self._send_lock:
-            if self._closed:
-                return
+    def stop(self, wait: bool = True, timeout: float = 5.0) -> None:
+        """Shut the worker down: shutdown frame, then the pipe closed.
+
+        Every in-flight id fails with :class:`ServerClosedError`.  Unless
+        ``wait`` is false, the worker is then joined (a stuck process
+        terminated).  Call it on the loop the pipe belongs to, or with no
+        loop running it.
+        """
+        if not self._closed:
             self._closed = True
+            self._fail(ServerClosedError(f"worker {self.index} is closed"))
+            shutdown = _frame({"op": "shutdown"})
+            transport = self._transport
             try:
-                self._conn.send({"op": "shutdown"})
-            except (BrokenPipeError, OSError, ValueError):
-                pass
+                if transport is None or transport.is_closing() or self._loop.is_closed():
+                    self._sock.sendall(shutdown)
+                else:
+                    transport.write(shutdown)
+                    transport.abort()
+            except OSError:
+                pass  # the worker is gone already
+            self._sock.close()
+        if not wait:
+            return
         if self._process is not None:
             self._process.join(timeout)
             if self._process.is_alive():  # pragma: no cover - stuck worker
                 self._process.terminate()
                 self._process.join(timeout)
-        elif self._thread is not None:
+        else:
             self._thread.join(timeout)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        # Closing the pipe wakes the receiver, which fails any still
-        # in-flight ids with the typed closed error.
-        self._receiver.join(timeout)
-        self._fail_pending(ServerClosedError(f"worker {self.index} is closed"))
 
     def kill(self) -> None:
         """Hard-kill the worker process (crash-recovery tests only)."""
@@ -619,6 +633,10 @@ class WorkerPool:
     respawned worker.  ``versions`` maps each relation name to its content
     version, for a front that keeps a result cache; without it a query
     response reports ``None`` for every name it read.
+
+    The pool's coroutines all run on one event loop and take no locks: a
+    server's loop, or — for a caller off any loop (:meth:`dispatch`,
+    :meth:`run`) — a loop thread the pool starts on the first such call.
     """
 
     def __init__(
@@ -650,10 +668,13 @@ class WorkerPool:
         self.backend = worker_backend
         self.size = size
         self.concurrency = concurrency
-        self._lock = threading.Lock()
         self._closed = False
         self._next = 0
         self.worker_restarts = 0
+        #: The pool's own loop and its thread, started by the first :meth:`run`.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._start_lock = threading.Lock()
         self._workers = [self._spawn(index) for index in range(size)]
 
     def _events_path(self, index: int) -> Optional[str]:
@@ -663,8 +684,8 @@ class WorkerPool:
         return os.path.join(self._events_dir, f"worker-{index}.jsonl")
 
     def _spawn(self, index: int) -> Worker:
-        # Copies taken under the pool lock: a thread-backend worker reads
-        # its maps on its own thread, after a mutate may have rebound them.
+        # Copies: a thread-backend worker reads its maps on its own thread,
+        # after a mutate may have rebound them.
         return Worker(
             index,
             dict(self._relations),
@@ -678,86 +699,120 @@ class WorkerPool:
 
     def relation(self, name: str) -> Optional[Relation]:
         """The pool's current binding for ``name`` (what a respawn serves)."""
-        with self._lock:
-            return self._relations.get(name)
+        return self._relations.get(name)
 
     def versions(self) -> Dict[str, Optional[str]]:
         """The content version of every current binding the pool was given."""
-        with self._lock:
-            return dict(self._versions)
+        return dict(self._versions)
 
     def _pick(self) -> int:
-        with self._lock:
-            if self._closed:
-                raise ServerClosedError("the worker pool is closed")
-            best = self._next
-            best_load = None
-            for offset in range(self.size):
-                index = (self._next + offset) % self.size
-                load = self._workers[index].inflight
-                if best_load is None or load < best_load:
-                    best, best_load = index, load
-                    if load == 0:
-                        break
-            self._next = (best + 1) % self.size
-            return best
+        if self._closed:
+            raise ServerClosedError("the worker pool is closed")
+        # The least-loaded worker; ties go to the first in round-robin order.
+        order = [(self._next + offset) % self.size for offset in range(self.size)]
+        best = min(order, key=lambda index: self._workers[index].inflight)
+        self._next = (best + 1) % self.size
+        return best
 
     def _ensure_alive(self, index: int) -> Worker:
-        with self._lock:
-            worker = self._workers[index]
-            if worker.alive():
-                return worker
-            if self._closed:
-                raise ServerClosedError("the worker pool is closed")
-            self.worker_restarts += 1
-            worker = self._spawn(index)
-            self._workers[index] = worker
+        worker = self._workers[index]
+        if worker.alive():
             return worker
+        if self._closed:
+            raise ServerClosedError("the worker pool is closed")
+        self.worker_restarts += 1
+        worker = self._spawn(index)
+        self._workers[index] = worker
+        return worker
 
-    def dispatch(
+    async def dispatch_async(
         self, message: Dict[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         """Send ``message`` to one worker; respawn and retry once on a crash.
 
-        A worker the pool stopped to replace it (see :meth:`mutate`) fails
-        its in-flight ids as closed; they are retried on the replacement.
-        A :class:`RequestTimeoutError` is *not* retried — the caller's
-        deadline already expired and the worker is healthy, just slow.
+        A worker the pool stopped to replace it (see :meth:`mutate_async`)
+        fails its in-flight ids as closed; they are retried on the
+        replacement.  A :class:`RequestTimeoutError` is *not* retried — the
+        caller's deadline already expired and the worker is healthy, just
+        slow.
         """
         index = self._pick()
         worker = self._ensure_alive(index)
         try:
-            return worker.request(message, timeout=timeout)
+            return await worker.request(message, timeout=timeout)
         except (WorkerCrashedError, ServerClosedError):
             worker = self._ensure_alive(index)
-            return worker.request(message, timeout=timeout)
+            return await worker.request(message, timeout=timeout)
 
-    def mutate(self, name: str, relation: Relation, version: Optional[str]) -> list:
+    def dispatch(
+        self, message: Dict[str, Any], timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """:meth:`dispatch_async` for a caller off any event loop; blocks."""
+        return self.run(self.dispatch_async(message, timeout=timeout))
+
+    def run(self, coroutine: Awaitable[_T]) -> _T:
+        """Run one of the pool's coroutines from a thread off its loop; block.
+
+        The first call starts the pool's own loop thread (a pool a server
+        drives never gets one: its coroutines run on the server's loop).
+        A call :meth:`close` cuts short raises :class:`ServerClosedError`.
+        """
+        with self._start_lock:
+            if self._closed:
+                coroutine.close()
+                raise ServerClosedError("the worker pool is closed")
+            if self._loop is None:
+                self._loop = asyncio.new_event_loop()
+                self._thread = threading.Thread(
+                    target=self._run_loop, name="repro-pool", daemon=True
+                )
+                self._thread.start()
+        try:
+            return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result()
+        except CancelledError:
+            raise ServerClosedError("the worker pool is closed") from None
+
+    def _run_loop(self) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_forever()
+        finally:
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+            loop.close()
+
+    async def mutate_async(
+        self,
+        name: str,
+        relation: Relation,
+        version: Optional[str],
+        timeout: Optional[float] = None,
+    ) -> list:
         """Install ``relation`` (content ``version``) under ``name`` pool-wide.
 
-        Broadcasts a ``mutate`` frame to every live worker and, once they
+        Writes a ``mutate`` frame to every live worker and, once they
         have answered, rebinds the pool's own map, which is what a worker
-        respawned later warms its sessions over.  A frame that cannot be
-        sent (it does not pickle) raises before anything is rebound.  A
-        worker respawned while the broadcast was in flight started from
-        the old map, so it is sent the frame after the rebind.  A worker
-        that answered ``ok: false`` would go on serving the old rows:
-        after the rebind it is stopped and respawned from the new map,
-        counted in ``worker_restarts``.  (One skipped as dead needs
-        nothing: the next dispatch to it respawns it from the new map.)
-        Returns the workers' responses.  Callers serialise mutations.
+        respawned later warms its sessions over.  A frame that does not
+        pickle raises before anything is rebound.  A worker respawned
+        while the broadcast was in flight is sent the frame after the
+        rebind.  A worker that answered ``ok: false``, or not within
+        ``timeout`` seconds (reported as ``ok: false``), is stopped and
+        respawned from the new map, counted in ``worker_restarts``; one
+        skipped as dead is respawned by the next dispatch to it.  Returns
+        the workers' responses.  Callers serialise mutations.
         """
         message = {"op": "mutate", "name": name, "relation": relation, "version": version}
-        with self._lock:
-            if self._closed:
-                raise ServerClosedError("the worker pool is closed")
-            workers = list(self._workers)
-        first = self._broadcast(workers, message)
-        with self._lock:
-            self._relations[name] = relation
-            self._versions[name] = version
-            respawned = [worker for worker in self._workers if worker not in workers]
-        second = self._broadcast(respawned, message)
+        if self._closed:
+            raise ServerClosedError("the worker pool is closed")
+        workers = list(self._workers)
+        first = await self._broadcast(workers, message, timeout)
+        self._relations[name] = relation
+        self._versions[name] = version
+        respawned = [worker for worker in self._workers if worker not in workers]
+        second = await self._broadcast(respawned, message, timeout)
         for sent, acks in ((workers, first), (respawned, second)):
             sent_to = {worker.index: worker for worker in sent}
             for ack in acks:
@@ -767,70 +822,79 @@ class WorkerPool:
 
     def _replace(self, worker: Worker) -> None:
         """Respawn ``worker``'s slot from the current map, then stop it."""
-        with self._lock:
-            if self._closed or self._workers[worker.index] is not worker:
-                return  # closing, or already respawned by a dispatch
-            self.worker_restarts += 1
-            self._workers[worker.index] = self._spawn(worker.index)
-        worker.stop()
-
-    def broadcast(self, message: Dict[str, Any]) -> list:
-        """Send ``message`` to every live worker and collect the responses."""
-        with self._lock:
-            workers = list(self._workers)
-        return self._broadcast(workers, message)
+        if self._closed or self._workers[worker.index] is not worker:
+            return  # closing, or already respawned by a dispatch
+        self.worker_restarts += 1
+        self._workers[worker.index] = self._spawn(worker.index)
+        worker.stop(wait=False)  # it exits by itself; the loop does not wait
 
     @staticmethod
-    def _broadcast(workers, message: Dict[str, Any]) -> list:
-        # Every frame is sent before any response is awaited, so the
-        # workers apply it concurrently; a dead or dying worker is skipped.
+    async def _broadcast(
+        workers, message: Dict[str, Any], timeout: Optional[float] = None
+    ) -> list:
+        # Every frame is written before any response is awaited, so the
+        # workers apply it concurrently; a dead or dying worker is skipped,
+        # and one that misses the deadline answers ``ok: false``.
         sent = []
         for worker in workers:
             if not worker.alive():
                 continue
             try:
-                sent.append((worker, *worker.submit(message)))
+                sent.append((worker, *await worker.submit(message)))
             except (WorkerCrashedError, ServerClosedError):
                 continue
-        responses = []
-        for worker, request_id, future in sent:
+
+        async def answer(worker: Worker, request_id: int, future: asyncio.Future):
             try:
-                responses.append(worker.wait(request_id, future))
+                return await worker.wait(request_id, future, timeout)
+            except RequestTimeoutError as error:
+                return {"ok": False, "error": type(error).__name__,
+                        "message": str(error), "worker": worker.index}
             except (WorkerCrashedError, ServerClosedError):
-                continue
-        return responses
+                return None
 
-    def collect_metrics(self) -> list:
+        answers = await asyncio.gather(*(answer(*entry) for entry in sent))
+        return [response for response in answers if response is not None]
+
+    async def collect_metrics_async(self) -> list:
         """Every worker's ``registry.collect()`` snapshot (for ``/metrics``)."""
-        return [
-            response["collected"]
-            for response in self.broadcast({"op": "metrics"})
-            if response.get("ok")
-        ]
+        responses = await self._broadcast(list(self._workers), {"op": "metrics"})
+        return [response["collected"] for response in responses if response.get("ok")]
 
-    def stats(self) -> Dict[str, Any]:
+    async def stats_async(self) -> Dict[str, Any]:
         """Pool shape plus each worker's session/expression/event stats."""
-        with self._lock:
-            inflight = [worker.inflight for worker in self._workers]
+        inflight = [worker.inflight for worker in self._workers]
+        responses = await self._broadcast(list(self._workers), {"op": "stats"})
         return {
             "size": self.size,
             "backend": self.backend,
             "concurrency": self.concurrency,
             "worker_restarts": self.worker_restarts,
             "inflight": inflight,
-            "workers": [
-                response["stats"]
-                for response in self.broadcast({"op": "stats"})
-                if response.get("ok")
-            ],
+            "workers": [response["stats"] for response in responses if response.get("ok")],
         }
 
     def close(self) -> None:
-        """Stop every worker (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            workers = list(self._workers)
-        for worker in workers:
+        """Stop every worker (idempotent).
+
+        Call it on the loop that drives the pool (or with that loop
+        stopped); a pool running its own loop takes it from any thread,
+        and stops that loop too.
+        """
+        if self._closed:
+            return
+        if self._thread is None:
+            self._stop_workers()
+            return
+
+        async def stop_workers() -> None:
+            self._stop_workers()
+
+        self.run(stop_workers())
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+
+    def _stop_workers(self) -> None:
+        self._closed = True
+        for worker in self._workers:
             worker.stop()

@@ -10,6 +10,7 @@ no pools or spill directories and answers post-close requests with the
 typed :class:`~repro.api.SessionClosedError`.
 """
 
+import asyncio
 import json
 import http.client
 import multiprocessing
@@ -134,53 +135,85 @@ def connection(server):
 
 
 class TestBudgetScheduler:
+    """The scheduler belongs to one event loop: each test runs one."""
+
     def test_unlimited_pool_grants_immediately(self):
         scheduler = BudgetScheduler()
-        with scheduler.acquire() as lease:
-            assert lease.rows is None
-        with scheduler.acquire(rows=500) as lease:
-            assert lease.rows == 500
+
+        async def scenario():
+            with await scheduler.acquire() as lease:
+                assert lease.rows is None
+            with await scheduler.acquire(rows=500) as lease:
+                assert lease.rows == 500
+
+        asyncio.run(scenario())
         assert scheduler.stats()["grants"] == 2
 
     def test_finite_pool_defaults_to_a_quarter_slice(self):
         scheduler = BudgetScheduler(total_rows=1000)
         assert scheduler.default_request_rows == 250
-        with scheduler.acquire() as lease:
-            assert lease.rows == 250
+        lease = asyncio.run(scheduler.acquire())
+        assert lease.rows == 250
 
     def test_request_larger_than_pool_rejects_immediately(self):
         scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=30.0)
         start = time.perf_counter()
         with pytest.raises(BudgetExhaustedError):
-            scheduler.acquire(rows=101)
+            asyncio.run(scheduler.acquire(rows=101))
         assert time.perf_counter() - start < 1.0
         assert scheduler.stats()["rejections"] == 1
 
     def test_concurrent_leases_never_exceed_the_pool(self):
         scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=5.0)
-        first = scheduler.acquire(rows=60)
-        # A second 60-row lease must wait; release on a timer unblocks it.
-        timer = threading.Timer(0.05, first.release)
-        timer.start()
-        second = scheduler.acquire(rows=60)
-        assert second.rows == 60
+
+        async def scenario():
+            first = await scheduler.acquire(rows=60)
+            # A second 60-row lease must wait; release on a timer unblocks it.
+            asyncio.get_running_loop().call_later(0.05, first.release)
+            second = await scheduler.acquire(rows=60)
+            assert second.rows == 60 and first.released
+            second.release()
+
+        asyncio.run(scenario())
         assert scheduler.stats()["waits"] == 1
         assert scheduler.stats()["peak_leased_rows"] <= 100
-        second.release()
-        timer.join()
 
     def test_wait_deadline_raises_the_typed_rejection(self):
         scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=0.05)
-        held = scheduler.acquire(rows=80)
-        with pytest.raises(BudgetExhaustedError):
-            scheduler.acquire(rows=80)
+
+        async def scenario():
+            held = await scheduler.acquire(rows=80)
+            with pytest.raises(BudgetExhaustedError):
+                await scheduler.acquire(rows=80)
+            held.release()
+
+        asyncio.run(scenario())
         assert scheduler.stats()["rejections"] == 1
-        held.release()
         assert scheduler.stats()["leased_rows"] == 0
+
+    def test_a_released_lease_wakes_only_the_waiters_that_fit(self):
+        scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=5.0)
+
+        async def scenario():
+            held = [await scheduler.acquire(rows=50) for _ in range(2)]
+            small = asyncio.ensure_future(scheduler.acquire(rows=40))
+            large = asyncio.ensure_future(scheduler.acquire(rows=90))
+            await asyncio.sleep(0.01)
+            held[0].release()
+            assert (await small).rows == 40
+            await asyncio.sleep(0.01)
+            assert not large.done()  # 50 + 40 leased: 90 more cannot fit
+            held[1].release()
+            (await small).release()
+            assert (await large).rows == 90
+
+        asyncio.run(scenario())
+        assert scheduler.stats()["waits"] == 2
+        assert scheduler.stats()["peak_leased_rows"] == 100
 
     def test_release_is_idempotent(self):
         scheduler = BudgetScheduler(total_rows=100)
-        lease = scheduler.acquire(rows=40)
+        lease = asyncio.run(scheduler.acquire(rows=40))
         lease.release()
         lease.release()
         assert scheduler.stats()["leased_rows"] == 0
@@ -192,7 +225,7 @@ class TestBudgetScheduler:
         with pytest.raises(ValueError):
             BudgetScheduler(total_rows=100, default_request_rows=200)
         with pytest.raises(ValueError):
-            BudgetScheduler().acquire(rows=0)
+            asyncio.run(BudgetScheduler().acquire(rows=0))
 
 
 class TestWorkerPool:
@@ -309,6 +342,43 @@ class TestWorkerPool:
         pool.close()  # idempotent
         with pytest.raises(ServerClosedError):
             pool.dispatch({"op": "query", "query": QUERIES[0]})
+
+    def test_workers_exit_when_the_front_dies_without_a_word(self):
+        if not hasattr(os, "fork") or not os.path.isdir("/proc"):
+            pytest.skip("needs fork workers and /proc")
+        script = (
+            "import os, sys, time\n"
+            "from repro.api.config import BackendConfig\n"
+            "from repro.server import WorkerPool\n"
+            "from repro.workloads import serving_relations\n"
+            "pool = WorkerPool(serving_relations(rows=50), BackendConfig(), size=2,"
+            " worker_backend='fork')\n"
+            "print(*(worker._process.pid for worker in pool._workers), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        front = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            pids = [int(pid) for pid in front.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            front.kill()  # SIGKILL: no shutdown frame, no cleanup
+            front.wait(10)
+            front.stdout.close()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.perf_counter() + 20
+        while any(map(running, pids)) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids)), "a worker outlived its front"
 
     def test_thread_backend_serves_too(self):
         pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
@@ -463,15 +533,16 @@ class TestHttpFront:
             conn = http.client.HTTPConnection("127.0.0.1", tight.port, timeout=30)
             try:
                 assert _post(conn, hit)[1]["cached"] is False  # fills the entry
-                dispatch = tight._pool.dispatch
+                dispatch = tight._pool.dispatch_async
                 entered, release = threading.Event(), threading.Event()
 
-                def held(message, timeout=None):
+                async def held(message, timeout=None):
                     entered.set()
-                    release.wait(30)
-                    return dispatch(message, timeout=timeout)
+                    while not release.is_set():  # the loop keeps serving
+                        await asyncio.sleep(0.001)
+                    return await dispatch(message, timeout=timeout)
 
-                monkeypatch.setattr(tight._pool, "dispatch", held)
+                monkeypatch.setattr(tight._pool, "dispatch_async", held)
                 answered = []
 
                 def miss():
@@ -747,7 +818,7 @@ class TestMultiplexedWorkers:
                 and time.perf_counter() < deadline
             ):
                 time.sleep(0.001)
-            ping = pool._workers[0].request({"op": "ping"})
+            ping = pool.run(pool._workers[0].request({"op": "ping"}))
             assert ping["ok"]
             assert not slow_done.is_set(), (
                 "the ping answered inline must not wait for the query"
@@ -762,10 +833,10 @@ class TestMultiplexedWorkers:
         )
         try:
             for index in range(2):
-                warm = pool._workers[index].request(
+                warm = pool.run(pool._workers[index].request(
                     {"op": "query", "query": HEAVY_QUERY, "budget": 64,
                      "count_only": True}
-                )
+                ))
                 assert warm["ok"]
             slow_done = threading.Event()
 
@@ -1008,10 +1079,10 @@ class TestPoolFrames:
                 original.scheme, [(local, 1), (2, 3)], name="R"
             )
             with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
-                pool.mutate("R", relation, content_version(relation))
+                pool.run(pool.mutate_async("R", relation, content_version(relation)))
             assert pool.relation("R") is original
             assert pool.versions() == versions
-            assert pool.stats()["inflight"] == [0, 0]
+            assert pool.run(pool.stats_async())["inflight"] == [0, 0]
             response = pool.dispatch(
                 {"op": "query", "query": "project[A, B](R)", "count_only": True}
             )
@@ -1020,35 +1091,30 @@ class TestPoolFrames:
         finally:
             pool.close()
 
-    def test_a_response_racing_its_callers_timeout_spares_the_receiver(
-        self, monkeypatch
-    ):
-        # The caller's deadline fires between the receiver popping the
-        # future and resolving it: the future is cancelled in that window.
-        from concurrent.futures import CancelledError
-
-        from repro.server import worker as worker_module
-
-        class CancelledInTheWindow(worker_module.Future):
-            def set_result(self, result):
-                self.cancel()
-                super().set_result(result)
-
-        worker = worker_module.Worker(
-            0, RELATIONS, {}, BackendConfig(), "thread"
+    def test_a_response_whose_caller_gave_up_is_dropped(self):
+        # The caller's deadline fires first: its id is abandoned, the late
+        # response is dropped on arrival, and the pipe keeps serving.
+        pool = WorkerPool(
+            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1, concurrency=2
         )
+        slow = {"op": "query", "query": HEAVY_QUERY, "budget": 64, "count_only": True}
+        worker = pool._workers[0]
         try:
-            monkeypatch.setattr(worker_module, "Future", CancelledInTheWindow)
-            request_id, future = worker.submit({"op": "ping"})
-            with pytest.raises(CancelledError):
-                future.result(timeout=10)
-            monkeypatch.undo()
-            worker._receiver.join(timeout=0.2)
-            assert worker._receiver.is_alive()
-            assert worker.request({"op": "ping"}, timeout=10)["ok"]
-            assert worker.inflight == 0
+            assert pool.run(worker.request(slow))["ok"]  # warm the spilling session
+
+            async def scenario():
+                with pytest.raises(RequestTimeoutError):
+                    await worker.request(slow, timeout=0.001)
+                assert worker.inflight == 0
+                ping = await worker.request({"op": "ping"}, timeout=30)
+                answered = await worker.request(slow, timeout=30)
+                return ping, answered
+
+            ping, answered = pool.run(scenario())
+            assert ping["ok"] and answered["ok"] and worker.alive()
+            assert worker.inflight == 0 and pool.worker_restarts == 0
         finally:
-            worker.stop()
+            pool.close()
 
     def test_broadcast_sends_every_frame_before_awaiting_any(self):
         pool = WorkerPool(RELATIONS, BackendConfig(), size=2, worker_backend="thread")
@@ -1057,19 +1123,62 @@ class TestPoolFrames:
             for worker in pool._workers:
                 submit, wait = worker.submit, worker.wait
 
-                def logged_submit(message, worker=worker, submit=submit):
+                async def logged_submit(message, worker=worker, submit=submit):
                     calls.append(("submit", worker.index))
-                    return submit(message)
+                    return await submit(message)
 
-                def logged_wait(*args, worker=worker, wait=wait, **kwargs):
+                async def logged_wait(*args, worker=worker, wait=wait, **kwargs):
                     calls.append(("wait", worker.index))
-                    return wait(*args, **kwargs)
+                    return await wait(*args, **kwargs)
 
                 worker.submit, worker.wait = logged_submit, logged_wait
-            responses = pool.broadcast({"op": "ping"})
+            responses = pool.run(pool._broadcast(pool._workers, {"op": "ping"}))
             assert [response["worker"] for response in responses] == [0, 1]
             assert calls == [("submit", 0), ("submit", 1), ("wait", 0), ("wait", 1)]
         finally:
+            pool.close()
+
+    def test_a_mutate_a_worker_does_not_ack_in_time_replaces_it(self, monkeypatch):
+        # The broadcast's deadline: a worker stuck applying a mutate is
+        # replaced from the new map, and the mutate answers without it.
+        from repro.server import worker as worker_module
+
+        release = threading.Event()
+        handle_mutate = worker_module._WorkerRuntime._handle_mutate
+
+        def stuck_on_worker_0(runtime, message):
+            if runtime.index == 0:
+                release.wait(30)
+            return handle_mutate(runtime, message)
+
+        monkeypatch.setattr(
+            worker_module._WorkerRuntime, "_handle_mutate", stuck_on_worker_0
+        )
+        pool = WorkerPool(
+            RELATIONS,
+            BackendConfig(),
+            size=2,
+            worker_backend="thread",
+            versions={name: content_version(r) for name, r in RELATIONS.items()},
+        )
+        try:
+            relation = Relation.from_rows(RELATIONS["R"].scheme, [(1, 2)], name="R")
+            start = time.perf_counter()
+            acks = pool.run(
+                pool.mutate_async("R", relation, content_version(relation), timeout=0.2)
+            )
+            assert time.perf_counter() - start < 10
+            assert [(ack["worker"], ack["ok"]) for ack in acks] == [(0, False), (1, True)]
+            assert acks[0]["error"] == "RequestTimeoutError"
+            assert pool.worker_restarts == 1
+            release.set()
+            for index in range(2):
+                response = pool.run(pool._workers[index].request(
+                    {"op": "query", "query": "project[A, B](R)"}, timeout=30
+                ))
+                assert response["rows"] == [[1, 2]], response
+        finally:
+            release.set()
             pool.close()
 
 
@@ -1089,7 +1198,7 @@ class TestMutateFailures:
 
     def _assert_every_worker_serves(self, pool, relation):
         for worker in pool._workers:
-            response = worker.request(self.QUERY, timeout=30)
+            response = pool.run(worker.request(self.QUERY, timeout=30))
             assert response["ok"], response
             assert response["rows"] == [list(row) for row in relation.sorted_rows()]
             assert response["versions"] == {"R": content_version(relation)}
@@ -1112,11 +1221,13 @@ class TestMutateFailures:
             relation = Relation.from_rows(
                 RELATIONS["R"].scheme, [(1, 2), (3, 4)], name="R"
             )
-            acks = pool.mutate("R", relation, content_version(relation))
+            acks = pool.run(
+                pool.mutate_async("R", relation, content_version(relation))
+            )
             assert sorted(ack["ok"] for ack in acks) == [False, True]
             assert pool.worker_restarts == 1
             self._assert_every_worker_serves(pool, relation)
-            assert pool.stats()["worker_restarts"] == 1
+            assert pool.run(pool.stats_async())["worker_restarts"] == 1
         finally:
             pool.close()
 
@@ -1148,7 +1259,8 @@ class TestMutateFailures:
             reader.start()
             assert entered.wait(10)
             relation = Relation.from_rows(RELATIONS["R"].scheme, [(7, 8)], name="R")
-            assert [ack["ok"] for ack in pool.mutate("R", relation, None)] == [False]
+            acks = pool.run(pool.mutate_async("R", relation, None))
+            assert [ack["ok"] for ack in acks] == [False]
             reader.join(30)
             assert not reader.is_alive()
             assert answered["ok"] and answered["rows"] == [[7, 8]], answered
@@ -1164,7 +1276,9 @@ class TestMutateFailures:
             relation = Relation.from_rows(
                 RELATIONS["R"].scheme, [(5, 6)], name="R"
             )
-            acks = pool.mutate("R", relation, content_version(relation))
+            acks = pool.run(
+                pool.mutate_async("R", relation, content_version(relation))
+            )
             assert [ack["worker"] for ack in acks] == [1]
             assert pool.worker_restarts == 0
             # The next dispatch to the dead slot respawns it from the new map.
@@ -1728,8 +1842,8 @@ class TestResultCacheOverHttp:
         finally:
             conn.close()
 
-    def test_hits_never_reach_the_executor(self, cached_server, monkeypatch):
-        loop = cached_server._loop
+    def test_no_query_or_mutate_reaches_the_executor(self, cached_server, monkeypatch):
+        loop = cached_server._pool._loop
         run_in_executor = loop.run_in_executor
         calls = []
 
@@ -1741,17 +1855,23 @@ class TestResultCacheOverHttp:
         conn = self._conn(cached_server)
         query = {"query": QUERIES[4], "count_only": True}
         try:
-            assert _post(conn, query)[1]["cached"] is False
-            assert len(calls) == 1  # the miss: lease, dispatch, fill
+            assert _post(conn, query)[1]["cached"] is False  # lease, dispatch, fill
             assert cached_server.stats()["cache"]["cache_misses"] == 1
             for _ in range(25):
                 assert _post(conn, query)[1]["cached"] is True
-            assert len(calls) == 1
+            assert self._mutate(conn, "T", [[1, 2]])[0] == 200
+            assert _post(conn, query)[1]["cached"] is False
+            assert _get(conn, "/stats")[0] == _get(conn, "/metrics")[0] == 200
+            assert calls == []
         finally:
             conn.close()
             monkeypatch.undo()
         cache = cached_server.stats()["cache"]
-        assert (cache["cache_hits"], cache["cache_misses"]) == (25, 1)
+        assert (cache["cache_hits"], cache["cache_misses"]) == (25, 2)
+        # The front runs no thread of its own beside its loop: no executor,
+        # no per-worker receiver.
+        names = [thread.name for thread in threading.enumerate()]
+        assert not any("recv" in name or "asyncio_" in name for name in names), names
 
     def test_hits_leave_the_event_log_alone(self, cached_server):
         conn = self._conn(cached_server)
