@@ -86,6 +86,8 @@ from .worker import WorkerPool
 
 __all__ = ["ReproServer", "ServerConfig"]
 
+#: Lower-layer exception class names that are the *client's* fault: they
+#: cross the worker pipe by name and map to HTTP 400 rather than 500.
 #: ``/stats`` ``front`` key -> the one registry counter that event bumps.
 _FRONT_COUNTERS = {
     "requests": ("repro_http_requests_total", "HTTP requests accepted"),
@@ -104,8 +106,6 @@ _FRONT_COUNTERS = {
     ),
 }
 
-#: Lower-layer exception class names that are the *client's* fault: they
-#: cross the worker pipe by name and map to HTTP 400 rather than 500.
 _CLIENT_FAULT_ERRORS = frozenset(
     {
         "BadRequestError",
@@ -541,11 +541,10 @@ class ReproServer:
         The relation's content version is computed here, once (and only
         when there is a cache), and rides the mutate frame.  The cache's
         current version of the name switches only after every worker
-        acknowledged the new rows (or was replaced for not doing so within
-        ``request_timeout_seconds``), so a read that misses after the
-        switch is answered from them; a read that overlapped the mutation
-        is answered from either content and filed under the one its
-        execute bound.
+        acknowledged the new rows, so a read that misses after the switch
+        is answered from them; a read that overlapped the mutation is
+        answered from either content and filed under the one its execute
+        bound.
         """
         try:
             name = payload.get("name")
@@ -566,9 +565,7 @@ class ReproServer:
             cache = self._cache
             version = None if cache is None else content_version(relation)
             async with self._mutate_lock:
-                acks = await self._pool.mutate_async(
-                    name, relation, version, self.config.request_timeout_seconds
-                )
+                acks = await self._pool.mutate_async(name, relation, version)
                 noncurrent = 0 if cache is None else cache.switch(name, version)
             self._front["mutations"].inc()
             return {

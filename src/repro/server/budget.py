@@ -145,24 +145,25 @@ class BudgetScheduler:
                 )
             if self._leased + granted > self.total_rows:
                 self._counters["waits"] += 1
-                deadline = timeout if timeout is not None else self.max_wait_seconds
-                try:
-                    await asyncio.wait_for(self._room_for(granted), deadline)
-                except asyncio.TimeoutError:
-                    self._counters["rejections"] += 1
-                    raise BudgetExhaustedError(
-                        f"no {granted}-row lease available within {deadline}s "
-                        f"({self._leased}/{self.total_rows} rows leased to "
-                        f"{self._active} request(s))"
-                    ) from None
+                wait = timeout if timeout is not None else self.max_wait_seconds
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + wait
+                # The last check and the grant below run with no await
+                # between them: every waiter a release wakes re-checks here.
+                while self._leased + granted > self.total_rows:
+                    waiter = loop.create_future()
+                    self._waiters.append(waiter)
+                    try:
+                        await asyncio.wait_for(waiter, deadline - loop.time())
+                    except asyncio.TimeoutError:
+                        self._counters["rejections"] += 1
+                        raise BudgetExhaustedError(
+                            f"no {granted}-row lease available within {wait}s "
+                            f"({self._leased}/{self.total_rows} rows leased to "
+                            f"{self._active} request(s))"
+                        ) from None
         self._note_grant(granted)
         return BudgetLease(granted, self)
-
-    async def _room_for(self, rows: int) -> None:
-        while self._leased + rows > self.total_rows:
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            await waiter
 
     def _note_grant(self, granted: Optional[int]) -> None:
         self._leased += granted or 0

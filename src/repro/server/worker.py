@@ -708,9 +708,15 @@ class WorkerPool:
     def _pick(self) -> int:
         if self._closed:
             raise ServerClosedError("the worker pool is closed")
-        # The least-loaded worker; ties go to the first in round-robin order.
-        order = [(self._next + offset) % self.size for offset in range(self.size)]
-        best = min(order, key=lambda index: self._workers[index].inflight)
+        best = self._next
+        best_load = None
+        for offset in range(self.size):
+            index = (self._next + offset) % self.size
+            load = self._workers[index].inflight
+            if best_load is None or load < best_load:
+                best, best_load = index, load
+                if load == 0:
+                    break
         self._next = (best + 1) % self.size
         return best
 
@@ -785,11 +791,7 @@ class WorkerPool:
             loop.close()
 
     async def mutate_async(
-        self,
-        name: str,
-        relation: Relation,
-        version: Optional[str],
-        timeout: Optional[float] = None,
+        self, name: str, relation: Relation, version: Optional[str]
     ) -> list:
         """Install ``relation`` (content ``version``) under ``name`` pool-wide.
 
@@ -798,8 +800,7 @@ class WorkerPool:
         respawned later warms its sessions over.  A frame that does not
         pickle raises before anything is rebound.  A worker respawned
         while the broadcast was in flight is sent the frame after the
-        rebind.  A worker that answered ``ok: false``, or not within
-        ``timeout`` seconds (reported as ``ok: false``), is stopped and
+        rebind.  A worker that answered ``ok: false`` is stopped and
         respawned from the new map, counted in ``worker_restarts``; one
         skipped as dead is respawned by the next dispatch to it.  Returns
         the workers' responses.  Callers serialise mutations.
@@ -808,11 +809,11 @@ class WorkerPool:
         if self._closed:
             raise ServerClosedError("the worker pool is closed")
         workers = list(self._workers)
-        first = await self._broadcast(workers, message, timeout)
+        first = await self._broadcast(workers, message)
         self._relations[name] = relation
         self._versions[name] = version
         respawned = [worker for worker in self._workers if worker not in workers]
-        second = await self._broadcast(respawned, message, timeout)
+        second = await self._broadcast(respawned, message)
         for sent, acks in ((workers, first), (respawned, second)):
             sent_to = {worker.index: worker for worker in sent}
             for ack in acks:
@@ -829,12 +830,9 @@ class WorkerPool:
         worker.stop(wait=False)  # it exits by itself; the loop does not wait
 
     @staticmethod
-    async def _broadcast(
-        workers, message: Dict[str, Any], timeout: Optional[float] = None
-    ) -> list:
+    async def _broadcast(workers, message: Dict[str, Any]) -> list:
         # Every frame is written before any response is awaited, so the
-        # workers apply it concurrently; a dead or dying worker is skipped,
-        # and one that misses the deadline answers ``ok: false``.
+        # workers apply it concurrently; a dead or dying worker is skipped.
         sent = []
         for worker in workers:
             if not worker.alive():
@@ -846,10 +844,7 @@ class WorkerPool:
 
         async def answer(worker: Worker, request_id: int, future: asyncio.Future):
             try:
-                return await worker.wait(request_id, future, timeout)
-            except RequestTimeoutError as error:
-                return {"ok": False, "error": type(error).__name__,
-                        "message": str(error), "worker": worker.index}
+                return await worker.wait(request_id, future)
             except (WorkerCrashedError, ServerClosedError):
                 return None
 

@@ -211,6 +211,57 @@ class TestBudgetScheduler:
         assert scheduler.stats()["waits"] == 2
         assert scheduler.stats()["peak_leased_rows"] == 100
 
+    def test_two_waiters_that_fit_alone_but_not_together_are_granted_in_turn(self):
+        # One release wakes both waiters; the first to resume takes the
+        # room and the other waits again, so the pool is never overdrawn.
+        scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=5.0)
+
+        async def scenario():
+            held = [await scheduler.acquire(rows=50) for _ in range(2)]
+            waiters = [
+                asyncio.ensure_future(scheduler.acquire(rows=50)) for _ in range(2)
+            ]
+            await asyncio.sleep(0.01)
+            held[0].release()
+            done, pending = await asyncio.wait(waiters, timeout=0.2)
+            assert len(done) == 1 and len(pending) == 1
+            assert scheduler.stats()["leased_rows"] == 100
+            held[1].release()
+            granted = [(await waiter) for waiter in waiters]
+            assert [lease.rows for lease in granted] == [50, 50]
+            for lease in granted:
+                lease.release()
+
+        asyncio.run(scenario())
+        assert scheduler.stats()["waits"] == 2
+        assert scheduler.stats()["peak_leased_rows"] <= 100
+        assert scheduler.stats()["leased_rows"] == 0
+
+    @pytest.mark.parametrize("spins", range(6))
+    def test_a_request_on_the_no_wait_path_cannot_overdraw_a_woken_waiter(self, spins):
+        # A release wakes the waiter, and a fresh request takes the room
+        # ``spins`` loop iterations later, before or after the waiter
+        # resumes: whichever comes second waits, and the pool holds.
+        scheduler = BudgetScheduler(total_rows=100, max_wait_seconds=5.0)
+
+        async def scenario():
+            held = [await scheduler.acquire(rows=50) for _ in range(2)]
+            waiter = asyncio.ensure_future(scheduler.acquire(rows=50))
+            await asyncio.sleep(0.01)
+            held[0].release()
+            for _ in range(spins):
+                await asyncio.sleep(0)
+            fresh = asyncio.ensure_future(scheduler.acquire(rows=50))
+            done, pending = await asyncio.wait([waiter, fresh], timeout=0.2)
+            assert len(done) == 1 and scheduler.stats()["leased_rows"] == 100
+            held[1].release()
+            for lease in await asyncio.gather(waiter, fresh):
+                lease.release()
+
+        asyncio.run(scenario())
+        assert scheduler.stats()["peak_leased_rows"] <= 100
+        assert scheduler.stats()["leased_rows"] == 0
+
     def test_release_is_idempotent(self):
         scheduler = BudgetScheduler(total_rows=100)
         lease = asyncio.run(scheduler.acquire(rows=40))
@@ -1138,49 +1189,6 @@ class TestPoolFrames:
         finally:
             pool.close()
 
-    def test_a_mutate_a_worker_does_not_ack_in_time_replaces_it(self, monkeypatch):
-        # The broadcast's deadline: a worker stuck applying a mutate is
-        # replaced from the new map, and the mutate answers without it.
-        from repro.server import worker as worker_module
-
-        release = threading.Event()
-        handle_mutate = worker_module._WorkerRuntime._handle_mutate
-
-        def stuck_on_worker_0(runtime, message):
-            if runtime.index == 0:
-                release.wait(30)
-            return handle_mutate(runtime, message)
-
-        monkeypatch.setattr(
-            worker_module._WorkerRuntime, "_handle_mutate", stuck_on_worker_0
-        )
-        pool = WorkerPool(
-            RELATIONS,
-            BackendConfig(),
-            size=2,
-            worker_backend="thread",
-            versions={name: content_version(r) for name, r in RELATIONS.items()},
-        )
-        try:
-            relation = Relation.from_rows(RELATIONS["R"].scheme, [(1, 2)], name="R")
-            start = time.perf_counter()
-            acks = pool.run(
-                pool.mutate_async("R", relation, content_version(relation), timeout=0.2)
-            )
-            assert time.perf_counter() - start < 10
-            assert [(ack["worker"], ack["ok"]) for ack in acks] == [(0, False), (1, True)]
-            assert acks[0]["error"] == "RequestTimeoutError"
-            assert pool.worker_restarts == 1
-            release.set()
-            for index in range(2):
-                response = pool.run(pool._workers[index].request(
-                    {"op": "query", "query": "project[A, B](R)"}, timeout=30
-                ))
-                assert response["rows"] == [[1, 2]], response
-        finally:
-            release.set()
-            pool.close()
-
 
 class TestMutateFailures:
     """A worker that fails a mutate is replaced, never left on the old rows."""
@@ -1230,6 +1238,44 @@ class TestMutateFailures:
             assert pool.run(pool.stats_async())["worker_restarts"] == 1
         finally:
             pool.close()
+
+    def test_the_query_deadline_does_not_bound_a_mutate(self, monkeypatch):
+        # ``request_timeout_seconds`` is the per-query 504 deadline: a
+        # worker slower than it at applying a mutate is waited for, not
+        # replaced.
+        from repro.server import worker as worker_module
+
+        handle_mutate = worker_module._WorkerRuntime._handle_mutate
+
+        def slow_on_worker_0(runtime, message):
+            if runtime.index == 0:
+                time.sleep(0.3)
+            return handle_mutate(runtime, message)
+
+        monkeypatch.setattr(
+            worker_module._WorkerRuntime, "_handle_mutate", slow_on_worker_0
+        )
+        with ReproServer(
+            RELATIONS, pool_size=2, worker_backend="thread", request_timeout_seconds=0.05
+        ) as running:
+            conn = http.client.HTTPConnection("127.0.0.1", running.port, timeout=30)
+            try:
+                conn.request(
+                    "POST",
+                    "/mutate",
+                    body=json.dumps({"name": "R", "rows": [[1, 2]]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 200 and body["ok"], body
+                assert body["workers_updated"] == 2
+                stats = json.loads(_get(conn, "/stats")[1])
+                assert stats["pool"]["worker_restarts"] == 0
+                status, answer = _post(conn, {"query": "project[A, B](R)"})
+                assert status == 200 and answer["rows"] == [[1, 2]]
+            finally:
+                conn.close()
 
     def test_a_query_in_flight_on_a_replaced_worker_is_retried(self, monkeypatch):
         from repro.server import worker as worker_module
