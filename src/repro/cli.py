@@ -48,13 +48,13 @@ Python:
     print the session's metrics registry — latency histogram, execute and
     row counters, peak-memory gauge — in Prometheus text format.
 
-``python -m repro serve [--port 8080] [--pool-size 2] [--worker-concurrency 4]``
+``python -m repro serve [--port 8080] [--pool-size 2]``
     Start the networked serving tier over the demo serving database
     (``repro.workloads.serving_relations``): an asyncio HTTP front with
     admission control, a shared memory-budget scheduler, and a result
     cache keyed on relation contents (``--cache-size``, 0 disables),
-    dispatching to worker processes that multiplex
-    ``--worker-concurrency`` requests over each pipe.  ``POST /query``
+    dispatching to worker processes that each answer their requests one
+    at a time, in order.  ``POST /query``
     serves JSON query requests (per-request ``budget``/``workers``
     overrides, ``--request-timeout`` deadline → 504), ``POST /mutate``
     replaces a relation's rows and switches which cached results are
@@ -401,8 +401,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         raise SystemExit("--session-budget must be a positive row count")
     if arguments.total_budget_rows is not None and arguments.total_budget_rows <= 0:
         raise SystemExit("--total-budget-rows must be a positive row count")
-    if arguments.worker_concurrency < 1:
-        raise SystemExit("--worker-concurrency must be >= 1")
     if arguments.cache_size < 0:
         raise SystemExit("--cache-size must be >= 0 (0 disables the cache)")
     if arguments.request_timeout is not None and arguments.request_timeout <= 0:
@@ -417,7 +415,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         total_budget_rows=arguments.total_budget_rows,
         session_budget=arguments.session_budget,
         engine_workers=arguments.workers,
-        worker_concurrency=arguments.worker_concurrency,
         result_cache_size=arguments.cache_size,
         request_timeout_seconds=arguments.request_timeout,
         events_dir=arguments.events_dir,
@@ -638,14 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=600,
         help="rows per relation of the demo serving database (default 600)",
-    )
-    serve_parser.add_argument(
-        "--worker-concurrency",
-        type=int,
-        default=4,
-        metavar="N",
-        help="concurrent requests multiplexed per worker pipe (default 4; "
-        "1 restores the serialized one-at-a-time protocol)",
     )
     serve_parser.add_argument(
         "--cache-size",

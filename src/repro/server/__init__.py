@@ -8,12 +8,12 @@ an engine memory budget from a cross-session
 :class:`~repro.server.worker.WorkerPool` of processes holding warm
 :class:`~repro.api.Session`\\ s — pinned plans, forked probe pools, and
 per-request ``budget``/``workers`` overrides served from a small LRU of
-session configs.  Each worker's pipe is *multiplexed* (tagged request
-ids), so one worker serves many requests at once and a slow spilling
-execute never head-of-line-blocks fast queries; the front adds a
-:class:`ResultCache` over pure read-only queries keyed on the content
-versions of the relations each execute read, so ``POST /mutate`` only
-switches which entries are current.
+session configs.  Each worker answers its frames one at a time, in the
+order they were written, and dispatch picks the worker with the fewest
+frames in flight, so fast queries go around a slow spilling execute; the
+front adds a :class:`ResultCache` over pure read-only queries keyed on
+the content versions of the relations each execute read, so
+``POST /mutate`` only switches which entries are current.
 Observability is wired end-to-end: ``GET /metrics``
 merges the front's and every worker's registries into one Prometheus
 exposition, workers mirror event logs to per-worker JSONL files, and

@@ -25,15 +25,14 @@ exposition, workers mirror their event logs to per-worker JSONL files,
 and a request carrying ``"trace": true`` gets the front's span
 summaries (admit → lease → dispatch) in its response body.
 
-Two serving-tier scale-out mechanisms sit on that pipeline.  Each
-worker's pipe is *multiplexed* (tagged request ids, see
-:mod:`repro.server.worker`), so one worker serves several requests
-concurrently and a slow spilling execute no longer head-of-line-blocks
-fast queries; dispatch picks the least-loaded worker.  And the front
-keeps a *result cache keyed on content* (:mod:`repro.server.cache`):
-pure read-only queries repeat without leasing budget or touching a
-worker, each response filed under the content versions of the relations
-its execute bound.  ``POST /mutate`` replaces a relation's rows across
+Two serving-tier mechanisms sit on that pipeline.  Each worker answers
+its frames one at a time, in the order they were written (tagged request
+ids, see :mod:`repro.server.worker`), and dispatch picks the worker with
+the fewest frames in flight, so fast queries go around a worker busy with
+a slow spilling execute.  And the front keeps a *result cache keyed on
+content* (:mod:`repro.server.cache`): pure read-only queries repeat
+without leasing budget or touching a worker, each response filed under
+the content versions of the relations its execute read.  ``POST /mutate`` replaces a relation's rows across
 every worker, then switches which version of that name is current —
 mutations run one at a time, under one front lock, so every worker
 applies them in the same order.
@@ -147,10 +146,6 @@ class ServerConfig:
     ``trace``
         Span-trace every execution in the workers (requests can also opt
         in per call with ``"trace": true`` for front spans).
-    ``worker_concurrency``
-        How many query frames one worker serves at a time over its
-        multiplexed pipe; ``1`` restores the pre-multiplex serialised
-        worker (the head-of-line benchmark baseline).
     ``result_cache_size``
         Entry cap of the front's content-keyed result cache
         (:class:`~repro.server.cache.ResultCache`); ``0`` disables
@@ -174,7 +169,6 @@ class ServerConfig:
     engine_workers: int = 1
     events_dir: Optional[str] = None
     trace: bool = False
-    worker_concurrency: int = 4
     result_cache_size: int = 256
     request_timeout_seconds: Optional[float] = None
 
@@ -184,10 +178,6 @@ class ServerConfig:
             raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.worker_concurrency < 1:
-            raise ValueError(
-                f"worker_concurrency must be >= 1, got {self.worker_concurrency}"
-            )
         if self.result_cache_size < 0:
             raise ValueError(
                 f"result_cache_size must be >= 0, got {self.result_cache_size}"
@@ -247,7 +237,6 @@ class ReproServer:
             size=base.pool_size,
             worker_backend=base.worker_backend,
             events_dir=base.events_dir,
-            concurrency=base.worker_concurrency,
             versions=versions,
         )
         self._scheduler = BudgetScheduler(
@@ -543,8 +532,7 @@ class ReproServer:
         current version of the name switches only after every worker
         acknowledged the new rows, so a read that misses after the switch
         is answered from them; a read that overlapped the mutation is
-        answered from either content and filed under the one its execute
-        bound.
+        answered from either content and filed under the one it read.
         """
         try:
             name = payload.get("name")

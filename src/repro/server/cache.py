@@ -11,10 +11,11 @@ and the cache keys on exactly that:
   the new relation on ``POST /mutate`` — and ships it to the workers in
   the mutate frame; workers never hash rows;
 * a worker's query response reports, under ``versions``, the version of
-  every relation its execute bound — or ``None`` when a mutate overlapped
-  the execute — and :meth:`ResultCache.fill` files the response under
-  exactly those versions, so a fill that raced a mutate is keyed to the
-  data it was computed from, never to the data current when it arrived;
+  every relation its execute read (a worker serves its frames in order,
+  so it always knows), and :meth:`ResultCache.fill` files the response
+  under exactly those versions, so a fill that raced a mutate is keyed to
+  the data it was computed from, never to the data current when it
+  arrived;
 * :meth:`ResultCache.lookup` serves the entry filed under the *current*
   version of each relation the request reads — the hit's HTTP body,
   encoded once, by the entry's first hit — and a mutate switches
@@ -75,7 +76,7 @@ _COUNTERS = (
     ("cache_misses", "result-cache lookups that paid the lease+dispatch path"),
     ("cache_invalidations", "mutations that switched a relation to another content"),
     ("cache_evictions", "entries dropped by the LRU bound or for a content two mutations old"),
-    ("cache_stale_fill_drops", "responses not filed: a mutation overlapped or outdated them"),
+    ("cache_stale_fill_drops", "responses not filed: they read a content mutations outdated"),
     ("cache_stale_served", "hits filed under versions their response does not report"),
 )
 
@@ -200,18 +201,14 @@ class ResultCache:
         """File ``response`` under ``key`` and the versions it reports.
 
         ``response["versions"]`` is the ``{name: content version}`` map the
-        worker reported for the relations its execute read, ``None`` when a
-        mutation overlapped the execute.  Nothing is filed then, nor when
-        a version read is neither the current nor the previous content of
-        its name (no switch would make it current again before it is
-        dropped).  A shallow copy of ``response`` is filed: its hit body is
-        encoded by the first hit, not here, so a miss encodes only its own
-        response.  Returns whether the response was filed.
+        worker reported for the relations its execute read.  Nothing is
+        filed when a version read is neither the current nor the previous
+        content of its name (no switch would make it current again before
+        it is dropped).  A shallow copy of ``response`` is filed: its hit
+        body is encoded by the first hit, not here, so a miss encodes only
+        its own response.  Returns whether the response was filed.
         """
-        versions = response.get("versions")
-        if versions is None:
-            self._counters["cache_stale_fill_drops"].inc()
-            return False
+        versions = response["versions"]
         names = tuple(sorted(versions))
         if not all(self._retained(name, versions[name]) for name in names):
             self._counters["cache_stale_fill_drops"].inc()

@@ -56,10 +56,10 @@ class WorkerCrashedError(ServerError):
 class RequestTimeoutError(ServerError):
     """The worker did not answer an in-flight request id in time (HTTP 504).
 
-    The multiplexed pipe stays healthy: the front drops the pending
-    future (a late response for that id is discarded on arrival) and the
-    request's budget lease is released — the worker may still be
-    computing, but nothing upstream waits on it.
+    The pipe stays healthy: the late response for that id is discarded on
+    arrival and the request's budget lease is released now.  The worker
+    may still be computing; until it answers, the id counts in its
+    in-flight load, so the pool routes other requests around it.
     """
 
     status = 504

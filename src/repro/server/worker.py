@@ -3,17 +3,14 @@
 Each worker is one OS process (forked where available, a thread
 otherwise) holding warm sessions over the server's relations.  The front
 talks to it over a socket pair carrying **tagged frames**: every request
-dict travels with a monotonic ``id`` and every response echoes it, so one
-worker serves *many* requests concurrently — a slow budget-64 spilling
-execute no longer head-of-line-blocks the fast cached-session queries
-sharing its pipe.  The moving parts:
+dict travels with an ``id`` and every response echoes it.  The moving
+parts:
 
-* **In the worker** a dispatcher loop receives frames and hands ``query``
-  frames to a small thread pool (``concurrency`` threads); control
-  frames (``ping`` / ``metrics`` / ``stats`` / ``mutate`` / ``shutdown``)
-  are answered inline on the loop so telemetry and mutation stay prompt
-  under query load.  Responses are sent back under one lock, so frames
-  never interleave on the pipe.
+* **In the worker** one loop reads a frame, serves it and writes its
+  response before it reads the next, on one thread: frames are answered
+  in the order they were written.  A query reads the bindings of every
+  mutate written before it and of none written after, so its response
+  always knows which database it was computed from.
 * **In the front** there is no thread: the front's event loop reads and
   writes each :class:`Worker`'s end of the pipe, and resolves the
   worker's pending futures, keyed by request id, as responses arrive.
@@ -21,8 +18,14 @@ sharing its pipe.  The moving parts:
   :class:`WorkerCrashedError` (or :class:`ServerClosedError` after
   :meth:`Worker.stop`), which is what lets the pool respawn and retry
   each read-only request safely.  A request that outlives ``timeout``
-  raises the typed :class:`RequestTimeoutError` and *abandons* its id:
-  the late response is dropped on arrival, the pipe keeps serving.
+  raises the typed :class:`RequestTimeoutError`; its id stays pending
+  until the late response lands and is dropped, so the pool sees the
+  worker busy until then.
+
+What a worker in order gives up: a slow execute holds every frame written
+behind it on that worker, pings, telemetry and mutates included.  The
+pool routes each query to a worker with the fewest frames in flight, so
+traffic goes around a worker busy with a slow spilling execute.
 
 Warmth is the point.  A worker parses each distinct query text once
 (expression cache), prepares it once per session (the session's
@@ -40,10 +43,10 @@ relation under a name via every cached session's
 for sessions warmed later), together with the relation's content version
 (:func:`repro.server.cache.content_version`, computed by the front, and
 only when it keeps a result cache).  A worker keeps ``{name: version}``
-beside its bindings under a sequence counter that a mutate bumps before
-and after it applies, and a query response reports the versions its
-execute bound — or ``None`` when the counter moved under it — which is
-what the front's result cache files the response under.
+beside its bindings, and a query response reports the versions of the
+relations it read, which is what the front's result cache files the
+response under.  A worker whose mutate fails answers ``ok: false`` and
+exits, so no query ever runs on a half-applied mutate.
 
 Observability: every session of worker *i* shares one
 :class:`~repro.obs.events.EventLog` mirrored to ``worker-i.jsonl`` when
@@ -61,18 +64,18 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import struct
 import threading
 import traceback
 from collections import OrderedDict
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError
 from time import perf_counter
 from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
-from ..api.errors import SessionClosedError
 from ..api.session import Session
 from ..obs.config import Observer, ObserveConfig
 from .errors import (
@@ -89,19 +92,12 @@ __all__ = ["Worker", "WorkerPool", "worker_main"]
 #: and pinned plans with it) exactly like the engine's pool LRU.
 MAX_SESSIONS_PER_WORKER = 4
 
-#: Concurrent query frames one worker serves at a time (its multiplexing
-#: width).  ``1`` restores the pre-multiplex serialised behaviour — the
-#: head-of-line benchmark leg uses exactly that as its baseline.
-DEFAULT_WORKER_CONCURRENCY = 4
-
 
 class _WorkerRuntime:
     """The in-child request state: session cache + expression cache.
 
-    Query frames are served from several dispatcher threads at once, so
-    the two caches are guarded by one runtime lock; the sessions
-    themselves are thread-safe (the facade's concurrent-serving
-    contract) and executes run outside the lock.
+    :func:`worker_main` serves one frame at a time, so nothing here is
+    shared between threads.
     """
 
     def __init__(
@@ -114,16 +110,11 @@ class _WorkerRuntime:
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
     ):
         self._relations = dict(relations)
-        # The content version of each binding, replaced (never updated in
-        # place) by a mutate, and the mutate sequence counter: odd while a
-        # mutate is being applied, so a query that reads the same even
-        # value before and after its execute bound exactly ``_versions``.
+        #: The content version of each binding.
         self._versions = dict(versions)
-        self._sequence = 0
         self._base_config = base_config
         self.index = index
         self._max_sessions = max(1, max_sessions)
-        self._lock = threading.Lock()
         # One observer for every session this worker opens: the event log
         # (JSONL-mirrored per worker) and metrics registry aggregate the
         # worker's whole traffic, while tracers are minted per execution.
@@ -149,31 +140,24 @@ class _WorkerRuntime:
 
     def _session_for(self, budget: Optional[int], workers: Optional[int]) -> Session:
         key = self._session_key(budget, workers)
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
-                self._sessions.move_to_end(key)
-                return session
-            config = self._base_config.override(
-                budget=key[0], workers=key[1], observe=self._observer
-            )
-            session = Session(self._relations, config)
-            self._sessions[key] = session
-            stale_sessions = []
-            while len(self._sessions) > self._max_sessions:
-                _stale_key, stale = self._sessions.popitem(last=False)
-                stale_sessions.append(stale)
-        for stale in stale_sessions:
+        session = self._sessions.get(key)
+        if session is not None:
+            self._sessions.move_to_end(key)
+            return session
+        config = self._base_config.override(
+            budget=key[0], workers=key[1], observe=self._observer
+        )
+        session = Session(self._relations, config)
+        self._sessions[key] = session
+        while len(self._sessions) > self._max_sessions:
+            _stale_key, stale = self._sessions.popitem(last=False)
             stale.close()
         return session
 
     def _expression_for(self, session: Session, text: str):
-        with self._lock:
-            expression = self._expressions.get(text)
+        expression = self._expressions.get(text)
         if expression is None:
-            expression = session._parse(text)
-            with self._lock:
-                self._expressions[text] = expression
+            expression = self._expressions[text] = session._parse(text)
         return expression
 
     def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -202,15 +186,10 @@ class _WorkerRuntime:
 
     def _handle_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
         start = perf_counter()
-        with self._lock:
-            sequence, versions = self._sequence, self._versions
         session = self._session_for(message.get("budget"), message.get("workers"))
         expression = self._expression_for(session, message["query"])
         prepared = session.prepare(expression, backend=message.get("backend"))
         result = prepared.execute()
-        with self._lock:
-            if sequence % 2 or self._sequence != sequence:
-                versions = None  # a mutate overlapped: which binding ran is unknown
         elapsed = perf_counter() - start
         names = sorted(expression.operand_schemes())
         trace = result.trace
@@ -226,11 +205,7 @@ class _WorkerRuntime:
             "worker": self.index,
             "backend": result.backend,
             "columns": list(result.scheme.names),
-            "versions": (
-                None
-                if versions is None
-                else {name: versions.get(name) for name in names}
-            ),
+            "versions": {name: self._versions.get(name) for name in names},
             "rowcount": len(result),
             "elapsed_ms": elapsed * 1000.0,
             "budget": self._session_key(
@@ -249,66 +224,47 @@ class _WorkerRuntime:
     def _handle_mutate(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Install a fresh relation and its version under a name, in every warm session.
 
-        The new binding applies to executes that start after this frame
-        is answered; executes already in flight bound the previous
-        relation atomically (the session snapshots bindings under its
-        lock), so concurrent traffic sees *either* content, never a mix.
-        The sequence counter is bumped before and after, so a query that
-        overlapped any part of this reports no versions.
+        The new binding applies to every frame after this one.  A failure
+        part way leaves the worker half-applied: :func:`worker_main` then
+        answers the failure and exits.
         """
         name = message["name"]
         relation = message["relation"]
         if not isinstance(relation, Relation):  # pragma: no cover - front checks
             raise ServerError("mutate frames must carry a Relation")
-        with self._lock:
-            self._sequence += 1
-            self._relations[name] = relation
-            self._versions = {**self._versions, name: message["version"]}
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            try:
-                session.set_relation(name, relation)
-            except SessionClosedError:
-                pass  # evicted from the session LRU meanwhile: it serves nothing more
-        # Not in a ``finally``: after any other failure the counter stays
-        # odd, and every later response reports no versions (never cached).
-        with self._lock:
-            self._sequence += 1
+        self._relations[name] = relation
+        self._versions[name] = message["version"]
+        for session in self._sessions.values():
+            session.set_relation(name, relation)
         return {
             "ok": True,
             "worker": self.index,
             "name": name,
             "rowcount": len(relation),
-            "sessions_invalidated": len(sessions),
+            "sessions_invalidated": len(self._sessions),
         }
 
     def _collect_metrics(self) -> Dict[str, Dict[str, Any]]:
         return self._observer.metrics.collect()
 
     def _stats(self) -> Dict[str, Any]:
-        with self._lock:
-            items = list(self._sessions.items())
-            expressions_cached = len(self._expressions)
-        sessions = {}
-        for key, session in items:
-            sessions[f"budget={key[0]} workers={key[1]}"] = session.stats()
+        sessions = {
+            f"budget={key[0]} workers={key[1]}": session.stats()
+            for key, session in self._sessions.items()
+        }
         events = self._observer.events
         return {
             "pid": os.getpid(),
             "worker": self.index,
             "sessions": sessions,
-            "expressions_cached": expressions_cached,
+            "expressions_cached": len(self._expressions),
             "event_counts": events.counts() if events is not None else {},
         }
 
     def close(self) -> None:
         """Close every warm session (pools, temp dirs) before exit."""
-        while True:
-            with self._lock:
-                if not self._sessions:
-                    break
-                _key, session = self._sessions.popitem(last=False)
-            session.close()
+        while self._sessions:
+            self._sessions.popitem(last=False)[1].close()
 
 
 #: A frame on a worker pipe, either way: an 8-byte big-endian length,
@@ -346,40 +302,20 @@ def worker_main(
     index: int,
     events_path: Optional[str] = None,
     max_sessions: int = MAX_SESSIONS_PER_WORKER,
-    concurrency: int = DEFAULT_WORKER_CONCURRENCY,
 ) -> None:
-    """The worker loop: recv tagged request frames, send tagged responses.
+    """The worker loop: read a frame, serve it, write its response; repeat.
 
-    ``query`` frames fan out onto ``concurrency`` dispatcher threads so a
-    slow execute never blocks the pipe; everything else (telemetry,
-    mutation, shutdown) is handled inline in frame order.  Runs until a
-    ``shutdown`` message or the parent's end of the pipe closes; either
-    way every warm session is closed on the way out so no probe pools or
-    spill directories outlive the worker.
+    One frame at a time, on the calling thread, so responses leave in the
+    order their requests arrived.  Runs until a ``shutdown`` frame, the
+    parent's end of the pipe closing, or a mutate that failed: that one is
+    answered ``ok: false`` first, and no frame after it is served on the
+    half-applied bindings.  Every way out closes the warm sessions, so no
+    probe pools or spill directories outlive the worker.
     """
     runtime = _WorkerRuntime(
         relations, versions, base_config, index, events_path, max_sessions
     )
-    send_lock = threading.Lock()
-    executor = ThreadPoolExecutor(
-        max_workers=max(1, concurrency),
-        thread_name_prefix=f"repro-worker-{index}",
-    )
     reader = sock.makefile("rb")
-
-    def respond(response: Dict[str, Any], request_id: Optional[int]) -> None:
-        if request_id is not None:
-            response["id"] = request_id
-        data = _frame(response)
-        with send_lock:
-            try:
-                sock.sendall(data)
-            except OSError:
-                pass  # the front went away; nothing to answer
-
-    def serve(message: Dict[str, Any], request_id: Optional[int]) -> None:
-        respond(runtime.handle(message), request_id)
-
     try:
         while True:
             try:
@@ -388,26 +324,32 @@ def worker_main(
                 break
             if not isinstance(message, dict) or message.get("op") == "shutdown":
                 break
-            request_id = message.get("id")
-            if message.get("op") == "query" and request_id is not None:
-                executor.submit(serve, message, request_id)
-            else:
-                serve(message, request_id)
+            response = runtime.handle(message)
+            response["id"] = message.get("id")
+            try:
+                sock.sendall(_frame(response))
+            except OSError:
+                break  # the front went away; nothing to answer
+            if message.get("op") == "mutate" and not response["ok"]:
+                break
     finally:
-        # Don't wait for stuck executes: close the sessions (in-flight
-        # threads get the typed SessionClosedError and their responses
-        # are dropped with the pipe) so pools and spill dirs never
-        # outlive the worker.
-        executor.shutdown(wait=False)
         runtime.close()
         reader.close()
         sock.close()
+
+
+def _exit_on_sigterm(signum, _frame) -> None:
+    raise SystemExit(128 + signum)
 
 
 def _forked_main(front_sock: socket.socket, *args) -> None:
     # The child inherits the front's end of its own pipe: holding it open,
     # it would never see end-of-file if the front died without a word.
     front_sock.close()
+    # A forked child ends in ``os._exit``, which runs no atexit hook: a
+    # worker terminated mid-spill (``Worker.stop``'s last resort) unwinds
+    # instead, so every spill directory's owner removes it in a ``finally``.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     worker_main(*args)
 
 
@@ -447,10 +389,10 @@ class Worker:
     """The front's handle of one worker: its pipe and its process (or thread).
 
     It belongs to the event loop that first writes to it, which resolves
-    responses by id as they arrive, so concurrent :meth:`request` calls
-    multiplex over the one pipe.  A dead worker fails **all** of its
-    in-flight ids with :class:`WorkerCrashedError` so the pool can
-    respawn and retry each.
+    responses by id as they arrive; the worker answers the frames in the
+    order they were written.  A dead worker fails **all** of its in-flight
+    ids with :class:`WorkerCrashedError` so the pool can respawn and retry
+    each.
     """
 
     def __init__(
@@ -462,11 +404,9 @@ class Worker:
         backend: str,
         events_path: Optional[str] = None,
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
-        concurrency: int = DEFAULT_WORKER_CONCURRENCY,
     ):
         self.index = index
         self.backend = backend
-        self.concurrency = max(1, concurrency)
         self._pending: Dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._closed = False
@@ -479,7 +419,7 @@ class Worker:
         self._transport: Optional[asyncio.Transport] = None
         self._sock, child_sock = socket.socketpair()
         args = (child_sock, relations, versions, base_config, index,
-                events_path, max_sessions, self.concurrency)
+                events_path, max_sessions)
         if backend == "fork":
             context = multiprocessing.get_context("fork")
             self._process = context.Process(
@@ -511,7 +451,7 @@ class Worker:
 
     @property
     def inflight(self) -> int:
-        """How many requests this worker currently has in flight."""
+        """How many frames written to this worker it has not answered yet."""
         return len(self._pending)
 
     def alive(self) -> bool:
@@ -527,10 +467,9 @@ class Worker:
     ) -> Dict[str, Any]:
         """Write one tagged frame and await *its* response.
 
-        Concurrent callers multiplex over the one pipe.  ``timeout``
-        bounds the wait: expiry abandons the id (the late response is
-        dropped on arrival) and raises the typed
-        :class:`RequestTimeoutError`.
+        ``timeout`` bounds the wait: expiry raises the typed
+        :class:`RequestTimeoutError`, and the late response is dropped on
+        arrival.
         """
         return await self.wait(*await self.submit(message), timeout=timeout)
 
@@ -565,7 +504,12 @@ class Worker:
     async def wait(
         self, request_id: int, future: asyncio.Future, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Await the response to a frame :meth:`submit` wrote."""
+        """Await the response to a frame :meth:`submit` wrote.
+
+        A caller that gives up — a timeout, a cancelled task — leaves the
+        id pending until the worker answers it, and :attr:`inflight` counts
+        it until then.
+        """
         try:
             if timeout is None:
                 return await future
@@ -575,8 +519,6 @@ class Worker:
                 f"worker {self.index} did not answer request {request_id} "
                 f"within {timeout}s"
             ) from None
-        finally:
-            self._pending.pop(request_id, None)
 
     def stop(self, wait: bool = True, timeout: float = 5.0) -> None:
         """Shut the worker down: shutdown frame, then the pipe closed.
@@ -618,17 +560,15 @@ class Worker:
 
 
 class WorkerPool:
-    """A fixed-size pool of multiplexing workers with respawn-and-retry.
+    """A fixed-size pool of in-order workers with respawn-and-retry.
 
-    Dispatch picks the worker with the fewest requests in flight
-    (round-robin among ties), so a worker chewing on a slow spilling
-    execute keeps receiving *only* its fair share while idle workers
-    absorb the rest — and thanks to per-worker multiplexing, even the
-    busy worker's other sessions stay reachable.  A request that finds
-    its worker dead respawns it once and retries — queries are pure
-    reads, so the retry is safe — counting the rebuild in
-    ``worker_restarts`` (the serving-tier analogue of the probe pool's
-    rebuild-or-loud-serial contract).  When a crash fails many in-flight
+    Dispatch picks the worker with the fewest frames in flight (the first
+    idle one, round-robin), so a worker busy with a slow spilling execute
+    — or one whose caller gave up on it — is routed around while any
+    other is idle.  A request that finds its worker dead respawns it once
+    and retries — queries are pure reads, so the retry is safe — counting
+    the rebuild in ``worker_restarts`` (the serving-tier analogue of the
+    probe pool's rebuild-or-loud-serial contract).  When a crash fails many in-flight
     ids at once, each dispatch retries independently against the one
     respawned worker.  ``versions`` maps each relation name to its content
     version, for a front that keeps a result cache; without it a query
@@ -647,13 +587,10 @@ class WorkerPool:
         worker_backend: Optional[str] = None,
         events_dir: Optional[str] = None,
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
-        concurrency: int = DEFAULT_WORKER_CONCURRENCY,
         versions: Optional[Mapping[str, str]] = None,
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        if concurrency < 1:
-            raise ValueError(f"worker concurrency must be >= 1, got {concurrency}")
         if worker_backend is None:
             worker_backend = "fork" if hasattr(os, "fork") else "thread"
         if worker_backend not in ("fork", "thread"):
@@ -667,7 +604,6 @@ class WorkerPool:
         self._max_sessions = max_sessions
         self.backend = worker_backend
         self.size = size
-        self.concurrency = concurrency
         self._closed = False
         self._next = 0
         self.worker_restarts = 0
@@ -694,7 +630,6 @@ class WorkerPool:
             self.backend,
             events_path=self._events_path(index),
             max_sessions=self._max_sessions,
-            concurrency=self.concurrency,
         )
 
     def relation(self, name: str) -> Optional[Relation]:
@@ -795,31 +730,32 @@ class WorkerPool:
     ) -> list:
         """Install ``relation`` (content ``version``) under ``name`` pool-wide.
 
-        Writes a ``mutate`` frame to every live worker and, once they
-        have answered, rebinds the pool's own map, which is what a worker
-        respawned later warms its sessions over.  A frame that does not
+        Writes a ``mutate`` frame to every live worker, then rebinds the
+        pool's own map — what a worker respawned from then on warms its
+        sessions over — and awaits the answers.  A frame that does not
         pickle raises before anything is rebound.  A worker respawned
-        while the broadcast was in flight is sent the frame after the
-        rebind.  A worker that answered ``ok: false`` is stopped and
-        respawned from the new map, counted in ``worker_restarts``; one
-        skipped as dead is respawned by the next dispatch to it.  Returns
-        the workers' responses.  Callers serialise mutations.
+        while the frames were being written is sent the frame too.  A
+        worker that answered ``ok: false`` has exited: its slot is
+        respawned from the new map, counted in ``worker_restarts``, and
+        the frames queued behind the failed mutate fail as a crash and are
+        retried there, on the new rows.  One skipped as dead is respawned
+        by the next dispatch to it.  Returns the workers' responses.
+        Callers serialise mutations.
         """
         message = {"op": "mutate", "name": name, "relation": relation, "version": version}
         if self._closed:
             raise ServerClosedError("the worker pool is closed")
         workers = list(self._workers)
-        first = await self._broadcast(workers, message)
+        sent = await self._submit(workers, message)
         self._relations[name] = relation
         self._versions[name] = version
         respawned = [worker for worker in self._workers if worker not in workers]
-        second = await self._broadcast(respawned, message)
-        for sent, acks in ((workers, first), (respawned, second)):
-            sent_to = {worker.index: worker for worker in sent}
-            for ack in acks:
-                if not ack.get("ok"):
-                    self._replace(sent_to[ack["worker"]])
-        return first + second
+        sent += await self._submit(respawned, message)
+        answers = await self._answers(sent)
+        for worker, ack in answers:
+            if not ack.get("ok"):
+                self._replace(worker)
+        return [ack for _worker, ack in answers]
 
     def _replace(self, worker: Worker) -> None:
         """Respawn ``worker``'s slot from the current map, then stop it."""
@@ -829,10 +765,16 @@ class WorkerPool:
         self._workers[worker.index] = self._spawn(worker.index)
         worker.stop(wait=False)  # it exits by itself; the loop does not wait
 
-    @staticmethod
-    async def _broadcast(workers, message: Dict[str, Any]) -> list:
+    @classmethod
+    async def _broadcast(cls, workers, message: Dict[str, Any]) -> list:
         # Every frame is written before any response is awaited, so the
-        # workers apply it concurrently; a dead or dying worker is skipped.
+        # workers serve it concurrently.
+        answers = await cls._answers(await cls._submit(workers, message))
+        return [response for _worker, response in answers]
+
+    @staticmethod
+    async def _submit(workers, message: Dict[str, Any]) -> list:
+        """Write ``message`` to each worker; a dead or dying one is skipped."""
         sent = []
         for worker in workers:
             if not worker.alive():
@@ -841,15 +783,20 @@ class WorkerPool:
                 sent.append((worker, *await worker.submit(message)))
             except (WorkerCrashedError, ServerClosedError):
                 continue
+        return sent
+
+    @staticmethod
+    async def _answers(sent: list) -> list:
+        """``(worker, response)`` for every frame :meth:`_submit` wrote that was answered."""
 
         async def answer(worker: Worker, request_id: int, future: asyncio.Future):
             try:
-                return await worker.wait(request_id, future)
+                return worker, await worker.wait(request_id, future)
             except (WorkerCrashedError, ServerClosedError):
                 return None
 
         answers = await asyncio.gather(*(answer(*entry) for entry in sent))
-        return [response for response in answers if response is not None]
+        return [pair for pair in answers if pair is not None]
 
     async def collect_metrics_async(self) -> list:
         """Every worker's ``registry.collect()`` snapshot (for ``/metrics``)."""
@@ -863,7 +810,6 @@ class WorkerPool:
         return {
             "size": self.size,
             "backend": self.backend,
-            "concurrency": self.concurrency,
             "worker_restarts": self.worker_restarts,
             "inflight": inflight,
             "workers": [response["stats"] for response in responses if response.get("ok")],

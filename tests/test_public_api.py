@@ -96,7 +96,6 @@ KNOBS = {
         "engine_workers",
         "events_dir",
         "trace",
-        "worker_concurrency",
         "result_cache_size",
         "request_timeout_seconds",
     ],

@@ -16,8 +16,10 @@ import http.client
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -71,6 +73,8 @@ def _chain_relations(rows, a, b, c, d):
 HEAVY_RELATIONS = _chain_relations(2000, 120, 17, 23, 29)
 #: A mid-sized instance: the same execute takes a few tens of fast queries.
 MEDIUM_RELATIONS = serving_relations(rows=600)
+#: The budget-64 spilling execute of ``HEAVY_QUERY``: a slow frame.
+SLOW_FRAME = {"op": "query", "query": HEAVY_QUERY, "budget": 64, "count_only": True}
 
 
 def _warm_execute_seconds(relations, query, budget, pick=min):
@@ -431,6 +435,37 @@ class TestWorkerPool:
             time.sleep(0.05)
         assert not any(map(running, pids)), "a worker outlived its front"
 
+    def test_a_worker_terminated_mid_spill_removes_its_spill_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # ``Worker.stop`` terminates a worker that does not exit in time.
+        # A forked child ends in ``os._exit`` and runs no atexit hook, so the
+        # spill directory survives unless SIGTERM unwinds the execute.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1)
+        if pool.backend != "fork":
+            pool.close()
+            pytest.skip("needs process workers")
+        worker = pool._workers[0]
+        try:
+            assert pool.run(worker.request(SLOW_FRAME))["spilled_rows"] > 0
+
+            async def stop_mid_spill():
+                _request_id, answer = await worker.submit(SLOW_FRAME)
+                while not any(tmp_path.iterdir()) and not answer.done():
+                    await asyncio.sleep(0.001)
+                assert not answer.done(), "the spilling execute must still run"
+                worker.stop(timeout=0.05)
+                with pytest.raises(ServerClosedError):
+                    await answer
+
+            pool.run(stop_mid_spill())
+            worker._process.join(10)
+            assert worker._process.exitcode == 128 + signal.SIGTERM
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            pool.close()
+
     def test_thread_backend_serves_too(self):
         pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
         try:
@@ -775,127 +810,113 @@ class TestSessionShutdownUnderLoad:
             prepared.execute()
 
 
-class TestMultiplexedWorkers:
-    """The tentpole pin: one worker serves many requests over one pipe."""
+class TestInOrderWorkers:
+    """A worker answers its frames in order; the pool routes around a busy one."""
 
     def test_fast_queries_complete_while_a_slow_spill_is_in_flight(self):
-        # The head-of-line regression: a single worker (pool of one)
-        # chewing on a budget-64 spilling execute must keep answering
-        # fast queries on its other dispatcher threads.  Pre-multiplex,
-        # the fast queries queued behind the slow one on the pipe.
-        pool = WorkerPool(
-            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1, concurrency=4
-        )
+        # One worker chews on a budget-64 spilling execute; every fast
+        # query meanwhile is routed to the other, idle worker and finishes
+        # before the spill does.
+        pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=2)
+        fast = {"op": "query", "query": QUERIES[0], "count_only": True}
         try:
-            # Warm both sessions so timings reflect serving, not setup:
-            # the default-budget session for the fast mix, the budget-64
-            # session for the slow spilling execute.
-            fast = pool.dispatch(
-                {"op": "query", "query": QUERIES[0], "count_only": True}
-            )
-            warm = pool.dispatch(
-                {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                 "count_only": True}
-            )
-            assert fast["ok"] and warm["ok"] and warm["spilled_rows"] > 0
+            # Warm both sessions on both workers so timings reflect
+            # serving, not setup.
+            for worker in pool._workers:
+                assert pool.run(worker.request(fast))["ok"]
+                assert pool.run(worker.request(SLOW_FRAME))["spilled_rows"] > 0
 
             slow_done = threading.Event()
             slow_box = {}
 
             def run_slow():
-                slow_box["response"] = pool.dispatch(
-                    {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                     "count_only": True}
-                )
+                slow_box["response"] = pool.dispatch(SLOW_FRAME)
                 slow_done.set()
 
             slow = threading.Thread(target=run_slow)
             slow.start()
             deadline = time.perf_counter() + 10.0
             while (
-                pool._workers[0].inflight < 1
+                max(worker.inflight for worker in pool._workers) < 1
                 and not slow_done.is_set()
                 and time.perf_counter() < deadline
             ):
                 time.sleep(0.001)
             assert not slow_done.is_set(), "slow query must still be running"
+            busy = max(range(2), key=lambda index: pool._workers[index].inflight)
 
-            # Five fast queries against the SAME worker, all while the
-            # spilling execute holds one dispatcher thread.
             for _ in range(5):
-                response = pool.dispatch(
-                    {"op": "query", "query": QUERIES[0], "count_only": True}
-                )
+                response = pool.dispatch(fast)
                 assert response["ok"], response
+                assert response["worker"] != busy, "routed behind the slow spill"
             assert not slow_done.is_set(), (
                 "all five fast queries finished, yet the slow spilling "
-                "execute must still be in flight — head-of-line blocking "
-                "would have serialised them behind it"
+                "execute must still be in flight on the other worker"
             )
             slow.join(timeout=30)
             assert slow_box["response"]["ok"]
-            assert slow_box["response"]["rowcount"] == warm["rowcount"]
+            assert slow_box["response"]["worker"] == busy
         finally:
             pool.close()
 
-    def test_control_frames_answer_during_a_slow_query(self):
-        # ping/stats/metrics are handled inline on the worker's recv
-        # loop, so telemetry stays live even with every dispatcher
-        # thread busy.
+    def test_frames_are_answered_in_the_order_they_were_written(self):
+        versions = {name: content_version(r) for name, r in HEAVY_RELATIONS.items()}
         pool = WorkerPool(
-            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1, concurrency=1
+            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1, versions=versions
         )
+        worker = pool._workers[0]
+        read = {"op": "query", "query": "project[A, B](R)"}
+        relation = Relation.from_rows(
+            HEAVY_RELATIONS["R"].scheme, [(1, 2), (3, 4)], name="R"
+        )
+        mutate = {"op": "mutate", "name": "R", "relation": relation, "version": "next"}
+        # Every frame is written before the slow one is answered.
+        frames = {
+            "slow": SLOW_FRAME,
+            "before": read,
+            "mutate": mutate,
+            "after": read,
+            "ping": {"op": "ping"},
+        }
+
+        async def write_all():
+            order, written = [], []
+            for name, frame in frames.items():
+                request_id, future = await worker.submit(frame)
+                future.add_done_callback(lambda _future, name=name: order.append(name))
+                written.append((name, request_id, future))
+            answers = {
+                name: await worker.wait(request_id, future, timeout=60)
+                for name, request_id, future in written
+            }
+            return order, answers
+
         try:
-            warm = pool.dispatch(
-                {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                 "count_only": True}
-            )
-            assert warm["ok"]
-            slow_done = threading.Event()
-            slow = threading.Thread(
-                target=lambda: (
-                    pool.dispatch(
-                        {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                         "count_only": True}
-                    ),
-                    slow_done.set(),
-                )
-            )
-            slow.start()
-            deadline = time.perf_counter() + 10.0
-            while (
-                pool._workers[0].inflight < 1
-                and not slow_done.is_set()
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.001)
-            ping = pool.run(pool._workers[0].request({"op": "ping"}))
-            assert ping["ok"]
-            assert not slow_done.is_set(), (
-                "the ping answered inline must not wait for the query"
-            )
-            slow.join(timeout=30)
+            order, answers = pool.run(write_all())
+            assert order == list(frames)
+            assert all(answer["ok"] for answer in answers.values()), answers
+            old_rows = [list(row) for row in HEAVY_RELATIONS["R"].sorted_rows()]
+            assert answers["before"]["rows"] == old_rows
+            assert answers["before"]["versions"] == {"R": versions["R"]}
+            assert answers["after"]["rows"] == [[1, 2], [3, 4]]
+            assert answers["after"]["versions"] == {"R": "next"}
+            assert answers["slow"]["versions"] == {
+                name: versions[name] for name in ("R", "S", "T")
+            }
+            assert worker.inflight == 0
         finally:
             pool.close()
 
     def test_dispatch_prefers_the_least_loaded_worker(self):
-        pool = WorkerPool(
-            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=2, concurrency=4
-        )
+        pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=2)
         try:
             for index in range(2):
-                warm = pool.run(pool._workers[index].request(
-                    {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                     "count_only": True}
-                ))
+                warm = pool.run(pool._workers[index].request(SLOW_FRAME))
                 assert warm["ok"]
             slow_done = threading.Event()
 
             def run_slow():
-                pool.dispatch(
-                    {"op": "query", "query": HEAVY_QUERY, "budget": 64,
-                     "count_only": True}
-                )
+                pool.dispatch(SLOW_FRAME)
                 slow_done.set()
 
             slow = threading.Thread(target=run_slow)
@@ -917,7 +938,7 @@ class TestMultiplexedWorkers:
             pool.close()
 
 
-class TestLeaseLifecycleUnderMultiplexing:
+class TestLeaseLifecycle:
     """Every request outcome returns its budget lease — no leaks."""
 
     def _budget(self, server):
@@ -959,38 +980,42 @@ class TestLeaseLifecycleUnderMultiplexing:
         )
         with ReproServer(
             HEAVY_RELATIONS,
-            pool_size=1,
+            pool_size=2,
             total_budget_rows=10_000,
             request_timeout_seconds=deadline,
             result_cache_size=0,
         ) as running:
+            pool = running._pool
+            # Warm the fast path on both workers first: planning is paid
+            # here, with no deadline to meet.
+            for worker in pool._workers:
+                warm = {"op": "query", "query": FAST_QUERY, "count_only": True}
+                assert pool.run(worker.request(warm))["ok"]
             conn = http.client.HTTPConnection(
                 "127.0.0.1", running.port, timeout=30
             )
             try:
-                # Warm the fast path first: planning is paid here, with no
-                # deadline to meet (a cold first request may take a 504).
-                for _ in range(2):
-                    status, _body = _post(
-                        conn, {"query": FAST_QUERY, "count_only": True}
-                    )
-                assert status == 200
                 status, body = _post(
                     conn,
                     {"query": HEAVY_QUERY, "budget": 64, "count_only": True},
                 )
                 assert status == 504
                 assert body["error"] == "RequestTimeoutError"
-                budget = self._budget(running)
-                assert budget["leased_rows"] == 0, budget
-                assert budget["active_leases"] == 0, budget
-                # The pipe stayed healthy: the same worker keeps serving
-                # (the late response for the abandoned id is dropped).
-                status, body = _post(
-                    conn, {"query": FAST_QUERY, "count_only": True}
-                )
-                assert status == 200 and body["ok"]
-                assert running.stats()["pool"]["worker_restarts"] == 0
+                # The abandoned execute still holds its worker, and the pool
+                # routes around it: both follow-ups (the round-robin turn
+                # included) are answered by the idle worker.
+                busy = [worker.inflight for worker in pool._workers].index(1)
+                for _ in range(2):
+                    status, body = _post(
+                        conn, {"query": FAST_QUERY, "count_only": True}
+                    )
+                    assert status == 200 and body["ok"]
+                    assert body["worker"] != busy
+                # ``/stats`` waits for the busy worker's answer.
+                stats = running.stats()
+                assert stats["budget"]["leased_rows"] == 0, stats["budget"]
+                assert stats["budget"]["active_leases"] == 0, stats["budget"]
+                assert stats["pool"]["worker_restarts"] == 0
             finally:
                 conn.close()
 
@@ -1068,9 +1093,7 @@ class TestLeaseLifecycleUnderMultiplexing:
             assert stats["budget"]["active_leases"] == 0, stats["budget"]
 
     def test_pool_close_fails_inflight_requests_typed(self):
-        pool = WorkerPool(
-            RELATIONS, BackendConfig(budget=50_000), size=1, concurrency=4
-        )
+        pool = WorkerPool(RELATIONS, BackendConfig(budget=50_000), size=1)
         warm = pool.dispatch(
             {"op": "query", "query": HEAVY_QUERY, "budget": 64,
              "count_only": True}
@@ -1143,22 +1166,22 @@ class TestPoolFrames:
             pool.close()
 
     def test_a_response_whose_caller_gave_up_is_dropped(self):
-        # The caller's deadline fires first: its id is abandoned, the late
-        # response is dropped on arrival, and the pipe keeps serving.
-        pool = WorkerPool(
-            HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1, concurrency=2
-        )
-        slow = {"op": "query", "query": HEAVY_QUERY, "budget": 64, "count_only": True}
+        # The caller's deadline fires first.  The worker is still busy with
+        # the frame, so it counts in flight until the late response lands
+        # and is dropped; the pipe keeps serving.
+        pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1)
         worker = pool._workers[0]
         try:
-            assert pool.run(worker.request(slow))["ok"]  # warm the spilling session
+            assert pool.run(worker.request(SLOW_FRAME))["ok"]  # warm the spilling session
 
             async def scenario():
                 with pytest.raises(RequestTimeoutError):
-                    await worker.request(slow, timeout=0.001)
-                assert worker.inflight == 0
+                    await worker.request(SLOW_FRAME, timeout=0.001)
+                assert worker.inflight == 1
+                # Written behind the abandoned frame, answered after it.
                 ping = await worker.request({"op": "ping"}, timeout=30)
-                answered = await worker.request(slow, timeout=30)
+                assert worker.inflight == 0
+                answered = await worker.request(SLOW_FRAME, timeout=30)
                 return ping, answered
 
             ping, answered = pool.run(scenario())
@@ -1277,39 +1300,52 @@ class TestMutateFailures:
             finally:
                 conn.close()
 
-    def test_a_query_in_flight_on_a_replaced_worker_is_retried(self, monkeypatch):
+    def test_a_failed_mutate_splits_the_queue_at_the_mutate(self, monkeypatch):
+        # The worker is held while a query, a mutate it fails and a second
+        # query queue up on it.  The first query is answered on the old
+        # rows; the worker then NACKs and exits, and the second query is
+        # retried on the replacement, on the new rows.
         from repro.server import worker as worker_module
 
         entered, release = threading.Event(), threading.Event()
         handle_query = worker_module._WorkerRuntime._handle_query
 
-        def first_query_hangs(runtime, message):
+        def first_query_waits(runtime, message):
             if not entered.is_set():
                 entered.set()
                 release.wait(30)
-                raise RuntimeError("abandoned")  # its worker is gone by now
             return handle_query(runtime, message)
 
         def failing(runtime, message):
             raise RuntimeError("injected mutate failure")
 
         runtime_class = worker_module._WorkerRuntime
-        monkeypatch.setattr(runtime_class, "_handle_query", first_query_hangs)
+        monkeypatch.setattr(runtime_class, "_handle_query", first_query_waits)
         monkeypatch.setattr(runtime_class, "_handle_mutate", failing)
         pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
-        answered = {}
-        reader = threading.Thread(
-            target=lambda: answered.update(pool.dispatch(self.QUERY, timeout=30))
-        )
+        relation = Relation.from_rows(RELATIONS["R"].scheme, [(7, 8)], name="R")
+
+        async def scenario():
+            before = asyncio.ensure_future(pool.dispatch_async(self.QUERY, timeout=30))
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            mutate = asyncio.ensure_future(pool.mutate_async("R", relation, None))
+            await asyncio.sleep(0)  # the mutate frame is written
+            after = asyncio.ensure_future(pool.dispatch_async(self.QUERY, timeout=30))
+            await asyncio.sleep(0)
+            assert pool._workers[0].inflight == 3
+            release.set()
+            return await asyncio.gather(before, mutate, after)
+
+        held = pool._workers[0]
         try:
-            reader.start()
-            assert entered.wait(10)
-            relation = Relation.from_rows(RELATIONS["R"].scheme, [(7, 8)], name="R")
-            acks = pool.run(pool.mutate_async("R", relation, None))
+            before, acks, after = pool.run(scenario())
+            held._thread.join(10)
+            assert not held._thread.is_alive(), "a worker that NACKs a mutate exits"
+            assert before["ok"] and before["worker"] == 0, before
+            assert before["rows"] == [list(row) for row in RELATIONS["R"].sorted_rows()]
             assert [ack["ok"] for ack in acks] == [False]
-            reader.join(30)
-            assert not reader.is_alive()
-            assert answered["ok"] and answered["rows"] == [[7, 8]], answered
+            assert after["ok"] and after["rows"] == [[7, 8]], after
             assert pool.worker_restarts == 1
         finally:
             release.set()
@@ -1342,7 +1378,7 @@ class TestMutateFailures:
 
 
 class TestWorkerVersions:
-    """A query response reports the content versions its execute bound."""
+    """A query response reports the content versions of the rows it read."""
 
     QUERY = {"op": "query", "query": "project[A](R * S)", "count_only": True}
 
@@ -1371,23 +1407,59 @@ class TestWorkerVersions:
         assert response["versions"] == {"R": "next", "S": versions["S"]}
         assert response["rowcount"] == 2
 
-    def test_a_query_a_mutate_overlapped_reports_no_versions(
-        self, runtime, monkeypatch
-    ):
-        runtime, _versions = runtime
-        expression_for = runtime._expression_for
+    def test_a_query_behind_a_failed_mutate_reads_the_new_rows(self, monkeypatch):
+        # Worker 0 NACKs the mutate; worker 1 applies it.  A query written
+        # behind the mutate on either is answered from the new rows under
+        # the new version — worker 0's by its replacement — never the old
+        # rows filed under the new version.
+        from repro.server import worker as worker_module
 
-        def mutate_midway(session, text):
-            self._mutate(runtime, [(1, 2), (3, 4)], "next")
-            return expression_for(session, text)
+        handle_mutate = worker_module._WorkerRuntime._handle_mutate
+        release = threading.Event()
 
-        monkeypatch.setattr(runtime, "_expression_for", mutate_midway)
-        response = runtime.handle(self.QUERY)
-        # It ran on the new rows, but began under the old versions.
-        assert response["ok"] and response["rowcount"] == 2
-        assert response["versions"] is None
-        monkeypatch.undo()
-        assert runtime.handle(self.QUERY)["versions"]["R"] == "next"
+        def held_then_failing_on_worker_0(runtime, message):
+            release.wait(30)  # until a query is queued behind the mutate
+            if runtime.index == 0:
+                raise RuntimeError("injected mutate failure")
+            return handle_mutate(runtime, message)
+
+        monkeypatch.setattr(
+            worker_module._WorkerRuntime, "_handle_mutate", held_then_failing_on_worker_0
+        )
+        versions = {name: content_version(r) for name, r in RELATIONS.items()}
+        pool = WorkerPool(
+            RELATIONS, BackendConfig(), size=2, worker_backend="thread", versions=versions
+        )
+        relation = Relation.from_rows(RELATIONS["R"].scheme, [(1, 2), (3, 4)], name="R")
+        version = content_version(relation)
+        read = {"op": "query", "query": "project[A, B](R)"}
+
+        async def scenario():
+            for worker in pool._workers:
+                await worker.request({"op": "ping"})  # connect: writes do not wait
+            mutate = asyncio.ensure_future(pool.mutate_async("R", relation, version))
+            await asyncio.sleep(0)  # both mutate frames are written
+            reads = [
+                asyncio.ensure_future(pool.dispatch_async(read, timeout=30))
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0)
+            # One query queued behind the mutate on each worker.
+            assert [worker.inflight for worker in pool._workers] == [2, 2]
+            release.set()
+            return await mutate, await asyncio.gather(*reads)
+
+        try:
+            acks, answers = pool.run(scenario())
+            assert sorted(ack["ok"] for ack in acks) == [False, True]
+            for answer in answers:
+                assert answer["ok"], answer
+                assert answer["rows"] == [[1, 2], [3, 4]]
+                assert answer["versions"] == {"R": version}
+            assert pool.worker_restarts == 1
+        finally:
+            release.set()
+            pool.close()
 
 
 class TestResultCache:
@@ -1548,16 +1620,6 @@ class TestResultCache:
         assert cache.switch("R", "R1") == 0
         assert json.loads(cache.lookup(self.KEY))["rowcount"] == 40
         assert cache.stats()["cache_invalidations"] == 0
-
-    def test_fill_without_versions_is_dropped(self):
-        # A mutate overlapped the execute, so the worker could not say
-        # which content it bound: the response is answered, never filed.
-        cache = self._cache()
-        response = dict(self._response(), versions=None)
-        assert not cache.fill(self.KEY, response)
-        assert cache.lookup(self.KEY) is None
-        assert len(cache) == 0
-        assert cache.stats()["cache_stale_fill_drops"] == 1
 
     def test_fill_is_filed_under_the_versions_it_read(self):
         # The race the old snapshot protocol closed: a miss executes
