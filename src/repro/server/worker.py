@@ -92,6 +92,10 @@ __all__ = ["Worker", "WorkerPool", "worker_main"]
 #: and pinned plans with it) exactly like the engine's pool LRU.
 MAX_SESSIONS_PER_WORKER = 4
 
+#: How long a closing pool waits, in all, for its workers to exit before it
+#: terminates the ones still running.
+_STOP_SECONDS = 5.0
+
 
 class _WorkerRuntime:
     """The in-child request state: session cache + expression cache.
@@ -520,7 +524,7 @@ class Worker:
                 f"within {timeout}s"
             ) from None
 
-    def stop(self, wait: bool = True, timeout: float = 5.0) -> None:
+    def stop(self, wait: bool = True, timeout: float = _STOP_SECONDS) -> None:
         """Shut the worker down: shutdown frame, then the pipe closed.
 
         Every in-flight id fails with :class:`ServerClosedError`.  Unless
@@ -542,18 +546,19 @@ class Worker:
             except OSError:
                 pass  # the worker is gone already
             self._sock.close()
-        if not wait:
-            return
-        if self._process is not None:
-            self._process.join(timeout)
-            if self._process.is_alive():  # pragma: no cover - stuck worker
+        if wait and not self.join(timeout):  # pragma: no cover - stuck worker
+            if self._process is not None:
                 self._process.terminate()
                 self._process.join(timeout)
-        else:
-            self._thread.join(timeout)
+
+    def join(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the worker to exit; whether it did."""
+        runner = self._process if self._process is not None else self._thread
+        runner.join(timeout)
+        return not runner.is_alive()
 
     def kill(self) -> None:
-        """Hard-kill the worker process (crash-recovery tests only)."""
+        """Hard-kill the worker process (a stuck one at close; crash tests)."""
         if self._process is not None and self._process.is_alive():
             self._process.terminate()
             self._process.join(2.0)
@@ -836,6 +841,12 @@ class WorkerPool:
         self._thread.join()
 
     def _stop_workers(self) -> None:
+        # Every worker is told first and all are joined against one
+        # deadline, so busy workers finish their executes side by side.
         self._closed = True
         for worker in self._workers:
-            worker.stop()
+            worker.stop(wait=False)
+        deadline = perf_counter() + _STOP_SECONDS
+        for worker in self._workers:
+            if not worker.join(max(deadline - perf_counter(), 0.0)):
+                worker.kill()

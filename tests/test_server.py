@@ -44,6 +44,7 @@ from repro.server import (
     run_load,
     zipf_schedule,
 )
+from repro.server import worker as worker_server
 from repro.server.cache import content_version
 from repro.server.http import json_body
 from repro.workloads import serving_queries, serving_relations
@@ -465,6 +466,37 @@ class TestWorkerPool:
             assert list(tmp_path.iterdir()) == []
         finally:
             pool.close()
+
+    def test_closing_a_pool_joins_its_workers_against_one_deadline(
+        self, monkeypatch
+    ):
+        # Every worker here plays stuck: its join waits out the time it is
+        # given.  The pool must tell them all before joining any, and give
+        # them one shared deadline, not one deadline each.
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=3, worker_backend="thread")
+        worker_class = type(pool._workers[0])
+        events = []
+        stop = worker_class.stop
+
+        def recording_stop(worker, wait=True, timeout=5.0):
+            events.append(("stop", worker.index, wait))
+            stop(worker, wait, timeout)
+
+        def stuck_join(worker, timeout):
+            events.append(("join", worker.index, timeout))
+            time.sleep(timeout)
+            return False
+
+        monkeypatch.setattr(worker_server, "_STOP_SECONDS", 0.2)
+        monkeypatch.setattr(worker_class, "stop", recording_stop)
+        monkeypatch.setattr(worker_class, "join", stuck_join)
+        monkeypatch.setattr(
+            worker_class, "kill", lambda worker: events.append(("kill", worker.index))
+        )
+        pool.close()
+        assert [event[0] for event in events] == ["stop"] * 3 + ["join", "kill"] * 3
+        assert all(wait is False for _, _, wait in events[:3])
+        assert sum(event[2] for event in events if event[0] == "join") <= 0.2
 
     def test_thread_backend_serves_too(self):
         pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
@@ -1001,6 +1033,12 @@ class TestLeaseLifecycle:
                 )
                 assert status == 504
                 assert body["error"] == "RequestTimeoutError"
+                # The lease goes with the 504, not with the late answer: read
+                # the scheduler directly, with no round trip to the worker.
+                budget = running._scheduler.stats()
+                assert budget["leased_rows"] == 0, budget
+                assert budget["active_leases"] == 0, budget
+                assert pool._workers[0].inflight + pool._workers[1].inflight == 1
                 # The abandoned execute still holds its worker, and the pool
                 # routes around it: both follow-ups (the round-robin turn
                 # included) are answered by the idle worker.
