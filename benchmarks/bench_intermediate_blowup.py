@@ -10,7 +10,10 @@ fitted growth base quantifies it.
 Since PR 2 each row also reports the streaming engine's peak *live* row count
 (:mod:`repro.engine`) — the rows resident in hash tables / dedup sets while
 the same query streams — which on the construction must stay below the naive
-evaluator's materialised peak.
+evaluator's materialised peak.  Since 6.1.0 the engine plans the minimized
+query: ``project[S](φ_G)`` is one scan of ``R``, so its column reads the
+2 result rows; the naive and optimized columns still evaluate the query as
+written.
 """
 
 from repro.analysis import analyze_blowup, fit_exponential_growth, format_table

@@ -32,12 +32,13 @@ Python:
     assumed from ``--cardinality NAME=N`` declarations (default 100 rows per
     operand); ``--memory-budget ROWS`` shows the budget-aware plan (Grace
     joins with partition estimates); ``--paper`` explains and runs the
-    paper's worked example on its real relation instead, and reports per
-    join node where the estimate came from: a row sample or the backoff
-    formula.
+    paper's worked example, φ_G on its real relation, instead, and reports
+    per join node where the estimate came from: a row sample or the backoff
+    formula.  (Not ``project[S](φ_G)``: the planner minimizes that to one
+    scan of ``R``, which has no join to report on.)
 
 ``python -m repro trace [--memory-budget ROWS] [--workers N] [--events PATH]``
-    Execute the paper's worked example under a span tracer and print the
+    Execute the paper's worked example (φ_G) under a span tracer and print the
     ``EXPLAIN ANALYZE`` report — per-operator wall time (inclusive/self),
     rows produced, and the plan/spill overhead spans — followed by
     the structured event log (``--events PATH`` additionally appends the
@@ -261,7 +262,7 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
                 "with an expression, --scheme, or --cardinality"
             )
         construction = paper_example_construction()
-        expression = Projection([construction.s_attribute], construction.expression)
+        expression = construction.expression
         with Session(
             construction.relation,
             backend="engine",
@@ -338,7 +339,7 @@ def _observed_paper_session(arguments: argparse.Namespace, observe):
     if arguments.memory_budget is not None and arguments.memory_budget <= 0:
         raise SystemExit("--memory-budget must be a positive row count")
     construction = paper_example_construction()
-    expression = Projection([construction.s_attribute], construction.expression)
+    expression = construction.expression
     session = Session(
         construction.relation,
         backend="engine",

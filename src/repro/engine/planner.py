@@ -8,6 +8,11 @@ so repeated executions of a pinned plan never touch the process-global LRU
 caches again (see :class:`~repro.engine.evaluator.EngineEvaluator`, which
 pins one plan per expression).
 
+Before anything is lowered the query is minimized
+(:func:`~repro.tableaux.minimize_expression`): join operands its minimal
+tableau does not need are dropped, certified equivalent on every database,
+so ``project[S](φ_G)`` plans as one scan.
+
 Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
 
 * **Join ordering** — an n-ary join becomes a left-deep chain found by a
@@ -42,6 +47,7 @@ from ..algebra.relation import Relation, _join_plan
 from ..algebra.tuples import _project_plan
 from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
 from ..perf.plancache import ChainKernel, ProjectPlan, make_chain_kernel
+from ..tableaux import minimize_expression
 from .physical import (
     GraceHashJoin,
     HashJoin,
@@ -418,6 +424,10 @@ class PhysicalPlan:
 
     root: PlanNode
     expression: Expression
+    #: The smaller equivalent expression the planner lowered instead of
+    #: ``expression`` (see :func:`~repro.tableaux.minimize_expression`), or
+    #: ``None`` when it lowered ``expression`` as written.
+    minimized: Optional[Expression] = None
     #: What traces record of each operator that never changes between
     #: executions — label, kind, width — keyed by the executing tree's shape
     #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
@@ -460,8 +470,15 @@ class PhysicalPlan:
         return node.operand_name
 
     def explain(self) -> str:
-        """Render the plan as an indented tree with per-node estimates."""
+        """Render the plan as an indented tree with per-node estimates,
+        under a ``minimized: N → K operands`` line when it lowered fewer
+        join operands than the query wrote."""
         lines: List[str] = []
+        if self.minimized is not None:
+            lines.append(
+                f"minimized: {_operand_count(self.expression)} → "
+                f"{_operand_count(self.minimized)} operands"
+            )
 
         def render(node: PlanNode, depth: int) -> None:
             indent = "  " * depth
@@ -474,6 +491,10 @@ class PhysicalPlan:
 
         render(self.root, 0)
         return "\n".join(lines)
+
+
+def _operand_count(expression: Expression) -> int:
+    return sum(isinstance(node, Operand) for node in expression.walk())
 
 
 class Planner:
@@ -497,13 +518,20 @@ class Planner:
         missing = sorted(expression.operand_names() - set(stats))
         if missing:
             raise ExpressionError(f"no statistics provided for operands {missing}")
-        root = fuse_chains(_drop_samples(self._lower(expression, stats)))
+        # Minimization keeps at least one occurrence of every operand name,
+        # so the bindings and catalog entries are the written query's.
+        planned = minimize_expression(expression)
+        root = fuse_chains(_drop_samples(self._lower(planned, stats)))
         # The final projection keeps dedup=True, but when the evaluator drains
         # the plan it holds no seen-set of its own: it dedups straight into
         # the drain's result set (see StreamingProject), and its rows_out —
         # that set's growth — is still the true result cardinality for
         # traces.  Only *inner* dedups are planner-elided.
-        return PhysicalPlan(root=root, expression=expression)
+        return PhysicalPlan(
+            root=root,
+            expression=expression,
+            minimized=None if planned is expression else planned,
+        )
 
     # -- lowering ------------------------------------------------------
 

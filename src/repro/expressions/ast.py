@@ -11,7 +11,9 @@ definition:
   associative and the paper freely writes multi-way joins).
 
 Every node knows its *target relation scheme* (``trs(φ)`` in the paper),
-computed structurally, and the set of operand names it mentions.
+computed structurally, and the set of operand names it mentions.  Nodes are
+immutable, so each computes its hash once, when it is built (a pickled node
+is rebuilt, so the hash is recomputed in the process that loads it).
 """
 
 from __future__ import annotations
@@ -105,13 +107,14 @@ class Expression:
 class Operand(Expression):
     """A named operand: an argument position over a fixed relation scheme."""
 
-    __slots__ = ("_name", "_scheme")
+    __slots__ = ("_name", "_scheme", "_hash")
 
     def __init__(self, name: str, scheme: SchemeLike):
         if not name:
             raise ExpressionError("operand name must be non-empty")
         self._name = name
         self._scheme = as_scheme(scheme)
+        self._hash = hash((self._name, self._scheme))
 
     @property
     def name(self) -> str:
@@ -144,7 +147,10 @@ class Operand(Expression):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._name, self._scheme))
+        return self._hash
+
+    def __reduce__(self):
+        return Operand, (self._name, self._scheme)
 
     def __repr__(self) -> str:
         return f"Operand({self._name!r}, {self._scheme})"
@@ -153,7 +159,7 @@ class Operand(Expression):
 class Projection(Expression):
     """Projection node ``π_Y(child)``."""
 
-    __slots__ = ("_target", "_child")
+    __slots__ = ("_target", "_child", "_hash")
 
     def __init__(self, target: SchemeLike, child: Expression):
         target_scheme = as_scheme(target)
@@ -168,6 +174,7 @@ class Projection(Expression):
             )
         self._target = child_scheme.restrict(target_scheme.names)
         self._child = child
+        self._hash = hash(("project", self._target, child))
 
     @property
     def target(self) -> RelationScheme:
@@ -200,7 +207,10 @@ class Projection(Expression):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("project", self._target, self._child))
+        return self._hash
+
+    def __reduce__(self):
+        return Projection, (self._target, self._child)
 
     def __repr__(self) -> str:
         return f"Projection({self._target}, {self._child!r})"
@@ -209,7 +219,7 @@ class Projection(Expression):
 class Join(Expression):
     """n-ary natural join node ``e1 * e2 * ... * ek`` with ``k >= 2``."""
 
-    __slots__ = ("_parts", "_schemes")
+    __slots__ = ("_parts", "_schemes", "_hash")
 
     def __init__(self, parts: Sequence[Expression]):
         flattened: List[Expression] = []
@@ -236,6 +246,7 @@ class Join(Expression):
                     )
                 merged[name] = scheme
         self._schemes = merged
+        self._hash = hash(("join", self._parts))
 
     @property
     def parts(self) -> Tuple[Expression, ...]:
@@ -273,7 +284,10 @@ class Join(Expression):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("join", self._parts))
+        return self._hash
+
+    def __reduce__(self):
+        return Join, (self._parts,)
 
     def __repr__(self) -> str:
         return f"Join({list(self._parts)!r})"

@@ -17,13 +17,11 @@ contrast them.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..expressions.ast import Expression
+from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
 from .tableau import (
     Constant,
-    DistinguishedVariable,
     Tableau,
     TableauCell,
     TableauRow,
@@ -35,6 +33,7 @@ __all__ = [
     "query_contained_in",
     "query_equivalent",
     "minimize_tableau",
+    "minimize_expression",
 ]
 
 
@@ -89,19 +88,17 @@ def _row_match(
         source_row.attributes
     ) != set(target_row.attributes):
         return None
+    target_cells = target_row.cell_map
     extended = dict(mapping)
-    for attribute in source_row.attributes:
-        source_cell = source_row.cell(attribute)
-        target_cell = target_row.cell(attribute)
+    for attribute, source_cell in source_row.cell_map.items():
+        target_cell = target_cells[attribute]
         if isinstance(source_cell, Constant):
             if not _cells_compatible(source_cell, target_cell):
                 return None
             continue
-        if source_cell in extended:
-            if extended[source_cell] != target_cell:
-                return None
-        else:
-            extended[source_cell] = target_cell
+        image = extended.setdefault(source_cell, target_cell)
+        if image is not target_cell and image != target_cell:
+            return None
     return extended
 
 
@@ -137,29 +134,154 @@ def query_contained_in(first: Expression, second: Expression) -> bool:
 
 def query_equivalent(first: Expression, second: Expression) -> bool:
     """Decide query equivalence over all databases (containment both ways)."""
-    return query_contained_in(first, second) and query_contained_in(second, first)
+    first_tableau = tableau_of_expression(first)
+    second_tableau = tableau_of_expression(second)
+    return (
+        find_homomorphism(second_tableau, first_tableau) is not None
+        and find_homomorphism(first_tableau, second_tableau) is not None
+    )
+
+
+class _EncodedRow(NamedTuple):
+    """A tableau row as :func:`_foldable` reads it.  Equal cells get equal
+    ids; the cells a homomorphism into the same tableau fixes — the
+    summary's variables and every constant — get negative ones."""
+
+    operand: str
+    cells: Dict[str, int]  # attribute -> cell id
+    items: FrozenSet[Tuple[str, int]]  # cells.items()
+    fixed: FrozenSet[Tuple[str, int]]  # the items with a fixed cell
+
+
+def _encode(tableau: Tableau) -> List[_EncodedRow]:
+    summary = tableau.summary
+    pinned = {summary[name] for name in tableau.target_scheme.names}
+    ids: Dict[TableauCell, int] = {}
+    encoded = []
+    for row in tableau.rows:
+        cells = {}
+        for attribute, cell in row.cell_map.items():
+            if cell not in ids:
+                sign = -1 if isinstance(cell, Constant) or cell in pinned else 1
+                ids[cell] = sign * (len(ids) + 1)
+            cells[attribute] = ids[cell]
+        items = frozenset(cells.items())
+        fixed = frozenset(item for item in items if item[1] < 0)
+        encoded.append(_EncodedRow(row.operand, cells, items, fixed))
+    return encoded
+
+
+def _foldable(rows: Sequence[_EncodedRow]) -> Iterator[int]:
+    """The indices of the ``rows`` that might fold onto another of them, in
+    order, each found as it is asked for.
+
+    A homomorphism from ``rows`` into ``rows`` minus row ``r`` fixes every
+    summary variable and constant and sends ``r`` to some other row ``t`` of
+    the same operand, so ``t`` must repeat each of ``r``'s fixed cells.  It
+    also sends each variable of ``r`` to ``t``'s cell in the same column; when
+    that cell occurs in no row but ``r`` and ``t``, every other row holding
+    the variable must go to ``t`` as well, and repeat its fixed cells there.
+    Both conditions are necessary, so a row that fails them never drops, and
+    testing them takes set operations, not a search.
+    """
+    holders: Dict[int, set] = {}
+    for index, row in enumerate(rows):
+        for ident in row.cells.values():
+            holders.setdefault(ident, set()).add(index)
+
+    def repeats(source: int, target: int) -> bool:
+        return (
+            rows[source].operand == rows[target].operand
+            and rows[source].cells.keys() == rows[target].cells.keys()
+            and rows[source].fixed <= rows[target].items
+        )
+
+    def folds_onto(source: int, target: int) -> bool:
+        if source == target or not repeats(source, target):
+            return False
+        images = rows[target].cells
+        pair = {source, target}
+        for attribute, ident in rows[source].cells.items():
+            image = images[attribute]
+            if ident < 0 or image < 0 or image == ident or not holders[image] <= pair:
+                continue
+            if not all(repeats(other, target) for other in holders[ident] - pair):
+                return False
+        return True
+
+    for index in range(len(rows)):
+        if any(folds_onto(index, target) for target in range(len(rows))):
+            yield index
 
 
 def minimize_tableau(tableau: Tableau) -> Tableau:
     """Return an equivalent tableau with a minimal set of rows.
 
-    Repeatedly tries to drop a row: a row may be removed when the reduced
-    tableau still admits a homomorphism from the original restricted to... more
-    precisely, when there is a homomorphism from the full tableau into the
-    reduced one (folding the dropped row onto the remaining rows).  This is
+    Repeatedly drops the first row that folds onto the others: one for which
+    there is a homomorphism from the current tableau into the tableau without
+    it.  Only rows that pass :func:`_foldable`'s necessary conditions are
+    searched, so a tableau none of whose rows passes costs no search.  This is
     the classical tableau-minimisation procedure; the result is unique up to
     isomorphism for conjunctive queries.
     """
-    current_rows = list(tableau.rows)
+    encoded = _encode(tableau)
+    current = list(range(len(tableau.rows)))
     changed = True
-    while changed and len(current_rows) > 1:
+    while changed and len(current) > 1:
         changed = False
-        full = Tableau(tableau.summary, current_rows, tableau.target_scheme)
-        for index in range(len(current_rows)):
-            candidate_rows = current_rows[:index] + current_rows[index + 1:]
-            candidate = Tableau(tableau.summary, candidate_rows, tableau.target_scheme)
-            if find_homomorphism(full, candidate) is not None:
-                current_rows = candidate_rows
+        full = Tableau(tableau.summary, [tableau.rows[i] for i in current], tableau.target_scheme)
+        for index in _foldable([encoded[i] for i in current]):
+            candidate = current[:index] + current[index + 1:]
+            reduced = Tableau(
+                tableau.summary, [tableau.rows[i] for i in candidate], tableau.target_scheme
+            )
+            if find_homomorphism(full, reduced) is not None:
+                current = candidate
                 changed = True
                 break
-    return Tableau(tableau.summary, current_rows, tableau.target_scheme)
+    return Tableau(tableau.summary, [tableau.rows[i] for i in current], tableau.target_scheme)
+
+
+def minimize_expression(expression: Expression) -> Expression:
+    """An expression equivalent to ``expression`` over every database, with
+    the join operands its minimal tableau does not need taken out.
+
+    Returns ``expression`` itself — no search run — when no operand occurs
+    twice or no tableau row passes :func:`_foldable`.  Otherwise the kept
+    rows of :func:`minimize_tableau` name the kept leaves (the tableau has one
+    row per leaf, in leaf order), the rest are cut from the tree, and the
+    cut tree is returned only if :func:`query_equivalent` certifies it and
+    its columns come out in the same order; else ``expression`` is.  Rows
+    fold only onto rows of the same operand, so every operand name survives.
+    """
+    names = [node.name for node in expression.walk() if isinstance(node, Operand)]
+    if len(set(names)) == len(names):
+        return expression
+    tableau = tableau_of_expression(expression)
+    kept = {id(row) for row in minimize_tableau(tableau).rows}
+    if len(kept) == len(tableau.rows):
+        return expression
+    try:
+        smaller = _cut(expression, iter([id(row) in kept for row in tableau.rows]))
+    except ExpressionError:  # a projection lost a column it reads
+        return expression
+    if (
+        smaller.target_scheme().names == expression.target_scheme().names
+        and query_equivalent(smaller, expression)
+    ):
+        return smaller
+    return expression
+
+
+def _cut(node: Expression, keep: Iterator[bool]) -> Optional[Expression]:
+    """``node`` with the leaves ``keep`` says no to (one flag per leaf, in
+    leaf order) taken out; ``None`` if none is left."""
+    if isinstance(node, Operand):
+        return node if next(keep) else None
+    if isinstance(node, Projection):
+        child = _cut(node.child, keep)
+        return None if child is None else Projection(node.target, child)
+    parts = [part for part in (_cut(part, keep) for part in node.parts) if part is not None]
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else Join(parts)

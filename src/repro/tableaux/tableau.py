@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.relation import Relation
@@ -88,10 +89,12 @@ class TableauRow:
 
     def cell(self, attribute: str) -> TableauCell:
         """Return the cell for ``attribute``."""
-        for name, value in self.cells:
-            if name == attribute:
-                return value
-        raise KeyError(attribute)
+        return self.cell_map[attribute]
+
+    @cached_property
+    def cell_map(self) -> Dict[str, TableauCell]:
+        """The cells keyed by attribute (the first cell wins on a repeat)."""
+        return dict(reversed(self.cells))
 
     @property
     def attributes(self) -> Tuple[str, ...]:

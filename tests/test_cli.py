@@ -171,19 +171,39 @@ class TestCommands:
             main(["engine-explain", "--paper", "--workers", "0"])
 
     def test_blowup_memory_budget_reports_spill_delta(self, capsys):
-        # m=10 under a 96-row budget must actually spill, and the summary
-        # must be a per-invocation delta: a second identical run reports the
-        # same numbers, not cumulative process totals.
-        argv = ["blowup", "--clauses", "10", "--memory-budget", "96", "--workers", "2"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "engine ran budgeted at 96 rows x 2 worker(s)" in first
+        # The summary must be a per-invocation delta, not cumulative process
+        # totals.  The table's query, project[S](phi_G), plans as one scan of
+        # R (the planner minimizes it), so at m=10 under a 96-row budget it
+        # spills nothing; a spilling run of pi_Y(phi_G) just before each
+        # invocation, in this process, must not show up in its report.
         import re
+
+        from repro.engine import EngineEvaluator
+        from repro.perf import kernel_counters
+        from repro.reductions import RGConstruction
+        from repro.workloads import growing_construction_family
+
+        construction = RGConstruction(
+            growing_construction_family(clause_counts=(10,))[0].formula
+        )
+
+        def spill_first():
+            before = kernel_counters().snapshot()
+            EngineEvaluator(budget=96).evaluate(
+                construction.pair_projection_expression(), construction.relation
+            )
+            assert kernel_counters().delta_since(before)["spill_rows"] > 0
 
         def spilled_rows(output):
             return int(re.search(r"(\d+) row\(s\) spilled", output).group(1))
 
-        assert spilled_rows(first) > 0
+        argv = ["blowup", "--clauses", "10", "--memory-budget", "96", "--workers", "2"]
+        spill_first()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "engine ran budgeted at 96 rows x 2 worker(s)" in first
+        assert spilled_rows(first) == 0
+        spill_first()
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert spilled_rows(second) == spilled_rows(first)

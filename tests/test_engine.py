@@ -257,7 +257,9 @@ class TestEngineEvaluator:
         construction = RGConstruction(
             next(iter(growing_construction_family(clause_counts=(4,)))).formula
         )
-        query = Projection([construction.s_attribute], construction.expression)
+        # Proposition 1's π_Y(φ_G) keeps its joins (project[S](φ_G) plans
+        # as one scan).
+        query = construction.pair_projection_expression()
         bound = {name: construction.relation for name in query.operand_names()}
         reference = _reference_evaluate(query, bound)
         result, trace = EngineEvaluator().evaluate(query, construction.relation)
@@ -270,7 +272,7 @@ class TestEngineEvaluator:
 
         case = next(iter(growing_construction_family(clause_counts=(10,))))
         construction = RGConstruction(case.formula)
-        query = Projection([construction.s_attribute], construction.expression)
+        query = construction.pair_projection_expression()
         relation = construction.relation
         result, trace = EngineEvaluator().evaluate(query, relation)
         naive_result, naive_trace = InstrumentedEvaluator().evaluate(query, relation)
@@ -424,7 +426,7 @@ class TestPlanner:
     def test_plans_over_the_rg_family_are_closed(self, options):
         for case in growing_construction_family(clause_counts=(3, 6)):
             construction = RGConstruction(case.formula)
-            query = Projection([construction.s_attribute], construction.expression)
+            query = construction.pair_projection_expression()
             self._assert_plan_is_closed(options, query, construction.relation)
 
     def test_missing_operand_stats_raise(self):

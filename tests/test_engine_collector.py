@@ -89,10 +89,13 @@ def _handed_back():
 
 
 def _rg_session(clauses, **config):
+    """Proposition 1's ``π_Y(φ_G)`` over ``R_G``: its tableau keeps every
+    row, so it streams the joins ``project[S](φ_G)`` did before the planner
+    minimized that to one scan, and its result has ``clauses + 2`` rows."""
     construction = RGConstruction(
         growing_construction_family(clause_counts=(clauses,), seed=13)[0].formula
     )
-    query = Projection([construction.s_attribute], construction.expression)
+    query = construction.pair_projection_expression()
     return Session({"R": construction.relation}, **config).prepare(query.to_text())
 
 
@@ -115,7 +118,7 @@ class TestPassesFollowTheResult:
         prepared.execute()
         with _recording() as recorder:
             result = prepared.execute()
-        assert len(result) == 2
+        assert len(result) == 14
         assert recorder.drains >= 1, "the execute never reached the drain"
         assert not recorder.passes, dict(recorder.passes)
         assert _handed_back()

@@ -48,7 +48,6 @@ from repro.engine import (
 )
 from repro.engine import physical, planner, spill
 from repro.engine.parallel import drain_metered, operators_in_order
-from repro.expressions import Projection
 from repro.perf import kernel_counters, plancache
 from repro.perf.plancache import ChainKernel, make_chain_kernel, make_row_picker
 from repro.reductions import RGConstruction
@@ -395,11 +394,12 @@ class TestRunOfOneKernel:
         assert top.emit_scheme.names == ("A", "C", "D")
         assert pushed.pushed and pushed.pick is None
         assert inner.emit_scheme.names == ("A", "C") and inner.scheme.names == ("A", "B", "C")
-        # The paper's query: a join is folded exactly when a projection is
-        # its parent; the wide chain joins below it emit no list.
+        # The paper's query (Proposition 1's ``π_Y(φ_G)``, which keeps its
+        # joins): a join is folded exactly when a projection is its parent;
+        # the wide chain joins below it emit no list.
         formula = growing_construction_family(clause_counts=(3,), seed=13)[0].formula
         construction = RGConstruction(formula)
-        query = f"project[{construction.s_attribute}]({construction.expression.to_text()})"
+        query = construction.pair_projection_expression().to_text()
         with Session({"R": construction.relation}, backend="engine") as session:
             root = session._engine.plan_for(
                 session.prepare(query).expression, session._relations
@@ -571,7 +571,8 @@ class TestFusedChains:
 
 def _pinned_sessions():
     """(relations, queries): the three ``join_100k`` queries on a 2,000-row
-    slice, the eight serving queries, and the paper's query at m = 12."""
+    slice, the eight serving queries, and the paper's ``π_Y(φ_G)`` at
+    m = 12 (``project[S](φ_G)`` minimizes to a scan: it has no run)."""
     joins = {
         "R": Relation.from_rows(
             "O C P", [(i * 7 % 400, i * 13 % 105, i * 11 % 42) for i in range(2_000)]
@@ -583,8 +584,7 @@ def _pinned_sessions():
     yield serving_relations(), list(serving_queries())
     (case,) = growing_construction_family(clause_counts=(12,))
     construction = RGConstruction(case.formula)
-    query = Projection([construction.s_attribute], construction.expression)
-    yield {"R": construction.relation}, [query]
+    yield {"R": construction.relation}, [construction.pair_projection_expression()]
 
 
 def test_executing_a_pinned_plan_compiles_nothing():
@@ -654,11 +654,12 @@ def _kernel_rows(root):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_paper_query_records_what_its_unfused_plan_records(workers):
-    """At m = 12 the twelve chain joins run as one kernel; running them as
-    twelve runs of one changes no trace step, peak or probe count."""
+    """At m = 12 the twelve chain joins of ``π_Y(φ_G)`` run as one kernel;
+    running them as twelve runs of one changes no trace step, peak or probe
+    count."""
     (case,) = growing_construction_family(clause_counts=(12,))
     construction = RGConstruction(case.formula)
-    query = Projection([construction.s_attribute], construction.expression)
+    query = construction.pair_projection_expression()
     with Session(
         {"R": construction.relation}, workers=workers, parallel_backend="thread"
     ) as session:

@@ -225,7 +225,9 @@ class TestParallelExecution:
     def test_fork_backend_merges_worker_counters(self, tmp_path):
         if default_backend() != "fork":
             pytest.skip("fork start method unavailable on this platform")
-        query, bound = _instance(seed=3)
+        # Seed 2's query keeps all three joins after minimization (seed 3's,
+        # used before, minimizes to one scan and spills nothing).
+        query, bound = _instance(seed=2)
         budget = MemoryBudget(
             rows=4, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
         )

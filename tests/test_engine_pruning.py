@@ -248,11 +248,13 @@ def test_adjacent_projections_collapse():
 
 
 def _rg_query(m):
+    """Proposition 1's ``π_Y(φ_G)``: its tableau keeps every row, so it plans
+    the join chain ``project[S](φ_G)`` planned before minimization made
+    that query one scan."""
     construction = RGConstruction(
         growing_construction_family(clause_counts=(m,), seed=13)[0].formula
     )
-    query = Projection([construction.s_attribute], construction.expression)
-    return query, construction.relation
+    return construction.pair_projection_expression(), construction.relation
 
 
 @pytest.mark.parametrize("budget", [None, 64, 4])
@@ -273,11 +275,14 @@ def test_rg_plans_hold_no_pushed_projection(m, budget):
 
 
 def test_spill_tight_counts_under_the_measured_plan():
-    """The ladder's ``spill_tight`` (m = 12 under 64 rows) on the plan the
-    measured ordering picks: every spilled build is still small enough for
+    """What the ladder's ``spill_tight`` ran before its query minimized to
+    one scan (m = 12 under 64 rows), on the plan the measured ordering
+    picks: every spilled build is still small enough for
     the re-read mode — ten joins and the root dedup spill, nothing
     overflows, the meter never passes the budget — and the row and file
-    counts are exact (351 / 8 under the position-tie-broken order)."""
+    counts are exact (351 / 8 under the position-tie-broken order).  The
+    query is now ``π_Y(φ_G)``; at the parent of minimization it read the
+    same 343 / 8 / 10 / 1 / 0 and peak 64 that ``project[S](φ_G)`` did."""
     query, relation = _rg_query(12)
     evaluator = EngineEvaluator(budget=64)
     bound = {"R": relation}

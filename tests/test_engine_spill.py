@@ -6,8 +6,9 @@ chunked block-nested-loop fallback for unsplittable partitions (one heavy
 key, keyless products), the re-read mode a small spilled build takes
 instead (probe rows never on disk, the meter free again before every
 yield), temp-file cleanup on normal exhaustion / abandonment / mid-stream
-exceptions, and the budgeted m=12 smoke the CI gate runs (set-equal to the
-unbudgeted run while spilling, build tables within the budget).
+exceptions, and the budgeted m=12 smoke the CI gate runs on Proposition 1's
+``π_Y(φ_G)`` (set-equal to the unbudgeted run while spilling, build tables
+within the budget).
 """
 
 import pytest
@@ -26,7 +27,6 @@ from repro.engine import (
 )
 from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
-from repro.expressions import Projection
 from repro.perf import kernel_counters
 from repro.perf.plancache import make_chain_kernel
 from repro.reductions import RGConstruction
@@ -408,13 +408,15 @@ class TestBudgetedEngine:
     def _m12(self):
         case = [c for c in growing_construction_family(clause_counts=(12,))][0]
         construction = RGConstruction(case.formula)
-        query = Projection([construction.s_attribute], construction.expression)
-        return query, construction.relation
+        return construction.pair_projection_expression(), construction.relation
 
     def test_budgeted_m12_stays_under_budget_and_matches_unbudgeted(self):
         """The CI smoke gate: at m=12 a 256-row budget must spill, keep
         every build table within the budget, reduce the live peak, and
-        produce output set-equal to the unbudgeted engine."""
+        produce output set-equal to the unbudgeted engine.  The query is
+        ``π_Y(φ_G)``: its tableau keeps all 13 rows, so it plans the twelve
+        joins ``project[S](φ_G)`` ran before minimization made that one
+        scan."""
         query, relation = self._m12()
         bound = {name: relation for name in query.operand_names()}
         unbudgeted, unbudgeted_trace = EngineEvaluator().evaluate(query, bound)

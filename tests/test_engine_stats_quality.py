@@ -26,6 +26,15 @@ Two kinds of pinning:
   high (6.4e14 vs 197 rows at m = 12), and the peak ratio read 1.00, 1.00,
   1.21, 3.07, 1.56 through m = 12 and diverged at m = 14.
 
+  The numbers above are ``project[S](φ_G)``'s, which the planner now
+  minimizes to one scan.  The query pinned here is Proposition 1's
+  ``π_Y(φ_G)``: the same join operands under a wider top projection, whose
+  tableau keeps every row.  At the parent of minimization it read peak
+  ratios 1.00, 1.00, 1.00, 1.00, 0.27, 0.25, rows ratios 0.88, 0.90, 0.98,
+  1.00 (3,443 vs 3,429), 0.51 (11,717 vs 22,950), 0.31 (41,982 vs
+  137,075), and q-error median 1.22 / max 1.94 at m = 12 and 1.11 / 2.02
+  at m = 14; the bounds are unchanged.
+
 * **The scaled regime** — on R_G every sample *is* its relation (85 rows
   at m = 12).  Composite keys over relations larger than
   :data:`~repro.engine.sampling.SAMPLE_ROWS` are measured on a fraction,
@@ -79,7 +88,7 @@ from repro.engine import (
 from repro.engine.parallel import operators_in_order
 from repro.engine.sampling import SAMPLE_ROWS
 from repro.engine.stats import SKEW
-from repro.expressions import Projection, parse_expression
+from repro.expressions import parse_expression
 from repro.reductions import RGConstruction
 from repro.perf import kernel_counters
 from repro.workloads import (
@@ -153,7 +162,7 @@ def _family_instance(m):
     the actual-size greedy oracle's chain (the slow part: computed once)."""
     case = [c for c in growing_construction_family(clause_counts=(m,))][0]
     construction = RGConstruction(case.formula)
-    query = Projection([construction.s_attribute], construction.expression)
+    query = construction.pair_projection_expression()
     part_relations = join_parts(query, construction.relation)
     oracle_sizes = chain_sizes(part_relations, actual_greedy_order(part_relations))
     assert max(oracle_sizes) > 0
