@@ -52,7 +52,7 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "6.1.0"
+__version__ = "7.0.0"
 
 from .api import (
     BACKENDS,

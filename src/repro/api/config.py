@@ -39,10 +39,8 @@ class BackendConfig:
         :class:`~repro.engine.physical.MemoryBudget`); hash joins spill to
         Grace partitions when their build side would overflow it.
     ``workers``
-        Parallel probe workers for the engine (1 = serial).
-    ``parallel_backend``
-        Force ``"fork"`` or ``"thread"`` for the engine's worker pool
-        (default: fork where available).
+        Parallel probe workers for the engine (1 = serial), each a forked
+        process; a platform without :func:`os.fork` runs serially.
     ``max_pools``
         How many persistent fork-probe pools the engine evaluator keeps
         warm, LRU-evicted beyond that (each pool pins one bound plan's
@@ -70,7 +68,6 @@ class BackendConfig:
     backend: str = "engine"
     budget: Union[MemoryBudget, int, None] = None
     workers: int = 1
-    parallel_backend: Optional[str] = None
     max_pools: int = 8
     faults: Optional[FaultPlan] = None
     observe: Union[Observer, ObserveConfig, bool, None] = None

@@ -311,7 +311,6 @@ class Session:
                     engine = EngineEvaluator(
                         budget=self.config.budget,
                         workers=self.config.workers,
-                        parallel_backend=self.config.parallel_backend,
                         max_pools=self.config.max_pools,
                         faults=self.config.faults,
                         observe=self._observer,

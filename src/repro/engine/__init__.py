@@ -24,8 +24,9 @@ algebra kernel (PR 1):
     Grace lowering with partition-count estimates, with every compiled
     scheme-level artifact resolved at plan time.
 ``repro.engine.parallel``
-    The parallel probe stage: fork/thread worker pools executing one pinned
-    plan over a partitioned probe scan and merging set-equal results.
+    The parallel probe stage: persistent pools of forked workers executing
+    one pinned plan over a partitioned probe scan and merging set-equal
+    results (serial where the platform cannot fork).
 ``repro.engine.sampling``
     Sampling-based cardinality estimation for the joins the per-column
     formula gets wrong (composite keys, skewed keys): lazy reservoir
@@ -54,8 +55,6 @@ from .parallel import (
     ForkProbePool,
     ParallelExecutionError,
     ParallelResult,
-    default_backend,
-    execute_parallel,
 )
 from .physical import (
     BLOCK_ROWS,
@@ -108,8 +107,6 @@ __all__ = [
     "ForkProbePool",
     "ParallelExecutionError",
     "ParallelResult",
-    "default_backend",
-    "execute_parallel",
     "Planner",
     "PlanNode",
     "PhysicalPlan",

@@ -24,11 +24,13 @@ Two execution knobs:
 * ``workers`` partitions the plan's driving probe scan across a worker
   pool (:mod:`repro.engine.parallel`), executing one pinned plan
   concurrently.  The merged output is set-equal to serial execution; if
-  the pool cannot deliver (fork unavailable, unpicklable rows, a dead
-  worker) the fork backend rebuilds the pool once (``pool_recoveries``),
-  and beyond that evaluation falls back to serial — always correct, and
-  never silent: the fallback is counted (``serial_fallbacks``), warned
-  (``RuntimeWarning``), and recorded on the trace's ``degradations``.
+  the pool cannot deliver (unpicklable rows, a dead worker, a failed fork)
+  the evaluator rebuilds the pool once (``pool_recoveries``), and beyond
+  that evaluation falls back to serial — always correct, and never silent:
+  the fallback is counted (``serial_fallbacks``), warned
+  (``RuntimeWarning``), and recorded on the trace's ``degradations``.  A
+  platform without :func:`os.fork` runs every plan serially, uncounted,
+  the way a plan too small to slice does.
 
 Plans are **pinned per expression**: the first evaluation plans against the
 bound relations' statistics catalog and stores the plan (with every compiled
@@ -62,12 +64,12 @@ from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
 from ..obs.tracer import NULL_TRACER
+from . import parallel
 from .parallel import (
     ForkProbePool,
     ParallelExecutionError,
-    default_backend,
+    ParallelResult,
     drain_metered,
-    execute_parallel,
     operators_in_order,
 )
 from .physical import (
@@ -113,7 +115,6 @@ class EngineEvaluator:
         self,
         budget: "MemoryBudget | int | None" = None,
         workers: int = 1,
-        parallel_backend: Optional[str] = None,
         max_pools: int = 1,
         faults: Optional[FaultPlan] = None,
         observe: "Observer | ObserveConfig | bool | None" = None,
@@ -122,8 +123,6 @@ class EngineEvaluator:
 
         A row ``budget`` triggers Grace-hash spilling; a ``workers`` count
         > 1 enables the parallel probe stage.
-        ``parallel_backend`` forces ``"fork"`` or ``"thread"`` (default:
-        fork where available).
         ``max_pools`` caps the persistent fork-probe pools kept warm at
         once (one per bound plan, LRU-evicted beyond the cap) — a serving
         session raises it so mixed query traffic does not thrash re-forks.
@@ -152,9 +151,8 @@ class EngineEvaluator:
         self._planner = Planner(self.budget)
         self._plans: Dict[Expression, PhysicalPlan] = {}
         self._plans_lock = threading.Lock()
-        self._parallel_backend = parallel_backend
         # Persistent fork pools, one per bound plan, LRU-capped: forking is
-        # the fork backend's fixed cost, so repeated evaluation of a bound
+        # the parallel stage's fixed cost, so repeated evaluation of a bound
         # plan — the serving steady state — forks once and re-runs its
         # pool.  Keys carry object ids, but every entry keeps strong
         # references to the keyed plan and relations, so a live key's ids
@@ -329,10 +327,10 @@ class EngineEvaluator:
 
         Parallelism slices the driving probe scan, so it needs one, with at
         least one row per worker — tiny inputs run serial rather than paying
-        the pool spin-up for empty slices.
+        the pool spin-up for empty slices — and a platform that can fork.
         """
         workers = self.workers
-        if workers <= 1:
+        if workers <= 1 or not parallel.fork_available():
             return 1
         name = plan.driving_scan_name()
         if name is None:
@@ -400,25 +398,22 @@ class EngineEvaluator:
             budget_rows, faults=injector, tracer=tracer, events=events
         )
         workers = self._effective_workers(plan, bound)
-        parallel = None
-        root = None
+        pooled = root = None
         if workers > 1:
-            backend = self._parallel_backend or default_backend()
-            with spans.span("parallel", backend):
-                parallel, meter = self._execute_parallel(
-                    plan, bound, workers, budget_rows, backend, meter, injector,
-                    trace, counters,
+            with spans.span("parallel", "fork"):
+                pooled = self._run_pool(
+                    plan, bound, workers, budget_rows, events, trace, counters
                 )
 
-        if parallel is not None:
-            rows: Set[Tuple] = parallel.rows
+        if pooled is not None:
+            rows: Set[Tuple] = pooled.rows
             result = Relation._from_trusted(plan.root.scheme, frozenset(rows))
-            self._record_parallel_steps(plan, bound, parallel, trace)
+            self._record_parallel_steps(plan, bound, pooled, trace)
             # Workers metered their result accumulation themselves (see
-            # parallel._drain), so their peaks are comparable with the
+            # parallel.drain_metered), so their peaks are comparable with the
             # serial path's state+result accounting.
-            trace.peak_live_rows = max(parallel.peak_live_rows, meter.peak)
-            trace.peak_build_rows = parallel.build_peak_rows
+            trace.peak_live_rows = pooled.peak_live_rows
+            trace.peak_build_rows = pooled.build_peak_rows
         else:
             root = plan.executor(bound, meter)
             rows = drain_metered(root, meter, span=True)
@@ -446,102 +441,78 @@ class EngineEvaluator:
         for operator in operators_in_order(root):
             histogram.observe(q_error(operator.est_rows, operator.rows_out))
 
-    def _execute_parallel(
+    def _run_pool(
         self,
         plan: PhysicalPlan,
         bound: Mapping[str, Relation],
         workers: int,
         budget_rows: Optional[int],
-        backend: str,
-        meter: MemoryMeter,
-        injector: Optional[FaultInjector],
+        events: Optional[object],
         trace: EvaluationTrace,
         counters,
-    ):
+    ) -> Optional[ParallelResult]:
         """Run the parallel probe stage, recovering or degrading *loudly*.
 
-        Returns ``(parallel_result_or_None, meter)``.  On the fork backend a
-        failed pool is dropped and rebuilt exactly once — a worker death is
-        usually a process-level accident (OOM kill, injected fault), and a
-        fresh fork of the same pinned plan recovers it
-        (``pool_recoveries``).  If the rebuilt pool fails too, or the thread
-        backend fails at all, execution degrades to serial — always
-        correct, but never silent: the ``serial_fallbacks`` counter records
-        it, a ``RuntimeWarning`` names the exception, and the trace carries
-        a degradation event that ``Session.stats()`` surfaces too.
+        Returns the merged result, or ``None`` when the caller must run
+        serially.  A failed pool is dropped and rebuilt exactly once — a
+        worker death is usually a process-level accident (OOM kill, injected
+        fault), and a fresh fork of the same pinned plan recovers it
+        (``pool_recoveries``).  If the rebuilt pool fails too, execution
+        degrades to serial — always correct, but never silent: the
+        ``serial_fallbacks`` counter records it, a ``RuntimeWarning`` names
+        the exception, and the trace carries a degradation event that
+        ``Session.stats()`` surfaces too.  The workers meter themselves, so
+        the caller's meter is untouched and its serial run can still use it.
         """
         rebuilt = False
         while True:
             try:
-                if backend == "fork":
-                    # Serialised on the pool lock: each pool is one pinned
-                    # set of workers, not a queue (concurrent fork-backend
-                    # evaluations take turns; the thread backend does not).
-                    with self._pool_lock:
-                        pool = self._pool_for(
-                            plan,
-                            bound,
-                            workers,
-                            budget_rows,
-                            # A rebuilt pool must not re-inject the worker
-                            # kill that just destroyed its predecessor.
-                            faults=None if rebuilt else self.faults,
-                        )
-                        try:
-                            result = pool.run()
-                        finally:
-                            if self._closed:
-                                pool.close()
-                else:
-                    result = execute_parallel(
+                # Serialised on the pool lock: each pool is one pinned set of
+                # workers, not a queue (concurrent evaluations take turns).
+                with self._pool_lock:
+                    pool = self._pool_for(
                         plan,
                         bound,
                         workers,
-                        meter,
-                        budget_rows=budget_rows,
-                        backend=backend,
+                        budget_rows,
+                        # A rebuilt pool must not re-inject the worker kill
+                        # that just destroyed its predecessor.
                         faults=None if rebuilt else self.faults,
                     )
+                    try:
+                        result = pool.run()
+                    finally:
+                        if self._closed:
+                            pool.close()
                 if rebuilt:
                     counters.add(pool_recoveries=1)
-                return result, meter
+                return result
             except (ParallelExecutionError, OSError) as error:
                 # OSError covers fork itself failing (EAGAIN/ENOMEM under
                 # pressure — exactly the regime a budgeted engine targets).
-                if backend == "fork":
-                    with self._pool_lock:
-                        self._drop_pool(plan, bound, workers, budget_rows)
-                    if not rebuilt:
-                        rebuilt = True
-                        if meter.events is not None:
-                            meter.events.emit(
-                                "pool-rebuild",
-                                backend=backend,
-                                error=f"{type(error).__name__}: {error}",
-                            )
-                        continue
+                with self._pool_lock:
+                    self._drop_pool(plan, bound, workers, budget_rows)
+                if not rebuilt:
+                    rebuilt = True
+                    if events is not None:
+                        events.emit(
+                            "pool-rebuild",
+                            backend="fork",
+                            error=f"{type(error).__name__}: {error}",
+                        )
+                    continue
                 counters.add(serial_fallbacks=1)
                 reason = f"{type(error).__name__}: {error}"
                 trace.serial_fallbacks += 1
                 trace.degradations.append(f"serial-fallback: {reason}")
-                if meter.events is not None:
-                    meter.events.emit(
-                        "serial-fallback", backend=backend, reason=reason
-                    )
+                if events is not None:
+                    events.emit("serial-fallback", backend="fork", reason=reason)
                 warnings.warn(
                     f"parallel execution degraded to serial ({reason})",
                     RuntimeWarning,
                     stacklevel=4,
                 )
-                # An aborted thread-backend attempt may have left its
-                # acquisitions on the meter; the serial run gets a fresh one
-                # so phantom rows cannot eat the budget or inflate the peak.
-                return None, MemoryMeter(
-                    budget_rows,
-                    faults=injector,
-                    tracer=meter.tracer,
-                    events=meter.events,
-                )
+                return None
 
     @staticmethod
     def _record_steps(

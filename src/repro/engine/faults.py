@@ -83,11 +83,11 @@ class FaultPlan:
         ``True`` makes every scheduled spill I/O fail forever (retries can
         never succeed), regardless of ``spill_failures``.
     ``kill_worker``
-        Index of the parallel probe worker to kill mid-probe (the fork
-        backend's worker calls ``os._exit`` while handling its run request;
-        the thread backend raises inside the worker).  The evaluator must
-        either rebuild the pool (``pool_recoveries``) or degrade loudly to
-        serial (``serial_fallbacks``) — never return a wrong answer.
+        Index of the parallel probe worker to kill mid-probe (the forked
+        worker calls ``os._exit`` while handling its run request).  The
+        evaluator must either rebuild the pool (``pool_recoveries``) or
+        degrade loudly to serial (``serial_fallbacks``) — never return a
+        wrong answer.
     ``seed``
         Identifies the plan (e.g. the chaos-fuzz case it was drawn for);
         carried for reproducibility reporting, not consumed at runtime.
@@ -151,8 +151,8 @@ class FaultPlan:
 class FaultInjector:
     """Per-evaluation fault state: counts I/O operations, raises on schedule.
 
-    Thread-safe (the thread parallel backend shares one evaluation's
-    injector across workers).  Each scheduled injection increments the
+    Thread-safe, so operators metering one evaluation from several threads
+    would still count every I/O once.  Each scheduled injection increments the
     ``fault_injected`` kernel counter before raising
     :class:`InjectedFaultError`, so traces show exactly how many faults an
     evaluation absorbed.  When an :class:`repro.obs.events.EventLog` is

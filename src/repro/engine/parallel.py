@@ -14,25 +14,17 @@ spine-aware by the evaluator: summed along the sliced probe spine (the
 slices partition that stream), reported once for build-side subtrees that
 every worker re-streams identically.
 
-Two backends:
-
-``fork``
-    The default where :func:`os.fork` exists.  Workers are forked processes:
-    the plan, bindings, and relations are inherited copy-on-write (nothing is
-    pickled on the way in — compiled plan artifacts are closures and could
-    not be), each worker runs its slice on its own core, and only the result
-    rows, counter deltas, and per-operator cardinalities come back through a
-    queue (so result *values* must be picklable; a worker that cannot pickle
-    its rows reports the failure and the evaluator falls back to serial).
-    Counter deltas are merged into this process's totals, and each worker
-    meters against its own budget — a memory budget is per process.
-
-``thread``
-    Workers are threads sharing the caller's :class:`MemoryMeter` (which is
-    why the meter takes a lock), so the budget and ``peak_live_rows`` cover
-    the whole pool at once.  Under the GIL threads add no speed, but the
-    backend is portable, cheap to spin up, and exercises the identical
-    slicing/merging logic — the differential tests lean on it.
+Workers are forked processes, pinned in a persistent
+:class:`ForkProbePool`: the plan, bindings, and relations are inherited
+copy-on-write (nothing is pickled on the way in — compiled plan artifacts
+are closures and could not be), each worker runs its slice on its own core,
+and only the result rows, counter deltas, and per-operator cardinalities
+come back through a pipe (so result *values* must be picklable; a worker
+that cannot pickle its rows reports the failure and the evaluator falls
+back to serial).  Counter deltas are merged into this process's totals, and
+each worker meters against its own budget — a memory budget is per
+process.  Where :func:`fork_available` is false the evaluator runs every
+plan serially instead.
 """
 
 from __future__ import annotations
@@ -47,16 +39,15 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..obs.tracer import NULL_TRACER
 from ..perf.counters import kernel_counters
-from .faults import FaultPlan, InjectedFaultError
+from .faults import FaultPlan
 from .physical import MemoryMeter, PhysicalOperator
 
 __all__ = [
     "ForkProbePool",
     "ParallelExecutionError",
     "ParallelResult",
-    "default_backend",
     "drain_metered",
-    "execute_parallel",
+    "fork_available",
     "operators_in_order",
 ]
 
@@ -80,9 +71,8 @@ class ParallelResult:
     """The merged outcome of one parallel plan execution."""
 
     rows: Set[tuple]
-    #: Pool-wide peak of metered rows: the shared meter's peak (threads) or
-    #: the sum of the per-process peaks (fork — the processes are concurrent,
-    #: so their residencies add).
+    #: Pool-wide peak of metered rows: the sum of the per-process peaks (the
+    #: processes are concurrent, so their residencies add).
     peak_live_rows: int
     #: Largest hash-join build table resident in any single worker.
     build_peak_rows: int
@@ -96,7 +86,6 @@ class ParallelResult:
     #: The raw per-worker step lists behind ``step_rows``.
     worker_step_rows: List[List[int]]
     workers: int
-    backend: str
 
 
 def operators_in_order(root: PhysicalOperator) -> List[PhysicalOperator]:
@@ -112,22 +101,18 @@ def operators_in_order(root: PhysicalOperator) -> List[PhysicalOperator]:
     return ordered
 
 
-def default_backend() -> str:
-    """``fork`` where available (real parallelism), ``thread`` elsewhere."""
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "fork"
-    except Exception:  # pragma: no cover - platform-dependent
-        pass
-    return "thread"
+def fork_available() -> bool:
+    """Whether this platform can fork: the one probe both worker pools ask."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 class _CollectorPause:
     """A re-entrant, process-wide pause of automatic cyclic collection.
 
-    Concurrent (thread backend) and nested drains share a depth count: the
-    first entry disables, the last exit re-enables.  Entering returns whether
-    it was on — a host's own ``gc.disable()`` is left so, and gets no sweeps.
+    Concurrent drains (user threads sharing one evaluator or session) and
+    nested ones share a depth count: the first entry disables, the last exit
+    re-enables.  Entering returns whether it was on — a host's own
+    ``gc.disable()`` is left so, and gets no sweeps.
     """
 
     def __init__(self) -> None:
@@ -250,73 +235,6 @@ def _merge(
     return rows, step_totals or [], worker_steps, build_peak
 
 
-# -- thread backend ----------------------------------------------------
-
-
-def _run_threads(
-    plan,
-    bindings,
-    meter: MemoryMeter,
-    workers: int,
-    faults: Optional[FaultPlan] = None,
-) -> ParallelResult:
-    outcomes: List[Optional[Tuple[Set[tuple], List[int], int]]] = [None] * workers
-    errors: List[BaseException] = []
-
-    def work(index: int) -> None:
-        try:
-            if faults is not None and faults.kill_worker == index:
-                # The thread analogue of a worker death: the worker fails
-                # mid-probe and the pool-level error handling must degrade
-                # loudly (serial fallback), never return a partial result.
-                _COUNTERS.add(fault_injected=1)
-                if meter.events is not None:
-                    meter.events.emit("fault", site="worker-kill", worker=index)
-                raise InjectedFaultError(f"injected death of probe worker {index}")
-            root = plan.executor(bindings, meter, probe_slice=(index, workers))
-            rows = drain_metered(root, meter)
-            outcomes[index] = (rows, _step_rows(root), _build_peak(root))
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=work, args=(index,), name=f"engine-probe-{index}")
-        for index in range(workers)
-    ]
-    started: List[threading.Thread] = []
-    try:
-        for thread in threads:
-            thread.start()
-            started.append(thread)
-    except RuntimeError as exc:  # e.g. "can't start new thread"
-        for thread in started:
-            thread.join()
-        raise ParallelExecutionError(f"could not start probe workers: {exc}")
-    for thread in started:
-        thread.join()
-    if errors:
-        # Any pool failure means "fall back to serial" (the documented
-        # contract); a genuine operator bug reproduces on the serial run.
-        raise ParallelExecutionError(
-            f"parallel probe worker failed: {errors[0]!r}"
-        ) from errors[0]
-    rows, step_totals, worker_steps, build_peak = _merge(
-        [o for o in outcomes if o is not None]
-    )
-    return ParallelResult(
-        rows=rows,
-        peak_live_rows=meter.peak,
-        build_peak_rows=build_peak,
-        step_rows=step_totals,
-        worker_step_rows=worker_steps,
-        workers=workers,
-        backend="thread",
-    )
-
-
-# -- fork backend ------------------------------------------------------
-
-
 def _pool_worker(
     plan, bindings, budget_rows, index, count, connection, faults=None
 ) -> None:
@@ -373,7 +291,7 @@ def _pool_worker(
 class ForkProbePool:
     """A persistent pool of forked workers pinned to one (plan, bindings).
 
-    Forking is the expensive part of the fork backend — the workers inherit
+    Forking is the expensive part of the pool — the workers inherit
     the whole interpreter — so the pool forks **once** and re-executes its
     pinned plan on every :meth:`run`, which is what steady-state serving
     looks like (the evaluator caches one pool per bound plan).  Workers are
@@ -392,10 +310,7 @@ class ForkProbePool:
         budget_rows: Optional[int],
         faults: Optional[FaultPlan] = None,
     ):
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - platform-dependent
-            raise ParallelExecutionError(f"fork backend unavailable: {exc}")
+        context = multiprocessing.get_context("fork")
         self.workers = workers
         self._connections = []
         self._processes = []
@@ -460,7 +375,6 @@ class ForkProbePool:
             step_rows=step_totals,
             worker_step_rows=worker_steps,
             workers=self.workers,
-            backend="fork",
         )
 
     def close(self) -> None:
@@ -477,44 +391,3 @@ class ForkProbePool:
                 process.terminate()
         self._connections = []
         self._processes = []
-
-
-def execute_parallel(
-    plan,
-    bindings: Mapping,
-    workers: int,
-    meter: MemoryMeter,
-    budget_rows: Optional[int] = None,
-    backend: Optional[str] = None,
-    pool: Optional[ForkProbePool] = None,
-    faults: Optional[FaultPlan] = None,
-) -> ParallelResult:
-    """Execute ``plan`` with a ``workers``-way partitioned probe scan.
-
-    ``pool`` reuses a persistent :class:`ForkProbePool` (the evaluator's
-    steady-state path); without one, the fork backend pays a one-shot pool.
-    ``faults`` schedules injected worker deaths (ignored for a reused
-    ``pool``, which carries its own plan from construction).  Raises
-    :class:`ParallelExecutionError` when the pool cannot deliver (fork
-    unavailable, a worker died, result rows unpicklable) — the caller is
-    expected to fall back to serial execution, which is always correct.
-    """
-    if workers < 2:
-        raise ValueError("execute_parallel needs at least 2 workers")
-    chosen = backend or default_backend()
-    if chosen == "fork":
-        if pool is not None:
-            return pool.run()
-        one_shot = ForkProbePool(plan, bindings, workers, budget_rows, faults=faults)
-        try:
-            return one_shot.run()
-        finally:
-            one_shot.close()
-    if chosen == "thread":
-        # The thread backend enforces the budget through the shared meter:
-        # an explicit budget_rows takes effect there rather than being
-        # silently dropped.
-        if budget_rows is not None and meter.budget != budget_rows:
-            meter.budget = budget_rows
-        return _run_threads(plan, bindings, meter, workers, faults=faults)
-    raise ValueError(f"unknown parallel backend {chosen!r}")

@@ -125,11 +125,10 @@ class MemoryMeter:
     *simultaneously* live anywhere in the engine — deliberately a stricter
     accounting than the materialising evaluators' per-step maximum.
 
-    The meter is thread-safe: the parallel probe stage executes one pinned
-    plan from several workers sharing a single meter, and the plain
+    The meter is thread-safe: user threads may share one evaluator, and
+    operators that meter from several threads at once would lose the plain
     read-modify-write increments the meter used before this lock existed
-    lose updates under that contention (see
-    ``tests/test_engine_parallel.py``).  ``budget`` is the optional row
+    (see ``tests/test_engine_parallel.py``).  ``budget`` is the optional row
     ceiling operators consult before making state resident; the meter only
     answers the question, the operators do the spilling.
 

@@ -110,10 +110,10 @@ class Tracer:
     One tracer instance belongs to one ``evaluate()`` call; it travels to
     every operator and spill file through ``MemoryMeter.tracer`` exactly
     as fault injectors travel through ``MemoryMeter.faults``.  All
-    methods are thread-safe; spans opened on pool worker threads simply
-    root their own subtrees (fork-pool children run in other processes
-    and are not traced — their work still shows up in the parent's
-    counters when the pool merges deltas back).
+    methods are thread-safe; spans opened on other threads simply root
+    their own subtrees (fork-pool children run in other processes and are
+    not traced — their work still shows up in the parent's counters when
+    the pool merges deltas back).
     """
 
     #: Checked by hot call sites before paying for any wrapping.

@@ -18,8 +18,8 @@ Threading: the *materialising kernel*'s increments are deliberately plain
 concurrent kernel use they are a measurement aid only.  The *engine* updates
 its counters through :meth:`KernelCounters.add`, which takes a module lock:
 engine increments happen at block/spill granularity (rare relative to row
-work), and the parallel probe stage runs one plan from several threads, so
-losslessness there is part of the tested contract.
+work), and user threads may share one evaluator or session, so losslessness
+there is part of the tested contract.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _MUTATION_LOCK = threading.Lock()
 def _reinitialize_lock_after_fork() -> None:
     """Replace the mutation lock in a freshly forked child.
 
-    The engine's fork-backend workers are forked from a process that may
+    The engine's probe workers are forked from a process that may
     have other threads running; if one of them holds the lock at fork time
     the child inherits it locked with no owner, and the worker's first
     counter update would deadlock.  A brand-new lock in the child is always
@@ -88,14 +88,15 @@ class KernelCounters:
     #: Spill-file I/O operations retried after a (possibly injected)
     #: transient failure — each retry backs off before reattempting.
     spill_retries: int = 0
-    #: Faults injected by an active :class:`repro.engine.faults.FaultPlan`
-    #: (spill I/O failures, worker kills).
+    #: Spill I/O faults injected by an active
+    #: :class:`repro.engine.faults.FaultPlan` (a scheduled worker kill ends
+    #: its forked worker uncounted and shows as ``pool_recoveries``).
     fault_injected: int = 0
     #: Fork-probe pools rebuilt successfully after a worker death — the
     #: recovery path that avoids degrading to serial execution.
     pool_recoveries: int = 0
-    #: Parallel executions that degraded to serial after the pool (and, on
-    #: the fork backend, one rebuild attempt) failed.  Always paired with a
+    #: Parallel executions that degraded to serial after the pool and its
+    #: one rebuild failed.  Always paired with a
     #: ``warnings.warn`` and a trace degradation event — never silent.
     serial_fallbacks: int = 0
     #: Base samples drawn for the sampling-based estimator: one per relation

@@ -128,9 +128,6 @@ class ServerConfig:
         Worker processes, each holding warm sessions (the serving
         analogue of ``BackendConfig.workers``, which stays the *engine*
         probe parallelism inside one execution).
-    ``worker_backend``
-        Force ``"fork"`` or ``"thread"`` workers (default: fork where
-        available, matching the engine's probe pools).
     ``max_inflight``
         Admission bound: requests beyond this many concurrently being
         served are shed with a typed 503, never queued unboundedly.
@@ -160,7 +157,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     pool_size: int = 2
-    worker_backend: Optional[str] = None
     max_inflight: int = 16
     total_budget_rows: Optional[int] = None
     default_request_rows: Optional[int] = None
@@ -205,7 +201,8 @@ class ReproServer:
     session binds (forked workers inherit it copy-on-write).  ``config``
     carries the serving knobs; keyword overrides are applied on top, so
     ``ReproServer(db, pool_size=4, total_budget_rows=20_000)`` needs no
-    explicit config object.
+    explicit config object.  The workers are forked: on a platform
+    without :func:`os.fork` construction raises :class:`ServerError`.
     """
 
     def __init__(
@@ -235,7 +232,6 @@ class ReproServer:
             relations,
             self._backend_config,
             size=base.pool_size,
-            worker_backend=base.worker_backend,
             events_dir=base.events_dir,
             versions=versions,
         )
@@ -343,6 +339,7 @@ class ReproServer:
                 try:
                     request = await read_request(reader)
                 except HttpError as error:
+                    self._front["client_errors"].inc()
                     body = _error_body(type(error).__name__, str(error))
                     await write_response(
                         writer, error.status, body, keep_alive=False
@@ -575,11 +572,12 @@ class ReproServer:
             raise BadRequestError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
             )
+        # ``type(...) is int``: a JSON ``true`` decodes to ``True``, an int.
         budget = payload.get("budget")
-        if budget is not None and (not isinstance(budget, int) or budget <= 0):
+        if budget is not None and (type(budget) is not int or budget <= 0):
             raise BadRequestError('"budget" must be a positive integer')
         workers = payload.get("workers")
-        if workers is not None and (not isinstance(workers, int) or workers < 1):
+        if workers is not None and (type(workers) is not int or workers < 1):
             raise BadRequestError('"workers" must be an integer >= 1')
         return {
             "op": "query",

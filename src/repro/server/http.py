@@ -75,6 +75,18 @@ class HttpRequest:
         return decoded
 
 
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off ``reader``; a 400 for a line past the stream's own limit.
+
+    ``readline`` raises ``ValueError`` there (64 KiB by default), after
+    dropping the line from its buffer.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(400, f"{what} too long") from None
+
+
 async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request off ``reader``; ``None`` when the peer closed.
 
@@ -82,8 +94,8 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     handler answers with that status and closes the connection.
     """
     try:
-        line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+        line = await _readline(reader, "request line")
+    except ConnectionResetError:
         return None
     if not line:
         return None
@@ -99,7 +111,7 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader, "header line")
         if not raw or raw in (b"\r\n", b"\n"):
             break
         header_bytes += len(raw)

@@ -1,7 +1,7 @@
 """Worker processes: warm :class:`~repro.api.Session` pools behind a pipe.
 
-Each worker is one OS process (forked where available, a thread
-otherwise) holding warm sessions over the server's relations.  The front
+Each worker is one forked OS process holding warm sessions over a
+snapshot of the server's relations taken at the fork.  The front
 talks to it over a socket pair carrying **tagged frames**: every request
 dict travels with an ``id`` and every response echoes it.  The moving
 parts:
@@ -77,6 +77,7 @@ from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple, TypeVar
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
 from ..api.session import Session
+from ..engine import parallel
 from ..obs.config import Observer, ObserveConfig
 from .errors import (
     RequestTimeoutError,
@@ -390,7 +391,7 @@ class _Pipe(asyncio.Protocol):
 
 
 class Worker:
-    """The front's handle of one worker: its pipe and its process (or thread).
+    """The front's handle of one worker: its pipe and its forked process.
 
     It belongs to the event loop that first writes to it, which resolves
     responses by id as they arrive; the worker answers the frames in the
@@ -405,12 +406,10 @@ class Worker:
         relations: Mapping[str, Relation],
         versions: Mapping[str, Optional[str]],
         base_config: BackendConfig,
-        backend: str,
         events_path: Optional[str] = None,
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
     ):
         self.index = index
-        self.backend = backend
         self._pending: Dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._closed = False
@@ -424,18 +423,11 @@ class Worker:
         self._sock, child_sock = socket.socketpair()
         args = (child_sock, relations, versions, base_config, index,
                 events_path, max_sessions)
-        if backend == "fork":
-            context = multiprocessing.get_context("fork")
-            self._process = context.Process(
-                target=_forked_main, args=(self._sock, *args), daemon=True
-            )
-            self._process.start()
-            child_sock.close()  # the child's end lives in the child now
-            self._thread = None
-        else:
-            self._process = None
-            self._thread = threading.Thread(target=worker_main, args=args, daemon=True)
-            self._thread.start()
+        self._process = multiprocessing.get_context("fork").Process(
+            target=_forked_main, args=(self._sock, *args), daemon=True
+        )
+        self._process.start()
+        child_sock.close()  # the child's end lives in the child now
 
     # -- the demultiplexer ---------------------------------------------
 
@@ -462,9 +454,7 @@ class Worker:
         """Whether the worker can still take requests."""
         if self._dead_error is not None:
             return False
-        if self._process is not None:
-            return self._process.is_alive()
-        return self._thread.is_alive()
+        return self._process.is_alive()
 
     async def request(
         self, message: Dict[str, Any], timeout: Optional[float] = None
@@ -547,19 +537,17 @@ class Worker:
                 pass  # the worker is gone already
             self._sock.close()
         if wait and not self.join(timeout):  # pragma: no cover - stuck worker
-            if self._process is not None:
-                self._process.terminate()
-                self._process.join(timeout)
+            self._process.terminate()
+            self._process.join(timeout)
 
     def join(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds for the worker to exit; whether it did."""
-        runner = self._process if self._process is not None else self._thread
-        runner.join(timeout)
-        return not runner.is_alive()
+        self._process.join(timeout)
+        return not self._process.is_alive()
 
     def kill(self) -> None:
         """Hard-kill the worker process (a stuck one at close; crash tests)."""
-        if self._process is not None and self._process.is_alive():
+        if self._process.is_alive():
             self._process.terminate()
             self._process.join(2.0)
 
@@ -577,7 +565,8 @@ class WorkerPool:
     ids at once, each dispatch retries independently against the one
     respawned worker.  ``versions`` maps each relation name to its content
     version, for a front that keeps a result cache; without it a query
-    response reports ``None`` for every name it read.
+    response reports ``None`` for every name it read.  Workers are forked,
+    so a platform without :func:`os.fork` gets a :class:`ServerError`.
 
     The pool's coroutines all run on one event loop and take no locks: a
     server's loop, or — for a caller off any loop (:meth:`dispatch`,
@@ -589,25 +578,21 @@ class WorkerPool:
         relations: Mapping[str, Relation],
         base_config: BackendConfig,
         size: int = 2,
-        worker_backend: Optional[str] = None,
         events_dir: Optional[str] = None,
         max_sessions: int = MAX_SESSIONS_PER_WORKER,
         versions: Optional[Mapping[str, str]] = None,
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        if worker_backend is None:
-            worker_backend = "fork" if hasattr(os, "fork") else "thread"
-        if worker_backend not in ("fork", "thread"):
-            raise ValueError(
-                f"worker_backend must be 'fork' or 'thread', got {worker_backend!r}"
+        if not parallel.fork_available():
+            raise ServerError(
+                "a worker pool forks its workers, and this platform has no os.fork"
             )
         self._relations = dict(relations)
         self._versions: Dict[str, Optional[str]] = dict(versions or {})
         self._base_config = base_config
         self._events_dir = events_dir
         self._max_sessions = max_sessions
-        self.backend = worker_backend
         self.size = size
         self._closed = False
         self._next = 0
@@ -625,14 +610,11 @@ class WorkerPool:
         return os.path.join(self._events_dir, f"worker-{index}.jsonl")
 
     def _spawn(self, index: int) -> Worker:
-        # Copies: a thread-backend worker reads its maps on its own thread,
-        # after a mutate may have rebound them.
         return Worker(
             index,
-            dict(self._relations),
-            dict(self._versions),
+            self._relations,
+            self._versions,
             self._base_config,
-            self.backend,
             events_path=self._events_path(index),
             max_sessions=self._max_sessions,
         )
@@ -814,7 +796,7 @@ class WorkerPool:
         responses = await self._broadcast(list(self._workers), {"op": "stats"})
         return {
             "size": self.size,
-            "backend": self.backend,
+            "backend": "fork",
             "worker_restarts": self.worker_restarts,
             "inflight": inflight,
             "workers": [response["stats"] for response in responses if response.get("ok")],

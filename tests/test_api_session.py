@@ -311,7 +311,6 @@ class TestConcurrentServing:
             backend="engine",
             budget=budget,
             workers=2,
-            parallel_backend="thread",
         ) as session:
             prepared = [session.prepare(query) for query in queries]
             assert len(prepared) >= 8
@@ -491,9 +490,10 @@ class TestReviewRegressions:
     def test_forget_plan_closes_the_stale_plans_pools(self):
         """Invalidation must not strand forked workers behind unreachable
         LRU keys."""
-        from repro.engine import EngineEvaluator, default_backend
+        from repro.engine import EngineEvaluator
+        from repro.engine.parallel import fork_available
 
-        if default_backend() != "fork":
+        if not fork_available():
             pytest.skip("fork start method unavailable on this platform")
         relation = Relation.from_rows("A B", [(i % 3, i) for i in range(8)])
         other = Relation.from_rows("B C", [(i, i % 2) for i in range(8)])

@@ -371,8 +371,8 @@ class TestPlanner:
     CLOSURE_CONFIGS = [
         {},
         {"budget": 8},
-        {"workers": 2, "parallel_backend": "thread"},
-        {"budget": 8, "workers": 2, "parallel_backend": "thread"},
+        {"workers": 2},
+        {"budget": 8, "workers": 2},
     ]
 
     @staticmethod
@@ -393,7 +393,10 @@ class TestPlanner:
             "hash-join",
         }
         # What runs is closed the same way.
-        _, trace = evaluator.evaluate(query, bound)
+        try:
+            _, trace = evaluator.evaluate(query, bound)
+        finally:
+            evaluator.close()
         assert {step.node_kind for step in trace.steps} <= {
             "operand",
             "projection",

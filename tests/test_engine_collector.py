@@ -14,6 +14,7 @@ an automatic pass would have fired (3.12 moved that to the eval breaker).
 
 import gc
 import inspect
+import multiprocessing
 import os
 import sys
 import threading
@@ -34,7 +35,6 @@ from repro.engine import (
     MemoryBudget,
     MemoryMeter,
     TableScan,
-    default_backend,
 )
 from repro.engine import parallel as parallel_module
 from repro.engine.parallel import SWEEP_ROWS, drain_metered
@@ -42,24 +42,38 @@ from repro.expressions.ast import Operand, Projection
 from repro.reductions.rg import RGConstruction
 from repro.workloads import growing_construction_family
 
-BACKENDS = sorted({"thread", default_backend()})
-
 
 class _WatchedPause:
-    """The drain's pause, counting the collector passes that begin while any
-    drain holds it (by generation) and the drains that took it."""
+    """The drain's pause, counting the collector passes that begin while a
+    drain of the same process holds it (by generation) and the drains that
+    took it.  The counts live in shared memory, so a probe worker forked
+    while the recorder is installed counts its own drains and passes in."""
 
     def __init__(self, real):
         self.real = real
         self.lock = threading.Lock()
-        self.held = self.drains = 0
-        self.passes = Counter()
+        self.held = 0  # this process's drains in progress
+        self._drains = multiprocessing.Value("i", 0)
+        self._passes = multiprocessing.Array("i", 3)  # one per generation
+
+    @property
+    def drains(self):
+        return self._drains.value
+
+    @property
+    def passes(self):
+        return Counter({gen: count for gen, count in enumerate(self._passes) if count})
+
+    def reset(self):
+        self._drains.value = 0
+        self._passes[:] = [0] * len(self._passes)
 
     def __enter__(self):
         sweeping = self.real.__enter__()
         with self.lock:
             self.held += 1
-            self.drains += 1
+        with self._drains.get_lock():
+            self._drains.value += 1
         return sweeping
 
     def __exit__(self, *exc_info):
@@ -69,7 +83,8 @@ class _WatchedPause:
 
     def __call__(self, phase, info):
         if phase == "start" and self.held:
-            self.passes[info["generation"]] += 1
+            with self._passes.get_lock():
+                self._passes[info["generation"]] += 1
 
 
 @contextmanager
@@ -110,14 +125,20 @@ def _wide_join(rows=10_000):
 class TestPassesFollowTheResult:
     @pytest.mark.parametrize(
         "config",
-        [{}, {"budget": 64}, {"workers": 2, "parallel_backend": "thread"}],
-        ids=["serial", "budget-64", "thread-workers-2"],
+        [{}, {"budget": 64}, {"workers": 2}],
+        ids=["serial", "budget-64", "workers-2"],
     )
     def test_the_papers_query_runs_no_pass_of_any_generation(self, config):
-        prepared = _rg_session(12, **config)
-        prepared.execute()
+        # Recording from before the warm-up execute forks the probe pool, so
+        # its workers drain through the recorder; the counts start after it.
         with _recording() as recorder:
-            result = prepared.execute()
+            prepared = _rg_session(12, **config)
+            try:
+                prepared.execute()
+                recorder.reset()
+                result = prepared.execute()
+            finally:
+                prepared._session.close()
         assert len(result) == 14
         assert recorder.drains >= 1, "the execute never reached the drain"
         assert not recorder.passes, dict(recorder.passes)
@@ -238,10 +259,9 @@ class TestEveryEndingHandsTheCollectorBack:
         assert recorder.drains == 2 and recorder.held == 0
         assert _handed_back()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_execute(self, backend):
+    def test_parallel_execute(self):
         query, bound = _wide_join(2_000)
-        evaluator = EngineEvaluator(workers=2, parallel_backend=backend)
+        evaluator = EngineEvaluator(workers=2)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)  # no serial fallback

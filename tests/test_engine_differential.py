@@ -50,8 +50,8 @@ from repro.engine import (
     EngineFaultError,
     FaultPlan,
     MemoryBudget,
-    default_backend,
 )
+from repro.engine.parallel import fork_available
 from repro.engine.stats import SKEW
 from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 from repro.expressions.ast import Expression, Join, Operand, Projection
@@ -183,19 +183,21 @@ def _tiny_budget(spill_dir) -> MemoryBudget:
 
 
 def _assert_engine_matches_reference(
-    expression, bindings, reference, budget_rows, workers, backend, spill_dir, context
+    expression, bindings, reference, budget_rows, workers, spill_dir, context
 ):
     budget = _tiny_budget(spill_dir) if budget_rows is not None else None
     evaluator = EngineEvaluator(
         budget=budget,
         workers=workers,
-        parallel_backend=backend,
         observe=ObserveConfig(events=True),
     )
     before = kernel_counters().snapshot()
-    result, trace = evaluator.evaluate(expression, bindings)
+    try:
+        result, trace = evaluator.evaluate(expression, bindings)
+    finally:
+        evaluator.close()
     detail = (
-        f"{context} budget={budget_rows} workers={workers} backend={backend}\n"
+        f"{context} budget={budget_rows} workers={workers}\n"
         f"expression: {expression.to_text()}\n"
         f"bindings: { {name: len(rel) for name, rel in bindings.items()} }"
     )
@@ -243,7 +245,6 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
                 reference,
                 budget_rows,
                 workers,
-                "thread",
                 tmp_path,
                 context=f"seed={fuzz_seed} case={case_index}",
             )
@@ -251,10 +252,9 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
 
 
 def test_differential_fuzz_fork_backend(fuzz_seed, tmp_path):
-    """A smaller sweep through the fork (multi-process) pool: worker results
-    cross a pickle boundary and budgets apply per process, so the merge path
-    is genuinely different from the thread backend's."""
-    if default_backend() != "fork":
+    """A second draw of cases (seed + 1) through the fork pool at 4 workers:
+    worker results cross a pickle boundary and budgets apply per process."""
+    if not fork_available():
         pytest.skip("fork start method unavailable on this platform")
     rng = random.Random(fuzz_seed + 1)
     for case_index in range(6):
@@ -267,7 +267,6 @@ def test_differential_fuzz_fork_backend(fuzz_seed, tmp_path):
                 reference,
                 budget_rows,
                 4,
-                "fork",
                 tmp_path,
                 context=f"seed={fuzz_seed}+1 case={case_index}",
             )
@@ -324,7 +323,6 @@ def test_degenerate_shapes_survive_every_config(tmp_path):
                 reference,
                 budget_rows,
                 workers,
-                "thread",
                 tmp_path,
                 context=f"degenerate case={case_index}",
             )
@@ -344,12 +342,7 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
         for budget_rows, workers in CONFIG_GRID:
             plan = FaultPlan.random_plan(rng, workers=workers)
             budget = _tiny_budget(tmp_path) if budget_rows is not None else None
-            evaluator = EngineEvaluator(
-                budget=budget,
-                workers=workers,
-                parallel_backend="thread",
-                faults=plan,
-            )
+            evaluator = EngineEvaluator(budget=budget, workers=workers, faults=plan)
             detail = (
                 f"seed={fuzz_seed} case={case_index} plan={plan!r} "
                 f"budget={budget_rows} workers={workers}\n"
@@ -364,6 +357,8 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
                     result, _ = evaluator.evaluate(expression, bindings)
                 except EngineFaultError:
                     result = None  # a typed failure is an allowed outcome
+                finally:
+                    evaluator.close()
             if result is not None:
                 assert result.scheme.name_set == reference.scheme.name_set, detail
                 realigned = (
@@ -464,8 +459,8 @@ def test_heavy_hitter_fuzz_matches_reference_on_every_grid_point(
     context = f"seed={fuzz_seed} heavy-hitter case={case}"
     for budget_rows, workers in CONFIG_GRID:
         _assert_engine_matches_reference(
-            expression, bindings, reference, budget_rows, workers, "thread",
-            tmp_path, context=context,
+            expression, bindings, reference, budget_rows, workers, tmp_path,
+            context=context,
         )
     plan = EngineEvaluator().plan_for(expression, bindings)
 
@@ -490,12 +485,7 @@ def test_session_facade_fuzz_every_backend_matches_reference(fuzz_seed, tmp_path
         reference = _reference_evaluate(expression, bindings)
         for budget_rows, workers in CONFIG_GRID:
             budget = _tiny_budget(tmp_path) if budget_rows is not None else None
-            with Session(
-                bindings,
-                budget=budget,
-                workers=workers,
-                parallel_backend="thread",
-            ) as session:
+            with Session(bindings, budget=budget, workers=workers) as session:
                 for backend in BACKENDS:
                     prepared = session.prepare(expression, backend=backend)
                     for _ in range(2):  # repeat: the second run is pure cache

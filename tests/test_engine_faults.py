@@ -46,11 +46,10 @@ from repro.engine import (
     SpillFile,
     StreamingProject,
     TableScan,
-    default_backend,
 )
 from repro.engine import evaluator as evaluator_module
 from repro.engine import spill as spill_module
-from repro.engine.parallel import drain_metered
+from repro.engine.parallel import drain_metered, fork_available
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
 from repro.obs import ObserveConfig
@@ -73,6 +72,34 @@ def _join_case(seed=11, rows=400):
     )
     query = Projection(["A", "C"], Operand("R", "A B").join(Operand("S", "B C")))
     return query, {"R": r, "S": s}
+
+
+class _Unpicklable:
+    """A row value a forked probe worker cannot send back."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Unpicklable) and other.value == self.value
+
+    def __lt__(self, other):
+        return self.value < other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __reduce__(self):
+        raise TypeError("this value does not pickle")
+
+
+def _unpicklable_case():
+    """``_join_case`` with every ``A`` value wrapped so that no result row
+    pickles: every pool fails to report, its one rebuild too, and only the
+    serial fallback can answer."""
+    query, bound = _join_case()
+    rows = [(_Unpicklable(a), b) for a, b in bound["R"].rows]
+    return query, {**bound, "R": Relation.from_rows("A B", rows, name="R")}
 
 
 def _budget(tmp_path, rows=8):
@@ -257,33 +284,35 @@ class TestEvaluatorSpillFaults:
 
 
 class TestWorkerKill:
-    def test_thread_worker_kill_degrades_loudly_to_serial(self):
-        query, bound = _join_case()
+    def test_a_pool_failing_twice_degrades_loudly_to_serial(self):
+        if not fork_available():
+            pytest.skip("fork start method unavailable on this platform")
+        query, bound = _unpicklable_case()
         expected = evaluate(query, bound)
         reset_kernel_counters()
         before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(
-            workers=4, parallel_backend="thread", faults=FaultPlan(kill_worker=1)
-        )
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            result, trace = evaluator.evaluate(query, bound)
+        evaluator = EngineEvaluator(workers=4)
+        try:
+            with pytest.warns(RuntimeWarning, match="degraded to serial"):
+                result, trace = evaluator.evaluate(query, bound)
+        finally:
+            evaluator.close()
         delta = _delta(before)
         assert result == expected
         assert delta["serial_fallbacks"] == 1
-        assert delta["fault_injected"] >= 1
+        assert delta["pool_recoveries"] == 0
         assert trace.serial_fallbacks == 1
         assert trace.degradations and "serial-fallback" in trace.degradations[0]
+        assert "does not pickle" in trace.degradations[0]
 
     def test_fork_worker_kill_recovers_via_pool_rebuild(self):
-        if default_backend() != "fork":
+        if not fork_available():
             pytest.skip("fork start method unavailable on this platform")
         query, bound = _join_case()
         expected = evaluate(query, bound)
         reset_kernel_counters()
         before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(
-            workers=4, parallel_backend="fork", faults=FaultPlan(kill_worker=2)
-        )
+        evaluator = EngineEvaluator(workers=4, faults=FaultPlan(kill_worker=2))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -298,12 +327,15 @@ class TestWorkerKill:
 
     def test_unfaulted_parallel_run_does_not_degrade(self):
         query, bound = _join_case()
-        evaluator = EngineEvaluator(workers=4, parallel_backend="thread")
+        evaluator = EngineEvaluator(workers=4)
         reset_kernel_counters()
         before = kernel_counters().snapshot()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result, trace = evaluator.evaluate(query, bound)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result, trace = evaluator.evaluate(query, bound)
+        finally:
+            evaluator.close()
         assert result == evaluate(query, bound)
         assert _delta(before)["serial_fallbacks"] == 0
         assert trace.serial_fallbacks == 0
@@ -536,12 +568,11 @@ class TestDrainFailure:
 
 class TestSessionSurfacing:
     def test_serial_fallback_reaches_stats_and_unified_trace(self):
-        query, bound = _join_case()
+        if not fork_available():
+            pytest.skip("fork start method unavailable on this platform")
+        query, bound = _unpicklable_case()
         expected = evaluate(query, bound)
-        config = BackendConfig(
-            workers=4, parallel_backend="thread", faults=FaultPlan(kill_worker=0)
-        )
-        with Session(bound, config=config) as session:
+        with Session(bound, workers=4) as session:
             prepared = session.prepare(query)
             with pytest.warns(RuntimeWarning, match="degraded to serial"):
                 result = prepared.execute()
@@ -554,7 +585,7 @@ class TestSessionSurfacing:
 
     def test_clean_sessions_report_zero_fallbacks(self):
         query, bound = _join_case()
-        with Session(bound, workers=2, parallel_backend="thread") as session:
+        with Session(bound, workers=2) as session:
             prepared = session.prepare(query)
             prepared.execute()
             assert session.stats()["serial_fallbacks"] == 0
@@ -567,11 +598,10 @@ class TestFaultEventCrossCheck:
     The chaos layer's no-silent-degradation contract extends to the
     observability layer: the ``fault_injected`` kernel-counter delta and
     the event log's ``fault`` count must agree for every in-process
-    injection site (serial spill I/O, thread-backend worker kill).
-    Fork-pool children are excluded by
+    injection site (serial spill I/O).  Fork-pool children are excluded by
     construction — their counters merge back but their event logs die
-    with the child process, which is why these scenarios pin the serial
-    and thread paths.
+    with the child process, so a killed probe worker shows in this
+    process as the ``pool-rebuild`` event it caused.
     """
 
     def _events(self, observer):
@@ -618,26 +648,28 @@ class TestFaultEventCrossCheck:
         assert delta["fault_injected"] >= 1
         assert len(events.events("fault")) == delta["fault_injected"]
 
-    def test_thread_worker_kill_logs_fault_and_fallback_events(self):
+    def test_fork_worker_kill_logs_a_pool_rebuild_event(self):
+        if not fork_available():
+            pytest.skip("fork start method unavailable on this platform")
         query, bound = _join_case()
         reset_kernel_counters()
         before = kernel_counters().snapshot()
         config = BackendConfig(
-            workers=4,
-            parallel_backend="thread",
-            faults=FaultPlan(kill_worker=1),
-            observe=True,
+            workers=4, faults=FaultPlan(kill_worker=1), observe=True
         )
         with Session(bound, config=config) as session:
-            with pytest.warns(RuntimeWarning, match="degraded to serial"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 session.prepare(query).execute()
             events = session.events()
             delta = _delta(before)
-            faults = events.events("fault")
-            assert delta["fault_injected"] >= 1
-            assert len(faults) == delta["fault_injected"]
-            assert any(event["site"] == "worker-kill" for event in faults)
-            assert len(events.events("serial-fallback")) == delta["serial_fallbacks"]
+            assert delta["pool_recoveries"] == 1
+            assert len(events.events("pool-rebuild")) == delta["pool_recoveries"]
+            assert all(
+                event["backend"] == "fork" for event in events.events("pool-rebuild")
+            )
+            assert len(events.events("fault")) == delta["fault_injected"]
+            assert len(events.events("serial-fallback")) == delta["serial_fallbacks"] == 0
 
     def test_unfaulted_run_logs_no_fault_events(self, tmp_path):
         from repro.obs import ObserveConfig

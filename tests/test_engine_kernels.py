@@ -660,9 +660,7 @@ def test_the_paper_query_records_what_its_unfused_plan_records(workers):
     (case,) = growing_construction_family(clause_counts=(12,))
     construction = RGConstruction(case.formula)
     query = construction.pair_projection_expression()
-    with Session(
-        {"R": construction.relation}, workers=workers, parallel_backend="thread"
-    ) as session:
+    with Session({"R": construction.relation}, workers=workers) as session:
         prepared = session.prepare(query)
         traces = [prepared.execute().trace]
         plan = session._engine.pinned_plan(query)
@@ -675,17 +673,19 @@ def test_the_paper_query_records_what_its_unfused_plan_records(workers):
                     emit = tuple(map(node.scheme.names.index, node.emit_scheme.names))
                 level = (node.build_side == "left", node.join_plan)
                 node.chain = make_chain_kernel([level], emit)
+        # A warm pool's children hold the plan as it was when they forked:
+        # the edited plan runs on a freshly forked pool.
+        session._engine._evict_pools_for(plan)
+        assert session._engine.open_pools == 0
         traces.append(prepared.execute().trace)
+        assert session._engine.open_pools == (workers > 1)
     steps = [
         [(step.description, step.cardinality, step.scheme_width) for step in trace.steps]
         for trace in traces
     ]
     assert steps[0] == steps[1]
     assert len({(t.peak_build_rows, t.counters["join_probes"]) for t in traces}) == 1
-    if workers == 1:
-        # Two thread workers share one meter: their overlap, and so the
-        # peak, depends on scheduling, fused or not.
-        assert traces[0].peak_live_rows == traces[1].peak_live_rows
+    assert traces[0].peak_live_rows == traces[1].peak_live_rows
     with Session({"R": construction.relation}, budget=64) as session:
         plan = session._engine.plan_for(query, session._relations)
     # A budgeted join is a run of one.

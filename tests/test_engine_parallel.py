@@ -3,7 +3,7 @@
 Three layers:
 
 * **MemoryMeter** — the lock regression.  The pre-lock meter used plain
-  ``current += rows`` read-modify-write increments; with several workers
+  ``current += rows`` read-modify-write increments; with several threads
   sharing one meter those lose updates on any interpreter that can preempt
   inside the sequence (CPython 3.9 checks the eval breaker between
   bytecodes; free-threaded builds drop the GIL entirely), leaving
@@ -12,8 +12,9 @@ Three layers:
   enough — and always pass for the locked one.
 
 * **Partitioned probe scan** — the slices are a partition of the relation,
-  and executing one pinned plan per slice unions to the serial result, on
-  both the thread and fork backends.
+  and executing one pinned plan per slice in a pool of forked workers
+  unions to the serial result; where the platform cannot fork, ``workers``
+  runs serially.
 
 * **Concurrency stress** — one pinned plan evaluated from 8 threads
   concurrently must produce the serial result every time, and the engine's
@@ -28,14 +29,16 @@ import threading
 import pytest
 
 from repro.algebra import Relation, RelationScheme
+from repro.api import Session
 from repro.engine import (
     EngineEvaluator,
+    ForkProbePool,
     MemoryBudget,
     MemoryMeter,
     PartitionedScan,
-    default_backend,
-    execute_parallel,
 )
+from repro.engine import parallel
+from repro.engine.parallel import fork_available, operators_in_order
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Operand
 from repro.perf import kernel_counters
@@ -148,24 +151,35 @@ def _instance(seed=5):
     return query, bound
 
 
+def _evaluate(query, bound, **options):
+    """One evaluation on a fresh evaluator, its pools closed afterwards."""
+    evaluator = EngineEvaluator(**options)
+    try:
+        return evaluator.evaluate(query, bound)
+    finally:
+        evaluator.close()
+
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable on this platform"
+)
+
+
 class TestParallelExecution:
-    @pytest.mark.parametrize("backend", ["thread", "fork"])
-    def test_worker_union_matches_serial(self, backend):
-        if backend == "fork" and default_backend() != "fork":
-            pytest.skip("fork start method unavailable on this platform")
+    @needs_fork
+    def test_worker_union_matches_serial(self):
         query, bound = _instance()
         serial, serial_trace = EngineEvaluator().evaluate(query, bound)
-        parallel, trace = EngineEvaluator(
-            workers=4, parallel_backend=backend
-        ).evaluate(query, bound)
-        assert parallel == serial
+        pooled, trace = _evaluate(query, bound, workers=4)
+        assert pooled == serial
         assert trace.result_cardinality == serial_trace.result_cardinality
         # Step cardinalities are summed across workers.  Dedup state is per
         # worker, so the streamed totals can only match or exceed the serial
         # counts (the output is set-equal; the stream is not row-identical).
         assert trace.steps[-1].cardinality >= serial_trace.steps[-1].cardinality
 
-    def test_execute_parallel_reports_summed_steps(self):
+    @needs_fork
+    def test_fork_pool_reports_summed_steps(self):
         query, bound = _instance(seed=11)
         evaluator = EngineEvaluator()
         plan = evaluator.plan_for(query, bound)
@@ -173,16 +187,18 @@ class TestParallelExecution:
         serial_rows = set()
         for block in serial_root.blocks():
             serial_rows.update(block)
-        meter = MemoryMeter()
-        outcome = execute_parallel(plan, bound, 4, meter, backend="thread")
+        pool = ForkProbePool(plan, bound, 4, None)
+        try:
+            outcome = pool.run()
+        finally:
+            pool.close()
         assert outcome.rows == serial_rows
-        assert outcome.workers == 4 and outcome.backend == "thread"
+        assert outcome.workers == 4 and len(outcome.worker_step_rows) == 4
         # Summed across workers; per-worker dedup means >= the serial count.
         assert outcome.step_rows[-1] >= serial_root.rows_out
-        from repro.engine.parallel import operators_in_order
-
         assert len(outcome.step_rows) == len(operators_in_order(serial_root))
 
+    @needs_fork
     def test_build_side_steps_are_not_multiplied_by_workers(self):
         # Every worker re-streams the build side in full; the trace must
         # report it once (serial-comparable), not summed across the pool.
@@ -193,9 +209,7 @@ class TestParallelExecution:
         )
         bound = {"R": left, "S": right}
         _, serial_trace = EngineEvaluator().evaluate(query, bound)
-        _, trace = EngineEvaluator(workers=4, parallel_backend="thread").evaluate(
-            query, bound
-        )
+        _, trace = _evaluate(query, bound, workers=4)
         serial_by_label = {s.description: s.cardinality for s in serial_trace.steps}
         parallel_by_label = {s.description: s.cardinality for s in trace.steps}
         assert parallel_by_label["scan S"] == serial_by_label["scan S"]
@@ -203,28 +217,46 @@ class TestParallelExecution:
         # relation, so the summed trace equals the serial scan count.
         assert parallel_by_label["scan R [partitioned x4]"] == serial_by_label["scan R"]
 
+    def test_a_platform_without_fork_runs_workers_serially(self, monkeypatch):
+        """Where the platform cannot fork, ``workers > 1`` runs serially the
+        way a plan too small to slice does: the same rows, no pool started,
+        and no serial fallback counted (nothing failed)."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a probe pool was started")
+
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        monkeypatch.setattr(ForkProbePool, "__init__", no_pool)
+        query, bound = _instance()
+        serial, _ = EngineEvaluator().evaluate(query, bound)
+        counters = kernel_counters()
+        before = counters.snapshot()
+        with Session(bound, workers=2) as session:
+            result = session.prepare(query).execute()
+            assert result.set_equal(serial)
+            assert session._engine.open_pools == 0
+            assert session.stats()["serial_fallbacks"] == 0
+        assert result.trace.serial_fallbacks == 0
+        assert not any("partitioned" in step.description for step in result.trace.steps)
+        assert counters.delta_since(before)["serial_fallbacks"] == 0
+
     def test_small_inputs_degrade_to_serial(self):
         left = Relation.from_rows("A B", [(1, 2), (3, 4)])
         right = Relation.from_rows("B C", [(2, "x"), (4, "y")])
         query = Operand("R", left.scheme).join(Operand("S", right.scheme))
         bound = {"R": left, "S": right}
-        result, _ = EngineEvaluator(workers=16, parallel_backend="thread").evaluate(
-            query, bound
-        )
+        result, _ = _evaluate(query, bound, workers=16)
         assert result == evaluate(query, bound)
 
     def test_empty_driving_relation_is_fine(self):
         left = Relation.empty("A B")
         right = Relation.from_rows("B C", [(2, "x")])
         query = Operand("R", left.scheme).join(Operand("S", right.scheme))
-        result, _ = EngineEvaluator(workers=4, parallel_backend="thread").evaluate(
-            query, {"R": left, "S": right}
-        )
+        result, _ = _evaluate(query, {"R": left, "S": right}, workers=4)
         assert result == evaluate(query, {"R": left, "S": right})
 
+    @needs_fork
     def test_fork_backend_merges_worker_counters(self, tmp_path):
-        if default_backend() != "fork":
-            pytest.skip("fork start method unavailable on this platform")
         # Seed 2's query keeps all three joins after minimization (seed 3's,
         # used before, minimizes to one scan and spills nothing).
         query, bound = _instance(seed=2)
@@ -234,9 +266,7 @@ class TestParallelExecution:
         serial, _ = EngineEvaluator().evaluate(query, bound)
         counters = kernel_counters()
         before = counters.snapshot()
-        result, trace = EngineEvaluator(
-            budget=budget, workers=4, parallel_backend="fork"
-        ).evaluate(query, bound)
+        result, trace = _evaluate(query, bound, budget=budget, workers=4)
         delta = counters.delta_since(before)
         assert result == serial
         # The spilling happened in the forked children, but the deltas were
@@ -345,9 +375,8 @@ class TestForkProbePoolLRU:
             for process in entry[-1]._processes
         ]
 
+    @needs_fork
     def test_distinct_bound_plans_keep_distinct_warm_pools(self):
-        if default_backend() != "fork":
-            pytest.skip("fork start method unavailable on this platform")
         evaluator = EngineEvaluator(workers=2, max_pools=4)
         try:
             cases = self._queries(3)
@@ -367,9 +396,8 @@ class TestForkProbePoolLRU:
             process.join(timeout=5.0)
         assert not any(process.is_alive() for process in processes)
 
+    @needs_fork
     def test_eviction_closes_the_coldest_pool(self):
-        if default_backend() != "fork":
-            pytest.skip("fork start method unavailable on this platform")
         evaluator = EngineEvaluator(workers=2, max_pools=2)
         try:
             cases = self._queries(3)
@@ -387,9 +415,8 @@ class TestForkProbePoolLRU:
         finally:
             evaluator.close()
 
+    @needs_fork
     def test_rebinding_a_relation_forks_a_fresh_pool(self):
-        if default_backend() != "fork":
-            pytest.skip("fork start method unavailable on this platform")
         evaluator = EngineEvaluator(workers=2, max_pools=4)
         try:
             query, bound = self._queries(1)[0]

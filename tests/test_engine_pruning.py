@@ -157,10 +157,11 @@ def test_pruned_plans_match_the_reference_on_every_grid_point(tmp_path_factory, 
         )
         for workers in (1, 2):
             for query in (expression, permuted):
-                evaluator = EngineEvaluator(
-                    budget=budget, workers=workers, parallel_backend="thread"
-                )
-                result, trace = evaluator.evaluate(query, bound)
+                evaluator = EngineEvaluator(budget=budget, workers=workers)
+                try:
+                    result, trace = evaluator.evaluate(query, bound)
+                finally:
+                    evaluator.close()
                 detail = (query.to_text(), budget_rows, workers)
                 assert _same_rows(result, reference), detail
                 assert trace.counters.get("spill_overflows", 0) == 0, detail

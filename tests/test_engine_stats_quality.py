@@ -512,7 +512,7 @@ def test_the_trial_streams_the_same_in_any_written_order(operands):
 
 @pytest.mark.parametrize(
     "options",
-    [{"budget": 1024}, {"workers": 2, "parallel_backend": "thread"}],
+    [{"budget": 1024}, {"workers": 2}],
     ids=["budget", "workers"],
 )
 @pytest.mark.parametrize("text", ["project[A, D](R * S * T)", "project[E, D](U * R * S * T)"])
@@ -522,7 +522,10 @@ def test_the_trial_chain_holds_under_a_budget_and_workers(text, options):
     relations = _trial_relations()
     query = _parse(text, relations)
     evaluator = EngineEvaluator(**options)
-    result, trace = evaluator.evaluate(query, relations)
+    try:
+        result, trace = evaluator.evaluate(query, relations)
+    finally:
+        evaluator.close()
     chain, streamed, rows = TRIAL[text]
     assert evaluator.pinned_plan(query).root.scan_order() == chain
     assert trace.total_intermediate_tuples == streamed

@@ -77,7 +77,6 @@ KNOBS = {
         "backend",
         "budget",
         "workers",
-        "parallel_backend",
         "max_pools",
         "faults",
         "observe",
@@ -87,7 +86,6 @@ KNOBS = {
         "host",
         "port",
         "pool_size",
-        "worker_backend",
         "max_inflight",
         "total_budget_rows",
         "default_request_rows",
@@ -104,7 +102,6 @@ KNOBS = {
 ENGINE_EVALUATOR_PARAMETERS = [
     "budget",
     "workers",
-    "parallel_backend",
     "max_pools",
     "faults",
     "observe",

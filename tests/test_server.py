@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -28,7 +29,7 @@ import pytest
 from repro.algebra import Attribute, Domain, Relation, RelationScheme
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
-from repro.engine import join_estimate_provenance
+from repro.engine import join_estimate_provenance, parallel
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.server import (
     BudgetExhaustedError,
@@ -39,6 +40,7 @@ from repro.server import (
     ResultCache,
     ServerClosedError,
     ServerConfig,
+    ServerError,
     WorkerPool,
     percentile,
     run_load,
@@ -347,9 +349,6 @@ class TestWorkerPool:
 
     def test_crashed_worker_is_respawned_and_the_request_retried(self):
         pool = WorkerPool(RELATIONS, BackendConfig(), size=1)
-        if pool.backend != "fork":
-            pool.close()
-            pytest.skip("crash recovery needs process workers")
         try:
             assert pool.dispatch(
                 {"op": "query", "query": QUERIES[0], "count_only": True}
@@ -407,8 +406,7 @@ class TestWorkerPool:
             "from repro.api.config import BackendConfig\n"
             "from repro.server import WorkerPool\n"
             "from repro.workloads import serving_relations\n"
-            "pool = WorkerPool(serving_relations(rows=50), BackendConfig(), size=2,"
-            " worker_backend='fork')\n"
+            "pool = WorkerPool(serving_relations(rows=50), BackendConfig(), size=2)\n"
             "print(*(worker._process.pid for worker in pool._workers), flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -444,9 +442,6 @@ class TestWorkerPool:
         # spill directory survives unless SIGTERM unwinds the execute.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1)
-        if pool.backend != "fork":
-            pool.close()
-            pytest.skip("needs process workers")
         worker = pool._workers[0]
         try:
             assert pool.run(worker.request(SLOW_FRAME))["spilled_rows"] > 0
@@ -473,8 +468,9 @@ class TestWorkerPool:
         # Every worker here plays stuck: its join waits out the time it is
         # given.  The pool must tell them all before joining any, and give
         # them one shared deadline, not one deadline each.
-        pool = WorkerPool(RELATIONS, BackendConfig(), size=3, worker_backend="thread")
-        worker_class = type(pool._workers[0])
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=3)
+        workers = list(pool._workers)
+        worker_class = type(workers[0])
         events = []
         stop = worker_class.stop
 
@@ -497,16 +493,9 @@ class TestWorkerPool:
         assert [event[0] for event in events] == ["stop"] * 3 + ["join", "kill"] * 3
         assert all(wait is False for _, _, wait in events[:3])
         assert sum(event[2] for event in events if event[0] == "join") <= 0.2
-
-    def test_thread_backend_serves_too(self):
-        pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
-        try:
-            response = pool.dispatch(
-                {"op": "query", "query": QUERIES[0], "count_only": True}
-            )
-            assert response["ok"]
-        finally:
-            pool.close()
+        monkeypatch.undo()
+        for worker in workers:  # told to shut down: each exits by itself
+            assert worker.join(5.0)
 
 
 class TestHttpFront:
@@ -544,6 +533,8 @@ class TestHttpFront:
             {"query": QUERIES[0], "backend": "nope"},
             {"query": QUERIES[0], "budget": -5},
             {"query": QUERIES[0], "workers": 0},
+            {"query": QUERIES[0], "budget": True},
+            {"query": QUERIES[0], "workers": True},
         ):
             status, body = _post(connection, payload)
             assert status == 400, payload
@@ -554,6 +545,32 @@ class TestHttpFront:
         response = connection.getresponse()
         assert response.status == 400
         assert not json.loads(response.read())["ok"]
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /" + b"a" * 9_000 + b" HTTP/1.1\r\n",  # over MAX_REQUEST_LINE
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n",  # over the stream's limit
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 40_000 + b"\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n",
+        ],
+        ids=["request-line-9k", "request-line-70k", "header-line-40k", "header-line-70k"],
+    )
+    def test_an_oversized_line_maps_to_a_counted_400(self, server, head):
+        before = server.stats()["front"]["client_errors"]
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(head + b"\r\n")
+            answer = b""
+            try:
+                while chunk := sock.recv(65536):
+                    answer += chunk
+            except ConnectionResetError:
+                pass  # the front closed with bytes of the line still unread
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request", answer[:200]
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"] == "HttpError" and "too" in body["message"], body
+        assert server.stats()["front"]["client_errors"] == before + 1
 
     def test_budget_beyond_the_pool_maps_to_503(self, connection):
         status, body = _post(
@@ -773,6 +790,14 @@ class TestServerConfig:
     def test_override(self):
         config = ServerConfig().override(pool_size=4)
         assert config.pool_size == 4
+
+    def test_a_platform_without_fork_gets_a_typed_error(self, monkeypatch):
+        # Workers are forked processes: without os.fork nothing can serve.
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        with pytest.raises(ServerError, match="os.fork"):
+            WorkerPool(RELATIONS, BackendConfig(), size=1)
+        with pytest.raises(ServerError, match="os.fork"):
+            ReproServer(RELATIONS, pool_size=1)
 
 
 class TestSessionShutdownUnderLoad:
@@ -1066,8 +1091,6 @@ class TestLeaseLifecycle:
             total_budget_rows=10_000,
             result_cache_size=0,
         ) as running:
-            if running._pool.backend != "fork":
-                pytest.skip("crash recovery needs process workers")
             # Warm the spilling session so both requests are mid-execute
             # when the kill lands.
             conn = http.client.HTTPConnection(
@@ -1182,7 +1205,6 @@ class TestPoolFrames:
             RELATIONS,
             BackendConfig(),
             size=2,
-            worker_backend="thread",
             versions={name: content_version(r) for name, r in RELATIONS.items()},
         )
         try:
@@ -1229,7 +1251,7 @@ class TestPoolFrames:
             pool.close()
 
     def test_broadcast_sends_every_frame_before_awaiting_any(self):
-        pool = WorkerPool(RELATIONS, BackendConfig(), size=2, worker_backend="thread")
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=2)
         calls = []
         try:
             for worker in pool._workers:
@@ -1261,7 +1283,6 @@ class TestMutateFailures:
             RELATIONS,
             BackendConfig(),
             size=2,
-            worker_backend="thread",
             versions={name: content_version(r) for name, r in RELATIONS.items()},
         )
 
@@ -1317,7 +1338,7 @@ class TestMutateFailures:
             worker_module._WorkerRuntime, "_handle_mutate", slow_on_worker_0
         )
         with ReproServer(
-            RELATIONS, pool_size=2, worker_backend="thread", request_timeout_seconds=0.05
+            RELATIONS, pool_size=2, request_timeout_seconds=0.05
         ) as running:
             conn = http.client.HTTPConnection("127.0.0.1", running.port, timeout=30)
             try:
@@ -1345,7 +1366,9 @@ class TestMutateFailures:
         # retried on the replacement, on the new rows.
         from repro.server import worker as worker_module
 
-        entered, release = threading.Event(), threading.Event()
+        # Set and awaited across the fork: the worker is a child process.
+        context = multiprocessing.get_context("fork")
+        entered, release = context.Event(), context.Event()
         handle_query = worker_module._WorkerRuntime._handle_query
 
         def first_query_waits(runtime, message):
@@ -1360,7 +1383,7 @@ class TestMutateFailures:
         runtime_class = worker_module._WorkerRuntime
         monkeypatch.setattr(runtime_class, "_handle_query", first_query_waits)
         monkeypatch.setattr(runtime_class, "_handle_mutate", failing)
-        pool = WorkerPool(RELATIONS, BackendConfig(), size=1, worker_backend="thread")
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=1)
         relation = Relation.from_rows(RELATIONS["R"].scheme, [(7, 8)], name="R")
 
         async def scenario():
@@ -1378,8 +1401,7 @@ class TestMutateFailures:
         held = pool._workers[0]
         try:
             before, acks, after = pool.run(scenario())
-            held._thread.join(10)
-            assert not held._thread.is_alive(), "a worker that NACKs a mutate exits"
+            assert held.join(10), "a worker that NACKs a mutate exits"
             assert before["ok"] and before["worker"] == 0, before
             assert before["rows"] == [list(row) for row in RELATIONS["R"].sorted_rows()]
             assert [ack["ok"] for ack in acks] == [False]
@@ -1453,7 +1475,7 @@ class TestWorkerVersions:
         from repro.server import worker as worker_module
 
         handle_mutate = worker_module._WorkerRuntime._handle_mutate
-        release = threading.Event()
+        release = multiprocessing.get_context("fork").Event()  # set across the fork
 
         def held_then_failing_on_worker_0(runtime, message):
             release.wait(30)  # until a query is queued behind the mutate
@@ -1465,9 +1487,7 @@ class TestWorkerVersions:
             worker_module._WorkerRuntime, "_handle_mutate", held_then_failing_on_worker_0
         )
         versions = {name: content_version(r) for name, r in RELATIONS.items()}
-        pool = WorkerPool(
-            RELATIONS, BackendConfig(), size=2, worker_backend="thread", versions=versions
-        )
+        pool = WorkerPool(RELATIONS, BackendConfig(), size=2, versions=versions)
         relation = Relation.from_rows(RELATIONS["R"].scheme, [(1, 2), (3, 4)], name="R")
         version = content_version(relation)
         read = {"op": "query", "query": "project[A, B](R)"}
@@ -2038,7 +2058,7 @@ class TestResultCacheOverHttp:
             [Attribute("A", Domain.of("small", range(4))), Attribute("B")]
         )
         relations = {"R": Relation.from_rows(scheme, [(0, 1), (3, 2)], name="R")}
-        with ReproServer(relations, pool_size=1, worker_backend="thread") as running:
+        with ReproServer(relations, pool_size=1) as running:
             conn = self._conn(running)
             try:
                 for rows in ([[1, 2, 3]], [[9, 2]], [[1, [2]]]):  # arity, domain, unhashable
@@ -2090,7 +2110,7 @@ class TestResultCacheOverHttp:
 
         monkeypatch.setattr(app_module, "content_version", refuse)
         with ReproServer(
-            RELATIONS, pool_size=1, result_cache_size=0, worker_backend="thread"
+            RELATIONS, pool_size=1, result_cache_size=0
         ) as plain:
             conn = self._conn(plain)
             try:
