@@ -5,7 +5,8 @@ Run with ``python examples/quickstart.py``.
 The walk-through builds a small relation, writes a projection-join query in
 three equivalent ways (fluent API, builder functions, textual syntax),
 evaluates it through the unified ``repro.connect`` facade (prepare once,
-execute and introspect on any backend — see ``docs/API.md``), and then asks
+execute and introspect on the streaming engine — see ``docs/API.md``), and
+then asks
 the questions whose complexity the paper characterises: membership of a
 tuple, equality against a conjectured result, cardinality bounds, and
 containment of two queries on a fixed database.
@@ -55,8 +56,8 @@ def main() -> None:
 
     # Evaluation goes through the unified facade: a Session owns the
     # database, prepare() parses/validates/plans exactly once, and the
-    # prepared query executes on any backend (the default is the streaming
-    # engine — swap backend="naive"/"optimized"/... for the others).
+    # prepared query executes on the streaming engine (the materialising
+    # evaluators in repro.expressions are called directly).
     session = repro.connect({"Enrollment": enrollment})
     prepared = session.prepare(query_fluent)
     result = prepared.execute()

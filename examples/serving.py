@@ -7,15 +7,17 @@ against one database.  The facade's shape fits that exactly: prepare each
 query once (parse + validate + cost-based plan, pinned), then execute on
 every request — the session's counters prove the steady state never
 re-plans.  The example serves eight queries round-robin from one session,
-mixes backends mid-traffic, mutates a relation (construction-is-
-invalidation: exactly the queries reading it re-plan, once), and runs a
-budgeted parallel burst, all through the same prepared handles.
+checks one answer against the three materialising evaluators called
+directly, mutates a relation (construction-is-invalidation: exactly the
+queries reading it re-plan, once), and reads an execution's trace, all
+through the same prepared handles.
 """
 
 from __future__ import annotations
 
 import repro
 from repro.algebra import Relation
+from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 
 
 def build_database():
@@ -53,7 +55,7 @@ QUERIES = [
 def main() -> None:
     relations = build_database()
 
-    with repro.connect(relations, backend="engine", workers=1) as session:
+    with repro.connect(relations, workers=1) as session:
         # Prepare once per query: each gets a pinned physical plan.
         prepared = [session.prepare(text) for text in QUERIES]
         print(f"prepared {len(prepared)} queries on {session!r}")
@@ -73,14 +75,15 @@ def main() -> None:
             f"({stats['plan_cache_hits']} plan-cache hits)"
         )
 
-        # Mixed backends against the same session: the materialising
-        # evaluators answer identically (differentially tested), just with
-        # different traces.
-        reference = prepared[2].execute()
-        for backend in repro.BACKENDS:
-            result = session.prepare(QUERIES[2], backend=backend).execute()
-            assert result.set_equal(reference), backend
-        print("all four backends agree on", QUERIES[2])
+        # The materialising evaluators, called directly, answer the same
+        # set as the engine (differentially tested), just with other traces.
+        served = prepared[2].execute()
+        expression = prepared[2].expression
+        assert served.set_equal(evaluate(expression, relations))
+        for evaluator in (InstrumentedEvaluator(), OptimizedEvaluator()):
+            relation, trace = evaluator.evaluate(expression, relations)
+            assert served.set_equal(relation), trace.backend
+        print("the engine and all three evaluators agree on", QUERIES[2])
 
         # Mutation: a new enrollments relation arrives.  Only the queries
         # reading it re-plan (against its freshly computed statistics).
@@ -101,9 +104,7 @@ def main() -> None:
             f"(the rest kept their pinned plans)"
         )
 
-        # A budgeted burst: same prepared queries, different session knobs
-        # would need a new session — but traces show the engine's residency
-        # per execute either way.
+        # Traces show the engine's residency per execute.
         trace = prepared[6].trace()
         print(
             f"{QUERIES[6]}: {trace.result_cardinality} rows, "

@@ -9,15 +9,16 @@ benchmark harness.
 The supported entry point is the :mod:`repro.api` facade, re-exported here:
 ``repro.connect(database)`` (or ``repro.Session``) opens a session over named
 relations, ``session.prepare(query)`` parses/validates/compiles once, and the
-returned ``PreparedQuery`` executes on any evaluator backend behind one
+returned ``PreparedQuery`` executes on the streaming engine behind one
 ``QueryResult`` / ``EvaluationTrace`` shape — see ``docs/API.md``.  The
-per-generation evaluator classes remain importable from their subpackages
-but are considered internal.
+materialising evaluators (``repro.expressions.evaluate``,
+``InstrumentedEvaluator``, ``OptimizedEvaluator``) are library code that
+callers run directly.
 
 Subpackages
 -----------
 ``repro.api``
-    The unified Session / PreparedQuery facade over every evaluator backend.
+    The unified Session / PreparedQuery facade over the streaming engine.
 ``repro.algebra``
     Relational model: schemes, tuples, relations, databases, operations.
 ``repro.expressions``
@@ -52,10 +53,9 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 from .api import (
-    BACKENDS,
     BackendConfig,
     EvaluationTrace,
     ObserveConfig,
@@ -64,13 +64,11 @@ from .api import (
     Session,
     SessionClosedError,
     SessionError,
-    UnknownBackendError,
     connect,
 )
 
 __all__ = [
     "__version__",
-    "BACKENDS",
     "BackendConfig",
     "ObserveConfig",
     "Session",
@@ -80,5 +78,4 @@ __all__ = [
     "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
-    "UnknownBackendError",
 ]

@@ -9,10 +9,9 @@ optionally the optimising evaluator and the streaming engine for comparison;
 :func:`blowup_sweep` repeats the measurement over a family and tabulates
 growth.
 
-Since the :mod:`repro.api` facade landed, the measurement itself is one
-mixed-backend serving session: the query is prepared once per backend on a
-single :class:`~repro.api.Session` (so the engine run shares that session's
-budget/worker configuration and pool teardown) and each backend's
+The materialising evaluators are called directly; the engine runs through
+a :class:`~repro.api.Session`, which carries its budget/worker configuration
+and tears its pools down.  Each evaluator's
 :class:`~repro.api.EvaluationTrace` supplies the peaks.
 """
 
@@ -23,7 +22,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api import Session
 from ..expressions.ast import Expression
-from ..expressions.evaluator import ArgumentLike
+from ..expressions.evaluator import ArgumentLike, InstrumentedEvaluator
+from ..expressions.optimizer import OptimizedEvaluator
 
 __all__ = ["BlowupMeasurement", "analyze_blowup", "blowup_sweep"]
 
@@ -111,37 +111,35 @@ def analyze_blowup(
     the cross-check against the naive result still applies, so the CLI's
     ``--memory-budget``/``--workers`` sweeps double as correctness checks.
 
-    All runs go through one mixed-backend :class:`~repro.api.Session`, so
-    the engine's pools/budget are torn down with the measurement.
+    The engine runs in a :class:`~repro.api.Session` of its own, so its
+    pools/budget are torn down with the measurement.
     """
-    with Session(
-        arguments,
-        backend="instrumented",
-        budget=engine_budget,
-        workers=engine_workers,
-    ) as session:
-        naive = session.prepare(expression, backend="instrumented").execute()
-        naive_trace = naive.trace
-        optimized_peak: Optional[int] = None
-        optimized_total: Optional[int] = None
-        if compare_optimizer:
-            optimized = session.prepare(expression, backend="optimized").execute()
-            if not optimized.set_equal(naive):
-                raise AssertionError(
-                    "optimised evaluation disagreed with naive evaluation; "
-                    "this indicates a bug in the optimiser rewrites"
-                )
-            optimized_peak = optimized.trace.peak_intermediate_cardinality
-            optimized_total = optimized.trace.total_intermediate_tuples
-        engine_peak_live: Optional[int] = None
-        if compare_engine:
-            engine = session.prepare(expression, backend="engine").execute()
-            if not engine.set_equal(naive):
-                raise AssertionError(
-                    "engine evaluation disagreed with naive evaluation; "
-                    "this indicates a bug in the streaming operators or planner"
-                )
-            engine_peak_live = engine.trace.peak_live_rows
+    naive, naive_trace = InstrumentedEvaluator().evaluate(expression, arguments)
+    optimized_peak: Optional[int] = None
+    optimized_total: Optional[int] = None
+    if compare_optimizer:
+        optimized, optimized_trace = OptimizedEvaluator().evaluate(
+            expression, arguments
+        )
+        if optimized != naive:
+            raise AssertionError(
+                "optimised evaluation disagreed with naive evaluation; "
+                "this indicates a bug in the optimiser rewrites"
+            )
+        optimized_peak = optimized_trace.peak_intermediate_cardinality
+        optimized_total = optimized_trace.total_intermediate_tuples
+    engine_peak_live: Optional[int] = None
+    if compare_engine:
+        with Session(
+            arguments, budget=engine_budget, workers=engine_workers
+        ) as session:
+            engine = session.prepare(expression).execute()
+        if engine.relation != naive:
+            raise AssertionError(
+                "engine evaluation disagreed with naive evaluation; "
+                "this indicates a bug in the streaming operators or planner"
+            )
+        engine_peak_live = engine.trace.peak_live_rows
     return BlowupMeasurement(
         label=label,
         input_cardinality=naive_trace.input_cardinality,

@@ -1,10 +1,11 @@
 """The unified public API: sessions, prepared queries, one trace.
 
-Four generations of evaluation APIs grew alongside the paper reproduction —
+Four evaluators grew alongside the paper reproduction —
 :func:`repro.expressions.evaluate`, the instrumented and optimising
 evaluators, and the streaming :class:`~repro.engine.evaluator.EngineEvaluator`
-with its budget/worker knobs — each with its own constructor, trace dialect,
-and caching story.  This package is the one front door over all of them:
+with its budget/worker knobs.  The first three are library code a caller
+runs directly; this package is the one front door that serves queries, and
+it serves them all from the engine:
 
 >>> import repro
 >>> from repro.algebra import Relation
@@ -18,29 +19,29 @@ and caching story.  This package is the one front door over all of them:
   single relation), the :class:`BackendConfig`, and the serving state every
   prepared query shares (pinned plans, memory budget, persistent worker
   pools, counters);
-* :meth:`Session.prepare` parses/validates/compiles **once** into a
+* :meth:`Session.prepare` parses/validates/plans **once** into a
   :class:`PreparedQuery`; ``execute()`` / ``explain()`` / ``trace()`` then
-  behave identically on every backend;
+  run the pinned plan;
 * :class:`QueryResult` and :class:`EvaluationTrace` (re-exported from
-  :mod:`repro.expressions`) are the backend-agnostic result and trace types;
+  :mod:`repro.expressions`) are the result and trace types, the trace
+  shared with the materialising evaluators;
 * :class:`ObserveConfig` (re-exported from :mod:`repro.obs`) switches on
   the observability layer — span tracing, the structured event log, and
   the session metrics registry (``BackendConfig(observe=...)``).
 
-``docs/API.md`` documents the facade, the backend matrix, and the
+``docs/API.md`` documents the facade, the library evaluators, and the
 prepared-plan/invalidation contract.
 """
 
 from ..expressions.evaluator import EvaluationTrace
 from ..obs.config import ObserveConfig
-from .config import BACKENDS, BackendConfig
-from .errors import SessionClosedError, SessionError, UnknownBackendError
+from .config import BackendConfig
+from .errors import SessionClosedError, SessionError
 from .prepared import PreparedQuery
 from .result import QueryResult
 from .session import Session, connect
 
 __all__ = [
-    "BACKENDS",
     "BackendConfig",
     "ObserveConfig",
     "Session",
@@ -50,5 +51,4 @@ __all__ = [
     "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
-    "UnknownBackendError",
 ]

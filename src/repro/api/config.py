@@ -1,11 +1,9 @@
 """Backend configuration for :class:`~repro.api.session.Session`.
 
-One frozen dataclass replaces four generations of constructor knobs: the
-evaluator to serve from (``backend``), the streaming engine's memory budget
-and parallelism, and the serving-side limits (how many persistent fork pools a
-session may keep warm).  A session holds exactly one config; individual
-:meth:`~repro.api.session.Session.prepare` calls may override the backend per
-query, which is how one session serves mixed query traffic.
+One frozen dataclass holds every knob of the streaming engine a session
+serves from: its memory budget and parallelism, the serving-side limits (how
+many persistent fork pools a session may keep warm), fault injection and
+observability.  A session holds exactly one config.
 """
 
 from __future__ import annotations
@@ -16,24 +14,15 @@ from typing import Optional, Union
 from ..engine.faults import FaultPlan
 from ..engine.physical import MemoryBudget
 from ..obs.config import Observer, ObserveConfig
-from .errors import SessionError, UnknownBackendError
+from .errors import SessionError
 
-__all__ = ["BACKENDS", "BackendConfig"]
-
-#: The evaluator backends a session can serve from, in generation order.
-BACKENDS = ("naive", "instrumented", "optimized", "engine")
+__all__ = ["BackendConfig"]
 
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Every knob of every evaluator generation, in one place.
+    """Every knob of the engine a session serves from, in one place.
 
-    ``backend``
-        Default evaluator for prepared queries: ``naive`` (materialise as
-        written, no trace steps), ``instrumented`` (naive + per-intermediate
-        trace), ``optimized`` (projection push-down + greedy join ordering),
-        or ``engine`` (streaming physical plans — the production path, and
-        the default).
     ``budget``
         Row budget for the engine's state (int or
         :class:`~repro.engine.physical.MemoryBudget`); hash joins spill to
@@ -47,7 +36,7 @@ class BackendConfig:
         forked workers — see ``docs/ENGINE.md``).
     ``faults``
         A :class:`~repro.engine.faults.FaultPlan` chaos schedule for the
-        engine backend: spill I/O failures, a worker kill.  The engine
+        engine: spill I/O failures, a worker kill.  The engine
         either recovers (retries, pool rebuild, loud serial fallback) or
         raises a typed
         :class:`~repro.engine.faults.EngineFaultError` — never a silent
@@ -65,7 +54,6 @@ class BackendConfig:
         log and metrics registry across a worker's session cache.
     """
 
-    backend: str = "engine"
     budget: Union[MemoryBudget, int, None] = None
     workers: int = 1
     max_pools: int = 8
@@ -73,12 +61,12 @@ class BackendConfig:
     observe: Union[Observer, ObserveConfig, bool, None] = None
 
     def __post_init__(self):
-        """Validate the backend name and knob ranges; coerce the budget."""
-        validate_backend(self.backend)
-        if self.workers < 1:
-            raise SessionError(f"workers must be >= 1, got {self.workers}")
-        if self.max_pools < 1:
-            raise SessionError(f"max_pools must be >= 1, got {self.max_pools}")
+        """Validate the knob types and ranges; coerce the budget."""
+        # ``type(...) is int``: a bool or a float count is refused, not run.
+        for name in ("workers", "max_pools"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise SessionError(f"{name} must be an integer >= 1, got {value!r}")
         coerced = MemoryBudget.coerce(self.budget)
         if coerced is not self.budget:
             object.__setattr__(self, "budget", coerced)
@@ -98,11 +86,3 @@ class BackendConfig:
         """A copy with ``changes`` applied (validated like the constructor)."""
         return replace(self, **changes)
 
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if supported, raise :class:`UnknownBackendError` otherwise."""
-    if backend not in BACKENDS:
-        raise UnknownBackendError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    return backend

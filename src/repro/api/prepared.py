@@ -6,10 +6,8 @@ and pins everything that does not change between executions of one query:
 * the validated expression (parsed once if it arrived as text);
 * the binding of operand names to the session's relations (re-validated
   lazily only after the session mutates a relation the query reads);
-* the backend-specific compiled artifact — the optimiser's pushed-down
-  rewrite here, the engine's :class:`~repro.engine.planner.PhysicalPlan` in
-  the session's evaluator, its single holder (the naive backends have
-  nothing to compile).
+* the engine's :class:`~repro.engine.planner.PhysicalPlan`, pinned in the
+  session's evaluator, its single holder.
 
 ``execute()`` then runs the pinned plan; the session's counters record a
 plan-cache hit for every execution that re-planned nothing, which is how the
@@ -34,7 +32,7 @@ __all__ = ["PreparedQuery"]
 
 
 class PreparedQuery:
-    """One query, prepared against one session's relations and backend.
+    """One query, prepared against one session's relations.
 
     Instances are created by :meth:`Session.prepare` (the constructor is not
     public API) and stay valid for the session's lifetime: executing after a
@@ -42,16 +40,12 @@ class PreparedQuery:
     after :meth:`Session.close` raises.
     """
 
-    def __init__(self, session: "Session", expression: Expression, backend: str):
+    def __init__(self, session: "Session", expression: Expression):
         self._session = session
         self.expression = expression
-        self.backend = backend
         self._lock = threading.Lock()
         self._bound: Dict[str, Relation] = {}
         self._versions: Dict[str, int] = {}
-        #: Backend artifact: the rewritten Expression (optimized); None for
-        #: the naive backends and for the engine, whose evaluator pins the plan.
-        self._artifact = None
         self._last_trace: Optional[EvaluationTrace] = None
         self._compile(count_build=True)
 
@@ -68,10 +62,9 @@ class PreparedQuery:
         session = self._session
         mapping, versions = session._resolve_bindings(self.expression)
         bound = bind_arguments(self.expression, mapping)
-        artifact = session._compile_for(self.backend, self.expression, bound)
+        session._engine.plan_for(self.expression, bound)
         self._bound = bound
         self._versions = versions
-        self._artifact = artifact
         if count_build:
             session._count("plan_builds")
 
@@ -86,7 +79,7 @@ class PreparedQuery:
                 # re-compile plans against the *new* relations' statistics
                 # (construction-is-invalidation: fresh relations carry fresh
                 # stats catalogs).
-                session._forget_backend_plan(self.backend, self.expression)
+                session._forget_engine_plan(self.expression)
                 self._compile(count_build=True)
             else:
                 session._count("plan_cache_hits")
@@ -120,19 +113,19 @@ class PreparedQuery:
         through the usual binding validation.
         """
         bound = self._merge_overrides(self._current_binding(), bindings)
-        relation, trace = self._session._execute_backend(
-            self.backend, self.expression, bound, self._artifact
-        )
+        relation, trace = self._session._execute_engine(self.expression, bound)
         self._last_trace = trace
         self._session._count("executes")
-        return QueryResult(relation=relation, trace=trace, backend=self.backend)
+        return QueryResult(relation=relation, trace=trace)
 
     def trace(self, **bindings: Relation) -> EvaluationTrace:
-        """Execute and return the evaluator's :class:`EvaluationTrace`.
+        """Execute and return the engine's :class:`EvaluationTrace`.
 
-        The same object ``execute().trace`` carries: the ``naive`` backend
-        is the walk untraced, so its ``steps`` are empty — prepare on
-        ``instrumented`` for the same intermediates, recorded.
+        The same object ``execute().trace`` carries: its ``steps`` are the
+        per-operator streamed cardinalities.  The paper's as-written
+        intermediates are
+        :class:`~repro.expressions.evaluator.InstrumentedEvaluator`'s, called
+        directly.
         """
         return self.execute(**bindings).trace
 
@@ -148,9 +141,7 @@ class PreparedQuery:
         session's ``observe`` config), and the recorded spans are folded into
         an :class:`repro.obs.ExplainAnalyzeReport` — per-operator wall time
         (inclusive and self), rows produced, kernel-counter deltas, plus the
-        plan/spill overhead spans.  Only the ``engine`` backend emits
-        operator spans; other backends return a report whose operator list is
-        empty and whose total is the wall time.
+        plan/spill overhead spans.
 
         The traced execution also updates :meth:`last_trace`, whose ``spans``
         carry the raw span list for custom analysis.
@@ -162,72 +153,42 @@ class PreparedQuery:
         bound = self._merge_overrides(self._current_binding(), bindings)
         tracer = Tracer()
         start = perf_counter()
-        relation, trace = self._session._execute_backend(
-            self.backend, self.expression, bound, self._artifact, tracer=tracer
+        relation, trace = self._session._execute_engine(
+            self.expression, bound, tracer=tracer
         )
         total = perf_counter() - start
         self._last_trace = trace
         self._session._count("executes")
         spans = trace.spans or tracer.finish()
-        return explain_report(
-            spans,
-            total_seconds=total,
-            backend=self.backend,
-            result_rows=len(relation),
-        )
+        return explain_report(spans, total_seconds=total, result_rows=len(relation))
 
     def explain(self) -> str:
-        """A human-readable account of how this backend runs the query."""
+        """A human-readable account of the engine plan that runs the query."""
         bound = self._current_binding()
-        expression_text = self.expression.to_text()
-        if self.backend == "engine":
-            # The pinned plan, or — forgotten since the last compile — the one
-            # execute() would build.
-            plan = self._session._engine.plan_for(self.expression, bound)
-            return (
-                f"backend: engine (streaming physical plan)\n"
-                f"expression: {expression_text}\n"
-                f"estimated result rows: {plan.est_rows:.1f}   "
-                f"estimated cost: {plan.est_cost:.1f}\n"
-                f"{plan.explain()}"
-            )
-        if self.backend == "optimized":
-            return (
-                f"backend: optimized (projection push-down + greedy join ordering)\n"
-                f"expression: {expression_text}\n"
-                f"rewritten:  {self._artifact.to_text()}"
-            )
-        detail = "records every intermediate" if self.backend == "instrumented" else "no trace steps"
+        # The pinned plan, or — forgotten since the last compile — the one
+        # execute() would build.
+        plan = self._session._engine.plan_for(self.expression, bound)
         return (
-            f"backend: {self.backend} (materialise as written; {detail})\n"
-            f"expression: {expression_text}\n"
-            f"operands: "
-            + ", ".join(
-                f"{name}[{len(relation)} tuples]" for name, relation in sorted(bound.items())
-            )
+            f"engine (streaming physical plan)\n"
+            f"expression: {self.expression.to_text()}\n"
+            f"estimated result rows: {plan.est_rows:.1f}   "
+            f"estimated cost: {plan.est_cost:.1f}\n"
+            f"{plan.explain()}"
         )
 
     def contains(self, candidate) -> bool:
         """Decide ``candidate ∈ result`` without asking for the full result.
 
-        On the engine backend this streams the pinned plan and stops at the
-        candidate's first occurrence
-        (:class:`~repro.decision.membership.EngineMembershipDecider`); the
-        materialising backends evaluate and test membership.
+        Streams the pinned plan and stops at the candidate's first
+        occurrence (:class:`~repro.decision.membership.EngineMembershipDecider`).
         """
-        bound = self._current_binding()
-        if self.backend == "engine":
-            from ..decision.membership import EngineMembershipDecider
+        from ..decision.membership import EngineMembershipDecider
 
-            decider = EngineMembershipDecider(evaluator=self._session._engine)
-            verdict = decider.decide(candidate, self.expression, bound)
-            self._session._count("executes")
-            return verdict
-        relation, _ = self._session._execute_backend(
-            self.backend, self.expression, bound, self._artifact
-        )
+        bound = self._current_binding()
+        decider = EngineMembershipDecider(evaluator=self._session._engine)
+        verdict = decider.decide(candidate, self.expression, bound)
         self._session._count("executes")
-        return candidate in relation
+        return verdict
 
     # -- introspection -------------------------------------------------
 
@@ -237,7 +198,4 @@ class PreparedQuery:
         return tuple(sorted(self._bound))
 
     def __repr__(self) -> str:
-        return (
-            f"PreparedQuery({self.expression.to_text()!r}, "
-            f"backend={self.backend!r})"
-        )
+        return f"PreparedQuery({self.expression.to_text()!r})"

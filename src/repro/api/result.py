@@ -1,8 +1,8 @@
 """The unified result of one prepared-query execution.
 
-Every backend returns the same thing: the result :class:`Relation`, the
-evaluator's own :class:`~repro.expressions.evaluator.EvaluationTrace`,
-and the name of the backend that served it.  The wrapper behaves like the
+A prepared query's execution returns the result :class:`Relation` and the
+engine's own :class:`~repro.expressions.evaluator.EvaluationTrace`.  The
+wrapper behaves like the
 relation for the common read paths (length, iteration, membership, equality
 against relations or other results), so callers migrating from
 ``evaluate(...) -> Relation`` rarely need to touch ``.relation`` at all.
@@ -22,11 +22,10 @@ __all__ = ["QueryResult"]
 
 @dataclass(frozen=True, eq=False, repr=False)
 class QueryResult:
-    """One execution's outcome: relation + trace + the backend that served it."""
+    """One execution's outcome: relation + trace."""
 
     relation: Relation
     trace: EvaluationTrace
-    backend: str
 
     @property
     def scheme(self) -> RelationScheme:
@@ -72,5 +71,5 @@ class QueryResult:
     def __repr__(self) -> str:
         return (
             f"QueryResult({len(self.relation)} tuples over "
-            f"{', '.join(self.scheme.names)}; backend={self.backend!r})"
+            f"{', '.join(self.scheme.names)})"
         )

@@ -33,13 +33,12 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from ..algebra.database import Database
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
-from ..expressions.evaluator import EvaluationTrace, left_fold_join, traced_walk
-from ..expressions.optimizer import OptimizedEvaluator, push_down_projections
+from ..expressions.evaluator import EvaluationTrace
 from ..expressions.parser import parse_expression
 from ..obs.config import Observer
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry, process_metrics
-from .config import BackendConfig, validate_backend
+from .config import BackendConfig
 from .errors import SessionClosedError, SessionError
 from .prepared import PreparedQuery
 from .result import QueryResult
@@ -64,15 +63,14 @@ _COUNTER_NAMES = (
 
 
 class Session:
-    """Serve prepared queries over one database from any evaluator backend.
+    """Serve prepared queries over one database from the streaming engine.
 
     ``database`` is a :class:`~repro.algebra.database.Database`, a plain
     ``{name: relation}`` mapping, or a bare :class:`Relation` (bound to every
     operand whose scheme it matches — the paper's single-relation
-    databases).  ``config`` carries the backend and its knobs; keyword
-    overrides (``backend=``, ``budget=``, ``workers=``, ...) are applied on
-    top of it, so ``Session(db, backend="engine", workers=4)`` needs no
-    explicit config object.
+    databases).  ``config`` carries the engine's knobs; keyword overrides
+    (``budget=``, ``workers=``, ...) are applied on top of it, so
+    ``Session(db, workers=4)`` needs no explicit config object.
 
     Sessions are context managers; :meth:`close` (idempotent) shuts down the
     engine's persistent worker pools.
@@ -102,14 +100,13 @@ class Session:
                 f"database must be a Database, a name->relation mapping, or "
                 f"a bare Relation, got {type(database).__name__}"
             )
-        self._registry: Dict[Tuple[Expression, str], PreparedQuery] = {}
+        self._registry: Dict[Expression, PreparedQuery] = {}
         self._counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
         self._closed = False
-        # Backend executors, created lazily and shared by every prepared
-        # query of this session (the engine evaluator carries the shared
-        # budget, worker pools, and pinned-plan dictionary).
+        # The engine evaluator, created lazily and shared by every prepared
+        # query of this session (it carries the shared budget, worker
+        # pools, and pinned-plan dictionary).
         self._engine_evaluator = None
-        self._optimized = OptimizedEvaluator()
         # Observability: the observer owns the event log and the metrics
         # registry; an unobserved session still keeps a registry so
         # Session.metrics() always has latency/throughput to show.
@@ -234,48 +231,38 @@ class Session:
 
     # -- preparing -----------------------------------------------------
 
-    def prepare(
-        self,
-        expression: Union[Expression, str],
-        backend: Optional[str] = None,
-    ) -> PreparedQuery:
-        """Parse/validate/compile once; return the pinned prepared query.
+    def prepare(self, expression: Union[Expression, str]) -> PreparedQuery:
+        """Parse/validate/plan once; return the pinned prepared query.
 
         ``expression`` is an AST or the textual syntax of
         :func:`repro.expressions.parse_expression` (operand schemes are
-        taken from the session's relations).  ``backend`` overrides the
-        session default for this query — one session serves mixed traffic.
-        Preparing a structurally identical (expression, backend) pair again
-        returns the *same* prepared query (a registry hit, not a re-plan).
+        taken from the session's relations).  Preparing a structurally
+        identical expression again returns the *same* prepared query (a
+        registry hit, not a re-plan).
         """
         self._ensure_open()
-        chosen = validate_backend(backend or self.config.backend)
         if isinstance(expression, str):
             expression = self._parse(expression)
-        key = (expression, chosen)
         with self._state_lock:
-            existing = self._registry.get(key)
+            existing = self._registry.get(expression)
             if existing is not None:
                 self._counters["registry_hits"] += 1
                 return existing
-        prepared = PreparedQuery(self, expression, chosen)
+        prepared = PreparedQuery(self, expression)
         with self._state_lock:
-            raced = self._registry.get(key)
+            raced = self._registry.get(expression)
             if raced is not None:
                 self._counters["registry_hits"] += 1
                 return raced
-            self._registry[key] = prepared
+            self._registry[expression] = prepared
             self._counters["prepares"] += 1
         return prepared
 
     def execute(
-        self,
-        expression: Union[Expression, str],
-        backend: Optional[str] = None,
-        **bindings: Relation,
+        self, expression: Union[Expression, str], **bindings: Relation
     ) -> QueryResult:
         """Prepare (registry-cached) and execute in one call."""
-        return self.prepare(expression, backend=backend).execute(**bindings)
+        return self.prepare(expression).execute(**bindings)
 
     def _parse(self, source: str) -> Expression:
         with self._state_lock:
@@ -296,7 +283,7 @@ class Session:
         with self._state_lock:
             return tuple(self._registry.values())
 
-    # -- backend dispatch ----------------------------------------------
+    # -- execution -----------------------------------------------------
 
     @property
     def _engine(self):
@@ -318,58 +305,37 @@ class Session:
                     self._engine_evaluator = engine
         return engine
 
-    def _compile_for(
-        self, backend: str, expression: Expression, bound: Mapping[str, Relation]
-    ):
-        """The backend's pinned artifact for one (expression, binding).
-
-        The engine's plan is built here but held by its evaluator alone.
-        """
-        if backend == "engine":
-            self._engine.plan_for(expression, bound)
-            return None
-        if backend == "optimized":
-            return push_down_projections(expression)
-        return None
-
-    def _forget_backend_plan(self, backend: str, expression: Expression) -> None:
+    def _forget_engine_plan(self, expression: Expression) -> None:
         """Drop a stale pinned plan so the next compile re-plans."""
-        if backend == "engine" and self._engine_evaluator is not None:
+        if self._engine_evaluator is not None:
             self._engine_evaluator.forget_plan(expression)
 
-    def forget_plan(
-        self,
-        expression: Union[Expression, str],
-        backend: Optional[str] = None,
-    ) -> None:
+    def forget_plan(self, expression: Union[Expression, str]) -> None:
         """Drop the pinned plan: the next execution of a prepared query over
-        ``expression`` re-plans from scratch.
-
-        ``backend`` defaults to the session's configured backend; only the
-        engine backend pins plans, so other backends are a no-op.
-        """
+        ``expression`` re-plans from scratch."""
         self._ensure_open()
-        chosen = validate_backend(backend or self.config.backend)
         if isinstance(expression, str):
             expression = self._parse(expression)
-        self._forget_backend_plan(chosen, expression)
+        self._forget_engine_plan(expression)
 
-    def _execute_backend(
+    def _execute_engine(
         self,
-        backend: str,
         expression: Expression,
         bound: Mapping[str, Relation],
-        artifact,
         tracer=None,
     ) -> Tuple[Relation, EvaluationTrace]:
+        """Run the engine and observe the execution; the trace is uncopied."""
         start = perf_counter()
-        relation, trace = self._dispatch_backend(
-            backend, expression, bound, artifact, tracer
-        )
-        self._observe_execution(backend, perf_counter() - start, trace)
+        relation, trace = self._engine.evaluate(expression, bound, tracer=tracer)
+        if trace.serial_fallbacks:
+            # Parallel-to-serial degradations are serving events: surface
+            # them next to the prepare/invalidation counters.
+            with self._state_lock:
+                self._counters["serial_fallbacks"] += trace.serial_fallbacks
+        self._observe_execution(perf_counter() - start, trace)
         return relation, trace
 
-    def _observe_execution(self, backend, seconds, trace) -> None:
+    def _observe_execution(self, seconds, trace) -> None:
         """Feed one execution into the session's metrics registry."""
         metrics = self._metrics
         metrics.histogram(
@@ -393,34 +359,6 @@ class Session:
             "repro_last_peak_memory_rows",
             help="peak resident rows of the most recent execution",
         ).set(trace.peak_memory_rows)
-
-    def _dispatch_backend(
-        self,
-        backend: str,
-        expression: Expression,
-        bound: Mapping[str, Relation],
-        artifact,
-        tracer=None,
-    ) -> Tuple[Relation, EvaluationTrace]:
-        """Run one backend; the trace is the evaluator's own object, uncopied."""
-        if backend == "engine":
-            relation, trace = self._engine.evaluate(expression, bound, tracer=tracer)
-            if trace.serial_fallbacks:
-                # Parallel-to-serial degradations are serving events: surface
-                # them next to the prepare/invalidation counters.
-                with self._state_lock:
-                    self._counters["serial_fallbacks"] += trace.serial_fallbacks
-            return relation, trace
-        if backend == "optimized":
-            return self._optimized.evaluate(expression, bound, rewritten=artifact)
-        # naive and instrumented are one walk; only the latter records steps.
-        return traced_walk(
-            backend,
-            expression,
-            bound,
-            left_fold_join,
-            record_steps=backend == "instrumented",
-        )
 
     # -- counters ------------------------------------------------------
 
@@ -472,7 +410,7 @@ class Session:
         else:
             held = f"{len(self._relations)} relation(s)"
         return (
-            f"Session({held}, backend={self.config.backend!r}, "
+            f"Session({held}, "
             f"{len(self._registry)} prepared quer"
             f"{'y' if len(self._registry) == 1 else 'ies'})"
         )
@@ -483,7 +421,7 @@ def connect(database: DatabaseLike, **overrides) -> Session:
 
     The one-line entry point the docs use::
 
-        with repro.connect({"R": r, "S": s}, backend="engine", workers=4) as db:
+        with repro.connect({"R": r, "S": s}, workers=4) as db:
             rows = db.execute("project[A](R * S)")
     """
     return Session(database, **overrides)

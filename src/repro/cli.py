@@ -265,7 +265,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
         expression = construction.expression
         with Session(
             construction.relation,
-            backend="engine",
             budget=arguments.memory_budget,
             workers=arguments.workers,
         ) as session:
@@ -342,7 +341,6 @@ def _observed_paper_session(arguments: argparse.Namespace, observe):
     expression = construction.expression
     session = Session(
         construction.relation,
-        backend="engine",
         budget=arguments.memory_budget,
         workers=getattr(arguments, "workers", 1),
         observe=observe,

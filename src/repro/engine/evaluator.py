@@ -418,7 +418,7 @@ class EngineEvaluator:
             root = plan.executor(bound, meter)
             rows = drain_metered(root, meter, span=True)
             result = Relation._from_trusted(root.scheme, frozenset(rows))
-            operators = self._record_steps(plan, bound, root, trace)
+            operators = self._record_serial_steps(plan, bound, root, trace)
             trace.peak_live_rows = meter.peak
             trace.peak_build_rows = max(operator.build_peak_rows for operator in operators)
 
@@ -515,7 +515,7 @@ class EngineEvaluator:
                 return None
 
     @staticmethod
-    def _record_steps(
+    def _record_serial_steps(
         plan: PhysicalPlan,
         bound: Mapping[str, Relation],
         root: PhysicalOperator,

@@ -430,7 +430,7 @@ class PhysicalPlan:
     minimized: Optional[Expression] = None
     #: What traces record of each operator that never changes between
     #: executions — label, kind, width — keyed by the executing tree's shape
-    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
+    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_serial_steps`).
     step_meta: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property

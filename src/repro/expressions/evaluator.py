@@ -157,17 +157,17 @@ class TraceStep:
 
 @dataclass
 class EvaluationTrace:
-    """The one description of an evaluation, identical in shape on every backend.
+    """The one description of an evaluation, identical in shape for every evaluator.
 
-    ``steps`` are materialised intermediates for the materialising backends
-    and per-operator *streamed* cardinalities for the engine (the engine
-    materialises nothing); the untraced ``naive`` backend leaves them empty.
+    ``steps`` are materialised intermediates for the materialising
+    evaluators and per-operator *streamed* cardinalities for the engine
+    (the engine materialises nothing).
     """
 
     steps: List[TraceStep] = field(default_factory=list)
     result_cardinality: int = 0
     input_cardinality: int = 0
-    #: The evaluator that produced the trace (``naive`` / ``instrumented`` /
+    #: The evaluator that produced the trace (``instrumented`` /
     #: ``optimized`` / ``engine``), stamped by that evaluator.
     backend: str = ""
     #: Kernel counter deltas accumulated during the evaluation (plan cache
@@ -217,12 +217,12 @@ class EvaluationTrace:
 
     @property
     def peak_memory_rows(self) -> int:
-        """Rows resident at the worst moment, in the backend's own accounting.
+        """Rows resident at the worst moment, in the evaluator's own accounting.
 
         The streaming engine meters residency directly (``peak_live_rows``);
         the materialising evaluators' analogue is their largest materialised
         intermediate.  This is the one number the blow-up analyses compare
-        across backends.
+        across evaluators.
 
         The dispatch branches on :attr:`backend`, not on truthiness: an
         engine evaluation whose residency peak really was 0 (e.g. empty
@@ -281,13 +281,11 @@ def traced_walk(
     arguments: ArgumentLike,
     join_parts: JoinParts,
     rewritten: Optional[Expression] = None,
-    record_steps: bool = True,
 ) -> Tuple[Relation, EvaluationTrace]:
-    """Bind, :func:`walk` (``rewritten`` if given), and describe the evaluation.
+    """Bind, :func:`walk` (``rewritten`` if given), and trace every intermediate.
 
-    The trace always carries ``backend``, the cardinalities and the kernel
-    counter delta; ``record_steps=False`` walks with ``trace=None``, which is
-    the whole of the ``naive`` backend.
+    The trace carries ``backend``, every step, the cardinalities and the
+    kernel counter delta.
     """
     bound = bind_arguments(expression, arguments)
     trace = EvaluationTrace(backend=backend)
@@ -295,7 +293,7 @@ def traced_walk(
     counters = kernel_counters()
     before = counters.snapshot()
     node = expression if rewritten is None else rewritten
-    result = walk(node, bound, join_parts, trace if record_steps else None)
+    result = walk(node, bound, join_parts, trace)
     trace.counters = counters.delta_since(before)
     trace.result_cardinality = len(result)
     return result, trace

@@ -103,22 +103,15 @@ class OptimizedEvaluator:
         self._estimator: SizeEstimator = estimator or estimate_join_size
 
     def evaluate(
-        self,
-        expression: Expression,
-        arguments: ArgumentLike,
-        rewritten: Optional[Expression] = None,
+        self, expression: Expression, arguments: ArgumentLike
     ) -> Tuple[Relation, EvaluationTrace]:
-        """Evaluate and return ``(result, trace)``.
-
-        ``rewritten`` lets a caller that evaluates one expression many times
-        (the :class:`repro.api.Session` facade's prepared queries) pass the
-        :func:`push_down_projections` rewrite computed once at preparation;
-        without it the rewrite runs per call.
-        """
-        if rewritten is None:
-            rewritten = push_down_projections(expression)
+        """Evaluate and return ``(result, trace)``."""
         return traced_walk(
-            "optimized", expression, arguments, self._join_greedily, rewritten
+            "optimized",
+            expression,
+            arguments,
+            self._join_greedily,
+            push_down_projections(expression),
         )
 
     def _join_greedily(

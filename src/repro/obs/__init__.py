@@ -1,8 +1,8 @@
 """Observability for the serving path: spans, metrics, events, exporters.
 
-``repro.obs`` is the instrumentation tier that the evaluator backends,
-the :class:`repro.api.Session` facade, and (eventually) the networked
-serving tier report into.  It is organised as four small layers:
+``repro.obs`` is the instrumentation tier that the engine, the
+:class:`repro.api.Session` facade, and the networked serving tier report
+into.  It is organised as four small layers:
 
 ``repro.obs.tracer``
     Span-based execution tracing.  A :class:`Tracer` wraps physical

@@ -41,7 +41,6 @@ class ExplainAnalyzeReport:
     number.  ``str(report)`` renders the human-readable tree.
     """
 
-    backend: str
     total_seconds: float
     attributed_seconds: float
     result_rows: int
@@ -58,7 +57,7 @@ class ExplainAnalyzeReport:
 
     def __str__(self) -> str:
         lines = [
-            "EXPLAIN ANALYZE (%s)" % self.backend,
+            "EXPLAIN ANALYZE (engine)",
             "total %.6fs · operators %.6fs (%.1f%% attributed) · %d rows out"
             % (
                 self.total_seconds,
@@ -80,8 +79,6 @@ class ExplainAnalyzeReport:
                         timing.rows,
                     )
                 )
-        else:
-            lines.append("(no operator spans — tracing is engine-backend only)")
         if self.others:
             parts = [
                 "%s ×%d %.6fs" % (kind, stats["count"], stats["seconds"])
@@ -94,7 +91,6 @@ class ExplainAnalyzeReport:
 def explain_report(
     spans: List[Span],
     total_seconds: float,
-    backend: str = "engine",
     result_rows: int = 0,
 ) -> ExplainAnalyzeReport:
     """Assemble an :class:`ExplainAnalyzeReport` from spans + wall time."""
@@ -140,7 +136,6 @@ def explain_report(
         stats["count"] += 1
         stats["seconds"] += span.seconds
     return ExplainAnalyzeReport(
-        backend=backend,
         total_seconds=total_seconds,
         attributed_seconds=operator_roots,
         result_rows=result_rows,

@@ -60,7 +60,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..algebra.errors import AlgebraError
 from ..algebra.relation import Relation
-from ..api.config import BACKENDS, BackendConfig
+from ..api.config import BackendConfig
 from ..engine.physical import MemoryBudget
 from ..obs.config import Observer, ObserveConfig
 from ..obs.export import merge_collected, render_prometheus
@@ -111,7 +111,6 @@ _CLIENT_FAULT_ERRORS = frozenset(
         "ExpressionError",
         "SchemeError",
         "SessionError",
-        "UnknownBackendError",
     }
 )
 
@@ -134,7 +133,7 @@ class ServerConfig:
     ``total_budget_rows`` / ``default_request_rows``
         The shared :class:`~repro.server.budget.BudgetScheduler` pool —
         ``None`` total means unlimited (leases are only accounted).
-    ``backend`` / ``session_budget`` / ``engine_workers``
+    ``session_budget`` / ``engine_workers``
         The base :class:`~repro.api.BackendConfig` every worker session
         is derived from; per-request overrides replace the budget/worker
         fields per session-cache entry.
@@ -160,7 +159,6 @@ class ServerConfig:
     max_inflight: int = 16
     total_budget_rows: Optional[int] = None
     default_request_rows: Optional[int] = None
-    backend: str = "engine"
     session_budget: Union[MemoryBudget, int, None] = None
     engine_workers: int = 1
     events_dir: Optional[str] = None
@@ -169,15 +167,17 @@ class ServerConfig:
     request_timeout_seconds: Optional[float] = None
 
     def __post_init__(self):
-        """Validate the serving-side knobs (backend is checked downstream)."""
-        if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.result_cache_size < 0:
-            raise ValueError(
-                f"result_cache_size must be >= 0, got {self.result_cache_size}"
-            )
+        """Validate the serving-side knobs (the session ones are checked
+        by :class:`~repro.api.BackendConfig`)."""
+        # ``type(...) is int``: a bool or a float count is refused, not run.
+        for name, least in (
+            ("pool_size", 1),
+            ("max_inflight", 1),
+            ("result_cache_size", 0),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if (
             self.request_timeout_seconds is not None
             and self.request_timeout_seconds <= 0
@@ -216,7 +216,6 @@ class ReproServer:
             base = base.override(**overrides)
         self.config = base
         self._backend_config = BackendConfig(
-            backend=base.backend,
             budget=base.session_budget,
             workers=base.engine_workers,
             observe=ObserveConfig(trace=base.trace),
@@ -473,12 +472,14 @@ class ReproServer:
         """The result-cache key of a validated query, ``None`` without a cache."""
         if self._cache is None:
             return None
+        # An absent budget or workers keys as the value the execution
+        # runs with, so an explicit default shares the absent one's entry.
         budget = message["budget_request"]
+        workers = message["workers"]
         return (
             message["query"],
-            message["backend"],
             budget if budget is not None else self._scheduler.default_request_rows,
-            message["workers"],
+            workers if workers is not None else self.config.engine_workers,
             message["count_only"],
         )
 
@@ -567,10 +568,11 @@ class ReproServer:
         query = payload.get("query")
         if not isinstance(query, str) or not query.strip():
             raise BadRequestError('the "query" field must be a non-empty string')
-        backend = payload.get("backend")
-        if backend is not None and backend not in BACKENDS:
+        if "backend" in payload:
+            # Refused, not ignored: a client picking an evaluator must not be
+            # answered as if its choice had been honoured.
             raise BadRequestError(
-                f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+                'the "backend" field was removed: every query runs on the engine'
             )
         # ``type(...) is int``: a JSON ``true`` decodes to ``True``, an int.
         budget = payload.get("budget")
@@ -582,7 +584,6 @@ class ReproServer:
         return {
             "op": "query",
             "query": query,
-            "backend": backend,
             "workers": workers,
             "count_only": bool(payload.get("count_only")),
             "budget_request": budget,

@@ -193,8 +193,7 @@ class _WorkerRuntime:
         start = perf_counter()
         session = self._session_for(message.get("budget"), message.get("workers"))
         expression = self._expression_for(session, message["query"])
-        prepared = session.prepare(expression, backend=message.get("backend"))
-        result = prepared.execute()
+        result = session.prepare(expression).execute()
         elapsed = perf_counter() - start
         names = sorted(expression.operand_schemes())
         trace = result.trace
@@ -208,7 +207,6 @@ class _WorkerRuntime:
         response: Dict[str, Any] = {
             "ok": True,
             "worker": self.index,
-            "backend": result.backend,
             "columns": list(result.scheme.names),
             "versions": {name: self._versions.get(name) for name in names},
             "rowcount": len(result),

@@ -62,6 +62,36 @@ class TestBlowupMeasurement:
         assert measurement.naive_peak > measurement.output_cardinality
         assert measurement.naive_peak > measurement.input_cardinality
 
+    def test_e9_rows_are_pinned(self):
+        """``benchmarks/results/E9.txt``'s table, exactly: input, output,
+        naive peak, optimized peak and engine live rows of ``project[S](φ_G)``
+        on the growing family, m = 3..6."""
+        from repro.reductions import RGConstruction
+        from repro.workloads import growing_construction_family
+
+        rows = []
+        for case in growing_construction_family(clause_counts=(3, 4, 5, 6)):
+            construction = RGConstruction(case.formula)
+            query = Projection([construction.s_attribute], construction.expression)
+            measurement = analyze_blowup(
+                query, construction.relation, label=case.label, compare_engine=True
+            )
+            rows.append(
+                (
+                    measurement.input_cardinality,
+                    measurement.output_cardinality,
+                    measurement.naive_peak,
+                    measurement.optimized_peak,
+                    measurement.engine_peak_live,
+                )
+            )
+        assert rows == [
+            (22, 2, 111, 22, 2),
+            (29, 2, 107, 37, 2),
+            (36, 2, 188, 64, 2),
+            (43, 2, 183, 108, 2),
+        ]
+
 
 class TestStatistics:
     def test_geometric_mean(self):

@@ -2,10 +2,10 @@
 
 Four layers:
 
-* **Contract** — prepare parses/validates/compiles once (registry hits on
-  re-prepare, plan-cache hits on re-execute), every backend serves the same
-  results behind one ``QueryResult`` / ``EvaluationTrace`` shape, and the
-  config/binding error paths fail loudly.
+* **Contract** — prepare parses/validates/plans once (registry hits on
+  re-prepare, plan-cache hits on re-execute), the engine session and the
+  three materialising evaluators called directly return the same results,
+  and the config/binding error paths fail loudly.
 * **Invalidation** — replacing a relation (construction-is-invalidation)
   makes exactly the prepared queries that read it re-bind and re-plan on
   their next execution; everything else keeps its pinned plan.
@@ -13,7 +13,7 @@ Four layers:
   concurrently across a shared budget/worker configuration, with per-query
   results pinned to the seed reference implementation and the counters
   proving no re-planning happened in the steady state.
-* **Traces** — every backend hands back the evaluator's own
+* **Traces** — every traced evaluator hands back its own
   ``EvaluationTrace``, uncopied, and it survives deepcopy and pickle.
 """
 
@@ -28,7 +28,6 @@ import repro
 from repro.algebra import Relation, naive_natural_join, naive_project
 from repro.algebra.database import Database
 from repro.api import (
-    BACKENDS,
     BackendConfig,
     EvaluationTrace,
     PreparedQuery,
@@ -36,11 +35,13 @@ from repro.api import (
     Session,
     SessionClosedError,
     SessionError,
-    UnknownBackendError,
     connect,
 )
 from repro.engine.physical import MemoryBudget
+from repro.expressions import InstrumentedEvaluator
 from repro.expressions.ast import ExpressionError, Join, Operand, Projection
+
+from evaluators import EVALUATORS, TRACED_EVALUATORS, run_evaluator
 
 
 def _reference(expression, bound):
@@ -90,16 +91,25 @@ class TestSessionContract:
         assert session.stats()["prepares"] == 1
         assert session.stats()["registry_hits"] == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVALUATORS)
     def test_every_backend_matches_the_seed_reference(self, session, relations, backend):
-        prepared = session.prepare(QUERY_TEXT, backend=backend)
-        result = prepared.execute()
-        expression = prepared.expression
+        relation, _trace = run_evaluator(backend, session, QUERY_TEXT)
+        expression = session.prepare(QUERY_TEXT).expression
         reference = _reference(expression, relations)
-        assert result.set_equal(reference)
-        assert result.backend == backend
+        assert relation == reference
+        assert len(relation) == len(reference)
+
+    def test_execute_returns_a_query_result(self, session, relations):
+        result = session.prepare(QUERY_TEXT).execute()
         assert isinstance(result, QueryResult)
-        assert len(result) == len(reference)
+        assert result.trace.backend == "engine"
+
+    def test_an_operand_named_backend_binds_through_execute(self):
+        relation = Relation.from_rows("A B", [(1, "x"), (2, "y")], name="backend")
+        with Session({"backend": relation}) as session:
+            override = Relation.from_rows("A B", [(7, "z")], name="backend")
+            result = session.execute("project[A](backend)", backend=override)
+        assert sorted(result.relation.rows) == [(7,)]
 
     def test_repeated_execute_hits_the_plan_cache(self, session):
         prepared = session.prepare(QUERY_TEXT)
@@ -140,31 +150,30 @@ class TestSessionContract:
         with pytest.raises(ExpressionError):
             prepared.execute(R=wrong)
 
-    def test_prepare_rejects_unknown_operands_and_backends(self, session):
+    def test_prepare_rejects_unknown_operands(self, session):
         with pytest.raises(SessionError, match="no relation named"):
             session.prepare(
                 Projection(["Z"], Operand("T", Relation.from_rows("Z", [(1,)]).scheme))
             )
-        with pytest.raises(UnknownBackendError):
-            session.prepare(QUERY_TEXT, backend="turbo")
-        with pytest.raises(UnknownBackendError):
-            BackendConfig(backend="turbo")
 
-    def test_explain_names_the_backend_everywhere(self, session):
-        for backend in BACKENDS:
-            text = session.prepare(QUERY_TEXT, backend=backend).explain()
-            assert text.startswith(f"backend: {backend}")
-            assert "project[A, C](R * S)" in text
-        assert "hash join" in session.prepare(QUERY_TEXT, backend="engine").explain()
-        assert "rewritten" in session.prepare(QUERY_TEXT, backend="optimized").explain()
+    def test_explain_shows_the_engine_plan(self, session):
+        text = session.prepare(QUERY_TEXT).explain()
+        assert text.startswith("engine (streaming physical plan)")
+        assert "project[A, C](R * S)" in text
+        assert "hash join" in text
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EVALUATORS)
     def test_contains_is_backend_agnostic(self, session, relations, backend):
-        prepared = session.prepare(QUERY_TEXT, backend=backend)
+        prepared = session.prepare(QUERY_TEXT)
         reference = _reference(prepared.expression, relations)
         inside = next(iter(reference))
-        assert prepared.contains(inside)
-        assert not prepared.contains(("no-such", "tuple"))
+        if backend == "engine":
+            assert prepared.contains(inside)
+            assert not prepared.contains(("no-such", "tuple"))
+        else:
+            relation, _trace = run_evaluator(backend, session, QUERY_TEXT)
+            assert inside in relation
+            assert ("no-such", "tuple") not in relation
 
     def test_closed_session_refuses_everything(self, relations):
         session = Session(relations)
@@ -202,6 +211,15 @@ class TestSessionContract:
             BackendConfig(workers=0)
         with pytest.raises(SessionError):
             BackendConfig(max_pools=0)
+        # Counts are ints: a float or a bool is refused, not run.
+        for knobs in (
+            {"workers": 2.5},
+            {"workers": True},
+            {"workers": "2"},
+            {"max_pools": 2.5},
+        ):
+            with pytest.raises(SessionError):
+                BackendConfig(**knobs)
         config = BackendConfig(budget=64)
         assert isinstance(config.budget, MemoryBudget)
         assert config.override(workers=2).workers == 2
@@ -231,7 +249,7 @@ class TestInvalidation:
         assert stats["plan_builds"] == 3
 
     def test_mutation_installs_fresh_statistics(self, session):
-        prepared = session.prepare(QUERY_TEXT, backend="engine")
+        prepared = session.prepare(QUERY_TEXT)
         prepared.execute()
         replacement = Relation.from_rows(
             "A B", [(i, "x") for i in range(50)], name="R"
@@ -306,12 +324,7 @@ class TestConcurrentServing:
             rows=64, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
         )
         rounds = 3
-        with Session(
-            relations,
-            backend="engine",
-            budget=budget,
-            workers=2,
-        ) as session:
+        with Session(relations, budget=budget, workers=2) as session:
             prepared = [session.prepare(query) for query in queries]
             assert len(prepared) >= 8
             failures = []
@@ -347,29 +360,36 @@ class TestConcurrentServing:
         relations, queries = _serving_workload()
         with Session(relations) as session:
             for index, query in enumerate(queries[:8]):
-                backend = BACKENDS[index % len(BACKENDS)]
-                result = session.prepare(query, backend=backend).execute()
-                assert result.set_equal(_reference(query, relations)), backend
+                backend = EVALUATORS[index % len(EVALUATORS)]
+                relation, _trace = run_evaluator(backend, session, query)
+                assert relation == _reference(query, relations), backend
 
 
 class TestOneTrace:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_verb_returns_the_evaluators_own_trace(self, session, backend):
-        prepared = session.prepare(QUERY_TEXT, backend=backend)
+    def test_every_verb_returns_the_evaluators_own_trace(self, session):
+        prepared = session.prepare(QUERY_TEXT)
         result = prepared.execute()
         assert prepared.last_trace() is result.trace
         traced = prepared.trace()
         assert prepared.last_trace() is traced
         for trace in (result.trace, traced):
-            assert type(trace) is EvaluationTrace
-            assert trace.backend == backend
-            assert trace.result_cardinality == len(result)
-            assert trace.input_cardinality == 7
-            assert isinstance(trace.counters, dict)
-            # naive is the walk untraced; every other backend records steps.
-            assert bool(trace.steps) == (backend != "naive")
-            assert (trace.peak_memory_rows > 0) == (backend != "naive")
-            assert trace.summary()["peak_memory_rows"] == float(trace.peak_memory_rows)
+            self._assert_trace_shape(trace, "engine", len(result))
+
+    @pytest.mark.parametrize("backend", TRACED_EVALUATORS)
+    def test_every_traced_evaluator_describes_its_run(self, session, backend):
+        relation, trace = run_evaluator(backend, session, QUERY_TEXT)
+        self._assert_trace_shape(trace, backend, len(relation))
+
+    @staticmethod
+    def _assert_trace_shape(trace, backend, result_rows):
+        assert type(trace) is EvaluationTrace
+        assert trace.backend == backend
+        assert trace.result_cardinality == result_rows
+        assert trace.input_cardinality == 7
+        assert isinstance(trace.counters, dict)
+        assert trace.steps
+        assert trace.peak_memory_rows > 0
+        assert trace.summary()["peak_memory_rows"] == float(trace.peak_memory_rows)
 
     def test_the_engine_trace_is_the_object_the_evaluator_returned(self, session):
         engine = session._engine
@@ -382,13 +402,13 @@ class TestOneTrace:
             return outcome
 
         engine.evaluate = spy
-        result = session.prepare(QUERY_TEXT, backend="engine").execute()
+        result = session.prepare(QUERY_TEXT).execute()
         assert [result.trace] == returned
         assert result.trace is returned[0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", TRACED_EVALUATORS)
     def test_deepcopy_and_pickle_preserve_every_field(self, session, backend):
-        trace = session.prepare(QUERY_TEXT, backend=backend).trace()
+        _relation, trace = run_evaluator(backend, session, QUERY_TEXT)
         for clone in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
             assert clone is not trace
             assert clone == trace  # dataclass equality: every field
@@ -396,22 +416,15 @@ class TestOneTrace:
             assert clone.summary() == trace.summary()
 
     def test_engine_trace_reports_live_rows_not_materialised_peaks(self, session):
-        engine = session.prepare(QUERY_TEXT, backend="engine").trace()
-        materialising = session.prepare(QUERY_TEXT, backend="instrumented").trace()
+        engine = session.prepare(QUERY_TEXT).trace()
+        _relation, materialising = InstrumentedEvaluator().evaluate(
+            session.prepare(QUERY_TEXT).expression, session.relations
+        )
         assert engine.peak_live_rows > 0
         assert materialising.peak_live_rows == 0
         assert materialising.peak_memory_rows == (
             materialising.peak_intermediate_cardinality
         )
-
-    def test_naive_is_the_instrumented_walk_untraced(self, session):
-        naive = session.prepare(QUERY_TEXT, backend="naive").execute()
-        instrumented = session.prepare(QUERY_TEXT, backend="instrumented").execute()
-        assert naive.trace.steps == []
-        assert instrumented.trace.steps
-        assert naive.set_equal(instrumented)
-        assert naive.trace.result_cardinality == len(naive)
-        assert naive.trace.input_cardinality == instrumented.trace.input_cardinality
 
     def test_last_trace_tracks_the_most_recent_execution(self, session):
         prepared = session.prepare(QUERY_TEXT)
@@ -471,7 +484,7 @@ class TestReviewRegressions:
         budget = MemoryBudget(
             rows=8, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
         )
-        with Session({"R": heavy, "S": wide}, backend="engine", budget=budget) as session:
+        with Session({"R": heavy, "S": wide}, budget=budget) as session:
             prepared = session.prepare("project[A, C](R * S)")
             reference = _reference(
                 prepared.expression, {"R": heavy, "S": wide}
@@ -518,8 +531,7 @@ class TestReviewRegressions:
         finally:
             evaluator.close()
 
-    def test_trace_rejects_unknown_override_names_on_every_backend(self, session, relations):
-        for backend in BACKENDS:
-            prepared = session.prepare(QUERY_TEXT, backend=backend)
-            with pytest.raises(SessionError, match="operands"):
-                prepared.trace(Enrolment=relations["R"])
+    def test_trace_rejects_unknown_override_names(self, session, relations):
+        prepared = session.prepare(QUERY_TEXT)
+        with pytest.raises(SessionError, match="operands"):
+            prepared.trace(Enrolment=relations["R"])

@@ -382,7 +382,7 @@ class TestRunOfOneKernel:
         assert source.count(f": [{row} for ") == 2, source
 
     def test_a_planned_projection_over_a_join_is_folded_and_inner_joins_are_not(self):
-        with Session(serving_relations(), backend="engine") as session:
+        with Session(serving_relations()) as session:
             plan = session._engine.plan_for(
                 session.prepare(HEAVY_QUERY).expression, session._relations
             )
@@ -400,7 +400,7 @@ class TestRunOfOneKernel:
         formula = growing_construction_family(clause_counts=(3,), seed=13)[0].formula
         construction = RGConstruction(formula)
         query = construction.pair_projection_expression().to_text()
-        with Session({"R": construction.relation}, backend="engine") as session:
+        with Session({"R": construction.relation}) as session:
             root = session._engine.plan_for(
                 session.prepare(query).expression, session._relations
             ).root
@@ -421,7 +421,7 @@ class TestRunOfOneKernel:
         ``[A, C, D]``), and every run of one emits the row its join emitted
         before runs existed, but for one: the list that is two whole
         variables, ``project[A, C, D]``'s top join, concatenates them."""
-        with Session(serving_relations(), backend="engine") as session:
+        with Session(serving_relations()) as session:
             for text in serving_queries():
                 query = session.prepare(text)
                 steps = query.execute().trace.steps
@@ -592,7 +592,7 @@ def test_executing_a_pinned_plan_compiles_nothing():
     it: an execute neither builds kernel source nor misses a plan cache."""
     chains = []
     for relations, queries in _pinned_sessions():
-        with Session(relations, backend="engine") as session:
+        with Session(relations) as session:
             prepared = [session.prepare(query) for query in queries]
             expected = [query.execute().relation for query in prepared]
             chains += [
@@ -623,7 +623,7 @@ def test_the_join_100k_runs_emit_their_pinned_rows():
     (every join ``build=right``, ``S`` first); ``project[G, K]``'s two-join
     run emits two whole one-column entries, concatenated: ``e1 + e2``, at
     the cost of ``(e1[0], e2[0],)`` (``docs/PERFORMANCE.md``)."""
-    with Session(_join_100k_slice(rows=6_000), backend="engine") as session:
+    with Session(_join_100k_slice(rows=6_000)) as session:
         plans = [
             session._engine.plan_for(session.prepare(query).expression, session._relations)
             for query in JOIN_100K_QUERIES
@@ -777,9 +777,9 @@ class TestRootProjectionDedupsIntoTheResultSet:
     @pytest.mark.parametrize("budget", [64, 256])
     def test_budgeted_root_never_spills_a_seen_set(self, budget):
         relations = serving_relations(rows=200)
-        with Session(relations, backend="engine") as roomy:
+        with Session(relations) as roomy:
             expected = roomy.execute(HEAVY_QUERY)
-        with Session(relations, backend="engine", budget=budget) as tight:
+        with Session(relations, budget=budget) as tight:
             result = tight.execute(HEAVY_QUERY)
         assert result.set_equal(expected) and len(result) == 5_978
         counters = result.trace.counters

@@ -235,7 +235,7 @@ def test_a_pinned_plan_holds_no_sample(key):
 def test_a_relations_sample_is_drawn_once_and_again_only_for_new_rows():
     construction = RGConstruction(_m12())
     query, relation = construction.expression, construction.relation
-    with Session({"R": relation}, backend="engine") as session:
+    with Session({"R": relation}) as session:
         before = kernel_counters().snapshot()
         session.prepare(query).execute()
         assert _sample_delta(before)[0] == 1

@@ -537,7 +537,7 @@ def test_a_served_query_replans_measured_when_its_key_turns_skewed():
     prepared query over the uniform relations re-plans on the skewed ones
     it is rebound to, and the re-plan measures ``B``."""
     uniform, skewed = _trial_relations(skewed=False), _trial_relations()
-    with Session(uniform, backend="engine") as session:
+    with Session(uniform) as session:
         prepared = session.prepare("project[A, D](R * S * T)")
         before = prepared.execute()
         assert (before.trace.total_intermediate_tuples, len(before)) == (28_800, 400)

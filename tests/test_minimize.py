@@ -16,8 +16,8 @@ here:
 * **no search where nothing folds** — ``φ_G``, ``π_Y(φ_G)``, the serving
   queries and the ``join_100k`` queries come back as the very object passed
   in, without one homomorphism search;
-* **as written elsewhere** — the ``instrumented`` and ``optimized`` backends
-  still evaluate the written expression (E9's sizes);
+* **as written elsewhere** — ``InstrumentedEvaluator`` and
+  ``OptimizedEvaluator`` still evaluate the written expression (E9's sizes);
 * **AST hashes are computed once** — and equal the recursive hash.
 """
 
@@ -29,7 +29,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.algebra import Relation, RelationScheme, naive_project
 from repro.api import Session
-from repro.expressions import Join, Operand, Projection, parse_expression
+from repro.expressions import (
+    InstrumentedEvaluator,
+    Join,
+    Operand,
+    OptimizedEvaluator,
+    Projection,
+    parse_expression,
+)
 from repro.reductions.rg import RGConstruction
 from repro.tableaux import (
     Constant,
@@ -106,7 +113,7 @@ def test_minimized_expressions_are_equivalent_and_never_larger(expression, seed)
 @given(expressions(), st.integers(0, 2**32 - 1))
 def test_the_engine_answers_the_written_query(expression, seed):
     database = _database(seed)
-    with Session(database, backend="engine") as session:
+    with Session(database) as session:
         result = session.execute(expression)
         plan = session._engine.pinned_plan(expression)
     reference = _reference(expression, database)
@@ -204,7 +211,7 @@ def _construction(m, seed=13):
 def test_project_s_of_phi_g_plans_as_one_scan(m):
     construction = _construction(m)
     query = Projection([construction.s_attribute], construction.expression)
-    with Session({"R": construction.relation}, backend="engine") as session:
+    with Session({"R": construction.relation}) as session:
         prepared = session.prepare(query)
         result = prepared.execute()
         plan = session._engine.pinned_plan(query)
@@ -257,13 +264,17 @@ def test_materialising_backends_evaluate_the_query_as_written(m):
     family = growing_construction_family(clause_counts=tuple(sorted(E9_PEAKS)))
     construction = RGConstruction(family[m - 3].formula)
     query = Projection([construction.s_attribute], construction.expression)
-    with Session({"R": construction.relation}) as session:
-        peaks = tuple(
-            session.prepare(query, backend=backend).execute().trace.peak_intermediate_cardinality
-            for backend in ("instrumented", "optimized")
-        )
-        engine = session.prepare(query, backend="engine").execute()
-    assert peaks == E9_PEAKS[m]
+    database = {"R": construction.relation}
+    reference = _reference(query, database)
+    peaks = []
+    for evaluator in (InstrumentedEvaluator(), OptimizedEvaluator()):
+        relation, trace = evaluator.evaluate(query, database)
+        assert relation == reference, trace.backend
+        peaks.append(trace.peak_intermediate_cardinality)
+    with Session(database) as session:
+        engine = session.prepare(query).execute()
+    assert engine.relation == reference
+    assert tuple(peaks) == E9_PEAKS[m]
     assert engine.trace.peak_live_rows < peaks[1]
 
 

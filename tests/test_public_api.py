@@ -34,7 +34,6 @@ SUBPACKAGES = [
 #: docs/API.md together).
 REPRO_EXPORTS = [
     "__version__",
-    "BACKENDS",
     "BackendConfig",
     "ObserveConfig",
     "Session",
@@ -44,11 +43,9 @@ REPRO_EXPORTS = [
     "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
-    "UnknownBackendError",
 ]
 
 REPRO_API_EXPORTS = [
-    "BACKENDS",
     "BackendConfig",
     "ObserveConfig",
     "Session",
@@ -58,7 +55,6 @@ REPRO_API_EXPORTS = [
     "EvaluationTrace",
     "SessionError",
     "SessionClosedError",
-    "UnknownBackendError",
 ]
 
 
@@ -74,7 +70,6 @@ KNOBS = {
         "spill_dir",
     ],
     "repro.api.BackendConfig": [
-        "backend",
         "budget",
         "workers",
         "max_pools",
@@ -89,7 +84,6 @@ KNOBS = {
         "max_inflight",
         "total_budget_rows",
         "default_request_rows",
-        "backend",
         "session_budget",
         "engine_workers",
         "events_dir",
@@ -215,6 +209,3 @@ class TestFacadeExportSnapshot:
         api = importlib.import_module("repro.api")
         for name in REPRO_API_EXPORTS:
             assert getattr(repro, name) is getattr(api, name), name
-
-    def test_backends_tuple_is_the_documented_matrix(self):
-        assert repro.BACKENDS == ("naive", "instrumented", "optimized", "engine")

@@ -82,7 +82,7 @@ SLOW_FRAME = {"op": "query", "query": HEAVY_QUERY, "budget": 64, "count_only": T
 
 def _warm_execute_seconds(relations, query, budget, pick=min):
     """``pick`` of three warm in-process executes of ``query`` (seconds)."""
-    with Session(relations, backend="engine", budget=budget) as session:
+    with Session(relations, budget=budget) as session:
         prepared = session.prepare(query)
         prepared.execute()
         samples = []
@@ -530,7 +530,6 @@ class TestHttpFront:
             {"query": "project[Z](R)"},
             {"query": ""},
             {"query": 42},
-            {"query": QUERIES[0], "backend": "nope"},
             {"query": QUERIES[0], "budget": -5},
             {"query": QUERIES[0], "workers": 0},
             {"query": QUERIES[0], "budget": True},
@@ -539,6 +538,17 @@ class TestHttpFront:
             status, body = _post(connection, payload)
             assert status == 400, payload
             assert not body["ok"]
+
+    def test_a_body_naming_a_backend_is_refused(self, connection):
+        # Every query runs on the engine; a client still choosing an
+        # evaluator must hear that, not be served under another meaning.
+        for backend in ("engine", "naive", None):
+            status, body = _post(
+                connection, {"query": QUERIES[0], "backend": backend}
+            )
+            assert status == 400, backend
+            assert body["error"] == "BadRequestError"
+            assert '"backend" field was removed' in body["message"]
 
     def test_non_json_body_maps_to_400(self, connection):
         connection.request("POST", "/query", body=b"not json{")
@@ -786,6 +796,15 @@ class TestServerConfig:
             ServerConfig(pool_size=0)
         with pytest.raises(ValueError):
             ServerConfig(max_inflight=0)
+        # Counts are ints: a float or a bool is refused at construction.
+        for knobs in (
+            {"pool_size": 2.5},
+            {"pool_size": True},
+            {"max_inflight": 1.5},
+            {"result_cache_size": 2.5},
+        ):
+            with pytest.raises(ValueError):
+                ServerConfig(**knobs)
 
     def test_override(self):
         config = ServerConfig().override(pool_size=4)
@@ -805,9 +824,7 @@ class TestSessionShutdownUnderLoad:
 
     def test_concurrent_close_leaks_no_pools_or_spill_dirs(self):
         for _round in range(3):
-            session = Session(
-                RELATIONS, backend="engine", budget=64, workers=2
-            )
+            session = Session(RELATIONS, budget=64, workers=2)
             prepared = session.prepare(HEAVY_QUERY)
             errors = []
             done = threading.Event()
@@ -840,7 +857,7 @@ class TestSessionShutdownUnderLoad:
         # The race above without a clock: close() lands after the execute
         # passed _ensure_open() and before it reaches the fork stage.
         others = set(multiprocessing.active_children())
-        session = Session(RELATIONS, backend="engine", budget=64, workers=2)
+        session = Session(RELATIONS, budget=64, workers=2)
         prepared = session.prepare(HEAVY_QUERY)
         expected = prepared.execute().relation
         assert session.stats()["open_pools"] == 1
@@ -857,7 +874,7 @@ class TestSessionShutdownUnderLoad:
         assert _ACTIVE_SPILL_DIRS == set()
 
     def test_post_close_requests_raise_the_typed_error(self):
-        session = Session(RELATIONS, backend="engine", budget=64)
+        session = Session(RELATIONS, budget=64)
         prepared = session.prepare(HEAVY_QUERY)
         prepared.execute()
         session.close()
@@ -1802,17 +1819,19 @@ class TestResultCacheOverHttp:
         assert cache["cache_hits"] / report.requests >= 0.5
         assert cache["cache_stale_served"] == 0
 
-    def test_cache_key_separates_budget_backend_and_count_only(
-        self, cached_server
-    ):
+    def test_cache_key_separates_budget_and_count_only(self, cached_server):
         conn = self._conn(cached_server)
         try:
             base = {"query": HEAVY_QUERY, "count_only": True}
             _post(conn, base)
             status, tight = _post(conn, dict(base, budget=64))
             assert status == 200 and tight["cached"] is False
-            status, optimized = _post(conn, dict(base, backend="optimized"))
-            assert status == 200 and optimized["cached"] is False
+            # An explicit ``workers`` equal to the server's own is the
+            # execution an absent one runs: the same entry.
+            workers = cached_server.config.engine_workers
+            status, same = _post(conn, dict(base, workers=workers))
+            assert status == 200 and same["cached"] is True
+            assert cached_server.stats()["cache"]["entries"] == 2
             status, rows = _post(conn, {"query": HEAVY_QUERY})
             assert status == 200 and rows["cached"] is False
             # ... but each exact shape repeats from the cache.
