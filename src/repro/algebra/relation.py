@@ -109,7 +109,7 @@ class Relation:
     attribute name to value, or as plain value sequences in scheme order.
     """
 
-    __slots__ = ("_scheme", "_rows", "_name", "_materialized", "_hash", "_stats")
+    __slots__ = ("_scheme", "_rows", "_name", "_materialized", "_hash", "_stats", "_scan")
 
     def __init__(
         self,
@@ -127,6 +127,7 @@ class Relation:
         self._materialized: Optional[FrozenSet[RelationTuple]] = None
         self._hash: Optional[int] = None
         self._stats = None
+        self._scan: Optional[Tuple[Row, ...]] = None
 
     # -- constructors -------------------------------------------------
 
@@ -177,6 +178,7 @@ class Relation:
         relation._materialized = None
         relation._hash = None
         relation._stats = None
+        relation._scan = None
         return relation
 
     # -- basic protocol -----------------------------------------------
@@ -217,12 +219,14 @@ class Relation:
         relation._materialized = self._materialized
         relation._hash = self._hash
         relation._stats = self._stats
+        relation._scan = self._scan
         return relation
 
     def __getstate__(self) -> Tuple[RelationScheme, FrozenSet[Row], Optional[str]]:
         # Scheme, rows and name only: the cached slots are derived, the
         # statistics entry may hold an undrawn sample recipe (a closure),
-        # and the hash is of this process's string-hash seed.
+        # the hash is of this process's string-hash seed, and the scan
+        # order is of this process's addresses.
         return self._scheme, self._rows, self._name
 
     def __setstate__(self, state: Tuple[RelationScheme, FrozenSet[Row], Optional[str]]) -> None:
@@ -230,6 +234,7 @@ class Relation:
         self._materialized = None
         self._hash = None
         self._stats = None
+        self._scan = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -304,6 +309,22 @@ class Relation:
 
             cached = self._stats = RelationStats.from_relation(self)
         return cached
+
+    def _scan_order(self) -> Tuple[Row, ...]:
+        """The row objects of :attr:`rows` in address order, built once.
+
+        What the engine's table scans iterate.  A frozen set yields its rows
+        in hash order, so a scan of a large relation visits its row tuples
+        (and the values they hold) scattered across the heap, one cache miss
+        each; on CPython an object's ``id`` is its address, which follows
+        allocation order, so this order walks them almost sequentially.  The
+        rows are the same objects, not copies.  Cached like :meth:`stats`:
+        fixed for this object's lifetime, never pickled.
+        """
+        order = self._scan
+        if order is None:
+            order = self._scan = tuple(sorted(self._rows, key=id))
+        return order
 
     def sorted_rows(self, names: Optional[Sequence[str]] = None) -> List[Row]:
         """Return rows as value tuples, deterministically sorted.

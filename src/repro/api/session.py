@@ -115,6 +115,8 @@ class Session:
             self._metrics = self._observer.metrics
         else:
             self._metrics = MetricsRegistry(parent=process_metrics())
+        # The four instruments every execution feeds, resolved by the first.
+        self._instruments = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -336,29 +338,42 @@ class Session:
         return relation, trace
 
     def _observe_execution(self, seconds, trace) -> None:
-        """Feed one execution into the session's metrics registry."""
-        metrics = self._metrics
-        metrics.histogram(
-            "repro_query_seconds", help="end-to-end prepared-query latency"
-        ).observe(seconds)
-        metrics.counter("repro_executes_total", help="queries executed").inc()
-        metrics.counter("repro_rows_total", help="result rows returned").inc(
-            trace.result_cardinality
-        )
+        """Feed one execution into the session's metrics registry.
+
+        The four instruments every execution feeds are looked up once, by
+        the first execution (so ``/metrics`` names them from then on, as
+        before); the two conditional counters appear with their first
+        nonzero count.
+        """
+        instruments = self._instruments
+        if instruments is None:
+            metrics = self._metrics
+            instruments = self._instruments = (
+                metrics.histogram(
+                    "repro_query_seconds", help="end-to-end prepared-query latency"
+                ),
+                metrics.counter("repro_executes_total", help="queries executed"),
+                metrics.counter("repro_rows_total", help="result rows returned"),
+                metrics.gauge(
+                    "repro_last_peak_memory_rows",
+                    help="peak resident rows of the most recent execution",
+                ),
+            )
+        latency, executes, rows, peak = instruments
+        latency.observe(seconds)
+        executes.inc()
+        rows.inc(trace.result_cardinality)
         if trace.serial_fallbacks:
-            metrics.counter(
+            self._metrics.counter(
                 "repro_serial_fallbacks_total",
                 help="parallel-to-serial degradations",
             ).inc(trace.serial_fallbacks)
         spilled = trace.counters.get("spill_rows", 0)
         if spilled:
-            metrics.counter("repro_spill_rows_total", help="rows spilled").inc(
+            self._metrics.counter("repro_spill_rows_total", help="rows spilled").inc(
                 spilled
             )
-        metrics.gauge(
-            "repro_last_peak_memory_rows",
-            help="peak resident rows of the most recent execution",
-        ).set(trace.peak_memory_rows)
+        peak.set(trace.peak_memory_rows)
 
     # -- counters ------------------------------------------------------
 

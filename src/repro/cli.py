@@ -56,8 +56,8 @@ Python:
     cache keyed on relation contents (``--cache-size``, 0 disables),
     dispatching to worker processes that each answer their requests one
     at a time, in order.  ``POST /query``
-    serves JSON query requests (per-request ``budget``/``workers``
-    overrides, ``--request-timeout`` deadline → 504), ``POST /mutate``
+    serves JSON query requests (per-request ``budget`` override,
+    ``--request-timeout`` deadline → 504), ``POST /mutate``
     replaces a relation's rows and switches which cached results are
     current, ``GET /metrics`` exposes
     the merged front+worker Prometheus exposition, ``GET /stats`` and
@@ -413,7 +413,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         max_inflight=arguments.max_inflight,
         total_budget_rows=arguments.total_budget_rows,
         session_budget=arguments.session_budget,
-        engine_workers=arguments.workers,
         result_cache_size=arguments.cache_size,
         request_timeout_seconds=arguments.request_timeout,
         events_dir=arguments.events_dir,
@@ -622,12 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ROWS",
         help="default per-session engine budget (overridable per request)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine probe workers inside each worker session (default 1)",
     )
     serve_parser.add_argument(
         "--rows",

@@ -466,10 +466,14 @@ def _cut(rows: Iterator[Row]) -> Iterator[Block]:
 
 
 class TableScan(PhysicalOperator):
-    """Stream a stored relation's raw rows.
+    """Stream a stored relation's raw rows, in address order.
 
     The relation belongs to the caller and is not copied, so a scan holds no
-    engine state and acquires no meter budget.
+    engine state and acquires no meter budget.  Its rows come in the
+    relation's cached scan order (``Relation._scan_order``: the same row
+    objects sorted by address, built on the relation's first scan), which
+    walks memory almost sequentially where the row set's hash order jumps
+    to a new cache line on every row.
     """
 
     def __init__(self, relation, meter: MemoryMeter, name: Optional[str] = None):
@@ -479,7 +483,7 @@ class TableScan(PhysicalOperator):
         self.scheme = relation.scheme
 
     def _rows(self) -> Iterator[Row]:
-        return iter(self._relation.rows)
+        return iter(self._relation._scan_order())
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
@@ -528,7 +532,7 @@ class PartitionedScan(TableScan):
         count = self._count
         return (
             row
-            for row in self._relation.rows
+            for row in self._relation._scan_order()
             if partition_index(PROBE_SLICE_SALT, row, count) == index
         )
 

@@ -135,8 +135,11 @@ class ServerConfig:
         ``None`` total means unlimited (leases are only accounted).
     ``session_budget`` / ``engine_workers``
         The base :class:`~repro.api.BackendConfig` every worker session
-        is derived from; per-request overrides replace the budget/worker
-        fields per session-cache entry.
+        is derived from; a per-request ``budget`` replaces the budget
+        field per session-cache entry.  ``engine_workers`` must be 1, as
+        must a request's ``workers``: a server worker is a daemonic
+        process and cannot fork the engine's probe pool, so a served
+        query runs in one process.
     ``events_dir``
         Mirror each worker's event log to ``<events_dir>/worker-i.jsonl``.
     ``trace``
@@ -178,6 +181,11 @@ class ServerConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if type(self.engine_workers) is not int or self.engine_workers != 1:
+            raise ValueError(
+                "engine_workers must be 1: a served query runs in one process, "
+                f"got {self.engine_workers!r}"
+            )
         if (
             self.request_timeout_seconds is not None
             and self.request_timeout_seconds <= 0
@@ -579,8 +587,12 @@ class ReproServer:
         if budget is not None and (type(budget) is not int or budget <= 0):
             raise BadRequestError('"budget" must be a positive integer')
         workers = payload.get("workers")
-        if workers is not None and (type(workers) is not int or workers < 1):
-            raise BadRequestError('"workers" must be an integer >= 1')
+        if workers is not None and (type(workers) is not int or workers != 1):
+            # A server worker is a daemonic process and may not fork the
+            # engine's probe pool: refused here, never a 500 from the worker.
+            raise BadRequestError(
+                '"workers" must be 1: a served query runs in one process'
+            )
         return {
             "op": "query",
             "query": query,

@@ -12,6 +12,7 @@ regression.
 
 import json
 import threading
+from unittest import mock
 
 import pytest
 
@@ -691,6 +692,53 @@ class TestSessionObservability:
         assert metrics.counter("repro_executes_total").value == 2
         assert metrics.counter("repro_rows_total").value == 2 * len(result)
         assert metrics.histogram("repro_query_seconds").count == 2
+
+    def test_an_execute_after_the_first_looks_no_instrument_up(self):
+        # The four instruments every execute feeds are resolved by the
+        # first; the conditional counters still appear with their first
+        # nonzero count, so the exposition names what it always named.
+        every_execute = [
+            "repro_executes_total",
+            "repro_last_peak_memory_rows",
+            "repro_query_seconds",
+            "repro_rows_total",
+        ]
+        with repro.connect(_database(), budget=16) as session:
+            metrics = session.metrics()
+            query = session.prepare(QUERY)
+            assert metrics.names() == []
+            result = query.execute()
+            assert metrics.names() == sorted(every_execute + ["repro_spill_rows_total"])
+            before = session.stats()
+            with mock.patch.object(
+                MetricsRegistry,
+                "_get_or_create",
+                autospec=True,
+                side_effect=MetricsRegistry._get_or_create,
+            ) as lookups:
+                query.execute()
+            assert lookups.call_count == 1  # the spill counter, nothing else
+            assert lookups.call_args.args[2] == "repro_spill_rows_total"
+        assert session.stats() == dict(
+            before,
+            executes=before["executes"] + 1,
+            plan_cache_hits=before["plan_cache_hits"] + 1,
+        )
+        assert metrics.counter("repro_executes_total").value == 2
+        assert metrics.counter("repro_rows_total").value == 2 * len(result)
+        assert metrics.histogram("repro_query_seconds").count == 2
+        exposition = render_prometheus(metrics)
+        assert [
+            line.split()[2] for line in exposition.splitlines() if line.startswith("# TYPE")
+        ] == sorted(every_execute + ["repro_spill_rows_total"])
+        with repro.connect(_database()) as session:
+            query = session.prepare(QUERY)
+            query.execute()
+            with mock.patch.object(
+                MetricsRegistry, "_get_or_create", side_effect=AssertionError
+            ):
+                query.execute()
+            assert session.metrics().names() == every_execute
 
     def test_events_none_without_observe_config(self):
         with repro.connect(_database()) as session:

@@ -539,6 +539,17 @@ class TestHttpFront:
             assert status == 400, payload
             assert not body["ok"]
 
+    def test_more_than_one_engine_worker_is_refused_not_failed(self, connection):
+        # A server worker is a daemonic process: a session that forked a
+        # probe pool there answered 500 ``AssertionError``.  Refused as a
+        # client fault instead, and one worker is still served.
+        status, body = _post(connection, {"query": QUERIES[0], "workers": 2})
+        assert status == 400, body
+        assert body["error"] == "BadRequestError"
+        assert "runs in one process" in body["message"]
+        status, body = _post(connection, {"query": QUERIES[0], "workers": 1})
+        assert status == 200 and body["ok"]
+
     def test_a_body_naming_a_backend_is_refused(self, connection):
         # Every query runs on the engine; a client still choosing an
         # evaluator must hear that, not be served under another meaning.
@@ -805,6 +816,11 @@ class TestServerConfig:
         ):
             with pytest.raises(ValueError):
                 ServerConfig(**knobs)
+        # A served query runs in one process: engine_workers is 1 or refused.
+        for workers in (2, 0, True):
+            with pytest.raises(ValueError, match="one process"):
+                ServerConfig(engine_workers=workers)
+        assert ServerConfig(engine_workers=1).engine_workers == 1
 
     def test_override(self):
         config = ServerConfig().override(pool_size=4)
