@@ -4,8 +4,11 @@ A :class:`PreparedQuery` is created by :meth:`repro.api.session.Session.prepare`
 and pins everything that does not change between executions of one query:
 
 * the validated expression (parsed once if it arrived as text);
-* the binding of operand names to the session's relations (re-validated
-  lazily only after the session mutates a relation the query reads);
+* the binding of operand names to the session's relations, validated
+  once (:class:`~repro.engine.evaluator.Binding`) and pinned with the
+  session epoch it was read at: an execute at the same epoch runs it as
+  is, and only the first one after a mutation re-resolves the names it
+  reads (re-binding and re-planning if one of them was replaced);
 * the engine's :class:`~repro.engine.planner.PhysicalPlan`, pinned in the
   session's evaluator, its single holder.
 
@@ -17,15 +20,16 @@ serving benchmark proves steady-state executes never touch the planner.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
-from ..expressions.evaluator import EvaluationTrace, bind_arguments
+from ..expressions.evaluator import EvaluationTrace
 from .errors import SessionError
 from .result import QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.evaluator import Binding
     from .session import Session
 
 __all__ = ["PreparedQuery"]
@@ -44,62 +48,70 @@ class PreparedQuery:
         self._session = session
         self.expression = expression
         self._lock = threading.Lock()
-        self._bound: Dict[str, Relation] = {}
-        self._versions: Dict[str, int] = {}
+        self._pinned: Tuple[int, "Binding"]  # (epoch it is current at, binding)
         self._last_trace: Optional[EvaluationTrace] = None
-        self._compile(count_build=True)
+        self._compile()
 
     # -- pinning -------------------------------------------------------
 
-    def _compile(self, count_build: bool) -> None:
-        """(Re)bind against the session's current relations and re-pin.
+    def _compile(self) -> None:
+        """(Re)bind against the session's current relations, re-plan and
+        re-pin: at preparation, and after a relation the query reads was
+        replaced (:meth:`_current_binding` notices)."""
+        session = self._session
+        mapping, epoch = session._resolve_bindings(self.expression)
+        engine = session._engine
+        binding = engine.bind(self.expression, mapping)
+        engine.plan_for(self.expression, binding.relations)
+        self._pinned = (epoch, binding)
+        session._count("plan_builds")
 
-        Called at preparation and again after a relation this query reads is
-        replaced (the session bumps that name's version; the stale check in
-        :meth:`_current_binding` notices).  ``count_build`` is False only
-        for the no-op path.
+    def _current_binding(self) -> Tuple["Binding", bool]:
+        """The pinned binding, and whether it was reused (a plan-cache hit).
+
+        It is current at the epoch it was pinned at.  After a mutation its
+        names are resolved again: if one maps to another relation object it
+        is re-bound and re-planned (``False``), else re-pinned as it is.
         """
         session = self._session
-        mapping, versions = session._resolve_bindings(self.expression)
-        bound = bind_arguments(self.expression, mapping)
-        session._engine.plan_for(self.expression, bound)
-        self._bound = bound
-        self._versions = versions
-        if count_build:
-            session._count("plan_builds")
-
-    def _current_binding(self) -> Dict[str, Relation]:
-        """The pinned binding, re-pinned first if the session mutated under it."""
-        session = self._session
         session._ensure_open()
+        epoch, binding = self._pinned
+        if epoch == session._epoch:
+            return binding, True
         with self._lock:
-            if session._versions_changed(self._versions):
-                session._count("invalidation_replans")
-                # Drop the engine's pinned plan for this expression so the
-                # re-compile plans against the *new* relations' statistics
-                # (construction-is-invalidation: fresh relations carry fresh
-                # stats catalogs).
-                session._forget_engine_plan(self.expression)
-                self._compile(count_build=True)
-            else:
-                session._count("plan_cache_hits")
-            return self._bound
+            mapping, epoch = session._resolve_bindings(self.expression)
+            binding = self._pinned[1]
+            if all(mapping[name] is held for name, held in binding.relations.items()):
+                self._pinned = (epoch, binding)
+                return binding, True
+            session._count("invalidation_replans")
+            # The re-compile plans against the *new* relations' statistics.
+            session._forget_engine_plan(self.expression)
+            self._compile()
+            return self._pinned[1], False
 
     def _merge_overrides(
-        self, bound: Mapping[str, Relation], bindings: Mapping[str, Relation]
-    ) -> Mapping[str, Relation]:
+        self, binding: "Binding", bindings: Mapping[str, Relation]
+    ) -> "Binding":
         """Apply per-call relation overrides to the pinned binding, validated."""
         if not bindings:
-            return bound
-        unknown = sorted(set(bindings) - set(bound))
+            return binding
+        unknown = sorted(set(bindings) - set(binding.relations))
         if unknown:
             raise SessionError(
                 f"got relations for {unknown} but the query's "
-                f"operands are {sorted(bound)}"
+                f"operands are {sorted(binding.relations)}"
             )
-        merged = dict(bound)
+        merged = dict(binding.relations)
         merged.update(bindings)
-        return bind_arguments(self.expression, merged)
+        return self._session._engine.bind(self.expression, merged)
+
+    def _binding_for_read(self) -> "Binding":
+        """:meth:`_current_binding`, counting a reuse (not an execute)."""
+        binding, reused = self._current_binding()
+        if reused:
+            self._session._count("plan_cache_hits")
+        return binding
 
     # -- the unified verbs ---------------------------------------------
 
@@ -112,10 +124,11 @@ class PreparedQuery:
         was costed with age).  Unknown names raise, mismatched schemes raise
         through the usual binding validation.
         """
-        bound = self._merge_overrides(self._current_binding(), bindings)
-        relation, trace = self._session._execute_engine(self.expression, bound)
+        binding, reused = self._current_binding()
+        if bindings:
+            binding = self._merge_overrides(binding, bindings)
+        relation, trace = self._session._run(self.expression, binding, reused)
         self._last_trace = trace
-        self._session._count("executes")
         return QueryResult(relation=relation, trace=trace)
 
     def trace(self, **bindings: Relation) -> EvaluationTrace:
@@ -150,24 +163,24 @@ class PreparedQuery:
 
         from ..obs import Tracer, explain_report
 
-        bound = self._merge_overrides(self._current_binding(), bindings)
+        binding, reused = self._current_binding()
+        binding = self._merge_overrides(binding, bindings)
         tracer = Tracer()
         start = perf_counter()
-        relation, trace = self._session._execute_engine(
-            self.expression, bound, tracer=tracer
+        relation, trace = self._session._run(
+            self.expression, binding, reused, tracer=tracer
         )
         total = perf_counter() - start
         self._last_trace = trace
-        self._session._count("executes")
         spans = trace.spans or tracer.finish()
         return explain_report(spans, total_seconds=total, result_rows=len(relation))
 
     def explain(self) -> str:
         """A human-readable account of the engine plan that runs the query."""
-        bound = self._current_binding()
+        binding = self._binding_for_read()
         # The pinned plan, or — forgotten since the last compile — the one
         # execute() would build.
-        plan = self._session._engine.plan_for(self.expression, bound)
+        plan = self._session._engine.plan_for(self.expression, binding.relations)
         return (
             f"engine (streaming physical plan)\n"
             f"expression: {self.expression.to_text()}\n"
@@ -184,9 +197,9 @@ class PreparedQuery:
         """
         from ..decision.membership import EngineMembershipDecider
 
-        bound = self._current_binding()
+        binding = self._binding_for_read()
         decider = EngineMembershipDecider(evaluator=self._session._engine)
-        verdict = decider.decide(candidate, self.expression, bound)
+        verdict = decider.decide(candidate, self.expression, binding.relations)
         self._session._count("executes")
         return verdict
 
@@ -195,7 +208,7 @@ class PreparedQuery:
     @property
     def operand_names(self) -> Tuple[str, ...]:
         """The operand names this query reads, sorted."""
-        return tuple(sorted(self._bound))
+        return tuple(sorted(self._pinned[1].relations))
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self.expression.to_text()!r})"

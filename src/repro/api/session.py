@@ -13,9 +13,11 @@ served from one warm process pool instead of one pinned pool per evaluator.
 
 Mutation follows the statistics catalog's construction-is-invalidation
 contract: :meth:`Session.set_relation` installs a *new* relation object
-(relations are immutable, so its stats slot starts empty) and bumps that
-name's version; every prepared query reading the name lazily re-binds and
-re-plans on its next execution — against the fresh statistics — while
+(relations are immutable, so its stats slot starts empty) and bumps the
+session's *epoch*.  A prepared query whose binding was pinned at the
+current epoch runs it unchecked; the first execute after a mutation
+re-resolves its names, and re-binds and re-plans — against the fresh
+statistics — only if one of them now maps to another relation object, so
 queries over untouched relations keep their plans and their plan-cache hits.
 
 Counters (:meth:`Session.stats`) make the serving behaviour auditable:
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 from ..algebra.database import Database
 from ..algebra.relation import Relation
@@ -37,18 +39,18 @@ from ..expressions.evaluator import EvaluationTrace
 from ..expressions.parser import parse_expression
 from ..obs.config import Observer
 from ..obs.events import EventLog
-from ..obs.metrics import MetricsRegistry, process_metrics
+from ..obs.metrics import MetricsRegistry, process_metrics, record
 from .config import BackendConfig
 from .errors import SessionClosedError, SessionError
 from .prepared import PreparedQuery
 from .result import QueryResult
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.evaluator import Binding
+
 __all__ = ["Session", "connect"]
 
 DatabaseLike = Union[Database, Mapping[str, Relation], Relation]
-
-#: Version key for the bare default relation of single-relation sessions.
-_DEFAULT_KEY = "*default*"
 
 _COUNTER_NAMES = (
     "prepares",
@@ -89,8 +91,8 @@ class Session:
         self._state_lock = threading.Lock()
         self._relations: Dict[str, Relation] = {}
         self._default: Optional[Relation] = None
-        self._default_version = 0
-        self._rel_versions: Dict[str, int] = {}
+        # Bumped (under the state lock) by every relation replacement.
+        self._epoch = 0
         if isinstance(database, Relation):
             self._default = database
         elif isinstance(database, (Database, Mapping)):
@@ -171,7 +173,7 @@ class Session:
         self._ensure_open()
         with self._state_lock:
             self._relations[name] = relation
-            self._rel_versions[name] = self._rel_versions.get(name, 0) + 1
+            self._epoch += 1
             self._counters["invalidations"] += 1
 
     def set_default_relation(self, relation: Relation) -> None:
@@ -188,48 +190,28 @@ class Session:
                     "use set_relation(name, relation)"
                 )
             self._default = relation
-            self._default_version += 1
+            self._epoch += 1
             self._counters["invalidations"] += 1
 
     def _resolve_bindings(
         self, expression: Expression
-    ) -> Tuple[Dict[str, Relation], Dict[str, int]]:
-        """Map the expression's operands onto the session's relations.
-
-        Returns the mapping plus the version snapshot the binding was taken
-        at, so staleness is detectable without re-resolving.
-        """
-        schemes = expression.operand_schemes()
+    ) -> Tuple[Dict[str, Relation], int]:
+        """Map the expression's operands onto the session's relations (a
+        name it holds, else the bare default relation), with the epoch the
+        mapping was read at."""
         mapping: Dict[str, Relation] = {}
-        versions: Dict[str, int] = {}
         with self._state_lock:
-            for name in schemes:
+            for name in expression.operand_schemes():
                 if name in self._relations:
                     mapping[name] = self._relations[name]
-                    versions[name] = self._rel_versions.get(name, 0)
                 elif self._default is not None:
                     mapping[name] = self._default
-                    versions[_DEFAULT_KEY] = self._default_version
-                    # Also snapshot the *name*: a later set_relation(name,
-                    # ...) shadows the default for this operand, and the
-                    # binding must notice that too.
-                    versions[name] = self._rel_versions.get(name, 0)
                 else:
                     raise SessionError(
                         f"no relation named {name!r} in this session "
                         f"(have: {sorted(self._relations) or 'none'})"
                     )
-        return mapping, versions
-
-    def _versions_changed(self, snapshot: Mapping[str, int]) -> bool:
-        with self._state_lock:
-            for key, version in snapshot.items():
-                if key == _DEFAULT_KEY:
-                    if self._default_version != version:
-                        return True
-                elif self._rel_versions.get(key, 0) != version:
-                    return True
-        return False
+            return mapping, self._epoch
 
     # -- preparing -----------------------------------------------------
 
@@ -320,31 +302,28 @@ class Session:
             expression = self._parse(expression)
         self._forget_engine_plan(expression)
 
-    def _execute_engine(
-        self,
-        expression: Expression,
-        bound: Mapping[str, Relation],
-        tracer=None,
+    def _run(
+        self, expression: Expression, binding: "Binding", reused: bool, tracer=None
     ) -> Tuple[Relation, EvaluationTrace]:
-        """Run the engine and observe the execution; the trace is uncopied."""
+        """Run a prepared query's binding and account for it: its counters
+        under one acquisition of the state lock (``reused`` is a plan-cache
+        hit), its metrics under one of the metrics lock.  The trace is
+        returned uncopied."""
         start = perf_counter()
-        relation, trace = self._engine.evaluate(expression, bound, tracer=tracer)
-        if trace.serial_fallbacks:
-            # Parallel-to-serial degradations are serving events: surface
-            # them next to the prepare/invalidation counters.
-            with self._state_lock:
-                self._counters["serial_fallbacks"] += trace.serial_fallbacks
-        self._observe_execution(perf_counter() - start, trace)
-        return relation, trace
-
-    def _observe_execution(self, seconds, trace) -> None:
-        """Feed one execution into the session's metrics registry.
-
-        The four instruments every execution feeds are looked up once, by
-        the first execution (so ``/metrics`` names them from then on, as
-        before); the two conditional counters appear with their first
-        nonzero count.
-        """
+        # The prepared query compiled through ``_engine``: the evaluator exists.
+        relation, trace = self._engine_evaluator.run(expression, binding, tracer)
+        seconds = perf_counter() - start
+        fallbacks = trace.serial_fallbacks
+        with self._state_lock:
+            counters = self._counters
+            counters["executes"] += 1
+            if reused:
+                counters["plan_cache_hits"] += 1
+            if fallbacks:  # serving events, next to the prepare/invalidation counters
+                counters["serial_fallbacks"] += fallbacks
+        # The four instruments every execution feeds are looked up by the
+        # first one (so ``/metrics`` names them from then on); the two
+        # conditional counters appear with their first nonzero count.
         instruments = self._instruments
         if instruments is None:
             metrics = self._metrics
@@ -360,20 +339,19 @@ class Session:
                 ),
             )
         latency, executes, rows, peak = instruments
-        latency.observe(seconds)
-        executes.inc()
-        rows.inc(trace.result_cardinality)
-        if trace.serial_fallbacks:
-            self._metrics.counter(
-                "repro_serial_fallbacks_total",
-                help="parallel-to-serial degradations",
-            ).inc(trace.serial_fallbacks)
-        spilled = trace.counters.get("spill_rows", 0)
-        if spilled:
-            self._metrics.counter("repro_spill_rows_total", help="rows spilled").inc(
-                spilled
-            )
-        peak.set(trace.peak_memory_rows)
+        increments = [(executes, 1), (rows, trace.result_cardinality)]
+        for name, text, amount in (
+            ("repro_serial_fallbacks_total", "parallel-to-serial degradations", fallbacks),
+            ("repro_spill_rows_total", "rows spilled", trace.counters.get("spill_rows", 0)),
+        ):
+            if amount:
+                increments.append((self._metrics.counter(name, help=text), amount))
+        record(
+            observations=((latency, seconds),),
+            increments=increments,
+            assignments=((peak, trace.peak_live_rows),),  # the trace's peak_memory_rows
+        )
+        return relation, trace
 
     # -- counters ------------------------------------------------------
 

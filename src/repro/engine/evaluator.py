@@ -49,7 +49,8 @@ from __future__ import annotations
 import threading
 import warnings
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
@@ -59,7 +60,7 @@ from ..expressions.evaluator import (
     TraceStep,
     bind_arguments,
 )
-from ..perf.counters import kernel_counters
+from ..perf.counters import counter_delta, counter_values, kernel_counters
 from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
@@ -70,7 +71,6 @@ from .parallel import (
     ParallelExecutionError,
     ParallelResult,
     drain_metered,
-    operators_in_order,
 )
 from .physical import (
     GraceHashJoin,
@@ -82,7 +82,9 @@ from .physical import (
 from .planner import PhysicalPlan, Planner
 from .sampling import q_error
 
-__all__ = ["EngineEvaluator"]
+__all__ = ["Binding", "EngineEvaluator"]
+
+_COUNTERS = kernel_counters()
 
 _NODE_KINDS = {
     "TableScan": "operand",
@@ -92,12 +94,24 @@ _NODE_KINDS = {
     "GraceHashJoin": "join",
 }
 
+_build_peak = attrgetter("build_peak_rows")
 
-def _shape_key(workers: int, bound: Mapping[str, Relation]) -> tuple:
-    """What the operator tree of a pinned plan varies with: the workers count
-    (slicing) and each operand's presented column order (a reordered
-    presentation adds a realignment wrapper over its scan)."""
-    return workers, tuple(sorted((name, rel.scheme.names) for name, rel in bound.items()))
+
+class Binding:
+    """An expression's operands bound to relations, validated once by
+    :meth:`EngineEvaluator.bind` (a prepared query pins one), with what
+    every execution over them reads: ``shape``, what an operator tree
+    varies with beyond its plan (each operand's presented column order: a
+    reordered one adds a realignment over its scan), and ``input_rows``."""
+
+    __slots__ = ("relations", "shape", "input_rows")
+
+    def __init__(self, relations: Dict[str, Relation]):
+        self.relations = relations
+        self.shape = tuple(
+            sorted((name, relation.scheme.names) for name, relation in relations.items())
+        )
+        self.input_rows = sum(len(relation) for relation in relations.values())
 
 
 def _live_label(operator: PhysicalOperator) -> bool:
@@ -143,6 +157,7 @@ class EngineEvaluator:
         default) or ``trace=False`` the hot path sees no tracer at all.
         """
         self.budget = MemoryBudget.coerce(budget)
+        self._budget_rows = self.budget.rows if self.budget is not None else None
         self.workers = max(int(workers), 1)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise TypeError(f"faults must be a FaultPlan or None, got {faults!r}")
@@ -339,13 +354,17 @@ class EngineEvaluator:
             return 1
         return workers
 
+    def bind(self, expression: Expression, arguments: ArgumentLike) -> Binding:
+        """Validate ``arguments`` against ``expression``'s operands, once."""
+        return Binding(bind_arguments(expression, arguments))
+
     def evaluate(
         self,
         expression: Expression,
         arguments: ArgumentLike,
         tracer: Optional[object] = None,
     ) -> Tuple[Relation, EvaluationTrace]:
-        """Evaluate and return ``(result, trace)``.
+        """Evaluate and return ``(result, trace)``: :meth:`bind`, then :meth:`run`.
 
         The trace's ``steps`` record each physical operator's *streamed*
         output cardinality (nothing was materialised; under parallel
@@ -359,35 +378,45 @@ class EngineEvaluator:
         config that enables tracing.  When a tracer runs, the finished
         span tree is surfaced on the trace's ``spans``.
         """
+        return self.run(expression, self.bind(expression, arguments), tracer)
+
+    def run(
+        self,
+        expression: Expression,
+        binding: Binding,
+        tracer: Optional[object] = None,
+    ) -> Tuple[Relation, EvaluationTrace]:
+        """The one run path: look the pinned plan up, instantiate and drain
+        it over a validated ``binding`` (:meth:`evaluate` binds first; a
+        prepared query passes the one it pinned)."""
         observer = self.observer
-        if tracer is None and observer is not None:
-            tracer = observer.tracer()
-        events = observer.events if observer is not None else None
+        events = None
+        if observer is not None:
+            events = observer.events
+            if tracer is None:
+                tracer = observer.tracer()
         if tracer is None or not tracer.enabled:
-            return self._evaluate(expression, arguments, None, events)
+            plan = self.plan_for(expression, binding.relations)
+            return self._execute(plan, binding, None, events)
         with tracer.span("execute", "evaluate"):
-            result, trace = self._evaluate(expression, arguments, tracer, events)
+            with tracer.span("plan", "plan_for"):
+                plan = self.plan_for(expression, binding.relations)
+            result, trace = self._execute(plan, binding, tracer, events)
         trace.spans = tracer.finish()
         return result, trace
 
-    def _evaluate(
+    def _execute(
         self,
-        expression: Expression,
-        arguments: ArgumentLike,
+        plan: PhysicalPlan,
+        binding: Binding,
         tracer: Optional[object],
         events: Optional[object],
     ) -> Tuple[Relation, EvaluationTrace]:
-        bound = bind_arguments(expression, arguments)
-        spans = tracer or NULL_TRACER
-        with spans.span("plan", "plan_for"):
-            plan = self.plan_for(expression, bound)
         trace = EvaluationTrace(backend="engine")
-        trace.input_cardinality = sum(len(relation) for relation in bound.values())
-        counters = kernel_counters()
-        before = counters.snapshot()
+        trace.input_cardinality = binding.input_rows
+        before = counter_values(_COUNTERS)
 
-        budget = self.budget
-        budget_rows = budget.rows if budget is not None else None
+        budget_rows = self._budget_rows
         faults = self.faults
         injector = (
             FaultInjector(faults, events=events)
@@ -397,40 +426,42 @@ class EngineEvaluator:
         meter = MemoryMeter(
             budget_rows, faults=injector, tracer=tracer, events=events
         )
-        workers = self._effective_workers(plan, bound)
-        pooled = root = None
-        if workers > 1:
-            with spans.span("parallel", "fork"):
-                pooled = self._run_pool(
-                    plan, bound, workers, budget_rows, events, trace, counters
-                )
+        pooled = operators = None
+        if self.workers > 1:
+            workers = self._effective_workers(plan, binding.relations)
+            if workers > 1:
+                with (tracer or NULL_TRACER).span("parallel", "fork"):
+                    pooled = self._run_pool(
+                        plan, binding, workers, budget_rows, events, trace
+                    )
 
         if pooled is not None:
-            rows: Set[Tuple] = pooled.rows
+            rows = pooled.rows
             result = Relation._from_trusted(plan.root.scheme, frozenset(rows))
-            self._record_parallel_steps(plan, bound, pooled, trace)
+            self._record_parallel_steps(plan, binding, pooled, trace)
             # Workers metered their result accumulation themselves (see
             # parallel.drain_metered), so their peaks are comparable with the
             # serial path's state+result accounting.
             trace.peak_live_rows = pooled.peak_live_rows
             trace.peak_build_rows = pooled.build_peak_rows
         else:
-            root = plan.executor(bound, meter)
+            operators = []
+            root = plan.executor(binding.relations, meter, None, operators)
             rows = drain_metered(root, meter, span=True)
             result = Relation._from_trusted(root.scheme, frozenset(rows))
-            operators = self._record_serial_steps(plan, bound, root, trace)
+            self._record_serial_steps(plan, binding, operators, trace)
             trace.peak_live_rows = meter.peak
-            trace.peak_build_rows = max(operator.build_peak_rows for operator in operators)
+            trace.peak_build_rows = max(map(_build_peak, operators))
 
-        trace.counters = counters.delta_since(before)
-        trace.result_cardinality = len(result)
+        trace.counters = counter_delta(before)
+        trace.result_cardinality = len(rows)
         observer = self.observer
-        if observer is not None and root is not None:
-            self._observe_q_errors(observer.metrics, root)
+        if observer is not None and operators is not None:
+            self._observe_q_errors(observer.metrics, operators)
         return result, trace
 
     @staticmethod
-    def _observe_q_errors(metrics, root: PhysicalOperator) -> None:
+    def _observe_q_errors(metrics, operators: List[PhysicalOperator]) -> None:
         """Feed per-operator estimate q-errors into the observer's histogram
         (per-window p50/p95 of the planner's accuracy)."""
         histogram = metrics.histogram(
@@ -438,18 +469,17 @@ class EngineEvaluator:
             DEFAULT_QERROR_BUCKETS,
             help="per-operator cardinality estimate q-error",
         )
-        for operator in operators_in_order(root):
+        for operator in operators:
             histogram.observe(q_error(operator.est_rows, operator.rows_out))
 
     def _run_pool(
         self,
         plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
+        binding: Binding,
         workers: int,
         budget_rows: Optional[int],
         events: Optional[object],
         trace: EvaluationTrace,
-        counters,
     ) -> Optional[ParallelResult]:
         """Run the parallel probe stage, recovering or degrading *loudly*.
 
@@ -464,6 +494,7 @@ class EngineEvaluator:
         ``Session.stats()`` surfaces too.  The workers meter themselves, so
         the caller's meter is untouched and its serial run can still use it.
         """
+        bound = binding.relations
         rebuilt = False
         while True:
             try:
@@ -485,7 +516,7 @@ class EngineEvaluator:
                         if self._closed:
                             pool.close()
                 if rebuilt:
-                    counters.add(pool_recoveries=1)
+                    _COUNTERS.add(pool_recoveries=1)
                 return result
             except (ParallelExecutionError, OSError) as error:
                 # OSError covers fork itself failing (EAGAIN/ENOMEM under
@@ -501,7 +532,7 @@ class EngineEvaluator:
                             error=f"{type(error).__name__}: {error}",
                         )
                     continue
-                counters.add(serial_fallbacks=1)
+                _COUNTERS.add(serial_fallbacks=1)
                 reason = f"{type(error).__name__}: {error}"
                 trace.serial_fallbacks += 1
                 trace.degradations.append(f"serial-fallback: {reason}")
@@ -517,23 +548,20 @@ class EngineEvaluator:
     @staticmethod
     def _record_serial_steps(
         plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
-        root: PhysicalOperator,
+        binding: Binding,
+        operators: List[PhysicalOperator],
         trace: EvaluationTrace,
-    ) -> List[PhysicalOperator]:
-        """Record per-operator streamed cardinalities, children first, and
-        return the operators in that order.
+    ) -> None:
+        """Record per-operator streamed cardinalities, children first.
 
         Labels, kinds and widths are fixed by the plan and the tree's shape
-        (see :func:`_shape_key`), so the first execution caches them on the
+        (see :class:`Binding`), so the first execution caches them on the
         plan; only a label that reports how the run went — a Grace join's,
         and a projection's that embeds one — is read live.
         """
-        operators = operators_in_order(root)
-        key = _shape_key(1, bound)
-        meta = plan.step_meta.get(key)
+        meta = plan.step_meta.get(binding.shape)
         if meta is None:
-            meta = plan.step_meta[key] = [
+            meta = plan.step_meta[binding.shape] = [
                 (
                     None if _live_label(operator) else operator.label(),
                     _NODE_KINDS.get(type(operator).__name__, "operator"),
@@ -541,23 +569,24 @@ class EngineEvaluator:
                 )
                 for operator in operators
             ]
-        trace.steps.extend(
-            # description, node_kind, cardinality, scheme_width, cell_count
-            TraceStep(
-                operator.label() if label is None else label,
-                node_kind,
-                operator.rows_out,
-                width,
-                operator.rows_out * width,
+        steps = trace.steps
+        for operator, (label, node_kind, width) in zip(operators, meta):
+            rows_out = operator.rows_out
+            steps.append(
+                # description, node_kind, cardinality, scheme_width, cell_count
+                TraceStep(
+                    operator.label() if label is None else label,
+                    node_kind,
+                    rows_out,
+                    width,
+                    rows_out * width,
+                )
             )
-            for operator, (label, node_kind, width) in zip(operators, meta)
-        )
-        return operators
 
     @staticmethod
     def _record_parallel_steps(
         plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
+        binding: Binding,
         parallel,
         trace: EvaluationTrace,
     ) -> None:
@@ -580,14 +609,23 @@ class EngineEvaluator:
         evaluation.
         """
         cache = plan.step_meta
-        key = _shape_key(parallel.workers, bound)
+        key = (parallel.workers, binding.shape)
         meta = cache.get(key)
         if meta is None:
-            template = plan.executor(
-                bound, MemoryMeter(), probe_slice=(0, parallel.workers)
+            operators = []
+            plan.executor(
+                binding.relations, MemoryMeter(), (0, parallel.workers), operators
             )
-            operators = operators_in_order(template)
-            spine = EngineEvaluator._slice_spine(template)
+            # The slice consumer and its ancestors see partitioned streams
+            # (children come first, so a parent follows its child in); with
+            # no consumer, every operator counts as sliced (sum everywhere).
+            spine = set()
+            for operator in operators:
+                if operator.consumes_probe_slice or any(
+                    id(child) in spine for child in operator.children()
+                ):
+                    spine.add(id(operator))
+            spine = spine or {id(operator) for operator in operators}
             meta = [
                 (
                     operator.label(),
@@ -611,28 +649,3 @@ class EngineEvaluator:
                     cell_count=rows_out * width,
                 )
             )
-
-    @staticmethod
-    def _slice_spine(template: PhysicalOperator) -> "set[int]":
-        """Ids of the slice consumer and its ancestors in the template tree.
-
-        These are the operators whose streams are partitioned across the
-        pool; everything else runs identically in every worker.  Falls back
-        to the whole tree (sum everywhere — the old, conservative
-        behaviour) if no consumer is found.
-        """
-        path: List[PhysicalOperator] = []
-
-        def find(operator: PhysicalOperator) -> bool:
-            path.append(operator)
-            if operator.consumes_probe_slice:
-                return True
-            for child in operator.children():
-                if find(child):
-                    return True
-            path.pop()
-            return False
-
-        if find(template):
-            return {id(operator) for operator in path}
-        return {id(operator) for operator in operators_in_order(template)}

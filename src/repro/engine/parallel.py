@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from ..perf.counters import kernel_counters
 from .faults import FaultPlan
 from .physical import MemoryMeter, PhysicalOperator
@@ -167,18 +166,22 @@ def drain_metered(
     the tree or the drain itself raises (a fault, ``MemoryError``),
     the tree is closed and the partial rows' residency released.  ``span``
     wraps the drain in the trace's ``materialize`` span when the meter carries
-    an enabled tracer.  Automatic collection is paused meanwhile (rule 7 of
+    a tracer (an untraced drain opens no span at all).  Automatic collection
+    is paused meanwhile (rule 7 of
     ``docs/ENGINE.md``): rows are freed by reference count, so one generation-0
     sweep per :data:`SWEEP_ROWS` result rows untracks the only survivors young.
     """
-    tracer = meter.tracer if span else None
-    if tracer is None or not tracer.enabled:
-        tracer = NULL_TRACER
+    if span and meter.tracer is not None and meter.tracer.enabled:
+        with meter.tracer.span("materialize", "drain") as handle:
+            rows = drain_metered(root, meter, cap)
+            if rows is not None:
+                handle.rows = len(rows)
+        return rows
     rows: Set[tuple] = set()
     update = rows.update
     size = swept = 0
     blocks = root.blocks(rows)
-    with _COLLECTOR_PAUSE as sweeping, tracer.span("materialize", "drain") as handle:
+    with _COLLECTOR_PAUSE as sweeping:
         try:
             block = next(blocks, None)
             while block is not None:
@@ -204,35 +207,19 @@ def drain_metered(
             finally:
                 meter.release(size)
                 raise failure  # never a cleanup's own error in its place
-        handle.rows = size
     return rows
-
-
-def _step_rows(root: PhysicalOperator) -> List[int]:
-    return [operator.rows_out for operator in operators_in_order(root)]
-
-
-def _build_peak(root: PhysicalOperator) -> int:
-    return max(operator.build_peak_rows for operator in operators_in_order(root))
 
 
 def _merge(
     per_worker: List[Tuple[Set[tuple], List[int], int]],
 ) -> Tuple[Set[tuple], List[int], List[List[int]], int]:
-    rows: Set[tuple] = set()
-    step_totals: Optional[List[int]] = None
-    worker_steps: List[List[int]] = []
-    build_peak = 0
-    for worker_rows, steps, worker_build_peak in per_worker:
-        rows |= worker_rows
-        worker_steps.append(list(steps))
-        if step_totals is None:
-            step_totals = list(steps)
-        else:
-            step_totals = [a + b for a, b in zip(step_totals, steps)]
-        if worker_build_peak > build_peak:
-            build_peak = worker_build_peak
-    return rows, step_totals or [], worker_steps, build_peak
+    worker_steps = [list(steps) for _rows, steps, _peak in per_worker]
+    return (
+        set().union(*(rows for rows, _steps, _peak in per_worker)),
+        [sum(column) for column in zip(*worker_steps)],
+        worker_steps,
+        max((peak for _rows, _steps, peak in per_worker), default=0),
+    )
 
 
 def _pool_worker(
@@ -266,14 +253,15 @@ def _pool_worker(
                 counters = kernel_counters()
                 before = counters.snapshot()
                 meter = MemoryMeter(budget_rows)
-                root = plan.executor(bindings, meter, probe_slice=(index, count))
+                operators: List[PhysicalOperator] = []
+                root = plan.executor(bindings, meter, (index, count), operators)
                 rows = drain_metered(root, meter)
                 payload = (
                     "ok",
                     list(rows),
                     meter.peak,
-                    _build_peak(root),
-                    _step_rows(root),
+                    max(operator.build_peak_rows for operator in operators),
+                    [operator.rows_out for operator in operators],
                     counters.delta_since(before),
                 )
                 try:

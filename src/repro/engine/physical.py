@@ -42,7 +42,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import ChainKernel, JoinPlan, make_block_picker
+from ..perf.plancache import ChainKernel, JoinPlan
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -410,6 +410,8 @@ class PhysicalOperator:
     consumes_probe_slice: bool = False
 
     def __init__(self, meter: MemoryMeter):
+        # The engine's own operators assign ``meter`` themselves: every
+        # execute instantiates a tree, and a frame per operator shows there.
         self.meter = meter
 
     def blocks(self, sink: Optional[Set[Row]] = None) -> Iterator[Block]:
@@ -456,15 +458,6 @@ class PhysicalOperator:
         return type(self).__name__
 
 
-def _cut(rows: Iterator[Row]) -> Iterator[Block]:
-    """Cut a row iterator into blocks, one C-level ``islice`` per block."""
-    while True:
-        block = list(islice(rows, BLOCK_ROWS))
-        if not block:
-            return
-        yield block
-
-
 class TableScan(PhysicalOperator):
     """Stream a stored relation's raw rows, in address order.
 
@@ -477,18 +470,21 @@ class TableScan(PhysicalOperator):
     """
 
     def __init__(self, relation, meter: MemoryMeter, name: Optional[str] = None):
-        super().__init__(meter)
+        self.meter = meter
         self._relation = relation
         self._name = name or relation.name or "relation"
         self.scheme = relation.scheme
 
-    def _rows(self) -> Iterator[Row]:
-        return iter(self._relation._scan_order())
+    def _rows(self) -> Tuple[Row, ...]:
+        return self._relation._scan_order()
 
     def _blocks(self) -> Iterator[Block]:
-        """Stream the output blocks (see the operator iterator contract)."""
+        """Stream the output blocks (see the operator iterator contract),
+        each a list copied from a slice of the rows."""
         self.rows_out = 0
-        for block in _cut(self._rows()):
+        rows = self._rows()
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = list(rows[start : start + BLOCK_ROWS])
             self.rows_out += len(block)
             yield block
 
@@ -527,10 +523,10 @@ class PartitionedScan(TableScan):
         self._count = count
         self.consumes_probe_slice = True
 
-    def _rows(self) -> Iterator[Row]:
+    def _rows(self) -> Tuple[Row, ...]:
         index = self._index
         count = self._count
-        return (
+        return tuple(
             row
             for row in self._relation._scan_order()
             if partition_index(PROBE_SLICE_SALT, row, count) == index
@@ -591,9 +587,12 @@ class StreamingProject(PhysicalOperator):
         budget: Optional[MemoryBudget] = None,
         pushed: bool = False,
     ):
-        super().__init__(meter)
+        self.meter = meter
         self._child = child
-        self._pick_block = make_block_picker(pick) if pick is not None else None
+        self._pick = pick
+        # A single-column picker exposes its getter: a block's 1-tuples are
+        # then ``zip(map(getter, block))``, with no Python frame per row.
+        self._single = getattr(pick, "single", None)
         self._dedup = dedup
         self._probe_slice = probe_slice
         self._budget = budget
@@ -607,7 +606,12 @@ class StreamingProject(PhysicalOperator):
 
     def _picked(self, block: Block) -> Iterator[Row]:
         """Lazily pick (and probe-slice filter) one input block's rows."""
-        picked = block if self._pick_block is None else self._pick_block(block)
+        if self._single is not None:
+            picked = zip(map(self._single, block))
+        elif self._pick is not None:
+            picked = map(self._pick, block)
+        else:
+            picked = block
         if self._probe_slice is None:
             return picked
         index, count = self._probe_slice
@@ -767,7 +771,7 @@ class HashJoin(PhysicalOperator):
         meter: MemoryMeter,
         build_side: str = "right",
     ):
-        super().__init__(meter)
+        self.meter = meter
         if build_side not in ("left", "right"):
             raise ValueError(f"build_side must be 'left' or 'right', got {build_side!r}")
         self._left = left

@@ -243,9 +243,13 @@ class PlanNode:
         self,
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
-        probe_slice: Optional[Tuple[int, int]] = None,
+        probe_slice: Optional[Tuple[int, int]],
+        out: List[PhysicalOperator],
     ) -> PhysicalOperator:
         """Build the executable operator tree for one evaluation.
+
+        Every operator built is appended to ``out``, children first — the
+        order traces record steps in — and the subtree's root is returned.
 
         ``probe_slice = (index, count)`` threads a worker's hash-slice down
         the probe path (every other subtree is instantiated whole) and is
@@ -261,18 +265,20 @@ class PlanNode:
             relation = bindings[self.operand_name]
             if probe_slice is not None:
                 index, count = probe_slice
-                scan: PhysicalOperator = PartitionedScan(
+                operator: PhysicalOperator = PartitionedScan(
                     relation, meter, index, count, name=self.operand_name
                 )
             else:
-                scan = TableScan(relation, meter, name=self.operand_name)
-            operator: PhysicalOperator = scan
-            if relation.scheme.names != self.scheme.names:
+                operator = TableScan(relation, meter, name=self.operand_name)
+            scheme = operator.scheme
+            if scheme is not self.scheme and scheme.names != self.scheme.names:
                 # The plan compiled against a different presentation order of
-                # the same scheme: realign rows with a (dedup-free) pick.
-                realign = _project_plan(relation.scheme, self.scheme)
+                # the same scheme: realign rows with a (dedup-free) pick.  (A
+                # query parsed against the relation holds its very scheme.)
+                out.append(operator)
+                realign = _project_plan(scheme, self.scheme)
                 operator = StreamingProject(
-                    scan, realign.pick, self.scheme, meter, dedup=False
+                    operator, realign.pick, self.scheme, meter, dedup=False
                 )
         elif self.kind == "project":
             own_slice: Optional[Tuple[int, int]] = None
@@ -282,7 +288,7 @@ class PlanNode:
             ):
                 # This is the driving projection: consume the slice here.
                 own_slice, pass_down = probe_slice, None
-            child = self.children[0].instantiate(bindings, meter, pass_down)
+            child = self.children[0].instantiate(bindings, meter, pass_down, out)
             operator = StreamingProject(
                 child,
                 self.pick,
@@ -296,10 +302,10 @@ class PlanNode:
         elif self.kind == "hash-join":
             build_left = self.build_side == "left"
             left = self.children[0].instantiate(
-                bindings, meter, None if build_left else probe_slice
+                bindings, meter, None if build_left else probe_slice, out
             )
             right = self.children[1].instantiate(
-                bindings, meter, probe_slice if build_left else None
+                bindings, meter, probe_slice if build_left else None, out
             )
             if self.budget is not None:
                 operator = GraceHashJoin(
@@ -319,8 +325,9 @@ class PlanNode:
                 operator.fuse(self.chain, self.emit_scheme)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
-        operator.est_rows = self.est_rows
+        operator.est_rows = float(self.stats.cardinality)
         operator.est_cost = self.cost
+        out.append(operator)
         return operator
 
 
@@ -448,15 +455,19 @@ class PhysicalPlan:
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
         probe_slice: Optional[Tuple[int, int]] = None,
+        operators: Optional[List[PhysicalOperator]] = None,
     ) -> PhysicalOperator:
         """Instantiate the operator tree against one set of bound relations.
 
-        With ``probe_slice = (index, count)`` the driving probe scan streams
-        only worker ``index``'s round-robin slice (see
+        ``operators``, when given, receives every operator children first
+        (the root last): the order traces record steps in, read without
+        walking the tree again.  With ``probe_slice = (index, count)`` the
+        driving probe scan streams only worker ``index``'s hash slice (see
         :meth:`PlanNode.instantiate`); the union of the ``count`` executors'
         outputs is set-equal to the unsliced execution.
         """
-        return self.root.instantiate(bindings, meter, probe_slice)
+        out = [] if operators is None else operators
+        return self.root.instantiate(bindings, meter, probe_slice, out)
 
     def driving_scan_name(self) -> Optional[str]:
         """The operand whose scan drives the probe pipeline (sliced when

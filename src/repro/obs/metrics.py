@@ -16,12 +16,14 @@ trade-off).
 Thread-safety follows the ``repro.perf.counters`` discipline: one module
 lock guards every mutation, and ``os.register_at_fork`` reinstalls a
 fresh lock in fork-pool children so a fork taken while the lock is held
-cannot deadlock the child.
+cannot deadlock the child.  One acquisition updates an instrument and its
+ancestors — or, through :func:`record`, several instruments.
 """
 
 import math
 import os
 import threading
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "process_metrics",
+    "record",
 ]
 
 #: Latency buckets in seconds, Prometheus-style powers-of-ten ladder.
@@ -61,22 +64,17 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
 class Counter:
     """A monotonically increasing named value."""
 
-    __slots__ = ("name", "help", "value", "_parent")
+    __slots__ = ("name", "help", "value", "_chain")
 
     def __init__(self, name: str, help: str = "", parent: Optional["Counter"] = None):
         self.name = name
         self.help = help
         self.value = 0
-        self._parent = parent
+        self._chain = (self,) + (parent._chain if parent is not None else ())
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for %r" % self.name)
-        with _MUTATION_LOCK:
-            self.value += amount
-        if self._parent is not None:
-            self._parent.inc(amount)
+        record(increments=((self, amount),))
 
     def collect(self) -> Dict[str, Any]:
         """Return ``{"type", "help", "value"}`` for exporters."""
@@ -86,20 +84,17 @@ class Counter:
 class Gauge:
     """A named value that can go up and down (last write wins)."""
 
-    __slots__ = ("name", "help", "value", "_parent")
+    __slots__ = ("name", "help", "value", "_chain")
 
     def __init__(self, name: str, help: str = "", parent: Optional["Gauge"] = None):
         self.name = name
         self.help = help
         self.value = 0.0
-        self._parent = parent
+        self._chain = (self,) + (parent._chain if parent is not None else ())
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
-        with _MUTATION_LOCK:
-            self.value = value
-        if self._parent is not None:
-            self._parent.set(value)
+        record(assignments=((self, value),))
 
     def collect(self) -> Dict[str, Any]:
         """Return ``{"type", "help", "value"}`` for exporters."""
@@ -116,7 +111,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "help", "buckets", "bucket_counts", "count", "sum",
-                 "max", "_parent")
+                 "max", "_chain")
 
     def __init__(
         self,
@@ -134,29 +129,12 @@ class Histogram:
         self.count = 0
         self.sum = 0.0
         self.max = 0.0
-        self._parent = parent
-
-    def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.buckets[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        # Its ancestors have its buckets (the registry checks): one index serves.
+        self._chain = (self,) + (parent._chain if parent is not None else ())
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = self._bucket_index(value)
-        with _MUTATION_LOCK:
-            self.bucket_counts[index] += 1
-            self.count += 1
-            self.sum += value
-            if value > self.max:
-                self.max = value
-        if self._parent is not None:
-            self._parent.observe(value)
+        record(observations=((self, value),))
 
     def snapshot(self) -> Dict[str, Any]:
         """Freeze the current state for later :meth:`summary_since`."""
@@ -328,6 +306,33 @@ class MetricsRegistry:
         with _MUTATION_LOCK:
             instruments = list(self._instruments.items())
         return {name: instrument.collect() for name, instrument in sorted(instruments)}
+
+
+def record(
+    observations: Iterable[Tuple[Histogram, float]] = (),
+    increments: Iterable[Tuple[Counter, int]] = (),
+    assignments: Iterable[Tuple[Gauge, float]] = (),
+) -> None:
+    """Observe values on histograms, add amounts (>= 0) to counters and set
+    gauges — each with its ancestors — under one acquisition of the lock."""
+    for counter, amount in increments:
+        if amount < 0:
+            raise ValueError("counters only go up; use a Gauge for %r" % counter.name)
+    with _MUTATION_LOCK:
+        for histogram, value in observations:
+            index = bisect_left(histogram.buckets, value)
+            for target in histogram._chain:
+                target.bucket_counts[index] += 1
+                target.count += 1
+                target.sum += value
+                if value > target.max:
+                    target.max = value
+        for counter, amount in increments:
+            for target in counter._chain:
+                target.value += amount
+        for gauge, value in assignments:
+            for target in gauge._chain:
+                target.value = value
 
 
 _PROCESS_REGISTRY = MetricsRegistry()

@@ -28,9 +28,12 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict
+from typing import Dict, Tuple
 
-__all__ = ["KernelCounters", "kernel_counters", "reset_kernel_counters"]
+__all__ = [
+    "KernelCounters", "counter_delta", "counter_values", "kernel_counters",
+    "reset_kernel_counters",
+]
 
 #: Guards :meth:`KernelCounters.add` (the engine's thread-safe update path).
 _MUTATION_LOCK = threading.Lock()
@@ -149,8 +152,21 @@ class KernelCounters:
 #: them twice).
 _NAMES = tuple(f.name for f in fields(KernelCounters))
 _VALUES = attrgetter(*_NAMES)
+#: ``counter_values(counters)``: the counters as a tuple, the cheap snapshot
+#: an execution takes (see :func:`counter_delta`).
+counter_values = _VALUES
 
 _COUNTERS = KernelCounters()
+
+
+def counter_delta(before: Tuple[int, ...]) -> Dict[str, int]:
+    """The process-global counters' increase since ``before`` (their
+    :data:`counter_values`), as :meth:`KernelCounters.delta_since` reports
+    it; a run that moved none of them gets zeros without a subtraction."""
+    after = _VALUES(_COUNTERS)
+    if after == before:
+        return dict.fromkeys(_NAMES, 0)
+    return {name: now - then for name, now, then in zip(_NAMES, after, before)}
 
 
 def kernel_counters() -> KernelCounters:

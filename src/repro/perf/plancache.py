@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -37,7 +34,6 @@ __all__ = [
     "JoinPlan",
     "ProjectPlan",
     "LRUPlanCache",
-    "make_block_picker",
     "make_row_picker",
     "make_key_picker",
     "make_chain_kernel",
@@ -47,12 +43,12 @@ __all__ = [
 ]
 
 RowPicker = Callable[[Tuple[Any, ...]], Tuple[Any, ...]]
-BlockPicker = Callable[[Iterable[Tuple[Any, ...]]], Iterator[Tuple[Any, ...]]]
 KeyPicker = Callable[[Tuple[Any, ...]], Hashable]
 
 
-def _empty_picker(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    return ()
+#: Picks no column: ``row[0:0]`` is the empty tuple, with no Python frame
+#: per row (a join's build side whose every column is a key has no extras).
+_empty_picker = itemgetter(slice(0, 0))
 
 
 def make_row_picker(positions: Tuple[int, ...]) -> RowPicker:
@@ -69,22 +65,9 @@ def make_row_picker(positions: Tuple[int, ...]) -> RowPicker:
         def pick(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
             return (single(row),)
 
-        pick.single = single  # lets make_block_picker skip the Python frame
+        pick.single = single  # lets a block's 1-tuples skip the Python frame
         return pick
     return itemgetter(*positions)
-
-
-def make_block_picker(pick: RowPicker) -> BlockPicker:
-    """Lift a row picker to whole blocks: ``block -> iterator of picked rows``.
-
-    The iterator is driven from C (``map``), so the interpreter runs once per
-    block; a single-column picker from :func:`make_row_picker` becomes
-    ``zip(map(getter, block))``, whose 1-tuples need no per-row Python call.
-    """
-    single = getattr(pick, "single", None)
-    if single is not None:
-        return lambda block: zip(map(single, block))
-    return partial(map, pick)
 
 
 def make_key_picker(positions: Tuple[int, ...]) -> KeyPicker:

@@ -7,9 +7,8 @@ queued unboundedly), *leases* each admitted request an engine budget
 from the cross-session :class:`~repro.server.budget.BudgetScheduler`,
 and *dispatches* it to a :class:`~repro.server.worker.WorkerPool` of
 processes holding warm sessions with pinned plans and forked probe
-pools.  Per-request ``budget``/``workers`` overrides travel with the
-request and select (or warm) a matching session in the worker — the
-serving-tier close of PR 4's fixed-at-construction budget follow-up.
+pools.  A per-request ``budget`` override travels with the request and
+selects (or warms) a matching session in the worker.
 
 Everything the front does runs on one :mod:`asyncio` event loop: the
 HTTP parse, admission, the cache, the lease (an awaitable), the
@@ -133,13 +132,13 @@ class ServerConfig:
     ``total_budget_rows`` / ``default_request_rows``
         The shared :class:`~repro.server.budget.BudgetScheduler` pool —
         ``None`` total means unlimited (leases are only accounted).
-    ``session_budget`` / ``engine_workers``
-        The base :class:`~repro.api.BackendConfig` every worker session
-        is derived from; a per-request ``budget`` replaces the budget
-        field per session-cache entry.  ``engine_workers`` must be 1, as
-        must a request's ``workers``: a server worker is a daemonic
-        process and cannot fork the engine's probe pool, so a served
-        query runs in one process.
+    ``session_budget``
+        The budget of the base :class:`~repro.api.BackendConfig` every
+        worker session is derived from; a per-request ``budget``
+        replaces it per session-cache entry.  A served query runs in one
+        process (a server worker is a daemonic process and cannot fork
+        the engine's probe pool), so the engine's ``workers`` is not a
+        serving knob.
     ``events_dir``
         Mirror each worker's event log to ``<events_dir>/worker-i.jsonl``.
     ``trace``
@@ -163,7 +162,6 @@ class ServerConfig:
     total_budget_rows: Optional[int] = None
     default_request_rows: Optional[int] = None
     session_budget: Union[MemoryBudget, int, None] = None
-    engine_workers: int = 1
     events_dir: Optional[str] = None
     trace: bool = False
     result_cache_size: int = 256
@@ -181,11 +179,6 @@ class ServerConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if type(self.engine_workers) is not int or self.engine_workers != 1:
-            raise ValueError(
-                "engine_workers must be 1: a served query runs in one process, "
-                f"got {self.engine_workers!r}"
-            )
         if (
             self.request_timeout_seconds is not None
             and self.request_timeout_seconds <= 0
@@ -225,7 +218,6 @@ class ReproServer:
         self.config = base
         self._backend_config = BackendConfig(
             budget=base.session_budget,
-            workers=base.engine_workers,
             observe=ObserveConfig(trace=base.trace),
         )
         # Content versions key the result cache and nothing else: a server
@@ -480,14 +472,12 @@ class ReproServer:
         """The result-cache key of a validated query, ``None`` without a cache."""
         if self._cache is None:
             return None
-        # An absent budget or workers keys as the value the execution
-        # runs with, so an explicit default shares the absent one's entry.
+        # An absent budget keys as the value the execution runs with, so an
+        # explicit default shares the absent one's entry.
         budget = message["budget_request"]
-        workers = message["workers"]
         return (
             message["query"],
             budget if budget is not None else self._scheduler.default_request_rows,
-            workers if workers is not None else self.config.engine_workers,
             message["count_only"],
         )
 
@@ -576,27 +566,23 @@ class ReproServer:
         query = payload.get("query")
         if not isinstance(query, str) or not query.strip():
             raise BadRequestError('the "query" field must be a non-empty string')
+        # Removed fields are refused, not ignored: a client's choice must not
+        # be answered as if it had been honoured.
         if "backend" in payload:
-            # Refused, not ignored: a client picking an evaluator must not be
-            # answered as if its choice had been honoured.
             raise BadRequestError(
                 'the "backend" field was removed: every query runs on the engine'
+            )
+        if "workers" in payload:  # a server worker may not fork a probe pool
+            raise BadRequestError(
+                'the "workers" field was removed: a served query runs in one process'
             )
         # ``type(...) is int``: a JSON ``true`` decodes to ``True``, an int.
         budget = payload.get("budget")
         if budget is not None and (type(budget) is not int or budget <= 0):
             raise BadRequestError('"budget" must be a positive integer')
-        workers = payload.get("workers")
-        if workers is not None and (type(workers) is not int or workers != 1):
-            # A server worker is a daemonic process and may not fork the
-            # engine's probe pool: refused here, never a 500 from the worker.
-            raise BadRequestError(
-                '"workers" must be 1: a served query runs in one process'
-            )
         return {
             "op": "query",
             "query": query,
-            "workers": workers,
             "count_only": bool(payload.get("count_only")),
             "budget_request": budget,
         }

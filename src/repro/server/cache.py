@@ -56,9 +56,9 @@ from .http import json_body
 
 __all__ = ["CacheKey", "ResultCache", "content_version"]
 
-#: ``(query, budget, workers, count_only)`` — the full set of request
-#: fields that select a distinct execution, and nothing else.
-CacheKey = Tuple[str, Optional[int], int, bool]
+#: ``(query, budget, count_only)`` — the full set of request fields that
+#: select a distinct execution, and nothing else.
+CacheKey = Tuple[str, Optional[int], bool]
 
 #: The versions of the relations a key reads, in name order.
 _Versions = Tuple[str, ...]

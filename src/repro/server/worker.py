@@ -30,12 +30,11 @@ traffic goes around a worker busy with a slow spilling execute.
 Warmth is the point.  A worker parses each distinct query text once
 (expression cache), prepares it once per session (the session's
 registry pins the plan and its forked probe pools), and keeps a small
-LRU of *sessions* keyed by the per-request ``(budget, workers)``
-override pair — so "the same query at the default budget" and "the same
-query squeezed to 64 rows" each hit a pinned plan in the steady state.
-That session cache is what closes PR 4's fixed-at-construction budget
-follow-up at the serving tier: the ``BackendConfig`` stays immutable,
-and per-request budgets choose *which* warm config serves.
+LRU of *sessions* keyed by the per-request ``budget`` override — so
+"the same query at the default budget" and "the same query squeezed to
+64 rows" each hit a pinned plan in the steady state.  The
+``BackendConfig`` stays immutable, and per-request budgets choose
+*which* warm config serves.
 
 Mutation rides the same frames: a ``mutate`` frame installs a fresh
 relation under a name via every cached session's
@@ -88,7 +87,7 @@ from .errors import (
 
 __all__ = ["Worker", "WorkerPool", "worker_main"]
 
-#: How many distinct (budget, workers) session configs one worker keeps
+#: How many distinct budget session configs one worker keeps
 #: warm; beyond this the least-recently-used session is closed (its pools
 #: and pinned plans with it) exactly like the engine's pool LRU.
 MAX_SESSIONS_PER_WORKER = 4
@@ -130,28 +129,23 @@ class _WorkerRuntime:
                 events_path=events_path,
             )
         )
-        self._sessions: "OrderedDict[Tuple[Optional[int], int], Session]" = (
-            OrderedDict()
-        )
+        self._sessions: "OrderedDict[Optional[int], Session]" = OrderedDict()
         self._expressions: Dict[str, Any] = {}
 
-    def _session_key(
-        self, budget: Optional[int], workers: Optional[int]
-    ) -> Tuple[Optional[int], int]:
+    def _session_key(self, budget: Optional[int]) -> Optional[int]:
+        """The budget rows a frame's session runs under (the base's if absent)."""
+        if budget is not None:
+            return budget
         base_budget = self._base_config.budget
-        base_rows = base_budget.rows if base_budget is not None else None
-        rows = budget if budget is not None else base_rows
-        return (rows, workers if workers is not None else self._base_config.workers)
+        return base_budget.rows if base_budget is not None else None
 
-    def _session_for(self, budget: Optional[int], workers: Optional[int]) -> Session:
-        key = self._session_key(budget, workers)
+    def _session_for(self, budget: Optional[int]) -> Session:
+        key = self._session_key(budget)
         session = self._sessions.get(key)
         if session is not None:
             self._sessions.move_to_end(key)
             return session
-        config = self._base_config.override(
-            budget=key[0], workers=key[1], observe=self._observer
-        )
+        config = self._base_config.override(budget=key, observe=self._observer)
         session = Session(self._relations, config)
         self._sessions[key] = session
         while len(self._sessions) > self._max_sessions:
@@ -191,7 +185,9 @@ class _WorkerRuntime:
 
     def _handle_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
         start = perf_counter()
-        session = self._session_for(message.get("budget"), message.get("workers"))
+        # A frame's ``workers`` key, if a caller still sends one, is ignored:
+        # a served query runs in one process.
+        session = self._session_for(message.get("budget"))
         expression = self._expression_for(session, message["query"])
         result = session.prepare(expression).execute()
         elapsed = perf_counter() - start
@@ -211,9 +207,7 @@ class _WorkerRuntime:
             "versions": {name: self._versions.get(name) for name in names},
             "rowcount": len(result),
             "elapsed_ms": elapsed * 1000.0,
-            "budget": self._session_key(
-                message.get("budget"), message.get("workers")
-            )[0],
+            "budget": self._session_key(message.get("budget")),
             "serial_fallbacks": trace.serial_fallbacks,
             "spilled_rows": counters.get("spill_rows", 0),
             "spill_overflows": counters.get("spill_overflows", 0),
@@ -252,7 +246,7 @@ class _WorkerRuntime:
 
     def _stats(self) -> Dict[str, Any]:
         sessions = {
-            f"budget={key[0]} workers={key[1]}": session.stats()
+            f"budget={key}": session.stats()
             for key, session in self._sessions.items()
         }
         events = self._observer.events

@@ -394,14 +394,14 @@ class TestOneTrace:
     def test_the_engine_trace_is_the_object_the_evaluator_returned(self, session):
         engine = session._engine
         returned = []
-        evaluate = engine.evaluate
+        run = engine.run  # what a prepared query calls with its pinned binding
 
         def spy(*args, **kwargs):
-            outcome = evaluate(*args, **kwargs)
+            outcome = run(*args, **kwargs)
             returned.append(outcome[1])
             return outcome
 
-        engine.evaluate = spy
+        engine.run = spy
         result = session.prepare(QUERY_TEXT).execute()
         assert [result.trace] == returned
         assert result.trace is returned[0]

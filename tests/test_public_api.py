@@ -85,7 +85,6 @@ KNOBS = {
         "total_budget_rows",
         "default_request_rows",
         "session_budget",
-        "engine_workers",
         "events_dir",
         "trace",
         "result_cache_size",

@@ -30,6 +30,7 @@ from repro.algebra import Attribute, Domain, Relation, RelationScheme
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
 from repro.engine import join_estimate_provenance, parallel
+from repro.engine import spill as spill_module
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.server import (
     BudgetExhaustedError,
@@ -441,10 +442,26 @@ class TestWorkerPool:
         # A forked child ends in ``os._exit`` and runs no atexit hook, so the
         # spill directory survives unless SIGTERM unwinds the execute.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # Once ``stall`` is set, the execute holds right after its first
+        # spill file exists until the signal unwinds it: it is still
+        # spilling when SIGTERM lands, however fast the host (a spill that
+        # finished inside stop()'s grace window exited 0).  Patched before
+        # the pool forks, so the worker inherits it.
+        stall = multiprocessing.get_context("fork").Event()
+        real_file = spill_module.PartitionedSpill.file
+
+        def file_then_stall(spill, kind):
+            spill_file = real_file(spill, kind)
+            if stall.is_set():
+                time.sleep(60)
+            return spill_file
+
+        monkeypatch.setattr(spill_module.PartitionedSpill, "file", file_then_stall)
         pool = WorkerPool(HEAVY_RELATIONS, BackendConfig(budget=50_000), size=1)
         worker = pool._workers[0]
         try:
             assert pool.run(worker.request(SLOW_FRAME))["spilled_rows"] > 0
+            stall.set()
 
             async def stop_mid_spill():
                 _request_id, answer = await worker.submit(SLOW_FRAME)
@@ -539,15 +556,16 @@ class TestHttpFront:
             assert status == 400, payload
             assert not body["ok"]
 
-    def test_more_than_one_engine_worker_is_refused_not_failed(self, connection):
-        # A server worker is a daemonic process: a session that forked a
-        # probe pool there answered 500 ``AssertionError``.  Refused as a
-        # client fault instead, and one worker is still served.
-        status, body = _post(connection, {"query": QUERIES[0], "workers": 2})
-        assert status == 400, body
-        assert body["error"] == "BadRequestError"
-        assert "runs in one process" in body["message"]
-        status, body = _post(connection, {"query": QUERIES[0], "workers": 1})
+    def test_a_body_naming_workers_is_refused(self, connection):
+        # A server worker is a daemonic process and cannot fork the engine's
+        # probe pool, so a served query runs in one process and the field is
+        # gone: any value is a client fault naming it, never a 500.
+        for workers in (2, 1, None):
+            status, body = _post(connection, {"query": QUERIES[0], "workers": workers})
+            assert status == 400, body
+            assert body["error"] == "BadRequestError"
+            assert '"workers" field was removed' in body["message"]
+        status, body = _post(connection, {"query": QUERIES[0]})
         assert status == 200 and body["ok"]
 
     def test_a_body_naming_a_backend_is_refused(self, connection):
@@ -816,11 +834,9 @@ class TestServerConfig:
         ):
             with pytest.raises(ValueError):
                 ServerConfig(**knobs)
-        # A served query runs in one process: engine_workers is 1 or refused.
-        for workers in (2, 0, True):
-            with pytest.raises(ValueError, match="one process"):
-                ServerConfig(engine_workers=workers)
-        assert ServerConfig(engine_workers=1).engine_workers == 1
+        # A served query runs in one process: there is no engine_workers.
+        with pytest.raises(TypeError):
+            ServerConfig(engine_workers=1)
 
     def test_override(self):
         config = ServerConfig().override(pool_size=4)
@@ -1842,10 +1858,9 @@ class TestResultCacheOverHttp:
             _post(conn, base)
             status, tight = _post(conn, dict(base, budget=64))
             assert status == 200 and tight["cached"] is False
-            # An explicit ``workers`` equal to the server's own is the
-            # execution an absent one runs: the same entry.
-            workers = cached_server.config.engine_workers
-            status, same = _post(conn, dict(base, workers=workers))
+            # An explicit null budget is the execution an absent one runs:
+            # the same entry.
+            status, same = _post(conn, dict(base, budget=None))
             assert status == 200 and same["cached"] is True
             assert cached_server.stats()["cache"]["entries"] == 2
             status, rows = _post(conn, {"query": HEAVY_QUERY})
