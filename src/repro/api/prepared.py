@@ -197,10 +197,10 @@ class PreparedQuery:
         """
         from ..decision.membership import EngineMembershipDecider
 
-        binding = self._binding_for_read()
+        binding, reused = self._current_binding()
         decider = EngineMembershipDecider(evaluator=self._session._engine)
         verdict = decider.decide(candidate, self.expression, binding.relations)
-        self._session._count("executes")
+        self._session._record(reused)
         return verdict
 
     # -- introspection -------------------------------------------------

@@ -103,6 +103,8 @@ class Session:
                 f"a bare Relation, got {type(database).__name__}"
             )
         self._registry: Dict[Expression, PreparedQuery] = {}
+        # Each text prepared, with the epoch it was parsed at.
+        self._texts: Dict[str, Tuple[int, PreparedQuery]] = {}
         self._counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
         self._closed = False
         # The engine evaluator, created lazily and shared by every prepared
@@ -222,11 +224,28 @@ class Session:
         :func:`repro.expressions.parse_expression` (operand schemes are
         taken from the session's relations).  Preparing a structurally
         identical expression again returns the *same* prepared query (a
-        registry hit, not a re-plan).
+        registry hit, not a re-plan); so does a text already parsed at the
+        current epoch, without parsing it again (a relation replacement may
+        change the operand schemes a parse reads, so after one the text is
+        parsed anew).
         """
         self._ensure_open()
-        if isinstance(expression, str):
-            expression = self._parse(expression)
+        if not isinstance(expression, str):
+            return self._registered(expression)
+        with self._state_lock:
+            epoch, prepared = self._texts.get(expression, (None, None))
+            if epoch == self._epoch:
+                self._counters["registry_hits"] += 1
+                return prepared
+        parsed, epoch = self._parse(expression)
+        prepared = self._registered(parsed)
+        with self._state_lock:
+            self._texts[expression] = (epoch, prepared)
+        return prepared
+
+    def _registered(self, expression: Expression) -> PreparedQuery:
+        """The registry's prepared query for ``expression``, prepared now if
+        there is none."""
         with self._state_lock:
             existing = self._registry.get(expression)
             if existing is not None:
@@ -248,18 +267,21 @@ class Session:
         """Prepare (registry-cached) and execute in one call."""
         return self.prepare(expression).execute(**bindings)
 
-    def _parse(self, source: str) -> Expression:
+    def _parse(self, source: str) -> Tuple[Expression, int]:
+        """Parse ``source`` against the session's operand schemes, with the
+        epoch they were read at."""
         with self._state_lock:
             schemes = {name: rel.scheme for name, rel in self._relations.items()}
             if self._default is not None and self._default.name:
                 schemes.setdefault(self._default.name, self._default.scheme)
+            epoch = self._epoch
         if not schemes:
             raise SessionError(
                 "cannot parse a textual query: the session holds no named "
                 "relations (bare-relation sessions need the relation to "
                 "carry a name)"
             )
-        return parse_expression(source, schemes)
+        return parse_expression(source, schemes), epoch
 
     @property
     def prepared_queries(self) -> Tuple[PreparedQuery, ...]:
@@ -299,21 +321,29 @@ class Session:
         ``expression`` re-plans from scratch."""
         self._ensure_open()
         if isinstance(expression, str):
-            expression = self._parse(expression)
+            expression = self._parse(expression)[0]
         self._forget_engine_plan(expression)
 
     def _run(
         self, expression: Expression, binding: "Binding", reused: bool, tracer=None
     ) -> Tuple[Relation, EvaluationTrace]:
-        """Run a prepared query's binding and account for it: its counters
-        under one acquisition of the state lock (``reused`` is a plan-cache
-        hit), its metrics under one of the metrics lock.  The trace is
-        returned uncopied."""
+        """Run a prepared query's binding and account for it (:meth:`_record`).
+        The trace is returned uncopied."""
         start = perf_counter()
         # The prepared query compiled through ``_engine``: the evaluator exists.
         relation, trace = self._engine_evaluator.run(expression, binding, tracer)
-        seconds = perf_counter() - start
-        fallbacks = trace.serial_fallbacks
+        self._record(reused, trace, perf_counter() - start)
+        return relation, trace
+
+    def _record(
+        self, reused: bool, trace: Optional[EvaluationTrace] = None, seconds: float = 0.0
+    ) -> None:
+        """Account for one execute: its counters under one acquisition of
+        the state lock (``reused`` is a plan-cache hit), its metrics under
+        one of the metrics lock.  A membership decision has no ``trace``: it
+        counts as an execute, in ``stats()`` and ``repro_executes_total``
+        alike, and observes nothing else."""
+        fallbacks = trace.serial_fallbacks if trace is not None else 0
         with self._state_lock:
             counters = self._counters
             counters["executes"] += 1
@@ -339,6 +369,9 @@ class Session:
                 ),
             )
         latency, executes, rows, peak = instruments
+        if trace is None:
+            record(increments=((executes, 1),))
+            return
         increments = [(executes, 1), (rows, trace.result_cardinality)]
         for name, text, amount in (
             ("repro_serial_fallbacks_total", "parallel-to-serial degradations", fallbacks),
@@ -351,7 +384,6 @@ class Session:
             increments=increments,
             assignments=((peak, trace.peak_live_rows),),  # the trace's peak_memory_rows
         )
-        return relation, trace
 
     # -- counters ------------------------------------------------------
 

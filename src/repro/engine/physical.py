@@ -25,6 +25,7 @@ The iterator contract (see ``docs/ENGINE.md``):
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
@@ -42,7 +43,7 @@ from typing import (
 )
 
 from ..perf.counters import kernel_counters
-from ..perf.plancache import ChainKernel, JoinPlan
+from ..perf.plancache import ChainKernel, GroupedEmission, JoinPlan
 from .spill import PartitionedSpill, SpillFile, partition_index
 from .stats import RelationStats
 
@@ -733,6 +734,38 @@ def _frozen(buckets: Dict[Hashable, Set[Row]], kernel) -> Tuple[Dict[Hashable, A
     return frozen, emit
 
 
+#: A probe block of a lone folded join is grouped (:meth:`HashJoin._probe`)
+#: only when its joined rows are at least this many times the rows grouping
+#: can emit, (its distinct ``g``) x (the table's distinct parts): at least
+#: three in four of them are then duplicates the dedup above would drop.
+GROUP_REPEATS = 4
+
+
+def _table_parts(frozen: Dict[Hashable, tuple], part_of) -> Tuple[int, int]:
+    """A nested table's side of the grouping guard: its distinct parts (at
+    least 1), and its widest bucket's size."""
+    entries = chain.from_iterable(frozen.values())
+    parts = len(set(entries if part_of is None else map(part_of, entries)))
+    return max(parts, 1), max(map(len, frozen.values()), default=0)
+
+
+def _grouped_block(
+    grouped: GroupedEmission, block: Block, matches: list, parts: int
+) -> list:
+    """Emit a probe block's lookups in a nested table through ``grouped``:
+    the union of each ``g``'s matched parts, then ``{g} x parts`` once
+    each, so no duplicate row is built.  A ``g`` that holds all ``parts``
+    of the table takes no further bucket."""
+    acc: Dict[Hashable, Set[Row]] = defaultdict(set)
+    part_of = grouped.part_of
+    for group, bucket in zip(map(grouped.group_of, block), matches):
+        if bucket:
+            union = acc[group]
+            if len(union) < parts:
+                union.update(bucket if part_of is None else map(part_of, bucket))
+    return grouped.emit(acc)
+
+
 class HashJoin(PhysicalOperator):
     """Streaming hash join: drain the build side into buckets, stream the probe.
 
@@ -763,6 +796,10 @@ class HashJoin(PhysicalOperator):
     #: in-memory join yields per probe block, as it always has.
     _flush_rows = 1
 
+    #: Whether a lone folded join may emit a probe block grouped (see
+    #: :meth:`_probe`); a budgeted join always runs the ordinary kernel.
+    _grouping = True
+
     def __init__(
         self,
         left: PhysicalOperator,
@@ -782,11 +819,15 @@ class HashJoin(PhysicalOperator):
         self._kernel: Optional[ChainKernel] = None
         self._members: List[HashJoin] = [self]  # the run this join heads, bottom first
         self._folded = False
+        #: Probe blocks the most recent execution emitted grouped (see :meth:`_probe`).
+        self.grouped_blocks = 0
         # Side-generic views.  ``_pairs_of(block)`` lazily turns a build
         # block into the build kernel's ``(key, entry)`` pairs: entries are
         # full left rows, or the right rows' extras (the key already
-        # carries their other columns).
+        # carries their other columns; one extra column is picked by its
+        # getter, as ``zip(map(getter, block))``: no Python frame per row).
         extra_of = plan.right_extra_of
+        single = getattr(extra_of, "single", None)
         if build_side == "left":
             key_of = plan.left_key_of
             self._build_child, self._probe_child = left, right
@@ -796,7 +837,14 @@ class HashJoin(PhysicalOperator):
             key_of = plan.right_key_of
             self._build_child, self._probe_child = right, left
             self._probe_key_of = plan.left_key_of
-            self._pairs_of = lambda block: zip(map(key_of, block), map(extra_of, block))
+            if single is not None:
+                self._pairs_of = lambda block: zip(
+                    map(key_of, block), zip(map(single, block))
+                )
+            else:
+                self._pairs_of = lambda block: zip(
+                    map(key_of, block), map(extra_of, block)
+                )
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         """The input operators."""
@@ -843,6 +891,7 @@ class HashJoin(PhysicalOperator):
         resident = 0
         for member in members:
             member.rows_out = member.build_peak_rows = 0
+        self.grouped_blocks = 0
         try:
             # Acquire per build block, not after the drain: a stateful
             # build-side subtree (e.g. a projection over a join) holds its
@@ -880,6 +929,16 @@ class HashJoin(PhysicalOperator):
         emits on an ``itertools.count``: those counts are the members'
         ``rows_out`` and the probes of the joins above them
         (``join_probes``).  A lone join's rows are its output's.
+
+        A lone join whose kernel has a ``grouped`` emission (a folded
+        projection that keeps only some of the probe key's columns) over a
+        nested table picks its loop per probe block, as :func:`_frozen`
+        picks the flat or the nested one per table: a block whose joined
+        rows are at least :data:`GROUP_REPEATS` times (its distinct ``g``)
+        x (the table's distinct parts) is emitted grouped
+        (:func:`_grouped_block`), every other block through the kernel.
+        Either way its ``rows_out`` counts the joined rows, the sum of its
+        matched bucket sizes.
         """
         members = self._members
         kernel = self._kernel
@@ -887,6 +946,10 @@ class HashJoin(PhysicalOperator):
             raise RuntimeError(f"{self.label()} has no kernel: hand it one with fuse()")
         frozen, emit = _frozen(tables[0], kernel)
         flat = emit is kernel.flat
+        # A flat table meets a probe row once: the dedup above costs what
+        # grouping would.
+        grouped = kernel.grouped if self._grouping and not flat else None
+        parts = widest = 0  # the table's side of the guard, once a block asks
         counts = [count(1) for _ in members[1:-1]]
         tail = []
         for buckets in tables[1:]:
@@ -910,7 +973,29 @@ class HashJoin(PhysicalOperator):
                         bottom_rows += len(matches) - matches.count(None)
                     else:
                         bottom_rows += sum(map(len, filter(None, matches)))
-                out += emit(block, matches, *tail)
+                rows = None
+                if grouped is not None:
+                    if not parts:
+                        parts, widest = _table_parts(frozen, grouped.part_of)
+                    # The guard, cheapest test first: at most ``most`` distinct
+                    # ``g`` can pass it, so a spread sample of ``most + 1`` rows
+                    # that holds more rejects the block before a full pass.
+                    least = GROUP_REPEATS * parts
+                    group_of = grouped.group_of
+                    most = len(block) * widest // least
+                    step = len(block) // (most + 1) or 1
+                    if most and len(set(map(group_of, block[::step]))) <= most:
+                        matches = list(matches)
+                        joined = sum(map(len, filter(None, matches)))
+                        if len(set(map(group_of, block))) * least <= joined:
+                            rows = _grouped_block(grouped, block, matches, parts)
+                if rows is None:
+                    out += emit(block, matches, *tail)
+                else:
+                    self.grouped_blocks += 1
+                    # The joined rows grouping never built count all the same.
+                    self.rows_out += joined - len(rows)
+                    out += rows
                 if len(out) >= flush_rows:
                     self.rows_out += len(out)
                     yield out
@@ -984,6 +1069,9 @@ class GraceHashJoin(HashJoin):
     #: Spill partitions arrive in :data:`~repro.engine.spill.SPILL_BLOCK_ROWS`
     #: -sized blocks, so the probe kernel gathers a full block before yielding.
     _flush_rows = BLOCK_ROWS
+
+    #: Every budgeted count stays the ordinary kernel's.
+    _grouping = False
 
     def __init__(
         self,

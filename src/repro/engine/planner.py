@@ -350,7 +350,7 @@ def fold_projection(
     return replace(child, emit_scheme=plan.target_scheme), None
 
 
-def fuse_chains(node: PlanNode) -> PlanNode:
+def fuse_chains(node: PlanNode, deduplicated: bool = False) -> PlanNode:
     """Compile a kernel for every run of hash joins under ``node``, in place.
 
     A run is a maximal chain of hash joins in which each join's probe child
@@ -361,7 +361,10 @@ def fuse_chains(node: PlanNode) -> PlanNode:
     bounds a run (it reads the rows, and a folded join can only be a run's
     top), and a budgeted join is a run of one: its spill path probes per
     partition.  Every join heads a run or is inside one; a lone join is a
-    run of one.
+    run of one.  ``deduplicated`` says ``node``'s parent is a deduplicating
+    projection: only then may a lone join emit a block grouped
+    (:class:`~repro.perf.plancache.GroupedEmission`), as nothing else reads
+    how often a row arrives.
     """
     members: List[PlanNode] = []
     below = node
@@ -376,12 +379,12 @@ def fuse_chains(node: PlanNode) -> PlanNode:
         if node.emit_scheme is not None:
             emit = tuple(node.scheme.names.index(name) for name in node.emit_scheme.names)
         levels = [(member.build_side == "left", member.join_plan) for member in members]
-        node.chain = make_chain_kernel(levels[::-1], emit)
+        node.chain = make_chain_kernel(levels[::-1], emit, grouping=deduplicated)
     rest = [below] if members else list(node.children)
     for member in members:
         rest.append(member.children[1 - member.probe_child_index()])
     for child in rest:
-        fuse_chains(child)
+        fuse_chains(child, node.kind == "project" and node.dedup)
     return node
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "make_key_picker",
     "make_chain_kernel",
     "ChainKernel",
+    "GroupedEmission",
     "join_plan_cache",
     "project_plan_cache",
 ]
@@ -82,6 +83,21 @@ def make_key_picker(positions: Tuple[int, ...]) -> KeyPicker:
     return itemgetter(*positions)
 
 
+class GroupedEmission(NamedTuple):
+    """How a lone join with a folded projection emits a block whose output
+    repeats: each probe row's emitted columns ``g`` (``group_of``) take the
+    union of its matched entries' emitted columns (``part_of``, or the
+    entry itself when it is ``None``), and ``emit`` maps those
+    ``{g: parts}`` to the rows ``{g} x parts``, once each, in the
+    projection's column order.  A side of one column is a bare value.
+    """
+
+    group_of: KeyPicker
+    part_of: Optional[KeyPicker]
+    emit: Callable[[Mapping[Hashable, set]], list]
+    source: str
+
+
 class ChainKernel(NamedTuple):
     """A hash join, or a left-deep run of them, compiled into one comprehension.
 
@@ -95,12 +111,16 @@ class ChainKernel(NamedTuple):
     deeper level iterates its bucket.  ``ci`` is called once per row the
     ``i``-th join emits (the bottom's rows are counted off ``matches``, the
     top's off the output).  A lone join is a run of one: ``(block, matches)``.
+    ``grouped`` is set on a lone join under a deduplicating projection
+    folded into it that keeps only some of the probe key's columns (so
+    probe rows of one ``g`` may meet different buckets), else ``None``.
     """
 
     nested: Callable[..., list]
     flat: Callable[..., list]
     source: str
     depth: int  # how many joins it runs
+    grouped: Optional[GroupedEmission] = None
 
 
 #: A chain kernel's source: two loops over the bottom table, ``{levels}`` above.
@@ -117,7 +137,17 @@ _CHAIN_SOURCE = (
 _CONCAT_COLUMNS = 8
 
 
-Term = Tuple[str, int]  # a column as ``(variable, index)``: ``variable[index]``
+Term = Tuple[str, Optional[int]]  # a column as ``(variable, index)``: ``variable[index]``
+
+
+#: A grouped emission's source: ``g`` and ``p`` are the two sides' columns.
+_GROUPED_SOURCE = "lambda acc: [{row} for g, parts in acc.items() for p in parts]"
+
+
+def _term(term: Term) -> str:
+    """A column read as source: ``variable[index]``, or a bare ``variable``."""
+    variable, index = term
+    return variable if index is None else f"{variable}[{index}]"
 
 
 def _display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
@@ -151,7 +181,7 @@ def _display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
             None,
         )
         if whole is None:
-            loose.append("{}[{}]".format(*terms[start]))
+            loose.append(_term(terms[start]))
             start += 1
             continue
         if loose:
@@ -167,12 +197,14 @@ def _display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
 def _key_display(terms: Sequence[Term], places: Mapping[str, List[Term]]) -> str:
     """The hashable a :func:`make_key_picker` of these columns returns."""
     if len(terms) == 1:
-        return "{}[{}]".format(*terms[0])
+        return _term(terms[0])
     return _display(terms, places)
 
 
 def make_chain_kernel(
-    levels: Sequence[Tuple[bool, "JoinPlan"]], emit: Optional[Tuple[int, ...]] = None
+    levels: Sequence[Tuple[bool, "JoinPlan"]],
+    emit: Optional[Tuple[int, ...]] = None,
+    grouping: bool = False,
 ) -> ChainKernel:
     """Generate and compile the probe comprehension of a left-deep join run.
 
@@ -187,6 +219,10 @@ def make_chain_kernel(
     Only integers reach the source, compiled with ``eval`` as
     :func:`collections.namedtuple` does ``__new__`` — once per distinct
     source, at planning: never per execution.
+
+    ``grouping`` says a deduplicating projection reads what the run emits,
+    so a lone join may emit each distinct row of a block once: its kernel
+    then carries a :class:`GroupedEmission` (see :func:`_grouped_emission`).
     """
     depth = len(levels)
     places: Dict[str, List[Term]] = {}
@@ -202,6 +238,8 @@ def make_chain_kernel(
             columns = places["r0"] = [("r0", index) for index in range(probe_width)]
         probe_key = plan.right_key if build_left else plan.left_key
         key = [columns[index] for index in probe_key]
+        if level == 1:
+            bottom_key = key
         if level > 1:
             count = f" if c{level}()" if level < depth else ""
             loops.append(
@@ -217,18 +255,58 @@ def make_chain_kernel(
             places[entry] = [(entry, index) for index in range(len(plan.right_extra))]
             joined = columns + places[entry]
         columns = joined
-    row = _display(columns if emit is None else [columns[p] for p in emit], places)
+    terms = columns if emit is None else [columns[p] for p in emit]
     params = "".join(
         [f", g{level}" for level in range(2, depth + 1)]
         + [f", c{level}" for level in range(2, depth)]
     )
-    source = _CHAIN_SOURCE.format(params=params, row=row, levels="".join(loops))
-    kernel = _KERNELS.get(source)
-    if kernel is None:
-        scope = {"__builtins__": {}, "zip": zip}
-        kernel = ChainKernel(*eval(source, scope), source, depth)
-        _KERNELS.put(source, kernel)  # the same few sources recur across plans
-    return kernel
+    source = _CHAIN_SOURCE.format(
+        params=params, row=_display(terms, places), levels="".join(loops)
+    )
+    grouped = None
+    if grouping and depth == 1 and emit is not None:
+        grouped = _grouped_emission(terms, bottom_key, len(places["e1"]))
+    return ChainKernel(*_compiled(source), source, depth, grouped)
+
+
+def _compiled(source: str) -> Any:
+    """``eval`` of generated ``source``, cached: the same few recur across plans."""
+    compiled = _KERNELS.get(source)
+    if compiled is None:
+        compiled = eval(source, {"__builtins__": {}, "zip": zip})
+        _KERNELS.put(source, compiled)
+    return compiled
+
+
+def _grouped_emission(
+    terms: Sequence[Term], probe_key: Sequence[Term], entry_width: int
+) -> Optional[GroupedEmission]:
+    """The grouped emission of a lone join that emits ``terms``, or ``None``
+    when they hold every column of the probe key (then one ``g`` meets one
+    bucket, and grouping could fold nothing a dedup above would not).
+
+    ``g`` lists the emitted probe-row columns and ``p`` the emitted entry
+    columns, each in the order they are emitted; either is a bare value
+    when it is one column, unless ``p`` is the whole entry (a tuple).
+    """
+    group = [index for variable, index in terms if variable == "r0"]
+    if set(probe_key) <= {("r0", index) for index in group}:
+        return None
+    part = [index for variable, index in terms if variable != "r0"]
+    whole = part == list(range(entry_width))
+    g = [("g", None)] if len(group) == 1 else [("g", i) for i in range(len(group))]
+    p = [("p", None)] if len(part) == 1 and not whole else [("p", i) for i in range(len(part))]
+    g_read, p_read = iter(g), iter(p)
+    renamed = [next(g_read if variable == "r0" else p_read) for variable, _ in terms]
+    # A bare value is never a whole variable to concatenate.
+    places = {name: side for name, side in (("g", g), ("p", p)) if (name, None) not in side}
+    source = _GROUPED_SOURCE.format(row=_display(renamed, places))
+    return GroupedEmission(
+        make_key_picker(tuple(group)),
+        None if whole else make_key_picker(tuple(part)),
+        _compiled(source),
+        source,
+    )
 
 
 @dataclass(frozen=True)

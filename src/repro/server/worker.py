@@ -27,9 +27,9 @@ behind it on that worker, pings, telemetry and mutates included.  The
 pool routes each query to a worker with the fewest frames in flight, so
 traffic goes around a worker busy with a slow spilling execute.
 
-Warmth is the point.  A worker parses each distinct query text once
-(expression cache), prepares it once per session (the session's
-registry pins the plan and its forked probe pools), and keeps a small
+Warmth is the point.  A worker prepares each distinct query text once
+per session (the session's registry answers a text it parsed at the
+current epoch, and pins the plan and its forked probe pools), and keeps a small
 LRU of *sessions* keyed by the per-request ``budget`` override — so
 "the same query at the default budget" and "the same query squeezed to
 64 rows" each hit a pinned plan in the steady state.  The
@@ -98,7 +98,7 @@ _STOP_SECONDS = 5.0
 
 
 class _WorkerRuntime:
-    """The in-child request state: session cache + expression cache.
+    """The in-child request state: a cache of warm sessions.
 
     :func:`worker_main` serves one frame at a time, so nothing here is
     shared between threads.
@@ -130,7 +130,12 @@ class _WorkerRuntime:
             )
         )
         self._sessions: "OrderedDict[Optional[int], Session]" = OrderedDict()
-        self._expressions: Dict[str, Any] = {}
+        # The never-fires tripwire, surfaced per worker so a /metrics
+        # scrape can assert it stayed zero across the whole fleet.
+        self._overflows = self._observer.metrics.counter(
+            "repro_spill_overflows_total",
+            help="budget overflows the spill machinery failed to absorb",
+        )
 
     def _session_key(self, budget: Optional[int]) -> Optional[int]:
         """The budget rows a frame's session runs under (the base's if absent)."""
@@ -152,12 +157,6 @@ class _WorkerRuntime:
             _stale_key, stale = self._sessions.popitem(last=False)
             stale.close()
         return session
-
-    def _expression_for(self, session: Session, text: str):
-        expression = self._expressions.get(text)
-        if expression is None:
-            expression = self._expressions[text] = session._parse(text)
-        return expression
 
     def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Serve one request dict and return the response dict."""
@@ -188,23 +187,17 @@ class _WorkerRuntime:
         # A frame's ``workers`` key, if a caller still sends one, is ignored:
         # a served query runs in one process.
         session = self._session_for(message.get("budget"))
-        expression = self._expression_for(session, message["query"])
-        result = session.prepare(expression).execute()
+        prepared = session.prepare(message["query"])
+        result = prepared.execute()
         elapsed = perf_counter() - start
-        names = sorted(expression.operand_schemes())
         trace = result.trace
         counters = trace.counters
-        # The never-fires tripwire, surfaced per worker so a /metrics
-        # scrape can assert it stayed zero across the whole fleet.
-        self._observer.metrics.counter(
-            "repro_spill_overflows_total",
-            help="budget overflows the spill machinery failed to absorb",
-        ).inc(counters.get("spill_overflows", 0))
+        self._overflows.inc(counters.get("spill_overflows", 0))
         response: Dict[str, Any] = {
             "ok": True,
             "worker": self.index,
             "columns": list(result.scheme.names),
-            "versions": {name: self._versions.get(name) for name in names},
+            "versions": {name: self._versions.get(name) for name in prepared.operand_names},
             "rowcount": len(result),
             "elapsed_ms": elapsed * 1000.0,
             "budget": self._session_key(message.get("budget")),
@@ -254,7 +247,6 @@ class _WorkerRuntime:
             "pid": os.getpid(),
             "worker": self.index,
             "sessions": sessions,
-            "expressions_cached": len(self._expressions),
             "event_counts": events.counts() if events is not None else {},
         }
 

@@ -535,3 +535,65 @@ class TestReviewRegressions:
         prepared = session.prepare(QUERY_TEXT)
         with pytest.raises(SessionError, match="operands"):
             prepared.trace(Enrolment=relations["R"])
+
+
+class TestOneExecuteCount:
+    """Every execute is counted once, in ``stats()`` and in ``/metrics``."""
+
+    def test_a_membership_decision_counts_in_stats_and_metrics_alike(self, session):
+        prepared = session.prepare(QUERY_TEXT)
+        inside = next(iter(prepared.execute().relation.rows))
+        assert prepared.contains(inside)
+        assert session.stats()["executes"] == 2
+        assert session.metrics().counter("repro_executes_total").value == 2
+        assert session.stats()["plan_cache_hits"] == 2
+
+
+class TestTextCache:
+    """A text is parsed once per epoch: the registry answers it after that."""
+
+    @staticmethod
+    def _counting_parser(monkeypatch):
+        from repro.api import session as session_module
+
+        parses = []
+        real = session_module.parse_expression
+
+        def parse(source, schemes):
+            parses.append(source)
+            return real(source, schemes)
+
+        monkeypatch.setattr(session_module, "parse_expression", parse)
+        return parses
+
+    def test_executes_of_one_text_parse_it_once(self, session, relations, monkeypatch):
+        parses = self._counting_parser(monkeypatch)
+        results = [session.execute(QUERY_TEXT) for _ in range(5)]
+        assert parses == [QUERY_TEXT]
+        assert all(result.set_equal(results[0]) for result in results)
+        stats = session.stats()
+        assert stats["prepares"] == 1
+        assert stats["registry_hits"] == 4
+        assert stats["executes"] == 5
+
+    def test_a_replacement_that_changes_a_scheme_parses_the_text_again(
+        self, session, relations, monkeypatch
+    ):
+        parses = self._counting_parser(monkeypatch)
+        text = "project[A](R * S)"
+        before = session.execute(text)
+        assert before.set_equal(_reference(session.prepare(text).expression, relations))
+        # ``R`` gains a column: the parsed operand scheme is no longer the one held.
+        widened = Relation.from_rows(
+            "A B D", [(7, "x", 0), (8, "q", 1), (9, "z", 2)], name="R"
+        )
+        session.set_relation("R", widened)
+        after = session.execute(text)
+        assert parses == [text, text]
+        prepared = session.prepare(text)
+        assert prepared.expression.operand_schemes()["R"].names == ("A", "B", "D")
+        assert after.set_equal(
+            _reference(prepared.expression, {"R": widened, "S": relations["S"]})
+        )
+        assert sorted(row[0] for row in after.relation.rows) == [7, 9]
+        assert len(parses) == 2
