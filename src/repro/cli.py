@@ -186,7 +186,7 @@ def _command_blowup(arguments: argparse.Namespace) -> int:
             f" x {arguments.workers} worker(s):"
             f" {spills['join_spills']} join spill(s),"
             f" {spills['spill_rows']} row(s) spilled,"
-            f" {spills['spill_recursions']} recursive re-partition(s),"
+            f" {spills['spill_recursions']} partition re-split(s),"
             f" {spills['spill_overflows']} overflow(s)"
         )
     return 0

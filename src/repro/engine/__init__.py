@@ -77,7 +77,6 @@ from .stats import (
     SampledRelationStats,
     estimate_join_cardinality,
     estimate_partition_count,
-    estimate_spill_depth,
     join_estimate_provenance,
     join_stats,
     project_stats,
@@ -115,7 +114,6 @@ __all__ = [
     "RelationStats",
     "estimate_join_cardinality",
     "estimate_partition_count",
-    "estimate_spill_depth",
     "join_estimate_provenance",
     "join_stats",
     "project_stats",

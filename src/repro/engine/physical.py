@@ -81,27 +81,22 @@ class MemoryBudget:
     every spillable operator honors it.  A hash join whose build side would
     push the meter past it spills the build: a small one is re-read per
     probe slice while the probe keeps streaming, a large one takes both
-    sides through Grace partitions (:class:`GraceHashJoin` has the rule),
-    and an unsplittable partition (one heavy key, a keyless product) is
-    joined in meter-sized chunks.  Dedup seen-sets spill through
-    :class:`SpillingSeenSet`.  What remains transiently metered beyond the
-    budget (the result accumulator, one partition- or chunk-granularity
-    allowance per replay) is bounded and honest: a genuine overrun —
-    distinct rows a partition cannot shed even after re-salting stops
-    progressing — is counted in ``spill_overflows`` rather than masked.
+    sides through Grace partitions (:class:`GraceHashJoin` has the rule).
+    Dedup seen-sets spill through :class:`SpillingSeenSet`.  Both drain
+    their partitions through one recursion (:func:`_drain_spill`).  What
+    remains transiently metered beyond the budget (the result accumulator,
+    one partition- or chunk-granularity allowance per replay) is bounded
+    and honest: a genuine overrun — distinct rows a partition cannot shed
+    once splitting stops making progress — is counted in
+    ``spill_overflows`` rather than masked.
 
     ``spill_fanout`` is the default partitions-per-level (a planner estimate
-    can override it per join); ``max_recursion`` bounds how many times an
-    oversized partition is re-split with a fresh hash salt;
-    ``min_partition_rows`` stops re-splitting partitions already tiny;
-    ``spill_dir`` hosts the per-join temporary directories (``None`` = the
-    system temp dir).
+    can override it per join); ``spill_dir`` hosts the per-execution
+    temporary directories (``None`` = the system temp dir).
     """
 
     rows: int
     spill_fanout: int = 8
-    max_recursion: int = 4
-    min_partition_rows: int = 16
     spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -196,6 +191,92 @@ class MemoryMeter:
             return max(self.budget - self.current, 0)
 
 
+def _drain_spill(
+    client: Any,
+    spill: PartitionedSpill,
+    partitions: List[Tuple[Optional[SpillFile], ...]],
+    level: int = 1,
+    splittable: bool = True,
+) -> Iterator[Block]:
+    """The one spill recursion: yield sealed partitions' output, one at a time.
+
+    Both spilling clients (:class:`SpillingSeenSet`, :class:`GraceHashJoin`)
+    route their state to partitions under salt 0 and hand them here.  A
+    partition is a tuple of files laid out as ``client._layout`` says (each
+    file's kind and routing key): a dedup's one file, a join's build and
+    probe files.  One with an empty file emits nothing; every other one
+
+    * is **loaded** if it fits: ``client._load(files)`` returns what
+      ``client._emit`` needs and the rows it holds on the meter (released
+      here after the emission), or ``None`` holding nothing;
+    * else, if its first file holds more rows than the budget, is
+      **re-split**: every file is routed under salt = ``level`` (a later
+      file only where the first has rows) and the parts come back here;
+    * else goes to ``client._fall_back(files)``.
+
+    A split makes progress when its largest part is smaller than the file.
+    One that does not either met keys that all hash alike (one heavy key, a
+    keyless product), so its one part falls back without a load, or was
+    unlucky (odds at most ``1 / fanout``) and the next salt splits again.
+    ``spill_recursions`` and ``client.resplits`` count the splits,
+    ``client.fallbacks`` the fallbacks.  A partition's files are deleted
+    once it is done.
+    """
+    fanout = len(partitions)
+    for files in partitions:
+        try:
+            if not all(part is not None and part.rows for part in files):
+                continue
+            loaded = client._load(files) if splittable else None
+            if loaded is not None:
+                state, held = loaded
+                try:
+                    yield from client._emit(files, state)
+                finally:
+                    client.meter.release(held)
+            elif splittable and files[0].rows > client._budget.rows:
+                _COUNTERS.add(spill_recursions=1)
+                client.resplits += 1
+                split = []
+                wanted = None
+                for (kind, key_of), part in zip(client._layout, files):
+                    subs = spill.partitions(fanout, kind, wanted)
+                    spill.route(subs, chain.from_iterable(_drained(part)), key_of, level)
+                    spill.seal(subs)
+                    split.append(subs)
+                    wanted = wanted or [sub.rows for sub in subs]
+                largest = max(wanted)
+                again = largest < files[0].rows or not _alike(
+                    split[0][wanted.index(largest)], client._layout[0][1]
+                )
+                yield from _drain_spill(client, spill, list(zip(*split)), level + 1, again)
+            else:
+                client.fallbacks += 1
+                yield from client._fall_back(files)
+        finally:
+            for part in files:
+                if part is not None:
+                    part.delete()
+
+
+def _alike(part: SpillFile, key_of: Callable[[Any], Hashable]) -> bool:
+    """Whether every key in a sealed, non-empty file hashes alike: no salt
+    can split them."""
+    hashes = map(hash, map(key_of, chain.from_iterable(part.blocks())))
+    first = next(hashes)
+    return all(value == first for value in hashes)
+
+
+def _log_spill(client: Any, operator: str, rows: int, mode="partitioned", rereads=0) -> None:
+    """Log a spilling client's one ``spill`` event, when events are on."""
+    if client.meter.events is not None:
+        client.meter.events.emit(
+            "spill", operator=operator, label=client.label(), mode=mode, rows=rows,
+            fanout=client._fanout, resplits=client.resplits,
+            fallbacks=client.fallbacks, build_rereads=rereads,
+        )
+
+
 class SpillingSeenSet:
     """A dedup seen-set under a budget: spills to partitions on overflow.
 
@@ -212,12 +293,13 @@ class SpillingSeenSet:
       set fits the budget that happens immediately; after the spill switch
       the rows are routed to partition files tagged *pending* and nothing
       is returned — their first occurrences are emitted by :meth:`drain`.
-    * :meth:`drain` replays the partitions, re-splitting any whose distinct
-      rows still overflow with a fresh salt, and yields the deferred first
-      occurrences in blocks.
-    * :meth:`close` releases metered state and deletes every spill artifact
-      (idempotent; called from the owner's ``finally``, so an abandoned or
-      failing execution leaks nothing).
+    * :meth:`drain` hands the partitions to the spill driver
+      (:func:`_drain_spill`) and yields the deferred first occurrences in
+      blocks.
+    * :meth:`close` releases metered state, deletes every spill artifact
+      and logs the ``spill`` event of a set that spilled (idempotent;
+      called from the owner's ``finally``, so an abandoned or failing
+      execution leaks nothing).
 
     Emission order is arrival order until the switch and partition order
     after it; no consumer reads meaning into either.
@@ -228,18 +310,26 @@ class SpillingSeenSet:
     duplicates of those rows pass through as well.
 
     Metering: the pre-switch set and, during replay, one partition's
-    distinct rows are metered.  A partition whose rows fit ``budget.rows``
-    is processed resident even when *other* state (the result accumulator,
-    a downstream operator) holds the shared meter at its ceiling — the
-    budget governs spillable state at partition granularity.  Only a
-    partition that outgrows the budget after re-salting stops making
-    progress counts a ``spill_overflows``.
+    distinct rows are metered.  A partition *fits* when its distinct rows
+    fit the headroom or all its rows fit ``budget.rows``: the latter is
+    replayed resident even when *other* state (the result accumulator, a
+    downstream operator) pins the shared meter — the budget governs
+    spillable state at partition granularity.  The fallback replays
+    resident regardless, counting a ``spill_overflows`` if the distinct
+    rows exceed the budget.  ``label`` names the owner in the event.
     """
 
-    def __init__(self, meter: MemoryMeter, budget: MemoryBudget, spill: bool = True):
+    #: Each partition is one file of ``(row, seen)`` items keyed on the row.
+    _layout = (("part", _first),)
+
+    def __init__(
+        self, meter: MemoryMeter, budget: MemoryBudget, spill: bool = True, label=None
+    ):
         self.meter = meter
         self._budget = budget
         self._may_spill = spill
+        #: The owner's label, for the ``spill`` event.
+        self.label: Callable[[], str] = label or (lambda: "dedup")
         self._seen: Set[Row] = set()
         self._resident = 0
         self._fanout = budget.spill_fanout
@@ -247,19 +337,14 @@ class SpillingSeenSet:
         self._parts: Optional[List[SpillFile]] = None
         #: Whether this set switched to partitioned spill mode.
         self.spilled = False
+        #: Re-splits and fallbacks the spill driver made for this set.
+        self.resplits = self.fallbacks = 0
 
     def _switch(self) -> None:
         """Flush the in-memory set to partition files and enter spill mode."""
         self.spilled = True
         self._parts = self._spill.partitions(self._fanout, "part")
         _COUNTERS.add(dedup_spills=1)
-        if self.meter.events is not None:
-            self.meter.events.emit(
-                "spill",
-                operator="dedup",
-                rows=self._resident,
-                fanout=self._fanout,
-            )
         self._spill.route(self._parts, zip(self._seen, repeat(True)), _first, 0)
         self._seen.clear()
         self.meter.release(self._resident)
@@ -298,88 +383,67 @@ class SpillingSeenSet:
         if self._parts is None:
             return
         self._spill.seal(self._parts)
-        for part in self._parts:
-            if part.rows:
-                yield from self._replay(part, 1, 0)
+        yield from _drain_spill(self, self._spill, [(part,) for part in self._parts])
 
-    def _replay(self, part: SpillFile, level: int, resalts: int) -> Iterator[Block]:
-        """Replay one partition with a resident per-partition set.
+    def _emit(self, files: Tuple[SpillFile], deferred: Block) -> Iterator[Block]:
+        """Yield a loaded partition's first occurrences in blocks."""
+        for start in range(0, len(deferred), BLOCK_ROWS):
+            yield deferred[start : start + BLOCK_ROWS]
 
-        ``resalts`` counts *consecutive* re-splits that made no progress
-        (every row landed in one sub-partition — all-equal rows); a
-        productive split resets it, so recursion is bounded by data shape,
-        not a fixed depth that a large-but-splittable partition could hit.
-        Emissions are buffered until the whole partition is replayed: the
-        decision to re-split can arrive mid-file, and rows yielded before
-        it would be re-emitted by the sub-partitions.
-        """
+    def _fall_back(self, files: Tuple[SpillFile]) -> Iterator[Block]:
+        """Replay a partition splitting cannot shrink, resident regardless."""
+        deferred, held = self._load(files, refuse=False)
+        try:
+            if held > self._budget.rows:
+                # Its distinct rows alone outgrew the budget once splitting
+                # stopped making progress: the one case spilling cannot
+                # bound, surfaced instead of masked.
+                _COUNTERS.add(spill_overflows=1)
+            yield from self._emit(files, deferred)
+        finally:
+            self.meter.release(held)
+
+    def _load(self, files: Tuple[SpillFile], refuse=True) -> Optional[Tuple[Block, int]]:
+        """Replay a partition into a seen-set: its first occurrences still
+        owed and the rows held on the meter, or ``None`` (holding nothing)
+        if it does not fit (see the class notes) and ``refuse``.  They are
+        held until the whole file is read: a refusal can come mid-file, and
+        rows yielded before it would be emitted again by the re-split."""
+        (part,) = files
+        refuse = refuse and part.rows > self._budget.rows
         meter = self.meter
-        budget = self._budget
         seen: Set[Row] = set()
         deferred: Block = []
-        resident = 0
-        overflowed = False
+        held = 0
+        pinned = False  # past the headroom: acquire without asking again
         try:
             for row, was_seen in chain.from_iterable(part.blocks()):
                 if row in seen:
                     continue
-                if overflowed:
+                if pinned:
                     meter.acquire(1)
                 elif not meter.try_acquire(1):
-                    if (
-                        part.rows > budget.rows
-                        and part.rows > budget.min_partition_rows
-                        and resalts < budget.max_recursion
-                    ):
-                        break
-                    # Partition-granularity allowance: a partition whose
-                    # rows fit the budget may be replayed resident even
-                    # when other state pins the shared meter; whether the
-                    # allowance was an honest overflow is decided below,
-                    # from the *distinct* rows actually held.
-                    overflowed = True
+                    if refuse:
+                        return None
+                    pinned = True
                     meter.acquire(1)
-                resident += 1
+                held += 1
                 seen.add(row)
                 if not was_seen:
                     deferred.append(row)
-            else:
-                if resident > budget.rows:
-                    # The partition's distinct rows alone outgrew the budget
-                    # after re-salting stopped making progress — the one case
-                    # spilling cannot bound, surfaced instead of masked.
-                    _COUNTERS.add(spill_overflows=1)
-                for start in range(0, len(deferred), BLOCK_ROWS):
-                    yield deferred[start : start + BLOCK_ROWS]
-                return
-            # Still too big to hold and still splittable: forget what was
-            # read so far and replay the sub-partitions of a fresh salt.
-            meter.release(resident)
-            resident = 0
-            seen.clear()
-            deferred = []
-            yield from self._resplit(part, level, resalts)
+            replayed, held = (deferred, held), 0
+            return replayed
         finally:
-            meter.release(resident)
-            part.delete()
-
-    def _resplit(self, part: SpillFile, level: int, resalts: int) -> Iterator[Block]:
-        """Re-scatter one oversized partition with a fresh salt."""
-        subs = self._spill.partitions(self._fanout, "part")
-        _COUNTERS.add(spill_recursions=1)
-        self._spill.route(subs, chain.from_iterable(part.blocks()), _first, level)
-        self._spill.seal(subs)
-        made_progress = max(sub.rows for sub in subs) < part.rows
-        next_resalts = 0 if made_progress else resalts + 1
-        for sub in subs:
-            if sub.rows:
-                yield from self._replay(sub, level + 1, next_resalts)
+            meter.release(held)
 
     def close(self) -> None:
-        """Release metered state and delete every spill artifact (idempotent)."""
+        """Release metered state, delete every spill artifact and log the
+        spill (idempotent)."""
         self.meter.release(self._resident)
         self._resident = 0
         self._seen.clear()
+        if self._parts is not None:
+            _log_spill(self, "dedup", sum(part.rows for part in self._parts))
         self._parts = None
         self._spill.close()
 
@@ -669,7 +733,7 @@ class StreamingProject(PhysicalOperator):
 
     def _blocks_spilling_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
-        seen = SpillingSeenSet(self.meter, self._budget, spill=not self._pushed)
+        seen = SpillingSeenSet(self.meter, self._budget, spill=not self._pushed, label=self.label)
         try:
             for block in self._child.blocks():
                 out = seen.filter_block(list(self._picked(block)))
@@ -1051,11 +1115,10 @@ class GraceHashJoin(HashJoin):
       partition files (hashed on the join key with a per-level salt) as soon
       as it outgrows the first mode, the probe side is streamed to matching
       files — rows whose build partition is empty are dropped without
-      touching disk — and the pairs are joined one at a time.  A partition
-      that still exceeds the headroom is re-partitioned with a fresh salt up
-      to ``MemoryBudget.max_recursion`` levels; beyond that (or if it cannot
-      split — one heavy key, a keyless product) the same chunk loader joins
-      it, re-scanning the probe partition per chunk (``join_chunk_passes``).
+      touching disk — and the spill driver (:func:`_drain_spill`) joins
+      the pairs one at a time, re-splitting what does not fit, and joining
+      what will not split (one heavy key, a keyless product) with the same
+      chunk loader, re-scanning the probe partition per chunk.
 
     Either way one chunk or one partition's table is resident at a time,
     and correctness is unchanged from :class:`HashJoin`: equal keys always
@@ -1086,12 +1149,15 @@ class GraceHashJoin(HashJoin):
         super().__init__(left, right, plan, meter, build_side=build_side)
         self._budget = budget
         self._fanout = max(2, min(int(fanout_hint or budget.spill_fanout), 1024))
+        self._layout = (("build", _first), ("probe", self._probe_key_of))
         #: Number of times this operator's most recent execution spilled
         #: (0 = it ran entirely in memory), which way (``"re-read"`` or
-        #: ``"partitioned"``), and how often the build was read back.
+        #: ``"partitioned"``), how often the build was read back, and the
+        #: re-splits and fallbacks the spill driver made.
         self.spilled = 0
         self.spill_mode = ""
         self.build_rereads = 0
+        self.resplits = self.fallbacks = 0
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
@@ -1100,6 +1166,7 @@ class GraceHashJoin(HashJoin):
         self.spilled = 0
         self.spill_mode = ""
         self.build_rereads = 0
+        self.resplits = self.fallbacks = 0
         meter = self.meter
         budget = self._budget
         pairs_of = self._pairs_of
@@ -1148,24 +1215,26 @@ class GraceHashJoin(HashJoin):
             if build_parts is None:
                 self.spill_mode = "re-read"
                 yield from self._reread_join(staged, probe_blocks)
-            else:
-                self.spill_mode = "partitioned"
-                spill.seal(build_parts)
-                yield from self._join_partitions(spill, build_parts, probe_blocks, 0, 1)
+                return
+            self.spill_mode = "partitioned"
+            spill.seal(build_parts)
+            wanted = [part.rows for part in build_parts]
+            probe_parts = spill.partitions(len(wanted), "probe", wanted)
+            try:
+                spill.route(probe_parts, chain.from_iterable(probe_blocks), self._probe_key_of, 0)
+            finally:
+                # A suspended child operator: close it while a failure
+                # unwinds, not whenever its traceback is collected.
+                probe_blocks.close()
+            spill.seal(probe_parts)
+            yield from _drain_spill(self, spill, list(zip(build_parts, probe_parts)))
         finally:
             meter.release(resident)
             buckets.clear()
             spill.close()
-            if staged is not None and meter.events is not None:
-                meter.events.emit(
-                    "spill",
-                    operator="grace-join",
-                    label=self.label(),
-                    rows=sum(part.rows for part in build_parts or (staged,)),
-                    mode=self.spill_mode,
-                    fanout=self._fanout,
-                    build_rereads=self.build_rereads,
-                )
+            if staged is not None:
+                rows = sum(part.rows for part in build_parts or (staged,))
+                _log_spill(self, "grace-join", rows, self.spill_mode, self.build_rereads)
 
     def _scatter(self, spill: PartitionedSpill, staged: SpillFile) -> List[SpillFile]:
         """Move a staged build that outgrew re-reading to Grace partitions."""
@@ -1200,7 +1269,7 @@ class GraceHashJoin(HashJoin):
                     if out:
                         yield out
         finally:
-            probe_blocks.close()  # as in _join_partitions: not left to the GC
+            probe_blocks.close()  # as after the probe routing: not left to the GC
 
     def _chunks(self, build: SpillFile) -> Iterator[Dict[Hashable, Set[Row]]]:
         """Load a sealed build file as hash tables of one meter-sized chunk each.
@@ -1237,102 +1306,41 @@ class GraceHashJoin(HashJoin):
             meter.release(held)
             blocks.close()
 
-    def _join_partitions(
-        self,
-        spill: PartitionedSpill,
-        build_parts: List[SpillFile],
-        probe_blocks: Iterator[Block],
-        salt: int,
-        depth: int,
-    ) -> Iterator[Block]:
-        """Scatter the probe rows to match sealed build partitions; join each pair.
-
-        The first split (``probe_blocks`` is the probe child) and every
-        re-split (it is the oversized pair's probe file) alike.
-        """
-        try:
-            probe_parts = spill.partitions(
-                len(build_parts), "probe", wanted=[part.rows for part in build_parts]
-            )
-            spill.route(
-                probe_parts, chain.from_iterable(probe_blocks), self._probe_key_of, salt
-            )
-        finally:
-            # The source may be a suspended child operator: close it while a
-            # failure unwinds, not whenever its traceback is collected.
-            probe_blocks.close()
-        spill.seal(probe_parts)
-        for build_part, probe_part in zip(build_parts, probe_parts):
-            if probe_part is not None and probe_part.rows:
-                yield from self._join_partition(spill, build_part, probe_part, depth)
-            else:
-                # No probe rows reached this partition: its build side can
-                # never produce output — skip the load entirely.
-                build_part.delete()
-
-    def _join_partition(
-        self,
-        spill: PartitionedSpill,
-        build_part: SpillFile,
-        probe_part: SpillFile,
-        depth: int,
-    ) -> Iterator[Block]:
-        """Join one (build, probe) partition pair, re-splitting if oversized."""
+    def _load(self, files: Tuple[SpillFile, SpillFile]):
+        """Build a partition's table if it fits the meter's headroom."""
         meter = self.meter
-        budget = self._budget
         buckets: Dict[Hashable, Set[Row]] = {}
-        resident = 0
+        held = 0
         try:
-            for block in build_part.blocks():
+            for block in files[0].blocks():
                 added = _build_block(buckets, block)
                 if added and not meter.try_acquire(added):
-                    break
-                resident += added
-                if resident > self.build_peak_rows:
-                    self.build_peak_rows = resident
-            else:
-                yield from self._probe([buckets], probe_part.blocks(), False)
-                return
-            meter.release(resident)
-            resident = 0
-            buckets.clear()
-            if depth >= budget.max_recursion or build_part.rows <= budget.min_partition_rows:
-                # Cannot split further (one heavy key, a keyless product,
-                # or the recursion limit).
-                yield from self._chunked_join(build_part, probe_part)
-                return
-            # Re-split both sides with a fresh salt (the depth), freeing
-            # each parent file as soon as its rows are routed on.
-            sub_build = spill.partitions(self._fanout, "build")
-            _COUNTERS.add(spill_recursions=1)
-            spill.route(sub_build, chain.from_iterable(_drained(build_part)), _first, depth)
-            spill.seal(sub_build)
-            # No progress (every row hashed into one sub-partition — a
-            # single heavy key): process that sub-partition at the recursion
-            # limit so the next level takes the fallback instead of looping.
-            made_progress = max(part.rows for part in sub_build) < build_part.rows
-            next_depth = depth + 1 if made_progress else budget.max_recursion
-            yield from self._join_partitions(
-                spill, sub_build, _drained(probe_part), depth, next_depth
-            )
+                    return None
+                held += added
+                if held > self.build_peak_rows:
+                    self.build_peak_rows = held
+            loaded, held = (buckets, held), 0
+            return loaded
         finally:
-            meter.release(resident)
-            buckets.clear()
-            build_part.delete()
-            probe_part.delete()
+            meter.release(held)
 
-    def _chunked_join(self, build_part: SpillFile, probe_part: SpillFile) -> Iterator[Block]:
-        """Block-nested-loop over a partition that cannot be split.
+    def _emit(self, files: Tuple[SpillFile, SpillFile], buckets: dict) -> Iterator[Block]:
+        """Stream a partition's probe file through its loaded table."""
+        return self._probe([buckets], files[1].blocks(), False)
 
-        The probe partition is re-scanned once per build chunk —
+    def _fall_back(self, files: Tuple[SpillFile, SpillFile]) -> Iterator[Block]:
+        """Block-nested-loop over a partition that does not fit and will not split.
+
+        The probe file is re-scanned once per build chunk —
         ``join_chunk_passes`` counts the passes — and never more than one
         chunk is resident, so a single heavy key or a keyless product stays
         within the budget.
         """
-        with closing(self._chunks(build_part)) as chunks:
+        build, probe = files
+        with closing(self._chunks(build)) as chunks:
             for buckets in chunks:
                 _COUNTERS.add(join_chunk_passes=1)
-                yield from self._probe([buckets], probe_part.blocks(), False)
+                yield from self._probe([buckets], probe.blocks(), False)
 
     def label(self) -> str:
         """The one-line trace/explain label."""

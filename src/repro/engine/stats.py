@@ -65,7 +65,6 @@ __all__ = [
     "SampledRelationStats",
     "estimate_join_cardinality",
     "estimate_partition_count",
-    "estimate_spill_depth",
     "join_estimate_provenance",
     "join_stats",
     "project_stats",
@@ -349,24 +348,6 @@ def estimate_partition_count(
     while fanout < needed and fanout < cap:
         fanout *= 2
     return max(min(fanout, cap), minimum)
-
-
-def estimate_spill_depth(build_rows: float, budget_rows: int, fanout: int) -> int:
-    """Expected Grace recursion depth: levels of ``fanout``-way splitting
-    until a partition fits half the budget (0 = no spill expected).
-
-    Assumes keys scatter evenly; skew is handled at run time by re-salted
-    recursion, so this is a lower bound used for explain output and tests.
-    """
-    if budget_rows <= 0 or fanout < 2:
-        return 0
-    target = max(budget_rows // 2, 1)
-    depth = 0
-    remaining = float(build_rows)
-    while remaining > target:
-        remaining /= fanout
-        depth += 1
-    return depth
 
 
 def join_stats(

@@ -10,10 +10,13 @@ handle).
 Event kinds emitted by the engine today:
 
 ``spill``
-    An operator went to disk.  A spilling dedup logs the switch (operator,
-    rows resident, fan-out); a spilled join logs once its execution ends:
-    ``rows`` (build rows spilled), ``mode`` (``"re-read"``: the probe side
-    kept streaming; ``"partitioned"``: Grace), ``fanout``, ``build_rereads``.
+    An operator went to disk; logged once its execution ends, in one shape
+    for both spilling clients: ``operator`` (``"grace-join"`` or
+    ``"dedup"``), ``label``, ``mode`` (``"re-read"``: the join's probe side
+    kept streaming; ``"partitioned"``: Grace), ``rows`` (a join's spilled
+    build rows, a dedup's rows sent to its partitions), ``fanout``,
+    ``resplits`` and ``fallbacks`` (what the spill driver did),
+    ``build_rereads``.
 ``spill-retry``
     A spill read/write failed and is being retried with backoff.
 ``fault``

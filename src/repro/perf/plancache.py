@@ -283,7 +283,9 @@ def _grouped_emission(
 ) -> Optional[GroupedEmission]:
     """The grouped emission of a lone join that emits ``terms``, or ``None``
     when they hold every column of the probe key (then one ``g`` meets one
-    bucket, and grouping could fold nothing a dedup above would not).
+    bucket, and grouping could fold nothing a dedup above would not), or
+    when they are the whole entry and nothing of the probe row (then the
+    ordinary kernel emits each entry itself and builds no row to save).
 
     ``g`` lists the emitted probe-row columns and ``p`` the emitted entry
     columns, each in the order they are emitted; either is a bare value
@@ -294,6 +296,8 @@ def _grouped_emission(
         return None
     part = [index for variable, index in terms if variable != "r0"]
     whole = part == list(range(entry_width))
+    if whole and not group:
+        return None
     g = [("g", None)] if len(group) == 1 else [("g", i) for i in range(len(group))]
     p = [("p", None)] if len(part) == 1 and not whole else [("p", i) for i in range(len(part))]
     g_read, p_read = iter(g), iter(p)

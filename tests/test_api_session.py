@@ -321,7 +321,7 @@ class TestConcurrentServing:
             query: _reference(query, relations) for query in queries
         }
         budget = MemoryBudget(
-            rows=64, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
+            rows=64, spill_fanout=2, spill_dir=str(tmp_path)
         )
         rounds = 3
         with Session(relations, budget=budget, workers=2) as session:
@@ -482,7 +482,7 @@ class TestReviewRegressions:
             "B C", [(i, i % 5) for i in range(40)], name="S"
         )
         budget = MemoryBudget(
-            rows=8, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
+            rows=8, spill_fanout=2, spill_dir=str(tmp_path)
         )
         with Session({"R": heavy, "S": wide}, budget=budget) as session:
             prepared = session.prepare("project[A, C](R * S)")

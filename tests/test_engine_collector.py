@@ -217,7 +217,7 @@ class TestEveryEndingHandsTheCollectorBack:
     def test_injected_fault(self, tmp_path):
         query, bound = _wide_join(400)
         evaluator = EngineEvaluator(
-            budget=MemoryBudget(rows=8, min_partition_rows=2, spill_dir=str(tmp_path)),
+            budget=MemoryBudget(rows=8, spill_dir=str(tmp_path)),
             faults=FaultPlan(fail_spill_write_at=1, persistent=True),
         )
         with pytest.raises(EngineFaultError):

@@ -103,10 +103,7 @@ def _unpicklable_case():
 
 
 def _budget(tmp_path, rows=8):
-    # min_partition_rows below the budget so replay recursion can always
-    # split a partition down to fitting size (the default 16-row floor
-    # above an 8-row budget would invite partition-allowance overruns).
-    return MemoryBudget(rows=rows, min_partition_rows=2, spill_dir=str(tmp_path))
+    return MemoryBudget(rows=rows, spill_dir=str(tmp_path))
 
 
 def _delta(before):
@@ -342,9 +339,11 @@ class TestWorkerKill:
         assert trace.degradations == []
 
 
-def _three_way_case(seed, rows=300):
+def _three_way_case(seed, rows=300, inner_dedup=False):
     """A three-way join whose joins all Grace-spill under a small budget
-    when its plan was pinned against 1-row relations."""
+    when its plan was pinned against 1-row relations; with ``inner_dedup``
+    the query projects ``R * S`` onto ``A, C`` under the join with ``T``,
+    a deduplicating projection whose seen-set spills too."""
     rng = random.Random(seed)
     r = Relation.from_rows(
         "A B", [(rng.randint(0, 20), rng.randint(0, 8)) for _ in range(rows)], name="R"
@@ -355,10 +354,10 @@ def _three_way_case(seed, rows=300):
     t = Relation.from_rows(
         "C D", [(rng.randint(0, 30), rng.randint(0, 5)) for _ in range(rows)], name="T"
     )
-    query = Projection(
-        ["A", "D"],
-        Operand("R", "A B").join(Operand("S", "B C")).join(Operand("T", "C D")),
-    )
+    inner = Operand("R", "A B").join(Operand("S", "B C"))
+    if inner_dedup:
+        inner = Projection(["A", "C"], inner)
+    query = Projection(["A", "D"], inner.join(Operand("T", "C D")))
     return query, {"R": r, "S": s, "T": t}
 
 
@@ -378,7 +377,9 @@ class TestPersistentFaultSweep:
     the evaluation Grace-spills nested joins and the swept positions land in
     every spilling client — including inside a child join suspended under a
     parent's routing loop (or under its re-reads of a small build, in the
-    third case).  Whatever the position, the outcome is the exact answer or the typed error, and nothing is left:
+    third case), and in the fourth a dedup's seen-set between the joins.
+    Whatever the position, the outcome is the exact answer or the typed
+    error, and nothing is left:
     checked while the error (and so its traceback) is still held and
     *without* a cyclic GC pass, because a cleanup that waits for either is
     a leak for as long as the handler or the collector takes.
@@ -389,9 +390,17 @@ class TestPersistentFaultSweep:
     SWEEP_ENDS, SWEEP_STRIDED = 8, 40
 
     def _sweep(
-        self, tmp_path, fault_field, modes, rows, budget_rows=64, every_position=True
+        self,
+        tmp_path,
+        fault_field,
+        modes,
+        rows,
+        budget_rows=64,
+        every_position=True,
+        inner_dedup=False,
+        resplit=(),
     ):
-        query, bound = _three_way_case(11, rows)
+        query, bound = _three_way_case(11, rows, inner_dedup)
         expected = evaluate(query, bound)
         meters = []
 
@@ -431,7 +440,12 @@ class TestPersistentFaultSweep:
                 evaluator, result, _ = run(sys.maxsize)
                 assert result == expected
                 spills = evaluator.observer.events.events("spill")
-                assert {event.get("mode") for event in spills} >= modes
+                joins = [event for event in spills if event["operator"] == "grace-join"]
+                assert {event["mode"] for event in joins} >= modes
+                # The spilling clients the sweep must find re-splitting.
+                assert {event["operator"] for event in spills if event["resplits"]} >= set(
+                    resplit
+                )
                 counted = "_reads" if fault_field == "fail_spill_read_at" else "_writes"
                 last = max(getattr(meter.faults, counted) for meter in meters if meter.faults)
                 positions = range(1, last + 1)
@@ -486,6 +500,25 @@ class TestPersistentFaultSweep:
             {"partitioned", "re-read"},
             rows=200,
             every_position=full_fault_sweep or fault_field == "fail_spill_write_at",
+        )
+
+    @pytest.mark.parametrize("fault_field", ["fail_spill_write_at", "fail_spill_read_at"])
+    def test_fault_at_every_position_of_a_spilling_dedup(
+        self, tmp_path, fault_field, full_fault_sweep
+    ):
+        # project[A, C] under the join with T: its seen-set spills and
+        # re-splits, both joins re-split and fall back — every position of
+        # the spill driver, from both clients.  Tier-1 sweeps the ends and
+        # a stride, CI every position.
+        self._sweep(
+            tmp_path,
+            fault_field,
+            {"partitioned"},
+            rows=100,
+            budget_rows=16,
+            every_position=full_fault_sweep,
+            inner_dedup=True,
+            resplit=("dedup", "grace-join"),
         )
 
 

@@ -226,6 +226,10 @@ class TestGroupedAgainstTheOrdinaryKernel:
         plan = _join_plan(RelationScheme.of("A", "B"), RelationScheme.of("B", "C"))
         assert make_chain_kernel([(False, plan)], (1, 2), True).grouped is None
         assert make_chain_kernel([(False, plan)], (0, 2), True).grouped is not None
+        # Nothing of the probe row, and the whole entry: the ordinary kernel
+        # emits each entry itself, so grouping would build what it saves.
+        assert make_chain_kernel([(False, plan)], (2,), True).grouped is None
+        assert make_chain_kernel([(True, plan)], (0,), True).grouped is not None
         # Not under a deduplicating projection, or not folded: no grouping.
         assert make_chain_kernel([(False, plan)], (0, 2)).grouped is None
         assert make_chain_kernel([(False, plan)], None, True).grouped is None
@@ -235,7 +239,6 @@ class TestGroupedAgainstTheOrdinaryKernel:
         [
             (False, (0, 2), "(g, p[0],)"),  # one-column g, the whole one-column entry
             (False, (2, 0), "(p[0], g,)"),
-            (False, (2,), "p"),  # g is empty
             (True, (0,), "(p,)"),  # a one-column part of the left row: a bare value
             (True, (2, 0), "(g, p,)"),
         ],
@@ -303,6 +306,16 @@ class TestWhichPlansGroup:
         _, joins = _executed_joins(serving_relations(), text, budget)
         assert joins and all(isinstance(join, GraceHashJoin) for join in joins)
         assert not any(join.grouped_blocks for join in joins)
+
+    def test_a_join_that_emits_its_entries_never_groups(self):
+        # The top join ``on (C) -> [D]`` emits each matched entry itself: the
+        # ordinary kernel builds no tuple, so there is nothing to group away.
+        rows, joins = _executed_joins(serving_relations(), "project[D](R * S * T)")
+        assert joins and not any(join.grouped_blocks for join in joins)
+        (top,) = [join for join in joins if join.label().endswith("on (C) -> [D]")]
+        assert top._kernel.grouped is None
+        with _ordinary_kernel():
+            assert _executed_joins(serving_relations(), "project[D](R * S * T)")[0] == rows
 
     @pytest.mark.parametrize("fanout", [2, 4, 8])
     def test_a_join_without_duplicates_never_groups(self, fanout):

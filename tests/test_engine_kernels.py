@@ -120,7 +120,7 @@ def _join(left, right, build_side, budget_rows, repeat_build, folded=False):
             children["right"],
             plan,
             meter,
-            MemoryBudget(rows=budget_rows, spill_fanout=2, min_partition_rows=2),
+            MemoryBudget(rows=budget_rows, spill_fanout=2),
             build_side=build_side,
         )
     emit = tuple(reversed(range(len(plan.joined_scheme) - 1))) if folded else None
@@ -187,7 +187,7 @@ class TestBuildAndProbe:
         left = Relation.from_rows("A B", [(i, i) for i in range(24)])
         right = Relation.from_rows("B C", [(i, -i) for i in range(24)])
         budget = MemoryBudget(
-            rows=4, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
+            rows=4, spill_fanout=2, spill_dir=str(tmp_path)
         )
         meter = MemoryMeter(budget.rows)
         join = GraceHashJoin(

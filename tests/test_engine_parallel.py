@@ -261,7 +261,7 @@ class TestParallelExecution:
         # used before, minimizes to one scan and spills nothing).
         query, bound = _instance(seed=2)
         budget = MemoryBudget(
-            rows=4, spill_fanout=2, min_partition_rows=2, spill_dir=str(tmp_path)
+            rows=4, spill_fanout=2, spill_dir=str(tmp_path)
         )
         serial, _ = EngineEvaluator().evaluate(query, bound)
         counters = kernel_counters()

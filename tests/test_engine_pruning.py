@@ -150,7 +150,7 @@ def test_pruned_plans_match_the_reference_on_every_grid_point(tmp_path_factory, 
     spill_dir = tmp_path_factory.mktemp("spill")
     for budget_rows in (None, 64, 4):
         budget = (
-            MemoryBudget(rows=budget_rows, spill_fanout=2, min_partition_rows=2,
+            MemoryBudget(rows=budget_rows, spill_fanout=2,
                          spill_dir=str(spill_dir))
             if budget_rows is not None
             else None

@@ -25,8 +25,9 @@ from repro.engine import (
     SpillFile,
     TableScan,
 )
-from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
-from repro.engine.spill import _ACTIVE_SPILL_DIRS
+from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS, SpillingSeenSet
+from repro.engine.spill import _ACTIVE_SPILL_DIRS, partition_index
+from repro.obs.events import EventLog
 from repro.perf import kernel_counters
 from repro.perf.plancache import make_chain_kernel
 from repro.reductions import RGConstruction
@@ -108,8 +109,6 @@ class TestSpillLifecycle:
         budget = MemoryBudget(
             rows=16,
             spill_fanout=2,
-            max_recursion=6,
-            min_partition_rows=2,
             spill_dir=str(tmp_path),
         )
         operator, meter = _grace(build, probe, budget)
@@ -162,6 +161,115 @@ class TestSpillLifecycle:
         assert operator.build_peak_rows <= budget.rows
         assert meter.current == 0
         assert not any(tmp_path.iterdir())
+
+
+class TestSpillDriver:
+    """The one recursion both spilling clients drain their partitions
+    through (``physical._drain_spill``): load a partition that fits,
+    re-split one larger than the budget while splitting makes progress,
+    and hand the rest to the client's fallback."""
+
+    def test_a_partition_within_the_budget_falls_back_without_a_split(self, tmp_path):
+        # Other state pins the meter: no partition fits, but none is larger
+        # than the budget, so splitting could not help — each is joined in
+        # one-entry chunks at once.
+        build = Relation.from_rows("K A", [(i, i) for i in range(100)])
+        probe = Relation.from_rows("K B", [(i, -i) for i in range(100)])
+        budget = MemoryBudget(rows=32, spill_dir=str(tmp_path))
+        meter = MemoryMeter(budget.rows)
+        meter.acquire(budget.rows)
+        operator, _ = _grace(build, probe, budget, meter)
+        before = kernel_counters().snapshot()
+        result = _drain(operator)
+        delta = _spill_delta(before)
+        assert result == naive_natural_join(build, probe)
+        assert (operator.resplits, operator.fallbacks) == (0, 8)
+        assert delta["spill_recursions"] == 0
+        assert delta["join_chunk_passes"] == len(build)
+        assert meter.current == budget.rows
+        assert not any(tmp_path.iterdir())
+
+    def test_a_heavy_key_is_split_once_and_falls_back(self, tmp_path):
+        # The split puts every row in one sub-partition and every key hashes
+        # alike: no salt will ever split it, so the recursion ends there.
+        build = Relation.from_rows("K A", [(0, i) for i in range(60)])
+        probe = Relation.from_rows("K B", [(0, -i) for i in range(5)])
+        budget = MemoryBudget(rows=8, spill_fanout=2, spill_dir=str(tmp_path))
+        operator, meter = _grace(build, probe, budget)
+        before = kernel_counters().snapshot()
+        result = _drain(operator)
+        delta = _spill_delta(before)
+        assert result == naive_natural_join(build, probe)
+        assert (operator.resplits, operator.fallbacks) == (1, 1)
+        assert delta["spill_recursions"] == 1
+        assert delta["join_chunk_passes"] >= 60 // budget.rows
+        assert meter.current == 0
+        assert not any(tmp_path.iterdir())
+
+    @staticmethod
+    def _seen_set(tmp_path, rows=4, events=None):
+        meter = MemoryMeter(rows, events=events)
+        budget = MemoryBudget(rows=rows, spill_fanout=2, spill_dir=str(tmp_path))
+        return SpillingSeenSet(meter, budget), meter
+
+    def test_an_unlucky_split_splits_again(self, tmp_path):
+        # Sixteen distinct rows that share a partition under salts 0 and 1:
+        # the first re-split makes no progress, yet their keys hash apart,
+        # so the next salt splits them instead of an overflowing fallback.
+        rows = [
+            (k,)
+            for k in range(500)
+            if partition_index(0, (k,), 2) == partition_index(1, (k,), 2) == 0
+        ][:16]
+        seen, meter = self._seen_set(tmp_path)
+        before = kernel_counters().snapshot()
+        try:
+            emitted = seen.filter_block(rows[:8])  # the switch
+            assert seen.spilled and emitted == rows[:8]
+            assert seen.filter_block(list(rows)) == []
+            emitted += [row for block in seen.drain() for row in block]
+        finally:
+            seen.close()
+        assert sorted(emitted) == rows
+        assert seen.resplits >= 2 and seen.fallbacks == 0
+        assert kernel_counters().delta_since(before)["spill_overflows"] == 0
+        assert meter.current == 0 and not any(tmp_path.iterdir())
+
+    def test_a_row_repeated_past_the_budget_falls_back_without_overflow(self, tmp_path):
+        seen, meter = self._seen_set(tmp_path)
+        before = kernel_counters().snapshot()
+        try:
+            emitted = seen.filter_block([(i,) for i in range(5)])  # the switch
+            seen.filter_block([(99,)] * 20)
+            meter.acquire(4)  # other state pins the meter: nothing loads
+            emitted += [row for block in seen.drain() for row in block]
+            meter.release(4)
+        finally:
+            seen.close()
+        assert sorted(emitted) == [(i,) for i in range(5)] + [(99,)]
+        assert seen.fallbacks >= 1
+        assert kernel_counters().delta_since(before)["spill_overflows"] == 0
+        assert meter.current == 0 and not any(tmp_path.iterdir())
+
+    def test_both_clients_log_one_event_shape(self, tmp_path):
+        events = EventLog()
+        seen, meter = self._seen_set(tmp_path, events=events)
+        try:
+            seen.filter_block([(i,) for i in range(40)])
+            seen.filter_block([(i,) for i in range(80)])
+            list(seen.drain())
+        finally:
+            seen.close()
+        build = Relation.from_rows("K A", [(i, i) for i in range(100)])
+        probe = Relation.from_rows("K B", [(i, -i) for i in range(100)])
+        budget = MemoryBudget(rows=4, spill_fanout=2, spill_dir=str(tmp_path))
+        _drain(_grace(build, probe, budget, MemoryMeter(4, events=events))[0])
+        dedup, join = events.events("spill")
+        assert dedup.keys() == join.keys()
+        assert (dedup["operator"], join["operator"]) == ("dedup", "grace-join")
+        assert dedup["mode"] == join["mode"] == "partitioned"
+        assert (dedup["rows"], join["rows"]) == (40 + 80, 100)
+        assert dedup["resplits"] and join["resplits"]
 
 
 class TestFoldedJoinSpills:

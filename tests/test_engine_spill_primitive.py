@@ -180,7 +180,7 @@ class TestLifecycle:
         self, tmp_path, client, ending
     ):
         drive, child_of, plan = ENDINGS[ending]
-        budget = MemoryBudget(rows=8, min_partition_rows=2, spill_dir=str(tmp_path))
+        budget = MemoryBudget(rows=8, spill_dir=str(tmp_path))
         meter = MemoryMeter(
             budget.rows, faults=FaultInjector(plan) if plan is not None else None
         )

@@ -2,9 +2,8 @@
 
 Two kinds of pinning:
 
-* **Spill estimates** — :func:`estimate_partition_count` /
-  :func:`estimate_spill_depth` drive the Grace-hash fan-out; their
-  arithmetic contract is pinned directly.
+* **Spill estimates** — :func:`estimate_partition_count` drives the
+  Grace-hash fan-out; its arithmetic contract is pinned directly.
 
 * **Join-ordering quality on the R_G family** — the planner orders n-ary
   joins by a two-wide beam over :func:`estimate_join_cardinality`, which
@@ -79,7 +78,6 @@ from repro.engine import (
     SampledRelationStats,
     estimate_join_cardinality,
     estimate_partition_count,
-    estimate_spill_depth,
     join_estimate_provenance,
     join_stats,
     project_stats,
@@ -117,7 +115,6 @@ MAX_Q = 10.0
 class TestSpillEstimates:
     def test_no_partitions_needed_when_build_fits_half_budget(self):
         assert estimate_partition_count(100, 256) == 1
-        assert estimate_spill_depth(100, 256, 8) == 0
 
     def test_power_of_two_fanout_scales_with_build_size(self):
         # Target is half the budget: 1000 rows / (256/2) -> 8 partitions.
@@ -128,12 +125,6 @@ class TestSpillEstimates:
     def test_fanout_is_clamped_to_the_cap(self):
         assert estimate_partition_count(10**9, 16, cap=64) == 64
         assert estimate_partition_count(10**9, 0) == 64
-
-    def test_depth_counts_levels_until_partitions_fit(self):
-        # 10_000 rows, budget 256 (target 128), fanout 8: 10_000 -> 1_250
-        # -> 156 -> 19.5: three levels.
-        assert estimate_spill_depth(10_000, 256, 8) == 3
-        assert estimate_spill_depth(10_000, 256, 2) == 7
 
     def test_planner_records_fanout_on_grace_nodes(self):
         from repro.engine import MemoryBudget, RelationStats, plan_expression

@@ -65,8 +65,6 @@ KNOBS = {
     "repro.engine.MemoryBudget": [
         "rows",
         "spill_fanout",
-        "max_recursion",
-        "min_partition_rows",
         "spill_dir",
     ],
     "repro.api.BackendConfig": [

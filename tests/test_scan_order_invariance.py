@@ -75,7 +75,7 @@ def _budget(rows, spill_dir):
     if rows is None:
         return None
     return MemoryBudget(
-        rows=rows, spill_fanout=2, min_partition_rows=2, spill_dir=str(spill_dir)
+        rows=rows, spill_fanout=2, spill_dir=str(spill_dir)
     )
 
 
