@@ -55,7 +55,7 @@ QUERIES = [
 def main() -> None:
     relations = build_database()
 
-    with repro.connect(relations, workers=1) as session:
+    with repro.connect(relations) as session:
         # Prepare once per query: each gets a pinned physical plan.
         prepared = [session.prepare(text) for text in QUERIES]
         print(f"prepared {len(prepared)} queries on {session!r}")
@@ -113,7 +113,7 @@ def main() -> None:
         )
 
     assert session.closed
-    print("session closed; worker pools torn down")
+    print("session closed")
 
 
 if __name__ == "__main__":

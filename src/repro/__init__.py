@@ -53,7 +53,7 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 from .api import (
     BackendConfig,

@@ -98,7 +98,6 @@ def analyze_blowup(
     compare_optimizer: bool = True,
     compare_engine: bool = False,
     engine_budget: "int | None" = None,
-    engine_workers: int = 1,
 ) -> BlowupMeasurement:
     """Measure peak intermediate sizes for one evaluation.
 
@@ -107,12 +106,10 @@ def analyze_blowup(
     count — the streaming analogue of peak materialised cardinality — is
     recorded in :attr:`BlowupMeasurement.engine_peak_live`.
     ``engine_budget`` (rows) makes that run memory-budgeted (Grace-hash
-    spilling) and ``engine_workers`` > 1 runs the parallel probe stage —
-    the cross-check against the naive result still applies, so the CLI's
-    ``--memory-budget``/``--workers`` sweeps double as correctness checks.
+    spilling) — the cross-check against the naive result still applies, so
+    the CLI's ``--memory-budget`` sweeps double as correctness checks.
 
-    The engine runs in a :class:`~repro.api.Session` of its own, so its
-    pools/budget are torn down with the measurement.
+    The engine runs in a :class:`~repro.api.Session` of its own.
     """
     naive, naive_trace = InstrumentedEvaluator().evaluate(expression, arguments)
     optimized_peak: Optional[int] = None
@@ -130,9 +127,7 @@ def analyze_blowup(
         optimized_total = optimized_trace.total_intermediate_tuples
     engine_peak_live: Optional[int] = None
     if compare_engine:
-        with Session(
-            arguments, budget=engine_budget, workers=engine_workers
-        ) as session:
+        with Session(arguments, budget=engine_budget) as session:
             engine = session.prepare(expression).execute()
         if engine.relation != naive:
             raise AssertionError(
@@ -157,7 +152,6 @@ def blowup_sweep(
     compare_optimizer: bool = True,
     compare_engine: bool = False,
     engine_budget: "int | None" = None,
-    engine_workers: int = 1,
 ) -> List[BlowupMeasurement]:
     """Measure a family of (label, expression, arguments) instances."""
     return [
@@ -168,7 +162,6 @@ def blowup_sweep(
             compare_optimizer=compare_optimizer,
             compare_engine=compare_engine,
             engine_budget=engine_budget,
-            engine_workers=engine_workers,
         )
         for label, expression, arguments in instances
     ]

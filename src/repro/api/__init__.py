@@ -3,7 +3,7 @@
 Four evaluators grew alongside the paper reproduction —
 :func:`repro.expressions.evaluate`, the instrumented and optimising
 evaluators, and the streaming :class:`~repro.engine.evaluator.EngineEvaluator`
-with its budget/worker knobs.  The first three are library code a caller
+with its budget knob.  The first three are library code a caller
 runs directly; this package is the one front door that serves queries, and
 it serves them all from the engine:
 
@@ -17,8 +17,7 @@ it serves them all from the engine:
 
 * :class:`Session` owns the database side (named relations or a bare
   single relation), the :class:`BackendConfig`, and the serving state every
-  prepared query shares (pinned plans, memory budget, persistent worker
-  pools, counters);
+  prepared query shares (pinned plans, memory budget, counters);
 * :meth:`Session.prepare` parses/validates/plans **once** into a
   :class:`PreparedQuery`; ``execute()`` / ``explain()`` / ``trace()`` then
   run the pinned plan;

@@ -1,9 +1,8 @@
 """Backend configuration for :class:`~repro.api.session.Session`.
 
 One frozen dataclass holds every knob of the streaming engine a session
-serves from: its memory budget and parallelism, the serving-side limits (how
-many persistent fork pools a session may keep warm), fault injection and
-observability.  A session holds exactly one config.
+serves from: its memory budget, fault injection and observability.  A
+session holds exactly one config.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ class BackendConfig:
         Row budget for the engine's state (int or
         :class:`~repro.engine.physical.MemoryBudget`); hash joins spill to
         Grace partitions when their build side would overflow it.
-    ``workers``
-        Parallel probe workers for the engine (1 = serial), each a forked
-        process; a platform without :func:`os.fork` runs serially.
-    ``max_pools``
-        How many persistent fork-probe pools the engine evaluator keeps
-        warm, LRU-evicted beyond that (each pool pins one bound plan's
-        forked workers — see ``docs/ENGINE.md``).
     ``faults``
         A :class:`~repro.engine.faults.FaultPlan` chaos schedule for the
-        engine: spill I/O failures, a worker kill.  The engine
-        either recovers (retries, pool rebuild, loud serial fallback) or
+        engine's spill I/O.  The engine either recovers (retries) or
         raises a typed
         :class:`~repro.engine.faults.EngineFaultError` — never a silent
         wrong answer.  ``None`` (the default) injects nothing.
@@ -45,7 +36,7 @@ class BackendConfig:
         An :class:`~repro.obs.ObserveConfig` (or ``True`` for everything
         on) attaching the observability layer: per-execution span
         tracing (``EvaluationTrace.spans``, ``explain_analyze()``), a
-        structured event log of spills / degradations / faults, and a
+        structured event log of spills and faults, and a
         metrics registry (``Session.metrics()``).  With
         ``None`` (the default) the session still keeps a metrics
         registry, but no tracer or event log ever touches the engine's
@@ -55,18 +46,11 @@ class BackendConfig:
     """
 
     budget: Union[MemoryBudget, int, None] = None
-    workers: int = 1
-    max_pools: int = 8
     faults: Optional[FaultPlan] = None
     observe: Union[Observer, ObserveConfig, bool, None] = None
 
     def __post_init__(self):
-        """Validate the knob types and ranges; coerce the budget."""
-        # ``type(...) is int``: a bool or a float count is refused, not run.
-        for name in ("workers", "max_pools"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise SessionError(f"{name} must be an integer >= 1, got {value!r}")
+        """Validate the knob types; coerce the budget."""
         coerced = MemoryBudget.coerce(self.budget)
         if coerced is not self.budget:
             object.__setattr__(self, "budget", coerced)

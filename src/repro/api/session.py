@@ -7,9 +7,7 @@ one :class:`~repro.api.config.BackendConfig`, and
 :meth:`Session.prepare` fixes the query side — parsing, validating, and
 compiling once into a :class:`~repro.api.prepared.PreparedQuery` that is then
 executed many times.  All prepared queries of a session share its serving
-state: the engine evaluator's pinned-plan dictionary, its memory budget, and
-its LRU-capped pool of persistent fork workers, so mixed query traffic is
-served from one warm process pool instead of one pinned pool per evaluator.
+state: the engine evaluator's pinned-plan dictionary and its memory budget.
 
 Mutation follows the statistics catalog's construction-is-invalidation
 contract: :meth:`Session.set_relation` installs a *new* relation object
@@ -29,6 +27,7 @@ measurable property rather than a promise.
 from __future__ import annotations
 
 import threading
+import warnings
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
@@ -60,7 +59,6 @@ _COUNTER_NAMES = (
     "plan_cache_hits",
     "invalidations",
     "invalidation_replans",
-    "serial_fallbacks",
 )
 
 
@@ -71,11 +69,13 @@ class Session:
     ``{name: relation}`` mapping, or a bare :class:`Relation` (bound to every
     operand whose scheme it matches — the paper's single-relation
     databases).  ``config`` carries the engine's knobs; keyword overrides
-    (``budget=``, ``workers=``, ...) are applied on top of it, so
-    ``Session(db, workers=4)`` needs no explicit config object.
+    (``budget=``, ``faults=``, ``observe=``) are applied on top of it, so
+    ``Session(db, budget=64)`` needs no explicit config object.  A
+    ``workers=`` keyword is accepted, ignored and warned about
+    (``DeprecationWarning``): every execute runs in the calling process.
 
-    Sessions are context managers; :meth:`close` (idempotent) shuts down the
-    engine's persistent worker pools.
+    Sessions are context managers; :meth:`close` (idempotent) refuses any
+    further prepare or execute.
     """
 
     def __init__(
@@ -85,6 +85,16 @@ class Session:
         **overrides,
     ):
         base = config or BackendConfig()
+        if "workers" in overrides:
+            # The benchmark's probe rung still passes it (ROADMAP 1(d)).
+            overrides.pop("workers")
+            warnings.warn(
+                "Session(workers=) is ignored: the parallel probe stage was "
+                "removed in 11.0.0 and every execute runs in one process "
+                "(ROADMAP 1(d) removes the keyword)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if overrides:
             base = base.override(**overrides)
         self.config = base
@@ -108,8 +118,8 @@ class Session:
         self._counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
         self._closed = False
         # The engine evaluator, created lazily and shared by every prepared
-        # query of this session (it carries the shared budget, worker
-        # pools, and pinned-plan dictionary).
+        # query of this session (it carries the shared budget and the
+        # pinned-plan dictionary).
         self._engine_evaluator = None
         # Observability: the observer owns the event log and the metrics
         # registry; an unobserved session still keeps a registry so
@@ -125,12 +135,8 @@ class Session:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down serving state (engine worker pools).  Idempotent."""
-        with self._state_lock:
-            self._closed = True
-            engine = self._engine_evaluator
-        if engine is not None:
-            engine.close()
+        """Refuse further prepares and executes.  Idempotent."""
+        self._closed = True
 
     @property
     def closed(self) -> bool:
@@ -303,8 +309,6 @@ class Session:
                 if engine is None:
                     engine = EngineEvaluator(
                         budget=self.config.budget,
-                        workers=self.config.workers,
-                        max_pools=self.config.max_pools,
                         faults=self.config.faults,
                         observe=self._observer,
                     )
@@ -343,17 +347,14 @@ class Session:
         one of the metrics lock.  A membership decision has no ``trace``: it
         counts as an execute, in ``stats()`` and ``repro_executes_total``
         alike, and observes nothing else."""
-        fallbacks = trace.serial_fallbacks if trace is not None else 0
         with self._state_lock:
             counters = self._counters
             counters["executes"] += 1
             if reused:
                 counters["plan_cache_hits"] += 1
-            if fallbacks:  # serving events, next to the prepare/invalidation counters
-                counters["serial_fallbacks"] += fallbacks
         # The four instruments every execution feeds are looked up by the
-        # first one (so ``/metrics`` names them from then on); the two
-        # conditional counters appear with their first nonzero count.
+        # first one (so ``/metrics`` names them from then on); the spill
+        # counter appears with its first nonzero count.
         instruments = self._instruments
         if instruments is None:
             metrics = self._metrics
@@ -373,12 +374,11 @@ class Session:
             record(increments=((executes, 1),))
             return
         increments = [(executes, 1), (rows, trace.result_cardinality)]
-        for name, text, amount in (
-            ("repro_serial_fallbacks_total", "parallel-to-serial degradations", fallbacks),
-            ("repro_spill_rows_total", "rows spilled", trace.counters.get("spill_rows", 0)),
-        ):
-            if amount:
-                increments.append((self._metrics.counter(name, help=text), amount))
+        spilled = trace.counters.get("spill_rows", 0)
+        if spilled:
+            increments.append(
+                (self._metrics.counter("repro_spill_rows_total", help="rows spilled"), spilled)
+            )
         record(
             observations=((latency, seconds),),
             increments=increments,
@@ -397,16 +397,10 @@ class Session:
         ``plan_builds`` counts compilations (one per prepared query, plus
         one per invalidation replan); ``plan_cache_hits`` counts executions
         that reused a pinned plan; ``registry_hits`` counts ``prepare``
-        calls answered from the registry; ``serial_fallbacks`` counts loud
-        parallel-to-serial degradations (each also warned and recorded on
-        the trace).  ``open_pools`` reports the engine's warm fork-probe
-        pools.
+        calls answered from the registry.
         """
         with self._state_lock:
-            snapshot = dict(self._counters)
-            engine = self._engine_evaluator
-        snapshot["open_pools"] = engine.open_pools if engine is not None else 0
-        return snapshot
+            return dict(self._counters)
 
     def metrics(self) -> "MetricsRegistry":
         """The session's metrics registry (latency, throughput, q-error...).
@@ -421,7 +415,7 @@ class Session:
         """The session's structured event log, or ``None`` when not observed.
 
         Present only when the config's ``observe`` enables events — the
-        log records every spill switch, degradation, and injected fault as
+        log records every spill and injected fault as
         a timestamped dict (mirrored to JSON-Lines when ``events_path`` is
         set).
         """
@@ -446,7 +440,7 @@ def connect(database: DatabaseLike, **overrides) -> Session:
 
     The one-line entry point the docs use::
 
-        with repro.connect({"R": r, "S": s}, workers=4) as db:
+        with repro.connect({"R": r, "S": s}, budget=10_000) as db:
             rows = db.execute("project[A](R * S)")
     """
     return Session(database, **overrides)

@@ -23,8 +23,8 @@ Python:
     Print the intermediate-result blow-up table for the R_G family,
     including the streaming engine's peak live-row count (``--no-engine``
     to skip it).  ``--memory-budget ROWS`` runs the engine budgeted (hash
-    joins spill to Grace partitions) and ``--workers N`` runs the parallel
-    probe stage — both still cross-checked against the naive result.
+    joins spill to Grace partitions), still cross-checked against the naive
+    result.
 
 ``python -m repro engine-explain "project[A](R * S)" --scheme "R=A B" --scheme "S=B C"``
     Lower an expression through the cost-based planner and print the chosen
@@ -37,7 +37,7 @@ Python:
     formula.  (Not ``project[S](φ_G)``: the planner minimizes that to one
     scan of ``R``, which has no join to report on.)
 
-``python -m repro trace [--memory-budget ROWS] [--workers N] [--events PATH]``
+``python -m repro trace [--memory-budget ROWS] [--events PATH]``
     Execute the paper's worked example (φ_G) under a span tracer and print the
     ``EXPLAIN ANALYZE`` report — per-operator wall time (inclusive/self),
     rows produced, and the plan/spill overhead spans — followed by
@@ -160,8 +160,6 @@ def _command_blowup(arguments: argparse.Namespace) -> int:
 
     if arguments.memory_budget is not None and arguments.memory_budget <= 0:
         raise SystemExit("--memory-budget must be a positive row count")
-    if arguments.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     from .perf import kernel_counters
 
     before_sweep = kernel_counters().snapshot()
@@ -175,15 +173,13 @@ def _command_blowup(arguments: argparse.Namespace) -> int:
             label=case.label,
             compare_engine=not arguments.no_engine,
             engine_budget=arguments.memory_budget,
-            engine_workers=arguments.workers,
         )
         rows.append({"case": case.label, **measurement.as_row()})
     print(format_table(rows))
     if not arguments.no_engine and arguments.memory_budget is not None:
         spills = kernel_counters().delta_since(before_sweep)
         print(
-            f"\nengine ran budgeted at {arguments.memory_budget} rows"
-            f" x {arguments.workers} worker(s):"
+            f"\nengine ran budgeted at {arguments.memory_budget} rows:"
             f" {spills['join_spills']} join spill(s),"
             f" {spills['spill_rows']} row(s) spilled,"
             f" {spills['spill_recursions']} partition re-split(s),"
@@ -253,8 +249,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
 
     if arguments.memory_budget is not None and arguments.memory_budget <= 0:
         raise SystemExit("--memory-budget must be a positive row count")
-    if arguments.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if arguments.paper:
         if arguments.expression or arguments.scheme or arguments.cardinality:
             raise SystemExit(
@@ -263,11 +257,7 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
             )
         construction = paper_example_construction()
         expression = construction.expression
-        with Session(
-            construction.relation,
-            budget=arguments.memory_budget,
-            workers=arguments.workers,
-        ) as session:
+        with Session(construction.relation, budget=arguments.memory_budget) as session:
             prepared = session.prepare(expression)
             print("phi_G =", expression.to_text())
             print()
@@ -291,8 +281,6 @@ def _command_engine_explain(arguments: argparse.Namespace) -> int:
                 f"{trace.counters.get('join_spills', 0)} join spill(s), "
                 f"{trace.counters.get('spill_rows', 0)} row(s) spilled"
             )
-        if arguments.workers > 1:
-            print(f"parallel probe: {arguments.workers} workers")
         return 0
     if not arguments.expression:
         raise SystemExit("an expression is required unless --paper is given")
@@ -342,7 +330,6 @@ def _observed_paper_session(arguments: argparse.Namespace, observe):
     session = Session(
         construction.relation,
         budget=arguments.memory_budget,
-        workers=getattr(arguments, "workers", 1),
         observe=observe,
     )
     return session, expression
@@ -351,8 +338,6 @@ def _observed_paper_session(arguments: argparse.Namespace, observe):
 def _command_trace(arguments: argparse.Namespace) -> int:
     from .obs import ObserveConfig, events_to_jsonl
 
-    if getattr(arguments, "workers", 1) < 1:
-        raise SystemExit("--workers must be >= 1")
     observe = ObserveConfig(trace=True, events=True)
     session, expression = _observed_paper_session(arguments, observe)
     with session:
@@ -490,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="row budget for the engine run (hash joins spill to Grace partitions)",
     )
-    blowup_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel probe workers for the engine run (default 1 = serial)",
-    )
     blowup_parser.set_defaults(handler=_command_blowup)
 
     explain_parser = subparsers.add_parser(
@@ -535,12 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row budget: hash joins become Grace (spill-to-disk) joins",
     )
     explain_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel probe workers when executing (--paper; default 1)",
-    )
-    explain_parser.add_argument(
         "--paper",
         action="store_true",
         help="explain and execute the paper's worked example on its real relation",
@@ -557,12 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ROWS",
         help="row budget for the engine run (spill spans appear in the report)",
-    )
-    trace_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel probe workers (default 1 = serial)",
     )
     trace_parser.add_argument(
         "--events",

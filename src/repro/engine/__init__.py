@@ -7,12 +7,13 @@ algebra kernel (PR 1):
     Per-relation statistics catalog (cardinality, per-column distinct counts
     and bounds), cached on :meth:`repro.algebra.relation.Relation.stats`.
 ``repro.engine.physical``
-    Iterator/generator physical operators — table scan (whole or one
-    worker's partition slice), streaming projection with dedup, hash join
+    Iterator/generator physical operators — table scan, streaming
+    projection with dedup, hash join
     with stats-chosen build side (budget-aware Grace-hash spilling to disk
     partitions when configured) — that stream blocks of raw positional rows
     without materialising intermediates, metering the rows resident in
-    engine state against an optional :class:`MemoryBudget`.
+    engine state against an optional :class:`MemoryBudget` — and the one
+    drain that runs a tree into a result set.
 ``repro.engine.spill``
     The one way rows get to disk and back: :class:`SpillFile` (retried,
     fault-aware, read-back-checked frame I/O) and ``PartitionedSpill`` (one
@@ -23,10 +24,6 @@ algebra kernel (PR 1):
     plans: beam-searched join ordering, build-side choice, budget-aware
     Grace lowering with partition-count estimates, with every compiled
     scheme-level artifact resolved at plan time.
-``repro.engine.parallel``
-    The parallel probe stage: persistent pools of forked workers executing
-    one pinned plan over a partitioned probe scan and merging set-equal
-    results (serial where the platform cannot fork).
 ``repro.engine.sampling``
     Sampling-based cardinality estimation for the joins the per-column
     formula gets wrong (composite keys, skewed keys): lazy reservoir
@@ -34,35 +31,28 @@ algebra kernel (PR 1):
     cross-column independence assumption.
 ``repro.engine.faults``
     Deterministic fault injection: :class:`FaultPlan` schedules spill I/O
-    failures and worker kills;
-    :class:`FaultInjector` fires them per evaluation.  Every operator
-    either recovers (bounded spill retries, pool rebuild, loud serial
-    fallback) or raises a typed :class:`EngineFaultError` with full
-    cleanup — never a silent wrong answer.
+    failures; :class:`FaultInjector` fires them per evaluation.  Every
+    operator either recovers (bounded spill retries) or raises a typed
+    :class:`EngineFaultError` with full cleanup — never a silent wrong
+    answer.
 ``repro.engine.evaluator``
     :class:`EngineEvaluator` — the streaming counterpart of
     :class:`~repro.expressions.optimizer.OptimizedEvaluator`, pinning one
     plan per expression and reporting ``peak_live_rows`` /
-    ``peak_build_rows`` in its trace; ``budget=`` and ``workers=`` switch on
-    the spill and parallel paths.
+    ``peak_build_rows`` in its trace; ``budget=`` switches on the spill
+    path.  Every execution runs in the calling process.
 
 See ``docs/ENGINE.md`` for the operator contract and invariants.
 """
 
 from .evaluator import EngineEvaluator
 from .faults import EngineFaultError, FaultInjector, FaultPlan, InjectedFaultError
-from .parallel import (
-    ForkProbePool,
-    ParallelExecutionError,
-    ParallelResult,
-)
 from .physical import (
     BLOCK_ROWS,
     GraceHashJoin,
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    PartitionedScan,
     PhysicalOperator,
     SpillingSeenSet,
     StreamingProject,
@@ -99,13 +89,9 @@ __all__ = [
     "SpillingSeenSet",
     "PhysicalOperator",
     "TableScan",
-    "PartitionedScan",
     "StreamingProject",
     "HashJoin",
     "GraceHashJoin",
-    "ForkProbePool",
-    "ParallelExecutionError",
-    "ParallelResult",
     "Planner",
     "PlanNode",
     "PhysicalPlan",

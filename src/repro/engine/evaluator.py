@@ -11,26 +11,16 @@ peak grows exponentially — the trace's ``peak_live_rows`` field makes the
 difference measurable against the materialising evaluators'
 ``peak_intermediate_cardinality``.
 
-Two execution knobs:
-
-* ``budget`` (row count or :class:`~repro.engine.physical.MemoryBudget`)
-  caps the rows resident in engine state.  Hash joins lower to
-  :class:`~repro.engine.physical.GraceHashJoin` nodes that spill their
-  build side to disk partitions when the meter would overflow, recursing on
-  oversized partitions — the output stays set-equal, the spill activity is
-  visible in ``trace.counters`` (``join_spills``, ``spill_rows``,
-  ...), and ``trace.peak_build_rows`` reports the largest build table that
-  was actually resident.
-* ``workers`` partitions the plan's driving probe scan across a worker
-  pool (:mod:`repro.engine.parallel`), executing one pinned plan
-  concurrently.  The merged output is set-equal to serial execution; if
-  the pool cannot deliver (unpicklable rows, a dead worker, a failed fork)
-  the evaluator rebuilds the pool once (``pool_recoveries``), and beyond
-  that evaluation falls back to serial — always correct, and never silent:
-  the fallback is counted (``serial_fallbacks``), warned
-  (``RuntimeWarning``), and recorded on the trace's ``degradations``.  A
-  platform without :func:`os.fork` runs every plan serially, uncounted,
-  the way a plan too small to slice does.
+One execution knob, ``budget`` (row count or
+:class:`~repro.engine.physical.MemoryBudget`), caps the rows resident in
+operator state.  Hash joins lower to
+:class:`~repro.engine.physical.GraceHashJoin` nodes that spill their build
+side to disk partitions when the meter would overflow, recursing on
+oversized partitions — the output stays set-equal, the spill activity is
+visible in ``trace.counters`` (``join_spills``, ``spill_rows``, ...), and
+``trace.peak_build_rows`` reports the largest build table that was actually
+resident.  Every execution is one drain of one operator tree in the calling
+process.
 
 Plans are **pinned per expression**: the first evaluation plans against the
 bound relations' statistics catalog and stores the plan (with every compiled
@@ -47,10 +37,8 @@ either way.
 from __future__ import annotations
 
 import threading
-import warnings
-from collections import OrderedDict
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
@@ -64,20 +52,13 @@ from ..perf.counters import counter_delta, counter_values, kernel_counters
 from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
-from ..obs.tracer import NULL_TRACER
-from . import parallel
-from .parallel import (
-    ForkProbePool,
-    ParallelExecutionError,
-    ParallelResult,
-    drain_metered,
-)
 from .physical import (
     GraceHashJoin,
     MemoryBudget,
     MemoryMeter,
     PhysicalOperator,
     StreamingProject,
+    drain_metered,
 )
 from .planner import PhysicalPlan, Planner
 from .sampling import q_error
@@ -88,7 +69,6 @@ _COUNTERS = kernel_counters()
 
 _NODE_KINDS = {
     "TableScan": "operand",
-    "PartitionedScan": "operand",
     "StreamingProject": "projection",
     "HashJoin": "join",
     "GraceHashJoin": "join",
@@ -128,37 +108,30 @@ class EngineEvaluator:
     def __init__(
         self,
         budget: "MemoryBudget | int | None" = None,
-        workers: int = 1,
-        max_pools: int = 1,
         faults: Optional[FaultPlan] = None,
         observe: "Observer | ObserveConfig | bool | None" = None,
     ):
         """Create an evaluator.
 
-        A row ``budget`` triggers Grace-hash spilling; a ``workers`` count
-        > 1 enables the parallel probe stage.
-        ``max_pools`` caps the persistent fork-probe pools kept warm at
-        once (one per bound plan, LRU-evicted beyond the cap) — a serving
-        session raises it so mixed query traffic does not thrash re-forks.
+        A row ``budget`` triggers Grace-hash spilling.
 
         ``faults`` is an optional
         :class:`~repro.engine.faults.FaultPlan`: each evaluation then runs
         with a fresh deterministic
-        :class:`~repro.engine.faults.FaultInjector` that fails spill I/O or
-        kills parallel workers at the scheduled points — the chaos harness
-        for the engine's recovery contracts.
+        :class:`~repro.engine.faults.FaultInjector` that fails spill I/O at
+        the scheduled points — the chaos harness for the engine's recovery
+        contracts.
 
         ``observe`` (an :class:`~repro.obs.ObserveConfig`, an existing
         :class:`~repro.obs.Observer`, or ``True``) attaches the
         observability layer: span tracing per evaluation (surfaced on
-        the trace's ``spans``), a structured event log of every spill /
-        degradation / injected fault, and a metrics registry.
+        the trace's ``spans``), a structured event log of every spill and
+        injected fault, and a metrics registry.
         Tracing is pay-for-what-you-use — with ``observe=None`` (the
         default) or ``trace=False`` the hot path sees no tracer at all.
         """
         self.budget = MemoryBudget.coerce(budget)
         self._budget_rows = self.budget.rows if self.budget is not None else None
-        self.workers = max(int(workers), 1)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise TypeError(f"faults must be a FaultPlan or None, got {faults!r}")
         self.faults = faults
@@ -166,109 +139,10 @@ class EngineEvaluator:
         self._planner = Planner(self.budget)
         self._plans: Dict[Expression, PhysicalPlan] = {}
         self._plans_lock = threading.Lock()
-        # Persistent fork pools, one per bound plan, LRU-capped: forking is
-        # the parallel stage's fixed cost, so repeated evaluation of a bound
-        # plan — the serving steady state — forks once and re-runs its
-        # pool.  Keys carry object ids, but every entry keeps strong
-        # references to the keyed plan and relations, so a live key's ids
-        # cannot be recycled under us.
-        self._pools: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._max_pools = max(int(max_pools), 1)
-        self._pool_lock = threading.Lock()
-        self._closed = False
 
     def close(self) -> None:
-        """Shut down every persistent worker pool, for good.  Idempotent.
-
-        An evaluation that reaches the fork stage afterwards still
-        completes, on a pool of its own that it closes itself: nothing is
-        cached once nobody is left to close it.
-        """
-        with self._pool_lock:
-            self._closed = True
-            pools = list(self._pools.values())
-            self._pools.clear()
-        for entry in pools:
-            entry[-1].close()
-
-    @property
-    def open_pools(self) -> int:
-        """How many persistent fork-probe pools are currently warm."""
-        with self._pool_lock:
-            return len(self._pools)
-
-    def __del__(self):  # pragma: no cover - interpreter-dependent timing
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    @staticmethod
-    def _pool_key(
-        plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
-        workers: int,
-        budget_rows: Optional[int],
-    ) -> tuple:
-        """The identity of one *bound* plan: plan object + exact relations.
-
-        Identity (not equality) is deliberate: relations are immutable, so
-        the same objects mean a pool's forked children hold inherited copies
-        that are still the truth; any rebinding — even to an equal relation
-        — must fork a fresh pool.  Entries keep strong references to the
-        keyed objects, so a live key's ids cannot be recycled.
-        """
-        return (
-            id(plan),
-            workers,
-            budget_rows,
-            tuple(sorted((name, id(relation)) for name, relation in bound.items())),
-        )
-
-    def _pool_for(
-        self,
-        plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
-        workers: int,
-        budget_rows: Optional[int],
-        faults: Optional[FaultPlan] = None,
-    ) -> ForkProbePool:
-        """The cached pool for this exact bound plan, forked on first use.
-
-        Pools are keyed per bound plan (see :meth:`_pool_key`) and kept in
-        LRU order with at most ``max_pools`` warm: serving mixed query
-        traffic keeps each query's pool alive between its executions, while
-        plan churn beyond the cap closes the coldest pool instead of leaking
-        its forked children.  ``faults`` is only threaded into a *freshly*
-        forked pool (a cached pool keeps the injection state it was born
-        with — rebuilding after an injected death must not re-inject).
-        """
-        key = self._pool_key(plan, bound, workers, budget_rows)
-        entry = self._pools.get(key)
-        if entry is not None:
-            self._pools.move_to_end(key)
-            return entry[-1]
-        pool = ForkProbePool(plan, dict(bound), workers, budget_rows, faults=faults)
-        if self._closed:
-            return pool  # the caller's to close: see close()
-        self._pools[key] = (plan, tuple(bound.items()), workers, budget_rows, pool)
-        while len(self._pools) > self._max_pools:
-            _, evicted = self._pools.popitem(last=False)
-            evicted[-1].close()
-        return pool
-
-    def _drop_pool(
-        self,
-        plan: PhysicalPlan,
-        bound: Mapping[str, Relation],
-        workers: int,
-        budget_rows: Optional[int],
-    ) -> None:
-        """Close and forget the pool for one bound plan (after a failure)."""
-        key = self._pool_key(plan, bound, workers, budget_rows)
-        entry = self._pools.pop(key, None)
-        if entry is not None:
-            entry[-1].close()
+        """Nothing to release: kept because the benchmark ladder still calls
+        it (ROADMAP 1(d) removes it with the ladder's probe rung)."""
 
     def plan_for(self, expression: Expression, arguments: ArgumentLike) -> PhysicalPlan:
         """Return the (pinned) physical plan for ``expression``.
@@ -314,45 +188,10 @@ class EngineEvaluator:
         The serving facade calls this when a relation the expression reads
         is replaced: the fresh relation carries a fresh statistics catalog
         (construction is invalidation), so the next :meth:`plan_for` plans
-        against the new distribution.  Warm pools keyed by the dropped plan
-        are closed eagerly — their keys could never be hit again, so left
-        in the LRU they would strand forked children (and a full copy of
-        the replaced relations) until enough *other* plans churned them
-        out.
+        against the new distribution.
         """
         with self._plans_lock:
-            plan = self._plans.pop(expression, None)
-        if plan is not None:
-            self._evict_pools_for(plan)
-
-    def _evict_pools_for(self, plan: PhysicalPlan) -> None:
-        """Close and drop every warm pool keyed by one (dropped) plan."""
-        with self._pool_lock:
-            stale = [
-                key for key, entry in self._pools.items() if entry[0] is plan
-            ]
-            evicted = [self._pools.pop(key) for key in stale]
-        for entry in evicted:
-            entry[-1].close()
-
-    def _effective_workers(
-        self, plan: PhysicalPlan, bound: Mapping[str, Relation]
-    ) -> int:
-        """Degrade the configured parallelism for plans it cannot help.
-
-        Parallelism slices the driving probe scan, so it needs one, with at
-        least one row per worker — tiny inputs run serial rather than paying
-        the pool spin-up for empty slices — and a platform that can fork.
-        """
-        workers = self.workers
-        if workers <= 1 or not parallel.fork_available():
-            return 1
-        name = plan.driving_scan_name()
-        if name is None:
-            return 1
-        if len(bound[name]) < workers:
-            return 1
-        return workers
+            self._plans.pop(expression, None)
 
     def bind(self, expression: Expression, arguments: ArgumentLike) -> Binding:
         """Validate ``arguments`` against ``expression``'s operands, once."""
@@ -367,8 +206,7 @@ class EngineEvaluator:
         """Evaluate and return ``(result, trace)``: :meth:`bind`, then :meth:`run`.
 
         The trace's ``steps`` record each physical operator's *streamed*
-        output cardinality (nothing was materialised; under parallel
-        execution they are summed across workers); ``peak_live_rows``
+        output cardinality (nothing was materialised); ``peak_live_rows``
         reports the high-water mark of rows resident in engine state, and
         ``peak_build_rows`` the largest single hash-join build table.
 
@@ -416,7 +254,6 @@ class EngineEvaluator:
         trace.input_cardinality = binding.input_rows
         before = counter_values(_COUNTERS)
 
-        budget_rows = self._budget_rows
         faults = self.faults
         injector = (
             FaultInjector(faults, events=events)
@@ -424,39 +261,20 @@ class EngineEvaluator:
             else None
         )
         meter = MemoryMeter(
-            budget_rows, faults=injector, tracer=tracer, events=events
+            self._budget_rows, faults=injector, tracer=tracer, events=events
         )
-        pooled = operators = None
-        if self.workers > 1:
-            workers = self._effective_workers(plan, binding.relations)
-            if workers > 1:
-                with (tracer or NULL_TRACER).span("parallel", "fork"):
-                    pooled = self._run_pool(
-                        plan, binding, workers, budget_rows, events, trace
-                    )
-
-        if pooled is not None:
-            rows = pooled.rows
-            result = Relation._from_trusted(plan.root.scheme, frozenset(rows))
-            self._record_parallel_steps(plan, binding, pooled, trace)
-            # Workers metered their result accumulation themselves (see
-            # parallel.drain_metered), so their peaks are comparable with the
-            # serial path's state+result accounting.
-            trace.peak_live_rows = pooled.peak_live_rows
-            trace.peak_build_rows = pooled.build_peak_rows
-        else:
-            operators = []
-            root = plan.executor(binding.relations, meter, None, operators)
-            rows = drain_metered(root, meter, span=True)
-            result = Relation._from_trusted(root.scheme, frozenset(rows))
-            self._record_serial_steps(plan, binding, operators, trace)
-            trace.peak_live_rows = meter.peak
-            trace.peak_build_rows = max(map(_build_peak, operators))
+        operators: List[PhysicalOperator] = []
+        root = plan.executor(binding.relations, meter, operators)
+        rows = drain_metered(root, meter, span=True)
+        result = Relation._from_trusted(root.scheme, frozenset(rows))
+        self._record_steps(plan, binding, operators, trace)
+        trace.peak_live_rows = meter.peak
+        trace.peak_build_rows = max(map(_build_peak, operators))
 
         trace.counters = counter_delta(before)
         trace.result_cardinality = len(rows)
         observer = self.observer
-        if observer is not None and operators is not None:
+        if observer is not None:
             self._observe_q_errors(observer.metrics, operators)
         return result, trace
 
@@ -472,81 +290,8 @@ class EngineEvaluator:
         for operator in operators:
             histogram.observe(q_error(operator.est_rows, operator.rows_out))
 
-    def _run_pool(
-        self,
-        plan: PhysicalPlan,
-        binding: Binding,
-        workers: int,
-        budget_rows: Optional[int],
-        events: Optional[object],
-        trace: EvaluationTrace,
-    ) -> Optional[ParallelResult]:
-        """Run the parallel probe stage, recovering or degrading *loudly*.
-
-        Returns the merged result, or ``None`` when the caller must run
-        serially.  A failed pool is dropped and rebuilt exactly once — a
-        worker death is usually a process-level accident (OOM kill, injected
-        fault), and a fresh fork of the same pinned plan recovers it
-        (``pool_recoveries``).  If the rebuilt pool fails too, execution
-        degrades to serial — always correct, but never silent: the
-        ``serial_fallbacks`` counter records it, a ``RuntimeWarning`` names
-        the exception, and the trace carries a degradation event that
-        ``Session.stats()`` surfaces too.  The workers meter themselves, so
-        the caller's meter is untouched and its serial run can still use it.
-        """
-        bound = binding.relations
-        rebuilt = False
-        while True:
-            try:
-                # Serialised on the pool lock: each pool is one pinned set of
-                # workers, not a queue (concurrent evaluations take turns).
-                with self._pool_lock:
-                    pool = self._pool_for(
-                        plan,
-                        bound,
-                        workers,
-                        budget_rows,
-                        # A rebuilt pool must not re-inject the worker kill
-                        # that just destroyed its predecessor.
-                        faults=None if rebuilt else self.faults,
-                    )
-                    try:
-                        result = pool.run()
-                    finally:
-                        if self._closed:
-                            pool.close()
-                if rebuilt:
-                    _COUNTERS.add(pool_recoveries=1)
-                return result
-            except (ParallelExecutionError, OSError) as error:
-                # OSError covers fork itself failing (EAGAIN/ENOMEM under
-                # pressure — exactly the regime a budgeted engine targets).
-                with self._pool_lock:
-                    self._drop_pool(plan, bound, workers, budget_rows)
-                if not rebuilt:
-                    rebuilt = True
-                    if events is not None:
-                        events.emit(
-                            "pool-rebuild",
-                            backend="fork",
-                            error=f"{type(error).__name__}: {error}",
-                        )
-                    continue
-                _COUNTERS.add(serial_fallbacks=1)
-                reason = f"{type(error).__name__}: {error}"
-                trace.serial_fallbacks += 1
-                trace.degradations.append(f"serial-fallback: {reason}")
-                if events is not None:
-                    events.emit("serial-fallback", backend="fork", reason=reason)
-                warnings.warn(
-                    f"parallel execution degraded to serial ({reason})",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                return None
-
     @staticmethod
-    def _record_serial_steps(
+    def _record_steps(
         plan: PhysicalPlan,
         binding: Binding,
         operators: List[PhysicalOperator],
@@ -580,72 +325,5 @@ class EngineEvaluator:
                     rows_out,
                     width,
                     rows_out * width,
-                )
-            )
-
-    @staticmethod
-    def _record_parallel_steps(
-        plan: PhysicalPlan,
-        binding: Binding,
-        parallel,
-        trace: EvaluationTrace,
-    ) -> None:
-        """Record per-operator cardinalities against a template tree.
-
-        Every worker instantiates the same plan, so the trees are identical
-        in shape and traversal order; a never-executed template provides the
-        labels while the workers' ``rows_out`` provide the counts.  Counts
-        are combined **spine-aware**: operators on the sliced probe spine
-        (the slice consumer and its ancestors) see partitioned data, so
-        their per-worker counts sum to the true streamed total; every other
-        operator (build-side subtrees, scans under the driving projection)
-        re-streams identical full data in each worker and is reported once
-        (the max).  Dedup operators on the spine can still count a row in
-        two workers' streams — the documented set-equal caveat.
-
-        The (label, kind, width, on-spine) tuples are invariant per plan
-        shape, so they are computed once and cached on the plan — the
-        steady-state serving path must not rebuild an operator tree per
-        evaluation.
-        """
-        cache = plan.step_meta
-        key = (parallel.workers, binding.shape)
-        meta = cache.get(key)
-        if meta is None:
-            operators = []
-            plan.executor(
-                binding.relations, MemoryMeter(), (0, parallel.workers), operators
-            )
-            # The slice consumer and its ancestors see partitioned streams
-            # (children come first, so a parent follows its child in); with
-            # no consumer, every operator counts as sliced (sum everywhere).
-            spine = set()
-            for operator in operators:
-                if operator.consumes_probe_slice or any(
-                    id(child) in spine for child in operator.children()
-                ):
-                    spine.add(id(operator))
-            spine = spine or {id(operator) for operator in operators}
-            meta = [
-                (
-                    operator.label(),
-                    _NODE_KINDS.get(type(operator).__name__, "operator"),
-                    len(operator.scheme),
-                    id(operator) in spine,
-                )
-                for operator in operators
-            ]
-            if len(meta) == len(parallel.step_rows):
-                cache[key] = meta
-        for position, (description, node_kind, width, on_spine) in enumerate(meta):
-            per_worker = [steps[position] for steps in parallel.worker_step_rows]
-            rows_out = sum(per_worker) if on_spine else max(per_worker, default=0)
-            trace.record(
-                TraceStep(
-                    description=description,
-                    node_kind=node_kind,
-                    cardinality=rows_out,
-                    scheme_width=width,
-                    cell_count=rows_out * width,
                 )
             )

@@ -1,12 +1,11 @@
 """Deterministic fault injection for the streaming engine.
 
-The engine's failure paths — spill-file I/O and fork-pool worker death —
-are exactly the paths ordinary tests never reach, because they only fire
-under disk or process misbehaviour.  This module makes them reachable on
-purpose:
+The engine's failure path — spill-file I/O — is exactly the path ordinary
+tests never reach, because it only fires under disk misbehaviour.  This
+module makes it reachable on purpose:
 
 * :class:`FaultPlan` is a frozen, seedable description of *which* faults to
-  inject (fail the Nth spill write/read, kill one pool worker mid-probe).
+  inject (fail the Nth spill write/read).
   It is threaded through :class:`~repro.api.config.BackendConfig` and
   :class:`~repro.engine.evaluator.EngineEvaluator` like any other knob, so
   a whole serving stack can run under a chaos schedule.
@@ -24,9 +23,9 @@ purpose:
 
 The injection surface is intentionally the *real* code path: the injector
 raises from inside :class:`~repro.engine.spill.SpillFile`'s retried write/read
-attempts and the worker loop of :mod:`repro.engine.parallel`, so a test that
-passes under injection is evidence about the production retry/cleanup
-logic, not about a parallel test-only implementation.
+attempts, so a test that passes under injection is evidence about the
+production retry/cleanup logic, not about a parallel test-only
+implementation.
 """
 
 from __future__ import annotations
@@ -82,12 +81,6 @@ class FaultPlan:
     ``persistent``
         ``True`` makes every scheduled spill I/O fail forever (retries can
         never succeed), regardless of ``spill_failures``.
-    ``kill_worker``
-        Index of the parallel probe worker to kill mid-probe (the forked
-        worker calls ``os._exit`` while handling its run request).  The
-        evaluator must either rebuild the pool (``pool_recoveries``) or
-        degrade loudly to serial (``serial_fallbacks``) — never return a
-        wrong answer.
     ``seed``
         Identifies the plan (e.g. the chaos-fuzz case it was drawn for);
         carried for reproducibility reporting, not consumed at runtime.
@@ -98,7 +91,6 @@ class FaultPlan:
     fail_spill_read_at: Optional[int] = None
     spill_failures: int = 1
     persistent: bool = False
-    kill_worker: Optional[int] = None
 
     def __post_init__(self) -> None:
         """Validate the schedule's knobs."""
@@ -114,27 +106,18 @@ class FaultPlan:
     @property
     def injects_anything(self) -> bool:
         """Whether this plan schedules at least one fault."""
-        return (
-            self.fail_spill_write_at is not None
-            or self.fail_spill_read_at is not None
-            or self.kill_worker is not None
-        )
+        return self.fail_spill_write_at is not None or self.fail_spill_read_at is not None
 
     @classmethod
-    def random_plan(cls, rng: random.Random, workers: int = 4) -> "FaultPlan":
+    def random_plan(cls, rng: random.Random) -> "FaultPlan":
         """Draw a random plan for the chaos-fuzz axis (seedable via ``rng``).
 
-        Roughly a third of the draws are transient spill-write faults, a
-        third transient/persistent spill-read or persistent-write faults,
-        and a third worker kills — every draw is replayable from the rng
-        seed recorded in the plan.
+        Two in five draws are transient spill-write faults, the rest a
+        transient spill read, a persistent write or a persistent read —
+        every draw is replayable from the rng seed recorded in the plan.
         """
         seed = rng.randrange(1 << 30)
-        shape = rng.choice(
-            ("write", "write", "read", "write-hard", "read-hard", "kill", "kill")
-        )
-        if shape == "kill":
-            return cls(seed=seed, kill_worker=rng.randrange(workers))
+        shape = rng.choice(("write", "write", "read", "write-hard", "read-hard"))
         kwargs = {
             "seed": seed,
             "spill_failures": rng.randint(1, 2),
@@ -207,7 +190,3 @@ class FaultInjector:
                 self._read_failures_left -= 1
         if due:
             self._fire("read")
-
-    def should_kill_worker(self, index: int) -> bool:
-        """Whether parallel worker ``index`` is scheduled to die mid-probe."""
-        return self.plan.kill_worker == index

@@ -24,6 +24,8 @@ The iterator contract (see ``docs/ENGINE.md``):
 
 from __future__ import annotations
 
+import gc
+import os
 import threading
 from collections import defaultdict
 from contextlib import closing
@@ -44,20 +46,22 @@ from typing import (
 
 from ..perf.counters import kernel_counters
 from ..perf.plancache import ChainKernel, GroupedEmission, JoinPlan
-from .spill import PartitionedSpill, SpillFile, partition_index
+from .spill import PartitionedSpill, SpillFile
 from .stats import RelationStats
 
 __all__ = [
     "BLOCK_ROWS",
     "MemoryBudget",
     "MemoryMeter",
+    "SWEEP_ROWS",
     "SpillingSeenSet",
     "PhysicalOperator",
     "TableScan",
-    "PartitionedScan",
     "StreamingProject",
     "HashJoin",
     "GraceHashJoin",
+    "drain_metered",
+    "operators_in_order",
 ]
 
 Row = Tuple[Hashable, ...]
@@ -83,12 +87,14 @@ class MemoryBudget:
     probe slice while the probe keeps streaming, a large one takes both
     sides through Grace partitions (:class:`GraceHashJoin` has the rule).
     Dedup seen-sets spill through :class:`SpillingSeenSet`.  Both drain
-    their partitions through one recursion (:func:`_drain_spill`).  What
-    remains transiently metered beyond the budget (the result accumulator,
-    one partition- or chunk-granularity allowance per replay) is bounded
-    and honest: a genuine overrun — distinct rows a partition cannot shed
-    once splitting stops making progress — is counted in
-    ``spill_overflows`` rather than masked.
+    their partitions through one recursion (:func:`_drain_spill`).  The
+    budget bounds operator state only: the result accumulator is metered
+    but never budget-bound (:class:`MemoryMeter`), so the peak is the result
+    plus at most a budget's worth of state.  What remains transiently
+    beyond the budget (one partition- or chunk-granularity allowance per
+    replay) is bounded and honest: a genuine overrun — distinct rows a
+    partition cannot shed once splitting stops making progress — is
+    counted in ``spill_overflows`` rather than masked.
 
     ``spill_fanout`` is the default partitions-per-level (a planner estimate
     can override it per join); ``spill_dir`` hosts the per-execution
@@ -116,17 +122,19 @@ class MemoryBudget:
 class MemoryMeter:
     """Tracks rows resident in engine state, and the high-water mark.
 
-    One meter is shared by every operator of an executing plan (plus the
-    evaluator's result accumulator), so ``peak`` is the peak number of rows
+    One meter is shared by every operator of an executing plan plus the
+    drain's result accumulator, so ``peak`` is the peak number of rows
     *simultaneously* live anywhere in the engine — deliberately a stricter
-    accounting than the materialising evaluators' per-step maximum.
+    accounting than the materialising evaluators' per-step maximum.  The
+    accumulator's rows (``result``, held through :meth:`hold_result`) count
+    in ``current`` and ``peak`` but not against ``budget``: the budget is
+    the optional ceiling on *operator* state, which :meth:`try_acquire` and
+    :meth:`headroom` answer for; the meter only answers the question, the
+    operators do the spilling.
 
     The meter is thread-safe: user threads may share one evaluator, and
-    operators that meter from several threads at once would lose the plain
-    read-modify-write increments the meter used before this lock existed
-    (see ``tests/test_engine_parallel.py``).  ``budget`` is the optional row
-    ceiling operators consult before making state resident; the meter only
-    answers the question, the operators do the spilling.
+    plain read-modify-write increments from several threads would be lost
+    (``tests/test_engine.py::TestMemoryMeterThreadSafety``).
 
     ``faults`` optionally carries the evaluation's
     :class:`~repro.engine.faults.FaultInjector`; the meter is the one object
@@ -135,10 +143,10 @@ class MemoryMeter:
     operator signature.  ``tracer`` and ``events`` ride the same channel:
     a :class:`repro.obs.tracer.Tracer` (``None`` when tracing is off — the
     pay-for-what-you-use contract) and a
-    :class:`repro.obs.events.EventLog` for spill/degradation events.
+    :class:`repro.obs.events.EventLog` for spill events.
     """
 
-    __slots__ = ("current", "peak", "budget", "faults", "tracer", "events", "_lock")
+    __slots__ = ("current", "peak", "result", "budget", "faults", "tracer", "events", "_lock")
 
     def __init__(
         self,
@@ -149,6 +157,7 @@ class MemoryMeter:
     ) -> None:
         self.current = 0
         self.peak = 0
+        self.result = 0
         self.budget = budget
         self.faults = faults
         self.tracer = tracer
@@ -167,16 +176,30 @@ class MemoryMeter:
         with self._lock:
             self.current -= rows
 
-    def try_acquire(self, rows: int) -> bool:
-        """Acquire ``rows`` only if that stays within the budget (atomic).
+    def hold_result(self, rows: int) -> None:
+        """Record ``rows`` more result rows resident (never budget-bound)."""
+        with self._lock:
+            self.current += rows
+            self.result += rows
+            if self.current > self.peak:
+                self.peak = self.current
 
-        The check and the acquisition happen under one lock, so concurrent
-        workers sharing a budgeted meter cannot interleave their way past
-        the ceiling unobserved (a check-then-``acquire`` pair could).
-        Always succeeds on an unbudgeted meter.
+    def release_result(self, rows: int) -> None:
+        """Record ``rows`` result rows being dropped."""
+        with self._lock:
+            self.current -= rows
+            self.result -= rows
+
+    def try_acquire(self, rows: int) -> bool:
+        """Acquire ``rows`` only if operator state stays within the budget.
+
+        The check and the acquisition happen under one lock, so threads
+        sharing a budgeted meter cannot interleave their way past the
+        ceiling unobserved (a check-then-``acquire`` pair could).  Always
+        succeeds on an unbudgeted meter.
         """
         with self._lock:
-            if self.budget is not None and self.current + rows > self.budget:
+            if self.budget is not None and self.current - self.result + rows > self.budget:
                 return False
             self.current += rows
             if self.current > self.peak:
@@ -184,11 +207,11 @@ class MemoryMeter:
             return True
 
     def headroom(self) -> Optional[int]:
-        """Rows still acquirable under the budget (``None`` = unbudgeted)."""
+        """Rows of operator state still acquirable (``None`` = unbudgeted)."""
         if self.budget is None:
             return None
         with self._lock:
-            return max(self.budget - self.current, 0)
+            return max(self.budget - self.current + self.result, 0)
 
 
 def _drain_spill(
@@ -312,8 +335,8 @@ class SpillingSeenSet:
     Metering: the pre-switch set and, during replay, one partition's
     distinct rows are metered.  A partition *fits* when its distinct rows
     fit the headroom or all its rows fit ``budget.rows``: the latter is
-    replayed resident even when *other* state (the result accumulator, a
-    downstream operator) pins the shared meter — the budget governs
+    replayed resident even when *other* operator state (a downstream
+    join's table) pins the shared meter — the budget governs
     spillable state at partition granularity.  The fallback replays
     resident regardless, counting a ``spill_overflows`` if the distinct
     rows exceed the budget.  ``label`` names the owner in the event.
@@ -468,11 +491,6 @@ class PhysicalOperator:
     #: Under a memory budget this is what "never exceeds the build-side
     #: budget" is asserted against.
     build_peak_rows: int = 0
-    #: Whether this operator applies the parallel probe-slice filter.  The
-    #: trace aggregator sums streamed counts across workers only for this
-    #: operator and its ancestors (they see partitioned data); everything
-    #: else re-streams identical full data per worker and is reported once.
-    consumes_probe_slice: bool = False
 
     def __init__(self, meter: MemoryMeter):
         # The engine's own operators assign ``meter`` themselves: every
@@ -483,7 +501,7 @@ class PhysicalOperator:
         """Yield the output as a sequence of row blocks (fresh generator).
 
         ``sink`` is the consumer's result set, offered by a drain that only
-        wants the distinct rows (:func:`repro.engine.parallel.drain_metered`).
+        wants the distinct rows (:func:`drain_metered`).
         An operator that would deduplicate anyway may put its rows straight
         into it and yield an *empty* block per input block instead — the
         consumer still gets control at block granularity to meter the set —
@@ -558,50 +576,6 @@ class TableScan(PhysicalOperator):
         return f"scan {self._name}"
 
 
-#: Salt separating the probe-slice row partition from Grace spill routing.
-PROBE_SLICE_SALT = -0x51A5
-
-
-class PartitionedScan(TableScan):
-    """Stream one hash-slice of a stored relation's raw rows.
-
-    Worker ``index`` of ``count`` yields the rows whose (salted, bit-mixed)
-    hash lands on its slice — a *value*-based partition, so it is identical
-    across the pool regardless of iteration order, and any duplicates of a
-    row always belong to exactly one worker.  The slices are disjoint and
-    their union is exactly the relation.  Like :class:`TableScan`, a slice
-    holds no engine state.
-    """
-
-    def __init__(
-        self,
-        relation,
-        meter: MemoryMeter,
-        index: int,
-        count: int,
-        name: Optional[str] = None,
-    ):
-        super().__init__(relation, meter, name=name)
-        if not 0 <= index < count:
-            raise ValueError(f"slice index {index} out of range for {count} workers")
-        self._index = index
-        self._count = count
-        self.consumes_probe_slice = True
-
-    def _rows(self) -> Tuple[Row, ...]:
-        index = self._index
-        count = self._count
-        return tuple(
-            row
-            for row in self._relation._scan_order()
-            if partition_index(PROBE_SLICE_SALT, row, count) == index
-        )
-
-    def label(self) -> str:
-        """The one-line trace/explain label."""
-        return f"scan {self._name} [partitioned x{self._count}]"
-
-
 class StreamingProject(PhysicalOperator):
     """Project each row onto a pick list, optionally deduplicating.
 
@@ -610,15 +584,6 @@ class StreamingProject(PhysicalOperator):
     when the consumer is a hash-join build side, whose per-key row sets
     deduplicate for free; output duplicates are then possible and the
     consumer must tolerate them.
-
-    ``probe_slice = (index, count)`` keeps only worker ``index``'s
-    hash-slice of the *projected* rows.  The parallel probe stage consumes
-    its slice here rather than below the projection: distinct input rows
-    can project onto the same output row, so a slice taken underneath would
-    hand equal projected rows to several workers — each would survive that
-    worker's (per-worker) dedup and multiply the downstream streams.
-    Slicing the projected value itself gives every distinct output row to
-    exactly one worker.
 
     With ``budget`` set (the planner passes it to every dedup projection
     of a budgeted plan) the seen-set is a :class:`SpillingSeenSet`: instead
@@ -648,7 +613,6 @@ class StreamingProject(PhysicalOperator):
         scheme,
         meter: MemoryMeter,
         dedup: bool = True,
-        probe_slice: Optional[Tuple[int, int]] = None,
         budget: Optional[MemoryBudget] = None,
         pushed: bool = False,
     ):
@@ -659,10 +623,8 @@ class StreamingProject(PhysicalOperator):
         # then ``zip(map(getter, block))``, with no Python frame per row.
         self._single = getattr(pick, "single", None)
         self._dedup = dedup
-        self._probe_slice = probe_slice
         self._budget = budget
         self._pushed = pushed
-        self.consumes_probe_slice = probe_slice is not None
         self.scheme = scheme
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
@@ -670,21 +632,12 @@ class StreamingProject(PhysicalOperator):
         return (self._child,)
 
     def _picked(self, block: Block) -> Iterator[Row]:
-        """Lazily pick (and probe-slice filter) one input block's rows."""
+        """Lazily pick one input block's rows."""
         if self._single is not None:
-            picked = zip(map(self._single, block))
-        elif self._pick is not None:
-            picked = map(self._pick, block)
-        else:
-            picked = block
-        if self._probe_slice is None:
-            return picked
-        index, count = self._probe_slice
-        return (
-            values
-            for values in picked
-            if partition_index(PROBE_SLICE_SALT, values, count) == index
-        )
+            return zip(map(self._single, block))
+        if self._pick is not None:
+            return map(self._pick, block)
+        return block
 
     def _blocks(self) -> Iterator[Block]:
         """Stream the output blocks (see the operator iterator contract)."""
@@ -749,14 +702,8 @@ class StreamingProject(PhysicalOperator):
     def label(self) -> str:
         """The one-line trace/explain label."""
         dedup = "" if self._dedup else ", no dedup"
-        sliced = (
-            f" [sliced x{self._probe_slice[1]}]" if self._probe_slice is not None else ""
-        )
         pushed = " (pushed)" if self._pushed else ""
-        return (
-            f"project[{', '.join(self.scheme.names)}]"
-            f"({self._child.label()}{dedup}){pushed}{sliced}"
-        )
+        return f"project[{', '.join(self.scheme.names)}]({self._child.label()}{dedup}){pushed}"
 
 
 def _build_block(buckets: Dict[Hashable, Set[Row]], pairs) -> int:
@@ -1354,3 +1301,126 @@ class GraceHashJoin(HashJoin):
             f"budget={self._budget.rows}] {self._on()}{how}"
         )
 
+
+
+def operators_in_order(root: PhysicalOperator) -> List[PhysicalOperator]:
+    """The operator tree children-first — the order traces record steps in."""
+    ordered: List[PhysicalOperator] = []
+
+    def visit(operator: PhysicalOperator) -> None:
+        for child in operator.children():
+            visit(child)
+        ordered.append(operator)
+
+    visit(root)
+    return ordered
+
+
+#: Result rows a drain accumulates between two young-generation sweeps: on
+#: ``join_100k``'s 76k-91k-row results a sweep costs ~100 ns per row at 1,024
+#: (a pass's fixed part shows), ~60 at 4,096, ~90 at 16,384 (rows gone cold).
+SWEEP_ROWS = 4096
+
+
+class _CollectorPause:
+    """A re-entrant, process-wide pause of automatic cyclic collection.
+
+    Concurrent drains (user threads sharing one evaluator or session) and
+    nested ones share a depth count: the first entry disables, the last exit
+    re-enables.  Entering returns whether it was on — a host's own
+    ``gc.disable()`` is left so, and gets no sweeps.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> bool:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+            return self._resume
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._depth:  # 0 only in a child forked from inside the block
+                self._depth -= 1
+                if self._depth == 0 and self._resume:
+                    gc.enable()
+
+    def after_fork_in_child(self) -> None:
+        """The child has one thread and no drain: depth 0, pre-pause state."""
+        if self._depth and self._resume:
+            gc.enable()
+        self.__init__()  # the lock too: a parent thread may have held it
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+# Server workers are forked, possibly while another thread is draining.
+if hasattr(os, "register_at_fork"):  # pragma: no branch - CPython >= 3.7
+    os.register_at_fork(after_in_child=_COLLECTOR_PAUSE.after_fork_in_child)
+
+
+def drain_metered(
+    root: PhysicalOperator,
+    meter: MemoryMeter,
+    cap: Optional[int] = None,
+    span: bool = False,
+) -> Optional[Set[tuple]]:
+    """Drain an operator tree into a set, metering the accumulated rows.
+
+    The one drain of the engine.  The set is offered to the root as its
+    ``sink``: a root projection dedups straight into it (and yields empty
+    blocks), so result rows are hashed once and resident once.  The rows
+    are held on the meter as result rows (:meth:`MemoryMeter.hold_result`):
+    they count in its peak, never against an operator's budget.
+
+    Past ``cap`` rows the drain stops and returns ``None``; then, or when
+    the tree or the drain itself raises (a fault, ``MemoryError``),
+    the tree is closed and the partial rows' residency released.  ``span``
+    wraps the drain in the trace's ``materialize`` span when the meter carries
+    a tracer (an untraced drain opens no span at all).  Automatic collection
+    is paused meanwhile (rule 7 of
+    ``docs/ENGINE.md``): rows are freed by reference count, so one generation-0
+    sweep per :data:`SWEEP_ROWS` result rows untracks the only survivors young.
+    """
+    if span and meter.tracer is not None and meter.tracer.enabled:
+        with meter.tracer.span("materialize", "drain") as handle:
+            rows = drain_metered(root, meter, cap)
+            if rows is not None:
+                handle.rows = len(rows)
+        return rows
+    rows: Set[tuple] = set()
+    update = rows.update
+    size = swept = 0
+    blocks = root.blocks(rows)
+    with _COLLECTOR_PAUSE as sweeping:
+        try:
+            block = next(blocks, None)
+            while block is not None:
+                update(block)
+                grown = len(rows)
+                if cap is not None and grown > cap:
+                    blocks.close()
+                    meter.release_result(size)
+                    return None
+                if grown != size:
+                    meter.hold_result(grown - size)
+                    size = grown
+                block = next(blocks, None)
+                # After the pull: a stream that just ended is swept with its tree gone.
+                if sweeping and size - swept >= SWEEP_ROWS:
+                    gc.collect(0)
+                    swept = size
+        except BaseException as failure:
+            # Now, not whenever the traceback is dropped: the suspended tree
+            # holds spill files and reservations, and nothing collects here.
+            try:
+                blocks.close()
+            finally:
+                meter.release_result(size)
+                raise failure  # never a cleanup's own error in its place
+    return rows

@@ -53,7 +53,6 @@ from .physical import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    PartitionedScan,
     PhysicalOperator,
     StreamingProject,
     TableScan,
@@ -204,11 +203,9 @@ class PlanNode:
         return self.kind
 
     def probe_child_index(self) -> Optional[int]:
-        """Index of the child the streamed (probe) rows flow through.
-
-        This is the path the parallel probe stage slices: the non-build side
-        of a hash join, the only child of a projection.  ``None`` for leaves.
-        """
+        """Index of the child the streamed (probe) rows flow through: the
+        non-build side of a hash join, the only child of a projection.
+        ``None`` for leaves."""
         if self.kind == "project":
             return 0
         if self.kind == "hash-join":
@@ -233,43 +230,21 @@ class PlanNode:
             return (self.operand_name,)
         return tuple(name for child in self.children for name in child.scan_order())
 
-    def subtree_has(self, kinds: Tuple[str, ...]) -> bool:
-        """Whether this node or any descendant is one of ``kinds``."""
-        if self.kind in kinds:
-            return True
-        return any(child.subtree_has(kinds) for child in self.children)
-
     def instantiate(
         self,
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
-        probe_slice: Optional[Tuple[int, int]],
         out: List[PhysicalOperator],
     ) -> PhysicalOperator:
         """Build the executable operator tree for one evaluation.
 
         Every operator built is appended to ``out``, children first — the
         order traces record steps in — and the subtree's root is returned.
-
-        ``probe_slice = (index, count)`` threads a worker's hash-slice down
-        the probe path (every other subtree is instantiated whole) and is
-        *consumed* at the driving row source: the leaf-most projection on
-        the path (a slice of the deduplicated *output* rows — slicing below
-        a dedup would hand equal projected rows to several workers and
-        multiply the downstream streams) or the bare scan when no
-        projection sits above it.  ``count`` workers executing the same
-        pinned plan therefore partition the driving row stream and nothing
-        else.
         """
         if self.kind == "scan":
-            relation = bindings[self.operand_name]
-            if probe_slice is not None:
-                index, count = probe_slice
-                operator: PhysicalOperator = PartitionedScan(
-                    relation, meter, index, count, name=self.operand_name
-                )
-            else:
-                operator = TableScan(relation, meter, name=self.operand_name)
+            operator: PhysicalOperator = TableScan(
+                bindings[self.operand_name], meter, name=self.operand_name
+            )
             scheme = operator.scheme
             if scheme is not self.scheme and scheme.names != self.scheme.names:
                 # The plan compiled against a different presentation order of
@@ -281,32 +256,19 @@ class PlanNode:
                     operator, realign.pick, self.scheme, meter, dedup=False
                 )
         elif self.kind == "project":
-            own_slice: Optional[Tuple[int, int]] = None
-            pass_down = probe_slice
-            if probe_slice is not None and not self.children[0].subtree_has(
-                ("hash-join", "project")
-            ):
-                # This is the driving projection: consume the slice here.
-                own_slice, pass_down = probe_slice, None
-            child = self.children[0].instantiate(bindings, meter, pass_down, out)
+            child = self.children[0].instantiate(bindings, meter, out)
             operator = StreamingProject(
                 child,
                 self.pick,
                 self.scheme,
                 meter,
                 dedup=self.dedup,
-                probe_slice=own_slice,
                 budget=self.budget,
                 pushed=self.pushed,
             )
         elif self.kind == "hash-join":
-            build_left = self.build_side == "left"
-            left = self.children[0].instantiate(
-                bindings, meter, None if build_left else probe_slice, out
-            )
-            right = self.children[1].instantiate(
-                bindings, meter, probe_slice if build_left else None, out
-            )
+            left = self.children[0].instantiate(bindings, meter, out)
+            right = self.children[1].instantiate(bindings, meter, out)
             if self.budget is not None:
                 operator = GraceHashJoin(
                     left,
@@ -440,7 +402,7 @@ class PhysicalPlan:
     minimized: Optional[Expression] = None
     #: What traces record of each operator that never changes between
     #: executions — label, kind, width — keyed by the executing tree's shape
-    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_serial_steps`).
+    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
     step_meta: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -457,31 +419,16 @@ class PhysicalPlan:
         self,
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
-        probe_slice: Optional[Tuple[int, int]] = None,
         operators: Optional[List[PhysicalOperator]] = None,
     ) -> PhysicalOperator:
         """Instantiate the operator tree against one set of bound relations.
 
         ``operators``, when given, receives every operator children first
         (the root last): the order traces record steps in, read without
-        walking the tree again.  With ``probe_slice = (index, count)`` the
-        driving probe scan streams only worker ``index``'s hash slice (see
-        :meth:`PlanNode.instantiate`); the union of the ``count`` executors'
-        outputs is set-equal to the unsliced execution.
+        walking the tree again.
         """
         out = [] if operators is None else operators
-        return self.root.instantiate(bindings, meter, probe_slice, out)
-
-    def driving_scan_name(self) -> Optional[str]:
-        """The operand whose scan drives the probe pipeline (sliced when
-        executing in parallel), or ``None`` if the probe path has no scan."""
-        node = self.root
-        while node.kind != "scan":
-            index = node.probe_child_index()
-            if index is None or not node.children:
-                return None
-            node = node.children[index]
-        return node.operand_name
+        return self.root.instantiate(bindings, meter, out)
 
     def explain(self) -> str:
         """Render the plan as an indented tree with per-node estimates,

@@ -72,7 +72,7 @@ _COUNTERS = kernel_counters()
 #: Spill directories currently live.  Every :class:`PartitionedSpill` is
 #: closed from its owner's ``finally``; this registry (plus the atexit hook)
 #: is the backstop for the paths that cannot run one — an interpreter dying
-#: while a fork-pool holds children, a hard exception during generator
+#: with spill files open, a hard exception during generator
 #: teardown.
 _ACTIVE_SPILL_DIRS: Set[str] = set()
 _SPILL_DIR_LOCK = threading.Lock()
@@ -91,7 +91,7 @@ def _cleanup_spill_dirs() -> None:
 def _clear_spill_registry_after_fork() -> None:
     """Forget inherited registrations in a forked child.
 
-    Fork-pool workers inherit the parent's registry; if a child's atexit ran
+    Forked server workers inherit the parent's registry; if a child's atexit ran
     it would delete directories the parent is still reading.  The parent
     remains responsible for its own directories.  The lock is replaced, not
     taken: another parent thread may have held it at fork time (the same

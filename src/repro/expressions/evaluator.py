@@ -186,17 +186,11 @@ class EvaluationTrace:
     #: bounds (see ``docs/ENGINE.md``).  Populated by the engine evaluator;
     #: 0 elsewhere.
     peak_build_rows: int = 0
-    #: Always 0: no evaluator re-plans mid-stream.  Kept only because the
-    #: benchmark ladder still reads it as a tripwire; nothing writes it.
+    #: Always 0: no evaluator re-plans mid-stream, and every execution runs
+    #: in one process, so none falls back to another.  Kept only because the
+    #: benchmark ladder still reads both as tripwires; nothing writes them.
     replans: int = 0
-    #: How many times a requested parallel execution degraded to the serial
-    #: path after recovery (pool rebuild) failed.  The engine evaluator
-    #: never degrades silently: every fallback increments this, appends a
-    #: reason to :attr:`degradations`, and emits a ``RuntimeWarning``.
     serial_fallbacks: int = 0
-    #: Human-readable reasons for every degradation this evaluation
-    #: absorbed (e.g. ``"serial-fallback: ParallelExecutionError: ..."``).
-    degradations: List[str] = field(default_factory=list)
     #: Execution spans recorded by a :class:`repro.obs.Tracer` when tracing
     #: was enabled for the evaluation (``ObserveConfig(trace=True)`` or
     #: ``explain_analyze()``); empty on untraced runs (the engine evaluator
@@ -271,7 +265,6 @@ class EvaluationTrace:
             "blowup_vs_output": self.blowup_versus_output(),
             "peak_live_rows": float(self.peak_live_rows),
             "peak_build_rows": float(self.peak_build_rows),
-            "serial_fallbacks": float(self.serial_fallbacks),
         }
 
 

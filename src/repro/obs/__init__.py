@@ -18,8 +18,8 @@ into.  It is organised as four small layers:
     ``repro.perf.counters``.
 
 ``repro.obs.events``
-    A structured event log: every degradation, spill switch, and fault
-    retry becomes a timestamped dict, optionally appended to a
+    A structured event log: every spill, fault and spill retry
+    becomes a timestamped dict, optionally appended to a
     JSON-Lines file as it happens.
 
 ``repro.obs.export``

@@ -1,4 +1,4 @@
-"""Structured event log: degradations, spills, and faults.
+"""Structured event log: spills, faults, and cache switches.
 
 Every noteworthy runtime decision becomes one timestamped dict —
 ``{"ts": ..., "seq": ..., "kind": ..., **fields}`` — appended to an
@@ -22,8 +22,6 @@ Event kinds emitted by the engine today:
 ``fault``
     An injected fault fired (chaos testing); every in-process
     ``fault_injected`` counter increment has a matching ``fault`` event.
-``serial-fallback`` / ``pool-rebuild``
-    Parallel-execution degradations.
 ``cache_switch``
     A mutation switched a relation name to another content version in the
     serving tier's result cache (see :mod:`repro.server.cache`); emitted on
@@ -58,7 +56,7 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
 class EventLog:
     """Collects structured events; optionally mirrors them to JSONL.
 
-    ``emit`` is cheap enough for degradation-frequency call sites
+    ``emit`` is cheap enough for rare call sites
     (spills, faults) but is *not* meant for per-row or
     per-block paths — those belong to counters and spans.
     """

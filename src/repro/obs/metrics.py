@@ -15,7 +15,7 @@ trade-off).
 
 Thread-safety follows the ``repro.perf.counters`` discipline: one module
 lock guards every mutation, and ``os.register_at_fork`` reinstalls a
-fresh lock in fork-pool children so a fork taken while the lock is held
+fresh lock in forked children so a fork taken while the lock is held
 cannot deadlock the child.  One acquisition updates an instrument and its
 ancestors — or, through :func:`record`, several instruments.
 """

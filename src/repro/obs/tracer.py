@@ -111,9 +111,7 @@ class Tracer:
     every operator and spill file through ``MemoryMeter.tracer`` exactly
     as fault injectors travel through ``MemoryMeter.faults``.  All
     methods are thread-safe; spans opened on other threads simply root
-    their own subtrees (fork-pool children run in other processes and are
-    not traced — their work still shows up in the parent's counters when
-    the pool merges deltas back).
+    their own subtrees.
     """
 
     #: Checked by hot call sites before paying for any wrapping.

@@ -42,7 +42,7 @@ _MUTATION_LOCK = threading.Lock()
 def _reinitialize_lock_after_fork() -> None:
     """Replace the mutation lock in a freshly forked child.
 
-    The engine's probe workers are forked from a process that may
+    Server workers are forked from a process that may
     have other threads running; if one of them holds the lock at fork time
     the child inherits it locked with no owner, and the worker's first
     counter update would deadlock.  A brand-new lock in the child is always
@@ -92,16 +92,8 @@ class KernelCounters:
     #: transient failure — each retry backs off before reattempting.
     spill_retries: int = 0
     #: Spill I/O faults injected by an active
-    #: :class:`repro.engine.faults.FaultPlan` (a scheduled worker kill ends
-    #: its forked worker uncounted and shows as ``pool_recoveries``).
+    #: :class:`repro.engine.faults.FaultPlan`.
     fault_injected: int = 0
-    #: Fork-probe pools rebuilt successfully after a worker death — the
-    #: recovery path that avoids degrading to serial execution.
-    pool_recoveries: int = 0
-    #: Parallel executions that degraded to serial after the pool and its
-    #: one rebuild failed.  Always paired with a
-    #: ``warnings.warn`` and a trace degradation event — never silent.
-    serial_fallbacks: int = 0
     #: Base samples drawn for the sampling-based estimator: one per relation
     #: whose cached sample a measured (composite- or skewed-key) estimate
     #: first reads (``repro.engine.sampling.relation_sample``) — re-sampling
@@ -134,8 +126,7 @@ class KernelCounters:
         """Atomically add ``amounts`` to the named counters (engine path).
 
         Unlike the kernel's raw ``+=``, this holds a lock so concurrent
-        engine workers (the parallel probe stage, multi-threaded evaluators)
-        never lose updates.  Call it at block/spill granularity, not per row.
+        threads (multi-threaded evaluators and sessions) never lose updates.  Call it at block/spill granularity, not per row.
         """
         with _MUTATION_LOCK:
             for name, amount in amounts.items():

@@ -6,11 +6,11 @@ JSON query requests against a bounded in-flight limit, leases each one
 an engine memory budget from a cross-session
 :class:`BudgetScheduler` pool, and dispatches it to a
 :class:`~repro.server.worker.WorkerPool` of processes holding warm
-:class:`~repro.api.Session`\\ s — pinned plans, forked probe pools, and
-per-request ``budget``/``workers`` overrides served from a small LRU of
-session configs.  Each worker answers its frames one at a time, in the
-order they were written, and dispatch picks the worker with the fewest
-frames in flight, so fast queries go around a slow spilling execute; the
+:class:`~repro.api.Session`\\ s — pinned plans and per-request ``budget``
+overrides served from a small LRU of session configs.  Each worker
+answers its frames one at a time, in the order they were written, and
+dispatch picks the worker with the fewest frames in flight, so fast
+queries go around a slow spilling execute; the
 front adds a :class:`ResultCache` over pure read-only queries keyed on
 the content versions of the relations each execute read, so
 ``POST /mutate`` only switches which entries are current.

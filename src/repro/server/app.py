@@ -123,9 +123,7 @@ class ServerConfig:
         ``server.port`` after start — how the tests and load generator
         run without port coordination).
     ``pool_size``
-        Worker processes, each holding warm sessions (the serving
-        analogue of ``BackendConfig.workers``, which stays the *engine*
-        probe parallelism inside one execution).
+        Worker processes, each holding warm sessions.
     ``max_inflight``
         Admission bound: requests beyond this many concurrently being
         served are shed with a typed 503, never queued unboundedly.
@@ -136,9 +134,7 @@ class ServerConfig:
         The budget of the base :class:`~repro.api.BackendConfig` every
         worker session is derived from; a per-request ``budget``
         replaces it per session-cache entry.  A served query runs in one
-        process (a server worker is a daemonic process and cannot fork
-        the engine's probe pool), so the engine's ``workers`` is not a
-        serving knob.
+        process, as every execute does.
     ``events_dir``
         Mirror each worker's event log to ``<events_dir>/worker-i.jsonl``.
     ``trace``
@@ -572,7 +568,7 @@ class ReproServer:
             raise BadRequestError(
                 'the "backend" field was removed: every query runs on the engine'
             )
-        if "workers" in payload:  # a server worker may not fork a probe pool
+        if "workers" in payload:
             raise BadRequestError(
                 'the "workers" field was removed: a served query runs in one process'
             )

@@ -29,7 +29,7 @@ traffic goes around a worker busy with a slow spilling execute.
 
 Warmth is the point.  A worker prepares each distinct query text once
 per session (the session's registry answers a text it parsed at the
-current epoch, and pins the plan and its forked probe pools), and keeps a small
+current epoch, and pins the plan), and keeps a small
 LRU of *sessions* keyed by the per-request ``budget`` override — so
 "the same query at the default budget" and "the same query squeezed to
 64 rows" each hit a pinned plan in the steady state.  The
@@ -76,7 +76,6 @@ from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple, TypeVar
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
 from ..api.session import Session
-from ..engine import parallel
 from ..obs.config import Observer, ObserveConfig
 from .errors import (
     RequestTimeoutError,
@@ -88,13 +87,18 @@ from .errors import (
 __all__ = ["Worker", "WorkerPool", "worker_main"]
 
 #: How many distinct budget session configs one worker keeps
-#: warm; beyond this the least-recently-used session is closed (its pools
-#: and pinned plans with it) exactly like the engine's pool LRU.
+#: warm; beyond this the least-recently-used session is closed (its pinned
+#: plans with it).
 MAX_SESSIONS_PER_WORKER = 4
 
 #: How long a closing pool waits, in all, for its workers to exit before it
 #: terminates the ones still running.
 _STOP_SECONDS = 5.0
+
+
+def fork_available() -> bool:
+    """Whether this platform can fork: a worker pool's one platform probe."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 class _WorkerRuntime:
@@ -201,7 +205,6 @@ class _WorkerRuntime:
             "rowcount": len(result),
             "elapsed_ms": elapsed * 1000.0,
             "budget": self._session_key(message.get("budget")),
-            "serial_fallbacks": trace.serial_fallbacks,
             "spilled_rows": counters.get("spill_rows", 0),
             "spill_overflows": counters.get("spill_overflows", 0),
             "peak_memory_rows": trace.peak_memory_rows,
@@ -298,8 +301,7 @@ def worker_main(
     order their requests arrived.  Runs until a ``shutdown`` frame, the
     parent's end of the pipe closing, or a mutate that failed: that one is
     answered ``ok: false`` first, and no frame after it is served on the
-    half-applied bindings.  Every way out closes the warm sessions, so no
-    probe pools or spill directories outlive the worker.
+    half-applied bindings.  Every way out closes the warm sessions.
     """
     runtime = _WorkerRuntime(
         relations, versions, base_config, index, events_path, max_sessions
@@ -544,8 +546,7 @@ class WorkerPool:
     — or one whose caller gave up on it — is routed around while any
     other is idle.  A request that finds its worker dead respawns it once
     and retries — queries are pure reads, so the retry is safe — counting
-    the rebuild in ``worker_restarts`` (the serving-tier analogue of the
-    probe pool's rebuild-or-loud-serial contract).  When a crash fails many in-flight
+    the rebuild in ``worker_restarts``.  When a crash fails many in-flight
     ids at once, each dispatch retries independently against the one
     respawned worker.  ``versions`` maps each relation name to its content
     version, for a front that keeps a result cache; without it a query
@@ -568,7 +569,7 @@ class WorkerPool:
     ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        if not parallel.fork_available():
+        if not fork_available():
             raise ServerError(
                 "a worker pool forks its workers, and this platform has no os.fork"
             )

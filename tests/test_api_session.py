@@ -207,22 +207,26 @@ class TestSessionContract:
                 session.prepare("project[A](T)")
 
     def test_config_validation(self):
-        with pytest.raises(SessionError):
-            BackendConfig(workers=0)
-        with pytest.raises(SessionError):
-            BackendConfig(max_pools=0)
-        # Counts are ints: a float or a bool is refused, not run.
-        for knobs in (
-            {"workers": 2.5},
-            {"workers": True},
-            {"workers": "2"},
-            {"max_pools": 2.5},
-        ):
-            with pytest.raises(SessionError):
-                BackendConfig(**knobs)
         config = BackendConfig(budget=64)
         assert isinstance(config.budget, MemoryBudget)
-        assert config.override(workers=2).workers == 2
+        assert config.override(budget=8).budget == MemoryBudget(rows=8)
+        with pytest.raises(TypeError):
+            BackendConfig(workers=2)  # removed in 11.0.0
+
+    def test_a_workers_keyword_is_ignored_with_a_warning(self, relations):
+        """``Session(db, workers=2)`` warns and runs exactly what
+        ``Session(db)`` runs: the same rows and the same trace counts."""
+        with Session(relations) as plain:
+            expected = plain.prepare(QUERY_TEXT).execute()
+        with pytest.warns(DeprecationWarning, match="ROADMAP 1\\(d\\)"):
+            session = Session(relations, workers=2)
+        with session:
+            result = session.prepare(QUERY_TEXT).execute()
+        assert result.set_equal(expected.relation)
+        for field in ("steps", "counters", "peak_live_rows", "peak_build_rows"):
+            assert getattr(result.trace, field) == getattr(expected.trace, field), field
+        assert result.trace.serial_fallbacks == 0
+        assert "workers" not in session.stats()
 
 
 class TestInvalidation:
@@ -313,7 +317,7 @@ def _serving_workload():
 class TestConcurrentServing:
     def test_one_session_serves_many_prepared_queries_concurrently(self, tmp_path):
         """The acceptance scenario: >= 8 distinct PreparedQuerys on one
-        Session, concurrent executes sharing one budget/worker config, every
+        Session, concurrent executes sharing one budget config, every
         result set-equal to the seed reference, prepare() exactly once per
         query (all steady-state executes are plan-cache hits)."""
         relations, queries = _serving_workload()
@@ -324,7 +328,7 @@ class TestConcurrentServing:
             rows=64, spill_fanout=2, spill_dir=str(tmp_path)
         )
         rounds = 3
-        with Session(relations, budget=budget, workers=2) as session:
+        with Session(relations, budget=budget) as session:
             prepared = [session.prepare(query) for query in queries]
             assert len(prepared) >= 8
             failures = []
@@ -499,37 +503,6 @@ class TestReviewRegressions:
             )
             assert session.stats()["executes"] == 1
         assert not any(tmp_path.iterdir())
-
-    def test_forget_plan_closes_the_stale_plans_pools(self):
-        """Invalidation must not strand forked workers behind unreachable
-        LRU keys."""
-        from repro.engine import EngineEvaluator
-        from repro.engine.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable on this platform")
-        relation = Relation.from_rows("A B", [(i % 3, i) for i in range(8)])
-        other = Relation.from_rows("B C", [(i, i % 2) for i in range(8)])
-        query = Projection(
-            ["A"],
-            Join((Operand("R", relation.scheme), Operand("S", other.scheme))),
-        )
-        evaluator = EngineEvaluator(workers=2, max_pools=4)
-        try:
-            evaluator.evaluate(query, {"R": relation, "S": other})
-            assert evaluator.open_pools == 1
-            processes = [
-                process
-                for entry in evaluator._pools.values()
-                for process in entry[-1]._processes
-            ]
-            evaluator.forget_plan(query)
-            assert evaluator.open_pools == 0
-            for process in processes:
-                process.join(timeout=5.0)
-            assert not any(process.is_alive() for process in processes)
-        finally:
-            evaluator.close()
 
     def test_trace_rejects_unknown_override_names(self, session, relations):
         prepared = session.prepare(QUERY_TEXT)

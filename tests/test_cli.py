@@ -154,21 +154,15 @@ class TestCommands:
         assert "budget=64" in output
         assert "est_partitions=" in output
 
-    def test_engine_explain_paper_reports_budget_and_workers(self, capsys):
-        assert (
-            main(["engine-explain", "--paper", "--memory-budget", "40", "--workers", "2"])
-            == 0
-        )
+    def test_engine_explain_paper_reports_budget(self, capsys):
+        assert main(["engine-explain", "--paper", "--memory-budget", "40"]) == 0
         output = capsys.readouterr().out
         assert "budget 40 rows" in output
         assert "peak build rows" in output
-        assert "parallel probe: 2 workers" in output
 
-    def test_engine_explain_rejects_bad_budget_and_workers(self):
+    def test_engine_explain_rejects_bad_budget(self):
         with pytest.raises(SystemExit, match="memory-budget"):
             main(["engine-explain", "--paper", "--memory-budget", "0"])
-        with pytest.raises(SystemExit, match="workers"):
-            main(["engine-explain", "--paper", "--workers", "0"])
 
     def test_blowup_memory_budget_reports_spill_delta(self, capsys):
         # The summary must be a per-invocation delta, not cumulative process
@@ -197,22 +191,20 @@ class TestCommands:
         def spilled_rows(output):
             return int(re.search(r"(\d+) row\(s\) spilled", output).group(1))
 
-        argv = ["blowup", "--clauses", "10", "--memory-budget", "96", "--workers", "2"]
+        argv = ["blowup", "--clauses", "10", "--memory-budget", "96"]
         spill_first()
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "engine ran budgeted at 96 rows x 2 worker(s)" in first
+        assert "engine ran budgeted at 96 rows:" in first
         assert spilled_rows(first) == 0
         spill_first()
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert spilled_rows(second) == spilled_rows(first)
 
-    def test_blowup_rejects_bad_budget_and_workers(self):
+    def test_blowup_rejects_bad_budget(self):
         with pytest.raises(SystemExit, match="memory-budget"):
             main(["blowup", "--clauses", "3", "--memory-budget", "-5"])
-        with pytest.raises(SystemExit, match="workers"):
-            main(["blowup", "--clauses", "3", "--workers", "0"])
 
     def test_engine_explain_requires_an_expression_or_paper(self):
         with pytest.raises(SystemExit):

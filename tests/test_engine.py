@@ -5,9 +5,23 @@ reference implementation (:mod:`repro.algebra.reference`): randomized
 property tests pin operator-level and whole-expression results set-equal to
 the reference, and the memory meter's accounting is checked against the
 invariant that every operator releases what it acquires.
+
+Thread-safety is pinned at two layers.  The meter: the pre-lock meter used
+plain ``current += rows`` read-modify-write increments; with several threads
+sharing one meter those lose updates on any interpreter that can preempt
+inside the sequence (CPython 3.9 checks the eval breaker between bytecodes;
+free-threaded builds drop the GIL entirely), leaving ``current`` nonzero
+after balanced acquire/release traffic.  The exactness assertions fail for
+that implementation wherever preemption is fine enough — and always pass
+for the locked one.  The evaluator: one pinned plan evaluated from 8
+threads concurrently must produce the serial result every time, and the
+engine's locked counters (probes, spills) must account exactly: 24
+concurrent evaluations add exactly 24 serial deltas.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,10 +43,11 @@ from repro.engine import (
     TableScan,
     plan_expression,
 )
-from repro.engine.parallel import operators_in_order
+from repro.engine.physical import operators_in_order
 from repro.engine.stats import join_stats, project_stats
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Expression, Join, Operand
+from repro.perf import kernel_counters
 from repro.perf.plancache import make_chain_kernel
 from repro.reductions import RGConstruction
 from repro.workloads import growing_construction_family, random_instance
@@ -367,13 +382,8 @@ class TestPlanner:
         assert result == left.natural_join(right)
 
     #: Every way the evaluator is configured to plan: with and without a
-    #: budget, on one worker and on two.
-    CLOSURE_CONFIGS = [
-        {},
-        {"budget": 8},
-        {"workers": 2},
-        {"budget": 8, "workers": 2},
-    ]
+    #: budget.
+    CLOSURE_CONFIGS = [{}, {"budget": 8}]
 
     @staticmethod
     def _assert_plan_is_closed(options, query, relation):
@@ -393,10 +403,7 @@ class TestPlanner:
             "hash-join",
         }
         # What runs is closed the same way.
-        try:
-            _, trace = evaluator.evaluate(query, bound)
-        finally:
-            evaluator.close()
+        _, trace = evaluator.evaluate(query, bound)
         assert {step.node_kind for step in trace.steps} <= {
             "operand",
             "projection",
@@ -481,3 +488,166 @@ class TestEngineMembership:
             raw = tuple(member[name] for name in query.target_scheme().names)
             assert tuple_in_result(raw, query, bound) is True
             assert decider.decide(raw, query, bound) is True
+
+
+def _contend(meter, threads=4, rounds=25_000, amount=3):
+    """Balanced acquire/release traffic from several threads at once."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work():
+            for _ in range(rounds):
+                meter.acquire(amount)
+                meter.release(amount)
+
+        pool = [threading.Thread(target=work) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+class TestMemoryMeterThreadSafety:
+    def test_balanced_traffic_accounts_exactly_under_contention(self):
+        meter = MemoryMeter()
+        _contend(meter)
+        assert meter.current == 0
+        # Peak must be a value some interleaving could produce: at least one
+        # thread's worth, at most all threads at once.
+        assert 3 <= meter.peak <= 4 * 3
+
+    def test_concurrent_acquires_never_lose_rows(self):
+        meter = MemoryMeter()
+        rounds = 10_000
+
+        def work():
+            for _ in range(rounds):
+                meter.acquire(1)
+
+        pool = [threading.Thread(target=work) for _ in range(4)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert meter.current == 4 * rounds
+        assert meter.peak == 4 * rounds
+
+    def test_budget_reads_are_consistent_under_contention(self):
+        meter = MemoryMeter(budget=100)
+        problems = []
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                meter.acquire(10)
+                meter.release(10)
+
+        def watch():
+            for _ in range(2_000):
+                headroom = meter.headroom()
+                if headroom is None or not 0 <= headroom <= 100:
+                    problems.append(headroom)
+
+        churner = threading.Thread(target=churn)
+        watcher = threading.Thread(target=watch)
+        churner.start()
+        watcher.start()
+        watcher.join()
+        stop.set()
+        churner.join()
+        assert problems == []
+
+
+class TestMemoryMeterResultRows:
+    def test_result_rows_count_in_the_peak_but_not_against_the_budget(self):
+        meter = MemoryMeter(budget=10)
+        meter.hold_result(100)
+        assert meter.try_acquire(10) and meter.headroom() == 0
+        assert not meter.try_acquire(1)
+        assert (meter.current, meter.peak) == (110, 110)
+        meter.release(10)
+        meter.release_result(100)
+        assert (meter.current, meter.result, meter.headroom()) == (0, 0, 10)
+
+
+#: The engine counters a concurrent evaluation must account exactly.
+ENGINE_COUNTERS = (
+    "join_probes",
+    "join_spills",
+    "spill_partitions",
+    "spill_rows",
+    "spill_recursions",
+    "spill_overflows",
+)
+
+
+def _instance(seed=5):
+    relation, query = random_instance(
+        num_attributes=5, num_tuples=24, domain_size=3, num_factors=3, seed=seed
+    )
+    bound = {name: relation for name in query.operand_names()}
+    return query, bound
+
+
+class TestPinnedPlanConcurrencyStress:
+    def test_one_pinned_plan_from_eight_threads_matches_serial_counters(self):
+        """8 threads x 3 evaluations of one pinned, budgeted plan: every
+        result equals the serial one and the engine's locked counters add up
+        to exactly 24 serial deltas (lost updates would break equality)."""
+        query, bound = _instance(seed=17)
+        evaluator = EngineEvaluator(budget=6)
+        counters = kernel_counters()
+        # Pin the plan, then measure one serial evaluation's counter delta.
+        serial, _ = evaluator.evaluate(query, bound)
+        before = counters.snapshot()
+        serial_again, _ = evaluator.evaluate(query, bound)
+        per_evaluation = counters.delta_since(before)
+        assert serial_again == serial
+        assert per_evaluation["join_probes"] > 0
+        assert per_evaluation["join_spills"] > 0  # the budget forces spills
+
+        results = []
+        errors = []
+        rounds = 3
+
+        def work():
+            try:
+                for _ in range(rounds):
+                    result, trace = evaluator.evaluate(query, bound)
+                    results.append((result, trace.peak_live_rows))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        before = counters.snapshot()
+        pool = [threading.Thread(target=work) for _ in range(8)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        delta = counters.delta_since(before)
+        assert errors == []
+        assert len(results) == 8 * rounds
+        assert all(result == serial for result, _ in results)
+        assert all(peak > 0 for _, peak in results)
+        for name in ENGINE_COUNTERS:
+            assert delta[name] == 8 * rounds * per_evaluation[name], name
+
+    def test_concurrent_first_use_pins_exactly_one_plan(self):
+        query, bound = _instance(seed=23)
+        evaluator = EngineEvaluator()
+        plans = []
+        barrier = threading.Barrier(8)
+
+        def work():
+            barrier.wait()
+            plans.append(evaluator.plan_for(query, bound))
+
+        pool = [threading.Thread(target=work) for _ in range(8)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert len(plans) == 8
+        assert all(plan is plans[0] for plan in plans)

@@ -14,7 +14,6 @@ an automatic pass would have fired (3.12 moved that to the eval breaker).
 
 import gc
 import inspect
-import multiprocessing
 import os
 import sys
 import threading
@@ -36,8 +35,8 @@ from repro.engine import (
     MemoryMeter,
     TableScan,
 )
-from repro.engine import parallel as parallel_module
-from repro.engine.parallel import SWEEP_ROWS, drain_metered
+from repro.engine import physical as physical_module
+from repro.engine.physical import SWEEP_ROWS, drain_metered
 from repro.expressions.ast import Operand, Projection
 from repro.reductions.rg import RGConstruction
 from repro.workloads import growing_construction_family
@@ -45,35 +44,23 @@ from repro.workloads import growing_construction_family
 
 class _WatchedPause:
     """The drain's pause, counting the collector passes that begin while a
-    drain of the same process holds it (by generation) and the drains that
-    took it.  The counts live in shared memory, so a probe worker forked
-    while the recorder is installed counts its own drains and passes in."""
+    drain holds it (by generation) and the drains that took it."""
 
     def __init__(self, real):
         self.real = real
         self.lock = threading.Lock()
-        self.held = 0  # this process's drains in progress
-        self._drains = multiprocessing.Value("i", 0)
-        self._passes = multiprocessing.Array("i", 3)  # one per generation
-
-    @property
-    def drains(self):
-        return self._drains.value
-
-    @property
-    def passes(self):
-        return Counter({gen: count for gen, count in enumerate(self._passes) if count})
+        self.held = 0  # drains in progress
+        self.reset()
 
     def reset(self):
-        self._drains.value = 0
-        self._passes[:] = [0] * len(self._passes)
+        self.drains = 0
+        self.passes = Counter()
 
     def __enter__(self):
         sweeping = self.real.__enter__()
         with self.lock:
             self.held += 1
-        with self._drains.get_lock():
-            self._drains.value += 1
+            self.drains += 1
         return sweeping
 
     def __exit__(self, *exc_info):
@@ -83,16 +70,15 @@ class _WatchedPause:
 
     def __call__(self, phase, info):
         if phase == "start" and self.held:
-            with self._passes.get_lock():
-                self._passes[info["generation"]] += 1
+            self.passes[info["generation"]] += 1
 
 
 @contextmanager
 def _recording():
-    recorder = _WatchedPause(parallel_module._COLLECTOR_PAUSE)
+    recorder = _WatchedPause(physical_module._COLLECTOR_PAUSE)
     gc.callbacks.append(recorder)
     try:
-        with mock.patch.object(parallel_module, "_COLLECTOR_PAUSE", recorder):
+        with mock.patch.object(physical_module, "_COLLECTOR_PAUSE", recorder):
             yield recorder
     finally:
         gc.callbacks.remove(recorder)
@@ -100,7 +86,7 @@ def _recording():
 
 def _handed_back():
     """The process-wide state every ending must restore."""
-    return gc.isenabled() and parallel_module._COLLECTOR_PAUSE._depth == 0
+    return gc.isenabled() and physical_module._COLLECTOR_PAUSE._depth == 0
 
 
 def _rg_session(clauses, **config):
@@ -123,14 +109,8 @@ def _wide_join(rows=10_000):
 
 
 class TestPassesFollowTheResult:
-    @pytest.mark.parametrize(
-        "config",
-        [{}, {"budget": 64}, {"workers": 2}],
-        ids=["serial", "budget-64", "workers-2"],
-    )
+    @pytest.mark.parametrize("config", [{}, {"budget": 64}], ids=["serial", "budget-64"])
     def test_the_papers_query_runs_no_pass_of_any_generation(self, config):
-        # Recording from before the warm-up execute forks the probe pool, so
-        # its workers drain through the recorder; the counts start after it.
         with _recording() as recorder:
             prepared = _rg_session(12, **config)
             try:
@@ -173,7 +153,7 @@ class TestPassesFollowTheResult:
                     ended.append(True)
 
         def watch(phase, info):
-            if phase == "start" and parallel_module._COLLECTOR_PAUSE._depth:
+            if phase == "start" and physical_module._COLLECTOR_PAUSE._depth:
                 seen.append((info["generation"], bool(ended)))
 
         meter = MemoryMeter()
@@ -259,18 +239,6 @@ class TestEveryEndingHandsTheCollectorBack:
         assert recorder.drains == 2 and recorder.held == 0
         assert _handed_back()
 
-    def test_parallel_execute(self):
-        query, bound = _wide_join(2_000)
-        evaluator = EngineEvaluator(workers=2)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)  # no serial fallback
-                result, _ = evaluator.evaluate(query, bound)
-        finally:
-            evaluator.close()
-        assert len(result) == 2_000
-        assert _handed_back()
-
     def test_drains_racing_on_threads(self):
         """More drains than cores, switching often: a lost depth update
         would re-enable the collector under a running drain or leave it off
@@ -279,10 +247,10 @@ class TestEveryEndingHandsTheCollectorBack:
         seen_enabled, completed = [], []
 
         class CheckingMeter(MemoryMeter):
-            def acquire(self, rows=1):
+            def hold_result(self, rows):
                 if gc.isenabled():
                     seen_enabled.append(threading.current_thread().name)
-                super().acquire(rows)
+                super().hold_result(rows)
 
         start = threading.Barrier(6, timeout=60)
 
@@ -310,7 +278,7 @@ class TestEveryEndingHandsTheCollectorBack:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_inside_a_pause_starts_unpaused():
-    pause = parallel_module._COLLECTOR_PAUSE
+    pause = physical_module._COLLECTOR_PAUSE
     read_end, write_end = os.pipe()
     with warnings.catch_warnings():
         # 3.12 warns when a process that ever started a thread forks.

@@ -1,12 +1,11 @@
 """Differential fuzz harness: the engine pinned to the seed reference.
 
-The spill and parallel paths introduce exactly the kind of machinery —
-partition routing, re-salted recursion, worker merges — whose bugs hide in
+The spill path introduces exactly the kind of machinery — partition
+routing, re-salted recursion, chunked fallbacks — whose bugs hide in
 degenerate inputs, so correctness is pinned the same way the positional
 kernel's is: every randomly generated relation/expression pair is evaluated
-by :class:`~repro.engine.evaluator.EngineEvaluator` under **every** (budget,
-workers) combination in {unbudgeted, tiny} x {1, 4} and the result must be
-set-equal to a recursive evaluation with the retained seed implementations
+by :class:`~repro.engine.evaluator.EngineEvaluator` under **every** budget
+in {unbudgeted, tiny} and the result must be set-equal to a recursive evaluation with the retained seed implementations
 (:mod:`repro.algebra.reference`).
 
 The generator deliberately over-samples the degenerate corners the issue
@@ -24,7 +23,7 @@ re-reads builds of up to 8 rows and partitions the larger ones, which is
 why relations run to 24 rows — at 14 too few builds were left for Grace
 re-splitting and the chunked fallback to be reached on every CI seed.  A *chaos axis* re-runs the cases under random
 :class:`~repro.engine.faults.FaultPlan` schedules — injected spill I/O
-failures and worker kills may cost an evaluation its answer (the typed
+failures may cost an evaluation its answer (the typed
 ``EngineFaultError``) but never corrupt it.
 
 Seeding: cases derive from ``--fuzz-seed`` (see ``tests/conftest.py``), so a
@@ -34,7 +33,6 @@ any failure stays replayable by rerunning with the printed seed.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -51,7 +49,6 @@ from repro.engine import (
     FaultPlan,
     MemoryBudget,
 )
-from repro.engine.parallel import fork_available
 from repro.engine.stats import SKEW
 from repro.expressions import InstrumentedEvaluator, OptimizedEvaluator, evaluate
 from repro.expressions.ast import Expression, Join, Operand, Projection
@@ -62,8 +59,8 @@ ATTRIBUTE_POOL = tuple("ABCDEFGH")
 TINY_BUDGET_ROWS = 4
 FUZZ_CASES = 30
 
-#: The (budget rows, workers) grid every case must survive.
-CONFIG_GRID = ((None, 1), (None, 4), (TINY_BUDGET_ROWS, 1), (TINY_BUDGET_ROWS, 4))
+#: The budgets (rows) every case must survive.
+BUDGET_GRID = (None, TINY_BUDGET_ROWS)
 
 
 def _reference_evaluate(node: Expression, bound, sizes=None):
@@ -178,21 +175,14 @@ def _tiny_budget(spill_dir) -> MemoryBudget:
 
 
 def _assert_engine_matches_reference(
-    expression, bindings, reference, budget_rows, workers, spill_dir, context
+    expression, bindings, reference, budget_rows, spill_dir, context
 ):
     budget = _tiny_budget(spill_dir) if budget_rows is not None else None
-    evaluator = EngineEvaluator(
-        budget=budget,
-        workers=workers,
-        observe=ObserveConfig(events=True),
-    )
+    evaluator = EngineEvaluator(budget=budget, observe=ObserveConfig(events=True))
     before = kernel_counters().snapshot()
-    try:
-        result, trace = evaluator.evaluate(expression, bindings)
-    finally:
-        evaluator.close()
+    result, trace = evaluator.evaluate(expression, bindings)
     detail = (
-        f"{context} budget={budget_rows} workers={workers}\n"
+        f"{context} budget={budget_rows}\n"
         f"expression: {expression.to_text()}\n"
         f"bindings: { {name: len(rel) for name, rel in bindings.items()} }"
     )
@@ -211,8 +201,7 @@ def _assert_engine_matches_reference(
     assert trace.result_cardinality == len(reference), detail
     leftovers = [str(path) for path in spill_dir.iterdir()]
     assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
-    # Which way the spilled joins went (fork children keep their own logs),
-    # and whether the planner pushed a projection into this plan.
+    # Which way the spilled joins went, and whether the planner pushed a projection into this plan.
     spills = evaluator.observer.events.events("spill")
     reached = {event["mode"] for event in spills if event["operator"] == "grace-join"}
     if "(pushed)" in evaluator.pinned_plan(expression).explain():
@@ -221,7 +210,7 @@ def _assert_engine_matches_reference(
 
 
 def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
-    """Every random case, on every (budget, workers) grid point, must be
+    """Every random case, on every budget grid point, must be
     set-equal to the seed reference implementation — and the seed's cases
     must between them have spilled joins both ways and held at least one
     planner-pushed projection, so the grid demonstrably reaches that path."""
@@ -233,38 +222,16 @@ def test_differential_fuzz_against_reference(fuzz_seed, tmp_path):
         _assert_walk_matches_reference(
             expression, bindings, context=f"seed={fuzz_seed} case={case_index}"
         )
-        for budget_rows, workers in CONFIG_GRID:
+        for budget_rows in BUDGET_GRID:
             reached |= _assert_engine_matches_reference(
                 expression,
                 bindings,
                 reference,
                 budget_rows,
-                workers,
                 tmp_path,
                 context=f"seed={fuzz_seed} case={case_index}",
             )
     assert reached == {"re-read", "partitioned", "pushed"}, f"seed={fuzz_seed}"
-
-
-def test_differential_fuzz_fork_backend(fuzz_seed, tmp_path):
-    """A second draw of cases (seed + 1) through the fork pool at 4 workers:
-    worker results cross a pickle boundary and budgets apply per process."""
-    if not fork_available():
-        pytest.skip("fork start method unavailable on this platform")
-    rng = random.Random(fuzz_seed + 1)
-    for case_index in range(6):
-        expression, bindings = _random_case(rng)
-        reference = _reference_evaluate(expression, bindings)
-        for budget_rows in (None, TINY_BUDGET_ROWS):
-            _assert_engine_matches_reference(
-                expression,
-                bindings,
-                reference,
-                budget_rows,
-                4,
-                tmp_path,
-                context=f"seed={fuzz_seed}+1 case={case_index}",
-            )
 
 
 def test_degenerate_shapes_survive_every_config(tmp_path):
@@ -311,13 +278,12 @@ def test_degenerate_shapes_survive_every_config(tmp_path):
     ]
     for case_index, (expression, bindings) in enumerate(cases):
         reference = _reference_evaluate(expression, bindings)
-        for budget_rows, workers in CONFIG_GRID:
+        for budget_rows in BUDGET_GRID:
             _assert_engine_matches_reference(
                 expression,
                 bindings,
                 reference,
                 budget_rows,
-                workers,
                 tmp_path,
                 context=f"degenerate case={case_index}",
             )
@@ -327,33 +293,26 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
     """The chaos axis: every random case runs under a random
     :class:`~repro.engine.faults.FaultPlan` on every grid point.  Each
     evaluation must either complete set-equal to the reference (the fault
-    was absorbed by retries, a pool rebuild, or a loud serial fallback) or
+    was absorbed by retries) or
     raise the typed :class:`EngineFaultError` — an injected fault may cost
     the answer, never corrupt it — and must leak no spill files either way."""
     rng = random.Random(fuzz_seed ^ 0xFA017)
     for case_index in range(12):
         expression, bindings = _random_case(rng)
         reference = _reference_evaluate(expression, bindings)
-        for budget_rows, workers in CONFIG_GRID:
-            plan = FaultPlan.random_plan(rng, workers=workers)
+        for budget_rows in BUDGET_GRID:
+            plan = FaultPlan.random_plan(rng)
             budget = _tiny_budget(tmp_path) if budget_rows is not None else None
-            evaluator = EngineEvaluator(budget=budget, workers=workers, faults=plan)
+            evaluator = EngineEvaluator(budget=budget, faults=plan)
             detail = (
                 f"seed={fuzz_seed} case={case_index} plan={plan!r} "
-                f"budget={budget_rows} workers={workers}\n"
+                f"budget={budget_rows}\n"
                 f"expression: {expression.to_text()}"
             )
-            result = None
-            with warnings.catch_warnings():
-                # Serial fallbacks warn by contract; the chaos sweep
-                # schedules them on purpose.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    result, _ = evaluator.evaluate(expression, bindings)
-                except EngineFaultError:
-                    result = None  # a typed failure is an allowed outcome
-                finally:
-                    evaluator.close()
+            try:
+                result, _ = evaluator.evaluate(expression, bindings)
+            except EngineFaultError:
+                result = None  # a typed failure is an allowed outcome
             if result is not None:
                 assert result.scheme.name_set == reference.scheme.name_set, detail
                 realigned = (
@@ -446,15 +405,15 @@ def test_heavy_hitter_fuzz_matches_reference_on_every_grid_point(
     """The heavy-hitter axis: single-column keys the catalog measures on
     samples (``stats.SKEW``) instead of pricing by the formula.  What the
     measured estimates order must stay set-equal to the seed reference on
-    every (budget, workers) grid point, and the plan must hold at least one
+    every budget grid point, and the plan must hold at least one
     measured join — the axis reaches the path it is for."""
     rng = random.Random(fuzz_seed * 1_009 + case)
     expression, bindings = _skewed_case(rng)
     reference = _reference_evaluate(expression, bindings)
     context = f"seed={fuzz_seed} heavy-hitter case={case}"
-    for budget_rows, workers in CONFIG_GRID:
+    for budget_rows in BUDGET_GRID:
         _assert_engine_matches_reference(
-            expression, bindings, reference, budget_rows, workers, tmp_path,
+            expression, bindings, reference, budget_rows, tmp_path,
             context=context,
         )
     plan = EngineEvaluator().plan_for(expression, bindings)
@@ -471,7 +430,7 @@ def test_heavy_hitter_fuzz_matches_reference_on_every_grid_point(
 def test_session_facade_fuzz_every_backend_matches_reference(fuzz_seed, tmp_path):
     """The serving facade, differentially pinned: every random case prepared
     through a :class:`repro.api.Session` must be set-equal to the seed
-    reference under the same budget/worker grid the raw engine is pinned on
+    reference under the same budget grid the raw engine is pinned on
     — plus the prepared-statement contract (one plan build per query,
     plan-cache hits on repeated execute).  The three materialising
     evaluators, called directly, answer the same cases."""
@@ -487,13 +446,13 @@ def test_session_facade_fuzz_every_backend_matches_reference(fuzz_seed, tmp_path
         for evaluator in (InstrumentedEvaluator(), OptimizedEvaluator()):
             relation, trace = evaluator.evaluate(expression, bindings)
             assert relation == reference, f"{trace.backend} {case}"
-        for budget_rows, workers in CONFIG_GRID:
+        for budget_rows in BUDGET_GRID:
             budget = _tiny_budget(tmp_path) if budget_rows is not None else None
-            with Session(bindings, budget=budget, workers=workers) as session:
+            with Session(bindings, budget=budget) as session:
                 prepared = session.prepare(expression)
                 for _ in range(2):  # repeat: the second run is pure cache
                     result = prepared.execute()
-                    detail = f"budget={budget_rows} workers={workers} {case}"
+                    detail = f"budget={budget_rows} {case}"
                     assert result.set_equal(reference), detail
                 stats = session.stats()
                 assert stats["plan_builds"] == 1

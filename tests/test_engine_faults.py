@@ -1,8 +1,8 @@
 """Fault-injection tests: the engine's failure paths, reached on purpose.
 
-`repro.engine.faults` makes the paths ordinary tests never execute — spill
-I/O failures and fork-pool worker death — reachable deterministically, and
-this module pins their contract:
+`repro.engine.faults` makes the path ordinary tests never execute — spill
+I/O failures — reachable deterministically, and this module pins its
+contract:
 
 * a *transient* spill failure (fewer consecutive failures than the retry
   budget) is absorbed by retry-with-backoff and the evaluation completes
@@ -11,10 +11,6 @@ this module pins their contract:
   :class:`~repro.engine.faults.EngineFaultError` with the cleanup
   guarantees: no leaked spill files or temp dirs, the shared meter drained
   back to zero;
-* a killed parallel probe worker is recovered by rebuilding the fork pool
-  (``pool_recoveries``) or degrades *loudly* to serial execution
-  (``serial_fallbacks`` + ``RuntimeWarning`` + trace degradation events) —
-  never a silent wrong answer;
 * spill temp directories are removed at interpreter shutdown even when an
   execution was abandoned mid-stream (the ``atexit`` registry).
 """
@@ -24,14 +20,13 @@ import glob
 import os
 import subprocess
 import sys
-import warnings
 from unittest import mock
 
 import pytest
 
 from repro.algebra.relation import Relation, _join_plan
 from repro.algebra.tuples import _project_plan
-from repro.api import BackendConfig, Session, SessionError
+from repro.api import BackendConfig, SessionError
 from repro.engine import (
     SPILL_BLOCK_ROWS,
     SPILL_IO_RETRIES,
@@ -49,7 +44,7 @@ from repro.engine import (
 )
 from repro.engine import evaluator as evaluator_module
 from repro.engine import spill as spill_module
-from repro.engine.parallel import drain_metered, fork_available
+from repro.engine.physical import drain_metered
 from repro.expressions.ast import Operand, Projection
 from repro.expressions.evaluator import evaluate
 from repro.obs import ObserveConfig
@@ -74,34 +69,6 @@ def _join_case(seed=11, rows=400):
     return query, {"R": r, "S": s}
 
 
-class _Unpicklable:
-    """A row value a forked probe worker cannot send back."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Unpicklable) and other.value == self.value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __reduce__(self):
-        raise TypeError("this value does not pickle")
-
-
-def _unpicklable_case():
-    """``_join_case`` with every ``A`` value wrapped so that no result row
-    pickles: every pool fails to report, its one rebuild too, and only the
-    serial fallback can answer."""
-    query, bound = _join_case()
-    rows = [(_Unpicklable(a), b) for a, b in bound["R"].rows]
-    return query, {**bound, "R": Relation.from_rows("A B", rows, name="R")}
-
-
 def _budget(tmp_path, rows=8):
     return MemoryBudget(rows=rows, spill_dir=str(tmp_path))
 
@@ -123,7 +90,6 @@ class TestFaultPlan:
         assert not FaultPlan().injects_anything
         assert FaultPlan(fail_spill_write_at=1).injects_anything
         assert FaultPlan(fail_spill_read_at=2).injects_anything
-        assert FaultPlan(kill_worker=0).injects_anything
 
     def test_random_plan_is_replayable(self):
         plans = [FaultPlan.random_plan(random.Random(7)) for _ in range(10)]
@@ -280,76 +246,18 @@ class TestEvaluatorSpillFaults:
         assert not list(tmp_path.iterdir()), "spill files leaked"
 
 
-class TestWorkerKill:
-    def test_a_pool_failing_twice_degrades_loudly_to_serial(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable on this platform")
-        query, bound = _unpicklable_case()
-        expected = evaluate(query, bound)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(workers=4)
-        try:
-            with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                result, trace = evaluator.evaluate(query, bound)
-        finally:
-            evaluator.close()
-        delta = _delta(before)
-        assert result == expected
-        assert delta["serial_fallbacks"] == 1
-        assert delta["pool_recoveries"] == 0
-        assert trace.serial_fallbacks == 1
-        assert trace.degradations and "serial-fallback" in trace.degradations[0]
-        assert "does not pickle" in trace.degradations[0]
-
-    def test_fork_worker_kill_recovers_via_pool_rebuild(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable on this platform")
-        query, bound = _join_case()
-        expected = evaluate(query, bound)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        evaluator = EngineEvaluator(workers=4, faults=FaultPlan(kill_worker=2))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                result, trace = evaluator.evaluate(query, bound)
-        finally:
-            evaluator.close()
-        delta = _delta(before)
-        assert result == expected
-        assert delta["pool_recoveries"] == 1
-        assert delta["serial_fallbacks"] == 0
-        assert trace.serial_fallbacks == 0
-
-    def test_unfaulted_parallel_run_does_not_degrade(self):
-        query, bound = _join_case()
-        evaluator = EngineEvaluator(workers=4)
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                result, trace = evaluator.evaluate(query, bound)
-        finally:
-            evaluator.close()
-        assert result == evaluate(query, bound)
-        assert _delta(before)["serial_fallbacks"] == 0
-        assert trace.serial_fallbacks == 0
-        assert trace.degradations == []
-
-
-def _three_way_case(seed, rows=300, inner_dedup=False):
+def _three_way_case(seed, rows=300, inner_dedup=False, keys=9):
     """A three-way join whose joins all Grace-spill under a small budget
     when its plan was pinned against 1-row relations; with ``inner_dedup``
     the query projects ``R * S`` onto ``A, C`` under the join with ``T``,
-    a deduplicating projection whose seen-set spills too."""
+    a deduplicating projection whose seen-set spills too.  ``B`` takes
+    ``keys`` values: at 2 a partition of ``R * S`` holds one heavy key."""
     rng = random.Random(seed)
     r = Relation.from_rows(
-        "A B", [(rng.randint(0, 20), rng.randint(0, 8)) for _ in range(rows)], name="R"
+        "A B", [(rng.randint(0, 20), rng.randint(0, keys - 1)) for _ in range(rows)], name="R"
     )
     s = Relation.from_rows(
-        "B C", [(rng.randint(0, 8), rng.randint(0, 30)) for _ in range(rows)], name="S"
+        "B C", [(rng.randint(0, keys - 1), rng.randint(0, 30)) for _ in range(rows)], name="S"
     )
     t = Relation.from_rows(
         "C D", [(rng.randint(0, 30), rng.randint(0, 5)) for _ in range(rows)], name="T"
@@ -370,6 +278,26 @@ def _tiny_bindings(bound):
     }
 
 
+class TestResultIsNotBudgeted:
+    """The budget bounds operator state, never the result accumulator: a
+    result that grew past the budget used to refuse every spilled
+    partition its load, so each fell back to chunks of one entry (135
+    chunk passes on this case, ~2x its time)."""
+
+    def test_a_large_result_leaves_the_spilled_joins_their_budget(self, tmp_path):
+        query, bound = _three_way_case(11, 300)
+        budget = 64
+        evaluator = EngineEvaluator(budget=_budget(tmp_path, rows=budget))
+        evaluator.plan_for(query, _tiny_bindings(bound))
+        result, trace = evaluator.evaluate(query, bound)
+        assert result == evaluate(query, bound)
+        assert len(result) > budget  # the result alone outgrows the budget
+        counters = trace.counters
+        assert counters["join_spills"] > 0 and counters["spill_overflows"] == 0
+        assert counters["join_chunk_passes"] == 0
+        assert trace.peak_live_rows <= len(result) + budget
+
+
 class TestPersistentFaultSweep:
     """A persistent spill fault at *every* position the evaluation has.
 
@@ -377,7 +305,8 @@ class TestPersistentFaultSweep:
     the evaluation Grace-spills nested joins and the swept positions land in
     every spilling client — including inside a child join suspended under a
     parent's routing loop (or under its re-reads of a small build, in the
-    third case), and in the fourth a dedup's seen-set between the joins.
+    third case), in the fourth a dedup's seen-set between the joins, and
+    in the fifth a join's chunked fallback.
     Whatever the position, the outcome is the exact answer or the typed
     error, and nothing is left:
     checked while the error (and so its traceback) is still held and
@@ -399,8 +328,9 @@ class TestPersistentFaultSweep:
         every_position=True,
         inner_dedup=False,
         resplit=(),
+        keys=9,
     ):
-        query, bound = _three_way_case(11, rows, inner_dedup)
+        query, bound = _three_way_case(11, rows, inner_dedup, keys)
         expected = evaluate(query, bound)
         meters = []
 
@@ -446,6 +376,8 @@ class TestPersistentFaultSweep:
                 assert {event["operator"] for event in spills if event["resplits"]} >= set(
                     resplit
                 )
+                if keys == 2:  # the heavy key's partition cannot split
+                    assert any(event["fallbacks"] for event in joins)
                 counted = "_reads" if fault_field == "fail_spill_read_at" else "_writes"
                 last = max(getattr(meter.faults, counted) for meter in meters if meter.faults)
                 positions = range(1, last + 1)
@@ -475,9 +407,10 @@ class TestPersistentFaultSweep:
 
     def test_read_fault_at_every_position(self, tmp_path, full_fault_sweep):
         # A third of the rows under half the budget: the same clients, every
-        # join still partitioning both sides, with fewer reads to land on —
-        # still ~440 whole evaluations, so tier-1 sweeps both ends and a
-        # stride between them and CI (--full-fault-sweep) every position.
+        # join still partitioning both sides, with fewer reads to land on
+        # (55; 258 while the result was charged to the budget and every
+        # partition fell back to chunks).  Tier-1 sweeps both ends and a
+        # stride between them, CI (--full-fault-sweep) every position.
         self._sweep(
             tmp_path,
             "fail_spill_read_at",
@@ -492,8 +425,9 @@ class TestPersistentFaultSweep:
         self, tmp_path, fault_field, full_fault_sweep
     ):
         # 200 rows: one join partitions, another keeps its probe side
-        # streaming and re-reads its small build per probe slice — ~600
-        # reads, so tier-1 sweeps their ends and a stride, CI every one.
+        # streaming and re-reads its small build per probe slice — 43
+        # reads (529 with the chunked partitions); tier-1 sweeps their ends
+        # and a stride, CI every one.
         self._sweep(
             tmp_path,
             fault_field,
@@ -507,9 +441,9 @@ class TestPersistentFaultSweep:
         self, tmp_path, fault_field, full_fault_sweep
     ):
         # project[A, C] under the join with T: its seen-set spills and
-        # re-splits, both joins re-split and fall back — every position of
-        # the spill driver, from both clients.  Tier-1 sweeps the ends and
-        # a stride, CI every position.
+        # re-splits, both joins re-split — the spill driver's load and
+        # re-split from both clients (the join's fallback: the next case).
+        # Tier-1 sweeps the ends and a stride, CI every position.
         self._sweep(
             tmp_path,
             fault_field,
@@ -519,6 +453,23 @@ class TestPersistentFaultSweep:
             every_position=full_fault_sweep,
             inner_dedup=True,
             resplit=("dedup", "grace-join"),
+        )
+
+    @pytest.mark.parametrize("fault_field", ["fail_spill_write_at", "fail_spill_read_at"])
+    def test_fault_at_every_position_of_a_chunked_join(self, tmp_path, fault_field):
+        # B takes two values, so a partition of R * S holds one key that no
+        # salt splits: that join falls back to chunks (36 writes, 83 reads).
+        # Since the result stopped counting against the budget, a spilled
+        # partition that splits is loaded whole, so no other case here
+        # reaches the fallback.
+        self._sweep(
+            tmp_path,
+            fault_field,
+            {"partitioned"},
+            rows=60,
+            budget_rows=16,
+            resplit=("grace-join",),
+            keys=2,
         )
 
 
@@ -547,12 +498,11 @@ class TestDrainFailure:
                 super().__init__(*args, **kwargs)
                 meters.append(self)
 
-            def acquire(self, rows=1):
-                if sys._getframe(1).f_code.co_name == "drain_metered":
-                    due[0] -= 1
-                    if due[0] == 0:
-                        raise MemoryError("injected: growing the result set")
-                super().acquire(rows)
+            def hold_result(self, rows):
+                due[0] -= 1
+                if due[0] == 0:
+                    raise MemoryError("injected: growing the result set")
+                super().hold_result(rows)
 
         failed = 0
         with mock.patch.object(evaluator_module, "MemoryMeter", FailingMeter):
@@ -587,10 +537,10 @@ class TestDrainFailure:
                     yield []  # close() turns this into a RuntimeError
 
         class FailingMeter(MemoryMeter):
-            def acquire(self, rows=1):
+            def hold_result(self, rows):
                 if self.current:
                     raise MemoryError("injected: growing the result set")
-                super().acquire(rows)
+                super().hold_result(rows)
 
         meter = FailingMeter()
         with pytest.raises(MemoryError, match="injected"):
@@ -599,42 +549,13 @@ class TestDrainFailure:
         assert gc.isenabled()
 
 
-class TestSessionSurfacing:
-    def test_serial_fallback_reaches_stats_and_unified_trace(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable on this platform")
-        query, bound = _unpicklable_case()
-        expected = evaluate(query, bound)
-        with Session(bound, workers=4) as session:
-            prepared = session.prepare(query)
-            with pytest.warns(RuntimeWarning, match="degraded to serial"):
-                result = prepared.execute()
-            assert result.set_equal(expected)
-            trace = prepared.last_trace()
-            assert trace.serial_fallbacks == 1
-            assert trace.degradations and "serial-fallback" in trace.degradations[0]
-            assert trace.summary()["serial_fallbacks"] == 1.0
-            assert session.stats()["serial_fallbacks"] == 1
-
-    def test_clean_sessions_report_zero_fallbacks(self):
-        query, bound = _join_case()
-        with Session(bound, workers=2) as session:
-            prepared = session.prepare(query)
-            prepared.execute()
-            assert session.stats()["serial_fallbacks"] == 0
-            assert prepared.last_trace().serial_fallbacks == 0
-
-
 class TestFaultEventCrossCheck:
     """Every in-process injected fault must produce a matching ``fault`` event.
 
     The chaos layer's no-silent-degradation contract extends to the
     observability layer: the ``fault_injected`` kernel-counter delta and
     the event log's ``fault`` count must agree for every in-process
-    injection site (serial spill I/O).  Fork-pool children are excluded by
-    construction — their counters merge back but their event logs die
-    with the child process, so a killed probe worker shows in this
-    process as the ``pool-rebuild`` event it caused.
+    injection site (spill I/O).
     """
 
     def _events(self, observer):
@@ -680,29 +601,6 @@ class TestFaultEventCrossCheck:
         events = evaluator.observer.events
         assert delta["fault_injected"] >= 1
         assert len(events.events("fault")) == delta["fault_injected"]
-
-    def test_fork_worker_kill_logs_a_pool_rebuild_event(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable on this platform")
-        query, bound = _join_case()
-        reset_kernel_counters()
-        before = kernel_counters().snapshot()
-        config = BackendConfig(
-            workers=4, faults=FaultPlan(kill_worker=1), observe=True
-        )
-        with Session(bound, config=config) as session:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                session.prepare(query).execute()
-            events = session.events()
-            delta = _delta(before)
-            assert delta["pool_recoveries"] == 1
-            assert len(events.events("pool-rebuild")) == delta["pool_recoveries"]
-            assert all(
-                event["backend"] == "fork" for event in events.events("pool-rebuild")
-            )
-            assert len(events.events("fault")) == delta["fault_injected"]
-            assert len(events.events("serial-fallback")) == delta["serial_fallbacks"] == 0
 
     def test_unfaulted_run_logs_no_fault_events(self, tmp_path):
         from repro.obs import ObserveConfig

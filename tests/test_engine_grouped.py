@@ -40,7 +40,7 @@ from repro.engine import (
     TableScan,
 )
 from repro.engine import physical
-from repro.engine.parallel import drain_metered
+from repro.engine.physical import drain_metered
 from repro.expressions import Projection, parse_expression
 from repro.perf import kernel_counters
 from repro.perf.plancache import make_chain_kernel

@@ -3,7 +3,7 @@
 Every hash join — :class:`HashJoin`, and :class:`GraceHashJoin` in memory,
 per spilled partition and per chunk — builds through ``_build_block`` and
 probes through ``HashJoin._probe``; every drain ends in
-``parallel.drain_metered``, which offers its result set to the plan root.
+``physical.drain_metered``, which offers its result set to the plan root.
 The emission itself is generated code (``plancache.make_chain_kernel``; a
 lone join is a run of one): its property draws schemes, emit lists, build
 sides and key/non-key build tables against ``make_row_picker(emit)(l + e)``
@@ -42,12 +42,11 @@ from repro.engine import (
     HashJoin,
     MemoryBudget,
     MemoryMeter,
-    PartitionedScan,
     StreamingProject,
     TableScan,
 )
 from repro.engine import physical, planner, spill
-from repro.engine.parallel import drain_metered, operators_in_order
+from repro.engine.physical import drain_metered, operators_in_order
 from repro.perf import kernel_counters, plancache
 from repro.perf.plancache import ChainKernel, make_chain_kernel, make_row_picker
 from repro.reductions import RGConstruction
@@ -463,17 +462,11 @@ def chain_cases(draw):
     return relations, sides, None if emit is None else tuple(columns.index(n) for n in emit)
 
 
-def _chain(relations, sides, emit, fused, probe_slice=None):
+def _chain(relations, sides, emit, fused):
     """A hand-built run of ``HashJoin`` operators over scans, folded when
-    ``emit`` is a list, and fused when asked, else every join a run of one;
-    ``probe_slice`` slices the bottom probe scan as a parallel worker's
-    would be."""
+    ``emit`` is a list, and fused when asked, else every join a run of one."""
     meter = MemoryMeter()
-    bottom = relations[0]
-    if probe_slice is None:
-        chain = TableScan(bottom, meter)
-    else:
-        chain = PartitionedScan(bottom, meter, *probe_slice)
+    chain = TableScan(relations[0], meter)
     joins, levels = [], []
     for relation, side in zip(relations[1:], sides):
         base = TableScan(relation, meter)
@@ -495,33 +488,27 @@ class TestFusedChains:
     """``make_chain_kernel`` and ``HashJoin.fuse`` against runs of one."""
 
     @settings(max_examples=200, deadline=None)
-    @given(chain_cases(), st.sampled_from((1, 2)))
-    def test_a_fused_run_counts_what_the_unfused_joins_count(self, case, workers):
-        """Same answer as the reference algebra, and per probe slice the same
-        ``rows_out`` and ``build_peak_rows`` on every operator, the same
-        ``join_probes`` and the same meter peak as runs of one."""
+    @given(chain_cases())
+    def test_a_fused_run_counts_what_the_unfused_joins_count(self, case):
+        """Same answer as the reference algebra, and the same ``rows_out``
+        and ``build_peak_rows`` on every operator, the same ``join_probes``
+        and the same meter peak as runs of one."""
         relations, sides, emit = case
-        slices = [None] if workers == 1 else [(index, workers) for index in range(workers)]
         seen = {}
         for fused in (False, True):
-            rows, counts = set(), []
-            for probe_slice in slices:
-                with _small_blocks(rows=2):  # builds and the probe cross blocks
-                    top, meter = _chain(relations, sides, emit, fused, probe_slice)
-                    before = kernel_counters().snapshot()
-                    drained = drain_metered(top, meter)
-                    probes = kernel_counters().delta_since(before)["join_probes"]
-                operators = operators_in_order(top)
-                counts.append(
-                    (
-                        [operator.rows_out for operator in operators],
-                        [operator.build_peak_rows for operator in operators],
-                        probes,
-                        meter.peak,
-                    )
-                )
-                assert meter.current == len(drained)
-                rows |= drained
+            with _small_blocks(rows=2):  # builds and the probe cross blocks
+                top, meter = _chain(relations, sides, emit, fused)
+                before = kernel_counters().snapshot()
+                rows = drain_metered(top, meter)
+                probes = kernel_counters().delta_since(before)["join_probes"]
+            operators = operators_in_order(top)
+            counts = (
+                [operator.rows_out for operator in operators],
+                [operator.build_peak_rows for operator in operators],
+                probes,
+                meter.peak,
+            )
+            assert meter.current == len(rows)
             seen[fused] = rows, counts
         assert seen[True] == seen[False]
         expected = relations[0]
@@ -652,15 +639,14 @@ def _kernel_rows(root):
     ]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_paper_query_records_what_its_unfused_plan_records(workers):
+def test_the_paper_query_records_what_its_unfused_plan_records():
     """At m = 12 the twelve chain joins of ``π_Y(φ_G)`` run as one kernel;
     running them as twelve runs of one changes no trace step, peak or probe
     count."""
     (case,) = growing_construction_family(clause_counts=(12,))
     construction = RGConstruction(case.formula)
     query = construction.pair_projection_expression()
-    with Session({"R": construction.relation}, workers=workers) as session:
+    with Session({"R": construction.relation}) as session:
         prepared = session.prepare(query)
         traces = [prepared.execute().trace]
         plan = session._engine.pinned_plan(query)
@@ -673,12 +659,7 @@ def test_the_paper_query_records_what_its_unfused_plan_records(workers):
                     emit = tuple(map(node.scheme.names.index, node.emit_scheme.names))
                 level = (node.build_side == "left", node.join_plan)
                 node.chain = make_chain_kernel([level], emit)
-        # A warm pool's children hold the plan as it was when they forked:
-        # the edited plan runs on a freshly forked pool.
-        session._engine._evict_pools_for(plan)
-        assert session._engine.open_pools == 0
         traces.append(prepared.execute().trace)
-        assert session._engine.open_pools == (workers > 1)
     steps = [
         [(step.description, step.cardinality, step.scheme_width) for step in trace.steps]
         for trace in traces
@@ -788,10 +769,10 @@ class TestRootProjectionDedupsIntoTheResultSet:
         assert counters["spill_overflows"] == 0
         # The result accumulator plus at most a budget of operator state.
         assert result.trace.peak_live_rows <= len(result) + budget
-        if budget == 64:
-            # The commit before the sink peaked at 5,981 here (the result,
-            # and a spilled seen-set replaying beside it).
-            assert result.trace.peak_live_rows <= 5_981
+        # The result is never charged against the joins' budget, so no
+        # spilled partition falls back to chunks (at budget 64 the result
+        # once pushed 188 chunk passes; the peak read 5,979, now 5,991).
+        assert counters["join_chunk_passes"] == 0
         # The unbudgeted run no longer holds the result twice (it peaked at
         # 12,356: seen-set + result set + build tables).
         assert expected.trace.peak_live_rows < 2 * len(expected)

@@ -5,7 +5,7 @@ pi_X(pi_{X+J}(E1) * pi_{X+J}(E2))`` and a dedup anywhere below the root is
 free of semantics.  The planner uses that wherever the catalog proves the
 pruned stream collapses; these tests pin (a) that it never changes an
 answer and never drops a column something above still reads, on every
-(budget, workers) grid point and under operand permutation, (b)
+budget grid point and under operand permutation, (b)
 the exact intermediate-row counts of the eight serving queries, (c) the
 R_G guard — the paper's own query holds no pushed projection, and spills
 under 64 rows exactly as pinned — and the rule that an optional dedup never
@@ -155,18 +155,14 @@ def test_pruned_plans_match_the_reference_on_every_grid_point(tmp_path_factory, 
             if budget_rows is not None
             else None
         )
-        for workers in (1, 2):
-            for query in (expression, permuted):
-                evaluator = EngineEvaluator(budget=budget, workers=workers)
-                try:
-                    result, trace = evaluator.evaluate(query, bound)
-                finally:
-                    evaluator.close()
-                detail = (query.to_text(), budget_rows, workers)
-                assert _same_rows(result, reference), detail
-                assert trace.counters.get("spill_overflows", 0) == 0, detail
-                if flat:
-                    _assert_reads_survive(evaluator.pinned_plan(query), query)
+        for query in (expression, permuted):
+            evaluator = EngineEvaluator(budget=budget)
+            result, trace = evaluator.evaluate(query, bound)
+            detail = (query.to_text(), budget_rows)
+            assert _same_rows(result, reference), detail
+            assert trace.counters.get("spill_overflows", 0) == 0, detail
+            if flat:
+                _assert_reads_survive(evaluator.pinned_plan(query), query)
     assert not list(spill_dir.iterdir())
 
 

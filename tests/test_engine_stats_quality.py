@@ -48,7 +48,7 @@ Two kinds of pinning:
   Pinned as counts on the trial that replaced ``adaptive=``: three queries
   whose chains and streamed rows are exactly what ``adaptive=True`` read
   (the formula alone streamed 1,025,400 and 1,029,400 rows on the first two),
-  in every written order, under a budget and on two workers, and through a
+  in every written order, under a budget, and through a
   session rebinding uniform relations to skewed ones; a uniform control of
   the same shape that draws no sample, and data-less entries that keep the
   formula.  Under them: the column counts themselves (``top_count`` against
@@ -83,7 +83,7 @@ from repro.engine import (
     project_stats,
     q_error,
 )
-from repro.engine.parallel import operators_in_order
+from repro.engine.physical import operators_in_order
 from repro.engine.sampling import SAMPLE_ROWS
 from repro.engine.stats import SKEW
 from repro.expressions import parse_expression
@@ -501,22 +501,14 @@ def test_the_trial_streams_the_same_in_any_written_order(operands):
     assert len(result) == rows
 
 
-@pytest.mark.parametrize(
-    "options",
-    [{"budget": 1024}, {"workers": 2}],
-    ids=["budget", "workers"],
-)
 @pytest.mark.parametrize("text", ["project[A, D](R * S * T)", "project[E, D](U * R * S * T)"])
-def test_the_trial_chain_holds_under_a_budget_and_workers(text, options):
-    """The estimate is made before execution is configured: a budget or a
-    second worker changes how the chain runs, not which chain it is."""
+def test_the_trial_chain_holds_under_a_budget(text):
+    """The estimate is made before execution is configured: a budget
+    changes how the chain runs, not which chain it is."""
     relations = _trial_relations()
     query = _parse(text, relations)
-    evaluator = EngineEvaluator(**options)
-    try:
-        result, trace = evaluator.evaluate(query, relations)
-    finally:
-        evaluator.close()
+    evaluator = EngineEvaluator(budget=1024)
+    result, trace = evaluator.evaluate(query, relations)
     chain, streamed, rows = TRIAL[text]
     assert evaluator.pinned_plan(query).root.scan_order() == chain
     assert trace.total_intermediate_tuples == streamed

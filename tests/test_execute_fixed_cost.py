@@ -34,7 +34,7 @@ import pytest
 from repro.algebra.reference import naive_natural_join, naive_project
 from repro.algebra.relation import Relation
 from repro.api import Session
-from repro.engine import EngineEvaluator, parallel, physical
+from repro.engine import EngineEvaluator, physical
 from repro.expressions import Projection, parse_expression
 from repro.obs import metrics as metrics_module
 from repro.perf import counters as counters_module
@@ -118,11 +118,10 @@ def _locks_of_one_execute(prepared, session, monkeypatch):
     engine = session._engine
     monkeypatch.setattr(counters_module, "_MUTATION_LOCK", counting("counters"))
     monkeypatch.setattr(metrics_module, "_MUTATION_LOCK", counting("metrics"))
-    monkeypatch.setattr(parallel._COLLECTOR_PAUSE, "_lock", counting("collector"))
+    monkeypatch.setattr(physical._COLLECTOR_PAUSE, "_lock", counting("collector"))
     monkeypatch.setattr(session, "_state_lock", counting("session"))
     monkeypatch.setattr(prepared, "_lock", counting("prepared"))
     monkeypatch.setattr(engine, "_plans_lock", counting("plans"))
-    monkeypatch.setattr(engine, "_pool_lock", counting("pools"))
     # The meter is built by the execute: its lock comes from this factory.
     monkeypatch.setattr(
         physical, "threading", SimpleNamespace(Lock=lambda: counting("meter"))

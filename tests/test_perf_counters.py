@@ -34,8 +34,6 @@ class TestSnapshotSemantics:
             "dedup_spills",
             "spill_retries",
             "fault_injected",
-            "pool_recoveries",
-            "serial_fallbacks",
             "sample_builds",
             "sample_joins",
         }

@@ -69,8 +69,6 @@ KNOBS = {
     ],
     "repro.api.BackendConfig": [
         "budget",
-        "workers",
-        "max_pools",
         "faults",
         "observe",
     ],
@@ -92,8 +90,6 @@ KNOBS = {
 
 ENGINE_EVALUATOR_PARAMETERS = [
     "budget",
-    "workers",
-    "max_pools",
     "faults",
     "observe",
 ]
@@ -102,7 +98,6 @@ ENGINE_EVALUATOR_PARAMETERS = [
 ENGINE_OPERATOR_EXPORTS = [
     "GraceHashJoin",
     "HashJoin",
-    "PartitionedScan",
     "PhysicalOperator",
     "StreamingProject",
     "TableScan",

@@ -4,21 +4,17 @@ A :class:`TableScan` streams a stored relation's rows in address order: the
 very row objects of ``relation.rows``, sorted by ``id`` once per relation
 object and cached on it.  These tests pin what that order may and may not
 be: a permutation of the rows (each once, never a copy), built once and
-reused, never shipped to another process, shared by ``with_name``, and cut
-by :class:`PartitionedScan` into slices that partition the relation.
+reused, never shipped to another process, and shared by ``with_name``.
 What the order must not change — answers and counted work — is
 ``tests/test_scan_order_invariance.py``.
 """
 
 import pickle
-from collections import Counter
 from unittest import mock
-
-import pytest
 
 import repro.algebra.relation as relation_module
 from repro.algebra import Relation
-from repro.engine import BLOCK_ROWS, MemoryMeter, PartitionedScan, TableScan
+from repro.engine import BLOCK_ROWS, MemoryMeter, TableScan
 
 
 def _relation(rows=2 * BLOCK_ROWS + 17):
@@ -52,7 +48,6 @@ def test_the_order_is_built_once_per_relation_object():
         _scanned(TableScan(relation, MemoryMeter()))
         order = relation._scan
         _scanned(TableScan(relation, MemoryMeter()))
-        _scanned(PartitionedScan(relation, MemoryMeter(), 0, 2))
     assert spy.call_count == 1
     assert relation._scan is order and relation._scan_order() is order
 
@@ -85,17 +80,3 @@ def test_with_name_shares_the_order():
     named = relation.with_name("Q")
     assert named._scan_order() is order
     assert _scanned(TableScan(named, MemoryMeter())) == list(order)
-
-
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_partitioned_slices_partition_the_relation(count):
-    relation = _relation()
-    slices = [
-        _scanned(PartitionedScan(relation, MemoryMeter(), index, count))
-        for index in range(count)
-    ]
-    every = [row for rows in slices for row in rows]
-    assert Counter(every) == Counter(relation.rows)
-    assert set(map(id, every)) == set(map(id, relation.rows))
-    for rows in slices:  # each slice keeps the scan's order
-        assert [id(row) for row in rows] == sorted(map(id, rows))

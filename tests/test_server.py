@@ -6,7 +6,7 @@ per-request budget overrides, and crash respawn, the HTTP front's
 routes, admission shedding, typed error mapping, and merged ``/metrics``
 exposition, the load generator's exact percentiles — plus the shutdown
 satellite: a session closed concurrently with in-flight executes leaks
-no pools or spill directories and answers post-close requests with the
+no spill directories and answers post-close requests with the
 typed :class:`~repro.api.SessionClosedError`.
 """
 
@@ -29,7 +29,7 @@ import pytest
 from repro.algebra import Attribute, Domain, Relation, RelationScheme
 from repro.api import Session, SessionClosedError
 from repro.api.config import BackendConfig
-from repro.engine import join_estimate_provenance, parallel
+from repro.engine import join_estimate_provenance
 from repro.engine import spill as spill_module
 from repro.engine.spill import _ACTIVE_SPILL_DIRS
 from repro.server import (
@@ -557,9 +557,8 @@ class TestHttpFront:
             assert not body["ok"]
 
     def test_a_body_naming_workers_is_refused(self, connection):
-        # A server worker is a daemonic process and cannot fork the engine's
-        # probe pool, so a served query runs in one process and the field is
-        # gone: any value is a client fault naming it, never a 500.
+        # A served query runs in one process and the field is gone: any
+        # value is a client fault naming it, never a 500.
         for workers in (2, 1, None):
             status, body = _post(connection, {"query": QUERIES[0], "workers": workers})
             assert status == 400, body
@@ -834,9 +833,6 @@ class TestServerConfig:
         ):
             with pytest.raises(ValueError):
                 ServerConfig(**knobs)
-        # A served query runs in one process: there is no engine_workers.
-        with pytest.raises(TypeError):
-            ServerConfig(engine_workers=1)
 
     def test_override(self):
         config = ServerConfig().override(pool_size=4)
@@ -844,7 +840,7 @@ class TestServerConfig:
 
     def test_a_platform_without_fork_gets_a_typed_error(self, monkeypatch):
         # Workers are forked processes: without os.fork nothing can serve.
-        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        monkeypatch.setattr(worker_server, "fork_available", lambda: False)
         with pytest.raises(ServerError, match="os.fork"):
             WorkerPool(RELATIONS, BackendConfig(), size=1)
         with pytest.raises(ServerError, match="os.fork"):
@@ -854,9 +850,9 @@ class TestServerConfig:
 class TestSessionShutdownUnderLoad:
     """The shutdown satellite: close() racing in-flight executes."""
 
-    def test_concurrent_close_leaks_no_pools_or_spill_dirs(self):
+    def test_concurrent_close_leaks_no_spill_dirs(self):
         for _round in range(3):
-            session = Session(RELATIONS, budget=64, workers=2)
+            session = Session(RELATIONS, budget=64)
             prepared = session.prepare(HEAVY_QUERY)
             errors = []
             done = threading.Event()
@@ -882,27 +878,6 @@ class TestSessionShutdownUnderLoad:
             # In-flight executes either finished or raised the typed
             # closed error recorded above; nothing else may escape.
             assert errors == [], errors
-            assert session.stats()["open_pools"] == 0
-        assert _ACTIVE_SPILL_DIRS == set()
-
-    def test_an_execute_that_outlives_close_caches_no_pool(self, monkeypatch):
-        # The race above without a clock: close() lands after the execute
-        # passed _ensure_open() and before it reaches the fork stage.
-        others = set(multiprocessing.active_children())
-        session = Session(RELATIONS, budget=64, workers=2)
-        prepared = session.prepare(HEAVY_QUERY)
-        expected = prepared.execute().relation
-        assert session.stats()["open_pools"] == 1
-        ensure_open = session._ensure_open
-
-        def open_then_closed():
-            ensure_open()
-            session.close()
-
-        monkeypatch.setattr(session, "_ensure_open", open_then_closed)
-        assert prepared.execute().relation == expected
-        assert session.stats()["open_pools"] == 0
-        assert set(multiprocessing.active_children()) <= others
         assert _ACTIVE_SPILL_DIRS == set()
 
     def test_post_close_requests_raise_the_typed_error(self):
