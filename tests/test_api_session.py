@@ -228,6 +228,45 @@ class TestSessionContract:
         assert result.trace.serial_fallbacks == 0
         assert "workers" not in session.stats()
 
+    def test_a_workers_keyword_leaves_the_other_overrides_applied(self, relations):
+        with pytest.warns(DeprecationWarning):
+            session = Session(relations, workers=1, budget=8)
+        with session:
+            assert session.config == BackendConfig(budget=8)
+            prepared = session.prepare(QUERY_TEXT)
+            result = prepared.execute()
+        assert result.set_equal(_reference(prepared.expression, relations))
+
+    def test_the_workers_warning_points_at_the_caller(self, relations):
+        with pytest.warns(DeprecationWarning) as record:
+            Session(relations, workers=2).close()
+        assert [warning.filename for warning in record] == [__file__]
+
+    @pytest.mark.parametrize("knob", ["workers", "max_pools"])
+    def test_override_refuses_the_removed_pool_knobs(self, knob):
+        with pytest.raises(TypeError):
+            BackendConfig().override(**{knob: 2})
+
+    def test_only_the_workers_keyword_is_tolerated(self, relations):
+        """``max_pools`` never reached the benchmark ladder: it is refused
+        like any unknown knob, not ignored."""
+        with pytest.raises(TypeError):
+            Session(relations, max_pools=2)
+
+    def test_stats_are_exactly_the_serving_counters(self, session):
+        session.execute(QUERY_TEXT)
+        assert sorted(session.stats()) == sorted(
+            [
+                "prepares",
+                "registry_hits",
+                "executes",
+                "plan_builds",
+                "plan_cache_hits",
+                "invalidations",
+                "invalidation_replans",
+            ]
+        )
+
 
 class TestInvalidation:
     def test_mutation_replans_only_the_affected_queries(self, session, relations):
@@ -520,6 +559,27 @@ class TestOneExecuteCount:
         assert session.stats()["executes"] == 2
         assert session.metrics().counter("repro_executes_total").value == 2
         assert session.stats()["plan_cache_hits"] == 2
+
+
+def test_a_spilling_observed_session_feeds_exactly_the_documented_instruments():
+    """docs/OBSERVABILITY.md's per-execution instruments, and no other: a
+    spilling execute reaches the spill counter, an observed one the q-error
+    histogram."""
+    relations = {
+        "R": Relation.from_rows("A B", [(i, i % 10) for i in range(200)], name="R"),
+        "S": Relation.from_rows("B C", [(c % 10, c) for c in range(50)], name="S"),
+    }
+    with Session(relations, budget=16, observe=True) as session:
+        result = session.execute(QUERY_TEXT)
+        assert result.trace.counters["spill_rows"] > 0
+        assert sorted(session.metrics().collect()) == [
+            "repro_executes_total",
+            "repro_last_peak_memory_rows",
+            "repro_qerror",
+            "repro_query_seconds",
+            "repro_rows_total",
+            "repro_spill_rows_total",
+        ]
 
 
 class TestTextCache:

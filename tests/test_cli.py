@@ -42,6 +42,25 @@ class TestParser:
                 parser.parse_args(argv)
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blowup", "--clauses", "3"],
+            ["engine-explain", "--paper"],
+            ["trace"],
+        ],
+        ids=["blowup", "engine-explain", "trace"],
+    )
+    def test_the_removed_workers_flag_does_not_parse(self, argv, capsys):
+        """Every execution runs in one process: ``--workers`` is an
+        unrecognised argument, not a silently ignored one."""
+        parser = build_parser()
+        assert callable(parser.parse_args(argv).handler)
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_example_prints_the_table(self, capsys):

@@ -37,13 +37,14 @@ from repro.engine import (
     EngineEvaluator,
     GraceHashJoin,
     HashJoin,
+    MemoryBudget,
     MemoryMeter,
     RelationStats,
     StreamingProject,
     TableScan,
     plan_expression,
 )
-from repro.engine.physical import operators_in_order
+from repro.engine.physical import BLOCK_ROWS, drain_metered, operators_in_order
 from repro.engine.stats import join_stats, project_stats
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Expression, Join, Operand
@@ -345,6 +346,49 @@ class TestEngineEvaluator:
         result, _ = evaluator.evaluate(query, second)
         assert result == evaluate(query, second)
 
+    @pytest.mark.parametrize("budget", [None, 8], ids=["unbudgeted", "budget-8"])
+    def test_warm_evaluations_record_identical_traces(self, budget):
+        """One process runs one operator tree: a warm plan evaluated again
+        reproduces its steps, counters and peaks exactly."""
+        case = next(iter(growing_construction_family(clause_counts=(6,))))
+        construction = RGConstruction(case.formula)
+        query = construction.pair_projection_expression()
+        evaluator = EngineEvaluator(budget=budget)
+        evaluator.evaluate(query, construction.relation)
+        runs = [evaluator.evaluate(query, construction.relation) for _ in range(2)]
+        (first, first_trace), (second, second_trace) = runs
+        bound = {name: construction.relation for name in query.operand_names()}
+        assert first == second == _reference_evaluate(query, bound)
+        for field in ("steps", "counters", "peak_live_rows", "peak_build_rows"):
+            assert getattr(first_trace, field) == getattr(second_trace, field), field
+        assert (first_trace.counters["join_spills"] > 0) == (budget is not None)
+
+    @pytest.mark.parametrize("budget", [None, 2], ids=["unbudgeted", "budget-2"])
+    @pytest.mark.parametrize("empty", ["R", "S"])
+    def test_an_empty_operand_joins_to_an_empty_result(self, empty, budget):
+        """Whichever side the planner builds or probes, an empty input ends
+        the join with nothing held and nothing spilled."""
+        relations = {
+            "R": Relation.from_rows("A B", [(i, i % 3) for i in range(12)], name="R"),
+            "S": Relation.from_rows("B C", [(b, -b) for b in range(3)], name="S"),
+        }
+        relations[empty] = Relation.empty(relations[empty].scheme)
+        query = Projection(["A", "C"], Operand("R", "A B").join(Operand("S", "B C")))
+        result, trace = EngineEvaluator(budget=budget).evaluate(query, relations)
+        assert result == _reference_evaluate(query, relations)
+        assert len(result) == 0 and trace.result_cardinality == 0
+        assert trace.counters.get("spill_rows", 0) == 0
+
+    def test_close_releases_nothing_and_leaves_the_evaluator_usable(self):
+        relation, query = random_instance(seed=9)
+        evaluator = EngineEvaluator(budget=4)
+        before, _ = evaluator.evaluate(query, relation)
+        evaluator.close()
+        evaluator.close()
+        after, _ = evaluator.evaluate(query, relation)
+        assert after == before
+        assert evaluator.pinned_plan(query) is not None
+
     def test_trace_reports_kernel_activity_and_input(self):
         relation, query = random_instance(seed=5)
         _, trace = EngineEvaluator().evaluate(query, relation)
@@ -381,9 +425,15 @@ class TestPlanner:
         )
         assert result == left.natural_join(right)
 
-    #: Every way the evaluator is configured to plan: with and without a
-    #: budget.
-    CLOSURE_CONFIGS = [{}, {"budget": 8}]
+    #: Every way the evaluator is configured to plan: without a budget, with
+    #: one, with the tightest one (every build state spills), and with the
+    #: narrowest fan-out (the most re-split levels).
+    CLOSURE_CONFIGS = [
+        {},
+        {"budget": 8},
+        {"budget": 1},
+        {"budget": MemoryBudget(rows=8, spill_fanout=2)},
+    ]
 
     @staticmethod
     def _assert_plan_is_closed(options, query, relation):
@@ -534,6 +584,30 @@ class TestMemoryMeterThreadSafety:
         assert meter.current == 4 * rounds
         assert meter.peak == 4 * rounds
 
+    def test_result_holds_and_operator_state_never_lose_rows(self):
+        """The drain's result rows and the operators' state share one lock:
+        interleaved holds, acquires and releases balance exactly."""
+        meter = MemoryMeter(budget=50)
+        rounds = 5_000
+
+        def hold():
+            for _ in range(rounds):
+                meter.hold_result(2)
+                meter.release_result(1)
+
+        def operate():
+            for _ in range(rounds):
+                meter.acquire(3)
+                meter.release(3)
+
+        pool = [threading.Thread(target=target) for target in (hold, hold, operate, operate)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert (meter.current, meter.result) == (2 * rounds, 2 * rounds)
+        assert meter.headroom() == 50
+
     def test_budget_reads_are_consistent_under_contention(self):
         meter = MemoryMeter(budget=100)
         problems = []
@@ -570,6 +644,83 @@ class TestMemoryMeterResultRows:
         meter.release(10)
         meter.release_result(100)
         assert (meter.current, meter.result, meter.headroom()) == (0, 0, 10)
+
+    def test_an_unbudgeted_meter_admits_operator_state_beside_any_result(self):
+        meter = MemoryMeter()
+        meter.hold_result(1_000)
+        assert meter.headroom() is None
+        assert meter.try_acquire(1_000)
+        assert (meter.current, meter.result, meter.peak) == (2_000, 1_000, 2_000)
+
+    def test_headroom_is_clamped_when_operator_state_overran_the_budget(self):
+        """``acquire`` is unconditional (a build block that must stay), so
+        operator state can pass the budget; the result rows beside it give
+        it no headroom back."""
+        meter = MemoryMeter(budget=10)
+        meter.acquire(15)
+        meter.hold_result(50)
+        assert meter.headroom() == 0
+        assert not meter.try_acquire(1)
+        meter.release(15)
+        assert meter.headroom() == 10
+
+    def test_releasing_the_result_keeps_the_peak(self):
+        meter = MemoryMeter(budget=4)
+        assert meter.try_acquire(4)
+        meter.hold_result(6)
+        meter.release(4)
+        meter.release_result(6)
+        assert (meter.current, meter.result, meter.peak) == (0, 0, 10)
+
+
+class TestDrainMetered:
+    """``physical.drain_metered``: the engine's one drain, in one process."""
+
+    @staticmethod
+    def _scan(rows):
+        relation = Relation.from_rows("A", [(i,) for i in range(rows)], name="R")
+        meter = MemoryMeter(budget=8)
+        return TableScan(relation, meter), meter
+
+    def test_the_drained_rows_stay_held_as_result_rows(self):
+        root, meter = self._scan(100)
+        rows = drain_metered(root, meter)
+        assert rows == {(i,) for i in range(100)}
+        assert (meter.current, meter.result, meter.peak) == (100, 100, 100)
+        # Held rows are past the budget, yet operator state keeps all of it.
+        assert meter.headroom() == 8
+
+    def test_a_cap_releases_every_held_result_row(self):
+        # Three scan blocks: the first is held before the second passes the cap.
+        root, meter = self._scan(3 * BLOCK_ROWS)
+        assert drain_metered(root, meter, cap=BLOCK_ROWS + 1) is None
+        assert (meter.current, meter.result) == (0, 0)
+        assert meter.peak == BLOCK_ROWS
+
+    def test_a_drain_without_a_tracer_opens_no_span(self):
+        root, meter = self._scan(5)
+        assert meter.tracer is None
+        assert drain_metered(root, meter, span=True) == {(i,) for i in range(5)}
+
+    def test_operators_in_order_lists_every_child_before_its_parent(self):
+        r = Relation.from_rows("A B", [(i, i % 3) for i in range(9)], name="R")
+        s = Relation.from_rows("B C", [(b, b * 2) for b in range(3)], name="S")
+        t = Relation.from_rows("C D", [(c, -c) for c in range(0, 6, 2)], name="T")
+        query = Projection(
+            ["A", "D"],
+            Operand("R", "A B").join(Operand("S", "B C"), Operand("T", "C D")),
+        )
+        bound = {"R": r, "S": s, "T": t}
+        root = EngineEvaluator().plan_for(query, bound).executor(bound, MemoryMeter())
+        ordered = operators_in_order(root)
+        assert ordered[-1] is root
+        assert len({id(operator) for operator in ordered}) == len(ordered)
+        position = {id(operator): index for index, operator in enumerate(ordered)}
+        for operator in ordered:
+            for child in operator.children():
+                assert position[id(child)] < position[id(operator)], operator.label()
+        scans = [operator for operator in ordered if isinstance(operator, TableScan)]
+        assert len(scans) == 3
 
 
 #: The engine counters a concurrent evaluation must account exactly.

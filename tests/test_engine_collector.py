@@ -109,7 +109,9 @@ def _wide_join(rows=10_000):
 
 
 class TestPassesFollowTheResult:
-    @pytest.mark.parametrize("config", [{}, {"budget": 64}], ids=["serial", "budget-64"])
+    @pytest.mark.parametrize(
+        "config", [{}, {"budget": 64}, {"budget": 8}], ids=["serial", "budget-64", "budget-8"]
+    )
     def test_the_papers_query_runs_no_pass_of_any_generation(self, config):
         with _recording() as recorder:
             prepared = _rg_session(12, **config)

@@ -97,6 +97,21 @@ class TestFaultPlan:
         assert plans == again
         assert all(plan.injects_anything for plan in plans)
 
+    def test_random_plans_draw_every_spill_fault_shape_and_nothing_else(self):
+        """The chaos axis is spill I/O only: each draw schedules exactly one
+        write or read fault, transient or persistent, at positions 1-6."""
+        rng = random.Random(20260730)
+        plans = [FaultPlan.random_plan(rng) for _ in range(400)]
+        shapes = set()
+        for plan in plans:
+            positions = (plan.fail_spill_write_at, plan.fail_spill_read_at)
+            (position,) = [at for at in positions if at is not None]
+            assert 1 <= position <= 6 and plan.spill_failures in (1, 2)
+            shapes.add((plan.fail_spill_write_at is not None, plan.persistent))
+        assert shapes == {(True, False), (True, True), (False, False), (False, True)}
+        writes = sum(plan.fail_spill_write_at is not None for plan in plans)
+        assert 0.5 < writes / len(plans) < 0.7  # three of the five shapes write
+
     def test_evaluator_rejects_non_plan(self):
         with pytest.raises(TypeError):
             EngineEvaluator(faults="chaos")

@@ -73,6 +73,13 @@ KNOBS = {
         "observe",
     ],
     "repro.api.ObserveConfig": ["trace", "events", "events_path"],
+    "repro.engine.FaultPlan": [
+        "seed",
+        "fail_spill_write_at",
+        "fail_spill_read_at",
+        "spill_failures",
+        "persistent",
+    ],
     "repro.server.ServerConfig": [
         "host",
         "port",

@@ -1544,6 +1544,70 @@ class TestWorkerVersions:
             pool.close()
 
 
+class TestWorkerRuntimeFrames:
+    """A worker's in-child request handling, driven in-process (no fork)."""
+
+    QUERY = {"op": "query", "query": "project[A](R * S)"}
+
+    @pytest.fixture()
+    def runtime(self):
+        from repro.server.worker import _WorkerRuntime
+
+        versions = {name: content_version(r) for name, r in RELATIONS.items()}
+        runtime = _WorkerRuntime(RELATIONS, versions, BackendConfig(), 3, None, max_sessions=2)
+        yield runtime
+        runtime.close()
+
+    @staticmethod
+    def _answer(response):
+        assert response["ok"], response
+        return {key: value for key, value in response.items() if key != "elapsed_ms"}
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_a_frames_workers_key_is_ignored(self, runtime, workers):
+        """The benchmark ladder's frames still carry ``"workers"``: the
+        worker answers them as if the key were absent."""
+        plain = self._answer(runtime.handle(self.QUERY))
+        keyed = self._answer(runtime.handle({**self.QUERY, "workers": workers}))
+        assert keyed == plain
+        assert plain["worker"] == 3 and plain["rowcount"] == len(plain["rows"]) > 0
+
+    def test_a_query_response_carries_no_pool_counters(self, runtime):
+        response = runtime.handle(self.QUERY)
+        assert sorted(response) == sorted(
+            [
+                "ok",
+                "worker",
+                "columns",
+                "versions",
+                "rowcount",
+                "elapsed_ms",
+                "budget",
+                "spilled_rows",
+                "spill_overflows",
+                "peak_memory_rows",
+                "spans",
+                "rows",
+            ]
+        )
+
+    def test_warm_sessions_are_kept_per_budget_and_the_coldest_is_closed(self, runtime):
+        for budget in (None, 64, 32):
+            assert runtime.handle({**self.QUERY, "budget": budget})["ok"]
+            if budget is None:
+                (coldest,) = runtime._sessions.values()
+        stats = runtime.handle({"op": "stats"})["stats"]
+        assert sorted(stats["sessions"]) == ["budget=32", "budget=64"]
+        with pytest.raises(SessionClosedError):
+            coldest.prepare(self.QUERY["query"])
+
+    def test_an_unknown_op_is_answered_with_a_typed_error(self, runtime):
+        response = runtime.handle({"op": "probe"})
+        assert response["ok"] is False
+        assert (response["error"], response["worker"]) == ("ServerError", 3)
+        assert "unknown worker op" in response["message"]
+
+
 class TestResultCache:
     """Unit contracts of the front's content-keyed LRU."""
 
