@@ -89,11 +89,13 @@ class MemoryBudget:
     Dedup seen-sets spill through :class:`SpillingSeenSet`.  Both drain
     their partitions through one recursion (:func:`_drain_spill`).  The
     budget bounds operator state only: the result accumulator is metered
-    but never budget-bound (:class:`MemoryMeter`), so the peak is the result
-    plus at most a budget's worth of state.  What remains transiently
-    beyond the budget (one partition- or chunk-granularity allowance per
-    replay) is bounded and honest: a genuine overrun — distinct rows a
-    partition cannot shed once splitting stops making progress — is
+    but never budget-bound (:class:`MemoryMeter`).  Every operator asks
+    before it holds a row, except a spilling dedup replaying a partition
+    of at most ``rows`` rows and a chunk's one build entry against a
+    pinned meter, so the peak is the result plus at most
+    ``rows * (1 + spilling dedups) + Grace joins`` rows of state
+    (``docs/ENGINE.md``, "The memory bound").  A genuine overrun — distinct
+    rows a partition cannot shed once splitting stops making progress — is
     counted in ``spill_overflows`` rather than masked.
 
     ``spill_fanout`` is the default partitions-per-level (a planner estimate

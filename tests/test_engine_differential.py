@@ -17,7 +17,8 @@ on even the smallest instances.
 
 Every grid point additionally pins the complete memory model: zero
 ``spill_overflows`` (dedup and unsplittable join partitions spill or chunk
-within the budget) and zero leaked spill files, and
+within the budget), ``peak_live_rows`` within the result plus the stated
+memory bound (:func:`_state_bound`) and zero leaked spill files, and
 every seed must reach both of a spilled join's modes: the tiny budget
 re-reads builds of up to 8 rows and partitions the larger ones, which is
 why relations run to 24 rows — at 14 too few builds were left for Grace
@@ -174,6 +175,32 @@ def _tiny_budget(spill_dir) -> MemoryBudget:
     return MemoryBudget(rows=TINY_BUDGET_ROWS, spill_fanout=2, spill_dir=str(spill_dir))
 
 
+def _state_bound(plan, budget_rows):
+    """The operator state a budgeted plan may hold (``docs/ENGINE.md``, "The
+    memory bound"): the budget, plus a budget's worth per spilling dedup
+    (a partition of at most the budget replays resident whatever else is
+    held) and one build entry per Grace join (the chunk loader's entry
+    when the meter has no headroom).  A root projection dedups into the
+    drain's result set and holds no seen-set of its own."""
+    dedups = joins = 0
+    stack = [(plan.root, True)]
+    while stack:
+        node, root = stack.pop()
+        if node.kind == "hash-join":
+            joins += 1
+        elif node.kind == "project" and node.dedup and not node.pushed and not root:
+            dedups += 1
+        stack.extend((child, False) for child in node.children)
+    return budget_rows * (1 + dedups) + joins
+
+
+def _assert_within_bound(evaluator, expression, trace, budget_rows, detail):
+    """``peak_live_rows`` is the result plus at most :func:`_state_bound`."""
+    bound = _state_bound(evaluator.pinned_plan(expression), budget_rows)
+    excess = trace.peak_live_rows - trace.result_cardinality
+    assert excess <= bound, f"peak_live_rows - |result| = {excess} > {bound}\n{detail}"
+
+
 def _assert_engine_matches_reference(
     expression, bindings, reference, budget_rows, spill_dir, context
 ):
@@ -199,6 +226,8 @@ def _assert_engine_matches_reference(
     )
     assert realigned == reference, detail
     assert trace.result_cardinality == len(reference), detail
+    if budget_rows is not None:
+        _assert_within_bound(evaluator, expression, trace, budget_rows, detail)
     leftovers = [str(path) for path in spill_dir.iterdir()]
     assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
     # Which way the spilled joins went, and whether the planner pushed a projection into this plan.
@@ -310,10 +339,12 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
                 f"expression: {expression.to_text()}"
             )
             try:
-                result, _ = evaluator.evaluate(expression, bindings)
+                result, trace = evaluator.evaluate(expression, bindings)
             except EngineFaultError:
                 result = None  # a typed failure is an allowed outcome
             if result is not None:
+                if budget is not None:
+                    _assert_within_bound(evaluator, expression, trace, budget.rows, detail)
                 assert result.scheme.name_set == reference.scheme.name_set, detail
                 realigned = (
                     result
