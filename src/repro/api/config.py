@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from ..engine.faults import FaultPlan
-from ..engine.physical import MemoryBudget
+from ..engine.spill import MemoryBudget
 from ..obs.config import Observer, ObserveConfig
 from .errors import SessionError
 

@@ -244,7 +244,7 @@ def _join_provenance_lines(plan) -> List[str]:
 
 def _command_engine_explain(arguments: argparse.Namespace) -> int:
     from .engine import RelationStats, plan_expression
-    from .engine.physical import MemoryBudget
+    from .engine.spill import MemoryBudget
     from .expressions import parse_expression
 
     if arguments.memory_budget is not None and arguments.memory_budget <= 0:

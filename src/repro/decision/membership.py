@@ -73,7 +73,7 @@ class EngineMembershipDecider:
         """Return whether ``candidate ∈ expression(arguments)``, streaming."""
         from ..algebra.errors import TupleSchemeMismatch
         from ..algebra.tuples import as_tuple
-        from ..engine.physical import MemoryMeter
+        from ..engine.spill import MemoryMeter
 
         bound = bind_arguments(expression, arguments)
         plan = self._evaluator.plan_for(expression, bound)

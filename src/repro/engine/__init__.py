@@ -48,18 +48,22 @@ See ``docs/ENGINE.md`` for the operator contract and invariants.
 from .evaluator import EngineEvaluator
 from .faults import EngineFaultError, FaultInjector, FaultPlan, InjectedFaultError
 from .physical import (
-    BLOCK_ROWS,
     GraceHashJoin,
     HashJoin,
-    MemoryBudget,
-    MemoryMeter,
     PhysicalOperator,
-    SpillingSeenSet,
     StreamingProject,
     TableScan,
 )
 from .planner import PhysicalPlan, PlanNode, Planner, plan_expression
-from .spill import SPILL_BLOCK_ROWS, SPILL_IO_RETRIES, SpillFile
+from .spill import (
+    BLOCK_ROWS,
+    SPILL_BLOCK_ROWS,
+    SPILL_IO_RETRIES,
+    MemoryBudget,
+    MemoryMeter,
+    SpillFile,
+    SpillingSeenSet,
+)
 from .sampling import Sample, q_error, reservoir_sample
 from .stats import (
     ColumnStats,

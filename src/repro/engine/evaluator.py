@@ -52,14 +52,8 @@ from ..perf.counters import counter_delta, counter_values, kernel_counters
 from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
-from .physical import (
-    GraceHashJoin,
-    MemoryBudget,
-    MemoryMeter,
-    PhysicalOperator,
-    StreamingProject,
-    drain_metered,
-)
+from .physical import GraceHashJoin, PhysicalOperator, StreamingProject, drain_metered
+from .spill import MemoryBudget, MemoryMeter
 from .planner import PhysicalPlan, Planner
 from .sampling import q_error
 

@@ -48,15 +48,8 @@ from ..algebra.tuples import _project_plan
 from ..expressions.ast import Expression, ExpressionError, Join, Operand, Projection
 from ..perf.plancache import ChainKernel, ProjectPlan, make_chain_kernel
 from ..tableaux import minimize_expression
-from .physical import (
-    GraceHashJoin,
-    HashJoin,
-    MemoryBudget,
-    MemoryMeter,
-    PhysicalOperator,
-    StreamingProject,
-    TableScan,
-)
+from .physical import GraceHashJoin, HashJoin, PhysicalOperator, StreamingProject, TableScan
+from .spill import MemoryBudget, MemoryMeter
 from .stats import (
     RelationStats,
     estimate_join_cardinality,

@@ -23,6 +23,9 @@ import shutil
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -40,7 +43,11 @@ from ..perf.counters import kernel_counters
 from .faults import EngineFaultError
 
 __all__ = [
+    "BLOCK_ROWS",
+    "MemoryBudget",
+    "MemoryMeter",
     "SPILL_BLOCK_ROWS",
+    "SpillingSeenSet",
     "SPILL_IO_RETRIES",
     "PartitionedSpill",
     "SpillFile",
@@ -49,6 +56,10 @@ __all__ = [
 
 Row = Tuple[Hashable, ...]
 Block = List[Row]
+
+#: Rows per block.  Large enough to amortise generator suspension, small
+#: enough that an in-flight block never rivals operator state for memory.
+BLOCK_ROWS = 1024
 
 #: Rows buffered per spill file before a pickle flush.  Spill buffers are
 #: transient I/O staging, not operator state, and are therefore not
@@ -397,3 +408,409 @@ class PartitionedSpill:
                 _ACTIVE_SPILL_DIRS.discard(self._dir)
             shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
+
+
+#: Key of a spilled ``(key, entry)`` build pair or ``(row, seen)`` dedup item.
+_first = itemgetter(0)
+
+
+@dataclass(frozen=True)
+class MemoryBudget:
+    """A row budget for engine state, with the spill machinery's knobs.
+
+    ``rows`` caps the rows the shared :class:`MemoryMeter` should hold, and
+    every spillable operator honors it.  A hash join whose build side would
+    push the meter past it spills the build: a small one is re-read per
+    probe slice while the probe keeps streaming, a large one takes both
+    sides through Grace partitions (:class:`GraceHashJoin` has the rule).
+    Dedup seen-sets spill through :class:`SpillingSeenSet`.  Both drain
+    their partitions through one recursion (:func:`_drain_spill`).  The
+    budget bounds operator state only: the result accumulator is metered
+    but never budget-bound (:class:`MemoryMeter`).  Every operator asks
+    before it holds a row, except a spilling dedup replaying a partition
+    of at most ``rows`` rows and a chunk's one build entry against a
+    pinned meter, so the peak is the result plus at most
+    ``rows * (1 + spilling dedups) + Grace joins`` rows of state
+    (``docs/ENGINE.md``, "The memory bound").  A genuine overrun — distinct
+    rows a partition cannot shed once splitting stops making progress — is
+    counted in ``spill_overflows`` rather than masked.
+
+    ``spill_fanout`` is the default partitions-per-level (a planner estimate
+    can override it per join); ``spill_dir`` hosts the per-execution
+    temporary directories (``None`` = the system temp dir).
+    """
+
+    rows: int
+    spill_fanout: int = 8
+    spill_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.rows <= 0:
+            raise ValueError(f"memory budget must be positive, got {self.rows}")
+        if self.spill_fanout < 2:
+            raise ValueError(f"spill fanout must be >= 2, got {self.spill_fanout}")
+
+    @classmethod
+    def coerce(cls, value: "MemoryBudget | int | None") -> "Optional[MemoryBudget]":
+        """Normalise ``int`` row counts (and ``None``) into a budget."""
+        if value is None or isinstance(value, cls):
+            return value
+        return cls(rows=int(value))
+
+
+class MemoryMeter:
+    """Tracks rows resident in engine state, and the high-water mark.
+
+    One meter is shared by every operator of an executing plan plus the
+    drain's result accumulator, so ``peak`` is the peak number of rows
+    *simultaneously* live anywhere in the engine — deliberately a stricter
+    accounting than the materialising evaluators' per-step maximum.  The
+    accumulator's rows (``result``, held through :meth:`hold_result`) count
+    in ``current`` and ``peak`` but not against ``budget``: the budget is
+    the optional ceiling on *operator* state, which :meth:`try_acquire` and
+    :meth:`headroom` answer for; the meter only answers the question, the
+    operators do the spilling.
+
+    The meter is thread-safe: user threads may share one evaluator, and
+    plain read-modify-write increments from several threads would be lost
+    (``tests/test_engine.py::TestMemoryMeterThreadSafety``).
+
+    ``faults`` optionally carries the evaluation's
+    :class:`~repro.engine.faults.FaultInjector`; the meter is the one object
+    every operator of a plan already shares, so it doubles as the channel
+    through which spill files find the injector without widening every
+    operator signature.  ``tracer`` and ``events`` ride the same channel:
+    a :class:`repro.obs.tracer.Tracer` (``None`` when tracing is off — the
+    pay-for-what-you-use contract) and a
+    :class:`repro.obs.events.EventLog` for spill events.
+    """
+
+    __slots__ = ("current", "peak", "result", "budget", "faults", "tracer", "events", "_lock")
+
+    def __init__(
+        self,
+        budget: Optional[int] = None,
+        faults: Optional[object] = None,
+        tracer: Optional[object] = None,
+        events: Optional[object] = None,
+    ) -> None:
+        self.current = 0
+        self.peak = 0
+        self.result = 0
+        self.budget = budget
+        self.faults = faults
+        self.tracer = tracer
+        self.events = events
+        self._lock = threading.Lock()
+
+    def acquire(self, rows: int = 1) -> None:
+        """Record ``rows`` additional rows becoming resident."""
+        with self._lock:
+            self.current += rows
+            if self.current > self.peak:
+                self.peak = self.current
+
+    def release(self, rows: int) -> None:
+        """Record ``rows`` rows being dropped from state."""
+        with self._lock:
+            self.current -= rows
+
+    def hold_result(self, rows: int) -> None:
+        """Record ``rows`` more result rows resident (never budget-bound)."""
+        with self._lock:
+            self.current += rows
+            self.result += rows
+            if self.current > self.peak:
+                self.peak = self.current
+
+    def release_result(self, rows: int) -> None:
+        """Record ``rows`` result rows being dropped."""
+        with self._lock:
+            self.current -= rows
+            self.result -= rows
+
+    def try_acquire(self, rows: int) -> bool:
+        """Acquire ``rows`` only if operator state stays within the budget.
+
+        The check and the acquisition happen under one lock, so threads
+        sharing a budgeted meter cannot interleave their way past the
+        ceiling unobserved (a check-then-``acquire`` pair could).  Always
+        succeeds on an unbudgeted meter.
+        """
+        with self._lock:
+            if self.budget is not None and self.current - self.result + rows > self.budget:
+                return False
+            self.current += rows
+            if self.current > self.peak:
+                self.peak = self.current
+            return True
+
+    def headroom(self) -> Optional[int]:
+        """Rows of operator state still acquirable (``None`` = unbudgeted)."""
+        if self.budget is None:
+            return None
+        with self._lock:
+            return max(self.budget - self.current + self.result, 0)
+
+
+def _drain_spill(
+    client: Any,
+    spill: PartitionedSpill,
+    partitions: List[Tuple[Optional[SpillFile], ...]],
+    level: int = 1,
+    splittable: bool = True,
+) -> Iterator[Block]:
+    """The one spill recursion: yield sealed partitions' output, one at a time.
+
+    Both spilling clients (:class:`SpillingSeenSet`, :class:`GraceHashJoin`)
+    route their state to partitions under salt 0 and hand them here.  A
+    partition is a tuple of files laid out as ``client._layout`` says (each
+    file's kind and routing key): a dedup's one file, a join's build and
+    probe files.  One with an empty file emits nothing; every other one
+
+    * is **loaded** if it fits: ``client._load(files)`` returns what
+      ``client._emit`` needs and the rows it holds on the meter (released
+      here after the emission), or ``None`` holding nothing;
+    * else, if its first file holds more rows than the budget, is
+      **re-split**: every file is routed under salt = ``level`` (a later
+      file only where the first has rows) and the parts come back here;
+    * else goes to ``client._fall_back(files)``.
+
+    A split makes progress when its largest part is smaller than the file.
+    One that does not either met keys that all hash alike (one heavy key, a
+    keyless product), so its one part falls back without a load, or was
+    unlucky (odds at most ``1 / fanout``) and the next salt splits again.
+    ``spill_recursions`` and ``client.resplits`` count the splits,
+    ``client.fallbacks`` the fallbacks.  A partition's files are deleted
+    once it is done.
+    """
+    fanout = len(partitions)
+    for files in partitions:
+        try:
+            if not all(part is not None and part.rows for part in files):
+                continue
+            loaded = client._load(files) if splittable else None
+            if loaded is not None:
+                state, held = loaded
+                try:
+                    yield from client._emit(files, state)
+                finally:
+                    client.meter.release(held)
+            elif splittable and files[0].rows > client._budget.rows:
+                _COUNTERS.add(spill_recursions=1)
+                client.resplits += 1
+                split = []
+                wanted = None
+                for (kind, key_of), part in zip(client._layout, files):
+                    subs = spill.partitions(fanout, kind, wanted)
+                    spill.route(subs, chain.from_iterable(_drained(part)), key_of, level)
+                    spill.seal(subs)
+                    split.append(subs)
+                    wanted = wanted or [sub.rows for sub in subs]
+                largest = max(wanted)
+                again = largest < files[0].rows or not _alike(
+                    split[0][wanted.index(largest)], client._layout[0][1]
+                )
+                yield from _drain_spill(client, spill, list(zip(*split)), level + 1, again)
+            else:
+                client.fallbacks += 1
+                yield from client._fall_back(files)
+        finally:
+            for part in files:
+                if part is not None:
+                    part.delete()
+
+
+def _alike(part: SpillFile, key_of: Callable[[Any], Hashable]) -> bool:
+    """Whether every key in a sealed, non-empty file hashes alike: no salt
+    can split them."""
+    hashes = map(hash, map(key_of, chain.from_iterable(part.blocks())))
+    first = next(hashes)
+    return all(value == first for value in hashes)
+
+
+def _log_spill(client: Any, operator: str, rows: int, mode="partitioned", rereads=0) -> None:
+    """Log a spilling client's one ``spill`` event, when events are on."""
+    if client.meter.events is not None:
+        client.meter.events.emit(
+            "spill", operator=operator, label=client.label(), mode=mode, rows=rows,
+            fanout=client._fanout, resplits=client.resplits,
+            fallbacks=client.fallbacks, build_rereads=rereads,
+        )
+
+
+class SpillingSeenSet:
+    """A dedup seen-set under a budget: spills to partitions on overflow.
+
+    A deduplicating projection needs one thing of its state: "have I seen
+    this row, and if not, remember it".  In memory that is a set; under a
+    budget this class *spills* the set through a
+    :class:`~repro.engine.spill.PartitionedSpill` (equal rows always land
+    in the same partition), so membership can be decided one partition at
+    a time.
+
+    Protocol, driven by the owning operator's generator:
+
+    * :meth:`filter_block` returns a block's not-yet-seen rows.  While the
+      set fits the budget that happens immediately; after the spill switch
+      the rows are routed to partition files tagged *pending* and nothing
+      is returned — their first occurrences are emitted by :meth:`drain`.
+    * :meth:`drain` hands the partitions to the spill driver
+      (:func:`_drain_spill`) and yields the deferred first occurrences in
+      blocks.
+    * :meth:`close` releases metered state, deletes every spill artifact
+      and logs the ``spill`` event of a set that spilled (idempotent;
+      called from the owner's ``finally``, so an abandoned or failing
+      execution leaks nothing).
+
+    Emission order is arrival order until the switch and partition order
+    after it; no consumer reads meaning into either.
+
+    With ``spill=False`` (an optional dedup, see
+    :class:`StreamingProject`) the set never switches: a block whose new
+    rows the meter will not grant is emitted unremembered, so later
+    duplicates of those rows pass through as well.
+
+    Metering: the pre-switch set and, during replay, one partition's
+    distinct rows are metered.  A partition *fits* when its distinct rows
+    fit the headroom or all its rows fit ``budget.rows``: the latter is
+    replayed resident even when *other* operator state (a downstream
+    join's table) pins the shared meter — the budget governs
+    spillable state at partition granularity.  The fallback replays
+    resident regardless, counting a ``spill_overflows`` if the distinct
+    rows exceed the budget.  ``label`` names the owner in the event.
+    """
+
+    #: Each partition is one file of ``(row, seen)`` items keyed on the row.
+    _layout = (("part", _first),)
+
+    def __init__(
+        self, meter: MemoryMeter, budget: MemoryBudget, spill: bool = True, label=None
+    ):
+        self.meter = meter
+        self._budget = budget
+        self._may_spill = spill
+        #: The owner's label, for the ``spill`` event.
+        self.label: Callable[[], str] = label or (lambda: "dedup")
+        self._seen: Set[Row] = set()
+        self._resident = 0
+        self._fanout = budget.spill_fanout
+        self._spill = PartitionedSpill(meter, "repro-dedup-", budget.spill_dir)
+        self._parts: Optional[List[SpillFile]] = None
+        #: Whether this set switched to partitioned spill mode.
+        self.spilled = False
+        #: Re-splits and fallbacks the spill driver made for this set.
+        self.resplits = self.fallbacks = 0
+
+    def _switch(self) -> None:
+        """Flush the in-memory set to partition files and enter spill mode."""
+        self.spilled = True
+        self._parts = self._spill.partitions(self._fanout, "part")
+        _COUNTERS.add(dedup_spills=1)
+        self._spill.route(self._parts, zip(self._seen, repeat(True)), _first, 0)
+        self._seen.clear()
+        self.meter.release(self._resident)
+        self._resident = 0
+
+    def filter_block(self, rows: Block) -> Block:
+        """Return the rows of ``rows`` never seen before (emit-now path).
+
+        After the spill switch the rows are routed to partitions instead and
+        the return value is empty — deferred first occurrences come from
+        :meth:`drain`.
+        """
+        if self._parts is not None:
+            self._spill.route(self._parts, zip(rows, repeat(False)), _first, 0)
+            return []
+        seen = self._seen
+        add = seen.add
+        # ``add`` returns None, so the filter records as it tests.
+        out = [row for row in rows if row not in seen and not add(row)]
+        if out:
+            if self.meter.try_acquire(len(out)):
+                self._resident += len(out)
+            elif not self._may_spill:
+                # An optional (planner-pushed) dedup holds what the meter
+                # grants and passes the rest through, duplicates and all.
+                seen.difference_update(out)
+            else:
+                # The block's new rows were emitted just now and are flushed
+                # as already-seen, so the replay will not re-emit them; they
+                # were never acquired, so the release in _switch balances.
+                self._switch()
+        return out
+
+    def drain(self) -> Iterator[Block]:
+        """Yield the deferred first occurrences after a spill (in blocks)."""
+        if self._parts is None:
+            return
+        self._spill.seal(self._parts)
+        yield from _drain_spill(self, self._spill, [(part,) for part in self._parts])
+
+    def _emit(self, files: Tuple[SpillFile], deferred: Block) -> Iterator[Block]:
+        """Yield a loaded partition's first occurrences in blocks."""
+        for start in range(0, len(deferred), BLOCK_ROWS):
+            yield deferred[start : start + BLOCK_ROWS]
+
+    def _fall_back(self, files: Tuple[SpillFile]) -> Iterator[Block]:
+        """Replay a partition splitting cannot shrink, resident regardless."""
+        deferred, held = self._load(files, refuse=False)
+        try:
+            if held > self._budget.rows:
+                # Its distinct rows alone outgrew the budget once splitting
+                # stopped making progress: the one case spilling cannot
+                # bound, surfaced instead of masked.
+                _COUNTERS.add(spill_overflows=1)
+            yield from self._emit(files, deferred)
+        finally:
+            self.meter.release(held)
+
+    def _load(self, files: Tuple[SpillFile], refuse=True) -> Optional[Tuple[Block, int]]:
+        """Replay a partition into a seen-set: its first occurrences still
+        owed and the rows held on the meter, or ``None`` (holding nothing)
+        if it does not fit (see the class notes) and ``refuse``.  They are
+        held until the whole file is read: a refusal can come mid-file, and
+        rows yielded before it would be emitted again by the re-split."""
+        (part,) = files
+        refuse = refuse and part.rows > self._budget.rows
+        meter = self.meter
+        seen: Set[Row] = set()
+        deferred: Block = []
+        held = 0
+        pinned = False  # past the headroom: acquire without asking again
+        try:
+            for row, was_seen in chain.from_iterable(part.blocks()):
+                if row in seen:
+                    continue
+                if pinned:
+                    meter.acquire(1)
+                elif not meter.try_acquire(1):
+                    if refuse:
+                        return None
+                    pinned = True
+                    meter.acquire(1)
+                held += 1
+                seen.add(row)
+                if not was_seen:
+                    deferred.append(row)
+            replayed, held = (deferred, held), 0
+            return replayed
+        finally:
+            meter.release(held)
+
+    def close(self) -> None:
+        """Release metered state, delete every spill artifact and log the
+        spill (idempotent)."""
+        self.meter.release(self._resident)
+        self._resident = 0
+        self._seen.clear()
+        if self._parts is not None:
+            _log_spill(self, "dedup", sum(part.rows for part in self._parts))
+        self._parts = None
+        self._spill.close()
+
+
+def _drained(part: SpillFile) -> Iterator[Block]:
+    """Stream a sealed spill file's blocks, then free its disk space."""
+    yield from part.blocks()
+    part.delete()

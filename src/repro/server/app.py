@@ -60,7 +60,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from ..algebra.errors import AlgebraError
 from ..algebra.relation import Relation
 from ..api.config import BackendConfig
-from ..engine.physical import MemoryBudget
+from ..engine.spill import MemoryBudget
 from ..obs.config import Observer, ObserveConfig
 from ..obs.export import merge_collected, render_prometheus
 from ..obs.tracer import Tracer

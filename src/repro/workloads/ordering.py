@@ -16,7 +16,8 @@ from typing import List, Optional
 
 from ..algebra.relation import Relation, _join_plan
 from ..engine.evaluator import EngineEvaluator
-from ..engine.physical import HashJoin, MemoryMeter, TableScan
+from ..engine.physical import HashJoin, TableScan
+from ..engine.spill import MemoryMeter
 from ..expressions.ast import Join
 from ..expressions.ast import Projection as ProjectionNode
 from ..expressions.evaluator import evaluate

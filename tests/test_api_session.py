@@ -37,7 +37,7 @@ from repro.api import (
     SessionError,
     connect,
 )
-from repro.engine.physical import MemoryBudget
+from repro.engine.spill import MemoryBudget
 from repro.expressions import InstrumentedEvaluator
 from repro.expressions.ast import ExpressionError, Join, Operand, Projection
 

@@ -44,7 +44,8 @@ from repro.engine import (
     TableScan,
     plan_expression,
 )
-from repro.engine.physical import BLOCK_ROWS, drain_metered, operators_in_order
+from repro.engine.physical import drain_metered, operators_in_order
+from repro.engine.spill import BLOCK_ROWS
 from repro.engine.stats import join_stats, project_stats
 from repro.expressions import Projection, evaluate
 from repro.expressions.ast import Expression, Join, Operand

@@ -84,8 +84,8 @@ def _small_blocks(rows=4):
     several block boundaries.  Each name is patched in the module that
     *reads* it: a patch on a re-exported binding would change nothing."""
     with mock.patch.object(physical, "BLOCK_ROWS", rows), mock.patch.object(
-        spill, "SPILL_BLOCK_ROWS", 3
-    ):
+        spill, "BLOCK_ROWS", rows
+    ), mock.patch.object(spill, "SPILL_BLOCK_ROWS", 3):
         yield
 
 
@@ -753,7 +753,7 @@ class TestRootProjectionDedupsIntoTheResultSet:
 
         with pytest.raises(RuntimeError):
             drain_metered(Boom(base, meter), meter)
-        assert meter.current == 0 and meter.peak >= physical.BLOCK_ROWS
+        assert meter.current == 0 and meter.peak >= spill.BLOCK_ROWS
 
     @pytest.mark.parametrize("budget", [64, 256])
     def test_budgeted_root_never_spills_a_seen_set(self, budget):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.algebra import Relation, RelationScheme, naive_natural_join, naive_project
 from repro.engine import EngineEvaluator, MemoryBudget
-from repro.engine.physical import MemoryMeter, SpillingSeenSet
+from repro.engine.spill import MemoryMeter, SpillingSeenSet
 from repro.engine.planner import Planner
 from repro.expressions import evaluate, parse_expression
 from repro.expressions.ast import Join, Operand, Projection

@@ -25,8 +25,8 @@ from repro.engine import (
     SpillFile,
     TableScan,
 )
-from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS, SpillingSeenSet
-from repro.engine.spill import _ACTIVE_SPILL_DIRS, partition_index
+from repro.engine.physical import REREAD_MAX_PASSES, REREAD_SLICE_ROWS
+from repro.engine.spill import _ACTIVE_SPILL_DIRS, SpillingSeenSet, partition_index
 from repro.obs.events import EventLog
 from repro.perf import kernel_counters
 from repro.perf.plancache import make_chain_kernel

@@ -34,7 +34,7 @@ import pytest
 from repro.algebra.reference import naive_natural_join, naive_project
 from repro.algebra.relation import Relation
 from repro.api import Session
-from repro.engine import EngineEvaluator, physical
+from repro.engine import EngineEvaluator, physical, spill
 from repro.expressions import Projection, parse_expression
 from repro.obs import metrics as metrics_module
 from repro.perf import counters as counters_module
@@ -124,7 +124,7 @@ def _locks_of_one_execute(prepared, session, monkeypatch):
     monkeypatch.setattr(engine, "_plans_lock", counting("plans"))
     # The meter is built by the execute: its lock comes from this factory.
     monkeypatch.setattr(
-        physical, "threading", SimpleNamespace(Lock=lambda: counting("meter"))
+        spill, "threading", SimpleNamespace(Lock=lambda: counting("meter"))
     )
     prepared.execute()
     monkeypatch.undo()
