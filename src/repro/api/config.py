@@ -24,7 +24,7 @@ class BackendConfig:
 
     ``budget``
         Row budget for the engine's state (int or
-        :class:`~repro.engine.physical.MemoryBudget`); hash joins spill to
+        :class:`~repro.engine.spill.MemoryBudget`); hash joins spill to
         Grace partitions when their build side would overflow it.
     ``faults``
         A :class:`~repro.engine.faults.FaultPlan` chaos schedule for the

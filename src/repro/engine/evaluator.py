@@ -12,7 +12,7 @@ difference measurable against the materialising evaluators'
 ``peak_intermediate_cardinality``.
 
 One execution knob, ``budget`` (row count or
-:class:`~repro.engine.physical.MemoryBudget`), caps the rows resident in
+:class:`~repro.engine.spill.MemoryBudget`), caps the rows resident in
 operator state.  Hash joins lower to
 :class:`~repro.engine.physical.GraceHashJoin` nodes that spill their build
 side to disk partitions when the meter would overflow, recursing on

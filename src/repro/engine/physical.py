@@ -56,7 +56,6 @@ from .spill import (
     _first,
     _log_spill,
 )
-from .stats import RelationStats
 
 __all__ = [
     "SWEEP_ROWS",

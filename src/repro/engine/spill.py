@@ -1,17 +1,18 @@
-"""The one way engine rows get to disk and back.
+"""The memory budget, and the one way engine rows get to disk and back.
 
 The paper's point is that ``project[S](phi_G)`` over ``R_G`` has
 intermediates far larger than its input or output; under a
-:class:`~repro.engine.physical.MemoryBudget` the engine spills operator
-state instead of holding it.  Two clients do — the Grace hash join and the
-dedup seen-set — and both go through this module: a registry of live spill
-directories (atexit sweep, fork hook) behind every ``finally``;
-:class:`SpillFile`, pickled row blocks under one bounded retry helper and a
-read-back check;
-:func:`partition_index`, the salted hash that places a key at a split
-level; and :class:`PartitionedSpill`, one execution's spill area.  What an
-operator does with a partition that is resident again (build a table, fill
-a seen-set, split again, fall back) stays in :mod:`repro.engine.physical`.
+:class:`MemoryBudget` the engine spills operator state instead of holding
+it, and the shared :class:`MemoryMeter` says how much is held.  Two
+clients spill — the Grace hash join
+(:class:`~repro.engine.physical.GraceHashJoin`) and the dedup seen-set
+(:class:`SpillingSeenSet`) — and both go through this module: a registry
+of live spill directories (atexit sweep, fork hook) behind every
+``finally``; :class:`SpillFile`, pickled row blocks under one bounded
+retry helper and a read-back check; :func:`partition_index`, the salted
+hash that places a key at a split level; :class:`PartitionedSpill`, one
+execution's spill area; and :func:`_drain_spill`, the one recursion that
+loads, re-splits or falls back on a partition through its client.
 """
 
 from __future__ import annotations

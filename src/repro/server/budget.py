@@ -9,7 +9,7 @@ default slice.  :class:`BudgetScheduler` is that pool: the front
 acquires a :class:`BudgetLease` per admitted request, the leased row
 count travels to the worker as the request's engine budget (the worker
 serves it from a session constructed with exactly that
-:class:`~repro.engine.physical.MemoryBudget`), and the lease is returned
+:class:`~repro.engine.spill.MemoryBudget`), and the lease is returned
 when the response is written.  Concurrent leases can never sum past the
 pool, so the fleet's aggregate engine state is bounded the same way one
 session's was — the scheduler is the budget contract lifted from

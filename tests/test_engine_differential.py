@@ -318,6 +318,41 @@ def test_degenerate_shapes_survive_every_config(tmp_path):
             )
 
 
+def test_the_memory_bound_is_not_one_budget(tmp_path):
+    """The fuzz case (seed 424242) that showed the old sentence, "the result
+    plus at most a budget's worth of operator state", wrong: with an empty
+    result its peak is twice the budget (8), because the spilling dedup
+    under the inner join replays a partition against a meter the joins'
+    tables pin.  The stated bound (4 x 2 + 2 joins = 10) holds."""
+    bindings = {
+        "R0": Relation.from_rows("A", [(0,)]),
+        "R1": Relation.from_rows("G C D A", [(0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0)]),
+        "R2": Relation.from_rows(
+            "G A E",
+            [
+                ("x", "x", "x"), ("x", "z", "z"), ("x", 3, "y"), ("x", 4, 0),
+                ("x", 4, 1), ("z", 1, 0), ("z", 3, 3), (0, "x", "x"), (0, "y", 4),
+                (0, 0, "x"), (0, 0, 4), (1, "x", "x"), (1, "x", 0), (1, "z", 4),
+                (2, "x", 0), (2, "y", "x"), (2, "z", 3), (2, 4, "x"), (3, 1, "x"),
+                (4, "y", "z"),
+            ],
+        ),
+    }
+    expression = Join(
+        (
+            Operand("R0", bindings["R0"].scheme),
+            Operand("R1", bindings["R1"].scheme),
+            Projection(["A", "G"], Operand("R2", bindings["R2"].scheme)),
+        )
+    )
+    evaluator = EngineEvaluator(budget=_tiny_budget(tmp_path))
+    result, trace = evaluator.evaluate(expression, bindings)
+    assert result == _reference_evaluate(expression, bindings)
+    bound = _state_bound(evaluator.pinned_plan(expression), TINY_BUDGET_ROWS)
+    assert bound == TINY_BUDGET_ROWS * 2 + 2
+    assert TINY_BUDGET_ROWS < trace.peak_live_rows - len(result) <= bound
+
+
 def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
     """The chaos axis: every random case runs under a random
     :class:`~repro.engine.faults.FaultPlan` on every grid point.  Each

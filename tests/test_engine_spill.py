@@ -165,7 +165,7 @@ class TestSpillLifecycle:
 
 class TestSpillDriver:
     """The one recursion both spilling clients drain their partitions
-    through (``physical._drain_spill``): load a partition that fits,
+    through (``spill._drain_spill``): load a partition that fits,
     re-split one larger than the budget while splitting makes progress,
     and hand the rest to the client's fallback."""
 
