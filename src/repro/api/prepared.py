@@ -131,6 +131,32 @@ class PreparedQuery:
         self._last_trace = trace
         return QueryResult(relation=relation, trace=trace)
 
+    def count(self, **bindings: Relation) -> int:
+        """Run the pinned plan and return how many rows its result has.
+
+        The answer is ``len(execute(**bindings))``, reached without the
+        result relation: a plan whose rows are distinct by construction
+        (``explain()`` marks its root ``[distinct: no dedup]``) streams its
+        rows as empty tuples and counts block lengths, holding none; any
+        other plan drains into the deduplicating set and reads its length.
+        The execution is accounted and traced as an :meth:`execute` is
+        (:meth:`last_trace`); its ``peak_live_rows`` holds no result row on
+        a distinct root.
+        """
+        binding, reused = self._current_binding()
+        if bindings:
+            binding = self._merge_overrides(binding, bindings)
+        rows, trace = self._session._run(self.expression, binding, reused, count=True)
+        self._last_trace = trace
+        return rows
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        """The result's column names, in the order :meth:`execute` presents
+        them (the engine's output order follows its plan)."""
+        binding = self._current_binding()[0]
+        return self._session._engine.plan_for(self.expression, binding.relations).root.scheme.names
+
     def trace(self, **bindings: Relation) -> EvaluationTrace:
         """Execute and return the engine's :class:`EvaluationTrace`.
 

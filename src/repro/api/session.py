@@ -329,15 +329,21 @@ class Session:
         self._forget_engine_plan(expression)
 
     def _run(
-        self, expression: Expression, binding: "Binding", reused: bool, tracer=None
-    ) -> Tuple[Relation, EvaluationTrace]:
-        """Run a prepared query's binding and account for it (:meth:`_record`).
-        The trace is returned uncopied."""
+        self,
+        expression: Expression,
+        binding: "Binding",
+        reused: bool,
+        tracer=None,
+        count: bool = False,
+    ) -> Tuple[Union[Relation, int], EvaluationTrace]:
+        """Run a prepared query's binding and account for it (:meth:`_record`):
+        the relation, or with ``count`` its row count.  The trace is
+        returned uncopied."""
         start = perf_counter()
         # The prepared query compiled through ``_engine``: the evaluator exists.
-        relation, trace = self._engine_evaluator.run(expression, binding, tracer)
+        result, trace = self._engine_evaluator.run(expression, binding, tracer, count)
         self._record(reused, trace, perf_counter() - start)
-        return relation, trace
+        return result, trace
 
     def _record(
         self, reused: bool, trace: Optional[EvaluationTrace] = None, seconds: float = 0.0

@@ -129,7 +129,7 @@ def _command_count(arguments: argparse.Namespace) -> int:
     reduction = Theorem3Reduction(formula)
     instance = reduction.instance()
     with Session(instance.relation) as session:
-        tuple_count = len(session.execute(instance.expression))
+        tuple_count = session.prepare(instance.expression).count()
     via_query = reduction.models_from_tuple_count(tuple_count)
     via_sat = count_models(reduction.construction.formula)
     print(f"formula (normalised): {formula}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..algebra.relation import Relation
 from ..expressions.ast import Expression
@@ -217,10 +217,14 @@ class EngineEvaluator:
         expression: Expression,
         binding: Binding,
         tracer: Optional[object] = None,
-    ) -> Tuple[Relation, EvaluationTrace]:
+        count: bool = False,
+    ) -> Tuple[Union[Relation, int], EvaluationTrace]:
         """The one run path: look the pinned plan up, instantiate and drain
         it over a validated ``binding`` (:meth:`evaluate` binds first; a
-        prepared query passes the one it pinned)."""
+        prepared query passes the one it pinned).  ``count`` returns the
+        number of result rows in place of the relation, built from no set
+        on a distinct root (:attr:`PhysicalPlan.distinct`) and from no
+        ``frozenset`` copy on any other."""
         observer = self.observer
         events = None
         if observer is not None:
@@ -229,11 +233,11 @@ class EngineEvaluator:
                 tracer = observer.tracer()
         if tracer is None or not tracer.enabled:
             plan = self.plan_for(expression, binding.relations)
-            return self._execute(plan, binding, None, events)
+            return self._execute(plan, binding, None, events, count)
         with tracer.span("execute", "evaluate"):
             with tracer.span("plan", "plan_for"):
                 plan = self.plan_for(expression, binding.relations)
-            result, trace = self._execute(plan, binding, tracer, events)
+            result, trace = self._execute(plan, binding, tracer, events, count)
         trace.spans = tracer.finish()
         return result, trace
 
@@ -243,7 +247,8 @@ class EngineEvaluator:
         binding: Binding,
         tracer: Optional[object],
         events: Optional[object],
-    ) -> Tuple[Relation, EvaluationTrace]:
+        count: bool = False,
+    ) -> Tuple[Union[Relation, int], EvaluationTrace]:
         trace = EvaluationTrace(backend="engine")
         trace.input_cardinality = binding.input_rows
         before = counter_values(_COUNTERS)
@@ -258,15 +263,24 @@ class EngineEvaluator:
             self._budget_rows, faults=injector, tracer=tracer, events=events
         )
         operators: List[PhysicalOperator] = []
-        root = plan.executor(binding.relations, meter, operators)
-        rows = drain_metered(root, meter, span=True)
-        result = Relation._from_trusted(root.scheme, frozenset(rows))
+        root = plan.executor(binding.relations, meter, operators, count)
+        # The root node's mark, read without a call (see PhysicalPlan.distinct).
+        found = drain_metered(root, meter, span=True, distinct=plan.root.distinct, count=count)
+        if count:
+            result = size = found
+        else:
+            result = Relation._from_trusted(root.scheme, frozenset(found))
+            size = len(found)
         self._record_steps(plan, binding, operators, trace)
         trace.peak_live_rows = meter.peak
         trace.peak_build_rows = max(map(_build_peak, operators))
+        bound = plan.state_bound
+        if bound is not None and meter.peak - size > bound:
+            # The stated memory bound broken: the tripwire says so.
+            _COUNTERS.add(spill_overflows=1)
 
         trace.counters = counter_delta(before)
-        trace.result_cardinality = len(rows)
+        trace.result_cardinality = size
         observer = self.observer
         if observer is not None:
             self._observe_q_errors(observer.metrics, operators)

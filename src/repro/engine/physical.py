@@ -34,12 +34,14 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterator,
     List,
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..perf.counters import kernel_counters
@@ -205,7 +207,9 @@ class StreamingProject(PhysicalOperator):
     join-output block is what the sink exists to avoid.
 
     ``pick`` is ``None`` over a hash join this projection was folded into
-    (:meth:`HashJoin.fuse`): it already emits ``scheme``; the dedup is left.
+    (:meth:`HashJoin.fuse`): it already emits ``scheme``; the dedup is left,
+    unless the root is distinct by construction (``PhysicalPlan.distinct``):
+    then the join's blocks pass on as they are.
     """
 
     def __init__(
@@ -260,7 +264,8 @@ class StreamingProject(PhysicalOperator):
     def _blocks_no_dedup(self) -> Iterator[Block]:
         self.rows_out = 0
         for block in self._child.blocks():
-            out = list(self._picked(block))
+            # A folded join's blocks are this projection's rows already.
+            out = block if self._pick is None else list(self._picked(block))
             if out:
                 self.rows_out += len(out)
                 yield out
@@ -965,7 +970,9 @@ def drain_metered(
     meter: MemoryMeter,
     cap: Optional[int] = None,
     span: bool = False,
-) -> Optional[Set[tuple]]:
+    distinct: bool = False,
+    count: bool = False,
+) -> Union[Set[tuple], FrozenSet[tuple], int, None]:
     """Drain an operator tree into a set, metering the accumulated rows.
 
     The one drain of the engine.  The set is offered to the root as its
@@ -974,6 +981,13 @@ def drain_metered(
     are held on the meter as result rows (:meth:`MemoryMeter.hold_result`):
     they count in its peak, never against an operator's budget.
 
+    A ``distinct`` root (:attr:`~repro.engine.planner.PhysicalPlan.distinct`)
+    streams no duplicate row, so no set is built: its blocks are kept as
+    they come and frozen once at the end, and the result is that
+    ``frozenset``.  ``count`` returns the number of result rows instead: a
+    distinct root's are its block lengths, held nowhere; any other root's
+    are the length of the drained set, never copied.
+
     Past ``cap`` rows the drain stops and returns ``None``; then, or when
     the tree or the drain itself raises (a fault, ``MemoryError``),
     the tree is closed and the partial rows' residency released.  ``span``
@@ -981,42 +995,54 @@ def drain_metered(
     a tracer (an untraced drain opens no span at all).  Automatic collection
     is paused meanwhile (rule 7 of
     ``docs/ENGINE.md``): rows are freed by reference count, so one generation-0
-    sweep per :data:`SWEEP_ROWS` result rows untracks the only survivors young.
+    sweep per :data:`SWEEP_ROWS` held result rows untracks the only survivors
+    young.
     """
     if span and meter.tracer is not None and meter.tracer.enabled:
         with meter.tracer.span("materialize", "drain") as handle:
-            rows = drain_metered(root, meter, cap)
-            if rows is not None:
-                handle.rows = len(rows)
-        return rows
+            found = drain_metered(root, meter, cap, False, distinct, count)
+            if found is not None:
+                handle.rows = found if count else len(found)
+        return found
     rows: Set[tuple] = set()
     update = rows.update
-    size = swept = 0
-    blocks = root.blocks(rows)
+    kept: List[Block] = []
+    blocks = root.blocks() if distinct else root.blocks(rows)
+    # A distinct count holds no result row.
+    holding = not (distinct and count)
+    size = held = swept = 0
     with _COLLECTOR_PAUSE as sweeping:
         try:
             block = next(blocks, None)
             while block is not None:
-                update(block)
-                grown = len(rows)
+                if not distinct:
+                    update(block)
+                    grown = len(rows)
+                else:
+                    grown = size + len(block)
+                    if holding:
+                        kept.append(block)
                 if cap is not None and grown > cap:
                     blocks.close()
-                    meter.release_result(size)
+                    meter.release_result(held)
                     return None
-                if grown != size:
+                if holding and grown != size:
                     meter.hold_result(grown - size)
-                    size = grown
+                    held = grown
+                size = grown
                 block = next(blocks, None)
                 # After the pull: a stream that just ended is swept with its tree gone.
-                if sweeping and size - swept >= SWEEP_ROWS:
+                if sweeping and held - swept >= SWEEP_ROWS:
                     gc.collect(0)
-                    swept = size
+                    swept = held
         except BaseException as failure:
             # Now, not whenever the traceback is dropped: the suspended tree
             # holds spill files and reservations, and nothing collects here.
             try:
                 blocks.close()
             finally:
-                meter.release_result(size)
+                meter.release_result(held)
                 raise failure  # never a cleanup's own error in its place
-    return rows
+    if count:
+        return size
+    return frozenset(chain.from_iterable(kept)) if distinct else rows

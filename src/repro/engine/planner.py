@@ -26,6 +26,9 @@ Decisions are driven by the statistics catalog (:mod:`repro.engine.stats`):
   pushed, deduplicating ``project`` wherever the catalog proves the pruned
   stream collapses, and the ordering scores candidates by that pruned
   cardinality (see :meth:`Planner._order_joins`).
+* **Distinct roots** — an unbudgeted plan whose rows are distinct by
+  construction (:func:`_distinct_root`) is marked, so its result is built
+  from no set and its count from no row.
 
 Hash join is the only join: relations are sets, so no operator produces or
 needs a row order, and a plan is ``scan | project | hash-join`` and nothing
@@ -159,6 +162,12 @@ class PlanNode:
     #: included: the kernel that executes the run (see
     #: :meth:`~repro.engine.physical.HashJoin.fuse`).  Inner members hold none.
     chain: Optional[ChainKernel] = None
+    #: Set by :func:`fuse_chains` on the run a distinct plan's root streams:
+    #: the same run compiled to emit the empty row, which a count executes.
+    count_chain: Optional[ChainKernel] = None
+    #: Set on the root of a plan whose rows are distinct by construction
+    #: (:func:`_distinct_root`): a root projection then keeps no dedup.
+    distinct: bool = False
     #: Where a join's estimate came from, recorded when it was planned (see
     #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
     #: that could re-derive it are gone by the time the plan is pinned.
@@ -228,11 +237,14 @@ class PlanNode:
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
         out: List[PhysicalOperator],
+        count: bool = False,
     ) -> PhysicalOperator:
         """Build the executable operator tree for one evaluation.
 
         Every operator built is appended to ``out``, children first — the
         order traces record steps in — and the subtree's root is returned.
+        ``count`` says only the subtree's rows are counted: a run with a
+        ``count_chain`` then executes it.
         """
         if self.kind == "scan":
             operator: PhysicalOperator = TableScan(
@@ -249,13 +261,13 @@ class PlanNode:
                     operator, realign.pick, self.scheme, meter, dedup=False
                 )
         elif self.kind == "project":
-            child = self.children[0].instantiate(bindings, meter, out)
+            child = self.children[0].instantiate(bindings, meter, out, count)
             operator = StreamingProject(
                 child,
                 self.pick,
                 self.scheme,
                 meter,
-                dedup=self.dedup,
+                dedup=self.dedup and not self.distinct,
                 budget=self.budget,
                 pushed=self.pushed,
             )
@@ -277,7 +289,8 @@ class PlanNode:
                     left, right, self.join_plan, meter, build_side=self.build_side
                 )
             if self.chain is not None:
-                operator.fuse(self.chain, self.emit_scheme)
+                kernel = self.count_chain if count and self.count_chain else self.chain
+                operator.fuse(kernel, self.emit_scheme)
         else:  # pragma: no cover - defensive
             raise ExpressionError(f"unknown plan node kind {self.kind!r}")
         operator.est_rows = float(self.stats.cardinality)
@@ -305,7 +318,9 @@ def fold_projection(
     return replace(child, emit_scheme=plan.target_scheme), None
 
 
-def fuse_chains(node: PlanNode, deduplicated: bool = False) -> PlanNode:
+def fuse_chains(
+    node: PlanNode, deduplicated: bool = False, counted: bool = False
+) -> PlanNode:
     """Compile a kernel for every run of hash joins under ``node``, in place.
 
     A run is a maximal chain of hash joins in which each join's probe child
@@ -319,7 +334,9 @@ def fuse_chains(node: PlanNode, deduplicated: bool = False) -> PlanNode:
     run of one.  ``deduplicated`` says ``node``'s parent is a deduplicating
     projection: only then may a lone join emit a block grouped
     (:class:`~repro.perf.plancache.GroupedEmission`), as nothing else reads
-    how often a row arrives.
+    how often a row arrives.  ``counted`` says ``node`` is a distinct plan's
+    root (:func:`_distinct_root`): the run its stream comes from also gets a
+    ``count_chain`` that emits the empty row, so a count builds no row.
     """
     members: List[PlanNode] = []
     below = node
@@ -335,12 +352,82 @@ def fuse_chains(node: PlanNode, deduplicated: bool = False) -> PlanNode:
             emit = tuple(node.scheme.names.index(name) for name in node.emit_scheme.names)
         levels = [(member.build_side == "left", member.join_plan) for member in members]
         node.chain = make_chain_kernel(levels[::-1], emit, grouping=deduplicated)
+        if counted:
+            node.count_chain = make_chain_kernel(levels[::-1], ())
     rest = [below] if members else list(node.children)
     for member in members:
         rest.append(member.children[1 - member.probe_child_index()])
     for child in rest:
-        fuse_chains(child, node.kind == "project" and node.dedup)
+        # A distinct root keeps no dedup, so it licenses no grouping; only
+        # its child is still the counted stream.
+        fuse_chains(
+            child,
+            node.kind == "project" and node.dedup and not node.distinct,
+            counted and node.kind == "project",
+        )
     return node
+
+
+def _kept_key(
+    key: Optional[FrozenSet[str]], names: FrozenSet[str]
+) -> Optional[FrozenSet[str]]:
+    """A no-dedup projection onto ``names`` keeps its child's ``key`` only
+    if it keeps every column of it."""
+    return key if key is not None and key <= names else None
+
+
+def _key(node: PlanNode) -> Optional[FrozenSet[str]]:
+    """Columns no two rows of ``node``'s unbudgeted stream agree on, so the
+    stream holds no duplicate row; ``None`` when none are known.
+
+    The uniqueness inference of Paulley and Larson ("Exploiting uniqueness
+    in query optimization", ICDE 1994) over the plan's three operators:
+    a scan's full scheme is a key (a relation is a set); a deduplicating
+    projection's kept columns are; a no-dedup projection keeps its child's
+    (:func:`_kept_key`); and a hash join's key is its probe side's plus the
+    build side's columns, because each bucket is a *set* of build entries.
+    A budget breaks the last two: a pushed budgeted projection passes rows
+    through unremembered, and a chunked Grace build can hold one entry in
+    two chunks.
+    """
+    if node.kind == "scan":
+        return node.scheme.name_set
+    if node.kind == "project":
+        if node.dedup:
+            return node.scheme.name_set
+        return _kept_key(_key(node.children[0]), node.scheme.name_set)
+    probe = node.probe_child_index()
+    key = _key(node.children[probe])
+    if key is None:
+        return None
+    return key | node.children[1 - probe].scheme.name_set
+
+
+def _distinct_root(root: PlanNode) -> bool:
+    """Whether an unbudgeted plan's ``root`` streams distinct rows without a
+    dedup of its own: its input's key lies inside the columns it emits."""
+    if root.kind == "project":
+        return _kept_key(_key(root.children[0]), root.scheme.name_set) is not None
+    return _key(root) is not None
+
+
+def _state_bound(root: PlanNode, budget_rows: int) -> int:
+    """The operator state a budgeted plan may hold (``docs/ENGINE.md``, "The
+    memory bound"): the budget, plus a budget's worth per spilling dedup
+    (a partition of at most the budget replays resident whatever else is
+    held) and one build entry per Grace join (the chunk loader's entry
+    when the meter has no headroom).  A root projection dedups into the
+    drain's result set and holds no seen-set of its own."""
+    dedups = joins = 0
+    stack = [(root, True)]
+    while stack:
+        node, is_root = stack.pop()
+        if node.kind == "hash-join":
+            joins += 1
+        elif node.kind == "project" and node.dedup and not node.pushed and not is_root:
+            dedups += 1
+        stack.extend((child, False) for child in node.children)
+    return budget_rows * (1 + dedups) + joins
 
 
 def _drop_samples(node: PlanNode) -> PlanNode:
@@ -393,6 +480,10 @@ class PhysicalPlan:
     #: ``expression`` (see :func:`~repro.tableaux.minimize_expression`), or
     #: ``None`` when it lowered ``expression`` as written.
     minimized: Optional[Expression] = None
+    #: At most how many rows of operator state a budgeted execute may hold
+    #: beside its result (:func:`_state_bound`); ``None`` when unbudgeted.
+    #: An execute past it counts a ``spill_overflows``.
+    state_bound: Optional[int] = None
     #: What traces record of each operator that never changes between
     #: executions — label, kind, width — keyed by the executing tree's shape
     #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
@@ -408,20 +499,28 @@ class PhysicalPlan:
         """Estimated total cost (unit-per-row model)."""
         return self.root.cost
 
+    @property
+    def distinct(self) -> bool:
+        """Whether the root's rows are distinct by construction, so the
+        result needs no dedup (:func:`_distinct_root`; never under a budget)."""
+        return self.root.distinct
+
     def executor(
         self,
         bindings: Mapping[str, Relation],
         meter: MemoryMeter,
         operators: Optional[List[PhysicalOperator]] = None,
+        count: bool = False,
     ) -> PhysicalOperator:
         """Instantiate the operator tree against one set of bound relations.
 
         ``operators``, when given, receives every operator children first
         (the root last): the order traces record steps in, read without
-        walking the tree again.
+        walking the tree again.  ``count`` builds the tree a count drains:
+        a distinct root's run emits empty rows.
         """
         out = [] if operators is None else operators
-        return self.root.instantiate(bindings, meter, out)
+        return self.root.instantiate(bindings, meter, out, count)
 
     def explain(self) -> str:
         """Render the plan as an indented tree with per-node estimates,
@@ -439,6 +538,7 @@ class PhysicalPlan:
             lines.append(
                 f"{indent}{node.describe()}"
                 f"  [est_rows={node.est_rows:.1f} cost={node.cost:.1f}]"
+                + ("  [distinct: no dedup]" if node.distinct else "")
             )
             for child in node.children:
                 render(child, depth + 1)
@@ -475,16 +575,19 @@ class Planner:
         # Minimization keeps at least one occurrence of every operand name,
         # so the bindings and catalog entries are the written query's.
         planned = minimize_expression(expression)
-        root = fuse_chains(_drop_samples(self._lower(planned, stats)))
+        root = _drop_samples(self._lower(planned, stats))
+        budget = self.budget
         # The final projection keeps dedup=True, but when the evaluator drains
         # the plan it holds no seen-set of its own: it dedups straight into
         # the drain's result set (see StreamingProject), and its rows_out —
         # that set's growth — is still the true result cardinality for
-        # traces.  Only *inner* dedups are planner-elided.
+        # traces.  A distinct root needs not even that.
+        root.distinct = budget is None and _distinct_root(root)
         return PhysicalPlan(
-            root=root,
+            root=fuse_chains(root, counted=root.distinct),
             expression=expression,
             minimized=None if planned is expression else planned,
+            state_bound=None if budget is None else _state_bound(root, budget.rows),
         )
 
     # -- lowering ------------------------------------------------------

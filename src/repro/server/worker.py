@@ -192,17 +192,24 @@ class _WorkerRuntime:
         # a served query runs in one process.
         session = self._session_for(message.get("budget"))
         prepared = session.prepare(message["query"])
-        result = prepared.execute()
+        # A count reads no rows: it builds no result relation.
+        count_only = message.get("count_only")
+        if count_only:
+            rowcount = prepared.count()
+            trace = prepared.last_trace()
+            columns = prepared.columns
+        else:
+            result = prepared.execute()
+            rowcount, trace, columns = len(result), result.trace, result.scheme.names
         elapsed = perf_counter() - start
-        trace = result.trace
         counters = trace.counters
         self._overflows.inc(counters.get("spill_overflows", 0))
         response: Dict[str, Any] = {
             "ok": True,
             "worker": self.index,
-            "columns": list(result.scheme.names),
+            "columns": list(columns),
             "versions": {name: self._versions.get(name) for name in prepared.operand_names},
-            "rowcount": len(result),
+            "rowcount": rowcount,
             "elapsed_ms": elapsed * 1000.0,
             "budget": self._session_key(message.get("budget")),
             "spilled_rows": counters.get("spill_rows", 0),
@@ -210,7 +217,7 @@ class _WorkerRuntime:
             "peak_memory_rows": trace.peak_memory_rows,
             "spans": len(trace.spans or ()),
         }
-        if not message.get("count_only"):
+        if not count_only:
             response["rows"] = [list(row) for row in result.relation.sorted_rows()]
         return response
 

@@ -3,7 +3,9 @@ planner printed it (commit ``c55a403``, the parent of the PR that measures
 composite keys): the eight ``serving_queries()`` over ``serving_relations()``
 and the ladder's three ``join_100k`` queries over a 2,000-row slice.
 ``tests/test_engine_ordering.py`` requires today's planner to print the same
-text, byte for byte, without drawing a sample.
+text, byte for byte, without drawing a sample.  The three serving roots
+whose rows are distinct by construction carry the ``[distinct: no dedup]``
+mark the planner added later; nothing else in the text moved.
 """
 
 SERVING_PLANS = (
@@ -46,7 +48,7 @@ SERVING_PLANS = (
         "    scan T  [est_rows=207.0 cost=207.0]"
     ),
     (
-        "project[C]  [est_rows=23.0 cost=1357.0]\n"
+        "project[C]  [est_rows=23.0 cost=1357.0]  [distinct: no dedup]\n"
         "  hash join on (C) [build=right]  [est_rows=23.0 cost=1311.0]\n"
         "    project[C] (pushed)  [est_rows=23.0 cost=805.0]\n"
         "      scan S  [est_rows=391.0 cost=391.0]\n"
@@ -54,14 +56,14 @@ SERVING_PLANS = (
         "      scan T  [est_rows=207.0 cost=207.0]"
     ),
     (
-        "project[A, B]  [est_rows=600.0 cost=3816.0]\n"
+        "project[A, B]  [est_rows=600.0 cost=3816.0]  [distinct: no dedup]\n"
         "  hash join on (B) [build=right]  [est_rows=600.0 cost=2616.0]\n"
         "    scan R  [est_rows=600.0 cost=600.0]\n"
         "    project[B], no dedup  [est_rows=17.0 cost=782.0]\n"
         "      scan S  [est_rows=391.0 cost=391.0]"
     ),
     (
-        "project[A, C, D]  [est_rows=8280.0 cost=57274.0]\n"
+        "project[A, C, D]  [est_rows=8280.0 cost=57274.0]  [distinct: no dedup]\n"
         "  hash join on (C) [build=right]  [est_rows=8280.0 cost=40714.0]\n"
         "    project[A, C] (pushed)  [est_rows=920.0 cost=30893.0]\n"
         "      hash join on (B) [build=right]  [est_rows=13800.0 cost=16173.0]\n"

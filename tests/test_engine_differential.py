@@ -18,7 +18,7 @@ on even the smallest instances.
 Every grid point additionally pins the complete memory model: zero
 ``spill_overflows`` (dedup and unsplittable join partitions spill or chunk
 within the budget), ``peak_live_rows`` within the result plus the stated
-memory bound (:func:`_state_bound`) and zero leaked spill files, and
+memory bound (``PhysicalPlan.state_bound``) and zero leaked spill files, and
 every seed must reach both of a spilled join's modes: the tiny budget
 re-reads builds of up to 8 rows and partitions the larger ones, which is
 why relations run to 24 rows — at 14 too few builds were left for Grace
@@ -175,28 +175,12 @@ def _tiny_budget(spill_dir) -> MemoryBudget:
     return MemoryBudget(rows=TINY_BUDGET_ROWS, spill_fanout=2, spill_dir=str(spill_dir))
 
 
-def _state_bound(plan, budget_rows):
-    """The operator state a budgeted plan may hold (``docs/ENGINE.md``, "The
-    memory bound"): the budget, plus a budget's worth per spilling dedup
-    (a partition of at most the budget replays resident whatever else is
-    held) and one build entry per Grace join (the chunk loader's entry
-    when the meter has no headroom).  A root projection dedups into the
-    drain's result set and holds no seen-set of its own."""
-    dedups = joins = 0
-    stack = [(plan.root, True)]
-    while stack:
-        node, root = stack.pop()
-        if node.kind == "hash-join":
-            joins += 1
-        elif node.kind == "project" and node.dedup and not node.pushed and not root:
-            dedups += 1
-        stack.extend((child, False) for child in node.children)
-    return budget_rows * (1 + dedups) + joins
-
-
-def _assert_within_bound(evaluator, expression, trace, budget_rows, detail):
-    """``peak_live_rows`` is the result plus at most :func:`_state_bound`."""
-    bound = _state_bound(evaluator.pinned_plan(expression), budget_rows)
+def _assert_within_bound(evaluator, expression, trace, detail):
+    """``peak_live_rows`` is the result plus at most the plan's stated
+    memory bound (``PhysicalPlan.state_bound``, ``docs/ENGINE.md``, "The
+    memory bound"): the very number a budgeted execute's ``spill_overflows``
+    tripwire reads."""
+    bound = evaluator.pinned_plan(expression).state_bound
     excess = trace.peak_live_rows - trace.result_cardinality
     assert excess <= bound, f"peak_live_rows - |result| = {excess} > {bound}\n{detail}"
 
@@ -227,7 +211,7 @@ def _assert_engine_matches_reference(
     assert realigned == reference, detail
     assert trace.result_cardinality == len(reference), detail
     if budget_rows is not None:
-        _assert_within_bound(evaluator, expression, trace, budget_rows, detail)
+        _assert_within_bound(evaluator, expression, trace, detail)
     leftovers = [str(path) for path in spill_dir.iterdir()]
     assert not leftovers, f"spill files leaked: {leftovers}\n{detail}"
     # Which way the spilled joins went, and whether the planner pushed a projection into this plan.
@@ -323,7 +307,8 @@ def test_the_memory_bound_is_not_one_budget(tmp_path):
     plus at most a budget's worth of operator state", wrong: with an empty
     result its peak is twice the budget (8), because the spilling dedup
     under the inner join replays a partition against a meter the joins'
-    tables pin.  The stated bound (4 x 2 + 2 joins = 10) holds."""
+    tables pin.  The stated bound (4 x 2 + 2 joins = 10) holds, and a
+    budgeted execute past the plan's bound counts one ``spill_overflows``."""
     bindings = {
         "R0": Relation.from_rows("A", [(0,)]),
         "R1": Relation.from_rows("G C D A", [(0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0)]),
@@ -348,9 +333,17 @@ def test_the_memory_bound_is_not_one_budget(tmp_path):
     evaluator = EngineEvaluator(budget=_tiny_budget(tmp_path))
     result, trace = evaluator.evaluate(expression, bindings)
     assert result == _reference_evaluate(expression, bindings)
-    bound = _state_bound(evaluator.pinned_plan(expression), TINY_BUDGET_ROWS)
+    plan = evaluator.pinned_plan(expression)
+    bound = plan.state_bound
     assert bound == TINY_BUDGET_ROWS * 2 + 2
-    assert TINY_BUDGET_ROWS < trace.peak_live_rows - len(result) <= bound
+    excess = trace.peak_live_rows - len(result)
+    assert TINY_BUDGET_ROWS < excess <= bound
+    assert trace.counters.get("spill_overflows", 0) == 0
+    # The tripwire reads the same number: an execute past it counts one.
+    plan.state_bound = excess - 1
+    _, trace = evaluator.evaluate(expression, bindings)
+    assert trace.peak_live_rows - len(result) == excess
+    assert trace.counters["spill_overflows"] == 1
 
 
 def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
@@ -379,7 +372,7 @@ def test_chaos_fuzz_faults_never_corrupt_results(fuzz_seed, tmp_path):
                 result = None  # a typed failure is an allowed outcome
             if result is not None:
                 if budget is not None:
-                    _assert_within_bound(evaluator, expression, trace, budget.rows, detail)
+                    _assert_within_bound(evaluator, expression, trace, detail)
                 assert result.scheme.name_set == reference.scheme.name_set, detail
                 realigned = (
                     result

@@ -576,15 +576,23 @@ def _pinned_sessions():
 
 def test_executing_a_pinned_plan_compiles_nothing():
     """Every run's kernel is compiled when a plan is built and pinned with
-    it: an execute neither builds kernel source nor misses a plan cache."""
+    it: an execute neither builds kernel source nor misses a plan cache,
+    and neither does a count, whose empty-row kernel on a distinct root's
+    run was compiled beside the run's own."""
     chains = []
+    counting = []
     for relations, queries in _pinned_sessions():
         with Session(relations) as session:
             prepared = [session.prepare(query) for query in queries]
             expected = [query.execute().relation for query in prepared]
+            roots = [session._engine.pinned_plan(q.expression).root for q in prepared]
             chains += [
                 [node.chain.depth for node in _plan_nodes(root) if node.chain is not None]
-                for root in (session._engine.pinned_plan(q.expression).root for q in prepared)
+                for root in roots
+            ]
+            counting += [
+                [node.count_chain.depth for node in _plan_nodes(root) if node.count_chain]
+                for root in roots
             ]
             before = kernel_counters().snapshot()
             builder = mock.Mock(side_effect=AssertionError("compiled on execute"))
@@ -596,6 +604,7 @@ def test_executing_a_pinned_plan_compiles_nothing():
                 for _ in range(3):
                     for query, answer in zip(prepared, expected):
                         assert query.execute().relation == answer
+                        assert query.count() == len(answer)
             delta = kernel_counters().delta_since(before)
         assert not builder.called
         assert delta["join_plan_misses"] == delta["project_plan_misses"] == 0
@@ -603,6 +612,8 @@ def test_executing_a_pinned_plan_compiles_nothing():
     # is a two-join run, the paper's query a twelve-join one; every serving
     # query's runs are single joins (a pushed projection bounds a run).
     assert chains == [[2], [1], [1], [1], [1], [1], [1, 1], [1, 1], [1], [1], [1, 1], [12]]
+    # Only the three distinct serving roots stream a run that counts.
+    assert counting == [[], [], [], [], [], [], [], [], [1], [1], [1], []]
 
 
 def test_the_join_100k_runs_emit_their_pinned_rows():

@@ -13,6 +13,8 @@ part move with the host; these counts do not:
 * lock acquisitions, counted by stand-ins for every module and instance lock
   on the path: at most :data:`CLAIM_LOCKS` (15 before; the collector pause's
   two, the meter's one, the session counters' one and the metrics' one);
+* the same two counts for a warm :meth:`PreparedQuery.count`, at the same
+  bounds;
 * one serving query's calls, at most :data:`SERVING_CALLS` (the measured
   count plus 10 %; 558 before, when a join's empty extras picker was a
   Python call per build row), and a join's whose build side has one extra
@@ -71,16 +73,17 @@ def _warm(session, text):
     return prepared
 
 
-def _calls_of_one_execute(prepared):
+def _calls_of_one_execute(prepared, verb="execute"):
     calls = []
 
     def profile(_frame, event, _arg):
         if event == "call":
             calls.append(_frame.f_code.co_name)
 
+    run = getattr(prepared, verb)
     sys.setprofile(profile)
     try:
-        prepared.execute()
+        run()
     finally:
         sys.setprofile(None)
     return len(calls)
@@ -109,7 +112,7 @@ class _CountingLock:
         self._lock.release()
 
 
-def _locks_of_one_execute(prepared, session, monkeypatch):
+def _locks_of_one_execute(prepared, session, monkeypatch, verb="execute"):
     acquired = []
 
     def counting(name):
@@ -126,7 +129,7 @@ def _locks_of_one_execute(prepared, session, monkeypatch):
     monkeypatch.setattr(
         spill, "threading", SimpleNamespace(Lock=lambda: counting("meter"))
     )
-    prepared.execute()
+    getattr(prepared, verb)()
     monkeypatch.undo()
     return acquired
 
@@ -146,6 +149,21 @@ class TestTheClaimQuery:
             acquired = _locks_of_one_execute(prepared, session, monkeypatch)
         assert len(acquired) <= CLAIM_LOCKS, acquired
         # What the five are: the binding re-check and the plan lookup take none.
+        assert sorted(acquired) == ["collector", "collector", "meter", "metrics", "session"]
+
+    def test_a_warm_count_makes_at_most_forty_calls(self, budget):
+        """``count()`` runs the same path, reading the plan's mark, not
+        recomputing it, and copies no set."""
+        construction = _claim_construction()
+        with Session({"R": construction.relation}, budget=budget) as session:
+            prepared = _warm(session, _claim_text(construction))
+            assert _calls_of_one_execute(prepared, "count") <= CLAIM_CALLS
+
+    def test_a_warm_count_takes_at_most_five_locks(self, budget, monkeypatch):
+        construction = _claim_construction()
+        with Session({"R": construction.relation}, budget=budget) as session:
+            prepared = _warm(session, _claim_text(construction))
+            acquired = _locks_of_one_execute(prepared, session, monkeypatch, "count")
         assert sorted(acquired) == ["collector", "collector", "meter", "metrics", "session"]
 
 

@@ -1544,6 +1544,46 @@ class TestWorkerVersions:
             pool.close()
 
 
+class TestServedCounts:
+    """A ``count_only`` frame runs ``PreparedQuery.count()``, not
+    ``execute()``: it must answer what a full frame answers, bar the rows."""
+
+    PARITY = ("rowcount", "columns", "spilled_rows", "spill_overflows")
+
+    @staticmethod
+    def _runtime(config):
+        from repro.server.worker import _WorkerRuntime
+
+        versions = {name: content_version(r) for name, r in RELATIONS.items()}
+        return _WorkerRuntime(RELATIONS, versions, config, 0, None)
+
+    @pytest.mark.parametrize("budget", [None, 64], ids=["unbudgeted", "budget-64"])
+    def test_a_count_only_frame_answers_what_a_full_frame_does(self, budget):
+        runtime = self._runtime(BackendConfig())
+        try:
+            for query in QUERIES:
+                frame = {"op": "query", "query": query, "budget": budget}
+                full = runtime.handle(frame)
+                counted = runtime.handle({**frame, "count_only": True})
+                assert full["ok"] and counted["ok"], (full, counted)
+                assert "rows" not in counted and len(full["rows"]) == full["rowcount"]
+                for key in self.PARITY:
+                    assert counted[key] == full[key], (query, budget, key)
+        finally:
+            runtime.close()
+
+    def test_a_traced_count_still_reports_its_spans(self):
+        from repro.obs import ObserveConfig
+
+        runtime = self._runtime(BackendConfig(observe=ObserveConfig(trace=True)))
+        try:
+            for query in (HEAVY_QUERY, QUERIES[0]):
+                response = runtime.handle({"op": "query", "query": query, "count_only": True})
+                assert response["ok"] and response["spans"] > 0, response
+        finally:
+            runtime.close()
+
+
 class TestWorkerRuntimeFrames:
     """A worker's in-child request handling, driven in-process (no fork)."""
 
