@@ -53,7 +53,7 @@ Subpackages
     Benchmark workload generators, including the paper's worked example.
 """
 
-__version__ = "12.1.0"
+__version__ = "12.2.0"
 
 from .api import (
     BackendConfig,

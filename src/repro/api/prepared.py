@@ -10,7 +10,8 @@ and pins everything that does not change between executions of one query:
   is, and only the first one after a mutation re-resolves the names it
   reads (re-binding and re-planning if one of them was replaced);
 * the engine's :class:`~repro.engine.planner.PhysicalPlan`, pinned in the
-  session's evaluator, its single holder.
+  session's evaluator, its single holder, with the operator trees the
+  pinned binding's finished executes left for the next ones.
 
 ``execute()`` then runs the pinned plan; the session's counters record a
 plan-cache hit for every execution that re-planned nothing, which is how the
@@ -62,6 +63,7 @@ class PreparedQuery:
         mapping, epoch = session._resolve_bindings(self.expression)
         engine = session._engine
         binding = engine.bind(self.expression, mapping)
+        binding.pinned = True  # executes reuse its operator trees
         engine.plan_for(self.expression, binding.relations)
         self._pinned = (epoch, binding)
         session._count("plan_builds")

@@ -74,6 +74,7 @@ class EngineMembershipDecider:
         from ..algebra.errors import TupleSchemeMismatch
         from ..algebra.tuples import as_tuple
         from ..engine.spill import MemoryMeter
+        from ..perf.counters import KernelCounters, fold_counts
 
         bound = bind_arguments(expression, arguments)
         plan = self._evaluator.plan_for(expression, bound)
@@ -82,6 +83,8 @@ class EngineMembershipDecider:
         # instead of building unbounded hash tables.
         budget = self._evaluator.budget
         meter = MemoryMeter(budget.rows if budget is not None else None)
+        # Counted as an execute counts: on its own, folded in at the end.
+        meter.counts = KernelCounters()
         root = plan.executor(bound, meter)
         try:
             # Interpret the candidate against the *expression's* result
@@ -100,6 +103,7 @@ class EngineMembershipDecider:
             return False
         finally:
             blocks.close()
+            fold_counts(meter.counts)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,12 @@ bound relations' statistics catalog and stores the plan (with every compiled
 join/projection artifact resolved) in a per-evaluator dictionary keyed by the
 expression, so repeated evaluation neither re-plans nor touches the
 process-global LRU plan caches.  Pinning is lock-guarded, so one evaluator
-may be shared by concurrent threads (each evaluation still gets its own
-meter and operator tree).  Call :meth:`EngineEvaluator.clear_plans` (or use
+may be shared by concurrent threads (each evaluation still drains an
+operator tree and meter of its own).  The tree a finished drain leaves is
+kept on the plan for the next execute of the same pinned binding (a
+prepared query's) and verb, so a warm execute builds no operator; an
+execute over any other binding builds its tree and lets it go.  Call
+:meth:`EngineEvaluator.clear_plans` (or use
 a fresh evaluator) after the data distribution shifts enough that a replan
 is worth it; a pinned plan stays *correct* for any conforming database
 either way.
@@ -45,10 +49,9 @@ from ..expressions.ast import Expression
 from ..expressions.evaluator import (
     ArgumentLike,
     EvaluationTrace,
-    TraceStep,
     bind_arguments,
 )
-from ..perf.counters import counter_delta, counter_values, kernel_counters
+from ..perf.counters import KernelCounters, fold_counts
 from .faults import FaultInjector, FaultPlan
 from ..obs.config import Observer, ObserveConfig
 from ..obs.metrics import DEFAULT_QERROR_BUCKETS
@@ -59,8 +62,6 @@ from .sampling import q_error
 
 __all__ = ["Binding", "EngineEvaluator"]
 
-_COUNTERS = kernel_counters()
-
 _NODE_KINDS = {
     "TableScan": "operand",
     "StreamingProject": "projection",
@@ -69,6 +70,7 @@ _NODE_KINDS = {
 }
 
 _build_peak = attrgetter("build_peak_rows")
+_rows_out = attrgetter("rows_out")
 
 
 class Binding:
@@ -76,9 +78,11 @@ class Binding:
     :meth:`EngineEvaluator.bind` (a prepared query pins one), with what
     every execution over them reads: ``shape``, what an operator tree
     varies with beyond its plan (each operand's presented column order: a
-    reordered one adds a realignment over its scan), and ``input_rows``."""
+    reordered one adds a realignment over its scan), and ``input_rows``.
+    ``pinned`` says the binding is a prepared query's, reused across
+    executes: only then are its operator trees kept for reuse."""
 
-    __slots__ = ("relations", "shape", "input_rows")
+    __slots__ = ("relations", "shape", "input_rows", "pinned")
 
     def __init__(self, relations: Dict[str, Relation]):
         self.relations = relations
@@ -86,6 +90,7 @@ class Binding:
             sorted((name, relation.scheme.names) for name, relation in relations.items())
         )
         self.input_rows = sum(len(relation) for relation in relations.values())
+        self.pinned = False
 
 
 def _live_label(operator: PhysicalOperator) -> bool:
@@ -249,41 +254,76 @@ class EngineEvaluator:
         events: Optional[object],
         count: bool = False,
     ) -> Tuple[Union[Relation, int], EvaluationTrace]:
-        trace = EvaluationTrace(backend="engine")
-        trace.input_cardinality = binding.input_rows
-        before = counter_values(_COUNTERS)
+        """Drain one operator tree of ``plan`` over ``binding``.
 
-        faults = self.faults
-        injector = (
-            FaultInjector(faults, events=events)
-            if faults is not None and faults.injects_anything
-            else None
-        )
-        meter = MemoryMeter(
-            self._budget_rows, faults=injector, tracer=tracer, events=events
-        )
-        operators: List[PhysicalOperator] = []
-        root = plan.executor(binding.relations, meter, operators, count)
+        A pinned binding's tree comes off the plan's free list for the
+        binding and the verb — built only when the list is empty — and goes
+        back onto it after a drain that finished; a drain that raised drops
+        it.  A count's tree differs from an execute's only on a distinct
+        root (its run emits empty rows), so elsewhere the two verbs share
+        one list.  The tree's operators, spill files and fault injector
+        count on its meter; the counts are folded into the process-global
+        ones when the drain ends either way, and are the trace's
+        ``counters``.
+        """
         # The root node's mark, read without a call (see PhysicalPlan.distinct).
-        found = drain_metered(root, meter, span=True, distinct=plan.root.distinct, count=count)
+        distinct = plan.root.distinct
+        key = (binding, count and distinct)
+        free = plan.trees.get(key) if binding.pinned else None
+        try:
+            tree = free.pop() if free else self._tree(plan, binding, count)
+        except IndexError:  # another thread took the last free tree
+            tree = self._tree(plan, binding, count)
+        root, operators, meter, meta, live = tree
+        counts = meter.counts
+        meter.current = meter.peak = meter.result = 0
+        faults = self.faults
+        injector = None
+        if faults is not None and faults.injects_anything:
+            injector = FaultInjector(faults, events)
+            injector.counts = counts
+        meter.faults = injector
+        meter.tracer = tracer
+        meter.events = events
+        if tracer is not None:
+            tracer.counts = counts
+        try:
+            found = drain_metered(root, meter, span=True, distinct=distinct, count=count)
+        except BaseException:
+            fold_counts(counts)
+            raise
         if count:
             result = size = found
         else:
             result = Relation._from_trusted(root.scheme, frozenset(found))
             size = len(found)
-        self._record_steps(plan, binding, operators, trace)
-        trace.peak_live_rows = meter.peak
-        trace.peak_build_rows = max(map(_build_peak, operators))
         bound = plan.state_bound
         if bound is not None and meter.peak - size > bound:
             # The stated memory bound broken: the tripwire says so.
-            _COUNTERS.add(spill_overflows=1)
-
-        trace.counters = counter_delta(before)
-        trace.result_cardinality = size
+            counts.spill_overflows += 1
+        trace = EvaluationTrace(
+            result_cardinality=size,
+            input_cardinality=binding.input_rows,
+            backend="engine",
+            counters=fold_counts(counts),
+            peak_live_rows=meter.peak,
+            peak_build_rows=max(map(_build_peak, operators)),
+        )
+        # Snapshotted now: the next execute reuses these operators.
+        trace.defer_steps(
+            meta,
+            tuple(map(_rows_out, operators)),
+            tuple(operator.label() for operator in live) if live else (),
+        )
         observer = self.observer
         if observer is not None:
             self._observe_q_errors(observer.metrics, operators)
+        if binding.pinned:
+            # The result rows leave the meter with the result.
+            meter.current -= meter.result
+            meter.result = 0
+            meter.faults = meter.tracer = meter.events = None
+            plan.trees.setdefault(key, []).append(tree)
         return result, trace
 
     @staticmethod
@@ -298,20 +338,20 @@ class EngineEvaluator:
         for operator in operators:
             histogram.observe(q_error(operator.est_rows, operator.rows_out))
 
-    @staticmethod
-    def _record_steps(
-        plan: PhysicalPlan,
-        binding: Binding,
-        operators: List[PhysicalOperator],
-        trace: EvaluationTrace,
-    ) -> None:
-        """Record per-operator streamed cardinalities, children first.
+    def _tree(self, plan: PhysicalPlan, binding: Binding, count: bool) -> tuple:
+        """Build an operator tree of ``plan`` over ``binding``, with a meter
+        and counts of its own: ``(root, operators children first, meter,
+        step meta, the operators whose labels are read live)``.
 
-        Labels, kinds and widths are fixed by the plan and the tree's shape
-        (see :class:`Binding`), so the first execution caches them on the
-        plan; only a label that reports how the run went — a Grace join's,
-        and a projection's that embeds one — is read live.
+        The meta — each step's label, kind and width — is fixed by the plan
+        and the tree's shape (see :class:`Binding`), so the first tree
+        caches it on the plan; only a label that reports how the run went —
+        a Grace join's, and a projection's that embeds one — is read live.
         """
+        meter = MemoryMeter(self._budget_rows)
+        meter.counts = KernelCounters()
+        operators: List[PhysicalOperator] = []
+        root = plan.executor(binding.relations, meter, operators, count)
         meta = plan.step_meta.get(binding.shape)
         if meta is None:
             meta = plan.step_meta[binding.shape] = [
@@ -322,16 +362,5 @@ class EngineEvaluator:
                 )
                 for operator in operators
             ]
-        steps = trace.steps
-        for operator, (label, node_kind, width) in zip(operators, meta):
-            rows_out = operator.rows_out
-            steps.append(
-                # description, node_kind, cardinality, scheme_width, cell_count
-                TraceStep(
-                    operator.label() if label is None else label,
-                    node_kind,
-                    rows_out,
-                    width,
-                    rows_out * width,
-                )
-            )
+        live = [operator for operator, step in zip(operators, meta) if step[0] is None]
+        return root, operators, meter, meta, live

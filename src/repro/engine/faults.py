@@ -35,6 +35,8 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from ..perf.counters import kernel_counters
+
 __all__ = [
     "EngineFaultError",
     "FaultPlan",
@@ -136,7 +138,8 @@ class FaultInjector:
 
     Thread-safe, so operators metering one evaluation from several threads
     would still count every I/O once.  Each scheduled injection increments the
-    ``fault_injected`` kernel counter before raising
+    ``fault_injected`` counter of ``counts`` — the process-global counters,
+    or the execute's own, which the evaluator sets — before raising
     :class:`InjectedFaultError`, so traces show exactly how many faults an
     evaluation absorbed.  When an :class:`repro.obs.events.EventLog` is
     attached (``events``), every injection additionally emits a ``fault``
@@ -147,6 +150,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, events: Optional[object] = None):
         self.plan = plan
         self.events = events
+        self.counts = kernel_counters()
         self._writes = 0
         self._reads = 0
         self._write_failures_left = plan.spill_failures
@@ -154,9 +158,7 @@ class FaultInjector:
         self._lock = threading.Lock()
 
     def _fire(self, kind: str) -> None:
-        from ..perf.counters import kernel_counters
-
-        kernel_counters().add(fault_injected=1)
+        self.counts.fault_injected += 1
         if self.events is not None:
             self.events.emit("fault", site=f"spill-{kind}")
         raise InjectedFaultError(f"injected spill {kind} fault ({self.plan!r})")

@@ -20,6 +20,9 @@ The iterator contract (see ``docs/ENGINE.md``):
   intermediate cardinality.
 * Row order carries no meaning: relations are sets, so no operator
   promises, requires or preserves an output order.
+* An operator resets its per-execute state (``rows_out``, build peaks,
+  spill figures) when it starts streaming, and holds no table, set or row
+  once its stream ends: an execute reuses the tree a finished drain left.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from typing import (
     Union,
 )
 
-from ..perf.counters import kernel_counters
 from ..perf.plancache import ChainKernel, GroupedEmission, JoinPlan
 from .spill import (
     BLOCK_ROWS,
@@ -73,8 +75,6 @@ __all__ = [
 Row = Tuple[Hashable, ...]
 Block = List[Row]
 
-_COUNTERS = kernel_counters()
-
 class PhysicalOperator:
     """Base class of the physical operators.
 
@@ -95,10 +95,14 @@ class PhysicalOperator:
     #: Under a memory budget this is what "never exceeds the build-side
     #: budget" is asserted against.
     build_peak_rows: int = 0
+    #: Whether ``blocks(sink)`` fills the sink with bare values, not
+    #: 1-tuples (a one-column root projection; :func:`drain_metered` wraps
+    #: them once at the end).
+    bare: bool = False
 
     def __init__(self, meter: MemoryMeter):
-        # The engine's own operators assign ``meter`` themselves: every
-        # execute instantiates a tree, and a frame per operator shows there.
+        # The engine's own operators assign ``meter`` themselves: a frame
+        # per operator shows on a cold execute, which builds the tree.
         self.meter = meter
 
     def blocks(self, sink: Optional[Set[Row]] = None) -> Iterator[Block]:
@@ -210,6 +214,11 @@ class StreamingProject(PhysicalOperator):
     (:meth:`HashJoin.fuse`): it already emits ``scheme``; the dedup is left,
     unless the root is distinct by construction (``PhysicalPlan.distinct``):
     then the join's blocks pass on as they are.
+
+    A ``bare`` root (:attr:`~repro.engine.planner.PlanNode.bare`: one
+    picked column, no folded join; set on the built operator) puts the bare *values* into the offered
+    sink, not 1-tuples: no tuple is built or hashed for a duplicate, and
+    the drain wraps the distinct values once at the end.
     """
 
     def __init__(
@@ -255,9 +264,10 @@ class StreamingProject(PhysicalOperator):
 
     def _blocks_into(self, sink: Set[Row]) -> Iterator[Block]:
         self.rows_out = 0
+        bare = self._single if self.bare else None
         for block in self._child.blocks():
             before = len(sink)
-            sink.update(self._picked(block))
+            sink.update(self._picked(block) if bare is None else map(bare, block))
             self.rows_out += len(sink) - before
             yield []
 
@@ -578,12 +588,13 @@ class HashJoin(PhysicalOperator):
         key_of = members[0]._probe_key_of
         get = frozen.get
         flush_rows = self._flush_rows
+        tally = self.meter.counts
         bottom_rows = 0
         out: Block = []
         try:
             for block in probe_blocks:
                 if count_probes:
-                    _COUNTERS.add(join_probes=len(block))
+                    tally.join_probes += len(block)
                 matches = map(get, map(key_of, block))
                 if tail:
                     matches = list(matches)
@@ -626,7 +637,7 @@ class HashJoin(PhysicalOperator):
                 emitted = [bottom_rows] + [next(counter) - 1 for counter in counts]
                 for member, rows in zip(members, emitted):
                     member.rows_out = rows
-                _COUNTERS.add(join_probes=sum(emitted))
+                tally.join_probes += sum(emitted)
 
     def label(self) -> str:
         """The one-line trace/explain label."""
@@ -742,7 +753,7 @@ class GraceHashJoin(HashJoin):
                         continue
                     # Overflow: stage the table built so far in one file.
                     self.spilled += 1
-                    _COUNTERS.add(join_spills=1)
+                    meter.counts.join_spills += 1
                     staged = spill.file("build")
                     staged.extend(
                         (key, entry) for key, bucket in buckets.items() for entry in bucket
@@ -791,11 +802,11 @@ class GraceHashJoin(HashJoin):
         spill.route(build_parts, chain.from_iterable(_drained(staged)), _first, 0)
         return build_parts
 
-    @staticmethod
-    def _counting_probes(blocks: Iterator[Block]) -> Iterator[Block]:
+    def _counting_probes(self, blocks: Iterator[Block]) -> Iterator[Block]:
         """Pass probe blocks through, counting their rows as join probes."""
+        counts = self.meter.counts
         for block in blocks:
-            _COUNTERS.add(join_probes=len(block))
+            counts.join_probes += len(block)
             yield block
 
     def _reread_join(self, build: SpillFile, probe_blocks: Iterator[Block]) -> Iterator[Block]:
@@ -887,7 +898,7 @@ class GraceHashJoin(HashJoin):
         build, probe = files
         with closing(self._chunks(build)) as chunks:
             for buckets in chunks:
-                _COUNTERS.add(join_chunk_passes=1)
+                self.meter.counts.join_chunk_passes += 1
                 yield from self._probe([buckets], probe.blocks(), False)
 
     def label(self) -> str:
@@ -986,7 +997,10 @@ def drain_metered(
     they come and frozen once at the end, and the result is that
     ``frozenset``.  ``count`` returns the number of result rows instead: a
     distinct root's are its block lengths, held nowhere; any other root's
-    are the length of the drained set, never copied.
+    are the length of the drained set, never copied.  A ``bare`` root
+    (:attr:`PhysicalOperator.bare`) fills the set with bare values: it is
+    metered the same, and the result is those values wrapped as 1-tuples
+    once, in a ``frozenset``.
 
     Past ``cap`` rows the drain stops and returns ``None``; then, or when
     the tree or the drain itself raises (a fault, ``MemoryError``),
@@ -1045,4 +1059,6 @@ def drain_metered(
                 raise failure  # never a cleanup's own error in its place
     if count:
         return size
+    if getattr(root, "bare", False):  # any object with blocks() may drain
+        return frozenset(zip(rows))
     return frozenset(chain.from_iterable(kept)) if distinct else rows

@@ -168,6 +168,10 @@ class PlanNode:
     #: Set on the root of a plan whose rows are distinct by construction
     #: (:func:`_distinct_root`): a root projection then keeps no dedup.
     distinct: bool = False
+    #: Set on a root deduplicating projection of one picked column over
+    #: anything but a folded join: its drain deduplicates the bare values,
+    #: not 1-tuples (see :class:`~repro.engine.physical.StreamingProject`).
+    bare: bool = False
     #: Where a join's estimate came from, recorded when it was planned (see
     #: :func:`~repro.engine.stats.join_estimate_provenance`): the samples
     #: that could re-derive it are gone by the time the plan is pinned.
@@ -271,6 +275,7 @@ class PlanNode:
                 budget=self.budget,
                 pushed=self.pushed,
             )
+            operator.bare = self.bare
         elif self.kind == "hash-join":
             left = self.children[0].instantiate(bindings, meter, out)
             right = self.children[1].instantiate(bindings, meter, out)
@@ -488,6 +493,12 @@ class PhysicalPlan:
     #: executions — label, kind, width — keyed by the executing tree's shape
     #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
     step_meta: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
+    #: Operator trees a finished drain left, free for the next execute of
+    #: the same pinned binding and verb, keyed ``(binding, counts)``:
+    #: ``counts`` is whether the tree runs a distinct root's count kernels
+    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._execute`).  They go
+    #: with the plan when it is forgotten or replaced.
+    trees: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def est_rows(self) -> float:
@@ -583,6 +594,12 @@ class Planner:
         # that set's growth — is still the true result cardinality for
         # traces.  A distinct root needs not even that.
         root.distinct = budget is None and _distinct_root(root)
+        root.bare = (
+            root.kind == "project"
+            and root.dedup
+            and not root.distinct
+            and getattr(root.pick, "single", None) is not None
+        )
         return PhysicalPlan(
             root=fuse_chains(root, counted=root.distinct),
             expression=expression,

@@ -162,7 +162,9 @@ class SpillFile:
     file that reads back fewer rows than were written to it.
     """
 
-    __slots__ = ("path", "rows", "_file", "_buffer", "_faults", "_tracer", "_events")
+    __slots__ = (
+        "path", "rows", "_file", "_buffer", "_faults", "_tracer", "_events", "_counts"
+    )
 
     def __init__(
         self,
@@ -178,6 +180,8 @@ class SpillFile:
         self._faults = faults
         self._tracer = tracer
         self._events = events
+        # A file of a PartitionedSpill counts on its meter's counts.
+        self._counts = _COUNTERS
 
     def _retry(self, op: str, attempt: Callable[..., Any], *args: Any) -> Any:
         """Run ``attempt(*args)``, absorbing ``OSError`` with bounded backoff."""
@@ -185,7 +189,7 @@ class SpillFile:
         try:
             for tried in range(SPILL_IO_RETRIES):
                 if tried:
-                    _COUNTERS.add(spill_retries=1)
+                    self._counts.spill_retries += 1
                     if self._events is not None:
                         self._events.emit(
                             "spill-retry", op=op, path=self.path, attempt=tried
@@ -228,7 +232,7 @@ class SpillFile:
         else:
             self._retry("write", self._write_frame)
         self.rows += len(self._buffer)
-        _COUNTERS.add(spill_rows=len(self._buffer))
+        self._counts.spill_rows += len(self._buffer)
         self._buffer = []
 
     def _write_frame(self) -> None:
@@ -321,7 +325,8 @@ class PartitionedSpill:
     ``finally``.  The directory is made (and registered for the atexit
     sweep) on the first :meth:`file`, so an execution that never spills
     touches no disk.  Every file handed out is wired to the shared
-    ``meter``'s fault injector, tracer and event log, and is remembered, so
+    ``meter``'s fault injector, tracer, event log and counts, and is
+    remembered, so
     :meth:`close` can close handles still open mid-write before removing
     the directory.
 
@@ -355,6 +360,7 @@ class PartitionedSpill:
             tracer=meter.tracer,
             events=meter.events,
         )
+        spill_file._counts = meter.counts
         self._files.append(spill_file)
         return spill_file
 
@@ -371,7 +377,7 @@ class PartitionedSpill:
             self.file(kind) if wanted is None or wanted[index] else None
             for index in range(fanout)
         ]
-        _COUNTERS.add(spill_partitions=sum(part is not None for part in parts))
+        self._meter.counts.spill_partitions += sum(part is not None for part in parts)
         return parts
 
     @staticmethod
@@ -484,9 +490,22 @@ class MemoryMeter:
     a :class:`repro.obs.tracer.Tracer` (``None`` when tracing is off — the
     pay-for-what-you-use contract) and a
     :class:`repro.obs.events.EventLog` for spill events.
+
+    ``counts`` is where every operator, spill file and fault injector of
+    the execute counts its work, with plain ``+=`` and no lock: an
+    execute's meter carries a :class:`~repro.perf.counters.KernelCounters`
+    of its own, which the evaluator folds into the process-global counters
+    when the drain ends (:func:`~repro.perf.counters.fold_counts`); a meter
+    built bare counts onto the process-global counters directly.
+
+    An execute's meter is reused with its operator tree: the evaluator
+    zeroes ``current``, ``peak`` and ``result`` and sets ``faults``,
+    ``tracer`` and ``events`` before every drain.
     """
 
-    __slots__ = ("current", "peak", "result", "budget", "faults", "tracer", "events", "_lock")
+    __slots__ = (
+        "current", "peak", "result", "budget", "faults", "tracer", "events", "counts", "_lock"
+    )
 
     def __init__(
         self,
@@ -502,6 +521,7 @@ class MemoryMeter:
         self.faults = faults
         self.tracer = tracer
         self.events = events
+        self.counts = _COUNTERS
         self._lock = threading.Lock()
 
     def acquire(self, rows: int = 1) -> None:
@@ -598,7 +618,7 @@ def _drain_spill(
                 finally:
                     client.meter.release(held)
             elif splittable and files[0].rows > client._budget.rows:
-                _COUNTERS.add(spill_recursions=1)
+                client.meter.counts.spill_recursions += 1
                 client.resplits += 1
                 split = []
                 wanted = None
@@ -707,7 +727,7 @@ class SpillingSeenSet:
         """Flush the in-memory set to partition files and enter spill mode."""
         self.spilled = True
         self._parts = self._spill.partitions(self._fanout, "part")
-        _COUNTERS.add(dedup_spills=1)
+        self.meter.counts.dedup_spills += 1
         self._spill.route(self._parts, zip(self._seen, repeat(True)), _first, 0)
         self._seen.clear()
         self.meter.release(self._resident)
@@ -761,7 +781,7 @@ class SpillingSeenSet:
                 # Its distinct rows alone outgrew the budget once splitting
                 # stopped making progress: the one case spilling cannot
                 # bound, surfaced instead of masked.
-                _COUNTERS.add(spill_overflows=1)
+                self.meter.counts.spill_overflows += 1
             yield from self._emit(files, deferred)
         finally:
             self.meter.release(held)

@@ -161,7 +161,8 @@ class EvaluationTrace:
 
     ``steps`` are materialised intermediates for the materialising
     evaluators and per-operator *streamed* cardinalities for the engine
-    (the engine materialises nothing).
+    (the engine materialises nothing).  The engine's are built when first
+    read (:meth:`defer_steps`): most executes never read them.
     """
 
     steps: List[TraceStep] = field(default_factory=list)
@@ -201,6 +202,36 @@ class EvaluationTrace:
     def record(self, step: TraceStep) -> None:
         """Append one step to the trace."""
         self.steps.append(step)
+
+    def defer_steps(
+        self,
+        meta: List[Tuple[Optional[str], str, int]],
+        rows_out: Tuple[int, ...],
+        live_labels: Tuple[str, ...],
+    ) -> None:
+        """Build ``steps`` when first read, not now.
+
+        ``meta`` holds each step's ``(description, node_kind,
+        scheme_width)``, a ``None`` description standing for the next of
+        ``live_labels``; ``rows_out`` holds each step's cardinality.  All
+        of it is plain data, so a deferred trace copies, pickles and
+        compares like any other.
+        """
+        del self.steps
+        self._step_source = (meta, rows_out, live_labels)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: ``steps`` deferred.
+        source = self.__dict__.get("_step_source") if name == "steps" else None
+        if source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        meta, rows_out, live_labels = source
+        labels = iter(live_labels)
+        steps = self.steps = [
+            TraceStep(next(labels) if label is None else label, kind, rows, width, rows * width)
+            for (label, kind, width), rows in zip(meta, rows_out)
+        ]
+        return steps
 
     @property
     def peak_intermediate_cardinality(self) -> int:

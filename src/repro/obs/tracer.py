@@ -4,7 +4,9 @@ A :class:`Tracer` records *spans*: named, timed slices of one execution
 (``plan``, ``operator``, ``build``, ``spill-write``, ``spill-read``,
 ``fault-retry``, ``materialize`` …), each
 carrying wall-clock seconds, a row count, and the kernel-counter deltas
-that accrued while it was open.  Spans form a tree: each records the
+that accrued while it was open: the process-global counters plus the
+execute's own, which its operators count on until the execute folds them
+in (``Tracer.counts``).  Spans form a tree: each records the
 span that was innermost on the same thread when it started, and
 :func:`span_tree` reassembles the parent/child structure afterwards.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..perf.counters import kernel_counters
+from ..perf.counters import COUNTER_NAMES, combined_values
 
 __all__ = [
     "MAX_SPANS",
@@ -53,7 +55,10 @@ class Span:
     ``start`` is seconds since the owning tracer's epoch (its creation
     time), so spans within one trace are directly comparable.
     ``counters`` holds only the kernel counters that changed while the
-    span was open (inclusive of nested spans, like ``seconds``).
+    span was open (inclusive of nested spans, like ``seconds``): the
+    process-global ones plus the execute's own, so on one thread a span
+    sees exactly its execute's work, and under threads other executes'
+    folded counts may show in it too.
     """
 
     span_id: int
@@ -125,6 +130,9 @@ class Tracer:
         self._epoch = perf_counter()
         #: Spans discarded after :data:`MAX_SPANS` was reached.
         self.dropped = 0
+        #: The execute's own counts (its meter's), set by the evaluator
+        #: before the drain: read beside the process-global counters.
+        self.counts = None
 
     # -- span lifecycle -------------------------------------------------
 
@@ -145,7 +153,7 @@ class Tracer:
             kind=kind,
             label=label,
             start=t0 - self._epoch,
-            before=kernel_counters().snapshot(),
+            before=combined_values(self.counts),
             t0=t0,
         )
         stack.append(handle.span_id)
@@ -155,7 +163,7 @@ class Tracer:
         stack = self._stack()
         if handle.span_id in stack:  # tolerate out-of-order unwinding
             stack.remove(handle.span_id)
-        delta = kernel_counters().delta_since(handle._before)
+        after = combined_values(self.counts)
         span = Span(
             span_id=handle.span_id,
             parent_id=handle.parent_id,
@@ -164,7 +172,11 @@ class Tracer:
             start=handle.start,
             seconds=seconds,
             rows=handle.rows,
-            counters={name: value for name, value in delta.items() if value},
+            counters={
+                name: now - then
+                for name, now, then in zip(COUNTER_NAMES, after, handle._before)
+                if now != then
+            },
         )
         with self._lock:
             if len(self._spans) < MAX_SPANS:

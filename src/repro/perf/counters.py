@@ -15,11 +15,15 @@ budget.
 
 Threading: the *materialising kernel*'s increments are deliberately plain
 ``+=`` — they sit on the hot path and must not pay for locking, so under
-concurrent kernel use they are a measurement aid only.  The *engine* updates
-its counters through :meth:`KernelCounters.add`, which takes a module lock:
-engine increments happen at block/spill granularity (rare relative to row
-work), and user threads may share one evaluator or session, so losslessness
-there is part of the tested contract.
+concurrent kernel use they are a measurement aid only.  The *engine* counts
+per execute: its operators, spill files and fault injector add with plain
+``+=`` to their meter's ``counts``, a :class:`KernelCounters` of the
+execute's own, and the execute folds the nonzero ones into the
+process-global counters under one lock (:func:`fold_counts`).  User threads
+may share one evaluator or session, so losslessness there, and a trace that
+reports its own execute's counts only, are part of the tested contract.  A
+meter built bare (tests, tools driving operators by hand) counts onto the
+process-global counters directly, as the kernel does.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Dict, Tuple
+from operator import add, attrgetter
+from typing import Dict, Optional, Tuple
 
 __all__ = [
-    "KernelCounters", "counter_delta", "counter_values", "kernel_counters",
-    "reset_kernel_counters",
+    "COUNTER_NAMES", "KernelCounters", "combined_values", "counter_values", "fold_counts",
+    "kernel_counters", "reset_kernel_counters",
 ]
 
 #: Guards :meth:`KernelCounters.add` (the engine's thread-safe update path).
@@ -141,7 +145,7 @@ class KernelCounters:
 
 #: The counter names, and one C-level read of all of them (every span reads
 #: them twice).
-_NAMES = tuple(f.name for f in fields(KernelCounters))
+_NAMES = COUNTER_NAMES = tuple(f.name for f in fields(KernelCounters))
 _VALUES = attrgetter(*_NAMES)
 #: ``counter_values(counters)``: the counters as a tuple, the cheap snapshot
 #: an execution takes (see :func:`counter_delta`).
@@ -149,15 +153,39 @@ counter_values = _VALUES
 
 _COUNTERS = KernelCounters()
 
+#: What an execute that counted nothing reports (copied, never handed out).
+_ZEROS = (0,) * len(_NAMES)
+_ZERO_COUNTS = dict.fromkeys(_NAMES, 0)
 
-def counter_delta(before: Tuple[int, ...]) -> Dict[str, int]:
-    """The process-global counters' increase since ``before`` (their
-    :data:`counter_values`), as :meth:`KernelCounters.delta_since` reports
-    it; a run that moved none of them gets zeros without a subtraction."""
-    after = _VALUES(_COUNTERS)
-    if after == before:
-        return dict.fromkeys(_NAMES, 0)
-    return {name: now - then for name, now, then in zip(_NAMES, after, before)}
+
+def fold_counts(own: KernelCounters) -> Dict[str, int]:
+    """Move an execute's own counts into the process-global counters.
+
+    The nonzero ones are added under one acquisition of the mutation lock
+    and ``own`` is left zeroed for the next execute; the return value is
+    what was moved, every counter named.  An execute that counted nothing
+    takes no lock.
+    """
+    values = _VALUES(own)
+    if values == _ZEROS:
+        return _ZERO_COUNTS.copy()
+    moved = [(name, value) for name, value in zip(_NAMES, values) if value]
+    with _MUTATION_LOCK:
+        for name, value in moved:
+            setattr(_COUNTERS, name, getattr(_COUNTERS, name) + value)
+    for name, _ in moved:
+        setattr(own, name, 0)
+    return dict(zip(_NAMES, values))
+
+
+def combined_values(own: Optional[KernelCounters]) -> Tuple[int, ...]:
+    """The process-global counters plus ``own`` (an execute's counts not
+    yet folded), as :data:`counter_values` reads them: what a span's
+    counter delta is taken over, so it is unchanged by the fold."""
+    now = _VALUES(_COUNTERS)
+    if own is None or own is _COUNTERS:
+        return now
+    return tuple(map(add, now, _VALUES(own)))
 
 
 def kernel_counters() -> KernelCounters:

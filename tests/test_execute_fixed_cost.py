@@ -8,13 +8,17 @@ part move with the host; these counts do not:
 * Python-level calls, counted as ``sys.setprofile`` ``call`` events
   (generator resumes included): at most :data:`CLAIM_CALLS` (100 before the
   binding, plan lookup, instantiation, drain, trace and metrics were
-  compiled down; 36 after, on CPython 3.9, 3.11 and 3.12 alike, and 37
-  since a membership decision shares the session's accounting call);
+  compiled down; 37 before the operator tree was reused across executes,
+  the one column deduplicated as bare values, the counts kept per execute
+  and the trace steps built when first read; 27 since, on CPython 3.9,
+  3.11 and 3.12 alike);
 * lock acquisitions, counted by stand-ins for every module and instance lock
-  on the path: at most :data:`CLAIM_LOCKS` (15 before; the collector pause's
-  two, the meter's one, the session counters' one and the metrics' one);
-* the same two counts for a warm :meth:`PreparedQuery.count`, at the same
-  bounds;
+  on the path, the reused tree's meter included: at most
+  :data:`CLAIM_LOCKS` (15 before; the collector pause's two, the meter's
+  one, the session counters' one and the metrics' one — an execute that
+  counted nothing folds its counts under no lock);
+* the same two counts for a warm :meth:`PreparedQuery.count` (25 calls),
+  at the same bounds;
 * one serving query's calls, at most :data:`SERVING_CALLS` (the measured
   count plus 10 %; 558 before, when a join's empty extras picker was a
   Python call per build row), and a join's whose build side has one extra
@@ -45,14 +49,14 @@ from repro.workloads import growing_construction_family, serving_queries, servin
 
 from test_engine_ordering import JOIN_100K_QUERIES, _join_100k_slice
 
-CLAIM_CALLS = 40
+CLAIM_CALLS = 30
 CLAIM_LOCKS = 5
-#: ``project[A](R * S)`` over the serving relations reads 75 (70 on 3.12;
-#: one less before a membership decision shared the session's accounting call).
-SERVING_CALLS = 81
+#: ``project[A](R * S)`` over the serving relations reads 54 (49 on 3.12;
+#: 75 before the operator tree was reused).
+SERVING_CALLS = 59
 #: ``project[A, C](R * S)``, whose build side ``S`` keeps one column, reads
-#: 69 (64 on 3.12).
-ONE_EXTRA_CALLS = 76
+#: 51 (46 on 3.12; 69 before the operator tree was reused).
+ONE_EXTRA_CALLS = 56
 
 
 def _claim_construction():
@@ -119,16 +123,21 @@ def _locks_of_one_execute(prepared, session, monkeypatch, verb="execute"):
         return _CountingLock(name, acquired)
 
     engine = session._engine
+    plan = engine.pinned_plan(prepared.expression)
     monkeypatch.setattr(counters_module, "_MUTATION_LOCK", counting("counters"))
     monkeypatch.setattr(metrics_module, "_MUTATION_LOCK", counting("metrics"))
     monkeypatch.setattr(physical._COLLECTOR_PAUSE, "_lock", counting("collector"))
     monkeypatch.setattr(session, "_state_lock", counting("session"))
     monkeypatch.setattr(prepared, "_lock", counting("prepared"))
     monkeypatch.setattr(engine, "_plans_lock", counting("plans"))
-    # The meter is built by the execute: its lock comes from this factory.
+    # A meter built by the execute takes its lock from this factory; a warm
+    # execute drains a reused tree, whose meter's lock is swapped in place.
     monkeypatch.setattr(
         spill, "threading", SimpleNamespace(Lock=lambda: counting("meter"))
     )
+    for trees in plan.trees.values():
+        for _root, _operators, meter, _meta, _live in trees:
+            monkeypatch.setattr(meter, "_lock", counting("meter"))
     getattr(prepared, verb)()
     monkeypatch.undo()
     return acquired
@@ -136,7 +145,7 @@ def _locks_of_one_execute(prepared, session, monkeypatch, verb="execute"):
 
 @pytest.mark.parametrize("budget", [None, 64], ids=["unbudgeted", "budget-64"])
 class TestTheClaimQuery:
-    def test_a_warm_execute_makes_at_most_forty_calls(self, budget):
+    def test_a_warm_execute_makes_at_most_thirty_calls(self, budget):
         construction = _claim_construction()
         with Session({"R": construction.relation}, budget=budget) as session:
             prepared = _warm(session, _claim_text(construction))
@@ -151,7 +160,7 @@ class TestTheClaimQuery:
         # What the five are: the binding re-check and the plan lookup take none.
         assert sorted(acquired) == ["collector", "collector", "meter", "metrics", "session"]
 
-    def test_a_warm_count_makes_at_most_forty_calls(self, budget):
+    def test_a_warm_count_makes_at_most_thirty_calls(self, budget):
         """``count()`` runs the same path, reading the plan's mark, not
         recomputing it, and copies no set."""
         construction = _claim_construction()
