@@ -491,7 +491,7 @@ class PhysicalPlan:
     state_bound: Optional[int] = None
     #: What traces record of each operator that never changes between
     #: executions — label, kind, width — keyed by the executing tree's shape
-    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._record_steps`).
+    #: (see :meth:`~repro.engine.evaluator.EngineEvaluator._tree`).
     step_meta: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
     #: Operator trees a finished drain left, free for the next execute of
     #: the same pinned binding and verb, keyed ``(binding, counts)``:

@@ -147,8 +147,8 @@ class KernelCounters:
 #: them twice).
 _NAMES = COUNTER_NAMES = tuple(f.name for f in fields(KernelCounters))
 _VALUES = attrgetter(*_NAMES)
-#: ``counter_values(counters)``: the counters as a tuple, the cheap snapshot
-#: an execution takes (see :func:`counter_delta`).
+#: ``counter_values(counters)``: the counters as a tuple, in
+#: :data:`COUNTER_NAMES` order (see :func:`fold_counts`).
 counter_values = _VALUES
 
 _COUNTERS = KernelCounters()
